@@ -7,6 +7,19 @@ inside that region.  The returned strategy follows the discounted optimum for
 a computed number of steps and then switches to an almost-sure strategy, so
 it satisfies the acceptance condition with probability one while losing at
 most epsilon of discounted value.
+
+Models are built and read as dicts of tuples.  The solvers read one array
+form instead, ``MdpArrays``, built once per model on first use
+(``Mdp.arrays``): one CSR row per (state, action) pair in the state's action
+order, with expected rewards and an accepting-row mask.  On it, maximal end
+components come from strongly connected components refined until stable,
+qualitative regions and strategies from attractors over the rows in row
+order, and the discounted optimum from exact policy iteration with sparse
+direct solves.  ``strategy_value_check`` evaluates a strategy object on the
+Markov chain it induces, independently of the solvers, by two sparse direct
+solves.  ``scipy.sparse.csgraph`` and ``scipy.sparse.linalg`` are imported
+inside the functions that use them: loading them costs more than importing
+the rest of the library.
 """
 
 from __future__ import annotations
@@ -14,11 +27,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .automata import Automaton, _strongly_connected_components
+from .automata import Automaton
 
 
 class NoValidStrategy(Exception):
@@ -73,6 +87,12 @@ class Mdp:
 
     def reward(self, s, a, t):
         return self.rewards.get((s, a, t), 0.0)
+
+    @cached_property
+    def arrays(self):
+        """The solvers' array form, built on first use and kept: the dict
+        fields must not change once a solver has read the model."""
+        return MdpArrays.of(self)
 
 
 @dataclass
@@ -201,204 +221,225 @@ def product_with_reward_machine(M: Mdp, R: RewardMachine) -> Mdp:
                check=False)
 
 
-class _Tableau:
-    """Sparse one-row-per-action form of an MDP for vectorized sweeps.
+class MdpArrays:
+    """One CSR row per (state, action) pair: the form every solver reads.
 
     Rows are ordered by state and, within a state, by the state's action
-    tuple, so segment-wise reductions respect the first-action tie-breaking
-    convention.  Every state must have an action.
+    tuple, so "first row" means "first action" in every tie-break.  The rows
+    of state ``s`` are ``first[s]:first[s + 1]``; row ``k`` is action
+    ``action[k]`` of state ``state[k]``, moves by row ``k`` of ``P``, pays
+    ``R[k]`` in expectation and is accepting when ``acc[k]`` is set.
     """
 
-    def __init__(self, M: Mdp):
-        rows = []
-        data, indices, indptr = [], [], [0]
-        expect_r = []
-        counts = np.zeros(M.n_states + 1, dtype=np.int64)
+    def __init__(self, first, action, P, R, acc):
+        counts = np.diff(first)
+        if not counts.all():
+            raise ValueError(f"state {int(np.argmin(counts))} has no actions")
+        if not np.diff(P.indptr).all():
+            raise ValueError("an action has an empty distribution")
+        self.n_states = len(counts)
+        self.first = first
+        self.state = np.repeat(np.arange(self.n_states), counts)
+        self.action = action
+        self.P = P
+        self.R = R
+        self.acc = acc
+
+    @classmethod
+    def of(cls, M: Mdp):
+        acc = getattr(M, "acc", frozenset())
+        reward = M.rewards.get
+        first, action, expect, is_acc = [0], [], [], []
+        indices, data, indptr = [], [], [0]
         for s in range(M.n_states):
             for a in M.actions[s]:
-                rows.append((s, a))
-                counts[s + 1] += 1
                 r = 0.0
                 for t, p in M.trans[(s, a)]:
                     indices.append(t)
                     data.append(p)
-                    r += p * M.reward(s, a, t)
+                    r += p * reward((s, a, t), 0.0)
                 indptr.append(len(indices))
-                expect_r.append(r)
-        if not counts[1:].all():
-            raise ValueError(
-                f"state {int(np.argmin(counts[1:]))} has no actions")
-        self.rows = rows
-        self.n_states = M.n_states
-        self.P = sparse.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64),
-             np.array(indptr, dtype=np.int64)),
-            shape=(len(rows), M.n_states))
-        self.ones = sparse.csr_matrix(
-            (np.ones(len(data)), self.P.indices, self.P.indptr),
-            shape=self.P.shape)
-        self.nnz_row = np.diff(self.P.indptr)
-        self.R = np.array(expect_r)
-        self.row_state = np.array([s for s, _ in rows], dtype=np.int64)
-        self.offsets = np.cumsum(counts)
+                action.append(a)
+                expect.append(r)
+                is_acc.append((s, a) in acc)
+            first.append(len(action))
+        P = sparse.csr_matrix((np.array(data, dtype=float),
+                               np.array(indices, dtype=np.int64),
+                               np.array(indptr, dtype=np.int64)),
+                              shape=(len(action), M.n_states))
+        return cls(np.array(first, dtype=np.int64), action, P,
+                   np.array(expect), np.array(is_acc, dtype=bool))
+
+    @cached_property
+    def entry_row(self):
+        """The row of each stored transition."""
+        return np.repeat(np.arange(self.state.size), np.diff(self.P.indptr))
+
+    @cached_property
+    def into(self):
+        """State-by-row incidence: row ``t`` lists the rows that may enter
+        ``t``."""
+        ones = np.ones(self.P.nnz, dtype=bool)
+        return sparse.csr_matrix((ones, (self.P.indices, self.entry_row)),
+                                 shape=(self.n_states, self.state.size))
+
+    def row_any(self, entry):
+        """Per row: does one of its stored transitions satisfy ``entry``?"""
+        return np.logical_or.reduceat(entry, self.P.indptr[:-1])
+
+    def stays(self, inside):
+        """Rows of the states in ``inside`` whose targets all lie in it."""
+        return inside[self.state] & ~self.row_any(~inside[self.P.indices])
 
     def state_max(self, q):
-        """Per-state maximum over the action rows."""
-        return np.maximum.reduceat(q, self.offsets[:-1])
+        return np.maximum.reduceat(q, self.first[:-1])
 
-    def state_any(self, row_mask):
-        return np.logical_or.reduceat(row_mask, self.offsets[:-1])
+    def first_row(self, rows):
+        """Per state, its first row in the mask ``rows``, else
+        ``len(rows)``."""
+        return np.minimum.reduceat(
+            np.where(rows, np.arange(rows.size), rows.size), self.first[:-1])
 
-    def greedy(self, q, tol=1e-12):
-        """First action per state that no later action beats by ``tol``."""
-        choices = {}
-        for s in range(self.n_states):
-            lo, hi = self.offsets[s], self.offsets[s + 1]
-            best, pick = q[lo], lo
-            for k in range(lo + 1, hi):
-                if q[k] > best + tol:
-                    best, pick = q[k], k
-            choices[s] = self.rows[pick][1]
-        return choices
+    def first_best(self, q, tol=1e-12):
+        """Per state, its first row within ``tol`` of the state's maximum."""
+        return self.first_row(q >= self.state_max(q)[self.state] - tol)
+
+    def choices(self, pick):
+        return {s: self.action[k] for s, k in enumerate(pick.tolist())}
+
+    def restrict(self, keep):
+        """The sub-model on the states in ``keep`` with the rows that stay in
+        it, and the kept states' ids in this model (the index remap)."""
+        rows = np.flatnonzero(self.stays(keep))
+        states = np.flatnonzero(keep)
+        remap = np.full(self.n_states, -1, dtype=np.int64)
+        remap[states] = np.arange(states.size)
+        P = self.P[rows]
+        P = sparse.csr_matrix((P.data, remap[P.indices], P.indptr),
+                              shape=(rows.size, states.size))
+        first = np.zeros(states.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(remap[self.state[rows]], minlength=states.size),
+                  out=first[1:])
+        sub = MdpArrays(first, [self.action[k] for k in rows.tolist()], P,
+                        self.R[rows], self.acc[rows])
+        return sub, states
+
+
+def _mask(n, members):
+    out = np.zeros(n, dtype=bool)
+    out[list(members)] = True
+    return out
+
+
+def _mecs(A: MdpArrays, within):
+    """Maximal end components inside the state mask ``within``.
+
+    Refines strongly connected components until nothing changes (Chatterjee
+    and Henzinger, SODA 2011): a row that may leave its state's component is
+    dropped, so a state without rows left has no successor and drops out as
+    a singleton.  Returns the component label of every state and the mask of
+    inner rows; a state lies in a MEC exactly when it keeps an inner row.
+    """
+    from scipy.sparse.csgraph import connected_components
+    src, dst = A.state[A.entry_row], A.P.indices
+    inner = within[A.state]
+    while True:
+        live = inner[A.entry_row]
+        graph = sparse.csr_matrix(
+            (np.ones(np.count_nonzero(live)), (src[live], dst[live])),
+            shape=(A.n_states, A.n_states))
+        _, label = connected_components(graph, connection="strong")
+        refined = inner & ~A.row_any(label[dst] != label[src])
+        if np.array_equal(refined, inner):
+            return label, inner
+        inner = refined
 
 
 def mec_decomposition(M: Mdp, within=None):
-    """Maximal end components as (state set, set of (state, action)) pairs.
+    """Maximal end components as (state set, set of (state, action)) pairs,
+    ordered by their least state."""
+    A = M.arrays
+    keep = (np.ones(A.n_states, dtype=bool) if within is None
+            else _mask(A.n_states, within))
+    label, inner = _mecs(A, keep)
+    found = {}
+    label, state = label.tolist(), A.state.tolist()
+    for k in np.flatnonzero(inner).tolist():
+        s = state[k]
+        states, pairs = found.setdefault(label[s], (set(), set()))
+        states.add(s)
+        pairs.add((s, A.action[k]))
+    return sorted(found.values(), key=lambda mec: min(mec[0]))
 
-    Iteratively restricts to strongly connected sub-MDPs: actions that may
-    leave the candidate set are deleted, states without actions are deleted,
-    and the candidates are re-split along SCCs until nothing changes.
-    """
-    candidates = [set(range(M.n_states)) if within is None else set(within)]
-    result = []
-    while candidates:
-        states = candidates.pop()
-        enabled = {}
-        for s in sorted(states):
-            acts = [a for a in M.actions[s]
-                    if all(t in states for t, _ in M.trans[(s, a)])]
-            if acts:
-                enabled[s] = acts
-        if not enabled:
-            continue
-        order = sorted(enabled)
-        index = {s: i for i, s in enumerate(order)}
 
-        def succ(i):
-            s = order[i]
-            out = set()
-            for a in enabled[s]:
-                for t, _ in M.trans[(s, a)]:
-                    if t in index:
-                        out.add(index[t])
-            return sorted(out)
-
-        comp, n_comp = _strongly_connected_components(len(order), succ)
-        groups = [set() for _ in range(n_comp)]
-        for i, s in enumerate(order):
-            groups[comp[i]].add(s)
-        for group in groups:
-            inner = {(s, a) for s in group for a in enabled[s]
-                     if all(t in group for t, _ in M.trans[(s, a)])}
-            if not inner:
-                continue
-            if group == states and len(inner) == sum(
-                    len(enabled[s]) for s in group):
-                result.append((group, inner))
-            else:
-                candidates.append(group)
-    return sorted(result, key=lambda pair: min(pair[0]))
+def _accepting_mecs(A: MdpArrays):
+    """States of the MECs with an accepting inner row, and the inner rows."""
+    label, inner = _mecs(A, np.ones(A.n_states, dtype=bool))
+    accepting = np.zeros(A.n_states, dtype=bool)
+    accepting[label[A.state[inner & A.acc]]] = True
+    return accepting[label], inner
 
 
 def accepting_mecs(P: ProductMdp):
     """Union of states of MECs that contain an accepting action."""
-    out = set()
-    for states, inner in mec_decomposition(P):
-        if any((s, a) in P.acc for (s, a) in inner):
-            out |= states
-    return out
+    return set(np.flatnonzero(_accepting_mecs(P.arrays)[0]).tolist())
 
 
-def _bool_vector(n, members):
-    out = np.zeros(n, dtype=bool)
-    for s in members:
-        out[s] = True
-    return out
+def _attractor(A: MdpArrays, goal, allowed):
+    """States that reach ``goal`` with positive probability along ``allowed``
+    rows, and the row each of them plays.
+
+    Works backward one layer at a time; a state plays its first allowed row,
+    in row order, that enters the previous layer.  The pick is -1 for goal
+    states and for states left out.
+    """
+    covered = goal.copy()
+    pick = np.full(A.n_states, -1, dtype=np.int64)
+    frontier = np.flatnonzero(goal)
+    while frontier.size:
+        rows = np.unique(A.into[frontier].indices)
+        rows = rows[allowed[rows] & ~covered[A.state[rows]]]
+        frontier, at = np.unique(A.state[rows], return_index=True)
+        pick[frontier] = rows[at]
+        covered[frontier] = True
+    return covered, pick
 
 
-def _prob1_region(M: Mdp, target, tab=None):
+def _prob1(A: MdpArrays, target):
     """States that can reach ``target`` with probability one (max)."""
-    if tab is None:
-        tab = _Tableau(M)
-    W = np.ones(M.n_states, dtype=bool)
-    tgt = _bool_vector(M.n_states, target)
+    region = np.ones(A.n_states, dtype=bool)
     while True:
-        # backward closure inside W: some action stays in W and makes progress
-        stays = (tab.ones @ W.astype(float)) >= tab.nnz_row - 0.5
-        R = tgt & W
-        while True:
-            hits = (tab.ones @ R.astype(float)) > 0.5
-            new = R | tab.state_any(stays & hits)
-            if np.array_equal(new, R):
-                break
-            R = new
-        if np.array_equal(R, W):
-            return set(int(s) for s in np.nonzero(W)[0])
-        W = R
+        inside, _ = _attractor(A, target & region, A.stays(region))
+        if np.array_equal(inside, region):
+            return region
+        region = inside
+
+
+def _prob1_region(M: Mdp, target):
+    """``_prob1`` on a dict model, as a set of states."""
+    region = _prob1(M.arrays, _mask(M.n_states, target))
+    return set(np.flatnonzero(region).tolist())
 
 
 def max_reach_prob(M: Mdp, target):
     """Value vector and positional strategy maximizing P(reach target)."""
-    tab = _Tableau(M)
-    n = M.n_states
-    tgt = _bool_vector(n, target)
-    # qualitative precomputation
-    can_reach = tgt.copy()
-    while True:
-        hits = (tab.ones @ can_reach.astype(float)) > 0.5
-        new = can_reach | tab.state_any(hits)
-        if np.array_equal(new, can_reach):
-            break
-        can_reach = new
-    sure_set = _prob1_region(M, target, tab)
-    sure = _bool_vector(n, sure_set)
+    A = M.arrays
+    tgt = _mask(A.n_states, target)
+    can_reach, _ = _attractor(A, tgt, np.ones(A.state.size, dtype=bool))
+    sure = _prob1(A, tgt)
     free = can_reach & ~sure & ~tgt
     v = sure.astype(float)
     while True:
-        new = np.where(free, tab.state_max(tab.P @ v), v)
-        residual = float(np.max(np.abs(new - v))) if n else 0.0
+        new = np.where(free, A.state_max(A.P @ v), v)
+        residual = np.max(np.abs(new - v), initial=0.0)
         v = new
         if residual <= 1e-12:
             break
-    strategy = {}
     # inside the sure region a value-greedy choice can cycle without ever
     # progressing, so pick actions along the qualitative backward closure
-    stays = (tab.ones @ sure.astype(float)) >= tab.nnz_row - 0.5
-    covered = tgt & sure
-    pending = sure & ~covered
-    while True:
-        hits = (tab.ones @ covered.astype(float)) > 0.5
-        cand = np.nonzero(stays & hits & pending[tab.row_state])[0]
-        if cand.size == 0:
-            break
-        for k in cand:
-            s = int(tab.row_state[k])
-            if not pending[s]:
-                continue
-            strategy[s] = tab.rows[k][1]
-            pending[s] = False
-            covered[s] = True
-    q = tab.P @ v
-    for s in range(n):
-        if s in strategy:
-            continue
-        lo, hi = tab.offsets[s], tab.offsets[s + 1]
-        best, pick = q[lo], lo
-        for k in range(lo + 1, hi):
-            if q[k] > best + 1e-12:
-                best, pick = q[k], k
-        strategy[s] = tab.rows[pick][1]
-    return v.tolist(), Strategy("positional", choices=strategy)
+    _, pick = _attractor(A, tgt & sure, A.stays(sure))
+    pick = np.where(pick >= 0, pick, A.first_best(A.P @ v))
+    return v.tolist(), Strategy("positional", choices=A.choices(pick))
 
 
 @dataclass
@@ -420,30 +461,28 @@ class Strategy:
     switch_step: int = 0
 
 
-def _attractor_strategy(M, inner, goal):
-    """Within an end component, positional moves that reach ``goal`` a.s."""
-    allowed, preds = {}, {}
-    for s, a in inner:
-        allowed.setdefault(s, []).append(a)
-        for t, _ in M.trans[(s, a)]:
-            preds.setdefault(t, []).append(s)
-    for s in allowed:
-        allowed[s].sort(key=M.actions[s].index)
-    reached = set(goal)
-    moves = {}
-    queue = list(goal)
-    while queue:
-        t = queue.pop()
-        for s in preds.get(t, ()):
-            if s in reached or s not in allowed:
-                continue
-            for a in allowed[s]:
-                if any(x in reached for x, _ in M.trans[(s, a)]):
-                    moves[s] = a
-                    reached.add(s)
-                    queue.append(s)
-                    break
-    return moves
+def _almost_sure(A: MdpArrays):
+    """Accepting-MEC states, the almost-sure Buchi region and its strategy.
+
+    A state of an accepting MEC plays its first accepting inner row if it
+    has one and otherwise the attractor over inner rows toward such states:
+    the play stays in the component and the accepting transition recurs
+    almost surely.  Every other region state plays the attractor over the
+    rows that stay in the region, which reaches an accepting MEC with
+    probability one.
+    """
+    goal, inner = _accepting_mecs(A)
+    region = _prob1(A, goal)
+    owner = A.first_row(inner & A.acc)
+    seeds = owner < A.state.size
+    allowed = np.where(goal[A.state], inner, A.stays(region))
+    _, pick = _attractor(A, seeds, allowed)
+    pick = np.where(seeds, owner, pick).tolist()
+    choices = {(s, 0): A.action[pick[s]]
+               for s in np.flatnonzero(region).tolist()}
+    strategy = Strategy("finite-memory", choices=choices,
+                        update=dict.fromkeys(choices, 0), memory_size=1)
+    return goal, region, strategy
 
 
 def almost_sure_buchi_region(P: ProductMdp):
@@ -451,78 +490,41 @@ def almost_sure_buchi_region(P: ProductMdp):
 
     The strategy reaches an accepting MEC with probability one; inside the
     MEC it steers toward a state owning an accepting inner action and plays
-    that action there.  The attractor keeps the play in the component, so the
-    accepting transition recurs almost surely.
+    that action there.
     """
-    mecs = [(states, inner) for states, inner in mec_decomposition(P)
-            if any((s, a) in P.acc for (s, a) in inner)]
-    goal = set()
-    for states, _ in mecs:
-        goal |= states
-    region = _prob1_region(P, goal)
-    _, reach = max_reach_prob(P, goal)
-    choices, update = {}, {}
-    for states, inner in mecs:
-        acc_action = {}
-        for s, a in sorted(inner,
-                           key=lambda x: (x[0], P.actions[x[0]].index(x[1]))):
-            if (s, a) in P.acc and s not in acc_action:
-                acc_action[s] = a
-        moves = _attractor_strategy(P, inner, set(acc_action))
-        for s in states:
-            choices[(s, 0)] = acc_action[s] if s in acc_action else moves[s]
-            update[(s, 0)] = 0
-    for s in region:
-        if (s, 0) not in choices:
-            choices[(s, 0)] = reach.choices[s]
-            update[(s, 0)] = 0
-    strategy = Strategy("finite-memory", choices=choices, update=update,
-                        memory_size=1)
-    return region, strategy
+    _, region, strategy = _almost_sure(P.arrays)
+    return set(np.flatnonzero(region).tolist()), strategy
 
 
-def discounted_vi(M: Mdp, lam, eps_vi=1e-8):
-    """Discounted value iteration with a residual-based stopping rule."""
+def _policy_iteration(A: MdpArrays, lam):
+    """Optimal discounted values by exact policy iteration (Puterman,
+    *MDPs*, ch. 6), and per state the first row within 1e-12 of the optimal
+    one-step value."""
     if not (0 <= lam < 1):
         raise ValueError("discount factor must lie in [0, 1)")
-    stop = eps_vi if lam == 0 else eps_vi * (1 - lam) / (2 * lam)
-    tab = _Tableau(M)
-    v = np.zeros(M.n_states)
+    from scipy.sparse.linalg import spsolve
+    eye = sparse.identity(A.n_states, format="csr")
+    pick = A.first_best(A.R)
     while True:
-        new = tab.state_max(tab.R + lam * (tab.P @ v))
-        residual = float(np.max(np.abs(new - v))) if M.n_states else 0.0
-        v = new
-        if residual <= stop or lam == 0:
-            break
-    strategy = tab.greedy(tab.R + lam * (tab.P @ v))
-    return v.tolist(), Strategy("positional", choices=strategy)
+        v = spsolve((eye - lam * A.P[pick]).tocsc(), A.R[pick])
+        q = A.R + lam * (A.P @ v)
+        best = A.state_max(q)
+        # switch only on a clear gain, so rounding cannot make it cycle
+        better = best > q[pick] + 1e-12 * max(1.0, np.max(np.abs(best)))
+        if not better.any():
+            return v, A.first_best(q)
+        pick = np.where(better, A.first_best(q), pick)
 
 
-def _restrict_to_region(P: ProductMdp, region):
-    order = sorted(region)
-    remap = {s: i for i, s in enumerate(order)}
-    actions, trans, rewards = {}, {}, {}
-    acc = set()
-    for s in order:
-        acts = []
-        for a in P.actions[s]:
-            if all(t in region for t, _ in P.trans[(s, a)]):
-                acts.append(a)
-                trans[(remap[s], a)] = tuple(
-                    (remap[t], p) for t, p in P.trans[(s, a)])
-                if (s, a) in P.acc:
-                    acc.add((remap[s], a))
-        actions[remap[s]] = tuple(acts)
-    for (s, a, t), r in P.rewards.items():
-        if s in region and t in region and a in actions[remap[s]]:
-            rewards[(remap[s], a, remap[t])] = r
-    sub = ProductMdp(len(order), remap[P.initial], actions, trans, acc,
-                     [P.pairs[s] for s in order],
-                     alphabet=P.alphabet,
-                     labels=tuple(P.labels[s] for s in order)
-                     if P.labels else None,
-                     rewards=rewards)
-    return sub, remap
+def discounted_vi(M: Mdp, lam):
+    """Optimal discounted values and a positional strategy attaining them.
+
+    Solved exactly by policy iteration; at each state the strategy plays the
+    first action whose one-step value is within 1e-12 of the maximum.
+    """
+    A = M.arrays
+    v, pick = _policy_iteration(A, lam)
+    return v.tolist(), Strategy("positional", choices=A.choices(pick))
 
 
 def switch_horizon(lam, eps, r_max):
@@ -540,18 +542,18 @@ def lexicographic_solve(P: ProductMdp, lam, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    region, sure = almost_sure_buchi_region(P)
-    if P.initial not in region:
-        v, _ = max_reach_prob(P, accepting_mecs(P))
+    A = P.arrays
+    goal, region, sure = _almost_sure(A)
+    if not region[P.initial]:
+        v, _ = max_reach_prob(P, np.flatnonzero(goal).tolist())
         raise NoValidStrategy(v[P.initial])
-    sub, remap = _restrict_to_region(P, region)
-    values, greedy = discounted_vi(sub, lam)
-    d_star = values[sub.initial]
+    sub, states = A.restrict(region)
+    values, pick = _policy_iteration(sub, lam)
+    d_star = float(values[np.searchsorted(states, P.initial)])
     t_switch = switch_horizon(lam, eps, P.r_max)
     # lift the restricted positional strategy back to original state ids
-    inv = {v: k for k, v in remap.items()}
-    lifted = Strategy("positional", choices={
-        inv[s]: a for s, a in greedy.choices.items()})
+    lifted = Strategy("positional", choices=dict(zip(
+        states.tolist(), (sub.action[k] for k in pick.tolist()))))
     strategy = Strategy("switching", first=lifted, second=sure,
                         switch_step=t_switch)
     return 1.0, d_star, strategy
@@ -559,7 +561,16 @@ def lexicographic_solve(P: ProductMdp, lam, eps):
 
 def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
                          max_chain=500_000):
-    """Satisfaction probability and discounted value of the induced chain."""
+    """Satisfaction probability and discounted value of the induced chain.
+
+    Explores the Markov chain that ``strategy`` induces from the initial
+    state, at most ``max_chain`` nodes (ValueError beyond).  Satisfaction is
+    the probability of absorption into a bottom SCC with an accepting
+    transition, and the value solves (I - lam P) v = r; both are sparse
+    direct solves on the chain.
+    """
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
     ids = {}
     nodes = []
 
@@ -597,71 +608,43 @@ def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
         return ids[node]
 
     intern(key_init())
-    edges = {}
-    accepting_edge = set()
-    reward_of = {}
+    src, dst, prob = [], [], []
+    reward, accepting = [], []
     i = 0
     while i < len(nodes):
         node = nodes[i]
-        src = ids[node]
-        i += 1
         s = node[0]
         a, advance = step(node)
-        dist = []
+        r = 0.0
         for t, p in P.trans[(s, a)]:
-            dst = intern(advance(t))
-            dist.append((dst, p))
-            reward_of[(src, dst)] = P.reward(s, a, t)
-        edges[src] = tuple(dist)
-        if (s, a) in P.acc:
-            accepting_edge.add(src)
+            src.append(i)
+            dst.append(intern(advance(t)))
+            prob.append(p)
+            r += p * P.reward(s, a, t)
+        reward.append(r)
+        accepting.append((s, a) in P.acc)
+        i += 1
     n = len(nodes)
-    comp, n_comp = _strongly_connected_components(
-        n, lambda x: [t for t, _ in edges[x]])
-    is_bottom = [True] * n_comp
-    has_acc = [False] * n_comp
-    recurrent = [False] * n_comp
-    for x in range(n):
-        for t, _ in edges[x]:
-            if comp[t] != comp[x]:
-                is_bottom[comp[x]] = False
-    members = {}
-    for x in range(n):
-        members.setdefault(comp[x], []).append(x)
-    for c, xs in members.items():
-        if len(xs) > 1 or any(t == xs[0] for t, _ in edges[xs[0]]):
-            recurrent[c] = True
-        if any(x in accepting_edge for x in xs):
-            has_acc[c] = True
-    target = {x for x in range(n)
-              if is_bottom[comp[x]] and recurrent[comp[x]] and has_acc[comp[x]]}
-    sat = [1.0 if x in target else 0.0 for x in range(n)]
-    free = [(x, edges[x]) for x in range(n) if x not in target]
-    while True:
-        residual = 0.0
-        for x, dist in free:
-            val = sum(p * sat[t] for t, p in dist)
-            d = abs(val - sat[x])
-            if d > residual:
-                residual = d
-            sat[x] = val
-        if residual <= 1e-12:
-            break
-    v = [0.0] * n
-    rows = [tuple((t, p, reward_of[(x, t)]) for t, p in edges[x])
-            for x in range(n)]
-    stop = 1e-12 * max(1.0, P.r_max)
-    while True:
-        residual = 0.0
-        for x in range(n):
-            val = sum(p * (r + lam * v[t]) for t, p, r in rows[x])
-            d = abs(val - v[x])
-            if d > residual:
-                residual = d
-            v[x] = val
-        if residual <= stop or lam == 0:
-            break
-    return sat[0], v[0]
+    G = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
+    G.eliminate_zeros()
+    n_comp, comp = connected_components(G, connection="strong")
+    # every node moves somewhere, so a component that no transition leaves
+    # is a recurrent class
+    rows = np.repeat(np.arange(n), np.diff(G.indptr))
+    left = np.zeros(n_comp, dtype=bool)
+    left[comp[rows][comp[rows] != comp[G.indices]]] = True
+    has_acc = np.zeros(n_comp, dtype=bool)
+    has_acc[comp[np.array(accepting, dtype=bool)]] = True
+    sat = (~left & has_acc)[comp].astype(float)
+    transient = np.flatnonzero(left[comp])
+    if transient.size:
+        T = G[transient]
+        sat[transient] = spsolve(
+            (sparse.identity(transient.size, format="csc")
+             - T[:, transient]).tocsc(), T @ sat)
+    v = spsolve((sparse.identity(n, format="csc") - lam * G).tocsc(),
+                np.array(reward))
+    return float(sat[0]), float(v[0])
 
 
 def mdp_to_json(M: Mdp) -> str:

@@ -454,8 +454,7 @@ def test_reward_machine_products_match_closed_forms():
             alphabet=ab, labels=(0,))
     R = RewardMachine(1, 0, {(0, 0): 0, (0, 1): 0},
                       {(0, 0): 3.0, (0, 1): 3.0})
-    v, _ = discounted_vi(product_with_reward_machine(M, R), lam,
-                         eps_vi=1e-10)
+    v, _ = discounted_vi(product_with_reward_machine(M, R), lam)
     assert v[0] == pytest.approx(3.0 / (1 - lam), abs=1e-8)
     # two-state machine paying one step after each b label: the chain
     # alternates labels 0, 1, 0, ..., so the payments hit the even steps
@@ -465,8 +464,7 @@ def test_reward_machine_products_match_closed_forms():
              alphabet=ab, labels=(0, 1))
     R2 = RewardMachine(2, 0, {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1},
                        {(1, 0): 1.0, (1, 1): 1.0})
-    v2, _ = discounted_vi(product_with_reward_machine(M2, R2), lam,
-                          eps_vi=1e-10)
+    v2, _ = discounted_vi(product_with_reward_machine(M2, R2), lam)
     assert v2[0] == pytest.approx(lam * lam / (1 - lam * lam), abs=1e-8)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

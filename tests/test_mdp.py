@@ -1,6 +1,12 @@
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from omegadp.automata import Alphabet, Automaton
@@ -9,7 +15,9 @@ from omegadp.mdp import (
     STUCK,
     Mdp,
     NoValidStrategy,
+    ProductMdp,
     RewardMachine,
+    Strategy,
     accepting_mecs,
     almost_sure_buchi_region,
     discounted_vi,
@@ -108,7 +116,8 @@ def brute_force_mecs(M):
                    if not any(S < T for T in components)), key=min)
 
 
-def random_mdp(rng, n, n_actions=2, alphabet=None):
+def random_mdp(rng, n, n_actions=2, alphabet=None, rewards=False):
+    """Random MDP; with ``rewards``, every transition pays 0 to 3."""
     actions, trans, labels = {}, {}, []
     for s in range(n):
         if alphabet is not None:
@@ -118,8 +127,12 @@ def random_mdp(rng, n, n_actions=2, alphabet=None):
         for a in names:
             support = rng.sample(range(n), rng.randint(1, min(2, n)))
             trans[(s, a)] = tuple((t, 1.0 / len(support)) for t in support)
+    pay = {}
+    if rewards:
+        pay = {(s, a, t): float(rng.randint(0, 3))
+               for (s, a), dist in trans.items() for t, _ in dist}
     return Mdp(n, 0, actions, trans, alphabet=alphabet,
-               labels=labels if alphabet is not None else None)
+               labels=labels if alphabet is not None else None, rewards=pay)
 
 
 def test_mec_decomposition_matches_brute_force(rng):
@@ -236,6 +249,46 @@ def test_discounted_vi_basics():
         discounted_vi(M, 1.0)
 
 
+def exact_policy_values(M, choices, lam):
+    """Values of a positional strategy by a dense linear solve."""
+    n = M.n_states
+    P, r = np.zeros((n, n)), np.zeros(n)
+    for s in range(n):
+        a = choices[s]
+        for t, p in M.trans[(s, a)]:
+            P[s, t] += p
+            r[s] += p * M.reward(s, a, t)
+    return np.linalg.solve(np.eye(n) - lam * P, r)
+
+
+def test_discounted_vi_matches_policy_enumeration(rng):
+    for _ in range(40):
+        M = random_mdp(rng, rng.randint(1, 5), n_actions=3, rewards=True)
+        lam = rng.choice((0.0, 0.5, 0.9, 0.99))
+        policies = itertools.product(
+            *(M.actions[s] for s in range(M.n_states)))
+        best = np.max([exact_policy_values(M, dict(enumerate(pol)), lam)
+                       for pol in policies], axis=0)
+        v, sigma = discounted_vi(M, lam)
+        np.testing.assert_allclose(v, best, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            exact_policy_values(M, sigma.choices, lam), best, rtol=0,
+            atol=1e-9)
+
+
+def test_discounted_vi_returns_the_first_of_tied_actions():
+    # both moves from state 0 pay 1 and lead to a state paying 1 forever
+    for names in (("left", "right"), ("right", "left")):
+        M = Mdp(3, 0, {0: names, 1: ("stay",), 2: ("stay",)},
+                {(0, "left"): ((1, 1.0),), (0, "right"): ((2, 1.0),),
+                 (1, "stay"): ((1, 1.0),), (2, "stay"): ((2, 1.0),)},
+                rewards={(0, "left", 1): 1.0, (0, "right", 2): 1.0,
+                         (1, "stay", 1): 1.0, (2, "stay", 2): 1.0})
+        v, sigma = discounted_vi(M, 0.9)
+        assert v[0] == pytest.approx(10.0, abs=1e-9)
+        assert sigma.choices[0] == names[0]
+
+
 def test_almost_sure_region_trivial_cases():
     M = free_letter_mdp()
     C = infinitely_many_b_nba()
@@ -336,3 +389,114 @@ def test_strategy_json():
     assert doc["first"]["kind"] == "positional"
     assert doc["second"]["kind"] == "finite-memory"
     assert all("memory" in c for c in doc["second"]["choices"])
+
+
+def two_state_loop():
+    """State 0 may "stay" (paying 1) or "go" to state 1, whose accepting
+    move "back" pays 2."""
+    return ProductMdp(
+        2, 0, {0: ("stay", "go"), 1: ("back",)},
+        {(0, "stay"): ((0, 1.0),), (0, "go"): ((1, 1.0),),
+         (1, "back"): ((0, 1.0),)},
+        acc={(1, "back")}, pairs=[(0, 0), (1, 0)],
+        rewards={(0, "stay", 0): 1.0, (1, "back", 0): 2.0})
+
+
+def staying_then_cycling(k):
+    first = Strategy("positional", choices={0: "stay", 1: "back"})
+    second = Strategy("finite-memory", choices={(0, 0): "go", (1, 0): "back"},
+                      update={(0, 0): 0, (1, 0): 0})
+    return Strategy("switching", first=first, second=second, switch_step=k)
+
+
+def test_value_check_of_a_switching_strategy():
+    P = two_state_loop()
+    lam = 0.9
+    for k in (0, 1, 5, 40):
+        sat, value = strategy_value_check(P, staying_then_cycling(k), lam)
+        # k steps paying 1, then "go"/"back" forever: 2 on every second step
+        expect = ((1 - lam ** k) / (1 - lam)
+                  + 2 * lam ** (k + 1) / (1 - lam ** 2))
+        assert sat == pytest.approx(1.0, abs=1e-12)
+        assert value == pytest.approx(expect, abs=1e-9)
+    # staying forever pays 1 per step but never accepts
+    sat, value = strategy_value_check(
+        P, staying_then_cycling(0).first, lam)
+    assert sat == 0.0
+    assert value == pytest.approx(1 / (1 - lam), abs=1e-9)
+
+
+def test_value_check_of_a_partly_accepting_chain():
+    # retry with 1/2, win with 1/8, lose with 3/8: absorbed in the
+    # accepting loop with probability (1/8) / (1/2) = 1/4
+    P = ProductMdp(
+        3, 0, {0: ("flip",), 1: ("loop",), 2: ("loop",)},
+        {(0, "flip"): ((0, .5), (1, .125), (2, .375)),
+         (1, "loop"): ((1, 1.0),), (2, "loop"): ((2, 1.0),)},
+        acc={(1, "loop")}, pairs=[(0, 0), (1, 0), (2, 0)],
+        rewards={(1, "loop", 1): 1.0})
+    lam = 0.5
+    sigma = Strategy("positional", choices={0: "flip", 1: "loop", 2: "loop"})
+    sat, value = strategy_value_check(P, sigma, lam)
+    assert sat == pytest.approx(0.25, abs=1e-12)
+    # v0 = lam (v0 / 2 + v1 / 8) with v1 = 1 / (1 - lam) = 2
+    assert value == pytest.approx(lam * 2 / 8 / (1 - lam / 2), abs=1e-12)
+
+
+def test_value_check_budget():
+    P = two_state_loop()
+    # nodes (0, 0..10, 0) and (1, 10, 0)
+    sat, _ = strategy_value_check(P, staying_then_cycling(10), 0.9,
+                                  max_chain=12)
+    assert sat == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="budget"):
+        strategy_value_check(P, staying_then_cycling(10), 0.9, max_chain=11)
+
+
+def solved_strategies(count=200, seed=2024):
+    """``strategy_to_json`` of the lexicographic solutions of random
+    products, None where no strategy is valid."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        C = random_nba(rng, rng.randint(2, 3), n_ap=1)
+        M = random_mdp(rng, rng.randint(4, 8), n_actions=3,
+                       alphabet=C.alphabet, rewards=True)
+        try:
+            _, _, sigma = lexicographic_solve(product_with_nba(M, C), 0.9,
+                                              0.01)
+        except NoValidStrategy:
+            out.append(None)
+            continue
+        out.append(strategy_to_json(sigma))
+    return out
+
+
+def run_python(code, **env):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "tests")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_strategies_do_not_depend_on_string_hashing():
+    code = ("import json, test_mdp; "
+            "print(json.dumps(test_mdp.solved_strategies()))")
+    runs = [json.loads(run_python(code, PYTHONHASHSEED=str(seed)))
+            for seed in (1, 2, 3)]
+    assert sum(s is not None for s in runs[0]) >= 100
+    for other in runs[1:]:
+        differ = [i for i, (a, b) in enumerate(zip(runs[0], other)) if a != b]
+        assert not differ, f"{len(differ)} products differ, e.g. {differ[:5]}"
+
+
+def test_import_leaves_the_solver_submodules_unloaded():
+    # they load where they are used; importing them costs more than the
+    # rest of the library's imports
+    code = ("import sys, omegadp\n"
+            "from omegadp import automata, biolab, cli, collect, complement, "
+            "hoa, lasso_bulk, mdp, odp, qlearn, reduction, streett\n"
+            "print(sorted(m for m in ('scipy.sparse.linalg', "
+            "'scipy.sparse.csgraph') if m in sys.modules))")
+    assert run_python(code).strip() == "[]"
