@@ -61,19 +61,39 @@ class Alphabet:
 
     ``promises`` is the ordered vocabulary of promise identifiers; ``None``
     means a plain alphabet whose letters are the ints ``0 .. 2**|ap|-1``.
+    ``subset``, when set, is an explicit tuple of letters (stored in
+    canonical order): the alphabet then has those letters and no others.
     """
 
     ap: tuple
     promises: tuple | None = None
+    subset: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ap", tuple(self.ap))
         if self.promises is not None:
             object.__setattr__(self, "promises", tuple(self.promises))
+        if self.subset is not None:
+            subset = set(self.subset)
+            for letter in subset:
+                if not self._is_letter(letter):
+                    raise ValueError(f"{letter!r} is not a letter of the alphabet")
+            object.__setattr__(self, "subset",
+                               tuple(sorted(subset, key=letter_sort_key)))
         if self.size > MAX_LETTERS:
             raise ValueError(
                 f"alphabet has {self.size} letters, exceeding the cap of {MAX_LETTERS}"
             )
+
+    def _is_letter(self, letter) -> bool:
+        if self.promises is None:
+            base = letter
+        elif isinstance(letter, tuple) and len(letter) == 2 \
+                and letter[1] in self.promises:
+            base = letter[0]
+        else:
+            return False
+        return isinstance(base, int) and 0 <= base < self.base_count
 
     @property
     def base_count(self) -> int:
@@ -81,12 +101,16 @@ class Alphabet:
 
     @property
     def size(self) -> int:
+        if self.subset is not None:
+            return len(self.subset)
         n = self.base_count
         if self.promises is not None:
             n *= len(self.promises)
         return n
 
     def letters(self) -> list:
+        if self.subset is not None:
+            return list(self.subset)
         base = range(self.base_count)
         if self.promises is None:
             return list(base)

@@ -9,7 +9,7 @@ entering the schema part of the automaton starts checking one promise.
 
 from __future__ import annotations
 
-from .automata import TOP, Alphabet, Automaton
+from .automata import TOP, Alphabet, Automaton, promise_sort_key
 
 PROMISE_MODES = ("single", "at-most-one", "sets")
 FINALITY_MODES = ("default", "safety-adjusted")
@@ -31,14 +31,17 @@ def default_promise_vocabulary(schema: Automaton, promise_mode: str):
 
 
 def build_collection(schema: Automaton, promise_mode: str = "at-most-one",
-                     finality_mode: str = "default", promises=None) -> Automaton:
+                     finality_mode: str = "default",
+                     letters=None) -> Automaton:
     """Build the collection UCA of a lookahead schema.
 
-    ``promises`` restricts the promise vocabulary (useful when only a few
-    promise values ever occur); by default the full vocabulary of the chosen
-    mode is used.  The fresh initial state is recorded in the result's tags as
-    ``collection_initial``; the result's alphabet pairs each base letter with
-    a promise identifier.
+    By default the alphabet pairs every base letter with every promise of
+    the chosen mode's full vocabulary.  ``letters`` restricts it to the given
+    (base letter, promise) pairs, useful when only a few of them ever occur,
+    and the vocabulary to the promises they carry; the automaton reads those
+    letters as the unrestricted one does and has no transition on any other.
+    The fresh initial state is recorded in the result's tags as
+    ``collection_initial``.
     """
     if schema.kind != "UCA":
         raise ValueError("collection requires a UCA schema")
@@ -48,10 +51,10 @@ def build_collection(schema: Automaton, promise_mode: str = "at-most-one",
         raise ValueError(f"unknown promise mode {promise_mode!r}")
     if finality_mode not in FINALITY_MODES:
         raise ValueError(f"unknown finality mode {finality_mode!r}")
-    if promises is None:
+    if letters is None:
         promises = default_promise_vocabulary(schema, promise_mode)
     else:
-        promises = tuple(promises)
+        promises = sorted({p for _, p in letters}, key=promise_sort_key)
         for p in promises:
             if p is TOP:
                 if promise_mode != "at-most-one":
@@ -69,7 +72,8 @@ def build_collection(schema: Automaton, promise_mode: str = "at-most-one",
             else:
                 raise ValueError(f"bad promise identifier {p!r}")
 
-    alphabet = Alphabet(schema.alphabet.ap, promises)
+    alphabet = Alphabet(schema.alphabet.ap, promises, letters)
+    letter_set = set(alphabet.letters())
     fresh = schema.n_states  # q0'
     n_states = schema.n_states + 1
     base_letters = list(range(schema.alphabet.base_count))
@@ -79,14 +83,18 @@ def build_collection(schema: Automaton, promise_mode: str = "at-most-one",
     # Schema part: the promise component of the letter is ignored.
     for (q, sigma), targets in schema.delta.items():
         for p in promises:
-            delta[(q, (sigma, p))] = targets
+            if (sigma, p) in letter_set:
+                delta[(q, (sigma, p))] = targets
     for (q, sigma, t) in schema.gamma:
         for p in promises:
-            gamma.add((q, (sigma, p), t))
+            if (sigma, p) in letter_set:
+                gamma.add((q, (sigma, p), t))
     # Fresh state: loop while collecting; promising q enters the schema at
     # delta(q, sigma), with the non-loop part final unless safety-adjusted.
     for sigma in base_letters:
         for p in promises:
+            if (sigma, p) not in letter_set:
+                continue
             if p is TOP or p == frozenset():
                 entered = ()
             elif isinstance(p, frozenset):

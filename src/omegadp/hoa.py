@@ -9,7 +9,10 @@ parentheses) and are expanded to explicit letters at parse time.
 Promise alphabets are encoded with auxiliary atomic propositions named
 ``_prm0``, ``_prm1``, ... holding the index of the promise in the declared
 vocabulary in binary (least significant bit first), plus a ``promise-vocab:``
-header that records the vocabulary so the round trip is exact.
+header that records the vocabulary so the round trip is exact.  An alphabet
+restricted to a letter subset adds a ``letter-subset:`` header listing the
+bit pattern of each of its letters; edge labels then stand for the letters of
+the subset they cover.
 """
 
 from __future__ import annotations
@@ -192,6 +195,7 @@ def parse_hoa(text: str) -> Automaton:
     acceptance = None
     acc_name = None
     vocab_json = None
+    subset_json = None
     tok = tz.next()
     if tok != "HOA:":
         raise HoaError("missing HOA: header", tz.line, tz.col)
@@ -241,6 +245,8 @@ def parse_hoa(text: str) -> Automaton:
             acc_name = tz.next()
         elif tok == "promise-vocab:":
             vocab_json = tz.rest_of_line()
+        elif tok == "letter-subset:":
+            subset_json = tz.rest_of_line()
         elif tok.endswith(":"):
             # tool:, name:, properties:, and other ignorable headers; consume
             # values until the next header-ish token
@@ -274,24 +280,8 @@ def parse_hoa(text: str) -> Automaton:
     n_prm_bits = 0
     if vocab_json is not None:
         ap_names, promises, n_prm_bits = _decode_promise_aps(ap_names, vocab_json)
-    alphabet = Alphabet(tuple(ap_names), promises)
-    n_base_ap = len(alphabet.ap)
+    n_base_ap = len(ap_names)
     n_all_ap = n_base_ap + n_prm_bits
-
-    delta = {}
-    gamma = set()
-    seen_states = set()
-    current = None
-    state_acc = {}
-
-    def add_edge(src, letters, target, marked):
-        for a in letters:
-            key = (src, a)
-            cur = delta.get(key, ())
-            if target not in cur:
-                delta[key] = cur + (target,)
-            if marked:
-                gamma.add((src, a, target))
 
     def decode_letters(raw_letters):
         """Map raw bit patterns over all APs to alphabet letters."""
@@ -306,6 +296,38 @@ def parse_hoa(text: str) -> Automaton:
                 continue  # bit patterns beyond the vocabulary are unused
             out.append((base, promises[idx]))
         return out
+
+    subset = None
+    if subset_json is not None:
+        raw = json.loads(subset_json)
+        if not (isinstance(raw, list)
+                and all(type(x) is int and x >= 0 for x in raw)):
+            raise HoaError("letter-subset must be a list of bit patterns")
+        subset = set(decode_letters(raw))
+        if len(subset) != len(set(raw)):
+            raise HoaError("letter-subset names a bit pattern beyond the "
+                           "promise vocabulary")
+    try:
+        alphabet = Alphabet(tuple(ap_names), promises, subset)
+    except ValueError as exc:
+        raise HoaError(str(exc)) from None
+
+    delta = {}
+    gamma = set()
+    seen_states = set()
+    current = None
+    state_acc = {}
+
+    def add_edge(src, letters, target, marked):
+        for a in letters:
+            if subset is not None and a not in subset:
+                continue
+            key = (src, a)
+            cur = delta.get(key, ())
+            if target not in cur:
+                delta[key] = cur + (target,)
+            if marked:
+                gamma.add((src, a, target))
 
     while True:
         tok = tz.peek()
@@ -412,6 +434,9 @@ def emit_hoa(A: Automaton, name=None) -> str:
         lines.append("Acceptance: 1 Fin(0)")
     if alphabet.promises is not None:
         lines.append(f"promise-vocab: {_vocab_to_json(tuple(vocab))}")
+    if alphabet.subset is not None:
+        subset = sorted(_letter_bits(alphabet, a)[0] for a in alphabet.subset)
+        lines.append(f"letter-subset: {json.dumps(subset)}")
     lines.append("--BODY--")
     for q in range(A.n_states):
         lines.append(f"State: {q}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .automata import TOP, Alphabet, Automaton, LassoWord, instantiate, \
-    lasso_member_uca
+    lasso_member_uca, letter_sort_key
 from .collect import build_collection
 from .complement import CapacityError, complement_uca
 from .mdp import Mdp, lexicographic_solve, product_with_nba
@@ -176,22 +176,22 @@ def _trivial_lookahead(ap) -> Automaton:
     return Automaton("UCA", base, 1, None, delta, ())
 
 
-# checking NBAs already built, keyed by the schema's content, the promise
-# vocabulary and the reduction flag; the lab's takes minutes to build and is
-# the same for every map and parameter setting of the process
+# checking NBAs already built, keyed by the schema's content, the letter set
+# and the reduction flag; the lab's takes a while to build and is the same
+# for every map and parameter setting that emits the same letters
 _CHECKING_NBAS = {}
 _CHECKING_NBAS_MAX = 8
 
 
-def _checking_nba(schema, vocab, reduce):
-    """Complement of the schema's collection automaton, built once per
-    content and shared: callers must not mutate it."""
+def _checking_nba(schema, letters, reduce):
+    """Complement of the schema's collection automaton over ``letters``,
+    built once per content and shared: callers must not mutate it."""
     key = (schema.kind, schema.alphabet, schema.n_states, schema.initial,
            frozenset(schema.delta.items()), schema.gamma,
-           schema.final_states, vocab, reduce)
+           schema.final_states, letters, reduce)
     N = _CHECKING_NBAS.get(key)
     if N is None:
-        C = build_collection(schema, "at-most-one", promises=vocab)
+        C = build_collection(schema, "at-most-one", letters=letters)
         N = complement_uca(C)
         if reduce:
             from .reduction import lump_all, lump_final, merge_lang_final, \
@@ -203,45 +203,26 @@ def _checking_nba(schema, vocab, reduce):
     return N
 
 
-def remove_lookahead(D: Odp, promise_vocab: str = "used",
-                     reduce: bool = True, nba: Automaton | None = None):
+def remove_lookahead(D: Odp, reduce: bool = True,
+                     nba: Automaton | None = None):
     """Turn promises into letters; returns (PromiseMdp, checking NBA).
 
     The process must have trivial lookback.  Each step emits the state label
-    paired with the promise that entered the state, the collection automaton
-    of the lookahead schema accepts exactly the traces whose every promise
-    holds, and its complement (a good-for-MDPs NBA for the same language,
-    with entry rankings pinned at the collecting state) is returned for the
-    downstream product.
+    paired with the promise that entered the state.  The collection
+    automaton of the lookahead schema accepts exactly the traces whose every
+    promise holds, and its complement (a good-for-MDPs NBA for the same
+    language, with entry rankings pinned at the collecting state) is
+    returned for the downstream product.  Both are built over the letters
+    the process emits and no others: the product never reads another
+    letter, and every letter left out shrinks the complement.
 
-    With ``promise_vocab="used"`` the letter alphabet is restricted to the
-    promises the process actually makes; since the product only ever emits
-    those letters, this changes nothing downstream but can shrink the
-    complement dramatically.  ``"all"`` keeps the full schema vocabulary.
-
-    A previously computed checking NBA for the same schema and vocabulary
-    can be passed as ``nba`` to skip the complementation; without one, the
-    NBA built by an earlier call with an equal schema, vocabulary and
-    ``reduce`` is reused.
+    A previously computed checking NBA can be passed as ``nba`` to skip the
+    complementation; its alphabet must contain every letter the process
+    emits (ValueError otherwise).  Without one, the NBA built by an earlier
+    call with an equal schema, letter set and ``reduce`` is reused.
     """
     if D.lookback is not None:
         raise ValueError("remove the lookbacks first")
-    schema = D.lookahead if D.lookahead is not None \
-        else _trivial_lookahead(D.alphabet.ap)
-    if nba is not None:
-        N = nba
-    else:
-        if promise_vocab == "used":
-            used = {act[2] for s in range(D.n_states)
-                    for act in D.actions[s]}
-            used.discard(None)
-            vocab = (TOP,) + tuple(sorted(used))
-        elif promise_vocab == "all":
-            vocab = None
-        else:
-            raise ValueError(
-                f"unknown promise vocabulary {promise_vocab!r}")
-        N = _checking_nba(schema, vocab, reduce)
     ids = {}
     pairs = []
 
@@ -270,6 +251,18 @@ def remove_lookahead(D: Odp, promise_vocab: str = "used",
                 if r:
                     rewards[(src, act, dst)] = r
             trans[(src, act)] = tuple(dist)
+    letters = frozenset(labels)
+    if nba is None:
+        schema = D.lookahead if D.lookahead is not None \
+            else _trivial_lookahead(D.alphabet.ap)
+        N = _checking_nba(schema, letters, reduce)
+    else:
+        N = nba
+        missing = letters.difference(N.alphabet.letters())
+        if missing:
+            letter = min(missing, key=letter_sort_key)
+            raise ValueError(f"the process emits the letter {letter!r}, "
+                             f"which the given checking NBA's alphabet lacks")
     M = PromiseMdp(len(pairs), 0, actions, trans, alphabet=N.alphabet,
                    labels=labels, rewards=rewards, pairs=pairs, check=False)
     return M, N

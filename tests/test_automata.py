@@ -167,6 +167,17 @@ def test_promise_alphabet_letters():
     assert (0, TOP) in letters and (1, 1) in letters
     assert ab.base_of((1, 0)) == 1
     assert ab.letter_of(["a"]) == 1
+    # an explicit letter subset: canonical order, counted by size
+    sub = Alphabet(("a",), (TOP, 0, 1), ((1, 0), (0, TOP), (1, 0)))
+    assert sub.letters() == [(0, TOP), (1, 0)] and sub.size == 2
+    assert sub == Alphabet(("a",), (TOP, 0, 1), [(0, TOP), (1, 0)])
+    assert sub != ab
+    assert Alphabet(("a",), subset=(1,)).letters() == [1]
+    for bad in ((2, TOP), (0, 2), 0):
+        with pytest.raises(ValueError):
+            Alphabet(("a",), (TOP, 0, 1), (bad,))
+    with pytest.raises(ValueError):
+        Alphabet(("a",), subset=(2,))
 
 
 def test_validation_rejects_bad_structures():

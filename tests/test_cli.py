@@ -5,9 +5,10 @@ import os
 import pytest
 
 from omegadp.automata import Alphabet, Automaton
+from omegadp.biolab import BiolabGrid, build_biolab
 from omegadp.cli import main
 from omegadp.hoa import emit_hoa, parse_hoa
-from omegadp.odp import odp_to_json
+from omegadp.odp import odp_to_json, remove_lookahead, remove_lookback
 
 from conftest import example2_odp, random_uca
 
@@ -205,6 +206,13 @@ def test_learn_smoke(tmp_path, capsys):
     report = json.loads(text[:text.index("}") + 1])
     assert report["product_states"] > 0
     assert "+" in text and "z" in text
+
+
+def test_tiny_map_nba_reads_exactly_the_emitted_letters():
+    # test_learn_smoke has built this map's checking NBA in this process
+    D = build_biolab(grid=BiolabGrid.parse(TINY_MAP))
+    M, N = remove_lookahead(remove_lookback(D))
+    assert set(N.alphabet.letters()) == set(M.labels)
 
 
 def test_learn_rejects_unknown_config_key(tmp_path, capsys):

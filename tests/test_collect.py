@@ -105,9 +105,19 @@ def test_fresh_state_structure():
 
 def test_promise_vocabulary_restriction():
     schema = gfb_schema()
-    col = build_collection(schema, promise_mode="at-most-one", promises=(TOP, 0))
+    col = build_collection(schema, promise_mode="at-most-one",
+                           letters=[(a, p) for a in (0, 1) for p in (0, TOP)])
     assert col.alphabet.promises == (TOP, 0)
     assert col.alphabet.size == 4
+    # a letter subset keeps exactly the full collection's moves on it
+    letters = ((0, TOP), (1, 0))
+    sub = build_collection(schema, letters=letters)
+    full = build_collection(schema)
+    assert sub.alphabet.promises == (TOP, 0)
+    assert sub.alphabet.letters() == list(letters)
+    assert sub.delta == {k: v for k, v in full.delta.items()
+                         if k[1] in letters}
+    assert sub.gamma == {g for g in full.gamma if g[1] in letters}
 
 
 def test_default_vocabulary_sizes():
@@ -124,8 +134,8 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_collection(schema, finality_mode="foo")
     with pytest.raises(ValueError):
-        build_collection(schema, promise_mode="single", promises=(TOP,))
+        build_collection(schema, promise_mode="single", letters=((0, TOP),))
     with pytest.raises(ValueError):
-        build_collection(schema, promises=(5,))
+        build_collection(schema, letters=((0, 5),))
     with pytest.raises(ValueError):
         build_collection(schema.reinterpret("NBA"))

@@ -1,8 +1,10 @@
 import pytest
 
-from omegadp.automata import TOP, Alphabet, Automaton, LassoWord, lasso_member_nba
+from omegadp.automata import TOP, Alphabet, Automaton, LassoWord, \
+    canonical_order, lasso_member_nba, renumber
 from omegadp.hoa import HoaError, emit_hoa, parse_hoa
-from conftest import all_lassos, random_nba
+from omegadp.odp import remove_lookahead
+from conftest import all_lassos, example2_odp, random_nba
 
 
 def test_round_trip_random(rng):
@@ -44,6 +46,32 @@ def test_round_trip_promise_alphabet():
     w = LassoWord(((1, 0),), ((0, frozenset()),))
     assert lasso_member_nba(A.reinterpret("NBA"), w)
     assert lasso_member_nba(B.reinterpret("NBA"), w)
+
+
+def test_round_trip_letter_subset():
+    _, N = remove_lookahead(example2_odp())
+    assert N.alphabet.subset is not None
+    text = emit_hoa(N)
+    assert text.count("letter-subset:") == 1
+    B = parse_hoa(text)
+    assert B.alphabet == N.alphabet
+    assert B.alphabet.letters() == N.alphabet.letters()
+    C = renumber(N, canonical_order(N))
+    assert B.n_states == C.n_states and B.initial == C.initial
+    assert B.delta == C.delta
+    assert B.gamma == C.gamma
+    assert emit_hoa(B) == text
+    # a plain alphabet emits no subset line, and an edge label that covers
+    # letters outside a subset stands for the subset's letters only
+    full = emit_hoa(Automaton("NBA", Alphabet(("a",)), 1, 0,
+                              {(0, 0): (0,), (0, 1): (0,)}, {(0, 1, 0)}))
+    assert "letter-subset:" not in full
+    only_1 = parse_hoa(full.replace("--BODY--", "letter-subset: [1]\n--BODY--"))
+    assert only_1.alphabet.letters() == [1]
+    assert only_1.delta == {(0, 1): (0,)} and only_1.gamma == {(0, 1, 0)}
+    for bad in ("[2]", "[-1]", "1"):
+        with pytest.raises(HoaError):
+            parse_hoa(full.replace("--BODY--", f"letter-subset: {bad}\n--BODY--"))
 
 
 def test_parse_label_expressions():

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from omegadp.automata import TOP, Alphabet, Automaton
-from omegadp.complement import CapacityError
+from omegadp.automata import TOP, Alphabet, Automaton, lasso_member_nba
+from omegadp.complement import CapacityError, complement_uca
+from omegadp.lasso_bulk import bounded_lassos
 from omegadp.mdp import (
     Mdp,
     NoValidStrategy,
@@ -194,16 +195,37 @@ def test_example2_end_to_end():
     assert got >= 2.0 - eps
 
 
+def example2_with_free_a():
+    """Example 2 where action a promises nothing: the process never emits
+    the letter (0, 0)."""
+    D = example2_odp()
+    a, free_a = (None, "a", 0), (None, "a", None)
+    D.actions = {s: tuple(free_a if act == a else act for act in acts)
+                 for s, acts in D.actions.items()}
+    D.trans = {(s, free_a if act == a else act): dist
+               for (s, act), dist in D.trans.items()}
+    D.rewards = {(s, free_a if act == a else act, t): r
+                 for (s, act, t), r in D.rewards.items()}
+    return D
+
+
 def test_checking_nba_is_shared_by_content():
     # two separately built processes with equal schemas share one NBA
     _, N1 = remove_lookahead(example2_odp())
     _, N2 = remove_lookahead(example2_odp())
     assert N1 is N2
-    # another vocabulary or reduction flag is another automaton
-    _, N_all = remove_lookahead(example2_odp(), promise_vocab="all")
+    # a process with other moves that emits the same letters shares it too
+    D = example2_odp()
+    D.trans = {(s, act): ((0, 0.5), (1, 0.5)) if act[1] == "b" else dist
+               for (s, act), dist in D.trans.items()}
+    _, N_same = remove_lookahead(D)
+    assert N_same is N1
+    # a process that emits another letter set, or another reduction flag,
+    # gets its own automaton
+    _, N_other = remove_lookahead(example2_with_free_a())
     _, N_raw = remove_lookahead(example2_odp(), reduce=False)
-    assert N_all is not N1 and N_raw is not N1 and N_raw is not N_all
-    # and a schema that differs in one transition gets its own
+    assert N_other is not N1 and N_raw is not N1 and N_raw is not N_other
+    # and so does a schema that differs in one transition
     D = example2_odp()
     S = D.lookahead
     delta = dict(S.delta)
@@ -212,6 +234,40 @@ def test_checking_nba_is_shared_by_content():
                             {g for g in S.gamma if g[:2] in delta})
     _, N3 = remove_lookahead(D)
     assert N3 is not N1
+
+
+def test_checking_nba_reads_exactly_the_emitted_letters():
+    M, N = remove_lookahead(example2_odp())
+    assert set(N.alphabet.letters()) == set(M.labels) \
+        == {(0, TOP), (0, 0), (1, 0)}
+    M, N = remove_lookahead(example2_with_free_a())
+    assert set(N.alphabet.letters()) == set(M.labels) == {(0, TOP), (1, 0)}
+
+
+def test_precomputed_nba_must_cover_the_emitted_letters():
+    _, small = remove_lookahead(example2_with_free_a())
+    D = example2_odp()
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        remove_lookahead(D, nba=small)
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        solve_odp(D, 0.5, 0.01, nba=small)
+    # an NBA over a superset of the letters is accepted
+    _, big = remove_lookahead(D)
+    M, N = remove_lookahead(example2_with_free_a(), nba=big)
+    assert N is big and M.alphabet == big.alphabet
+
+
+def test_emitted_letter_nba_agrees_with_the_full_vocabulary(rng):
+    for _ in range(12):
+        schema = random_uca_schema(rng, 2)
+        D = random_odp(rng, rng.randint(2, 3), lookahead=schema)
+        M, N = remove_lookahead(D)
+        full = complement_uca(build_collection(schema, "at-most-one"))
+        assert full.alphabet.size == 6
+        letters = N.alphabet.letters()
+        assert set(letters) == set(M.labels)
+        for w in bounded_lassos(letters, 4):
+            assert lasso_member_nba(N, w) == lasso_member_nba(full, w), w
 
 
 def test_strategy_translation_walk(rng):
