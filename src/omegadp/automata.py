@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 
 class TrivialPromise:
     """Singleton identifier for the trivial (always satisfied) promise."""
@@ -146,6 +148,71 @@ class LassoWord:
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
 
+class Edges:
+    """Transitions as parallel arrays, sorted by (source, letter, target)
+    without repeats: edge ``k`` reads ``letters[let[k]]`` from ``src[k]`` to
+    ``dst[k]`` and is marked when ``acc[k]``.  ``letters`` is the alphabet
+    in canonical order."""
+
+    __slots__ = ("letters", "src", "let", "dst", "acc")
+
+    def __init__(self, letters, src, let, dst, acc):
+        self.letters = letters
+        self.src = np.asarray(src, dtype=np.int64)
+        self.let = np.asarray(let, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.acc = np.asarray(acc, dtype=bool)
+
+    @classmethod
+    def normalised(cls, letters, src, let, dst, acc):
+        """Sort the edges and merge repeats; a merged edge is marked when any
+        of its copies is."""
+        order = np.lexsort((dst, let, src))
+        src, let, dst, acc = src[order], let[order], dst[order], acc[order]
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (let[1:] != let[:-1]) \
+            | (dst[1:] != dst[:-1])
+        starts = np.flatnonzero(first)
+        if len(starts) < len(src):
+            acc = np.logical_or.reduceat(acc, starts)
+            src, let, dst = src[starts], let[starts], dst[starts]
+        return cls(letters, src, let, dst, acc)
+
+    @classmethod
+    def of(cls, A: "Automaton") -> "Edges":
+        letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+        index = {a: i for i, a in enumerate(letters)}
+        src, let, dst, acc = [], [], [], []
+        gamma = A.gamma
+        for (q, a), targets in A.delta.items():
+            li = index[a]
+            for t in targets:
+                src.append(q)
+                let.append(li)
+                dst.append(t)
+                acc.append((q, a, t) in gamma)
+        return cls.normalised(letters, np.array(src, dtype=np.int64),
+                              np.array(let, dtype=np.int64),
+                              np.array(dst, dtype=np.int64),
+                              np.array(acc, dtype=bool))
+
+    def __len__(self):
+        return len(self.src)
+
+    def to_dicts(self):
+        """The ``delta`` and ``gamma`` of :class:`Automaton`."""
+        letters = self.letters
+        src, let, dst = self.src.tolist(), self.let.tolist(), self.dst.tolist()
+        new = np.ones(len(src) + 1, dtype=bool)
+        new[1:-1] = (self.src[1:] != self.src[:-1]) | (self.let[1:] != self.let[:-1])
+        bounds = np.flatnonzero(new).tolist()
+        delta = {(src[s], letters[let[s]]): tuple(dst[s:e])
+                 for s, e in zip(bounds, bounds[1:])}
+        marked = np.flatnonzero(self.acc).tolist()
+        gamma = frozenset((src[k], letters[let[k]], dst[k]) for k in marked)
+        return delta, gamma
+
+
 class Automaton:
     """Shared representation for NBA / UCA / DFA / DBA automata.
 
@@ -154,12 +221,18 @@ class Automaton:
     ``gamma`` is the set of marked ``(state, letter, target)`` transitions.
     ``tags`` carries construction metadata (e.g. the fresh initial state of a
     collection automaton, or the phase partition of a complement output).
+
+    The transitions can also be held as :class:`Edges` (``edges``); each form
+    is built from the other on first use and kept.  The array constructions
+    (complement, reduction) make automata with :meth:`from_edges`, so their
+    dicts are only built if someone reads them.  Automata are shared, never
+    mutated.
     """
 
     KINDS = ("NBA", "UCA", "DFA", "DBA")
 
     __slots__ = ("kind", "alphabet", "n_states", "initial", "delta", "gamma",
-                 "final_states", "tags")
+                 "_edges", "final_states", "tags")
 
     def __init__(self, kind, alphabet, n_states, initial, delta, gamma=(),
                  final_states=(), tags=None, check=True):
@@ -171,10 +244,37 @@ class Automaton:
         self.initial = initial
         self.delta = {k: tuple(sorted(v)) for k, v in delta.items() if v}
         self.gamma = frozenset(gamma)
+        self._edges = None
         self.final_states = frozenset(final_states)
         self.tags = dict(tags) if tags else {}
         if check:
             self._validate()
+
+    @classmethod
+    def from_edges(cls, kind, alphabet, n_states, initial, edges: Edges,
+                   tags=None) -> "Automaton":
+        """An automaton whose ``delta`` and ``gamma`` are built from
+        ``edges`` when first read."""
+        A = cls.__new__(cls)
+        A.kind, A.alphabet, A.n_states, A.initial = kind, alphabet, n_states, initial
+        A._edges = edges
+        A.final_states = frozenset()
+        A.tags = dict(tags) if tags else {}
+        return A
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the dicts of an automaton
+        # made by from_edges, before their first use
+        if name in ("delta", "gamma"):
+            self.delta, self.gamma = self._edges.to_dicts()
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    @property
+    def edges(self) -> Edges:
+        if self._edges is None:
+            self._edges = Edges.of(self)
+        return self._edges
 
     def _validate(self):
         if self.initial is not None and not (0 <= self.initial < self.n_states):
@@ -286,24 +386,6 @@ def _strongly_connected_components(n_nodes, succ):
                         break
                 n_comps += 1
     return comp, n_comps
-
-
-def reachable_states(A: Automaton, start=None) -> set:
-    if start is None:
-        if A.is_schema:
-            raise ValueError("schema has no initial state")
-        start = A.initial
-    seen = {start}
-    frontier = [start]
-    letters = A.alphabet.letters()
-    while frontier:
-        q = frontier.pop()
-        for a in letters:
-            for t in A.successors(q, a):
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return seen
 
 
 def lasso_member_nba(A: Automaton, w: LassoWord) -> bool:

@@ -11,14 +11,28 @@ Optimizations: entry rankings can be restricted to odd ranks, and for
 collection automata the fresh initial state can be pinned as the unique
 maximal rank.  Safety and reachability shaped inputs collapse to subset and
 breakpoint constructions.
+
+The general construction explores breadth first and numbers states in the
+order they are found.  Ranking states are held as int16 rows of one table
+(a rank per UCA state, -1 when absent, then the ``O`` flags, then ``i``), so
+any number of UCA states works.  The worklist is taken in FIFO batches of
+consecutive ranking states (at most ``_CHUNK``); numpy computes the ranking
+update of a whole batch on every letter at once, and the successors are then
+interned in (state, letter) order, which gives every state the id the
+one-at-a-time loop would give it.  The entry rankings of a subset are built
+once per subset and reused by every subset state and letter that reaches
+it.  The output keeps its transitions as :class:`~omegadp.automata.Edges`;
+the ``delta``/``gamma`` dicts are built only if someone reads them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .automata import Automaton, letter_sort_key
+import numpy as np
+
+from .automata import Automaton, Edges, letter_sort_key
 
 
 class CapacityError(RuntimeError):
@@ -31,6 +45,12 @@ class CapacityError(RuntimeError):
 
 class TimeoutError_(RuntimeError):
     pass
+
+
+# a batch holds at most _CHUNK ranking states, and at most _CHUNK_CELLS cells
+# of successor rows (states x letters x row width)
+_CHUNK = 4096
+_CHUNK_CELLS = 1 << 22
 
 
 @dataclass
@@ -87,8 +107,9 @@ def _bits(mask):
 
 
 def _tight_rankings(states, odd_only, pinned):
-    """Enumerate tight level rankings over ``states`` (sorted ids) as tuples
-    aligned with ``states``, in lexicographic (rank, values) order.
+    """All tight level rankings over ``states`` (sorted ids) as the rows of
+    an int16 array, columns aligned with ``states``, in lexicographic (rank,
+    values) order.
 
     ``odd_only`` restricts the range to odd ranks; ``pinned`` forces that
     state to carry the maximal rank.  Other states may share the maximum:
@@ -99,74 +120,41 @@ def _tight_rankings(states, odd_only, pinned):
     pinned state's own rank.
     """
     m = len(states)
-    if m == 0:
-        yield ()
-        return
-    pin_pos = states.index(pinned) if (pinned is not None and pinned in states) else None
+    pin = states.index(pinned) if pinned in states else None
+    blocks = []
     for n in range(1, m + 1):
         top = 2 * n - 1
-        odds = list(range(1, top + 1, 2))
-        if pin_pos is not None:
-            # pinned gets top; the rest must cover the odd ranks below it
-            rest = [k for k in range(m) if k != pin_pos]
-            lower_odds = odds[:-1]
-            values = odds if odd_only else list(range(0, top + 1))
-            must_cover = set(lower_odds)
-            for assign in _onto_assignments(len(rest), values, must_cover):
-                f = [0] * m
-                f[pin_pos] = top
-                for k, v in zip(rest, assign):
-                    f[k] = v
-                yield tuple(f)
+        values = np.arange(1 if odd_only else 0, top + 1, 2 if odd_only else 1)
+        if pin is None:
+            blocks.append(_onto_rows(m, values, range(1, top + 1, 2)))
         else:
-            values = odds if odd_only else list(range(0, top + 1))
-            must_cover = set(odds)
-            for assign in _onto_assignments(m, values, must_cover):
-                yield tuple(assign)
+            # pinned gets top; the rest must cover the odd ranks below it
+            rest = _onto_rows(m - 1, values, range(1, top - 1, 2))
+            blocks.append(np.insert(rest, pin, top, axis=1))
+    return np.concatenate(blocks)
 
 
-def _onto_assignments(m, values, must_cover):
-    """All value tuples of length ``m`` over ``values`` covering ``must_cover``,
-    in lexicographic order."""
-    if m == 0:
-        if not must_cover:
-            yield ()
-        return
-    values = sorted(values)
-    out = [None] * m
-
-    def rec(pos, missing):
-        if m - pos < len(missing):
-            return
+def _onto_rows(m, values, must_cover):
+    """All rows of length ``m`` over the ascending ``values`` that hold every
+    value of ``must_cover``, in lexicographic order, built a column at a
+    time; a prefix survives while the columns left can still hold the
+    values it misses."""
+    values = np.asarray(values, dtype=np.int16)
+    v = len(values)
+    must_cover = set(must_cover)
+    need = np.array([x in must_cover for x in values.tolist()], dtype=bool)
+    rows = np.zeros((1, 0), dtype=np.int16)
+    held = np.zeros((1, v), dtype=bool)
+    for pos in range(m + 1):
+        ok = (~held[:, need]).sum(axis=1) <= m - pos
+        rows, held = rows[ok], held[ok]
         if pos == m:
-            if not missing:
-                yield tuple(out)
-            return
-        for v in values:
-            out[pos] = v
-            if v in missing:
-                missing.remove(v)
-                yield from rec(pos + 1, missing)
-                missing.add(v)
-            else:
-                yield from rec(pos + 1, missing)
-
-    yield from rec(0, set(must_cover))
-
-
-def _is_tight(members):
-    """members: list of (state, rank). Tight iff max rank odd and every odd
-    value below it is attained."""
-    top = -1
-    odds_seen = set()
-    for _, r in members:
-        if r > top:
-            top = r
-        if r & 1:
-            odds_seen.add(r)
-    if top < 0 or not (top & 1):
-        return False
-    return len(odds_seen) == (top + 1) // 2
+            return rows
+        k = len(rows)
+        pick = np.tile(np.arange(v), k)
+        rows = np.column_stack([np.repeat(rows, v, axis=0), values[pick]])
+        held = np.repeat(held, v, axis=0)
+        held[np.arange(k * v), pick] = True
 
 
 def _resolve_pin(A: Automaton, opts: ComplementOptions):
@@ -232,144 +220,223 @@ def complement_uca(A: Automaton, opts: ComplementOptions | None = None) -> Autom
     return _complement_general(A, opts)
 
 
+def _moves(idx):
+    """``moves[q, a, t]``: 0 if the UCA has no move from ``q`` to ``t`` on
+    letter index ``a``, 1 for a plain move, 2 for a rejecting one."""
+    moves = np.zeros((idx.n, len(idx.letters), idx.n), dtype=np.int8)
+    for q in range(idx.n):
+        for li in range(len(idx.letters)):
+            moves[q, li, _bits(idx.succ[q][li])] = 1
+            moves[q, li, _bits(idx.rej[q][li])] = 2
+    return moves
+
+
+def _row_keys(table):
+    """The bytes of each row of a 2-d array, as dict keys."""
+    buf = table.tobytes()
+    w = table.shape[1] * table.itemsize
+    return [buf[k:k + w] for k in range(0, len(buf), w)]
+
+
+# per (ranking state, letter) outcome of a batched ranking update
+_BLOCKED, _EMPTY, _NEXT = 0, 1, 2
+
+
 def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     t0 = time.monotonic()
     idx = _Indexed(A)
     letters = idx.letters
-    L = len(letters)
+    L, n = len(letters), idx.n
     pinned = _resolve_pin(A, opts)
+    W = 2 * n + 1  # rank row: ranks (-1 absent), then O flags, then i
+    big = 2 * n  # above every rank
+    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W)))
+    moves = _moves(idx)
+    post = (moves > 0).astype(np.float32)
 
-    ids = {}
-    kinds = []  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
-    payloads = []
-
-    def intern(kind, payload):
-        key = (kind, payload)
-        sid = ids.get(key)
-        if sid is None:
-            sid = len(kinds)
-            if sid >= opts.max_states:
-                raise CapacityError(
-                    f"state budget of {opts.max_states} exceeded", sid)
-            ids[key] = sid
-            kinds.append(kind)
-            payloads.append(payload)
-            worklist.append(sid)
-        return sid
-
-    worklist = []
-    delta = {}
-    gamma = set()
+    kinds = bytearray()  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
+    subset_ids = {}  # subset mask -> id
+    subset_of = {}  # id -> subset mask
+    rank_ids = {}  # rank row bytes -> id
+    rows = np.empty((1024, W), dtype=np.int16)  # rank row of each state id
+    entries = {}  # subset mask -> (keys, rows) of its entry rankings
+    sink = []
+    src_parts, let_parts, dst_parts, acc_parts = [], [], [], []
     blocked = 0
 
-    empty_id = None
+    def new_state(kind):
+        sid = len(kinds)
+        if sid >= opts.max_states:
+            raise CapacityError(
+                f"state budget of {opts.max_states} exceeded", sid)
+        kinds.append(kind)
+        return sid
 
     def get_empty():
-        nonlocal empty_id
-        if empty_id is None:
-            empty_id = intern(0, ())
-        return empty_id
+        if not sink:
+            sink.append(new_state(0))
+        return sink[0]
 
-    start = intern(1, 1 << A.initial)
-    wi = 0
-    while wi < len(worklist):
-        sid = worklist[wi]
-        wi += 1
-        _check_deadline(opts)
-        kind = kinds[sid]
-        payload = payloads[sid]
-        if kind == 0:
-            for li, a in enumerate(letters):
-                delta[(sid, a)] = (sid,)
-                gamma.add((sid, a, sid))
-            continue
-        if kind == 1:
-            S = payload
-            for li, a in enumerate(letters):
-                S2 = idx.post(S, li)
-                targets = []
-                if S2 == 0:
-                    targets.append(get_empty())
-                else:
-                    targets.append(intern(1, S2))
-                    states2 = _bits(S2)
-                    for f in _tight_rankings(states2, opts.odd_entry, pinned):
-                        targets.append(intern(2, (S2, 0, f, 0)))
-                delta[(sid, a)] = tuple(sorted(set(targets)))
-            continue
-        # kind == 2: ranking state (S_mask, O_mask, f_tuple, i)
-        S, O, f, i = payload
-        states = _bits(S)
-        rank_of = dict(zip(states, f))
-        for li, a in enumerate(letters):
-            # auxiliary g: minimum over source-rank contributions
-            minrank = {}
-            for q, j in rank_of.items():
-                m = idx.succ[q][li]
-                for t in _bits(m):
-                    if j < minrank.get(t, 1 << 30):
-                        minrank[t] = j
-                rm = idx.rej[q][li]
-                ev = j - (j & 1)
-                for t in _bits(rm):
-                    if ev < minrank.get(t, 1 << 30):
-                        minrank[t] = ev
-            if not minrank:
-                # all runs died; the empty subset is the accepting sink
-                tid = get_empty()
-                delta[(sid, a)] = (tid,)
-                gamma.add((sid, a, tid))
-                continue
-            members = sorted(minrank.items())
-            if not _is_tight(members):
-                blocked += 1
-                continue
-            if pinned is not None:
-                # the pinned state never dies and nothing feeds into it, so
-                # its rank stays put while everyone else only decreases; a
-                # run where it stops carrying the maximum cannot have been
-                # pinned at entry and is dropped
-                top = max(r for _, r in members)
-                if minrank.get(pinned) != top:
-                    blocked += 1
-                    continue
-            S2 = 0
-            for q, _ in members:
-                S2 |= 1 << q
-            f2 = tuple(r for _, r in members)
-            Opost = idx.post(O, li)
-            O2 = 0
-            for q, r in members:
-                if r == i and (Opost >> q) & 1:
-                    O2 |= 1 << q
-            if O2:
-                tid = intern(2, (S2, O2, f2, i))
-                delta[(sid, a)] = (tid,)
+    def intern_subset(S):
+        sid = subset_ids.get(S)
+        if sid is None:
+            sid = subset_ids[S] = new_state(1)
+            subset_of[sid] = S
+        return sid
+
+    def intern_ranks(keys, table):
+        """Ids of the rank rows ``table`` (with bytes ``keys``), interned in
+        order; new rows are stored."""
+        nonlocal rows
+        first = len(kinds)
+        fresh = first
+        ids = []
+        for key in keys:
+            sid = rank_ids.setdefault(key, fresh)
+            if sid == fresh:
+                fresh += 1
+            ids.append(sid)
+        if fresh > opts.max_states:
+            raise CapacityError(
+                f"state budget of {opts.max_states} exceeded", opts.max_states)
+        if fresh > first:
+            kinds.extend(bytes([2]) * (fresh - first))
+            if fresh > len(rows):
+                grown = np.empty((max(fresh, 2 * len(rows)), W), dtype=np.int16)
+                grown[:len(rows)] = rows
+                rows = grown
+            new_ids, at = np.unique(ids, return_index=True)
+            at = at[new_ids >= first]
+            rows[first:fresh] = table[at]
+        return ids
+
+    def entry_rankings(S2):
+        got = entries.get(S2)
+        if got is None:
+            states = _bits(S2)
+            ranks = _tight_rankings(states, opts.odd_entry, pinned)
+            table = np.zeros((len(ranks), W), dtype=np.int16)
+            table[:, :n] = -1
+            table[:, states] = ranks
+            got = entries[S2] = (_row_keys(table), table)
+        return got
+
+    def add_edges(src, let, dst, acc):
+        src_parts.append(np.asarray(src, dtype=np.int64))
+        let_parts.append(np.asarray(let, dtype=np.int64))
+        dst_parts.append(np.asarray(dst, dtype=np.int64))
+        acc_parts.append(np.asarray(acc, dtype=bool))
+
+    def expand_sink(sid):
+        add_edges([sid] * L, range(L), [sid] * L, [True] * L)
+
+    def expand_subset(sid):
+        S = subset_of[sid]
+        let, dst = [], []
+        for li in range(L):
+            S2 = idx.post(S, li)
+            if S2 == 0:
+                targets = [get_empty()]
             else:
-                top = max(r for _, r in members)
-                i2 = (i + 2) % (top + 1)
-                O3 = 0
-                for q, r in members:
-                    if r == i2:
-                        O3 |= 1 << q
-                tid = intern(2, (S2, O3, f2, i2))
-                delta[(sid, a)] = (tid,)
-                gamma.add((sid, a, tid))
+                targets = [intern_subset(S2)] + intern_ranks(*entry_rankings(S2))
+            targets = sorted(set(targets))
+            let += [li] * len(targets)
+            dst += targets
+        add_edges([sid] * len(dst), let, dst, [False] * len(dst))
 
-    n = len(kinds)
-    q1 = {sid for sid in range(n) if kinds[sid] == 1}
-    q2 = {sid for sid in range(n) if kinds[sid] != 1}
+    def expand_ranks(lo, hi):
+        """The ranking update of states ``lo .. hi-1`` on every letter."""
+        nonlocal blocked
+        m = hi - lo
+        F = rows[lo:hi]
+        f, i = F[:, :n], F[:, 2 * n]
+        # what a move from q brings to its target: nothing (big), q's rank,
+        # or along a rejecting move the even rank at or below it
+        brings = np.stack([np.full_like(f, big), np.where(f >= 0, f, big),
+                           np.where(f >= 0, f - (f & 1), big)], axis=2)
+        g = np.full((m, L, n), big, dtype=np.int16)
+        for q in range(n):
+            np.minimum(g, brings[:, q, moves[q]], out=g)
+        # g[s, a, t] is the least rank a run of s brings to t on letter a
+        alive = g < big
+        some = alive.any(axis=2)
+        r = np.where(alive, g, np.int16(-1))
+        top = r.max(axis=2)
+        # tight: the top rank is odd and every odd rank below it is held
+        held = np.zeros((m, L, big), dtype=bool)
+        hs, ha, ht = np.nonzero(alive)
+        held[hs, ha, r[hs, ha, ht]] = True
+        ok = some & (top % 2 == 1) \
+            & (held[:, :, 1::2].sum(axis=2) == (top + 1) // 2)
+        if pinned is not None:
+            # the pinned state never dies and nothing feeds into it, so
+            # its rank stays put while everyone else only decreases; a
+            # run where it stops carrying the maximum cannot have been
+            # pinned at entry and is dropped
+            ok &= r[:, :, pinned] == top
+        owed = np.tensordot(F[:, n:2 * n].astype(np.float32), post,
+                            axes=([1], [0])) > 0
+        owing = alive & (r == i[:, None, None]) & owed
+        still = owing.any(axis=2)
+        # breakpoint: O empties, and the next even rank i2 is owed
+        i2 = (i[:, None] + 2) % np.where(ok, top + 1, 1)
+        out = np.empty((m, L, W), dtype=np.int16)
+        out[:, :, :n] = r
+        out[:, :, n:2 * n] = np.where(still[:, :, None], owing,
+                                      r == i2[:, :, None])
+        out[:, :, 2 * n] = np.where(still, i[:, None], i2)
+        status = np.where(ok, _NEXT, np.where(some, _BLOCKED, _EMPTY))
+        mark = ~(some & still)
+        st = status.reshape(-1)
+        go = np.flatnonzero(st != _BLOCKED)
+        blocked += m * L - len(go)
+        nxt = np.flatnonzero(st == _NEXT)
+        table = out.reshape(m * L, W)[nxt]
+        keys = _row_keys(table)
+        to_empty = st == _EMPTY
+        # targets are interned in (state, letter) order, the sink included
+        cut = len(nxt)
+        if not sink and to_empty.any():
+            cut = int(np.searchsorted(nxt, np.argmax(to_empty)))
+        ids = intern_ranks(keys[:cut], table[:cut])
+        dst = np.empty(m * L, dtype=np.int64)
+        if to_empty.any():
+            dst[to_empty] = get_empty()
+        ids += intern_ranks(keys[cut:], table[cut:])
+        dst[nxt] = ids
+        add_edges(lo + go // L, go % L, dst[go], mark.reshape(-1)[go])
+
+    start = intern_subset(1 << A.initial)
+    wi = 0
+    while wi < len(kinds):
+        _check_deadline(opts)
+        kind = kinds[wi]
+        if kind == 2:
+            hi = wi + 1
+            limit = min(len(kinds), wi + chunk)
+            while hi < limit and kinds[hi] == 2:
+                hi += 1
+            expand_ranks(wi, hi)
+            wi = hi
+            continue
+        (expand_subset if kind == 1 else expand_sink)(wi)
+        wi += 1
+
+    n_out = len(kinds)
+    edges = Edges(letters, *(np.concatenate(p) for p in
+                             (src_parts, let_parts, dst_parts, acc_parts)))
+    q1 = set(subset_of)
+    q2 = set(range(n_out)) - q1
     stats = {
-        "states": n,
-        "transitions": sum(len(v) for v in delta.values()),
-        "accepting_transitions": len(gamma),
+        "states": n_out,
+        "transitions": len(edges),
+        "accepting_transitions": int(edges.acc.sum()),
         "blocked_transitions": blocked,
         "wall_time_ms": int((time.monotonic() - t0) * 1000),
     }
-    return Automaton("NBA", A.alphabet, n, start, delta, gamma,
-                     tags={"parts": (q1, q2), "stats": stats,
-                           "construction": "rank"},
-                     check=False)
+    return Automaton.from_edges("NBA", A.alphabet, n_out, start, edges,
+                                tags={"parts": (q1, q2), "stats": stats,
+                                      "construction": "rank"})
 
 
 def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None = None) -> Automaton:

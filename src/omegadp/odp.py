@@ -194,9 +194,8 @@ def _checking_nba(schema, letters, reduce):
         C = build_collection(schema, "at-most-one", letters=letters)
         N = complement_uca(C)
         if reduce:
-            from .reduction import lump_all, lump_final, merge_lang_final, \
-                prune_empty
-            N = lump_all(merge_lang_final(lump_final(prune_empty(N))))
+            from .reduction import reduce_nba
+            N = reduce_nba(N)
         if len(_CHECKING_NBAS) >= _CHECKING_NBAS_MAX:
             del _CHECKING_NBAS[next(iter(_CHECKING_NBAS))]
         _CHECKING_NBAS[key] = N

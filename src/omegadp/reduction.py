@@ -14,15 +14,9 @@ import os
 import time
 from dataclasses import dataclass
 
-from .automata import (
-    Automaton,
-    _strongly_connected_components,
-    is_strongly_limit_deterministic,
-    letter_sort_key,
-    nonempty_states,
-    reachable_states,
-    renumber,
-)
+import numpy as np
+
+from .automata import Automaton, Edges, is_strongly_limit_deterministic
 from .complement import ComplementOptions, TimeoutError_, complement_uca
 
 
@@ -63,191 +57,237 @@ def canonical_empty(alphabet) -> Automaton:
                      tags={"parts": (set(), {0})})
 
 
-def _restrict(A: Automaton, keep: set) -> Automaton:
-    """Drop all states outside ``keep`` and renumber densely."""
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    delta = {}
-    for (q, a), targets in A.delta.items():
-        if q not in keep:
-            continue
-        ts = tuple(sorted(remap[t] for t in targets if t in keep))
-        if ts:
-            delta[(remap[q], a)] = ts
-    gamma = {(remap[q], a, remap[t]) for (q, a, t) in A.gamma
-             if q in keep and t in keep}
+def _check(deadline, what):
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError_(f"{what} exceeded its deadline")
+
+
+def _final_mask(A: Automaton):
+    """Mask of the second (final) phase."""
+    final = np.zeros(A.n_states, dtype=bool)
+    final[list(_parts_of(A)[1])] = True
+    return final
+
+
+def _derived(A: Automaton, n, initial, edges: Edges, final) -> Automaton:
+    """An automaton over ``A``'s alphabet and tags (without stats), with the
+    phase partition read from the mask ``final`` when it is given."""
     tags = dict(A.tags)
-    if "parts" in tags:
-        q1, q2 = tags["parts"]
-        tags["parts"] = ({remap[q] for q in q1 if q in keep},
-                         {remap[q] for q in q2 if q in keep})
     tags.pop("stats", None)
-    return Automaton(A.kind, A.alphabet, len(order), remap[A.initial],
-                     delta, gamma, tags=tags, check=False)
+    if final is not None:
+        tags["parts"] = (set(np.flatnonzero(~final).tolist()),
+                         set(np.flatnonzero(final).tolist()))
+    return Automaton.from_edges(A.kind, A.alphabet, n, initial, edges, tags)
+
+
+def _graph(n, src, dst):
+    from scipy.sparse import csr_matrix
+    return csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+
+
+def _reached(n, src, dst, roots):
+    """Mask of the states reachable from the states ``roots`` along the
+    edges ``src -> dst``."""
+    from scipy.sparse.csgraph import breadth_first_order
+    # a virtual state n leads to every root
+    roots = np.asarray(roots, dtype=np.int64)
+    G = _graph(n + 1, np.concatenate([src, np.full(len(roots), n)]),
+               np.concatenate([dst, roots]))
+    out = np.zeros(n + 1, dtype=bool)
+    out[breadth_first_order(G, n, return_predecessors=False)] = True
+    return out[:n]
+
+
+def _nonempty(n, E: Edges):
+    """Mask of the states from which some accepting lasso exists."""
+    from scipy.sparse.csgraph import connected_components
+    _, comp = connected_components(_graph(n, E.src, E.dst), directed=True,
+                                   connection="strong")
+    inner = E.acc & (comp[E.src] == comp[E.dst])
+    live = np.zeros(n, dtype=bool)
+    live[comp[E.src[inner]]] = True
+    return _reached(n, E.dst, E.src, np.flatnonzero(live[comp]))
+
+
+def _restrict(A: Automaton, keep, final) -> Automaton:
+    """Drop all states outside the mask ``keep`` and renumber densely."""
+    E = A.edges
+    new_id = np.cumsum(keep) - 1
+    m = keep[E.src] & keep[E.dst]
+    edges = Edges(E.letters, new_id[E.src[m]], E.let[m], new_id[E.dst[m]],
+                  E.acc[m])
+    return _derived(A, int(keep.sum()), int(new_id[A.initial]), edges,
+                    None if final is None else final[keep])
 
 
 def prune_empty(A: Automaton) -> Automaton:
     """Restrict to states from which some accepting lasso exists."""
-    live = nonempty_states(A)
-    if A.initial not in live:
+    E = A.edges
+    live = _nonempty(A.n_states, E)
+    if not live[A.initial]:
         return canonical_empty(A.alphabet)
-    live &= reachable_states(A)
-    return _restrict(A, live)
+    live &= _reached(A.n_states, E.src, E.dst, [A.initial])
+    return _restrict(A, live, _final_mask(A) if "parts" in A.tags else None)
 
 
-def _quotient(A: Automaton, block_of, parts) -> Automaton:
+def _row_ids(M):
+    """Equal rows of ``M`` get equal ids in ``0 .. k-1``."""
+    if len(M) == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    order = np.lexsort(M.T[::-1])
+    sorted_rows = M[order]
+    new = np.ones(len(M), dtype=bool)
+    new[1:] = (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
+    ids = np.empty(len(M), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(new.sum())
+
+
+def _bisimulation(n, E: Edges, active, deadline, what):
+    """Coarsest strong bisimulation that refines ``active`` states only;
+    every other state is a block of its own.  Returns block ids."""
+    L = max(len(E.letters), 1)
+    block = np.where(active, 0, n + np.arange(n))
+    act = np.flatnonzero(active)
+    m = active[E.src]
+    src, let, dst, acc = E.src[m], E.let[m], E.dst[m], E.acc[m]
+    # one move per (source, letter) keeps letter order canonical; otherwise
+    # each state's moves are sorted and deduplicated every round
+    det = not np.any((src[1:] == src[:-1]) & (let[1:] == let[:-1]))
+    n_blocks = 1 if len(act) else 0
+    while True:
+        _check(deadline, what)
+        move = (block[dst] * 2 + acc) * L + let
+        s = src
+        if not det:
+            order = np.lexsort((move, s))
+            s, move = s[order], move[order]
+            first = np.ones(len(s), dtype=bool)
+            first[1:] = (s[1:] != s[:-1]) | (move[1:] != move[:-1])
+            s, move = s[first], move[first]
+        count = np.bincount(s, minlength=n)
+        offset = np.concatenate([[0], np.cumsum(count)])
+        new_block = np.empty(len(act), dtype=np.int64)
+        total = 0
+        # states with different numbers of moves never share a block
+        for k in np.unique(count[act]):
+            sel = np.flatnonzero(count[act] == k)
+            states = act[sel]
+            M = np.empty((len(states), k + 1), dtype=np.int64)
+            M[:, 0] = block[states]
+            M[:, 1:] = move[offset[states][:, None] + np.arange(k)]
+            ids, k_blocks = _row_ids(M)
+            new_block[sel] = ids + total
+            total += k_blocks
+        if total == n_blocks:
+            return block
+        block[act] = new_block
+        n_blocks = total
+
+
+def _quotient(A: Automaton, block, final) -> Automaton:
     """Collapse each block to its lowest-id member."""
-    reps = {}
-    for q in range(A.n_states):
-        b = block_of[q]
-        if b not in reps or q < reps[b]:
-            reps[b] = q
-    rep_of = {q: reps[block_of[q]] for q in range(A.n_states)}
-    keep = sorted(set(rep_of.values()))
-    remap = {old: new for new, old in enumerate(keep)}
-    delta = {}
-    gamma = set()
-    for (q, a), targets in A.delta.items():
-        if rep_of[q] != q:
-            continue
-        src = remap[q]
-        ts = sorted({remap[rep_of[t]] for t in targets})
-        delta[(src, a)] = tuple(ts)
-        for t in targets:
-            if (q, a, t) in A.gamma:
-                gamma.add((src, a, remap[rep_of[t]]))
-    q1, q2 = parts
-    new_q1 = {remap[q] for q in keep if q in q1}
-    new_q2 = {remap[q] for q in keep if q in q2}
-    tags = dict(A.tags)
-    tags["parts"] = (new_q1, new_q2)
-    tags.pop("stats", None)
-    return Automaton(A.kind, A.alphabet, len(keep), remap[rep_of[A.initial]],
-                     delta, gamma, tags=tags, check=False)
+    E = A.edges
+    blocks, first = np.unique(block, return_index=True)
+    rep_of = first[np.searchsorted(blocks, block)]
+    keep = np.zeros(A.n_states, dtype=bool)
+    keep[first] = True
+    new_id = np.cumsum(keep) - 1
+    m = keep[E.src]
+    edges = Edges.normalised(E.letters, new_id[E.src[m]], E.let[m],
+                             new_id[rep_of[E.dst[m]]], E.acc[m])
+    return _derived(A, len(first), int(new_id[rep_of[A.initial]]), edges,
+                    final[keep])
 
 
 def lump_final(A: Automaton, deadline=None) -> Automaton:
     """Quotient the deterministic second phase by strong bisimulation."""
-    q1, q2 = _parts_of(A)
-    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
-    block_of = {q: (0 if q in q2 else None) for q in range(A.n_states)}
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError_("lumping exceeded its deadline")
-        sigs = {}
-        for q in q2:
-            sig = []
-            for a in letters:
-                ts = A.successors(q, a)
-                if not ts:
-                    sig.append(None)
-                else:
-                    (t,) = ts
-                    sig.append(((q, a, t) in A.gamma,
-                                block_of[t] if t in q2 else ("q1", t)))
-            sigs[q] = (block_of[q], tuple(sig))
-        keys = {}
-        new_block = {}
-        for q in sorted(q2):
-            key = sigs[q]
-            if key not in keys:
-                keys[key] = len(keys)
-            new_block[q] = keys[key]
-        if len(keys) == len(set(block_of[q] for q in q2)):
-            break
-        for q in q2:
-            block_of[q] = new_block[q]
-    # give phase-1 states singleton blocks so the quotient leaves them alone
-    next_b = len(set(block_of[q] for q in q2)) if q2 else 0
-    for q in sorted(q1):
-        block_of[q] = next_b
-        next_b += 1
-    return _quotient(A, block_of, (q1, q2))
+    final = _final_mask(A)
+    block = _bisimulation(A.n_states, A.edges, final, deadline, "lumping")
+    return _quotient(A, block, final)
 
 
-def _dba_includes(A: Automaton, q1, q2, letters) -> bool:
-    """L(q1) <= L(q2) for states of the deterministic accepting phase.
+def _successor_table(n, E: Edges):
+    """``(T, mark)``: ``T[q, a]`` is the one successor of ``q`` on letter
+    index ``a``, -1 if none, -2 if several; ``mark`` flags marked moves."""
+    L = len(E.letters)
+    T = np.full((n, L), -1, dtype=np.int64)
+    mark = np.zeros((n, L), dtype=bool)
+    T[E.src, E.let] = E.dst
+    mark[E.src, E.let] = E.acc
+    several = np.flatnonzero((E.src[1:] == E.src[:-1]) & (E.let[1:] == E.let[:-1]))
+    T[E.src[several], E.let[several]] = -2
+    return T, mark
 
-    Inclusion fails exactly when, after deleting q2-accepting edges, some
-    cycle reachable from (q1, q2) still carries a q1-accepting edge.  A dead
-    q2-run is tracked as the sink ``None``.
+
+def _inclusion_fails(T, mark, P, R):
+    """Per pair ``k``: is L(P[k]) not included in L(R[k])?  ``P`` and ``R``
+    are states of the deterministic accepting phase with successor table
+    ``T`` and marks ``mark``.
+
+    All pairs share one product exploration.  A product state is a pair
+    (p, r) where r may be a dead run.  Inclusion fails exactly when, after
+    deleting r-accepting edges, some cycle reachable from the start pair
+    still carries a p-accepting edge.
     """
-    ids = {}
-    order = []
-
-    def sid(pair):
-        if pair not in ids:
-            ids[pair] = len(ids)
-            order.append(pair)
-        return ids[pair]
-
-    sid((q1, q2))
-    succ_cycle = []  # product edges minus q2-accepting ones (cycle candidates)
-    acc_edges = []
-    i = 0
-    while i < len(order):
-        p, r = order[i]
-        src = ids[(p, r)]
-        succ_cycle.append([])
-        i += 1
-        for a in letters:
-            ps = A.successors(p, a)
-            if not ps:
-                continue
-            (p2,) = ps
-            if r is None:
-                r2 = None
-            else:
-                rs = A.successors(r, a)
-                r2 = rs[0] if rs else None
-            dst = sid((p2, r2))
-            if r2 is not None and (r, a, r2) in A.gamma:
-                continue  # cannot lie on a counterexample cycle, but still explored
-            succ_cycle[src].append(dst)
-            if (p, a, p2) in A.gamma:
-                acc_edges.append((src, dst))
-    comp, _ = _strongly_connected_components(
-        len(order), lambda x: succ_cycle[x] if x < len(succ_cycle) else [])
-    for s, d in acc_edges:
-        if comp[s] == comp[d]:
-            return False
-    return True
+    n, L = T.shape
+    base = n + 1  # r == n is the dead run
+    T_r = np.vstack([np.where(T < 0, n, T), np.full((1, L), n)])
+    mark_r = np.vstack([mark, np.zeros((1, L), dtype=bool)])
+    starts = P * base + R
+    seen = np.unique(starts)
+    frontier = seen
+    src, dst, cut, acc = [], [], [], []
+    while len(frontier):
+        p, r = np.divmod(frontier, base)
+        P2 = T[p]
+        if np.any(P2 == -2):
+            raise ValueError("second phase is not deterministic")
+        k, a = np.nonzero(P2 >= 0)
+        d = P2[k, a] * base + T_r[r[k], a]
+        src.append(frontier[k])
+        dst.append(d)
+        cut.append(mark_r[r[k], a])
+        acc.append(mark[p[k], a])
+        frontier = np.setdiff1d(d, seen)
+        seen = np.union1d(seen, frontier)
+    src = np.searchsorted(seen, np.concatenate(src))
+    dst = np.searchsorted(seen, np.concatenate(dst))
+    keep = ~np.concatenate(cut)
+    acc = np.concatenate(acc) & keep
+    from scipy.sparse.csgraph import connected_components
+    _, comp = connected_components(_graph(len(seen), src[keep], dst[keep]),
+                                   directed=True, connection="strong")
+    bad = src[acc & (comp[src] == comp[dst])]
+    return _reached(len(seen), dst, src, bad)[np.searchsorted(seen, starts)]
 
 
-def _phase2_fingerprints(A: Automaton, q2, letters, rounds=6):
-    """Cheap semantic signatures of second-phase states.
+def _phase2_fingerprints(T, mark, nonempty, states):
+    """Cheap semantic signatures of second-phase states, one row each.
 
     Walks every state simultaneously through a few fixed letter sequences,
     recording death and the acceptance flags seen; language-equivalent states
     always get equal fingerprints.
     """
-    states = sorted(q2)
-    nonempty = nonempty_states(A)
-    fp = {q: [q in nonempty] for q in states}
-    seqs = []
-    for a in letters:
-        seqs.append([a] * (len(states).bit_length() + 2))
-    if len(letters) > 1:
-        seqs.append([letters[i % len(letters)] for i in range(8)])
+    L = T.shape[1]
+    seqs = [[a] * (len(states).bit_length() + 2) for a in range(L)]
+    if L > 1:
+        seqs.append([i % L for i in range(8)])
+    columns = [nonempty[states]]
     for seq in seqs:
-        cur = {q: q for q in states}
-        seen = {q: 0 for q in states}
+        cur = states.copy()
+        dead = np.zeros(len(states), dtype=bool)
+        seen = np.zeros(len(states), dtype=np.int64)
         for a in seq:
-            for q in states:
-                c = cur[q]
-                if c is None:
-                    continue
-                ts = A.successors(c, a)
-                if not ts:
-                    cur[q] = None
-                    continue
-                (t,) = ts
-                if (c, a, t) in A.gamma:
-                    seen[q] += 1
-                cur[q] = t
-        for q in states:
-            fp[q].append((cur[q] is None, seen[q], cur[q] in nonempty if cur[q] is not None else False))
-    return {q: tuple(v) for q, v in fp.items()}
+            t = T[cur, a]
+            if np.any(~dead & (t == -2)):
+                raise ValueError("second phase is not deterministic")
+            moved = ~dead & (t >= 0)
+            seen += moved & mark[cur, a]
+            dead |= t == -1
+            cur = np.where(moved, t, cur)
+        columns += [dead, seen, ~dead & nonempty[cur]]
+    return np.stack(columns, axis=1).astype(np.int64)
 
 
 def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
@@ -262,87 +302,66 @@ def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
     on words both states agree on.  Class members that are still reachable
     through the second phase survive; the rest are pruned.
     """
-    q1, q2 = _parts_of(A)
-    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
-    parent = {q: q for q in q2}
-
-    def find(q):
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = min(ra, rb), max(ra, rb)
-            parent[hi] = lo
-
-    buckets = {}
-    for q, f in _phase2_fingerprints(A, q2, letters).items():
-        buckets.setdefault(f, []).append(q)
-    for group in buckets.values():
-        group.sort()
-        for i, qa in enumerate(group):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError_("language merging exceeded its deadline")
-            if find(qa) != qa:
-                continue
-            for qb in group[:i]:
-                if find(qb) != qb:
-                    continue
-                if _dba_includes(A, qa, qb, letters) and _dba_includes(A, qb, qa, letters):
-                    union(qa, qb)
-                    break
-    redirect = {q: find(q) for q in q2}
-    delta = {}
-    for (q, a), targets in A.delta.items():
-        if q in q2:
-            delta[(q, a)] = targets
-        else:
-            delta[(q, a)] = tuple(sorted({redirect.get(t, t)
-                                          for t in targets}))
-    gamma = {(q, a, t) if q in q2 else (q, a, redirect.get(t, t))
-             for (q, a, t) in A.gamma}
-    tags = dict(A.tags)
-    tags["parts"] = (set(q1), set(q2))
-    tags.pop("stats", None)
-    initial = redirect.get(A.initial, A.initial)
-    B = Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,
-                  tags=tags, check=False)
-    return prune_unreachable(B)
-
-
-def prune_unreachable(A: Automaton) -> Automaton:
-    return _restrict(A, reachable_states(A))
+    final = _final_mask(A)
+    E = A.edges
+    n = A.n_states
+    T, mark = _successor_table(n, E)
+    states = np.flatnonzero(final)
+    fingerprint, _ = _row_ids(_phase2_fingerprints(T, mark, _nonempty(n, E),
+                                                   states))
+    # language classes inside each fingerprint group, one class per round:
+    # the lowest pending member of a group represents its class, and every
+    # other pending member is checked against it in both directions
+    redirect = np.arange(n)
+    order = np.lexsort((states, fingerprint))
+    group, member = fingerprint[order], states[order]
+    while len(member):
+        _check(deadline, "language merging")
+        lowest = np.ones(len(member), dtype=bool)
+        lowest[1:] = group[1:] != group[:-1]
+        rep = member[lowest][np.cumsum(lowest) - 1]
+        q, qr = member[~lowest], rep[~lowest]
+        if not len(q):
+            break
+        fails = _inclusion_fails(T, mark, np.concatenate([q, qr]),
+                                 np.concatenate([qr, q]))
+        same = ~fails[:len(q)] & ~fails[len(q):]
+        redirect[q[same]] = qr[same]
+        left = ~lowest
+        left[left] = ~same
+        group, member = group[left], member[left]
+    jump = ~final[E.src]
+    dst = np.where(jump, redirect[E.dst], E.dst)
+    edges = Edges.normalised(E.letters, E.src, E.let, dst, E.acc)
+    B = _derived(A, n, int(redirect[A.initial]), edges, None)
+    return _restrict(B, _reached(n, edges.src, edges.dst, [B.initial]), final)
 
 
 def lump_all(A: Automaton, deadline=None) -> Automaton:
     """Strong bisimulation quotient over the whole automaton."""
-    q1, q2 = _parts_of(A)
-    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
-    block_of = [0] * A.n_states
-    n_blocks = 1
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError_("lumping exceeded its deadline")
-        keys = {}
-        new_block = [0] * A.n_states
-        for q in range(A.n_states):
-            sig = []
-            for a in letters:
-                moves = frozenset((block_of[t], (q, a, t) in A.gamma)
-                                  for t in A.successors(q, a))
-                sig.append(moves)
-            key = (block_of[q], tuple(sig))
-            if key not in keys:
-                keys[key] = len(keys)
-            new_block[q] = keys[key]
-        if len(keys) == n_blocks:
-            break
-        block_of = new_block
-        n_blocks = len(keys)
-    return _quotient(A, block_of, (q1, q2))
+    final = _final_mask(A)
+    block = _bisimulation(A.n_states, A.edges,
+                          np.ones(A.n_states, dtype=bool), deadline, "lumping")
+    return _quotient(A, block, final)
+
+
+def reduction_stages(A: Automaton, deadline=None):
+    """Prune, lump final, merge languages and lump all, in turn; yields the
+    name of each stage's ``PipelineStats`` field and its result."""
+    A = prune_empty(A)
+    yield "prune", A
+    A = lump_final(A, deadline)
+    yield "lumpd", A
+    A = merge_lang_final(A, deadline)
+    yield "lang", A
+    yield "lumpa", lump_all(A, deadline)
+
+
+def reduce_nba(A: Automaton, deadline=None) -> Automaton:
+    """The result of all four reduction stages."""
+    for _, A in reduction_stages(A, deadline):
+        pass
+    return A
 
 
 def run_pipeline(A: Automaton, budget: float = 600.0,
@@ -363,21 +382,10 @@ def run_pipeline(A: Automaton, budget: float = 600.0,
         # automaton optimization and would skew the stage counts here
         opts = options or ComplementOptions(special="off")
         opts.deadline = deadline
-        C = complement_uca(A, opts)
-        stats.compl = C.tags["stats"]["states"]
-        result = C
-        P = prune_empty(C)
-        stats.prune = P.n_states
-        result = P
-        D = lump_final(P, deadline)
-        stats.lumpd = D.n_states
-        result = D
-        G = merge_lang_final(D, deadline)
-        stats.lang = G.n_states
-        result = G
-        F = lump_all(G, deadline)
-        stats.lumpa = F.n_states
-        result = F
+        result = complement_uca(A, opts)
+        stats.compl = result.tags["stats"]["states"]
+        for field, result in reduction_stages(result, deadline):
+            setattr(stats, field, result.n_states)
     except TimeoutError_:
         stats.timed_out = True
     stats.time = time.monotonic() - t0

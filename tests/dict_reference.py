@@ -1,0 +1,556 @@
+"""Dict-based reference versions of the rank construction and the four
+reduction stages: one ranking state and one letter at a time, transitions
+in ``delta``/``gamma`` dicts.  The library's batched array versions must
+build exactly the same automata (``test_batched.py``)."""
+
+import time
+
+from omegadp.automata import (
+    Automaton,
+    _strongly_connected_components,
+    letter_sort_key,
+    nonempty_states,
+)
+from omegadp.complement import (
+    CapacityError,
+    ComplementOptions,
+    TimeoutError_,
+    _check_deadline,
+    _Indexed,
+    _resolve_pin,
+)
+from omegadp.reduction import _parts_of, canonical_empty
+
+
+def reachable_states(A: Automaton, start=None) -> set:
+    if start is None:
+        if A.is_schema:
+            raise ValueError("schema has no initial state")
+        start = A.initial
+    seen = {start}
+    frontier = [start]
+    letters = A.alphabet.letters()
+    while frontier:
+        q = frontier.pop()
+        for a in letters:
+            for t in A.successors(q, a):
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+    return seen
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _tight_rankings(states, odd_only, pinned):
+    """Enumerate tight level rankings over ``states`` (sorted ids) as tuples
+    aligned with ``states``, in lexicographic (rank, values) order.
+
+    ``odd_only`` restricts the range to odd ranks; ``pinned`` forces that
+    state to carry the maximal rank.  Other states may share the maximum:
+    demanding a unique carrier is too strong, because a run that keeps
+    dying and re-entering through rejecting edges can only ever hold even
+    ranks, so somebody else must be free to hold the low odd ranks that
+    tightness requires, and with a short rank range that somebody is the
+    pinned state's own rank.
+    """
+    m = len(states)
+    if m == 0:
+        yield ()
+        return
+    pin_pos = states.index(pinned) if (pinned is not None and pinned in states) else None
+    for n in range(1, m + 1):
+        top = 2 * n - 1
+        odds = list(range(1, top + 1, 2))
+        if pin_pos is not None:
+            # pinned gets top; the rest must cover the odd ranks below it
+            rest = [k for k in range(m) if k != pin_pos]
+            lower_odds = odds[:-1]
+            values = odds if odd_only else list(range(0, top + 1))
+            must_cover = set(lower_odds)
+            for assign in _onto_assignments(len(rest), values, must_cover):
+                f = [0] * m
+                f[pin_pos] = top
+                for k, v in zip(rest, assign):
+                    f[k] = v
+                yield tuple(f)
+        else:
+            values = odds if odd_only else list(range(0, top + 1))
+            must_cover = set(odds)
+            for assign in _onto_assignments(m, values, must_cover):
+                yield tuple(assign)
+
+
+def _onto_assignments(m, values, must_cover):
+    """All value tuples of length ``m`` over ``values`` covering ``must_cover``,
+    in lexicographic order."""
+    if m == 0:
+        if not must_cover:
+            yield ()
+        return
+    values = sorted(values)
+    out = [None] * m
+
+    def rec(pos, missing):
+        if m - pos < len(missing):
+            return
+        if pos == m:
+            if not missing:
+                yield tuple(out)
+            return
+        for v in values:
+            out[pos] = v
+            if v in missing:
+                missing.remove(v)
+                yield from rec(pos + 1, missing)
+                missing.add(v)
+            else:
+                yield from rec(pos + 1, missing)
+
+    yield from rec(0, set(must_cover))
+
+
+def _is_tight(members):
+    """members: list of (state, rank). Tight iff max rank odd and every odd
+    value below it is attained."""
+    top = -1
+    odds_seen = set()
+    for _, r in members:
+        if r > top:
+            top = r
+        if r & 1:
+            odds_seen.add(r)
+    if top < 0 or not (top & 1):
+        return False
+    return len(odds_seen) == (top + 1) // 2
+
+
+def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
+    t0 = time.monotonic()
+    idx = _Indexed(A)
+    letters = idx.letters
+    L = len(letters)
+    pinned = _resolve_pin(A, opts)
+
+    ids = {}
+    kinds = []  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
+    payloads = []
+
+    def intern(kind, payload):
+        key = (kind, payload)
+        sid = ids.get(key)
+        if sid is None:
+            sid = len(kinds)
+            if sid >= opts.max_states:
+                raise CapacityError(
+                    f"state budget of {opts.max_states} exceeded", sid)
+            ids[key] = sid
+            kinds.append(kind)
+            payloads.append(payload)
+            worklist.append(sid)
+        return sid
+
+    worklist = []
+    delta = {}
+    gamma = set()
+    blocked = 0
+
+    empty_id = None
+
+    def get_empty():
+        nonlocal empty_id
+        if empty_id is None:
+            empty_id = intern(0, ())
+        return empty_id
+
+    start = intern(1, 1 << A.initial)
+    wi = 0
+    while wi < len(worklist):
+        sid = worklist[wi]
+        wi += 1
+        _check_deadline(opts)
+        kind = kinds[sid]
+        payload = payloads[sid]
+        if kind == 0:
+            for li, a in enumerate(letters):
+                delta[(sid, a)] = (sid,)
+                gamma.add((sid, a, sid))
+            continue
+        if kind == 1:
+            S = payload
+            for li, a in enumerate(letters):
+                S2 = idx.post(S, li)
+                targets = []
+                if S2 == 0:
+                    targets.append(get_empty())
+                else:
+                    targets.append(intern(1, S2))
+                    states2 = _bits(S2)
+                    for f in _tight_rankings(states2, opts.odd_entry, pinned):
+                        targets.append(intern(2, (S2, 0, f, 0)))
+                delta[(sid, a)] = tuple(sorted(set(targets)))
+            continue
+        # kind == 2: ranking state (S_mask, O_mask, f_tuple, i)
+        S, O, f, i = payload
+        states = _bits(S)
+        rank_of = dict(zip(states, f))
+        for li, a in enumerate(letters):
+            # auxiliary g: minimum over source-rank contributions
+            minrank = {}
+            for q, j in rank_of.items():
+                m = idx.succ[q][li]
+                for t in _bits(m):
+                    if j < minrank.get(t, 1 << 30):
+                        minrank[t] = j
+                rm = idx.rej[q][li]
+                ev = j - (j & 1)
+                for t in _bits(rm):
+                    if ev < minrank.get(t, 1 << 30):
+                        minrank[t] = ev
+            if not minrank:
+                # all runs died; the empty subset is the accepting sink
+                tid = get_empty()
+                delta[(sid, a)] = (tid,)
+                gamma.add((sid, a, tid))
+                continue
+            members = sorted(minrank.items())
+            if not _is_tight(members):
+                blocked += 1
+                continue
+            if pinned is not None:
+                # the pinned state never dies and nothing feeds into it, so
+                # its rank stays put while everyone else only decreases; a
+                # run where it stops carrying the maximum cannot have been
+                # pinned at entry and is dropped
+                top = max(r for _, r in members)
+                if minrank.get(pinned) != top:
+                    blocked += 1
+                    continue
+            S2 = 0
+            for q, _ in members:
+                S2 |= 1 << q
+            f2 = tuple(r for _, r in members)
+            Opost = idx.post(O, li)
+            O2 = 0
+            for q, r in members:
+                if r == i and (Opost >> q) & 1:
+                    O2 |= 1 << q
+            if O2:
+                tid = intern(2, (S2, O2, f2, i))
+                delta[(sid, a)] = (tid,)
+            else:
+                top = max(r for _, r in members)
+                i2 = (i + 2) % (top + 1)
+                O3 = 0
+                for q, r in members:
+                    if r == i2:
+                        O3 |= 1 << q
+                tid = intern(2, (S2, O3, f2, i2))
+                delta[(sid, a)] = (tid,)
+                gamma.add((sid, a, tid))
+
+    n = len(kinds)
+    q1 = {sid for sid in range(n) if kinds[sid] == 1}
+    q2 = {sid for sid in range(n) if kinds[sid] != 1}
+    stats = {
+        "states": n,
+        "transitions": sum(len(v) for v in delta.values()),
+        "accepting_transitions": len(gamma),
+        "blocked_transitions": blocked,
+        "wall_time_ms": int((time.monotonic() - t0) * 1000),
+    }
+    return Automaton("NBA", A.alphabet, n, start, delta, gamma,
+                     tags={"parts": (q1, q2), "stats": stats,
+                           "construction": "rank"},
+                     check=False)
+
+
+def _restrict(A: Automaton, keep: set) -> Automaton:
+    """Drop all states outside ``keep`` and renumber densely."""
+    order = sorted(keep)
+    remap = {old: new for new, old in enumerate(order)}
+    delta = {}
+    for (q, a), targets in A.delta.items():
+        if q not in keep:
+            continue
+        ts = tuple(sorted(remap[t] for t in targets if t in keep))
+        if ts:
+            delta[(remap[q], a)] = ts
+    gamma = {(remap[q], a, remap[t]) for (q, a, t) in A.gamma
+             if q in keep and t in keep}
+    tags = dict(A.tags)
+    if "parts" in tags:
+        q1, q2 = tags["parts"]
+        tags["parts"] = ({remap[q] for q in q1 if q in keep},
+                         {remap[q] for q in q2 if q in keep})
+    tags.pop("stats", None)
+    return Automaton(A.kind, A.alphabet, len(order), remap[A.initial],
+                     delta, gamma, tags=tags, check=False)
+
+
+def prune_empty(A: Automaton) -> Automaton:
+    """Restrict to states from which some accepting lasso exists."""
+    live = nonempty_states(A)
+    if A.initial not in live:
+        return canonical_empty(A.alphabet)
+    live &= reachable_states(A)
+    return _restrict(A, live)
+
+
+def _quotient(A: Automaton, block_of, parts) -> Automaton:
+    """Collapse each block to its lowest-id member."""
+    reps = {}
+    for q in range(A.n_states):
+        b = block_of[q]
+        if b not in reps or q < reps[b]:
+            reps[b] = q
+    rep_of = {q: reps[block_of[q]] for q in range(A.n_states)}
+    keep = sorted(set(rep_of.values()))
+    remap = {old: new for new, old in enumerate(keep)}
+    delta = {}
+    gamma = set()
+    for (q, a), targets in A.delta.items():
+        if rep_of[q] != q:
+            continue
+        src = remap[q]
+        ts = sorted({remap[rep_of[t]] for t in targets})
+        delta[(src, a)] = tuple(ts)
+        for t in targets:
+            if (q, a, t) in A.gamma:
+                gamma.add((src, a, remap[rep_of[t]]))
+    q1, q2 = parts
+    new_q1 = {remap[q] for q in keep if q in q1}
+    new_q2 = {remap[q] for q in keep if q in q2}
+    tags = dict(A.tags)
+    tags["parts"] = (new_q1, new_q2)
+    tags.pop("stats", None)
+    return Automaton(A.kind, A.alphabet, len(keep), remap[rep_of[A.initial]],
+                     delta, gamma, tags=tags, check=False)
+
+
+def lump_final(A: Automaton, deadline=None) -> Automaton:
+    """Quotient the deterministic second phase by strong bisimulation."""
+    q1, q2 = _parts_of(A)
+    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+    block_of = {q: (0 if q in q2 else None) for q in range(A.n_states)}
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError_("lumping exceeded its deadline")
+        sigs = {}
+        for q in q2:
+            sig = []
+            for a in letters:
+                ts = A.successors(q, a)
+                if not ts:
+                    sig.append(None)
+                else:
+                    (t,) = ts
+                    sig.append(((q, a, t) in A.gamma,
+                                block_of[t] if t in q2 else ("q1", t)))
+            sigs[q] = (block_of[q], tuple(sig))
+        keys = {}
+        new_block = {}
+        for q in sorted(q2):
+            key = sigs[q]
+            if key not in keys:
+                keys[key] = len(keys)
+            new_block[q] = keys[key]
+        if len(keys) == len(set(block_of[q] for q in q2)):
+            break
+        for q in q2:
+            block_of[q] = new_block[q]
+    # give phase-1 states singleton blocks so the quotient leaves them alone
+    next_b = len(set(block_of[q] for q in q2)) if q2 else 0
+    for q in sorted(q1):
+        block_of[q] = next_b
+        next_b += 1
+    return _quotient(A, block_of, (q1, q2))
+
+
+def _dba_includes(A: Automaton, q1, q2, letters) -> bool:
+    """L(q1) <= L(q2) for states of the deterministic accepting phase.
+
+    Inclusion fails exactly when, after deleting q2-accepting edges, some
+    cycle reachable from (q1, q2) still carries a q1-accepting edge.  A dead
+    q2-run is tracked as the sink ``None``.
+    """
+    ids = {}
+    order = []
+
+    def sid(pair):
+        if pair not in ids:
+            ids[pair] = len(ids)
+            order.append(pair)
+        return ids[pair]
+
+    sid((q1, q2))
+    succ_cycle = []  # product edges minus q2-accepting ones (cycle candidates)
+    acc_edges = []
+    i = 0
+    while i < len(order):
+        p, r = order[i]
+        src = ids[(p, r)]
+        succ_cycle.append([])
+        i += 1
+        for a in letters:
+            ps = A.successors(p, a)
+            if not ps:
+                continue
+            (p2,) = ps
+            if r is None:
+                r2 = None
+            else:
+                rs = A.successors(r, a)
+                r2 = rs[0] if rs else None
+            dst = sid((p2, r2))
+            if r2 is not None and (r, a, r2) in A.gamma:
+                continue  # cannot lie on a counterexample cycle, but still explored
+            succ_cycle[src].append(dst)
+            if (p, a, p2) in A.gamma:
+                acc_edges.append((src, dst))
+    comp, _ = _strongly_connected_components(
+        len(order), lambda x: succ_cycle[x] if x < len(succ_cycle) else [])
+    for s, d in acc_edges:
+        if comp[s] == comp[d]:
+            return False
+    return True
+
+
+def _phase2_fingerprints(A: Automaton, q2, letters, rounds=6):
+    """Cheap semantic signatures of second-phase states.
+
+    Walks every state simultaneously through a few fixed letter sequences,
+    recording death and the acceptance flags seen; language-equivalent states
+    always get equal fingerprints.
+    """
+    states = sorted(q2)
+    nonempty = nonempty_states(A)
+    fp = {q: [q in nonempty] for q in states}
+    seqs = []
+    for a in letters:
+        seqs.append([a] * (len(states).bit_length() + 2))
+    if len(letters) > 1:
+        seqs.append([letters[i % len(letters)] for i in range(8)])
+    for seq in seqs:
+        cur = {q: q for q in states}
+        seen = {q: 0 for q in states}
+        for a in seq:
+            for q in states:
+                c = cur[q]
+                if c is None:
+                    continue
+                ts = A.successors(c, a)
+                if not ts:
+                    cur[q] = None
+                    continue
+                (t,) = ts
+                if (c, a, t) in A.gamma:
+                    seen[q] += 1
+                cur[q] = t
+        for q in states:
+            fp[q].append((cur[q] is None, seen[q], cur[q] in nonempty if cur[q] is not None else False))
+    return {q: tuple(v) for q, v in fp.items()}
+
+
+def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
+    """Redirect every jump into the second phase to one representative per
+    language; representatives are the lowest state ids.
+
+    Only edges leaving the first phase are redirected.  Internal second
+    phase edges must keep each state's own deterministic structure: a state
+    can share its language with another yet reach its accepting edges at
+    different points of the run, so splicing their transition functions
+    together (as a plain quotient would) can starve or fabricate acceptance
+    on words both states agree on.  Class members that are still reachable
+    through the second phase survive; the rest are pruned.
+    """
+    q1, q2 = _parts_of(A)
+    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+    parent = {q: q for q in q2}
+
+    def find(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            lo, hi = min(ra, rb), max(ra, rb)
+            parent[hi] = lo
+
+    buckets = {}
+    for q, f in _phase2_fingerprints(A, q2, letters).items():
+        buckets.setdefault(f, []).append(q)
+    for group in buckets.values():
+        group.sort()
+        for i, qa in enumerate(group):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError_("language merging exceeded its deadline")
+            if find(qa) != qa:
+                continue
+            for qb in group[:i]:
+                if find(qb) != qb:
+                    continue
+                if _dba_includes(A, qa, qb, letters) and _dba_includes(A, qb, qa, letters):
+                    union(qa, qb)
+                    break
+    redirect = {q: find(q) for q in q2}
+    delta = {}
+    for (q, a), targets in A.delta.items():
+        if q in q2:
+            delta[(q, a)] = targets
+        else:
+            delta[(q, a)] = tuple(sorted({redirect.get(t, t)
+                                          for t in targets}))
+    gamma = {(q, a, t) if q in q2 else (q, a, redirect.get(t, t))
+             for (q, a, t) in A.gamma}
+    tags = dict(A.tags)
+    tags["parts"] = (set(q1), set(q2))
+    tags.pop("stats", None)
+    initial = redirect.get(A.initial, A.initial)
+    B = Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,
+                  tags=tags, check=False)
+    return prune_unreachable(B)
+
+
+def prune_unreachable(A: Automaton) -> Automaton:
+    return _restrict(A, reachable_states(A))
+
+
+def lump_all(A: Automaton, deadline=None) -> Automaton:
+    """Strong bisimulation quotient over the whole automaton."""
+    q1, q2 = _parts_of(A)
+    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+    block_of = [0] * A.n_states
+    n_blocks = 1
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError_("lumping exceeded its deadline")
+        keys = {}
+        new_block = [0] * A.n_states
+        for q in range(A.n_states):
+            sig = []
+            for a in letters:
+                moves = frozenset((block_of[t], (q, a, t) in A.gamma)
+                                  for t in A.successors(q, a))
+                sig.append(moves)
+            key = (block_of[q], tuple(sig))
+            if key not in keys:
+                keys[key] = len(keys)
+            new_block[q] = keys[key]
+        if len(keys) == n_blocks:
+            break
+        block_of = new_block
+        n_blocks = len(keys)
+    return _quotient(A, block_of, (q1, q2))
+
+

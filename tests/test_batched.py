@@ -1,0 +1,125 @@
+"""The batched rank construction and the array reduction stages build
+exactly the automata of the dict-based reference versions in
+``dict_reference.py``: same states, initial state, transitions, accepting
+transitions, phase partition and blocked count."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+import dict_reference as ref
+from omegadp import complement as complement_module
+from omegadp import reduction
+from omegadp.automata import Alphabet, Automaton
+from omegadp.complement import CapacityError, ComplementOptions, complement_uca
+from omegadp.hoa import parse_hoa
+from conftest import random_uca
+from test_acceptance import random_collection
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+STAGES = ("prune_empty", "lump_final", "merge_lang_final", "lump_all")
+
+
+def shape(A):
+    return (A.n_states, A.initial, A.delta, A.gamma, A.tags.get("parts"))
+
+
+def assert_same_complement(U, opts):
+    mine = complement_uca(U, opts)
+    theirs = ref.complement_general(U, opts)
+    assert shape(mine) == shape(theirs)
+    for key in ("states", "transitions", "accepting_transitions",
+                "blocked_transitions"):
+        assert mine.tags["stats"][key] == theirs.tags["stats"][key], key
+    return theirs
+
+
+def assert_same_stages(C):
+    """Each array stage against its dict version, on the reference chain."""
+    for name in STAGES:
+        theirs = getattr(ref, name)(C)
+        assert shape(getattr(reduction, name)(C)) == shape(theirs), name
+        C = theirs
+
+
+def seventy_state_uca():
+    """70 states, but every reachable subset has at most two of them."""
+    n = 70
+    delta, gamma = {}, set()
+    for q in range(n):
+        delta[(q, 0)] = ((q + 1) % n,)
+        delta[(q, 1)] = tuple(sorted({q, (q + 35) % n}))
+        if q % 2 == 0:
+            gamma.add((q, 1, q))
+        if q % 7 == 0:
+            gamma.add((q, 0, (q + 1) % n))
+    return Automaton("UCA", Alphabet(("a",)), n, 0, delta, gamma)
+
+
+def fixture(name):
+    return parse_hoa((FIXTURES / f"{name}.hoa").read_text()).reinterpret("UCA")
+
+
+@pytest.mark.parametrize("odd_entry", [True, False])
+def test_random_ucas_match_the_reference(odd_entry):
+    rng = random.Random(2024)
+    for k in range(200):
+        U = random_uca(rng, rng.randint(1, 5))
+        C = assert_same_complement(
+            U, ComplementOptions(special="off", odd_entry=odd_entry))
+        if k % 4 == 0:
+            assert_same_stages(C)
+
+
+def test_pinned_collections_match_the_reference():
+    rng = random.Random(99)
+    for _ in range(40):
+        col = random_collection(rng)
+        assert col.tags.get("collection_initial") is not None
+        assert_same_stages(
+            assert_same_complement(col, ComplementOptions(special="off")))
+
+
+@pytest.mark.parametrize("name", ["reduce_01", "reduce_02", "reduce_03",
+                                  "reduce_04"])
+def test_fixtures_match_the_reference(name):
+    assert_same_stages(
+        assert_same_complement(fixture(name), ComplementOptions(special="off")))
+
+
+def test_no_cap_on_the_number_of_uca_states():
+    U = seventy_state_uca()
+    for odd_entry in (True, False):
+        C = assert_same_complement(
+            U, ComplementOptions(special="off", odd_entry=odd_entry))
+        assert C.n_states > 400
+    assert_same_stages(C)
+
+
+def test_state_budget_is_exact_inside_a_batch():
+    U = seventy_state_uca()
+    for budget in (1, 2, 3, 71, 200, 404):
+        errors = []
+        for build in (complement_uca, ref.complement_general):
+            with pytest.raises(CapacityError) as exc:
+                build(U, ComplementOptions(special="off", max_states=budget))
+            errors.append(exc.value.states_built)
+        assert errors == [budget, budget]
+
+
+def test_deadline_is_checked_in_every_batch(monkeypatch):
+    monkeypatch.setattr(complement_module, "_CHUNK", 16)
+    U = random_uca(random.Random(0), 5)
+    calls = []
+
+    def clock():
+        calls.append(1)
+        return 0.0
+
+    monkeypatch.setattr(complement_module.time, "monotonic", clock)
+    C = complement_uca(U, ComplementOptions(special="off", deadline=1.0))
+    subsets = len(C.tags["parts"][0])
+    # far more batches of ranking states than subset states
+    assert C.n_states - subsets > 40 * subsets
+    assert len(calls) >= subsets + (C.n_states - subsets) / 16

@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from omegadp.automata import (
     lasso_member_uca,
 )
 from omegadp.complement import ComplementOptions, complement_uca
+from omegadp import reduction
 from omegadp.hoa import parse_hoa
 from omegadp.reduction import (
     PipelineStats,
@@ -108,6 +111,33 @@ def test_timeout_reports_partial_stats():
     assert stats.row("x")[-1] == "timeout"
 
 
+def test_timeout_inside_lump_final_keeps_the_pruned_automaton(monkeypatch):
+    def clock():
+        # the deadline has passed for lump_final and anything it calls
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name == "lump_final":
+                return 1e9
+            frame = frame.f_back
+        return 0.0
+
+    U = random_uca(random.Random(3), 3)
+    pruned = prune_empty(complement_uca(U, ComplementOptions(special="off")))
+    assert pruned.n_states > 2
+    monkeypatch.setattr(reduction.time, "monotonic", clock)
+    R, stats = run_pipeline(U, budget=10.0)
+    assert stats.timed_out
+    assert (stats.compl, stats.prune) == (
+        complement_uca(U, ComplementOptions(special="off")).n_states,
+        pruned.n_states)
+    assert stats.lumpd is None and stats.lang is None and stats.lumpa is None
+    assert stats.row("x")[-1] == "timeout"
+    R._validate()
+    assert (R.n_states, R.initial, R.delta, R.gamma, R.tags["parts"]) == \
+        (pruned.n_states, pruned.initial, pruned.delta, pruned.gamma,
+         pruned.tags["parts"])
+
+
 def test_stats_row_format():
     stats = PipelineStats(orig=3, compl=6, prune=4, lumpd=4, lang=4, lumpa=4,
                           time=0.25)
@@ -120,6 +150,7 @@ def test_stats_row_format():
     ("reduce_02", (1, 2, 2, 2, 2, 2)),
     ("reduce_03", (3, 6, 4, 4, 4, 4)),
     ("reduce_04", (4, 8, 6, 6, 6, 6)),
+    ("reduce_05", (10, 246080, 87979, 4161, 2276, 2262)),
 ])
 def test_benchmark_fixture_counts(name, expect):
     A = parse_hoa((FIXTURES / f"{name}.hoa").read_text())
