@@ -537,31 +537,32 @@ def is_strongly_limit_deterministic(A: Automaton):
     Returns ``(flag, (Q1, Q2))``; the partition is meaningful only when the
     flag is true.
     """
-    letters = A.alphabet.letters()
-    # Greatest set closed under successors where every state is deterministic.
-    q2 = set(range(A.n_states))
-    changed = True
-    while changed:
-        changed = False
-        for q in list(q2):
-            ok = True
-            for a in letters:
-                targets = A.successors(q, a)
-                if len(targets) > 1 or any(t not in q2 for t in targets):
-                    ok = False
-                    break
-            if not ok:
-                q2.discard(q)
-                changed = True
+    letters = set(A.alphabet.letters())
+    moves = [(q, targets) for (q, a), targets in A.delta.items()
+             if a in letters]
+    # Greatest set closed under successors where every state is
+    # deterministic: the states that cannot reach a nondeterministic one,
+    # found by a backward search from the nondeterministic states.
+    preds = [[] for _ in range(A.n_states)]
+    q1 = set()
+    for q, targets in moves:
+        if len(targets) > 1:
+            q1.add(q)
+        for t in targets:
+            preds[t].append(q)
+    work = list(q1)
+    while work:
+        for p in preds[work.pop()]:
+            if p not in q1:
+                q1.add(p)
+                work.append(p)
+    q2 = set(range(A.n_states)) - q1
     for (q, a, t) in A.gamma:
         if q not in q2 or t not in q2:
-            return False, (set(range(A.n_states)) - q2, q2)
-    q1 = set(range(A.n_states)) - q2
-    for q in q1:
-        for a in letters:
-            in_q1 = [t for t in A.successors(q, a) if t in q1]
-            if len(in_q1) > 1:
-                return False, (q1, q2)
+            return False, (q1, q2)
+    for q, targets in moves:
+        if q in q1 and sum(t in q1 for t in targets) > 1:
+            return False, (q1, q2)
     return True, (q1, q2)
 
 

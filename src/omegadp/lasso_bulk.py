@@ -16,10 +16,22 @@ slow for large corpora.  Here the work is shared and vectorized:
   accepting-cycle test is a batched transitive closure;
 * automata that pass ``is_strongly_limit_deterministic`` (complement
   outputs in particular) get a much cheaper path: inside each part a run
-  is a function of its start state, so cycle analysis is functional-graph
-  doubling instead of matrix closure;
-* deterministic Streett automata also use functional doubling, aggregating
-  the per-pair transition flags over the eventual loop.
+  is a function of its start state, so reading a cycle word is a walk in a
+  functional graph instead of a matrix closure;
+* deterministic Streett automata also take the functional path, OR-ing the
+  per-pair transition flags over the eventual loop.
+
+The functional path analyses each cycle word ``w`` of length ``cl`` at
+phase 0 only.  One backward scan over ``w`` gives, for every phase ``p``,
+the suffix map ``S_p`` (state at phase ``p`` to state at the next phase 0)
+and the OR of the step flags along that suffix.  The whole-word map
+``g = S_0`` acts on the states alone (plus a sink for missing moves), and
+pointer doubling on it finds the OR of the flags over ``g``'s eventual
+cycle from every state.  The walk from state ``q`` at phase ``p`` enters the same
+cycle as the walk from ``S_p(q)`` at phase 0, so every other phase is one
+gather.  For ``k`` words on ``n`` states this costs
+O(k·n·(cl + log n)), where doubling the (state, phase) graph directly costs
+O(k·n·cl·log(n·cl)).
 """
 
 from __future__ import annotations
@@ -69,6 +81,49 @@ def _word_block(n_letters, cl):
 def _doubling_steps(domain):
     """Squarings needed for a window covering ``domain`` many steps."""
     return max(1, int(domain - 1).bit_length())
+
+
+def _suffix_maps(steps, flags):
+    """Suffix maps of a batch of cycle words by one backward scan.
+
+    ``steps`` and ``flags`` are ``(cl, k, N)`` arrays: ``steps[p, i]`` is
+    the step function that word ``i``'s letter at phase ``p`` induces on
+    ``N`` states, and ``flags[p, i]`` that step's flags (bools or packed
+    bits).  Both are overwritten and returned as ``(S, F)``: ``S[p, i, q]``
+    is the state reached from ``q`` at phase ``p`` when the word's phase 0
+    comes round again, and ``F[p, i, q]`` the OR of the flags of those
+    steps.  States in ``S`` are flat indices ``i * N + state`` into any
+    ``(k, N)`` array, ready for ``np.take``.
+    """
+    cl, k, N = steps.shape
+    S, F = steps, flags
+    S += np.arange(0, k * N, N, dtype=np.intp)[:, None]
+    for p in range(cl - 2, -1, -1):
+        F[p] |= np.take(F[p + 1], S[p])
+        S[p] = np.take(S[p + 1], S[p])
+    return S, F
+
+
+def _iterate_or(g, h):
+    """Pointer doubling on a whole-word map ``g`` in flat indices (see
+    ``_suffix_maps``): returns ``(g^(2^r), h')`` where ``h'[i, q]`` is the
+    OR of ``h`` over the first ``2^r >= N`` iterates of ``g`` from ``q``,
+    which is every state the walk from ``q`` visits."""
+    for _ in range(_doubling_steps(g.shape[1])):
+        h = h | np.take(h, g)
+        g = np.take(g, g)
+    return g, h
+
+
+def _loop_or(steps, flags):
+    """OR of the flags over the eventual loop of every walk: entry
+    ``[p, i, q]`` is for word ``i`` read from state ``q`` at phase ``p``.
+    The arguments are those of ``_suffix_maps`` and are overwritten.  The
+    walk from ``q`` at phase ``p`` ends in the loop of the whole-word map
+    from ``S[p, i, q]``."""
+    S, F = _suffix_maps(steps, flags)
+    g, h = _iterate_or(S[0], F[0])
+    return np.take(np.take(h, g), S)
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,7 +226,18 @@ def _prefix_rows(E, initial, bound, L, m):
 def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:
     """Signature via the two-part structure: a run is a deterministic walk
     in part one plus a choice of jump point into the deterministic accepting
-    part, so cycle analysis reduces to functional-graph doubling."""
+    part.
+
+    Both parts are functional graphs (each with a sink for missing moves)
+    and go through the suffix-map scheme of the module docstring.  A cycle
+    word is good for part-two state ``q`` at phase ``p`` when the flags OR'ed
+    over the eventual loop from ``(q, p)`` hold an accepting step; that is
+    the loop from ``S_p(q)`` at phase 0.  A jump at phase ``p`` wins when its
+    target is good at phase ``p + 1``, and a part-one state ``q`` at phase
+    ``p`` passes a winning jump when the suffix to the next phase 0 does, or
+    any whole-word iterate from ``S_p(q)`` does.  Cost O(k·n·(cl + log n))
+    per batch of ``k`` cycle words on ``n`` states.
+    """
     letters = A.alphabet.letters()
     index = {a: i for i, a in enumerate(letters)}
     L = len(letters)
@@ -179,8 +245,8 @@ def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:
     ids2 = {q: i for i, q in enumerate(sorted(q2))}
     m1, m2 = len(ids1), len(ids2)
     sink1, sink2 = m1, m2
-    next1 = np.full((L, m1 + 1), sink1, dtype=np.int64)
-    next2 = np.full((L, m2 + 1), sink2, dtype=np.int64)
+    next1 = np.full((L, m1 + 1), sink1, dtype=np.intp)
+    next2 = np.full((L, m2 + 1), sink2, dtype=np.intp)
     acc2 = np.zeros((L, m2 + 1), dtype=bool)
     jump = np.zeros((L, m1 + 1, m2 + 1), dtype=np.float32)
     rel2 = np.zeros((L, m2 + 1, m2 + 1), dtype=np.float32)
@@ -206,72 +272,66 @@ def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:
         d0 = np.zeros((1, m2 + 1), dtype=np.float32)
         d0[0, ids2[A.initial]] = 1.0
     dsets = [d0]
+    rel2_t = rel2.transpose(1, 0, 2).reshape(m2 + 1, L * (m2 + 1))
     for _ in range(1, bound):
         cur1, curd = p1[-1], dsets[-1]
         p1.append(next1[:, cur1].T.reshape(-1))
-        moved = np.stack([np.matmul(curd, rel2[a]) for a in range(L)], axis=1)
+        moved = np.matmul(curd, rel2_t).reshape(-1, L, m2 + 1)
         jumped = jump[:, cur1, :].transpose(1, 0, 2)
         dsets.append(((moved + jumped) > 0).astype(np.float32
                                                    ).reshape(-1, m2 + 1))
+    jumps_t = jump.transpose(2, 0, 1).reshape(m2 + 1, L * (m1 + 1))
     out = []
     chunk = max(1, 4_000_000 // max(1, (m1 + m2 + 2) * bound))
     for cl in range(1, bound + 1):
         reps, rep_idx, rot = _rotation_classes(L, cl)
         p1cat = np.concatenate(p1[:bound - cl + 1])
         dcat = np.concatenate(dsets[:bound - cl + 1])
-        good_rep = np.empty((len(reps), m2 + 1, cl), dtype=bool)
-        hit_rep = np.empty((len(reps), m1 + 1, cl), dtype=bool)
+        good_rep = np.empty((cl, len(reps), m2 + 1), dtype=bool)
+        hit_rep = np.empty((cl, len(reps), m1 + 1), dtype=bool)
         for lo in range(0, len(reps), chunk):
             Wc = reps[lo:lo + chunk]
-            k = len(Wc)
-            # accepting-cycle test for the deterministic part, per phase
-            shift = ((np.arange(cl, dtype=np.int32) + 1) % cl)[None, :, None]
-            f2 = next2[Wc].astype(np.int32) * cl + shift
-            f2 = f2.transpose(0, 2, 1).reshape(k, -1)
-            h2 = acc2[Wc].transpose(0, 2, 1).reshape(k, -1)
-            for _ in range(_doubling_steps((m2 + 1) * cl)):
-                h2 = h2 | np.take_along_axis(h2, f2, axis=1)
-                f2 = np.take_along_axis(f2, f2, axis=1)
-            good2 = np.take_along_axis(h2, f2, axis=1)
-            good2 = good2.reshape(k, m2 + 1, cl)
-            # a jump at phase p wins when its target is good at phase p+1;
-            # group words by the phase letter so the product runs on plain
-            # matrices instead of a gathered batch
-            jg = np.zeros((k, m1 + 1, cl), dtype=bool)
+            # accepting-loop test for the deterministic part, per phase
+            good2 = _loop_or(next2[Wc.T], acc2[Wc.T])
+            # a jump at phase p wins when its target is good at phase p+1:
+            # per phase, one product against the jumps on every letter,
+            # then each word's own letter is picked out
+            jg = np.empty((cl, len(Wc), m1 + 1), dtype=bool)
             for p in range(cl):
-                tgt = good2[:, :, (p + 1) % cl].astype(np.float32)
-                for a in range(L):
-                    sel = np.nonzero(Wc[:, p] == a)[0]
-                    if len(sel):
-                        jg[sel, :, p] = np.matmul(tgt[sel], jump[a].T) > 0
+                wins = np.matmul(good2[(p + 1) % cl].astype(np.float32),
+                                 jumps_t) > 0
+                jg[p] = wins.reshape(len(Wc), L, m1 + 1)[
+                    np.arange(len(Wc)), Wc[:, p]]
             # does the part-one walk ever pass a winning jump?
-            f1 = next1[Wc].astype(np.int32) * cl + shift
-            f1 = f1.transpose(0, 2, 1).reshape(k, -1)
-            h1 = jg.reshape(k, -1)
-            for _ in range(_doubling_steps((m1 + 1) * cl)):
-                h1 = h1 | np.take_along_axis(h1, f1, axis=1)
-                f1 = np.take_along_axis(f1, f1, axis=1)
-            good_rep[lo:lo + chunk] = good2
-            hit_rep[lo:lo + chunk] = h1.reshape(k, m1 + 1, cl)
+            S1, F1 = _suffix_maps(next1[Wc.T], jg)
+            _, ever = _iterate_or(S1[0], F1[0])
+            good_rep[:, lo:lo + chunk] = good2
+            hit_rep[:, lo:lo + chunk] = F1 | np.take(ever, S1)
         # phase-shift the representative results back onto every word
-        g0 = good_rep[rep_idx, :, rot].astype(np.float32)
-        term1 = np.matmul(dcat, g0.T) > 0
-        term2 = hit_rep[rep_idx[:, None], p1cat[None, :], rot[:, None]]
-        out.append((term1.T | term2).ravel())
+        g0 = good_rep[rot, rep_idx].astype(np.float32)
+        term1 = np.matmul(g0, dcat.T) > 0
+        term2 = hit_rep[rot[:, None], rep_idx[:, None], p1cat[None, :]]
+        out.append((term1 | term2).ravel())
     return np.concatenate(out)
 
 
 def dsa_signature(D, bound: int) -> np.ndarray:
     """Membership of every bounded lasso in a deterministic Streett
-    automaton, by doubling the step function and aggregating each pair's
-    collapse/unstable flags over the eventual loop."""
+    automaton.
+
+    Each pair's collapse and unstable flags are packed into one integer per
+    transition and OR'ed over the eventual loop by the suffix-map scheme of
+    the module docstring: doubling on the whole-word map of the ``n``
+    states, then one gather per phase.  Cost O(k·n·(cl + log n)) for ``k``
+    cycle words.
+    """
     letters = D.alphabet.letters()
     index = {a: i for i, a in enumerate(letters)}
     L, n = len(letters), D.n_states
     names = sorted(D.pairs, key=str)
     if 2 * len(names) > 62:
         raise ValueError("too many Streett pairs for packed flags")
-    nxt = np.zeros((L, n), dtype=np.int64)
+    nxt = np.zeros((L, n), dtype=np.intp)
     flags = np.zeros((L, n), dtype=np.int64)
     for a in letters:
         ai = index[a]
@@ -293,21 +353,13 @@ def dsa_signature(D, bound: int) -> np.ndarray:
     out = []
     for cl in range(1, bound + 1):
         reps, rep_idx, rot = _rotation_classes(L, cl)
-        k = len(reps)
         scat = np.concatenate(states[:bound - cl + 1])
-        shift = ((np.arange(cl) + 1) % cl)[None, :, None]
-        f = (nxt[reps] * cl + shift).transpose(0, 2, 1).reshape(k, -1)
-        b = flags[reps].transpose(0, 2, 1).reshape(k, -1)
-        for _ in range(_doubling_steps(n * cl)):
-            b = b | np.take_along_axis(b, f, axis=1)
-            f = np.take_along_axis(f, f, axis=1)
-        loop = np.take_along_axis(b, f, axis=1)
+        loop = _loop_or(nxt[reps.T], flags[reps.T])
         reject = np.zeros(loop.shape, dtype=bool)
         for i in range(len(names)):
             coll = (loop >> (2 * i)) & 1
             unst = (loop >> (2 * i + 1)) & 1
             reject |= (coll == 1) & (unst == 0)
-        accept = ~reject.reshape(k, n, cl)
-        out.append(accept[rep_idx[:, None], scat[None, :],
-                          rot[:, None]].ravel())
+        out.append(~reject[rot[:, None], rep_idx[:, None],
+                           scat[None, :]].ravel())
     return np.concatenate(out)

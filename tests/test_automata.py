@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+import signature_reference
 from omegadp.automata import (
     TOP,
     Alphabet,
@@ -15,7 +18,12 @@ from omegadp.automata import (
     nonempty_states,
     renumber,
 )
-from conftest import all_lassos, random_nba
+from omegadp.complement import complement_uca
+from omegadp.hoa import parse_hoa
+from omegadp.reduction import run_pipeline
+from conftest import all_lassos, random_nba, random_uca
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def cycle_relation_member(A, w):
@@ -137,6 +145,25 @@ def test_strongly_limit_deterministic_partition():
     gamma2 = {(0, 0, 1), (0, 0, 2), (1, 0, 1), (2, 0, 2)}
     B = Automaton("NBA", ab, 3, 0, delta2, gamma2)
     assert not is_strongly_limit_deterministic(B)[0]
+
+
+def test_limit_determinism_matches_the_fixpoint_reference(rng):
+    corpus = []
+    for _ in range(60):
+        corpus.append(random_nba(rng, rng.randint(1, 5), n_ap=2))
+        corpus.append(complement_uca(random_uca(rng, rng.randint(1, 4),
+                                                n_ap=2)))
+    for name in ("reduce_01", "reduce_02", "reduce_03", "reduce_04"):
+        U = parse_hoa((FIXTURES / f"{name}.hoa").read_text()
+                      ).reinterpret("UCA")
+        corpus.append(complement_uca(U))
+        corpus.append(run_pipeline(U)[0])
+    flags = set()
+    for A in corpus:
+        got = is_strongly_limit_deterministic(A)
+        assert got == signature_reference.is_strongly_limit_deterministic(A)
+        flags.add(got[0])
+    assert flags == {False, True}
 
 
 def test_schema_instantiation():

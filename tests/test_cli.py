@@ -1,16 +1,21 @@
 import csv
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
-from omegadp.automata import Alphabet, Automaton
+from omegadp.automata import (
+    Alphabet, Automaton, is_strongly_limit_deterministic)
 from omegadp.biolab import BiolabGrid, build_biolab
 from omegadp.cli import main
 from omegadp.hoa import emit_hoa, parse_hoa
 from omegadp.odp import odp_to_json, remove_lookahead, remove_lookback
 
 from conftest import example2_odp, random_uca
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def write_uca(path, A):
@@ -139,6 +144,33 @@ def test_check_detects_language_difference(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "fail"
     assert report["mismatch_count"] == report["words_checked"]
+
+
+def test_check_against_the_reduced_complement_of_a_fixture(tmp_path, capsys):
+    fixture = FIXTURES / "reduce_03.hoa"
+    indir = tmp_path / "in"
+    indir.mkdir()
+    shutil.copy(fixture, indir)
+    out_dir = tmp_path / "out"
+    assert main(["reduce", str(indir), "-o", str(tmp_path / "r.csv"),
+                 "--out-dir", str(out_dir), "--workers", "1"]) == 0
+    reduced = out_dir / "reduce_03.hoa"
+    # the HOA file carries no partition, so the check finds it itself
+    assert is_strongly_limit_deterministic(
+        parse_hoa(reduced.read_text()))[0]
+    # the fixture stores its UCA under a Buchi header, and `reduce` reads
+    # that structure as a UCA: its Buchi reading is the exact complement
+    capsys.readouterr()
+    assert main(["check", str(fixture), "--against", str(reduced),
+                 "--bound", "6"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["mismatch_count"] == report["words_checked"] == 30948
+    uca = write_uca(tmp_path / "uca.hoa",
+                    parse_hoa(fixture.read_text()).reinterpret("UCA"))
+    assert main(["check", uca, "--against", str(reduced),
+                 "--bound", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass" and report["words_checked"] == 30948
 
 
 def test_check_gfm_passes_on_complement_candidates(tmp_path, rng, capsys):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import signature_reference as reference
 from omegadp.automata import (
-    Alphabet, Automaton, lasso_member_nba, lasso_member_uca)
+    Alphabet, Automaton, is_strongly_limit_deterministic, lasso_member_nba,
+    lasso_member_uca)
 from omegadp.complement import complement_uca
 from omegadp.lasso_bulk import (
     bounded_lassos, dsa_signature, mismatches, nba_signature, uca_signature)
-from omegadp.streett import determinize_uca, lasso_member_dsa
+from omegadp.streett import StreettDsa, determinize_uca, lasso_member_dsa
 
 from conftest import random_nba, random_uca
 
@@ -59,6 +61,77 @@ def test_dsa_signature_matches_single_word_checker(rng):
         sig = dsa_signature(D, 4)
         ref = np.array([lasso_member_dsa(D, w) for w in words])
         assert np.array_equal(sig, ref)
+
+
+def chain_into_cycle(n, jump=True, missing=()):
+    """A chain of ``n`` states, then a hub, then a cycle of 7 (coprime to
+    every cycle length up to 6) whose one accepting edge leaves the cycle's
+    first state on letter 1.
+
+    With ``jump`` the hub loops on itself and also jumps to the cycle, so
+    chain and hub are part one and the first winning jump lies ``n`` steps
+    from the start; without it the automaton is deterministic and starts
+    in part two.  ``missing`` lists cycle moves ``(j, letter)`` left out,
+    which send runs to the sink.
+    """
+    hub, cyc = n, [n + 1 + j for j in range(7)]
+    delta = {}
+    for a in (0, 1):
+        for i in range(n):
+            delta[(i, a)] = (i + 1,)
+        delta[(hub, a)] = (hub, cyc[0]) if jump else (cyc[0],)
+        for j in range(7):
+            if (j, a) not in missing:
+                delta[(cyc[j], a)] = (cyc[(j + 1) % 7],)
+    return Automaton("NBA", Alphabet(("b",)), n + 8, 0, delta,
+                     {(cyc[0], 1, cyc[1])})
+
+
+def chain_into_cycle_dsa(n):
+    """A chain of ``n`` states into a cycle of 7 as a Streett automaton
+    with ``chain_into_cycle``'s language: pair ``x`` collapses on every
+    cycle edge and is unstable only on the edge from the cycle's first
+    state on letter 1; pair ``y`` collapses on the chain's last edges, so
+    a loop window that still overlaps the chain rejects."""
+    cyc = [n + j for j in range(7)]
+    delta = {}
+    for a in (0, 1):
+        for i in range(n - 1):
+            delta[(i, a)] = i + 1
+        delta[(n - 1, a)] = cyc[0]
+        for j in range(7):
+            delta[(cyc[j], a)] = cyc[(j + 1) % 7]
+    pairs = {"x": ({(c, a) for c in cyc for a in (0, 1)}, {(cyc[0], 1)}),
+             "y": ({(n - 1, 0), (n - 1, 1)}, set())}
+    return StreettDsa(Alphabet(("b",)), n + 7, 0, delta, pairs)
+
+
+def test_signatures_match_the_doubling_reference(rng):
+    bound = 6
+    for _ in range(60):
+        A = random_uca(rng, rng.randint(1, 4), n_ap=2)
+        C = complement_uca(A)
+        assert np.array_equal(nba_signature(C, bound),
+                              reference.nba_signature(C, bound))
+        D = determinize_uca(A)
+        assert np.array_equal(dsa_signature(D, bound),
+                              reference.dsa_signature(D, bound))
+    # n = 9 and 17 put the chain's end one step past a doubling window
+    # that is a round short; 1, 2, 8 and 16 sit at the window edges
+    hand = [chain_into_cycle(n) for n in (1, 2, 8, 9, 16, 17)]
+    hand.append(chain_into_cycle(9, jump=False))
+    hand.append(chain_into_cycle(9, missing={(3, 0)}))
+    for A in hand:
+        flag, (q1, q2) = is_strongly_limit_deterministic(A)
+        assert flag and len(q2) == (A.n_states if 0 in q2 else 7)
+        sig = nba_signature(A, bound)
+        assert sig.any() and not sig.all()
+        assert np.array_equal(sig, reference.nba_signature(A, bound))
+    for n in (1, 2, 8, 9, 16, 17):
+        D = chain_into_cycle_dsa(n)
+        sig = dsa_signature(D, bound)
+        assert sig.any() and not sig.all()
+        assert np.array_equal(sig, reference.dsa_signature(D, bound))
 
 
 def test_deterministic_automaton_uses_fast_path():
