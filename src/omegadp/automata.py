@@ -41,6 +41,56 @@ TOP = TrivialPromise()
 MAX_LETTERS = 1 << 16
 
 
+class CapacityError(RuntimeError):
+    """State-count budget exceeded; carries the number of states built."""
+
+    def __init__(self, message, states_built):
+        super().__init__(message)
+        self.states_built = states_built
+
+
+class Explorer:
+    """Breadth-first numbering of the hashable keys reachable from
+    ``start``, which gets id 0.
+
+    ``intern(key)`` gives a key the next free id the first time it is seen
+    and the same id ever after.  Iterating yields ``(id, key)`` in id order
+    and also reaches the keys that the loop body interns meanwhile, so each
+    key is expanded once and ids follow first-seen order.  Callers index by
+    these ids (product ``pairs``, ``keys``, ``odp_state_of``): ``keys[i]``
+    is the key of id ``i`` and ``ids`` maps each key to its id, in id order.
+    With a ``budget``, interning a key that would get id ``budget`` raises
+    :class:`CapacityError` with ``states_built`` equal to the budget.
+    """
+
+    __slots__ = ("ids", "keys", "budget")
+
+    def __init__(self, start, budget=None):
+        self.ids = {}
+        self.keys = []
+        self.budget = budget
+        self.intern(start)
+
+    def intern(self, key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = len(self.keys)
+            if self.budget is not None and i >= self.budget:
+                raise CapacityError(f"state budget of {self.budget} exceeded",
+                                    i)
+            self.ids[key] = i
+            self.keys.append(key)
+        return i
+
+    def __iter__(self):
+        # a list iterator reads the length on every step, so it also
+        # yields the keys appended after it started
+        return enumerate(self.keys)
+
+    def __len__(self):
+        return len(self.keys)
+
+
 def promise_sort_key(p):
     """Total order on promise identifiers for canonical letter ordering."""
     if p is TOP or isinstance(p, TrivialPromise):
@@ -55,6 +105,19 @@ def letter_sort_key(letter):
         return (letter,)
     base, promise = letter
     return (base,) + promise_sort_key(promise)
+
+
+def label_to_names(letter: int, ap) -> list:
+    """The atomic propositions of ``ap`` that hold in a base letter."""
+    return [name for i, name in enumerate(ap) if letter >> i & 1]
+
+
+def label_from_names(names: Iterable[str], ap) -> int:
+    """The base letter in which exactly the propositions ``names`` hold."""
+    bits = 0
+    for name in names:
+        bits |= 1 << ap.index(name)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -123,10 +186,7 @@ class Alphabet:
 
     def letter_of(self, assignment: Iterable[str]) -> int:
         """Encode a set of true atomic propositions as a base letter."""
-        bits = 0
-        for name in assignment:
-            bits |= 1 << self.ap.index(name)
-        return bits
+        return label_from_names(assignment, self.ap)
 
 
 @dataclass(frozen=True)
@@ -488,24 +548,10 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
     if A.is_schema or B.is_schema:
         raise ValueError("cannot intersect schemas")
     letters = A.alphabet.letters()
-    ids = {}
-    order = []
-
-    def sid(state):
-        if state not in ids:
-            ids[state] = len(ids)
-            order.append(state)
-        return ids[state]
-
-    start = (A.initial, B.initial, 0)
-    sid(start)
+    found = Explorer((A.initial, B.initial, 0))
     delta = {}
     gamma = set()
-    i = 0
-    while i < len(order):
-        p, q, flag = order[i]
-        src = ids[(p, q, flag)]
-        i += 1
+    for src, (p, q, flag) in found:
         for a in letters:
             targets = []
             for p2 in A.successors(p, a):
@@ -519,14 +565,14 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
                     if nflag == 1 and acc_b:
                         nflag = 0
                         mark = True
-                    dst = sid((p2, q2, nflag))
+                    dst = found.intern((p2, q2, nflag))
                     targets.append(dst)
                     if mark:
                         gamma.add((src, a, dst))
             if targets:
                 delta[(src, a)] = tuple(sorted(set(targets)))
     gamma = {(q, a, t) for (q, a, t) in gamma if t in delta.get((q, a), ())}
-    return Automaton("NBA", A.alphabet, len(order), 0, delta, gamma, check=False)
+    return Automaton("NBA", A.alphabet, len(found), 0, delta, gamma, check=False)
 
 
 def is_strongly_limit_deterministic(A: Automaton):
@@ -574,21 +620,12 @@ def canonical_order(A: Automaton) -> list:
     if A.is_schema:
         return list(range(A.n_states))
     letters = sorted(A.alphabet.letters(), key=letter_sort_key)
-    order = [A.initial]
-    seen = {A.initial}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
+    found = Explorer(A.initial)
+    for _, q in found:
         for a in letters:
             for t in A.successors(q, a):
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-    for q in range(A.n_states):
-        if q not in seen:
-            order.append(q)
-    return order
+                found.intern(t)
+    return found.keys + [q for q in range(A.n_states) if q not in found.ids]
 
 
 def renumber(A: Automaton, order) -> Automaton:

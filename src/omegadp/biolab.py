@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .automata import Alphabet, Automaton
+from .automata import Alphabet, Automaton, Explorer
 from .odp import Odp
 
 AP = ("clean_lab", "dirty_lab", "decontamination", "initial_location")
@@ -218,21 +218,9 @@ def build_biolab(rho=10.0, f1=1.0, f2=2.0, xi=1.0, p_slip=0.0, p_zap=0.1,
     ab = Alphabet(AP)
     fee = {grid.home: -xi, grid.decon1: -f1, grid.decon2: -f2}
 
-    ids, keys = {}, []
-
-    def intern(key):
-        if key not in ids:
-            ids[key] = len(ids)
-            keys.append(key)
-        return ids[key]
-
-    intern((grid.home, 0))
+    found = Explorer((grid.home, 0))
     actions, trans, rewards, labels = {}, {}, {}, []
-    i = 0
-    while i < len(keys):
-        key = keys[i]
-        src = ids[key]
-        i += 1
+    for src, key in found:
         if key == "wreck":
             labels.append(0)
             act = (None, "stay", None)
@@ -271,7 +259,7 @@ def build_biolab(rho=10.0, f1=1.0, f2=2.0, xi=1.0, p_slip=0.0, p_zap=0.1,
                 acts.append(act)
                 entry = []
                 for nkey, p in sorted(dist.items(), key=str):
-                    dst = intern(nkey)
+                    dst = found.intern(nkey)
                     entry.append((dst, p))
                     r = fee.get(cell, 0.0)
                     if act[0] == SINCE_GUARD and nkey != "wreck" and \
@@ -281,10 +269,10 @@ def build_biolab(rho=10.0, f1=1.0, f2=2.0, xi=1.0, p_slip=0.0, p_zap=0.1,
                         rewards[(src, act, dst)] = r
                 trans[(src, act)] = tuple(entry)
         actions[src] = tuple(acts)
-    D = Odp(len(keys), 0, actions, trans, ab, labels,
+    D = Odp(len(found), 0, actions, trans, ab, labels,
             lookback=guard_schema(), lookahead=lookahead_schema(),
             rewards=rewards)
     D.grid = grid
-    D.state_of = ids
-    D.keys = keys
+    D.state_of = found.ids
+    D.keys = found.keys
     return D

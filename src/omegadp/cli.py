@@ -13,9 +13,11 @@ for debugging.
 Reports go to stdout (or the requested output files); failures are reported
 as a single JSON object on stderr and a nonzero exit code.  A failed
 ``check`` verdict also exits nonzero so the command is usable in scripts.
-Runs are deterministic for a fixed --seed.  Timeouts are cooperative: the
-deadline is checked at state-expansion boundaries inside the library, so a
-stage may overshoot by the cost of one expansion.
+Runs are deterministic for a fixed --seed.  Only ``complement``, ``reduce``
+and ``stats`` read --timeout; the other subcommands run to completion.
+Their timeouts are cooperative: the deadline is checked at state-expansion
+boundaries inside the library, so a stage may overshoot by the cost of one
+expansion.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .mdp import (
 )
 from .odp import odp_from_json, remove_lookahead, remove_lookback, solve_odp
 from .qlearn import lex_q_learn, policy_arrows, render_policy
-from .reduction import run_pipeline
+from .reduction import batch_reduce
 from .streett import determinize_uca, streett_mdp_max_prob
 
 VALUE_TOL = 1e-7
@@ -101,19 +103,6 @@ def cmd_complement(cfg: CliConfig):
     return 0
 
 
-def _pipeline_worker(job):
-    """Reduce one HOA file; returns (name, csv row, reduced HOA, error)."""
-    path, budget = job
-    name = os.path.splitext(os.path.basename(path))[0]
-    try:
-        A = _read_automaton(path)
-        result, stats = run_pipeline(A, budget)
-        text = emit_hoa(result) if result is not None else None
-        return name, stats.row(name), text, None
-    except Exception as exc:
-        return name, None, None, f"{type(exc).__name__}: {exc}"
-
-
 def _summary_rows(rows):
     """Mean, stdev, and max rows over the numeric cells of a stats table."""
     out = []
@@ -133,35 +122,14 @@ def _summary_rows(rows):
 
 def _run_batch(cfg: CliConfig, out_dir):
     o = cfg.options
-    paths = sorted(
-        os.path.join(o["input"], f) for f in os.listdir(o["input"])
-        if f.endswith(".hoa"))
-    jobs = [(p, cfg.timeout) for p in paths]
-    workers = o["workers"] or os.cpu_count() or 1
-    if workers > 1 and len(jobs) > 1:
-        from multiprocessing import Pool
-        with Pool(workers) as pool:
-            results = pool.map(_pipeline_worker, jobs)
-    else:
-        results = [_pipeline_worker(j) for j in jobs]
-    rows, errors = [], []
-    for name, row, text, err in results:
-        if err is not None:
-            rows.append([name, "", "", "", "", "", "", f"error: {err}"])
-            errors.append({"file": name, "message": err})
-            continue
-        rows.append(row)
-        if out_dir is not None and text is not None:
-            with open(os.path.join(out_dir, f"{name}.hoa"), "w") as fh:
-                fh.write(text)
-    good = [r for r in rows if not str(r[7]).startswith("error")]
-    with open(o["output"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "orig", "compl", "prune", "lumpd", "lang",
-                         "lumpa", "time"])
-        writer.writerows(rows)
-        if good:
-            writer.writerows(_summary_rows(good))
+    rows = batch_reduce(o["input"], o["output"], cfg.timeout, o["workers"],
+                        out_dir)
+    errors = [{"file": r[0], "message": r[7][len("error: "):]}
+              for r in rows if r[7].startswith("error:")]
+    good = [r for r in rows if not r[7].startswith("error:")]
+    if good:
+        with open(o["output"], "a", newline="") as fh:
+            csv.writer(fh).writerows(_summary_rows(good))
     if errors:
         print(json.dumps({"error": "BatchErrors", "files": errors}),
               file=sys.stderr)
@@ -385,7 +353,8 @@ def _build_parser():
                     "lexicographic MDP solving.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timeout", type=float, default=600.0,
-                        help="cooperative time budget in seconds")
+                        help="cooperative time budget in seconds, read by "
+                             "complement, reduce and stats only")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -32,15 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Automaton, Edges, letter_sort_key
-
-
-class CapacityError(RuntimeError):
-    """State-count budget exceeded; carries the number of states built."""
-
-    def __init__(self, message, states_built):
-        super().__init__(message)
-        self.states_built = states_built
+from .automata import Automaton, CapacityError, Edges, Explorer, \
+    letter_sort_key
 
 
 class TimeoutError_(RuntimeError):
@@ -449,60 +442,39 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
     idx = _Indexed(A)
     letters = idx.letters
     init = A.initial
-
-    ids = {}
-    kinds = []
-    payloads = []
-    worklist = []
-
-    def intern(kind, payload):
-        key = (kind, payload)
-        sid = ids.get(key)
-        if sid is None:
-            sid = len(kinds)
-            if sid >= opts.max_states:
-                raise CapacityError(f"state budget of {opts.max_states} exceeded", sid)
-            ids[key] = sid
-            kinds.append(kind)
-            payloads.append(payload)
-            worklist.append(sid)
-        return sid
-
-    delta = {}
-    gamma = set()
-    empty_id = None
-
-    def get_empty():
-        nonlocal empty_id
-        if empty_id is None:
-            empty_id = intern(0, ())
-        return empty_id
-
     if shape == "safety":
         (z,) = {q for (q, a, t) in A.gamma}
         zbit = 1 << z
-        start = intern(1, 1 << init)
-        wi = 0
-        while wi < len(worklist):
-            sid = worklist[wi]
-            wi += 1
-            kind, payload = kinds[sid], payloads[sid]
-            if kind == 0:
-                for a in letters:
-                    delta[(sid, a)] = (sid,)
-                    gamma.add((sid, a, sid))
-                continue
+    else:
+        has_exempt = any((init, a, init) not in A.gamma
+                         and init in A.successors(init, a)
+                         for a in A.alphabet.letters())
+        ebit = (1 << init) if has_exempt else 0
+
+    # a state is (kind, payload): kind 1 a first-phase subset, kind 2 a
+    # second-phase subset that avoids the rejecting sink (safety) or a
+    # subset with its owing set (reachability), and EMPTY the accepting sink
+    EMPTY = (0, ())
+    found = Explorer((1, 1 << init), budget=opts.max_states)
+    delta = {}
+    gamma = set()
+    for sid, (kind, payload) in found:
+        if kind == 0:
+            for a in letters:
+                delta[(sid, a)] = (sid,)
+                gamma.add((sid, a, sid))
+        elif shape == "safety":
             S = payload
             for li, a in enumerate(letters):
                 S2 = idx.post(S, li)
                 targets = []
                 if S2 == 0:
-                    targets.append(get_empty())
+                    targets.append(found.intern(EMPTY))
                 else:
                     if kind == 1:
-                        targets.append(intern(1, S2))
+                        targets.append(found.intern((1, S2)))
                     if not (S2 & zbit):
-                        targets.append(intern(2, S2))
+                        targets.append(found.intern((2, S2)))
                 if kind == 2 and not targets:
                     continue  # the run through the sink blocks phase 2
                 if targets:
@@ -510,41 +482,26 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
                     if kind == 2:
                         for t in targets:
                             gamma.add((sid, a, t))
-    else:  # reachability
-        has_exempt = any((init, a, init) not in A.gamma and init in A.successors(init, a)
-                         for a in A.alphabet.letters())
-        ebit = (1 << init) if has_exempt else 0
-        start = intern(1, 1 << init)
-        wi = 0
-        while wi < len(worklist):
-            sid = worklist[wi]
-            wi += 1
-            kind, payload = kinds[sid], payloads[sid]
-            if kind == 0:
-                for a in letters:
-                    delta[(sid, a)] = (sid,)
-                    gamma.add((sid, a, sid))
-                continue
-            if kind == 1:
-                S = payload
-                for li, a in enumerate(letters):
-                    S2 = idx.post(S, li)
-                    targets = []
-                    if S2 == 0:
-                        targets.append(get_empty())
-                    else:
-                        targets.append(intern(1, S2))
-                        if ebit and (S2 & ebit):
-                            # entry ranking: exempt state rank 1, others 0;
-                            # the first breakpoint fires immediately (O = empty)
-                            targets.append(intern(2, (S2, S2 & ~ebit)))
-                    delta[(sid, a)] = tuple(sorted(set(targets)))
-                continue
+        elif kind == 1:
+            S = payload
+            for li, a in enumerate(letters):
+                S2 = idx.post(S, li)
+                targets = []
+                if S2 == 0:
+                    targets.append(found.intern(EMPTY))
+                else:
+                    targets.append(found.intern((1, S2)))
+                    if ebit and (S2 & ebit):
+                        # entry ranking: exempt state rank 1, others 0;
+                        # the first breakpoint fires immediately (O = empty)
+                        targets.append(found.intern((2, (S2, S2 & ~ebit))))
+                delta[(sid, a)] = tuple(sorted(set(targets)))
+        else:
             S, O = payload
             for li, a in enumerate(letters):
                 S2 = idx.post(S, li)
                 if S2 == 0:
-                    tid = get_empty()
+                    tid = found.intern(EMPTY)
                     delta[(sid, a)] = (tid,)
                     gamma.add((sid, a, tid))
                     continue
@@ -552,15 +509,15 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
                     continue  # ranking no longer tight: blocked
                 O2 = idx.post(O, li) & S2 & ~ebit
                 if O2:
-                    delta[(sid, a)] = (intern(2, (S2, O2)),)
+                    delta[(sid, a)] = (found.intern((2, (S2, O2))),)
                 else:
-                    tid = intern(2, (S2, S2 & ~ebit))
+                    tid = found.intern((2, (S2, S2 & ~ebit)))
                     delta[(sid, a)] = (tid,)
                     gamma.add((sid, a, tid))
 
-    n = len(kinds)
-    q1 = {sid for sid in range(n) if kinds[sid] == 1}
-    q2 = {sid for sid in range(n) if kinds[sid] != 1}
+    n = len(found)
+    q1 = {sid for sid, (kind, _) in found if kind == 1}
+    q2 = set(range(n)) - q1
     stats = {
         "states": n,
         "transitions": sum(len(v) for v in delta.values()),
@@ -568,7 +525,7 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
         "blocked_transitions": 0,
         "wall_time_ms": int((time.monotonic() - t0) * 1000),
     }
-    return Automaton("NBA", A.alphabet, n, start, delta, gamma,
+    return Automaton("NBA", A.alphabet, n, 0, delta, gamma,
                      tags={"parts": (q1, q2), "stats": stats,
                            "construction": f"special-{shape}"},
                      check=False)

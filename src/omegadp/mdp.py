@@ -32,7 +32,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .automata import Automaton
+from .automata import Alphabet, Automaton, CapacityError, Explorer, \
+    label_from_names, label_to_names
 
 
 class NoValidStrategy(Exception):
@@ -65,19 +66,7 @@ class Mdp:
             self._validate()
 
     def _validate(self):
-        for s in range(self.n_states):
-            if not self.actions.get(s):
-                raise ValueError(f"state {s} has no actions")
-            for a in self.actions[s]:
-                dist = self.trans.get((s, a))
-                if not dist:
-                    raise ValueError(f"missing distribution for ({s}, {a})")
-                total = sum(p for _, p in dist)
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(f"distribution of ({s}, {a}) sums to {total}")
-                for t, p in dist:
-                    if not (0 <= t < self.n_states) or p < 0:
-                        raise ValueError(f"bad transition ({s}, {a}) -> {t}")
+        check_transitions(self)
         if self.labels is not None and len(self.labels) != self.n_states:
             raise ValueError("label vector length mismatch")
 
@@ -93,6 +82,28 @@ class Mdp:
         """The solvers' array form, built on first use and kept: the dict
         fields must not change once a solver has read the model."""
         return MdpArrays.of(self)
+
+
+def check_transitions(M):
+    """Raise ValueError unless the initial state of the model ``M`` (an
+    :class:`Mdp` or an ODP) is a state and every state has actions, each
+    with a probability distribution over the states."""
+    if not (0 <= M.initial < M.n_states):
+        raise ValueError(f"initial state {M.initial} out of range")
+    for s in range(M.n_states):
+        if not M.actions.get(s):
+            raise ValueError(f"state {s} has no actions")
+        for a in M.actions[s]:
+            dist = M.trans.get((s, a))
+            if not dist:
+                raise ValueError(f"missing distribution for ({s}, {a})")
+            total = sum(p for _, p in dist)
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"distribution of ({s}, {a}) sums to {total}")
+            for t, p in dist:
+                # a NaN fails both comparisons, so it is rejected here
+                if not (0 <= t < M.n_states) or not (0 <= p <= 1):
+                    raise ValueError(f"bad transition ({s}, {a}) -> {t}")
 
 
 @dataclass
@@ -142,23 +153,11 @@ def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
         raise ValueError("the MDP must be labeled")
     if M.alphabet is not None and C.alphabet.ap != M.alphabet.ap:
         raise ValueError("alphabet mismatch between MDP and automaton")
-    ids = {}
-    pairs = []
-
-    def intern(s, q):
-        if (s, q) not in ids:
-            ids[(s, q)] = len(ids)
-            pairs.append((s, q))
-        return ids[(s, q)]
-
-    intern(M.initial, C.initial)
+    found = Explorer((M.initial, C.initial))
+    intern = found.intern
     actions, trans, rewards = {}, {}, {}
     acc = set()
-    i = 0
-    while i < len(pairs):
-        s, q = pairs[i]
-        src = ids[(s, q)]
-        i += 1
+    for src, (s, q) in found:
         letter = M.labels[s]
         acts = []
         for a in M.actions[s]:
@@ -167,7 +166,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
                 acts.append(pa)
                 dist = []
                 for t, p in M.trans[(s, a)]:
-                    dst = intern(t, q2)
+                    dst = intern((t, q2))
                     dist.append((dst, p))
                     r = M.reward(s, a, t)
                     if r:
@@ -179,6 +178,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
             acts.append(STUCK)
             trans[(src, STUCK)] = ((src, 1.0),)
         actions[src] = tuple(acts)
+    pairs = found.keys
     return ProductMdp(len(pairs), 0, actions, trans, acc, pairs,
                       alphabet=M.alphabet,
                       labels=tuple(M.labels[s] for s, _ in pairs),
@@ -189,36 +189,23 @@ def product_with_reward_machine(M: Mdp, R: RewardMachine) -> Mdp:
     """Rewardful MDP whose reward is emitted by the machine reading labels."""
     if M.labels is None:
         raise ValueError("the MDP must be labeled")
-    ids = {}
-    pairs = []
-
-    def intern(s, u):
-        if (s, u) not in ids:
-            ids[(s, u)] = len(ids)
-            pairs.append((s, u))
-        return ids[(s, u)]
-
-    intern(M.initial, R.initial)
+    found = Explorer((M.initial, R.initial))
     actions, trans, rewards = {}, {}, {}
-    i = 0
-    while i < len(pairs):
-        s, u = pairs[i]
-        src = ids[(s, u)]
-        i += 1
+    for src, (s, u) in found:
         u2, r = R.step(u, M.labels[s])
         actions[src] = M.actions[s]
         for a in M.actions[s]:
             dist = []
             for t, p in M.trans[(s, a)]:
-                dst = intern(t, u2)
+                dst = found.intern((t, u2))
                 dist.append((dst, p))
                 total = r + M.reward(s, a, t)
                 if total:
                     rewards[(src, a, dst)] = total
             trans[(src, a)] = tuple(dist)
-    return Mdp(len(pairs), 0, actions, trans, alphabet=M.alphabet,
-               labels=tuple(M.labels[s] for s, _ in pairs), rewards=rewards,
-               check=False)
+    return Mdp(len(found), 0, actions, trans, alphabet=M.alphabet,
+               labels=tuple(M.labels[s] for s, _ in found.keys),
+               rewards=rewards, check=False)
 
 
 class MdpArrays:
@@ -571,8 +558,6 @@ def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
     """
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
-    ids = {}
-    nodes = []
 
     def key_init():
         if strategy.kind == "positional":
@@ -599,32 +584,24 @@ def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
         m2 = strategy.second.update[(s, m)]
         return a, lambda t: (t, strategy.switch_step, m2)
 
-    def intern(node):
-        if node not in ids:
-            if len(ids) >= max_chain:
-                raise ValueError("induced chain exceeds the state budget")
-            ids[node] = len(ids)
-            nodes.append(node)
-        return ids[node]
-
-    intern(key_init())
     src, dst, prob = [], [], []
     reward, accepting = [], []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        s = node[0]
-        a, advance = step(node)
-        r = 0.0
-        for t, p in P.trans[(s, a)]:
-            src.append(i)
-            dst.append(intern(advance(t)))
-            prob.append(p)
-            r += p * P.reward(s, a, t)
-        reward.append(r)
-        accepting.append((s, a) in P.acc)
-        i += 1
-    n = len(nodes)
+    try:
+        found = Explorer(key_init(), budget=max_chain)
+        for i, node in found:
+            s = node[0]
+            a, advance = step(node)
+            r = 0.0
+            for t, p in P.trans[(s, a)]:
+                src.append(i)
+                dst.append(found.intern(advance(t)))
+                prob.append(p)
+                r += p * P.reward(s, a, t)
+            reward.append(r)
+            accepting.append((s, a) in P.acc)
+    except CapacityError:
+        raise ValueError("induced chain exceeds the state budget") from None
+    n = len(found)
     G = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
     G.eliminate_zeros()
     n_comp, comp = connected_components(G, connection="strong")
@@ -653,9 +630,7 @@ def mdp_to_json(M: Mdp) -> str:
     for s in range(M.n_states):
         entry = {"id": s}
         if M.labels is not None:
-            letter = M.labels[s]
-            entry["label"] = [ap[i] for i in range(len(ap))
-                              if letter & (1 << i)]
+            entry["label"] = label_to_names(M.labels[s], ap)
         states.append(entry)
     actions = []
     for s in range(M.n_states):
@@ -674,7 +649,6 @@ def mdp_to_json(M: Mdp) -> str:
 
 
 def mdp_from_json(text: str) -> Mdp:
-    from .automata import Alphabet
     doc = json.loads(text)
     ap = doc.get("ap")
     if ap is None:
@@ -688,10 +662,7 @@ def mdp_from_json(text: str) -> Mdp:
     if any("label" in st for st in doc["states"]):
         labels = [0] * n
         for st in doc["states"]:
-            letter = 0
-            for name in st.get("label", []):
-                letter |= 1 << ap.index(name)
-            labels[st["id"]] = letter
+            labels[st["id"]] = label_from_names(st.get("label", []), ap)
     actions, trans, rewards = {}, {}, {}
     for entry in doc["actions"]:
         s, a = entry["state"], entry["name"]

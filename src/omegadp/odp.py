@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 
-from .automata import TOP, Alphabet, Automaton, LassoWord, instantiate, \
-    lasso_member_uca, letter_sort_key
+from .automata import TOP, Alphabet, Automaton, Explorer, LassoWord, \
+    instantiate, label_from_names, label_to_names, lasso_member_uca, \
+    letter_sort_key
 from .collect import build_collection
-from .complement import CapacityError, complement_uca
-from .mdp import Mdp, lexicographic_solve, product_with_nba
+from .complement import complement_uca
+from .mdp import Mdp, check_transitions, lexicographic_solve, \
+    product_with_nba
 
 
 class Odp:
@@ -51,8 +53,7 @@ class Odp:
             self._validate()
 
     def _validate(self):
-        if not (0 <= self.initial < self.n_states):
-            raise ValueError(f"initial state {self.initial} out of range")
+        check_transitions(self)
         if len(self.labels) != self.n_states:
             raise ValueError("label vector length mismatch")
         for schema, kind in ((self.lookback, "DFA"), (self.lookahead, "UCA")):
@@ -64,11 +65,8 @@ class Odp:
                 raise ValueError("schema alphabet mismatch")
         if self.lookback is not None and not self.lookback.final_states:
             raise ValueError("lookback schema has no final states")
-        for s in range(self.n_states):
-            if not self.actions.get(s):
-                raise ValueError(f"state {s} has no actions")
-            for act in self.actions[s]:
-                beta, _, alpha = act
+        for acts in self.actions.values():
+            for beta, _, alpha in acts:
                 if beta is not None:
                     if self.lookback is None or \
                             not (0 <= beta < self.lookback.n_states):
@@ -77,16 +75,6 @@ class Odp:
                     if self.lookahead is None or \
                             not (0 <= alpha < self.lookahead.n_states):
                         raise ValueError(f"bad promise state {alpha}")
-                dist = self.trans.get((s, act))
-                if not dist:
-                    raise ValueError(f"missing distribution for ({s}, {act})")
-                total = sum(p for _, p in dist)
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(
-                        f"distribution of ({s}, {act}) sums to {total}")
-                for t, p in dist:
-                    if not (0 <= t < self.n_states) or p < 0:
-                        raise ValueError(f"bad transition ({s}, {act}) -> {t}")
 
     def reward(self, s, act, t):
         return self.rewards.get((s, act, t), 0.0)
@@ -113,24 +101,9 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
     final = B.final_states
     t0 = _tracker_step(B, tuple(frozenset((p,)) for p in range(B.n_states)),
                        D.labels[D.initial])
-    ids = {}
-    pairs = []
-
-    def intern(s, tracker):
-        if (s, tracker) not in ids:
-            if len(ids) >= max_trackers:
-                raise CapacityError("tracker state budget exceeded", len(ids))
-            ids[(s, tracker)] = len(ids)
-            pairs.append((s, tracker))
-        return ids[(s, tracker)]
-
-    intern(D.initial, t0)
+    found = Explorer((D.initial, t0), budget=max_trackers)
     actions, trans, rewards, labels = {}, {}, {}, []
-    i = 0
-    while i < len(pairs):
-        s, tracker = pairs[i]
-        src = ids[(s, tracker)]
-        i += 1
+    for src, (s, tracker) in found:
         labels.append(D.labels[s])
         enabled = []
         for act in D.actions[s]:
@@ -140,7 +113,8 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
             enabled.append(act)
             dist = []
             for t, p in D.trans[(s, act)]:
-                dst = intern(t, _tracker_step(B, tracker, D.labels[t]))
+                dst = found.intern((t, _tracker_step(B, tracker,
+                                                     D.labels[t])))
                 dist.append((dst, p))
                 r = D.reward(s, act, t)
                 if r:
@@ -150,10 +124,10 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
             raise ValueError(
                 f"state {s} is deadlocked: no guard holds on some prefix")
         actions[src] = tuple(enabled)
-    out = Odp(len(pairs), 0, actions, trans, D.alphabet, labels,
+    out = Odp(len(found), 0, actions, trans, D.alphabet, labels,
               lookback=None, lookahead=D.lookahead, rewards=rewards,
               check=False)
-    out.pairs = pairs
+    out.pairs = found.keys
     return out
 
 
@@ -222,29 +196,16 @@ def remove_lookahead(D: Odp, reduce: bool = True,
     """
     if D.lookback is not None:
         raise ValueError("remove the lookbacks first")
-    ids = {}
-    pairs = []
-
-    def intern(s, pending):
-        if (s, pending) not in ids:
-            ids[(s, pending)] = len(ids)
-            pairs.append((s, pending))
-        return ids[(s, pending)]
-
-    intern(D.initial, TOP)
+    found = Explorer((D.initial, TOP))
     actions, trans, rewards, labels = {}, {}, {}, []
-    i = 0
-    while i < len(pairs):
-        s, pending = pairs[i]
-        src = ids[(s, pending)]
-        i += 1
+    for src, (s, pending) in found:
         labels.append((D.labels[s], pending))
         actions[src] = D.actions[s]
         for act in D.actions[s]:
             alpha = TOP if act[2] is None else act[2]
             dist = []
             for t, p in D.trans[(s, act)]:
-                dst = intern(t, alpha)
+                dst = found.intern((t, alpha))
                 dist.append((dst, p))
                 r = D.reward(s, act, t)
                 if r:
@@ -262,8 +223,9 @@ def remove_lookahead(D: Odp, reduce: bool = True,
             letter = min(missing, key=letter_sort_key)
             raise ValueError(f"the process emits the letter {letter!r}, "
                              f"which the given checking NBA's alphabet lacks")
-    M = PromiseMdp(len(pairs), 0, actions, trans, alphabet=N.alphabet,
-                   labels=labels, rewards=rewards, pairs=pairs, check=False)
+    M = PromiseMdp(len(found), 0, actions, trans, alphabet=N.alphabet,
+                   labels=labels, rewards=rewards, pairs=found.keys,
+                   check=False)
     return M, N
 
 
@@ -388,13 +350,10 @@ def validate_run(D: Odp, states, actions, loop):
 
 
 def _schema_to_doc(A: Automaton, ap):
-    names = list(ap)
     entries = []
     for (q, letter), targets in sorted(A.delta.items()):
         marked = [t for t in targets if (q, letter, t) in A.gamma]
-        entry = {"from": q,
-                 "letter": [names[i] for i in range(len(names))
-                            if letter & (1 << i)],
+        entry = {"from": q, "letter": label_to_names(letter, ap),
                  "to": list(targets)}
         if marked:
             entry["marked"] = marked
@@ -409,7 +368,7 @@ def _schema_from_doc(doc, ap):
     base = Alphabet(tuple(ap))
     delta, gamma = {}, set()
     for entry in doc["transitions"]:
-        letter = base.letter_of(entry["letter"])
+        letter = label_from_names(entry["letter"], ap)
         q = entry["from"]
         delta[(q, letter)] = tuple(entry["to"])
         for t in entry.get("marked", ()):
@@ -422,10 +381,7 @@ def odp_to_json(D: Odp) -> str:
     ap = list(D.alphabet.ap)
     states = []
     for s in range(D.n_states):
-        letter = D.labels[s]
-        states.append({"id": s,
-                       "label": [ap[i] for i in range(len(ap))
-                                 if letter & (1 << i)]})
+        states.append({"id": s, "label": label_to_names(D.labels[s], ap)})
     actions = []
     for s in range(D.n_states):
         for act in D.actions[s]:
@@ -455,10 +411,7 @@ def odp_from_json(text: str) -> Odp:
     n = len(doc["states"])
     labels = [0] * n
     for st in doc["states"]:
-        letter = 0
-        for name in st.get("label", []):
-            letter |= 1 << ap.index(name)
-        labels[st["id"]] = letter
+        labels[st["id"]] = label_from_names(st.get("label", []), ap)
     lookback = _schema_from_doc(doc["lookback"], ap) \
         if "lookback" in doc else None
     lookahead = _schema_from_doc(doc["lookahead"], ap) \

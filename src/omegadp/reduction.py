@@ -392,30 +392,45 @@ def run_pipeline(A: Automaton, budget: float = 600.0,
     return result, stats
 
 
-def _batch_one(args):
-    path, budget = args
-    from .hoa import parse_hoa
-    with open(path) as fh:
-        A = parse_hoa(fh.read())
-    _, stats = run_pipeline(A, budget)
+def _reduce_file(job):
+    """Reduce one HOA file and write the result to ``out_dir`` when it is
+    set; returns the file's CSV row, an error row if it fails."""
+    path, budget, out_dir = job
+    from .hoa import emit_hoa, parse_hoa
     name = os.path.splitext(os.path.basename(path))[0]
-    return stats.row(name)
+    try:
+        with open(path) as fh:
+            A = parse_hoa(fh.read())
+        result, stats = run_pipeline(A, budget)
+        if out_dir is not None and result is not None:
+            with open(os.path.join(out_dir, f"{name}.hoa"), "w") as fh:
+                fh.write(emit_hoa(result))
+        return stats.row(name)
+    except Exception as exc:
+        return [name, "", "", "", "", "", "",
+                f"error: {type(exc).__name__}: {exc}"]
 
 
-def batch_reduce(input_dir, output_csv, budget: float = 600.0, workers=None):
-    """Reduce every ``.hoa`` file in a directory into a CSV of stage counts."""
+def batch_reduce(input_dir, output_csv, budget: float = 600.0, workers=None,
+                 out_dir=None):
+    """Reduce every ``.hoa`` file in a directory into a CSV of stage counts.
+
+    A file that cannot be read or reduced gets a row whose last cell starts
+    with ``error:`` and the batch goes on.  With ``out_dir``, each reduced
+    automaton is written there as ``<name>.hoa``.  ``workers`` defaults to
+    the number of cores.  Returns the rows.
+    """
     paths = sorted(
         os.path.join(input_dir, f) for f in os.listdir(input_dir)
         if f.endswith(".hoa"))
-    jobs = [(p, budget) for p in paths]
-    if workers is None:
-        workers = os.cpu_count() or 1
+    jobs = [(p, budget, out_dir) for p in paths]
+    workers = workers or os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
         from multiprocessing import Pool
         with Pool(workers) as pool:
-            rows = pool.map(_batch_one, jobs)
+            rows = pool.map(_reduce_file, jobs)
     else:
-        rows = [_batch_one(j) for j in jobs]
+        rows = [_reduce_file(j) for j in jobs]
     with open(output_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "orig", "compl", "prune", "lumpd", "lang",

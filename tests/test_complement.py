@@ -5,6 +5,7 @@ import pytest
 from omegadp.automata import (
     Alphabet,
     Automaton,
+    Explorer,
     LassoWord,
     is_strongly_limit_deterministic,
     lasso_member_nba,
@@ -100,10 +101,7 @@ def test_pin_refused_with_incoming_transitions():
 
 
 def test_detect_reachability_shape():
-    ab = Alphabet(("a",))
-    delta = {(0, 0): (0, 1), (0, 1): (0,), (1, 0): (1,), (1, 1): (1,)}
-    gamma = {(0, 0, 1), (1, 0, 1), (1, 1, 1)}
-    U = Automaton("UCA", ab, 2, 0, delta, gamma)
+    U = reachability_uca()
     assert detect_shape(U) == "reachability"
     C = complement_uca(U)
     assert C.tags["construction"] == "special-reachability"
@@ -114,11 +112,7 @@ def test_detect_reachability_shape():
 
 
 def test_detect_safety_shape_on_adjusted_collection():
-    ab = Alphabet(("b",))
-    delta = {(0, 0): (0,), (0, 1): (1,), (1, 0): (1,), (1, 1): (1,)}
-    gamma = {(1, 0, 1), (1, 1, 1)}
-    schema = Automaton("UCA", ab, 2, None, delta, gamma)
-    col = build_collection(schema, finality_mode="safety-adjusted")
+    col = safety_collection()
     assert detect_shape(col) == "safety"
     C = complement_uca(col)
     assert C.tags["construction"] == "special-safety"
@@ -147,6 +141,48 @@ def test_capacity_budget():
     with pytest.raises(CapacityError) as exc:
         complement_uca(U, ComplementOptions(max_states=3, special="off"))
     assert exc.value.states_built == 3
+    # the special constructions stop exactly at their budget too
+    for shape, V in (("reachability", reachability_uca()),
+                     ("safety", safety_collection())):
+        assert complement_special(V, shape).n_states > 3
+        for k in (1, 2, 3):
+            with pytest.raises(CapacityError) as exc:
+                complement_special(V, shape, ComplementOptions(max_states=k))
+            assert exc.value.states_built == k
+    # the exploration helper under them numbers keys in first-seen order
+    # while the frontier it is reading grows, and stops at its budget
+    found = Explorer("a")
+    seen = []
+    for i, key in found:
+        seen.append((i, key))
+        if len(key) < 3:
+            found.intern(key + "b")
+            found.intern(key + "a")
+        assert found.intern("a") == 0
+    assert found.keys == ["a", "ab", "aa", "abb", "aba", "aab", "aaa"]
+    assert seen == list(enumerate(found.keys))
+    assert found.ids == {key: i for i, key in enumerate(found.keys)}
+    counter = Explorer(0, budget=3)
+    with pytest.raises(CapacityError) as exc:
+        for _, k in counter:
+            counter.intern(k + 1)
+    assert exc.value.states_built == 3
+    assert counter.keys == [0, 1, 2]
+
+
+def reachability_uca():
+    ab = Alphabet(("a",))
+    delta = {(0, 0): (0, 1), (0, 1): (0,), (1, 0): (1,), (1, 1): (1,)}
+    gamma = {(0, 0, 1), (1, 0, 1), (1, 1, 1)}
+    return Automaton("UCA", ab, 2, 0, delta, gamma)
+
+
+def safety_collection():
+    ab = Alphabet(("b",))
+    delta = {(0, 0): (0,), (0, 1): (1,), (1, 0): (1,), (1, 1): (1,)}
+    gamma = {(1, 0, 1), (1, 1, 1)}
+    schema = Automaton("UCA", ab, 2, None, delta, gamma)
+    return build_collection(schema, finality_mode="safety-adjusted")
 
 
 def random_uca_for_budget():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -73,6 +74,23 @@ def test_validation():
     # the solvers refuse an unchecked MDP with an actionless state
     with pytest.raises(ValueError, match="no actions"):
         discounted_vi(Mdp(1, 0, {0: ()}, {}, check=False), 0.5)
+
+
+def test_validation_rejects_a_nan_probability():
+    with pytest.raises(ValueError, match="bad transition"):
+        Mdp(1, 0, {0: ("a",)}, {(0, "a"): ((0, math.nan),)})
+    with pytest.raises(ValueError, match="bad transition"):
+        Mdp(2, 0, {0: ("a",), 1: ("a",)},
+            {(0, "a"): ((0, math.nan), (1, 1.0)), (1, "a"): ((1, 1.0),)})
+
+
+def test_json_rejects_an_initial_state_out_of_range():
+    M = Mdp(2, 0, {0: ("a",), 1: ("a",)},
+            {(0, "a"): ((1, 1.0),), (1, "a"): ((1, 1.0),)})
+    doc = json.loads(mdp_to_json(M))
+    doc["initial"] = 7
+    with pytest.raises(ValueError, match="initial state 7 out of range"):
+        mdp_from_json(json.dumps(doc))
 
 
 def test_reachability_values():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from omegadp.automata import TOP, Alphabet, Automaton, lasso_member_nba
+from omegadp.biolab import build_biolab
 from omegadp.complement import CapacityError, complement_uca
 from omegadp.lasso_bulk import bounded_lassos
 from omegadp.mdp import (
@@ -115,6 +116,12 @@ def test_tracker_budget():
     D = after_c_guard_odp()
     with pytest.raises(CapacityError):
         remove_lookback(D, max_trackers=1)
+    assert remove_lookback(D, max_trackers=2).n_states == 2
+    lab = build_biolab()
+    for k in (1, 2, 3):
+        with pytest.raises(CapacityError) as exc:
+            remove_lookback(lab, max_trackers=k)
+        assert exc.value.states_built == k
 
 
 def test_random_lookbacks_match_finite_horizon_oracle(rng):
@@ -426,6 +433,15 @@ def test_validate_run_agrees_with_tracker(rng):
         # the repeated compiled state carries the tracker, so the guards
         # replay periodically and the whole lasso must validate
         assert validate_run(D, states, actions, seen[state])
+
+
+def test_json_rejects_a_nan_probability():
+    doc = json.loads(odp_to_json(example2_odp()))
+    doc["actions"][0]["successors"][0]["prob"] = math.nan
+    text = json.dumps(doc)
+    assert '"prob": NaN' in text
+    with pytest.raises(ValueError, match="bad transition"):
+        odp_from_json(text)
 
 
 def test_json_round_trip():

@@ -178,3 +178,28 @@ def test_batch_reduce_csv(tmp_path, rng):
     assert lines[0] == "name,orig,compl,prune,lumpd,lang,lumpa,time"
     assert len(lines) == 4
     assert [r[0] for r in rows] == ["aut_0", "aut_1", "aut_2"]
+
+
+def test_batch_reduce_csv_goes_on_past_a_broken_file(tmp_path, rng):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    from omegadp.hoa import emit_hoa
+    for i in range(2):
+        U = random_uca(rng, rng.randint(1, 3))
+        (indir / f"aut_{i}.hoa").write_text(emit_hoa(U))
+    (indir / "broken.hoa").write_text("HOA: v1\ngarbage")
+    out = tmp_path / "out.csv"
+    rows = batch_reduce(indir, out, workers=1)
+    assert [r[0] for r in rows] == ["aut_0", "aut_1", "broken"]
+    assert rows[2][7].startswith("error: HoaError")
+    assert all(r[7] != "" and not r[7].startswith("error") for r in rows[:2])
+    assert len(out.read_text().strip().splitlines()) == 4
+    # the reduced automata of the good files, and nothing else, are written
+    out_dir = tmp_path / "reduced"
+    out_dir.mkdir()
+    again = batch_reduce(indir, out, workers=1, out_dir=out_dir)
+    assert [r[:7] for r in again] == [r[:7] for r in rows]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["aut_0.hoa",
+                                                         "aut_1.hoa"]
+    for name in ("aut_0", "aut_1"):
+        assert parse_hoa((out_dir / f"{name}.hoa").read_text()).kind == "NBA"

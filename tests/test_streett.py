@@ -71,8 +71,9 @@ def test_state_budget():
     ab = Alphabet(("a",))
     delta = {(q, a): (0, 1, 2) for q in range(3) for a in (0, 1)}
     U = Automaton("UCA", ab, 3, 0, delta, {(0, 0, 1), (1, 1, 2)})
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as exc:
         determinize_uca(U, max_states=1)
+    assert exc.value.states_built == 1
 
 
 def test_degenerate_pair_reduces_to_mec_reachability():
