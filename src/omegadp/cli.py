@@ -31,10 +31,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .automata import Automaton, letter_sort_key
+from .automata import letter_sort_key
 from .complement import ComplementOptions, complement_uca
 from .hoa import emit_hoa, parse_hoa
-from .lasso_bulk import bounded_lassos, mismatches, nba_signature, uca_signature
+from .lasso_bulk import mismatches, nba_signature, uca_signature
 from .mdp import (
     Mdp,
     NoValidStrategy,
@@ -230,9 +230,15 @@ def _random_mdp(rng, n, alphabet, n_actions=2):
     return Mdp(n, 0, actions, trans, alphabet=alphabet, labels=labels)
 
 
+def _check_input(o):
+    """The automaton to check; ``--as-uca`` reads its structure as a UCA."""
+    A = _read_automaton(o["input"])
+    return _as_uca(A, True) if o["as_uca"] else A
+
+
 def _check_against(cfg: CliConfig):
     o = cfg.options
-    A = _read_automaton(o["input"])
+    A = _check_input(o)
     B = _read_automaton(o["against"])
     if A.alphabet.letters() != B.alphabet.letters():
         raise ValueError("the two automata have different alphabets")
@@ -281,7 +287,7 @@ def _check_gfm(cfg: CliConfig):
     import random
 
     o = cfg.options
-    A = _read_automaton(o["input"])
+    A = _check_input(o)
     rng = random.Random(cfg.seed)
     if A.kind == "UCA":
         candidate = complement_uca(A)
@@ -423,6 +429,8 @@ def _build_parser():
                    help="value-agreement check on random processes")
     p.add_argument("--mdps", type=int, default=20,
                    help="number of random processes for --gfm")
+    p.add_argument("--as-uca", action="store_true",
+                   help="read the input file's structure as a UCA")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("determinize", parents=[common],

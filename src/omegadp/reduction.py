@@ -1,10 +1,17 @@
 """Post-processing pipeline that shrinks a two-phase Buchi automaton.
 
-Stages: remove states with empty language, lump bisimilar states of the
+Stages: remove states with empty language and clear the marks on edges
+between strongly connected components, lump bisimilar states of the
 deterministic second phase, redirect jumps to one representative per second
-phase language, and finally lump the whole automaton.  Every stage preserves
-the language and the two-phase structure that makes the automaton usable in
-MDP products.
+phase language and delete the jumps whose target language is included in a
+sibling jump's, and finally lump the whole automaton.  Every stage preserves
+the language and the two-phase structure that makes the automaton good for
+MDPs: the second phase stays deterministic, and every jump that is deleted
+has a sibling that accepts at least the same suffixes.
+
+Language classes are found by exact inclusion checks.  Only states whose
+fingerprints agree are compared, so a fingerprint column must depend on
+the state's language alone: equal languages, equal fingerprints.
 """
 
 from __future__ import annotations
@@ -98,36 +105,51 @@ def _reached(n, src, dst, roots):
     return out[:n]
 
 
-def _nonempty(n, E: Edges):
-    """Mask of the states from which some accepting lasso exists."""
+def _components(n, src, dst):
+    """Strongly connected component label of each state."""
     from scipy.sparse.csgraph import connected_components
-    _, comp = connected_components(_graph(n, E.src, E.dst), directed=True,
-                                   connection="strong")
+    return connected_components(_graph(n, src, dst), directed=True,
+                                connection="strong")[1]
+
+
+def _nonempty(E: Edges, comp):
+    """Mask of the states from which some accepting lasso exists; ``comp``
+    labels the strongly connected components."""
+    n = len(comp)
     inner = E.acc & (comp[E.src] == comp[E.dst])
     live = np.zeros(n, dtype=bool)
     live[comp[E.src[inner]]] = True
     return _reached(n, E.dst, E.src, np.flatnonzero(live[comp]))
 
 
-def _restrict(A: Automaton, keep, final) -> Automaton:
-    """Drop all states outside the mask ``keep`` and renumber densely."""
-    E = A.edges
+def _restrict(A: Automaton, initial, E: Edges, keep, final) -> Automaton:
+    """``A`` with initial state ``initial`` and edges ``E``, without the
+    states outside the mask ``keep``, renumbered densely."""
     new_id = np.cumsum(keep) - 1
     m = keep[E.src] & keep[E.dst]
     edges = Edges(E.letters, new_id[E.src[m]], E.let[m], new_id[E.dst[m]],
                   E.acc[m])
-    return _derived(A, int(keep.sum()), int(new_id[A.initial]), edges,
+    return _derived(A, int(keep.sum()), int(new_id[initial]), edges,
                     None if final is None else final[keep])
 
 
 def prune_empty(A: Automaton) -> Automaton:
-    """Restrict to states from which some accepting lasso exists."""
+    """Restrict to states from which some accepting lasso exists, and clear
+    the marks on edges between different strongly connected components.
+
+    A run crosses such an edge at most once, so clearing its mark changes
+    no run's acceptance; it only lets the lumping stages merge more.
+    """
     E = A.edges
-    live = _nonempty(A.n_states, E)
+    comp = _components(A.n_states, E.src, E.dst)
+    live = _nonempty(E, comp)
     if not live[A.initial]:
         return canonical_empty(A.alphabet)
     live &= _reached(A.n_states, E.src, E.dst, [A.initial])
-    return _restrict(A, live, _final_mask(A) if "parts" in A.tags else None)
+    E = Edges(E.letters, E.src, E.let, E.dst,
+              E.acc & (comp[E.src] == comp[E.dst]))
+    return _restrict(A, A.initial, E, live,
+                     _final_mask(A) if "parts" in A.tags else None)
 
 
 def _row_ids(M):
@@ -255,19 +277,22 @@ def _inclusion_fails(T, mark, P, R):
     dst = np.searchsorted(seen, np.concatenate(dst))
     keep = ~np.concatenate(cut)
     acc = np.concatenate(acc) & keep
-    from scipy.sparse.csgraph import connected_components
-    _, comp = connected_components(_graph(len(seen), src[keep], dst[keep]),
-                                   directed=True, connection="strong")
+    comp = _components(len(seen), src[keep], dst[keep])
     bad = src[acc & (comp[src] == comp[dst])]
     return _reached(len(seen), dst, src, bad)[np.searchsorted(seen, starts)]
 
 
-def _phase2_fingerprints(T, mark, nonempty, states):
-    """Cheap semantic signatures of second-phase states, one row each.
+def _phase2_fingerprints(T, nonempty, states):
+    """Language invariants of second-phase states, one row each.
 
-    Walks every state simultaneously through a few fixed letter sequences,
-    recording death and the acceptance flags seen; language-equivalent states
-    always get equal fingerprints.
+    The first column says whether L(q) is nonempty.  Each other column walks
+    the states through a fixed letter sequence and counts its prefixes that
+    some word of L(q) starts with.  The second phase is deterministic, so a
+    prefix has at most one run from q, and the prefix starts a word of L(q)
+    exactly when that run survives into a state with a nonempty language.
+    Every column is therefore a property of L(q) alone: states with equal
+    languages always get equal fingerprints, however their runs place the
+    accepting marks.
     """
     L = T.shape[1]
     seqs = [[a] * (len(states).bit_length() + 2) for a in range(L)]
@@ -276,17 +301,17 @@ def _phase2_fingerprints(T, mark, nonempty, states):
     columns = [nonempty[states]]
     for seq in seqs:
         cur = states.copy()
-        dead = np.zeros(len(states), dtype=bool)
-        seen = np.zeros(len(states), dtype=np.int64)
+        live = nonempty[states]
+        count = np.zeros(len(states), dtype=np.int64)
         for a in seq:
             t = T[cur, a]
-            if np.any(~dead & (t == -2)):
+            if np.any(live & (t == -2)):
                 raise ValueError("second phase is not deterministic")
-            moved = ~dead & (t >= 0)
-            seen += moved & mark[cur, a]
-            dead |= t == -1
-            cur = np.where(moved, t, cur)
-        columns += [dead, seen, ~dead & nonempty[cur]]
+            live &= t >= 0
+            cur = np.where(live, t, cur)
+            live &= nonempty[cur]
+            count += live
+        columns.append(count)
     return np.stack(columns, axis=1).astype(np.int64)
 
 
@@ -307,8 +332,8 @@ def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
     n = A.n_states
     T, mark = _successor_table(n, E)
     states = np.flatnonzero(final)
-    fingerprint, _ = _row_ids(_phase2_fingerprints(T, mark, _nonempty(n, E),
-                                                   states))
+    nonempty = _nonempty(E, _components(n, E.src, E.dst))
+    fingerprint, _ = _row_ids(_phase2_fingerprints(T, nonempty, states))
     # language classes inside each fingerprint group, one class per round:
     # the lowest pending member of a group represents its class, and every
     # other pending member is checked against it in both directions
@@ -333,8 +358,60 @@ def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
     jump = ~final[E.src]
     dst = np.where(jump, redirect[E.dst], E.dst)
     edges = Edges.normalised(E.letters, E.src, E.let, dst, E.acc)
-    B = _derived(A, n, int(redirect[A.initial]), edges, None)
-    return _restrict(B, _reached(n, edges.src, edges.dst, [B.initial]), final)
+    return _reachable_part(A, int(redirect[A.initial]), edges, final)
+
+
+def _reachable_part(A: Automaton, initial, E: Edges, final) -> Automaton:
+    """``A`` with initial state ``initial`` and edges ``E``, restricted to
+    the states reachable from it."""
+    return _restrict(A, initial, E,
+                     _reached(A.n_states, E.src, E.dst, [initial]), final)
+
+
+def drop_dominated_jumps(A: Automaton, deadline=None) -> Automaton:
+    """Delete each jump into the second phase whose target's language is
+    included in the target language of a sibling, a jump that leaves the
+    same state on the same letter; of siblings with equal languages the
+    lowest id stays.  States no longer reachable are pruned.
+
+    The language stays the same, and so does the value of every MDP
+    product: wherever a strategy would take a deleted jump, the sibling's
+    deterministic second phase accepts every suffix the deleted target
+    accepts.  All sibling pairs share one inclusion check.
+    """
+    _check(deadline, "jump dominance")
+    final = _final_mask(A)
+    E = A.edges
+    n = A.n_states
+    jumps = np.flatnonzero(~final[E.src] & final[E.dst])
+    # the edges are sorted by (source, letter), so siblings are contiguous
+    first = np.ones(len(jumps), dtype=bool)
+    first[1:] = (E.src[jumps[1:]] != E.src[jumps[:-1]]) \
+        | (E.let[jumps[1:]] != E.let[jumps[:-1]])
+    start = np.flatnonzero(first)
+    size = np.diff(np.append(start, len(jumps)))
+    # every ordered pair (i, j) of sibling jumps with i != j: jump i is
+    # repeated once per sibling, and j runs over its group
+    reps = np.repeat(size, size)
+    i = np.repeat(np.arange(len(jumps)), reps)
+    j = np.repeat(np.repeat(start, size), reps) + np.arange(len(i)) \
+        - np.repeat(np.cumsum(reps) - reps, reps)
+    i, j = i[i != j], j[i != j]
+    if not len(i):
+        return A
+    q, q2 = E.dst[jumps[i]], E.dst[jumps[j]]
+    pairs, inverse = np.unique(q * n + q2, return_inverse=True)
+    T, mark = _successor_table(n, E)
+    P, R = np.divmod(pairs, n)
+    included = ~_inclusion_fails(T, mark, P, R)
+    # the pair set is symmetric, so every reverse pair is in ``pairs``
+    back = included[np.searchsorted(pairs, R * n + P)]
+    dominated = (included & (~back | (R < P)))[inverse]
+    drop = np.zeros(len(E), dtype=bool)
+    drop[jumps[i[dominated]]] = True
+    edges = Edges(E.letters, E.src[~drop], E.let[~drop], E.dst[~drop],
+                  E.acc[~drop])
+    return _reachable_part(A, A.initial, edges, final)
 
 
 def lump_all(A: Automaton, deadline=None) -> Automaton:
@@ -346,13 +423,14 @@ def lump_all(A: Automaton, deadline=None) -> Automaton:
 
 
 def reduction_stages(A: Automaton, deadline=None):
-    """Prune, lump final, merge languages and lump all, in turn; yields the
-    name of each stage's ``PipelineStats`` field and its result."""
+    """Prune, lump final, merge languages (and drop dominated jumps) and
+    lump all, in turn; yields the name of each stage's ``PipelineStats``
+    field and its result."""
     A = prune_empty(A)
     yield "prune", A
     A = lump_final(A, deadline)
     yield "lumpd", A
-    A = merge_lang_final(A, deadline)
+    A = drop_dominated_jumps(merge_lang_final(A, deadline), deadline)
     yield "lang", A
     yield "lumpa", lump_all(A, deadline)
 
@@ -366,7 +444,8 @@ def reduce_nba(A: Automaton, deadline=None) -> Automaton:
 
 def run_pipeline(A: Automaton, budget: float = 600.0,
                  options: ComplementOptions | None = None):
-    """complement -> prune -> lump final -> merge languages -> lump all.
+    """complement -> prune -> lump final -> merge languages and drop
+    dominated jumps -> lump all.
 
     ``A`` is read as a UCA (an NBA is reinterpreted structurally).  On budget
     exhaustion the stats cover the completed stages and carry a timeout flag.
@@ -390,6 +469,12 @@ def run_pipeline(A: Automaton, budget: float = 600.0,
         stats.timed_out = True
     stats.time = time.monotonic() - t0
     return result, stats
+
+
+def _load_graph_routines():
+    """Import the graph routines that the stages load on first use, so that
+    no file's ``time`` cell includes loading them."""
+    import scipy.sparse.csgraph  # noqa: F401
 
 
 def _reduce_file(job):
@@ -427,9 +512,10 @@ def batch_reduce(input_dir, output_csv, budget: float = 600.0, workers=None,
     workers = workers or os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
         from multiprocessing import Pool
-        with Pool(workers) as pool:
+        with Pool(workers, initializer=_load_graph_routines) as pool:
             rows = pool.map(_reduce_file, jobs)
     else:
+        _load_graph_routines()
         rows = [_reduce_file(j) for j in jobs]
     with open(output_csv, "w", newline="") as fh:
         writer = csv.writer(fh)

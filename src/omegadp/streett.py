@@ -15,7 +15,6 @@ it can serve as ground truth for it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .automata import Automaton, letter_sort_key

@@ -1,7 +1,8 @@
-"""Dict-based reference versions of the rank construction and the four
-reduction stages: one ranking state and one letter at a time, transitions
-in ``delta``/``gamma`` dicts.  The library's batched array versions must
-build exactly the same automata (``test_batched.py``)."""
+"""Dict-based reference versions of the rank construction and the
+reduction stages: one ranking state, one letter, one edge or one pair of
+states at a time, transitions in ``delta``/``gamma`` dicts.  The library's
+batched array versions must build exactly the same automata
+(``test_batched.py``)."""
 
 import time
 
@@ -296,12 +297,21 @@ def _restrict(A: Automaton, keep: set) -> Automaton:
 
 
 def prune_empty(A: Automaton) -> Automaton:
-    """Restrict to states from which some accepting lasso exists."""
+    """Restrict to states from which some accepting lasso exists, then
+    unmark every edge whose two ends lie in different strongly connected
+    components."""
     live = nonempty_states(A)
     if A.initial not in live:
         return canonical_empty(A.alphabet)
     live &= reachable_states(A)
-    return _restrict(A, live)
+    B = _restrict(A, live)
+    succ = [set() for _ in range(B.n_states)]
+    for (q, a, t) in B.transitions():
+        succ[q].add(t)
+    comp, _ = _strongly_connected_components(B.n_states, lambda q: succ[q])
+    gamma = {(q, a, t) for (q, a, t) in B.gamma if comp[q] == comp[t]}
+    return Automaton(B.kind, B.alphabet, B.n_states, B.initial, B.delta,
+                     gamma, tags=B.tags, check=False)
 
 
 def _quotient(A: Automaton, block_of, parts) -> Automaton:
@@ -423,11 +433,12 @@ def _dba_includes(A: Automaton, q1, q2, letters) -> bool:
     return True
 
 
-def _phase2_fingerprints(A: Automaton, q2, letters, rounds=6):
-    """Cheap semantic signatures of second-phase states.
+def _phase2_fingerprints(A: Automaton, q2, letters):
+    """Language invariants of second-phase states.
 
-    Walks every state simultaneously through a few fixed letter sequences,
-    recording death and the acceptance flags seen; language-equivalent states
+    Walks every state through a few fixed letter sequences and counts the
+    prefixes of each that some accepted word starts with (the run on the
+    prefix survives into a state with a nonempty language); equal languages
     always get equal fingerprints.
     """
     states = sorted(q2)
@@ -439,23 +450,15 @@ def _phase2_fingerprints(A: Automaton, q2, letters, rounds=6):
     if len(letters) > 1:
         seqs.append([letters[i % len(letters)] for i in range(8)])
     for seq in seqs:
-        cur = {q: q for q in states}
-        seen = {q: 0 for q in states}
-        for a in seq:
-            for q in states:
-                c = cur[q]
-                if c is None:
-                    continue
-                ts = A.successors(c, a)
-                if not ts:
-                    cur[q] = None
-                    continue
-                (t,) = ts
-                if (c, a, t) in A.gamma:
-                    seen[q] += 1
-                cur[q] = t
         for q in states:
-            fp[q].append((cur[q] is None, seen[q], cur[q] in nonempty if cur[q] is not None else False))
+            cur, count = q, 0
+            for a in seq:
+                ts = A.successors(cur, a) if cur in nonempty else ()
+                if not ts or ts[0] not in nonempty:
+                    break
+                (cur,) = ts
+                count += 1
+            fp[q].append(count)
     return {q: tuple(v) for q, v in fp.items()}
 
 
@@ -524,6 +527,30 @@ def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
 
 def prune_unreachable(A: Automaton) -> Automaton:
     return _restrict(A, reachable_states(A))
+
+
+def drop_dominated_jumps(A: Automaton, deadline=None) -> Automaton:
+    """Delete each jump into the second phase to ``t`` when a sibling jump
+    (same source, same letter) goes to ``u`` with L(t) <= L(u), and
+    L(u) > L(t) or ``u < t``; then prune the unreachable states."""
+    q1, q2 = _parts_of(A)
+    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+    delta, gamma = {}, set(A.gamma)
+    for (q, a), targets in A.delta.items():
+        jumps = [t for t in targets if t in q2] if q in q1 else []
+        dropped = set()
+        for t in jumps:
+            for u in jumps:
+                if u == t or not _dba_includes(A, t, u, letters):
+                    continue
+                if u < t or not _dba_includes(A, u, t, letters):
+                    dropped.add(t)
+                    break
+        delta[(q, a)] = tuple(t for t in targets if t not in dropped)
+        gamma -= {(q, a, t) for t in dropped}
+    B = Automaton(A.kind, A.alphabet, A.n_states, A.initial, delta, gamma,
+                  tags=A.tags, check=False)
+    return prune_unreachable(B)
 
 
 def lump_all(A: Automaton, deadline=None) -> Automaton:

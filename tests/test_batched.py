@@ -18,7 +18,8 @@ from conftest import random_uca
 from test_acceptance import random_collection
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-STAGES = ("prune_empty", "lump_final", "merge_lang_final", "lump_all")
+STAGES = ("prune_empty", "lump_final", "merge_lang_final",
+          "drop_dominated_jumps", "lump_all")
 
 
 def shape(A):

@@ -171,6 +171,11 @@ def test_check_against_the_reduced_complement_of_a_fixture(tmp_path, capsys):
                  "--bound", "6"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "pass" and report["words_checked"] == 30948
+    # --as-uca reads the fixture the way `reduce` does
+    assert main(["check", str(fixture), "--as-uca", "--against", str(reduced),
+                 "--bound", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass" and report["words_checked"] == 30948
 
 
 def test_check_gfm_passes_on_complement_candidates(tmp_path, rng, capsys):

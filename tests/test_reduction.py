@@ -4,6 +4,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from omegadp.automata import (
@@ -16,17 +17,24 @@ from omegadp.automata import (
 from omegadp.complement import ComplementOptions, complement_uca
 from omegadp import reduction
 from omegadp.hoa import parse_hoa
+from omegadp.lasso_bulk import nba_signature, uca_signature
+from omegadp.mdp import product_with_nba
 from omegadp.reduction import (
     PipelineStats,
     batch_reduce,
     canonical_empty,
+    drop_dominated_jumps,
     lump_all,
     lump_final,
     merge_lang_final,
     prune_empty,
+    reduce_nba,
     run_pipeline,
 )
+from omegadp.streett import determinize_uca, streett_mdp_max_prob
 from conftest import all_lassos, random_uca
+from test_acceptance import buchi_value, random_labeled_mdp
+from test_mdp import run_python
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -101,6 +109,94 @@ def test_merge_keeps_distinct_languages_apart():
         assert lasso_member_nba(A, w) == lasso_member_nba(B, w)
 
 
+def test_equal_languages_get_equal_fingerprints_whatever_their_marks():
+    # state 1 loops on a with every edge marked, states 2 and 3 cycle on a
+    # with one edge marked: both accept a^w
+    ab = Alphabet(("a",))
+    delta = {(0, 1): (1, 2), (1, 1): (1,), (2, 1): (3,), (3, 1): (2,)}
+    gamma = {(1, 1, 1), (2, 1, 3)}
+    A = Automaton("NBA", ab, 4, 0, delta, gamma,
+                  tags={"parts": ({0}, {1, 2, 3})})
+    E = A.edges
+    T, _ = reduction._successor_table(A.n_states, E)
+    nonempty = reduction._nonempty(E, reduction._components(
+        A.n_states, E.src, E.dst))
+    rows = reduction._phase2_fingerprints(T, nonempty, np.array([1, 2, 3]))
+    assert (rows[0] == rows[1]).all() and (rows[1] == rows[2]).all()
+    B = merge_lang_final(A)
+    assert B.n_states == 2
+    assert B.successors(0, 1) == (1,)
+    for w in all_lassos(2, 2, 3):
+        assert lasso_member_nba(A, w) == lasso_member_nba(B, w)
+
+
+def test_prune_clears_exactly_the_marks_between_components():
+    # components {0}, {1, 2} and {3}; every edge is marked
+    ab = Alphabet(("a",))
+    delta = {(0, 0): (0, 1), (1, 0): (2,), (2, 0): (1,), (2, 1): (3,),
+             (3, 0): (3,), (3, 1): (3,)}
+    gamma = {(q, a, t) for (q, a), ts in delta.items() for t in ts}
+    A = Automaton("NBA", ab, 4, 0, delta, gamma)
+    B = prune_empty(A)
+    assert (B.n_states, B.initial, B.delta) == (4, 0, A.delta)
+    assert B.gamma == gamma - {(0, 0, 1), (2, 1, 3)}
+    for w in all_lassos(2, 2, 3):
+        assert lasso_member_nba(A, w) == lasso_member_nba(B, w)
+
+
+def test_dominated_jumps_are_dropped_and_the_rest_kept():
+    # from 0 on a: to 1 (a^w), to 2 (every word) and to 3 (a copy of 2);
+    # on the other letter only to 1
+    ab = Alphabet(("a",))
+    delta = {(0, 1): (1, 2, 3), (0, 0): (1,), (1, 1): (1,),
+             (2, 0): (2,), (2, 1): (2,), (3, 0): (3,), (3, 1): (3,)}
+    gamma = {(1, 1, 1), (2, 0, 2), (2, 1, 2), (3, 0, 3), (3, 1, 3)}
+    A = Automaton("NBA", ab, 4, 0, delta, gamma,
+                  tags={"parts": ({0}, {1, 2, 3})})
+    B = drop_dominated_jumps(A)
+    assert B.n_states == 3
+    assert B.successors(0, 1) == (2,) and B.successors(0, 0) == (1,)
+    assert drop_dominated_jumps(B).edges.dst.tolist() == \
+        B.edges.dst.tolist()
+    for w in all_lassos(2, 2, 3):
+        assert lasso_member_nba(A, w) == lasso_member_nba(B, w)
+
+
+def oracle_disagreements(odd_entry, count=100, bound=5):
+    """Random UCAs whose reduced complement disagrees with the Streett
+    determinisation on the value of one of three random MDPs, or with the
+    UCA on a lasso of length at most ``bound``."""
+    rng = random.Random(808 + odd_entry)
+    bad = []
+    for k in range(count):
+        U = random_uca(rng, rng.randint(1, 4), n_ap=rng.randint(1, 2))
+        R = reduce_nba(complement_uca(
+            U, ComplementOptions(special="off", odd_entry=odd_entry)))
+        D = determinize_uca(U)
+        for _ in range(3):
+            M = random_labeled_mdp(rng, rng.randint(2, 6), U.alphabet)
+            ref, _ = streett_mdp_max_prob(M, D)
+            if abs(buchi_value(product_with_nba(M, R)) - ref) > 1e-7:
+                bad.append((k, "value"))
+        if not np.array_equal(uca_signature(U, bound),
+                              nba_signature(R, bound)):
+            bad.append((k, "lassos"))
+    return bad
+
+
+@pytest.mark.parametrize("odd_entry", [True, False])
+def test_reduced_complements_match_the_oracles(odd_entry):
+    assert oracle_disagreements(odd_entry) == []
+
+
+def test_oracles_catch_a_dropped_jump_that_is_not_dominated(monkeypatch):
+    # with the inclusion test reversed, the jump to the larger language goes
+    real = reduction._inclusion_fails
+    monkeypatch.setattr(reduction, "_inclusion_fails",
+                        lambda T, mark, P, R: real(T, mark, R, P))
+    assert oracle_disagreements(True)
+
+
 def test_timeout_reports_partial_stats():
     U = Automaton("UCA", Alphabet(("a",)), 3, 0,
                   {(q, a): (0, 1, 2) for q in range(3) for a in (0, 1)},
@@ -148,9 +244,9 @@ def test_stats_row_format():
 @pytest.mark.parametrize("name,expect", [
     ("reduce_01", (2, 4, 2, 2, 2, 2)),
     ("reduce_02", (1, 2, 2, 2, 2, 2)),
-    ("reduce_03", (3, 6, 4, 4, 4, 4)),
+    ("reduce_03", (3, 6, 4, 4, 4, 3)),
     ("reduce_04", (4, 8, 6, 6, 6, 6)),
-    ("reduce_05", (10, 246080, 87979, 4161, 2276, 2262)),
+    ("reduce_05", (10, 246080, 87979, 5085, 37, 14)),
 ])
 def test_benchmark_fixture_counts(name, expect):
     A = parse_hoa((FIXTURES / f"{name}.hoa").read_text())
@@ -203,3 +299,32 @@ def test_batch_reduce_csv_goes_on_past_a_broken_file(tmp_path, rng):
                                                          "aut_1.hoa"]
     for name in ("aut_0", "aut_1"):
         assert parse_hoa((out_dir / f"{name}.hoa").read_text()).kind == "NBA"
+
+
+def test_batch_reduce_loads_the_graph_routines_before_any_file(tmp_path,
+                                                               rng):
+    # a file reduced before the routines are loaded gets an error row; the
+    # pool runs first, while the parent process has not loaded them
+    from omegadp.hoa import emit_hoa
+    for i in range(3):
+        U = random_uca(rng, rng.randint(1, 3))
+        (tmp_path / f"aut_{i}.hoa").write_text(emit_hoa(U))
+    code = f"""if True:
+        import sys
+        from omegadp import reduction
+        real = reduction.run_pipeline
+
+        def loaded_first(A, budget):
+            if "scipy.sparse.csgraph" not in sys.modules:
+                raise RuntimeError("graph routines loaded inside the clock")
+            return real(A, budget)
+
+        reduction.run_pipeline = loaded_first
+        assert "scipy.sparse.csgraph" not in sys.modules
+        for workers in (2, 1):
+            rows = reduction.batch_reduce({str(tmp_path)!r},
+                                          {str(tmp_path / "out.csv")!r},
+                                          workers=workers)
+            print(sum(r[7].startswith("error") for r in rows), len(rows))
+    """
+    assert run_python(code).split() == ["0", "3", "0", "3"]
