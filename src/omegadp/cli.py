@@ -29,7 +29,6 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .automata import letter_sort_key
 from .complement import ComplementOptions, complement_uca
@@ -50,16 +49,6 @@ from .reduction import batch_reduce
 from .streett import determinize_uca, streett_mdp_max_prob
 
 VALUE_TOL = 1e-7
-
-
-@dataclass
-class CliConfig:
-    """One parsed invocation: the subcommand plus its options."""
-
-    subcommand: str
-    timeout: float = 600.0
-    seed: int = 0
-    options: dict = field(default_factory=dict)
 
 
 def _read_automaton(path):
@@ -86,20 +75,19 @@ def _as_uca(A, allow_reinterpret):
         f"input is a {A.kind}; pass --as-uca to read its structure as a UCA")
 
 
-def cmd_complement(cfg: CliConfig):
-    o = cfg.options
-    A = _as_uca(_read_automaton(o["input"]), o["as_uca"])
+def cmd_complement(args):
+    A = _as_uca(_read_automaton(args.input), args.as_uca)
     opts = ComplementOptions(
-        odd_entry=not o["plain_entry"],
-        pin_max_rank=None if o["no_pin"] else "auto",
-        special=o["special"],
-        max_states=o["max_states"],
-        deadline=time.monotonic() + cfg.timeout)
+        odd_entry=not args.plain_entry,
+        pin_max_rank=None if args.no_pin else "auto",
+        special=args.special,
+        max_states=args.max_states,
+        deadline=time.monotonic() + args.timeout)
     C = complement_uca(A, opts)
-    _write_text(o["output"], emit_hoa(C))
+    _write_text(args.output, emit_hoa(C))
     stats = dict(C.tags.get("stats", {}))
     stats["input_states"] = A.n_states
-    _write_text(o["stats"], json.dumps(stats, indent=2))
+    _write_text(args.stats, json.dumps(stats, indent=2))
     return 0
 
 
@@ -120,15 +108,14 @@ def _summary_rows(rows):
     return out
 
 
-def _run_batch(cfg: CliConfig, out_dir):
-    o = cfg.options
-    rows = batch_reduce(o["input"], o["output"], cfg.timeout, o["workers"],
+def _run_batch(args, out_dir):
+    rows = batch_reduce(args.input, args.output, args.timeout, args.workers,
                         out_dir)
     errors = [{"file": r[0], "message": r[7][len("error: "):]}
               for r in rows if r[7].startswith("error:")]
     good = [r for r in rows if not r[7].startswith("error:")]
     if good:
-        with open(o["output"], "a", newline="") as fh:
+        with open(args.output, "a", newline="") as fh:
             csv.writer(fh).writerows(_summary_rows(good))
     if errors:
         print(json.dumps({"error": "BatchErrors", "files": errors}),
@@ -137,39 +124,36 @@ def _run_batch(cfg: CliConfig, out_dir):
     return 0
 
 
-def cmd_reduce(cfg: CliConfig):
-    out_dir = cfg.options["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return _run_batch(cfg, out_dir)
+def cmd_reduce(args):
+    os.makedirs(args.out_dir, exist_ok=True)
+    return _run_batch(args, args.out_dir)
 
 
-def cmd_stats(cfg: CliConfig):
-    return _run_batch(cfg, None)
+def cmd_stats(args):
+    return _run_batch(args, None)
 
 
-def cmd_solve(cfg: CliConfig):
-    o = cfg.options
-    with open(o["input"]) as fh:
+def cmd_solve(args):
+    with open(args.input) as fh:
         D = odp_from_json(fh.read())
-    value, sigma = solve_odp(D, o["lam"], o["eps"])
+    value, sigma = solve_odp(D, args.lam, args.eps)
     doc = {
         "value": value,
-        "lam": o["lam"],
-        "eps": o["eps"],
+        "lam": args.lam,
+        "eps": args.eps,
         "strategy": json.loads(strategy_to_json(sigma.inner)),
         "odp_state_of": list(sigma.odp_state_of),
     }
-    _write_text(o["output"], json.dumps(doc, indent=2))
+    _write_text(args.output, json.dumps(doc, indent=2))
     return 0
 
 
-def cmd_learn(cfg: CliConfig):
+def cmd_learn(args):
     from .biolab import BiolabGrid, build_biolab, default_grid
 
-    o = cfg.options
     config = {}
-    if o["config"] is not None:
-        with open(o["config"]) as fh:
+    if args.config is not None:
+        with open(args.config) as fh:
             config = json.load(fh)
     grid_keys = ("rho", "f1", "f2", "xi", "p_slip", "p_zap")
     train_keys = ("episodes", "steps", "lam", "zeta", "tau_lex", "eps",
@@ -177,8 +161,8 @@ def cmd_learn(cfg: CliConfig):
     unknown = set(config) - set(grid_keys) - set(train_keys)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if o["map"] is not None:
-        with open(o["map"]) as fh:
+    if args.map is not None:
+        with open(args.map) as fh:
             grid = BiolabGrid.parse(fh.read())
     else:
         grid = default_grid()
@@ -190,13 +174,13 @@ def cmd_learn(cfg: CliConfig):
     compiled = remove_lookback(D)
     M, N = remove_lookahead(compiled)
     P = product_with_nba(M, N)
-    _, strategy = lex_q_learn(P, seed=cfg.seed, **train)
-    _write_text(o["output"], strategy_to_json(strategy))
+    _, strategy = lex_q_learn(P, seed=args.seed, **train)
+    _write_text(args.output, strategy_to_json(strategy))
     sat, disc = strategy_value_check(P, strategy, lam)
     print(json.dumps({"sat_prob": sat, "disc_value": disc,
                       "product_states": P.n_states,
                       "episodes": train["episodes"]}, indent=2))
-    if not o["no_render"]:
+    if not args.no_render:
         def cell_of(x):
             key = D.keys[compiled.pairs[M.pairs[P.pairs[x][0]][0]][0]]
             return None if key == "wreck" else key[0]
@@ -211,12 +195,14 @@ def _signature(A, bound):
     return nba_signature(A.reinterpret("NBA"), bound)
 
 
-def _buchi_value(P):
+def buchi_value(P):
+    """Maximal probability of visiting accepting actions of the product
+    ``P`` infinitely often."""
     values, _ = max_reach_prob(P, accepting_mecs(P))
     return values[P.initial]
 
 
-def _random_mdp(rng, n, alphabet, n_actions=2):
+def random_mdp(rng, n, alphabet, n_actions=2):
     """Small random labeled MDP; one action per state when n_actions is 1."""
     letters = alphabet.letters()
     actions, trans, labels = {}, {}, []
@@ -230,19 +216,18 @@ def _random_mdp(rng, n, alphabet, n_actions=2):
     return Mdp(n, 0, actions, trans, alphabet=alphabet, labels=labels)
 
 
-def _check_input(o):
+def _check_input(args):
     """The automaton to check; ``--as-uca`` reads its structure as a UCA."""
-    A = _read_automaton(o["input"])
-    return _as_uca(A, True) if o["as_uca"] else A
+    A = _read_automaton(args.input)
+    return _as_uca(A, True) if args.as_uca else A
 
 
-def _check_against(cfg: CliConfig):
-    o = cfg.options
-    A = _check_input(o)
-    B = _read_automaton(o["against"])
+def _check_against(args):
+    A = _check_input(args)
+    B = _read_automaton(args.against)
     if A.alphabet.letters() != B.alphabet.letters():
         raise ValueError("the two automata have different alphabets")
-    bound = o["bound"]
+    bound = args.bound
     sig_a, sig_b = _signature(A, bound), _signature(B, bound)
     bad = mismatches(sig_a, sig_b, A.alphabet.letters(), bound)
     report = {
@@ -258,7 +243,7 @@ def _check_against(cfg: CliConfig):
     return 0 if not bad else 1
 
 
-def _uniform_chain(alphabet):
+def uniform_chain(alphabet):
     """One state per letter, labeled by it, uniformly random successor.
 
     The next label carries no information, so an automaton that needs to
@@ -272,7 +257,7 @@ def _uniform_chain(alphabet):
     return Mdp(n, 0, actions, trans, alphabet=alphabet, labels=list(letters))
 
 
-def _check_gfm(cfg: CliConfig):
+def _check_gfm(args):
     """Value-agreement check of a good-for-MDPs candidate.
 
     For a UCA input, its rank-based complement is the candidate and the
@@ -286,9 +271,8 @@ def _check_gfm(cfg: CliConfig):
     """
     import random
 
-    o = cfg.options
-    A = _check_input(o)
-    rng = random.Random(cfg.seed)
+    A = _check_input(args)
+    rng = random.Random(args.seed)
     if A.kind == "UCA":
         candidate = complement_uca(A)
         dsa = determinize_uca(A)
@@ -298,13 +282,13 @@ def _check_gfm(cfg: CliConfig):
         dsa = determinize_uca(A.reinterpret("UCA"))
         chain_only = True
     samples, failures = [], 0
-    for i in range(o["mdps"]):
+    for i in range(args.mdps):
         if i == 0:
-            M = _uniform_chain(A.alphabet)
+            M = uniform_chain(A.alphabet)
         else:
-            M = _random_mdp(rng, rng.randint(2, 6), A.alphabet,
+            M = random_mdp(rng, rng.randint(2, 6), A.alphabet,
                             n_actions=1 if chain_only else 2)
-        got = _buchi_value(product_with_nba(M, candidate))
+        got = buchi_value(product_with_nba(M, candidate))
         ref, _ = streett_mdp_max_prob(M, dsa)
         if chain_only:
             ref = 1.0 - ref
@@ -314,7 +298,7 @@ def _check_gfm(cfg: CliConfig):
                         "agree": ok})
     report = {
         "mode": "gfm-value-agreement",
-        "mdps": o["mdps"],
+        "mdps": args.mdps,
         "failures": failures,
         "samples": samples,
         "verdict": "pass" if failures == 0 else "fail",
@@ -323,18 +307,17 @@ def _check_gfm(cfg: CliConfig):
     return 0 if failures == 0 else 1
 
 
-def cmd_check(cfg: CliConfig):
-    if cfg.options["against"] is not None:
-        return _check_against(cfg)
-    if cfg.options["gfm"]:
-        return _check_gfm(cfg)
+def cmd_check(args):
+    if args.against is not None:
+        return _check_against(args)
+    if args.gfm:
+        return _check_gfm(args)
     raise ValueError("pass either --against FILE or --gfm")
 
 
-def cmd_determinize(cfg: CliConfig):
-    o = cfg.options
-    A = _as_uca(_read_automaton(o["input"]), o["as_uca"])
-    D = determinize_uca(A, max_states=o["max_states"])
+def cmd_determinize(args):
+    A = _as_uca(_read_automaton(args.input), args.as_uca)
+    D = determinize_uca(A, max_states=args.max_states)
     letters = sorted(A.alphabet.letters(), key=letter_sort_key)
     doc = {
         "states": D.n_states,
@@ -348,7 +331,7 @@ def cmd_determinize(cfg: CliConfig):
             for name, (coll, unst) in sorted(D.pairs.items(),
                                              key=lambda kv: str(kv[0]))},
     }
-    _write_text(o["output"], json.dumps(doc, indent=2))
+    _write_text(args.output, json.dumps(doc, indent=2))
     return 0
 
 
@@ -446,12 +429,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    opts = {k: v for k, v in vars(args).items()
-            if k not in ("subcommand", "timeout", "seed", "func")}
-    cfg = CliConfig(args.subcommand, timeout=args.timeout, seed=args.seed,
-                    options=opts)
     try:
-        return args.func(cfg)
+        return args.func(args)
     except Exception as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NoValidStrategy):

@@ -8,6 +8,15 @@ a computed number of steps and then switches to an almost-sure strategy, so
 it satisfies the acceptance condition with probability one while losing at
 most epsilon of discounted value.
 
+One model class, ``Mdp``, serves every stage: an ODP (``odp.Odp``) is an
+``Mdp`` with guards and promises on its actions, and the compiled processes
+and products (``ProductMdp`` adds the accepting actions) are ``Mdp``
+objects whose ``pairs`` say what each state stands for in the model they
+were compiled from.  ``model_to_doc`` and ``model_from_doc`` are the one
+JSON codec of all of them.  A ``Strategy`` walks memory nodes by ``start``,
+``action`` and ``step``; the value check and the ODP translation both use
+them.
+
 Models are built and read as dicts of tuples.  The solvers read one array
 form instead, ``MdpArrays``, built once per model on first use
 (``Mdp.arrays``): one CSR row per (state, action) pair in the state's action
@@ -47,14 +56,19 @@ class NoValidStrategy(Exception):
 class Mdp:
     """Finite MDP with an optional state labeling and optional rewards.
 
-    ``actions`` maps a state to its ordered action-name tuple and ``trans``
-    maps (state, action) to a tuple of (target, probability) pairs.  Ties in
-    all solvers are broken toward the action that comes first in the state's
-    action tuple.
+    ``actions`` maps a state to its ordered action tuple and ``trans`` maps
+    (state, action) to a tuple of (target, probability) pairs; ``rewards``
+    maps (state, action, target) to a real.  Ties in all solvers are broken
+    toward the action that comes first in the state's action tuple.  An
+    action is any hashable value: a name for a plain MDP, a
+    (guard, name, promise) triple for an ODP (``odp.Odp``), an
+    (action, automaton successor) pair for a product.  A model compiled
+    from another one records in ``pairs[i]`` what its state ``i`` stands
+    for there.
     """
 
     def __init__(self, n_states, initial, actions, trans, alphabet=None,
-                 labels=None, rewards=None, check=True):
+                 labels=None, rewards=None, check=True, pairs=None):
         self.n_states = n_states
         self.initial = initial
         self.actions = {s: tuple(a) for s, a in actions.items()}
@@ -62,13 +76,46 @@ class Mdp:
         self.alphabet = alphabet
         self.labels = tuple(labels) if labels is not None else None
         self.rewards = dict(rewards) if rewards else {}
+        self.pairs = tuple(pairs) if pairs is not None else None
         if check:
             self._validate()
 
     def _validate(self):
-        check_transitions(self)
-        if self.labels is not None and len(self.labels) != self.n_states:
+        """Raise ValueError unless the initial state is a state, every state
+        has actions, each with a probability distribution over the states,
+        and every action, transition and reward belongs to a state, an
+        action and a successor of the model."""
+        n = self.n_states
+        if not (0 <= self.initial < n):
+            raise ValueError(f"initial state {self.initial} out of range")
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("label vector length mismatch")
+        for s in self.actions:
+            if s not in range(n):
+                raise ValueError(f"actions given for {s!r}, not a state")
+        for s in range(n):
+            if not self.actions.get(s):
+                raise ValueError(f"state {s} has no actions")
+            for a in self.actions[s]:
+                dist = self.trans.get((s, a))
+                if not dist:
+                    raise ValueError(f"missing distribution for ({s}, {a})")
+                total = sum(p for _, p in dist)
+                if abs(total - 1.0) > 1e-12:
+                    raise ValueError(
+                        f"distribution of ({s}, {a}) sums to {total}")
+                for t, p in dist:
+                    # a NaN fails both comparisons, so it is rejected here
+                    if not (0 <= t < n) or not (0 <= p <= 1):
+                        raise ValueError(f"bad transition ({s}, {a}) -> {t}")
+        for s, a in self.trans:
+            if a not in self.actions.get(s, ()):
+                raise ValueError(f"distribution given for ({s}, {a}), "
+                                 f"not an action")
+        for s, a, t in self.rewards:
+            if all(u != t for u, _ in self.trans.get((s, a), ())):
+                raise ValueError(f"reward given for ({s}, {a}) -> {t}, "
+                                 f"not a transition")
 
     @property
     def r_max(self):
@@ -77,33 +124,26 @@ class Mdp:
     def reward(self, s, a, t):
         return self.rewards.get((s, a, t), 0.0)
 
+    def lift(self, s, a, row, target, trans, rewards, paid=0.0):
+        """Copy the distribution of (s, a) to ``trans[row]`` of a model
+        compiled from this one: ``row`` is a (state, action) pair there and
+        ``target(t)`` the state reached for ``t``.  The rewards, plus
+        ``paid`` on every transition, go to ``rewards``."""
+        src, b = row
+        dist = []
+        for t, p in self.trans[(s, a)]:
+            dst = target(t)
+            dist.append((dst, p))
+            r = paid + self.reward(s, a, t)
+            if r:
+                rewards[(src, b, dst)] = r
+        trans[row] = tuple(dist)
+
     @cached_property
     def arrays(self):
         """The solvers' array form, built on first use and kept: the dict
         fields must not change once a solver has read the model."""
         return MdpArrays.of(self)
-
-
-def check_transitions(M):
-    """Raise ValueError unless the initial state of the model ``M`` (an
-    :class:`Mdp` or an ODP) is a state and every state has actions, each
-    with a probability distribution over the states."""
-    if not (0 <= M.initial < M.n_states):
-        raise ValueError(f"initial state {M.initial} out of range")
-    for s in range(M.n_states):
-        if not M.actions.get(s):
-            raise ValueError(f"state {s} has no actions")
-        for a in M.actions[s]:
-            dist = M.trans.get((s, a))
-            if not dist:
-                raise ValueError(f"missing distribution for ({s}, {a})")
-            total = sum(p for _, p in dist)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"distribution of ({s}, {a}) sums to {total}")
-            for t, p in dist:
-                # a NaN fails both comparisons, so it is rejected here
-                if not (0 <= t < M.n_states) or not (0 <= p <= 1):
-                    raise ValueError(f"bad transition ({s}, {a}) -> {t}")
 
 
 @dataclass
@@ -142,9 +182,8 @@ class ProductMdp(Mdp):
     def __init__(self, n_states, initial, actions, trans, acc, pairs,
                  alphabet=None, labels=None, rewards=None):
         super().__init__(n_states, initial, actions, trans, alphabet,
-                         labels, rewards, check=False)
+                         labels, rewards, check=False, pairs=pairs)
         self.acc = frozenset(acc)
-        self.pairs = tuple(pairs)
 
 
 def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
@@ -164,14 +203,8 @@ def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
             for q2 in C.successors(q, letter):
                 pa = (a, q2)
                 acts.append(pa)
-                dist = []
-                for t, p in M.trans[(s, a)]:
-                    dst = intern((t, q2))
-                    dist.append((dst, p))
-                    r = M.reward(s, a, t)
-                    if r:
-                        rewards[(src, pa, dst)] = r
-                trans[(src, pa)] = tuple(dist)
+                M.lift(s, a, (src, pa), lambda t: intern((t, q2)), trans,
+                       rewards)
                 if (q, letter, q2) in C.gamma:
                     acc.add((src, pa))
         if not acts:
@@ -195,14 +228,8 @@ def product_with_reward_machine(M: Mdp, R: RewardMachine) -> Mdp:
         u2, r = R.step(u, M.labels[s])
         actions[src] = M.actions[s]
         for a in M.actions[s]:
-            dist = []
-            for t, p in M.trans[(s, a)]:
-                dst = found.intern((t, u2))
-                dist.append((dst, p))
-                total = r + M.reward(s, a, t)
-                if total:
-                    rewards[(src, a, dst)] = total
-            trans[(src, a)] = tuple(dist)
+            M.lift(s, a, (src, a), lambda t: found.intern((t, u2)), trans,
+                   rewards, paid=r)
     return Mdp(len(found), 0, actions, trans, alphabet=M.alphabet,
                labels=tuple(M.labels[s] for s, _ in found.keys),
                rewards=rewards, check=False)
@@ -435,8 +462,13 @@ class Strategy:
 
     Positional: ``choices`` maps state -> action.  Finite-memory: ``choices``
     maps (state, memory) -> action and ``update`` maps (state, memory) ->
-    next memory.  Switching: follow ``first`` for ``switch_step`` steps, then
-    ``second`` forever.
+    next memory.  Switching: follow the positional ``first`` for
+    ``switch_step`` steps, then the finite-memory ``second`` forever.
+
+    A play is a walk over memory nodes: ``(s,)`` for a positional strategy,
+    ``(s, m)`` for a finite-memory one and ``(s, k, m)`` for a switching
+    one, with ``k`` the step count saturating at ``switch_step`` and ``m``
+    the second strategy's memory.
     """
 
     kind: str
@@ -446,6 +478,37 @@ class Strategy:
     first: "Strategy" = None
     second: "Strategy" = None
     switch_step: int = 0
+
+    def start(self, s):
+        """The memory node of a play starting in state ``s``."""
+        if self.kind == "positional":
+            return (s,)
+        if self.kind == "finite-memory":
+            return (s, 0)
+        return (s, 0, 0)
+
+    def action(self, node):
+        """The action played at the memory node ``node``."""
+        if self.kind == "positional":
+            return self.choices[node[0]]
+        if self.kind == "finite-memory":
+            return self.choices[node]
+        s, k, m = node
+        if k < self.switch_step:
+            return self.first.choices[s]
+        return self.second.choices[(s, m)]
+
+    def step(self, node, t):
+        """The memory node after the play moves from ``node`` to state
+        ``t``."""
+        if self.kind == "positional":
+            return (t,)
+        if self.kind == "finite-memory":
+            return (t, self.update[node])
+        s, k, m = node
+        if k < self.switch_step:
+            return (t, k + 1, 0)
+        return (t, self.switch_step, self.second.update[(s, m)])
 
 
 def _almost_sure(A: MdpArrays):
@@ -559,42 +622,17 @@ def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
-    def key_init():
-        if strategy.kind == "positional":
-            return (P.initial,)
-        if strategy.kind == "finite-memory":
-            return (P.initial, 0)
-        return (P.initial, 0, 0)
-
-    def step(node):
-        if strategy.kind == "positional":
-            (s,) = node
-            a = strategy.choices[s]
-            return a, lambda t: (t,)
-        if strategy.kind == "finite-memory":
-            s, m = node
-            a = strategy.choices[(s, m)]
-            m2 = strategy.update[(s, m)]
-            return a, lambda t: (t, m2)
-        s, k, m = node
-        if k < strategy.switch_step:
-            a = strategy.first.choices[s]
-            return a, lambda t: (t, k + 1, 0)
-        a = strategy.second.choices[(s, m)]
-        m2 = strategy.second.update[(s, m)]
-        return a, lambda t: (t, strategy.switch_step, m2)
-
     src, dst, prob = [], [], []
     reward, accepting = [], []
     try:
-        found = Explorer(key_init(), budget=max_chain)
+        found = Explorer(strategy.start(P.initial), budget=max_chain)
         for i, node in found:
             s = node[0]
-            a, advance = step(node)
+            a = strategy.action(node)
             r = 0.0
             for t, p in P.trans[(s, a)]:
                 src.append(i)
-                dst.append(found.intern(advance(t)))
+                dst.append(found.intern(strategy.step(node, t)))
                 prob.append(p)
                 r += p * P.reward(s, a, t)
             reward.append(r)
@@ -624,7 +662,31 @@ def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
     return float(sat[0]), float(v[0])
 
 
-def mdp_to_json(M: Mdp) -> str:
+def model_to_doc(M: Mdp, encode_action) -> dict:
+    """The JSON document of a model; ``encode_action(a)`` gives the keys
+    that name the action ``a``.
+
+    The document of an MDP has four keys:
+
+    - ``ap``: the atomic proposition names, in the alphabet's order;
+    - ``states``: ``{"id": i, "label": [names]}`` for the states
+      ``i = 0..n-1``, with ``label`` (the propositions true at ``i``) only
+      in a labeled model;
+    - ``initial``: the initial state's id;
+    - ``actions``: one entry per state and action, in the state's action
+      order: ``{"state": s, "name": a, "successors": [{"target": t,
+      "prob": p}, ...], "reward": {"t": r, ...}}``, with ``reward`` only
+      when a successor pays.
+
+    The document of an ODP (``odp.odp_to_json``) adds ``guard`` and
+    ``promise`` after ``name`` in each action entry (a schema state, or
+    ``null`` for the trivial guard or promise), and the top-level keys
+    ``lookback`` and ``lookahead`` when the process has the schema:
+    ``{"kind": "DFA" | "UCA", "states": n, "transitions": [{"from": q,
+    "letter": [names], "to": [q', ...], "marked": [q', ...]}, ...],
+    "final": [q, ...]}``, with ``marked`` (the targets of marked
+    transitions) and ``final`` only when nonempty.
+    """
     ap = list(M.alphabet.ap) if M.alphabet is not None else []
     states = []
     for s in range(M.n_states):
@@ -635,44 +697,59 @@ def mdp_to_json(M: Mdp) -> str:
     actions = []
     for s in range(M.n_states):
         for a in M.actions[s]:
-            entry = {"state": s, "name": a,
+            dist = M.trans[(s, a)]
+            entry = {"state": s, **encode_action(a),
                      "successors": [{"target": t, "prob": p}
-                                    for t, p in M.trans[(s, a)]]}
-            rs = {t: M.reward(s, a, t) for t, _ in M.trans[(s, a)]
+                                    for t, p in dist]}
+            rs = {str(t): M.reward(s, a, t) for t, _ in dist
                   if M.reward(s, a, t)}
             if rs:
-                entry["reward"] = {str(t): r for t, r in rs.items()}
+                entry["reward"] = rs
             actions.append(entry)
-    doc = {"ap": ap, "states": states, "initial": M.initial,
-           "actions": actions}
-    return json.dumps(doc, indent=2)
+    return {"ap": ap, "states": states, "initial": M.initial,
+            "actions": actions}
 
 
-def mdp_from_json(text: str) -> Mdp:
-    doc = json.loads(text)
+def model_from_doc(doc: dict, decode_action, model=Mdp, **fields):
+    """The model of type ``model`` that the document ``doc`` (see
+    ``model_to_doc``) describes; ``decode_action(entry)`` gives the action
+    of an action entry, and ``fields`` go to the constructor as they are.
+
+    Without ``ap`` the propositions are the names the labels use, sorted.
+    Raises ValueError unless the state ids are exactly ``0..n-1``.
+    """
+    states = doc["states"]
+    n = len(states)
+    ids = [st["id"] for st in states]
+    if len(set(ids)) != n or not all(i in range(n) for i in ids):
+        raise ValueError(f"state ids must be 0..{n - 1}, each once")
     ap = doc.get("ap")
     if ap is None:
-        seen = set()
-        for st in doc["states"]:
-            seen |= set(st.get("label", []))
-        ap = sorted(seen)
-    alphabet = Alphabet(tuple(ap)) if ap else None
-    n = len(doc["states"])
+        ap = sorted({name for st in states for name in st.get("label", [])})
     labels = None
-    if any("label" in st for st in doc["states"]):
+    if any("label" in st for st in states):
         labels = [0] * n
-        for st in doc["states"]:
+        for st in states:
             labels[st["id"]] = label_from_names(st.get("label", []), ap)
     actions, trans, rewards = {}, {}, {}
     for entry in doc["actions"]:
-        s, a = entry["state"], entry["name"]
+        s, a = entry["state"], decode_action(entry)
         actions.setdefault(s, []).append(a)
         trans[(s, a)] = tuple((x["target"], x["prob"])
                               for x in entry["successors"])
         for t, r in entry.get("reward", {}).items():
             rewards[(s, a, int(t))] = r
-    return Mdp(n, doc["initial"], actions, trans, alphabet=alphabet,
-               labels=labels, rewards=rewards)
+    return model(n, doc["initial"], actions, trans,
+                 alphabet=Alphabet(tuple(ap)) if ap else None,
+                 labels=labels, rewards=rewards, **fields)
+
+
+def mdp_to_json(M: Mdp) -> str:
+    return json.dumps(model_to_doc(M, lambda a: {"name": a}), indent=2)
+
+
+def mdp_from_json(text: str) -> Mdp:
+    return model_from_doc(json.loads(text), lambda entry: entry["name"])
 
 
 def strategy_to_json(strategy: Strategy) -> str:

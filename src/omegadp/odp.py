@@ -1,18 +1,24 @@
 """Decision processes with regular lookbacks and omega-regular lookaheads.
 
-An ODP action is a triple (guard, name, promise): the guard is a state of a
-lookback DFA schema and enables the action exactly when the label prefix read
-so far, including the current state's label, is accepted from that state; the
-promise is a state of a lookahead UCA schema that the suffix emitted from the
-action's target onward must satisfy.  ``None`` encodes the trivial guard or
-promise.
+An ODP (``Odp``) is an :class:`~omegadp.mdp.Mdp` with state labels, a
+lookback schema and a lookahead schema, whose actions are triples (guard,
+name, promise): the guard is a state of a lookback DFA schema and enables the
+action exactly when the label prefix read so far, including the current
+state's label, is accepted from that state; the promise is a state of a
+lookahead UCA schema that the suffix emitted from the action's target onward
+must satisfy.  ``None`` encodes the trivial guard or promise.
 
 Solving proceeds in three steps: lookbacks are eliminated by tracking the
 reachable guard-automaton states along the prefix, promises are eliminated by
 emitting them as part of the letters and checking them all at once with the
 complement of a collection automaton, and the resulting product is handed to
-the lexicographic solver.  The product strategy is translated back into a
-strategy over the original process.
+the lexicographic solver.  Each step returns an ``Mdp`` again, whose
+``pairs[i]`` says what its state ``i`` stands for in the step's input: an
+(ODP state, guard tracker) pair after ``remove_lookback``, an (ODP state,
+pending promise) pair after ``remove_lookahead``, an (MDP state, automaton
+state) pair in the product.  The product strategy is translated back into a
+strategy over the original process along these pairs.  The JSON form is the
+MDP form plus guards, promises and schemas (``mdp.model_to_doc``).
 """
 
 from __future__ import annotations
@@ -24,38 +30,34 @@ from .automata import TOP, Alphabet, Automaton, Explorer, LassoWord, \
     letter_sort_key
 from .collect import build_collection
 from .complement import complement_uca
-from .mdp import Mdp, check_transitions, lexicographic_solve, \
+from .mdp import Mdp, lexicographic_solve, model_from_doc, model_to_doc, \
     product_with_nba
 
 
-class Odp:
+class Odp(Mdp):
     """Finite decision process with guarded, promising actions.
 
-    ``actions`` maps a state to an ordered tuple of (guard, name, promise)
-    triples and ``trans`` maps (state, triple) to a (target, probability)
-    tuple; ``rewards`` maps (state, triple, target) to a real.  ``lookback``
-    is a DFA schema with a final-state set, ``lookahead`` a UCA schema;
-    either may be ``None`` when the process never uses it.
+    An :class:`Mdp` whose actions are (guard, name, promise) triples and
+    whose states are labeled.  ``lookback`` is a DFA schema with a
+    final-state set, ``lookahead`` a UCA schema; either may be ``None`` when
+    the process never uses it.  Without ``labels`` every state emits the
+    empty letter, and without ``alphabet`` there are no propositions.
     """
 
     def __init__(self, n_states, initial, actions, trans, alphabet, labels,
-                 lookback=None, lookahead=None, rewards=None, check=True):
-        self.n_states = n_states
-        self.initial = initial
-        self.actions = {s: tuple(a) for s, a in actions.items()}
-        self.trans = {k: tuple(v) for k, v in trans.items()}
-        self.alphabet = alphabet
-        self.labels = tuple(labels)
+                 lookback=None, lookahead=None, rewards=None, check=True,
+                 pairs=None):
+        # set before the base class validates the process
         self.lookback = lookback
         self.lookahead = lookahead
-        self.rewards = dict(rewards) if rewards else {}
-        if check:
-            self._validate()
+        super().__init__(
+            n_states, initial, actions, trans,
+            alphabet if alphabet is not None else Alphabet(()),
+            labels if labels is not None else (0,) * n_states,
+            rewards, check, pairs)
 
     def _validate(self):
-        check_transitions(self)
-        if len(self.labels) != self.n_states:
-            raise ValueError("label vector length mismatch")
+        super()._validate()
         for schema, kind in ((self.lookback, "DFA"), (self.lookahead, "UCA")):
             if schema is None:
                 continue
@@ -75,9 +77,6 @@ class Odp:
                     if self.lookahead is None or \
                             not (0 <= alpha < self.lookahead.n_states):
                         raise ValueError(f"bad promise state {alpha}")
-
-    def reward(self, s, act, t):
-        return self.rewards.get((s, act, t), 0.0)
 
 
 def _tracker_step(B: Automaton, tracker, letter):
@@ -111,37 +110,15 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
             if beta is not None and not (tracker[beta] & final):
                 continue
             enabled.append(act)
-            dist = []
-            for t, p in D.trans[(s, act)]:
-                dst = found.intern((t, _tracker_step(B, tracker,
-                                                     D.labels[t])))
-                dist.append((dst, p))
-                r = D.reward(s, act, t)
-                if r:
-                    rewards[(src, act, dst)] = r
-            trans[(src, act)] = tuple(dist)
+            D.lift(s, act, (src, act), lambda t: found.intern(
+                (t, _tracker_step(B, tracker, D.labels[t]))), trans, rewards)
         if not enabled:
             raise ValueError(
                 f"state {s} is deadlocked: no guard holds on some prefix")
         actions[src] = tuple(enabled)
-    out = Odp(len(found), 0, actions, trans, D.alphabet, labels,
-              lookback=None, lookahead=D.lookahead, rewards=rewards,
-              check=False)
-    out.pairs = found.keys
-    return out
-
-
-class PromiseMdp(Mdp):
-    """MDP over the promise alphabet; ``pairs[i]`` is (odp state, pending).
-
-    The pending component is the promise made by the action that entered the
-    state (the trivial promise at the initial state), so the letter emitted
-    at a state covers exactly the suffix the promise speaks about.
-    """
-
-    def __init__(self, *args, pairs=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self.pairs = tuple(pairs)
+    return Odp(len(found), 0, actions, trans, D.alphabet, labels,
+               lookback=None, lookahead=D.lookahead, rewards=rewards,
+               check=False, pairs=found.keys)
 
 
 def _trivial_lookahead(ap) -> Automaton:
@@ -178,10 +155,14 @@ def _checking_nba(schema, letters, reduce):
 
 def remove_lookahead(D: Odp, reduce: bool = True,
                      nba: Automaton | None = None):
-    """Turn promises into letters; returns (PromiseMdp, checking NBA).
+    """Turn promises into letters; returns (MDP, checking NBA).
 
     The process must have trivial lookback.  Each step emits the state label
-    paired with the promise that entered the state.  The collection
+    paired with the promise that entered the state: state ``i`` of the MDP
+    stands for ``pairs[i]``, an (ODP state, pending promise) pair, where the
+    pending promise is the one made by the action that entered the state
+    (the trivial promise at the initial state), so the letter emitted at a
+    state covers exactly the suffix the promise speaks about.  The collection
     automaton of the lookahead schema accepts exactly the traces whose every
     promise holds, and its complement (a good-for-MDPs NBA for the same
     language, with entry rankings pinned at the collecting state) is
@@ -203,14 +184,8 @@ def remove_lookahead(D: Odp, reduce: bool = True,
         actions[src] = D.actions[s]
         for act in D.actions[s]:
             alpha = TOP if act[2] is None else act[2]
-            dist = []
-            for t, p in D.trans[(s, act)]:
-                dst = found.intern((t, alpha))
-                dist.append((dst, p))
-                r = D.reward(s, act, t)
-                if r:
-                    rewards[(src, act, dst)] = r
-            trans[(src, act)] = tuple(dist)
+            D.lift(s, act, (src, act), lambda t: found.intern((t, alpha)),
+                   trans, rewards)
     letters = frozenset(labels)
     if nba is None:
         schema = D.lookahead if D.lookahead is not None \
@@ -223,9 +198,8 @@ def remove_lookahead(D: Odp, reduce: bool = True,
             letter = min(missing, key=letter_sort_key)
             raise ValueError(f"the process emits the letter {letter!r}, "
                              f"which the given checking NBA's alphabet lacks")
-    M = PromiseMdp(len(found), 0, actions, trans, alphabet=N.alphabet,
-                   labels=labels, rewards=rewards, pairs=found.keys,
-                   check=False)
+    M = Mdp(len(found), 0, actions, trans, alphabet=N.alphabet,
+            labels=labels, rewards=rewards, check=False, pairs=found.keys)
     return M, N
 
 
@@ -256,27 +230,17 @@ class OdpStrategy:
         self.odp_state_of = tuple(odp_state_of)
 
     def initial_memory(self):
-        return (self.product.initial, 0, 0)
-
-    def _product_action(self, memory):
-        x, k, m = memory
-        if k < self.inner.switch_step:
-            return self.inner.first.choices[x]
-        return self.inner.second.choices[(x, m)]
+        return self.inner.start(self.product.initial)
 
     def choose(self, memory):
-        act, _ = self._product_action(memory)
+        act, _ = self.inner.action(memory)
         return act
 
     def advance(self, memory, next_state):
-        x, k, m = memory
-        pa = self._product_action(memory)
-        for dst, _ in self.product.trans[(x, pa)]:
+        pa = self.inner.action(memory)
+        for dst, _ in self.product.trans[(memory[0], pa)]:
             if self.odp_state_of[dst] == next_state:
-                if k < self.inner.switch_step:
-                    return (dst, k + 1, 0)
-                return (dst, self.inner.switch_step,
-                        self.inner.second.update[(x, m)])
+                return self.inner.step(memory, dst)
         raise ValueError(f"state {next_state} is not a successor under {pa}")
 
 
@@ -293,12 +257,9 @@ def solve_odp(D: Odp, lam, eps, nba=None):
     M, N = remove_lookahead(compiled, nba=nba)
     P = product_with_nba(M, N)
     _, value, sigma = lexicographic_solve(P, lam, eps)
-    lookback_pairs = getattr(compiled, "pairs", None)
-    odp_state_of = []
-    for m_id, _ in P.pairs:
-        s, _ = M.pairs[m_id]
-        odp_state_of.append(s if lookback_pairs is None
-                            else lookback_pairs[s][0])
+    odp_state_of = [M.pairs[m_id][0] for m_id, _ in P.pairs]
+    if compiled.pairs is not None:
+        odp_state_of = [compiled.pairs[s][0] for s in odp_state_of]
     return value, OdpStrategy(P, sigma, odp_state_of)
 
 
@@ -377,53 +338,26 @@ def _schema_from_doc(doc, ap):
                      final_states=doc.get("final", ()))
 
 
+def _odp_action(act):
+    beta, name, alpha = act
+    return {"name": name, "guard": beta, "promise": alpha}
+
+
 def odp_to_json(D: Odp) -> str:
-    ap = list(D.alphabet.ap)
-    states = []
-    for s in range(D.n_states):
-        states.append({"id": s, "label": label_to_names(D.labels[s], ap)})
-    actions = []
-    for s in range(D.n_states):
-        for act in D.actions[s]:
-            beta, name, alpha = act
-            entry = {"state": s, "name": name, "guard": beta,
-                     "promise": alpha,
-                     "successors": [{"target": t, "prob": p}
-                                    for t, p in D.trans[(s, act)]]}
-            rs = {str(t): D.reward(s, act, t) for t, _ in D.trans[(s, act)]
-                  if D.reward(s, act, t)}
-            if rs:
-                entry["reward"] = rs
-            actions.append(entry)
-    doc = {"ap": ap, "states": states, "initial": D.initial,
-           "actions": actions}
-    if D.lookback is not None:
-        doc["lookback"] = _schema_to_doc(D.lookback, ap)
-    if D.lookahead is not None:
-        doc["lookahead"] = _schema_to_doc(D.lookahead, ap)
+    """The process as JSON: ``mdp.model_to_doc`` states the format."""
+    doc = model_to_doc(D, _odp_action)
+    for key in ("lookback", "lookahead"):
+        schema = getattr(D, key)
+        if schema is not None:
+            doc[key] = _schema_to_doc(schema, doc["ap"])
     return json.dumps(doc, indent=2)
 
 
 def odp_from_json(text: str) -> Odp:
     doc = json.loads(text)
     ap = doc["ap"]
-    base = Alphabet(tuple(ap))
-    n = len(doc["states"])
-    labels = [0] * n
-    for st in doc["states"]:
-        labels[st["id"]] = label_from_names(st.get("label", []), ap)
-    lookback = _schema_from_doc(doc["lookback"], ap) \
-        if "lookback" in doc else None
-    lookahead = _schema_from_doc(doc["lookahead"], ap) \
-        if "lookahead" in doc else None
-    actions, trans, rewards = {}, {}, {}
-    for entry in doc["actions"]:
-        s = entry["state"]
-        act = (entry.get("guard"), entry["name"], entry.get("promise"))
-        actions.setdefault(s, []).append(act)
-        trans[(s, act)] = tuple((x["target"], x["prob"])
-                                for x in entry["successors"])
-        for t, r in entry.get("reward", {}).items():
-            rewards[(s, act, int(t))] = r
-    return Odp(n, doc["initial"], actions, trans, base, labels,
-               lookback=lookback, lookahead=lookahead, rewards=rewards)
+    schemas = {key: _schema_from_doc(doc[key], ap)
+               for key in ("lookback", "lookahead") if key in doc}
+    return model_from_doc(
+        doc, lambda entry: (entry.get("guard"), entry["name"],
+                            entry.get("promise")), Odp, **schemas)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -459,8 +459,8 @@ def run_pipeline(A: Automaton, budget: float = 600.0,
     try:
         # the generic rank construction; shape special-casing is a collection
         # automaton optimization and would skew the stage counts here
-        opts = options or ComplementOptions(special="off")
-        opts.deadline = deadline
+        opts = replace(options or ComplementOptions(special="off"),
+                       deadline=deadline)
         result = complement_uca(A, opts)
         stats.compl = result.tags["stats"]["states"]
         for field, result in reduction_stages(result, deadline):

@@ -24,6 +24,7 @@ from omegadp.automata import (
     lasso_member_uca,
 )
 from omegadp.biolab import build_biolab
+from omegadp.cli import buchi_value, random_mdp, uniform_chain
 from omegadp.collect import build_collection
 from omegadp.complement import ComplementOptions, complement_uca, detect_shape
 from omegadp.hoa import parse_hoa
@@ -37,9 +38,7 @@ from omegadp.lasso_bulk import (
 from omegadp.mdp import (
     Mdp,
     RewardMachine,
-    accepting_mecs,
     discounted_vi,
-    max_reach_prob,
     product_with_nba,
     product_with_reward_machine,
     strategy_value_check,
@@ -117,34 +116,6 @@ def test_determinization_agrees_with_uca_and_complement(uca_corpus):
 # --- the good-for-MDPs property ----------------------------------------------
 
 
-def random_labeled_mdp(rng, n, alphabet, n_actions=2):
-    letters = alphabet.letters()
-    actions, trans, labels = {}, {}, []
-    for s in range(n):
-        labels.append(letters[rng.randrange(len(letters))])
-        names = tuple(f"a{k}" for k in range(rng.randint(1, n_actions)))
-        actions[s] = names
-        for a in names:
-            support = rng.sample(range(n), rng.randint(1, min(2, n)))
-            trans[(s, a)] = tuple((t, 1.0 / len(support)) for t in support)
-    return Mdp(n, 0, actions, trans, alphabet=alphabet, labels=labels)
-
-
-def buchi_value(P):
-    values, _ = max_reach_prob(P, accepting_mecs(P))
-    return values[P.initial]
-
-
-def fair_coin_chain(alphabet):
-    """Uniformly random next letter; labels carry no lookahead."""
-    letters = alphabet.letters()
-    n = len(letters)
-    return Mdp(n, 0, {s: ("go",) for s in range(n)},
-               {(s, "go"): tuple((t, 1.0 / n) for t in range(n))
-                for s in range(n)},
-               alphabet=alphabet, labels=list(letters))
-
-
 def induced_chain_buchi_prob(P, choice):
     """Exact acceptance probability of the chain a positional strategy
     induces: linear absorption into the accepting bottom SCCs."""
@@ -194,7 +165,7 @@ def test_complements_are_good_for_mdps_and_the_guesser_is_not():
         A = random_uca(rng, rng.randint(1, 3), n_ap=rng.randint(1, 2))
         C = complement_uca(A)
         D = determinize_uca(A)
-        M = random_labeled_mdp(rng, rng.randint(2, 6), A.alphabet)
+        M = random_mdp(rng, rng.randint(2, 6), A.alphabet)
         got = buchi_value(product_with_nba(M, C))
         ref, _ = streett_mdp_max_prob(M, D)
         assert got == pytest.approx(ref, abs=1e-7), \
@@ -202,7 +173,7 @@ def test_complements_are_good_for_mdps_and_the_guesser_is_not():
     # the lookahead guesser accepts every word, yet its product with the
     # fair coin cannot beat a coin flip, positionally or otherwise
     N = lookahead_guesser_nba()
-    chain = fair_coin_chain(N.alphabet)
+    chain = uniform_chain(N.alphabet)
     P = product_with_nba(chain, N)
     product_value = buchi_value(P)
     best_positional = max(
@@ -403,7 +374,7 @@ def reachable_odp_states(sigma):
         mem = stack.pop()
         x = mem[0]
         seen.add(sigma.odp_state_of[x])
-        pa = sigma._product_action(mem)
+        pa = sigma.inner.action(mem)
         if pa is None:
             continue
         for t, _ in sigma.product.trans[(x, pa)]:

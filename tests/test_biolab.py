@@ -102,24 +102,18 @@ def _reachable_odp_states(sigma):
     """ODP states visited with positive probability under the strategy."""
     P, inner = sigma.product, sigma.inner
     seen = set()
-    start = (P.initial, 0, 0)
+    start = inner.start(P.initial)
     visited = {start}
     stack = [start]
     while stack:
-        x, k, m = stack.pop()
+        node = stack.pop()
+        x = node[0]
         seen.add(sigma.odp_state_of[x])
-        if k < inner.switch_step:
-            a = inner.first.choices[x]
-            step = [(t, k + 1, 0) for t, p in P.trans[(x, a)] if p > 0]
-        else:
-            a = inner.second.choices[(x, m)]
-            m2 = inner.second.update[(x, m)]
-            step = [(t, inner.switch_step, m2)
-                    for t, p in P.trans[(x, a)] if p > 0]
-        for node in step:
-            if node not in visited:
-                visited.add(node)
-                stack.append(node)
+        for t, p in P.trans[(x, inner.action(node))]:
+            nxt = inner.step(node, t)
+            if p > 0 and nxt not in visited:
+                visited.add(nxt)
+                stack.append(nxt)
     return seen
 
 

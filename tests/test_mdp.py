@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from omegadp.automata import Alphabet, Automaton
+from omegadp.cli import uniform_chain
 from omegadp.complement import ComplementOptions, complement_uca
 from omegadp.mdp import (
     STUCK,
@@ -35,7 +36,7 @@ from omegadp.mdp import (
 )
 
 from conftest import random_nba, random_uca
-from test_acceptance import fair_coin_chain, lookahead_guesser_nba
+from test_acceptance import lookahead_guesser_nba
 
 
 def coin_gadget():
@@ -91,6 +92,83 @@ def test_json_rejects_an_initial_state_out_of_range():
     doc["initial"] = 7
     with pytest.raises(ValueError, match="initial state 7 out of range"):
         mdp_from_json(json.dumps(doc))
+
+
+def two_state_chain(**kwargs):
+    return Mdp(2, 0, {0: ("a",), 1: ("a",)},
+               {(0, "a"): ((1, 1.0),), (1, "a"): ((1, 1.0),)}, **kwargs)
+
+
+def test_validation_rejects_what_names_nothing_real():
+    loop = {(0, "a"): ((1, 1.0),), (1, "a"): ((1, 1.0),)}
+    with pytest.raises(ValueError, match="actions given for 7"):
+        Mdp(2, 0, {0: ("a",), 1: ("a",), 7: ("b",)},
+            {**loop, (7, "b"): ((0, 1.0),)})
+    with pytest.raises(ValueError, match="not an action"):
+        Mdp(2, 0, {0: ("a",), 1: ("a",)}, {**loop, (0, "zz"): ((0, 1.0),)})
+    # a reward on no action would also raise r_max, which sets the
+    # switching horizon and the Q-learning value cap
+    with pytest.raises(ValueError, match="not a transition"):
+        two_state_chain(rewards={(0, "zz", 0): 5.0})
+    with pytest.raises(ValueError, match="not a transition"):
+        two_state_chain(rewards={(0, "a", 0): 1.0})
+    assert two_state_chain(rewards={(0, "a", 1): 1.0}).r_max == 1.0
+
+
+@pytest.mark.parametrize("ids", [[0, -1], [0, 0], [0, 5], [1, 2]])
+def test_json_state_ids_must_be_each_state_once(ids):
+    M = two_state_chain(alphabet=Alphabet(("b",)), labels=(0, 1))
+    doc = json.loads(mdp_to_json(M))
+    for st, i in zip(doc["states"], ids):
+        st["id"] = i
+    with pytest.raises(ValueError, match="state ids must be 0..1"):
+        mdp_from_json(json.dumps(doc))
+    # an unlabeled model is read without the labels, but the ids still count
+    doc = json.loads(mdp_to_json(two_state_chain()))
+    for st, i in zip(doc["states"], ids):
+        st["id"] = i
+    with pytest.raises(ValueError, match="state ids must be 0..1"):
+        mdp_from_json(json.dumps(doc))
+
+
+def test_json_rejects_an_action_of_no_state():
+    doc = json.loads(mdp_to_json(two_state_chain()))
+    doc["actions"].append({"state": 5, "name": "a",
+                           "successors": [{"target": 0, "prob": 1.0}]})
+    with pytest.raises(ValueError, match="actions given for 5"):
+        mdp_from_json(json.dumps(doc))
+
+
+def test_json_key_order():
+    M = two_state_chain(alphabet=Alphabet(("b",)), labels=(0, 1),
+                        rewards={(0, "a", 1): 2.0})
+    doc = json.loads(mdp_to_json(M))
+    assert list(doc) == ["ap", "states", "initial", "actions"]
+    assert list(doc["states"][1]) == ["id", "label"]
+    assert list(doc["actions"][0]) == ["state", "name", "successors",
+                                       "reward"]
+    assert doc["actions"][0]["reward"] == {"1": 2.0}
+    assert "label" not in json.loads(mdp_to_json(two_state_chain()))[
+        "states"][0]
+
+
+def test_strategy_memory_nodes():
+    P = two_state_loop()
+    first, second = staying_then_cycling(0).first, \
+        staying_then_cycling(0).second
+    assert first.start(0) == (0,)
+    assert first.action((1,)) == "back" and first.step((1,), 0) == (0,)
+    assert second.start(1) == (1, 0)
+    assert second.action((0, 0)) == "go" and second.step((0, 0), 1) == (1, 0)
+    sigma = staying_then_cycling(2)
+    node = sigma.start(P.initial)
+    walk = [node]
+    for _ in range(4):
+        (t, _), = P.trans[(node[0], sigma.action(node))]
+        node = sigma.step(node, t)
+        walk.append(node)
+    # two steps of "stay", then "go" and "back" with the count saturated
+    assert walk == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 2, 0), (0, 2, 0)]
 
 
 def test_reachability_values():
@@ -224,7 +302,7 @@ def test_products_are_total_mdps(rng):
         stuck += sum(P.actions[s] == (STUCK,) for s in range(P.n_states))
     assert stuck > 0
     N = lookahead_guesser_nba()
-    P = product_with_nba(fair_coin_chain(N.alphabet), N)
+    P = product_with_nba(uniform_chain(N.alphabet), N)
     P._validate()
     assert any(P.actions[s] == (STUCK,) for s in range(P.n_states))
 

@@ -444,9 +444,23 @@ def test_json_rejects_a_nan_probability():
         odp_from_json(text)
 
 
-def test_json_round_trip():
-    for D in (example2_odp(), after_c_guard_odp()):
-        E = odp_from_json(odp_to_json(D))
+def random_processes(rng, count):
+    for i in range(count):
+        n_ap = rng.randint(1, 2)
+        lookback = random_dfa_schema(rng, rng.randint(2, 3), n_ap) \
+            if i % 2 else None
+        lookahead = random_uca_schema(rng, rng.randint(1, 3), n_ap) \
+            if i % 3 else None
+        yield random_odp(rng, rng.randint(1, 5), lookback=lookback,
+                         lookahead=lookahead, n_ap=n_ap)
+
+
+def test_json_round_trip(rng):
+    for D in (example2_odp(), after_c_guard_odp(),
+              *random_processes(rng, 50)):
+        text = odp_to_json(D)
+        E = odp_from_json(text)
+        assert odp_to_json(E) == text
         assert E.n_states == D.n_states
         assert E.initial == D.initial
         assert E.actions == D.actions
@@ -461,3 +475,31 @@ def test_json_round_trip():
                 assert theirs.delta == mine.delta
                 assert theirs.gamma == mine.gamma
                 assert theirs.final_states == mine.final_states
+
+
+def test_json_key_order():
+    doc = json.loads(odp_to_json(after_c_guard_odp()))
+    assert list(doc) == ["ap", "states", "initial", "actions", "lookback"]
+    assert list(doc["actions"][1]) == ["state", "name", "guard", "promise",
+                                       "successors", "reward"]
+    assert doc["actions"][1]["reward"] == {"0": 1.0, "1": 1.0}
+    assert list(doc["lookback"]) == ["kind", "states", "transitions",
+                                     "final"]
+
+
+def test_json_rejects_a_reward_on_no_transition():
+    doc = json.loads(odp_to_json(example2_odp()))
+    doc["actions"][1]["reward"] = {"0": 5.0}
+    with pytest.raises(ValueError, match="not a transition"):
+        odp_from_json(json.dumps(doc))
+
+
+def test_compiled_processes_are_mdps_that_name_their_origin():
+    D = after_c_guard_odp()
+    assert isinstance(D, Mdp) and D.pairs is None
+    compiled = remove_lookback(D)
+    assert isinstance(compiled, Odp) and compiled.lookback is None
+    assert [s for s, _ in compiled.pairs] == [0, 1]
+    M, _ = remove_lookahead(compiled)
+    assert type(M) is Mdp
+    assert M.pairs == ((0, TOP), (1, TOP))

@@ -14,6 +14,7 @@ from omegadp.automata import (
     lasso_member_nba,
     lasso_member_uca,
 )
+from omegadp.cli import buchi_value, random_mdp
 from omegadp.complement import ComplementOptions, complement_uca
 from omegadp import reduction
 from omegadp.hoa import parse_hoa
@@ -33,7 +34,6 @@ from omegadp.reduction import (
 )
 from omegadp.streett import determinize_uca, streett_mdp_max_prob
 from conftest import all_lassos, random_uca
-from test_acceptance import buchi_value, random_labeled_mdp
 from test_mdp import run_python
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -174,7 +174,7 @@ def oracle_disagreements(odd_entry, count=100, bound=5):
             U, ComplementOptions(special="off", odd_entry=odd_entry)))
         D = determinize_uca(U)
         for _ in range(3):
-            M = random_labeled_mdp(rng, rng.randint(2, 6), U.alphabet)
+            M = random_mdp(rng, rng.randint(2, 6), U.alphabet)
             ref, _ = streett_mdp_max_prob(M, D)
             if abs(buchi_value(product_with_nba(M, R)) - ref) > 1e-7:
                 bad.append((k, "value"))
@@ -299,6 +299,17 @@ def test_batch_reduce_csv_goes_on_past_a_broken_file(tmp_path, rng):
                                                          "aut_1.hoa"]
     for name in ("aut_0", "aut_1"):
         assert parse_hoa((out_dir / f"{name}.hoa").read_text()).kind == "NBA"
+
+
+def test_run_pipeline_leaves_the_callers_options_alone():
+    rng = random.Random(5)
+    A = random_uca(rng, 2)
+    opts = ComplementOptions(special="off")
+    run_pipeline(A, budget=0.5, options=opts)
+    # the pipeline's deadline stays in the pipeline: a later complement
+    # with the same options has none
+    assert opts == ComplementOptions(special="off")
+    complement_uca(A, opts)
 
 
 def test_batch_reduce_loads_the_graph_routines_before_any_file(tmp_path,
