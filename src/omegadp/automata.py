@@ -13,6 +13,9 @@ neither accepting (NBA) nor rejecting (UCA).
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -49,6 +52,34 @@ class CapacityError(RuntimeError):
         self.states_built = states_built
 
 
+# the time.monotonic() instant by which the running work must end, or None
+_DEADLINE = ContextVar("deadline", default=None)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Run the block under a deadline ``seconds`` from now; ``None`` sets no
+    limit.  Nested limits keep the earliest deadline, and the previous one
+    is back when the block exits, also on an exception."""
+    deadline = _DEADLINE.get()
+    if seconds is not None:
+        mine = time.monotonic() + seconds
+        deadline = mine if deadline is None else min(deadline, mine)
+    token = _DEADLINE.set(deadline)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_time(what):
+    """Raise ``TimeoutError`` naming the loop ``what`` once the deadline of
+    the enclosing :func:`time_limit` has passed; long loops call it."""
+    deadline = _DEADLINE.get()
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError(f"{what} exceeded its deadline")
+
+
 class Explorer:
     """Breadth-first numbering of the hashable keys reachable from
     ``start``, which gets id 0.
@@ -60,15 +91,18 @@ class Explorer:
     these ids (product ``pairs``, ``keys``, ``odp_state_of``): ``keys[i]``
     is the key of id ``i`` and ``ids`` maps each key to its id, in id order.
     With a ``budget``, interning a key that would get id ``budget`` raises
-    :class:`CapacityError` with ``states_built`` equal to the budget.
+    :class:`CapacityError` with ``states_built`` equal to the budget.  The
+    deadline is checked once per 1,024 new ids, from id 0 on; ``what``
+    names the exploration in the timeout message.
     """
 
-    __slots__ = ("ids", "keys", "budget")
+    __slots__ = ("ids", "keys", "budget", "what")
 
-    def __init__(self, start, budget=None):
+    def __init__(self, start, budget=None, what="exploration"):
         self.ids = {}
         self.keys = []
         self.budget = budget
+        self.what = what
         self.intern(start)
 
     def intern(self, key) -> int:
@@ -78,6 +112,8 @@ class Explorer:
             if self.budget is not None and i >= self.budget:
                 raise CapacityError(f"state budget of {self.budget} exceeded",
                                     i)
+            if not i & 1023:
+                check_time(self.what)
             self.ids[key] = i
             self.keys.append(key)
         return i
@@ -174,12 +210,15 @@ class Alphabet:
         return n
 
     def letters(self) -> list:
+        """The letters in canonical order (``letter_sort_key``): by base
+        letter, then by promise (``promise_sort_key``)."""
         if self.subset is not None:
             return list(self.subset)
         base = range(self.base_count)
         if self.promises is None:
             return list(base)
-        return [(b, p) for b in base for p in sorted(self.promises, key=promise_sort_key)]
+        promises = sorted(self.promises, key=promise_sort_key)
+        return [(b, p) for b in base for p in promises]
 
     def base_of(self, letter) -> int:
         return letter if self.promises is None else letter[0]
@@ -240,7 +279,7 @@ class Edges:
 
     @classmethod
     def of(cls, A: "Automaton") -> "Edges":
-        letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+        letters = A.alphabet.letters()
         index = {a: i for i, a in enumerate(letters)}
         src, let, dst, acc = [], [], [], []
         gamma = A.gamma
@@ -369,13 +408,6 @@ class Automaton:
         """Same structure read under a different acceptance semantics."""
         return Automaton(kind, self.alphabet, self.n_states, self.initial,
                          self.delta, self.gamma, self.final_states, self.tags,
-                         check=False)
-
-    def with_tags(self, **tags) -> "Automaton":
-        merged = dict(self.tags)
-        merged.update(tags)
-        return Automaton(self.kind, self.alphabet, self.n_states, self.initial,
-                         self.delta, self.gamma, self.final_states, merged,
                          check=False)
 
     def __repr__(self):
@@ -514,7 +546,6 @@ def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
 
 def nonempty_states(A: Automaton) -> set:
     """States of an NBA from which an accepting lasso exists."""
-    letters = A.alphabet.letters()
     succ = {q: set() for q in range(A.n_states)}
     pred = {q: set() for q in range(A.n_states)}
     for (q, a), targets in A.delta.items():
@@ -548,7 +579,7 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
     if A.is_schema or B.is_schema:
         raise ValueError("cannot intersect schemas")
     letters = A.alphabet.letters()
-    found = Explorer((A.initial, B.initial, 0))
+    found = Explorer((A.initial, B.initial, 0), what="intersection")
     delta = {}
     gamma = set()
     for src, (p, q, flag) in found:
@@ -571,7 +602,6 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
                         gamma.add((src, a, dst))
             if targets:
                 delta[(src, a)] = tuple(sorted(set(targets)))
-    gamma = {(q, a, t) for (q, a, t) in gamma if t in delta.get((q, a), ())}
     return Automaton("NBA", A.alphabet, len(found), 0, delta, gamma, check=False)
 
 
@@ -619,8 +649,8 @@ def canonical_order(A: Automaton) -> list:
     """
     if A.is_schema:
         return list(range(A.n_states))
-    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
-    found = Explorer(A.initial)
+    letters = A.alphabet.letters()
+    found = Explorer(A.initial, what="renumbering")
     for _, q in found:
         for a in letters:
             for t in A.successors(q, a):
@@ -638,9 +668,8 @@ def renumber(A: Automaton, order) -> Automaton:
     finals = {old_to_new[q] for q in A.final_states}
     initial = None if A.initial is None else old_to_new[A.initial]
     tags = dict(A.tags)
-    for key in ("collection_initial",):
-        if key in tags:
-            tags[key] = old_to_new[tags[key]]
+    if "collection_initial" in tags:
+        tags["collection_initial"] = old_to_new[tags["collection_initial"]]
     if "parts" in tags:
         q1, q2 = tags["parts"]
         tags["parts"] = ({old_to_new[q] for q in q1 if q in old_to_new},

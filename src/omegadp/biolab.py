@@ -218,7 +218,7 @@ def build_biolab(rho=10.0, f1=1.0, f2=2.0, xi=1.0, p_slip=0.0, p_zap=0.1,
     ab = Alphabet(AP)
     fee = {grid.home: -xi, grid.decon1: -f1, grid.decon2: -f2}
 
-    found = Explorer((grid.home, 0))
+    found = Explorer((grid.home, 0), what="lab construction")
     actions, trans, rewards, labels = {}, {}, {}, []
     for src, key in found:
         if key == "wreck":

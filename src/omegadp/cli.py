@@ -13,11 +13,12 @@ for debugging.
 Reports go to stdout (or the requested output files); failures are reported
 as a single JSON object on stderr and a nonzero exit code.  A failed
 ``check`` verdict also exits nonzero so the command is usable in scripts.
-Runs are deterministic for a fixed --seed.  Only ``complement``, ``reduce``
-and ``stats`` read --timeout; the other subcommands run to completion.
-Their timeouts are cooperative: the deadline is checked at state-expansion
-boundaries inside the library, so a stage may overshoot by the cost of one
-expansion.
+Runs are deterministic for a fixed --seed.  Every subcommand honours
+--timeout: ``reduce`` and ``stats`` give each file that many seconds and
+write a ``timeout`` row for a file that runs out, and every other subcommand
+stops with a ``TimeoutError`` naming the stage that ran out.  Timeouts are
+cooperative: the library checks the deadline between batches, rounds and
+episodes of its long loops, so a stage may overshoot by the cost of one.
 """
 
 from __future__ import annotations
@@ -28,18 +29,17 @@ import json
 import os
 import statistics
 import sys
-import time
 
-from .automata import letter_sort_key
+from .automata import time_limit
 from .complement import ComplementOptions, complement_uca
 from .hoa import emit_hoa, parse_hoa
 from .lasso_bulk import mismatches, nba_signature, uca_signature
 from .mdp import (
     Mdp,
     NoValidStrategy,
-    accepting_mecs,
-    max_reach_prob,
+    buchi_value,
     product_with_nba,
+    strategy_to_doc,
     strategy_to_json,
     strategy_value_check,
 )
@@ -81,8 +81,7 @@ def cmd_complement(args):
         odd_entry=not args.plain_entry,
         pin_max_rank=None if args.no_pin else "auto",
         special=args.special,
-        max_states=args.max_states,
-        deadline=time.monotonic() + args.timeout)
+        max_states=args.max_states)
     C = complement_uca(A, opts)
     _write_text(args.output, emit_hoa(C))
     stats = dict(C.tags.get("stats", {}))
@@ -141,7 +140,7 @@ def cmd_solve(args):
         "value": value,
         "lam": args.lam,
         "eps": args.eps,
-        "strategy": json.loads(strategy_to_json(sigma.inner)),
+        "strategy": strategy_to_doc(sigma.inner),
         "odp_state_of": list(sigma.odp_state_of),
     }
     _write_text(args.output, json.dumps(doc, indent=2))
@@ -193,13 +192,6 @@ def _signature(A, bound):
     if A.kind == "UCA":
         return uca_signature(A, bound)
     return nba_signature(A.reinterpret("NBA"), bound)
-
-
-def buchi_value(P):
-    """Maximal probability of visiting accepting actions of the product
-    ``P`` infinitely often."""
-    values, _ = max_reach_prob(P, accepting_mecs(P))
-    return values[P.initial]
 
 
 def random_mdp(rng, n, alphabet, n_actions=2):
@@ -318,7 +310,7 @@ def cmd_check(args):
 def cmd_determinize(args):
     A = _as_uca(_read_automaton(args.input), args.as_uca)
     D = determinize_uca(A, max_states=args.max_states)
-    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+    letters = A.alphabet.letters()
     doc = {
         "states": D.n_states,
         "initial": D.initial,
@@ -342,8 +334,9 @@ def _build_parser():
                     "lexicographic MDP solving.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timeout", type=float, default=600.0,
-                        help="cooperative time budget in seconds, read by "
-                             "complement, reduce and stats only")
+                        help="cooperative time budget in seconds: per file "
+                             "for reduce and stats, for the whole run "
+                             "otherwise")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -429,8 +422,12 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # reduce and stats give each file its own budget; a run-wide limit
+    # would also reach the worker processes they fork
+    per_file = args.subcommand in ("reduce", "stats")
     try:
-        return args.func(args)
+        with time_limit(None if per_file else args.timeout):
+            return args.func(args)
     except Exception as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NoValidStrategy):

@@ -32,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Automaton, CapacityError, Edges, Explorer, \
-    letter_sort_key
-
-
-class TimeoutError_(RuntimeError):
-    pass
+from .automata import Automaton, CapacityError, Edges, Explorer, check_time
 
 
 # a batch holds at most _CHUNK ranking states, and at most _CHUNK_CELLS cells
@@ -52,12 +47,6 @@ class ComplementOptions:
     pin_max_rank: int | str | None = "auto"  # state id, "auto", or None
     special: str = "auto"  # "auto", "off", "safety", "reachability"
     max_states: int = 50_000_000
-    deadline: float | None = None  # time.monotonic() deadline
-
-
-def _check_deadline(opts):
-    if opts.deadline is not None and time.monotonic() > opts.deadline:
-        raise TimeoutError_("complement construction exceeded its deadline")
 
 
 class _Indexed:
@@ -65,7 +54,7 @@ class _Indexed:
 
     def __init__(self, A: Automaton):
         self.A = A
-        self.letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+        self.letters = A.alphabet.letters()
         self.n = A.n_states
         L = len(self.letters)
         self.succ = [[0] * L for _ in range(self.n)]
@@ -206,8 +195,6 @@ def complement_uca(A: Automaton, opts: ComplementOptions | None = None) -> Autom
     opts = opts or ComplementOptions()
     if opts.special != "off":
         shape = opts.special if opts.special in ("safety", "reachability") else detect_shape(A)
-        if opts.special in ("safety", "reachability") and detect_shape(A) != opts.special:
-            raise ValueError(f"input does not match the {opts.special} shape")
         if shape is not None:
             return complement_special(A, shape, opts)
     return _complement_general(A, opts)
@@ -402,7 +389,7 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     start = intern_subset(1 << A.initial)
     wi = 0
     while wi < len(kinds):
-        _check_deadline(opts)
+        check_time("complement construction")
         kind = kinds[wi]
         if kind == 2:
             hi = wi + 1
@@ -455,7 +442,8 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
     # second-phase subset that avoids the rejecting sink (safety) or a
     # subset with its owing set (reachability), and EMPTY the accepting sink
     EMPTY = (0, ())
-    found = Explorer((1, 1 << init), budget=opts.max_states)
+    found = Explorer((1, 1 << init), budget=opts.max_states,
+                     what="complement construction")
     delta = {}
     gamma = set()
     for sid, (kind, payload) in found:

@@ -18,9 +18,9 @@ the subset they cover.
 from __future__ import annotations
 
 import json
-import math
 
-from .automata import TOP, Alphabet, Automaton, canonical_order, letter_sort_key, renumber
+from .automata import TOP, Alphabet, Automaton, canonical_order, \
+    promise_sort_key, renumber
 
 MAX_AP = 16
 
@@ -146,6 +146,29 @@ def _parse_label_expr(tz, n_ap):
     return disj()
 
 
+def _header_values(tz):
+    """Consume and return the tokens of a header up to the next header or
+    ``--BODY--``."""
+    values = []
+    while True:
+        nxt = tz.peek()
+        if nxt is None or nxt == "--BODY--" or nxt.endswith(":"):
+            return values
+        values.append(tz.next())
+
+
+def _marked(tz):
+    """Consume an optional acceptance set ``{i j ...}``; is it nonempty?"""
+    if tz.peek() != "{":
+        return False
+    tz.next()
+    accs = []
+    while tz.peek() != "}":
+        accs.append(int(tz.next()))
+    tz.expect("}")
+    return bool(accs)
+
+
 def _decode_promise_aps(ap_names, vocab_json):
     """Split AP names into base APs and promise index bits."""
     # _prm bits are the trailing APs, emitted as _prm0.._prmK in order
@@ -157,8 +180,7 @@ def _decode_promise_aps(ap_names, vocab_json):
             break
     base = ap_names[:len(ap_names) - n_bits]
     vocab = _vocab_from_json(json.loads(vocab_json))
-    need = max(1, math.ceil(math.log2(max(len(vocab), 2))))
-    if n_bits < need:
+    if n_bits < _prm_width(len(vocab)):
         raise HoaError("promise-vocab header does not match _prm* AP count")
     return tuple(base), vocab, n_bits
 
@@ -190,8 +212,8 @@ def _vocab_from_json(items):
 def parse_hoa(text: str) -> Automaton:
     tz = _Tokenizer(text)
     n_states = None
-    start = None
-    ap_names = None
+    start = 0
+    ap_names = []
     acceptance = None
     acc_name = None
     vocab_json = None
@@ -224,23 +246,7 @@ def parse_hoa(text: str) -> Automaton:
                 ap_names.append(name[1:-1])
         elif tok == "Acceptance:":
             n_sets = int(tz.next())
-            parts = []
-            depth = 0
-            # consume until the next header token at depth 0
-            while True:
-                nxt = tz.peek()
-                if nxt is None:
-                    break
-                if depth == 0 and (nxt.endswith(":") or nxt == "--BODY--"):
-                    break
-                nxt = tz.next()
-                depth += nxt.count("(") - nxt.count(")")
-                if nxt == "(":
-                    depth += 1
-                if nxt == ")":
-                    depth -= 1
-                parts.append(nxt)
-            acceptance = (n_sets, "".join(parts))
+            acceptance = (n_sets, "".join(_header_values(tz)))
         elif tok == "acc-name:":
             acc_name = tz.next()
         elif tok == "promise-vocab:":
@@ -248,17 +254,10 @@ def parse_hoa(text: str) -> Automaton:
         elif tok == "letter-subset:":
             subset_json = tz.rest_of_line()
         elif tok.endswith(":"):
-            # tool:, name:, properties:, and other ignorable headers; consume
-            # values until the next header-ish token
-            while True:
-                nxt = tz.peek()
-                if nxt is None or nxt == "--BODY--" or nxt.endswith(":"):
-                    break
-                tz.next()
+            # tool:, name:, properties:, and other ignorable headers
+            _header_values(tz)
         else:
             raise HoaError(f"unexpected header token {tok!r}", tz.line, tz.col)
-    if ap_names is None:
-        ap_names = []
     if len(ap_names) > MAX_AP:
         raise HoaError(f"{len(ap_names)} atomic propositions exceed the cap of {MAX_AP}")
     if acceptance is None:
@@ -346,13 +345,7 @@ def parse_hoa(text: str) -> Automaton:
             seen_states.add(current)
             if tz.peek() is not None and tz.peek().startswith('"'):
                 tz.next()
-            accs = set()
-            if tz.peek() == "{":
-                tz.next()
-                while tz.peek() != "}":
-                    accs.add(int(tz.next()))
-                tz.expect("}")
-            state_acc[current] = bool(accs)
+            state_acc[current] = _marked(tz)
             if label is not None:
                 raise HoaError("state labels are not supported", tz.line, tz.col)
         elif tok == "[":
@@ -361,13 +354,7 @@ def parse_hoa(text: str) -> Automaton:
             letters = _parse_label_expr(tz, n_all_ap)
             tz.expect("]")
             target = int(tz.next())
-            accs = set()
-            if tz.peek() == "{":
-                tz.next()
-                while tz.peek() != "}":
-                    accs.add(int(tz.next()))
-                tz.expect("}")
-            marked = bool(accs) or state_acc.get(current, False)
+            marked = _marked(tz) or state_acc.get(current, False)
             add_edge(current, decode_letters(letters), target, marked)
         else:
             raise HoaError(f"unexpected body token {tok!r}", tz.line, tz.col)
@@ -376,23 +363,27 @@ def parse_hoa(text: str) -> Automaton:
         n_states = (max(seen_states) + 1) if seen_states else 1
     elif seen_states and max(seen_states) >= n_states:
         raise HoaError("state id exceeds declared States: count")
-    if start is None:
-        start = 0
     if kind == "NBA_ALL":
         kind = "NBA"
         gamma = set((q, a, t) for (q, a), ts in delta.items() for t in ts)
     return Automaton(kind, alphabet, n_states, start, delta, gamma)
 
 
-def _letter_bits(alphabet: Alphabet, letter):
-    """Raw bit pattern of a letter over base plus promise-index APs."""
+def _prm_width(n_promises):
+    """The number of ``_prm`` APs that index a vocabulary of
+    ``n_promises`` promises."""
+    return max(1, (n_promises - 1).bit_length())
+
+
+def _letter_codes(alphabet: Alphabet):
+    """The promise vocabulary in canonical order (``()`` for a plain
+    alphabet), and each letter's bit pattern over the base APs followed by
+    the ``_prm`` APs, keyed by letter in canonical order."""
     if alphabet.promises is None:
-        return letter, len(alphabet.ap)
-    base, promise = letter
-    vocab = sorted(alphabet.promises, key=lambda p: letter_sort_key((0, p))[1:])
-    idx = vocab.index(promise)
-    n_bits = max(1, math.ceil(math.log2(max(len(vocab), 2))))
-    return base | (idx << len(alphabet.ap)), len(alphabet.ap) + n_bits
+        return (), {a: a for a in alphabet.letters()}
+    vocab = tuple(sorted(alphabet.promises, key=promise_sort_key))
+    index = {p: i << len(alphabet.ap) for i, p in enumerate(vocab)}
+    return vocab, {(b, p): b | index[p] for b, p in alphabet.letters()}
 
 
 def _expr_for_bits(bits, n_ap):
@@ -412,14 +403,11 @@ def emit_hoa(A: Automaton, name=None) -> str:
         raise ValueError("cannot emit a schema (no initial state)")
     A = renumber(A, canonical_order(A))
     alphabet = A.alphabet
-    if alphabet.promises is None:
-        ap_list = list(alphabet.ap)
-        n_all = len(ap_list)
-    else:
-        vocab = sorted(alphabet.promises, key=lambda p: letter_sort_key((0, p))[1:])
-        n_bits = max(1, math.ceil(math.log2(max(len(vocab), 2))))
-        ap_list = list(alphabet.ap) + [f"_prm{i}" for i in range(n_bits)]
-        n_all = len(ap_list)
+    vocab, codes = _letter_codes(alphabet)
+    ap_list = list(alphabet.ap)
+    if alphabet.promises is not None:
+        ap_list += [f"_prm{i}" for i in range(_prm_width(len(vocab)))]
+    n_all = len(ap_list)
     lines = ["HOA: v1"]
     if name:
         lines.append(f'name: "{name}"')
@@ -433,16 +421,15 @@ def emit_hoa(A: Automaton, name=None) -> str:
         lines.append("acc-name: co-Buchi")
         lines.append("Acceptance: 1 Fin(0)")
     if alphabet.promises is not None:
-        lines.append(f"promise-vocab: {_vocab_to_json(tuple(vocab))}")
+        lines.append(f"promise-vocab: {_vocab_to_json(vocab)}")
     if alphabet.subset is not None:
-        subset = sorted(_letter_bits(alphabet, a)[0] for a in alphabet.subset)
+        subset = sorted(codes.values())
         lines.append(f"letter-subset: {json.dumps(subset)}")
     lines.append("--BODY--")
     for q in range(A.n_states):
         lines.append(f"State: {q}")
         edges = []
-        for a in sorted(alphabet.letters(), key=letter_sort_key):
-            bits, _ = _letter_bits(alphabet, a)
+        for a, bits in codes.items():
             for t in A.successors(q, a):
                 marked = (q, a, t) in A.gamma
                 edges.append((bits, t, marked))

@@ -41,7 +41,8 @@ import itertools
 
 import numpy as np
 
-from .automata import Automaton, LassoWord, is_strongly_limit_deterministic
+from .automata import Automaton, LassoWord, check_time, \
+    is_strongly_limit_deterministic
 
 
 def bounded_lassos(letters, bound):
@@ -190,6 +191,7 @@ def _sig_generic(A: Automaton, bound: int) -> np.ndarray:
         rcat = np.concatenate(rows[:bound - cl + 1])
         blocks = np.empty((len(W), len(rcat)), dtype=bool)
         for lo in range(0, len(W), chunk):
+            check_time("lasso signatures")
             Wc = W[lo:lo + chunk]
             rel = E[Wc[:, 0]]
             acc = F[Wc[:, 0]]
@@ -264,12 +266,9 @@ def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:
                 next1[ai, ids1[q]] = ids1[t]
     # Prefix walks: the unique part-one state plus the set of part-two
     # states reached by runs that already jumped.
-    if A.initial in ids1:
-        p1 = [np.array([ids1[A.initial]], dtype=np.int64)]
-        d0 = np.zeros((1, m2 + 1), dtype=np.float32)
-    else:
-        p1 = [np.array([sink1], dtype=np.int64)]
-        d0 = np.zeros((1, m2 + 1), dtype=np.float32)
+    p1 = [np.array([ids1.get(A.initial, sink1)], dtype=np.int64)]
+    d0 = np.zeros((1, m2 + 1), dtype=np.float32)
+    if A.initial in ids2:
         d0[0, ids2[A.initial]] = 1.0
     dsets = [d0]
     rel2_t = rel2.transpose(1, 0, 2).reshape(m2 + 1, L * (m2 + 1))
@@ -290,6 +289,7 @@ def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:
         good_rep = np.empty((cl, len(reps), m2 + 1), dtype=bool)
         hit_rep = np.empty((cl, len(reps), m1 + 1), dtype=bool)
         for lo in range(0, len(reps), chunk):
+            check_time("lasso signatures")
             Wc = reps[lo:lo + chunk]
             # accepting-loop test for the deterministic part, per phase
             good2 = _loop_or(next2[Wc.T], acc2[Wc.T])
@@ -352,6 +352,7 @@ def dsa_signature(D, bound: int) -> np.ndarray:
         states.append(nxt[:, states[-1]].T.reshape(-1))
     out = []
     for cl in range(1, bound + 1):
+        check_time("lasso signatures")
         reps, rep_idx, rot = _rotation_classes(L, cl)
         scat = np.concatenate(states[:bound - cl + 1])
         loop = _loop_or(nxt[reps.T], flags[reps.T])

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .automata import Alphabet, Automaton, CapacityError, Explorer, \
+from .automata import Alphabet, Automaton, Explorer, check_time, \
     label_from_names, label_to_names
 
 
@@ -192,7 +192,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
         raise ValueError("the MDP must be labeled")
     if M.alphabet is not None and C.alphabet.ap != M.alphabet.ap:
         raise ValueError("alphabet mismatch between MDP and automaton")
-    found = Explorer((M.initial, C.initial))
+    found = Explorer((M.initial, C.initial), what="product construction")
     intern = found.intern
     actions, trans, rewards = {}, {}, {}
     acc = set()
@@ -222,7 +222,7 @@ def product_with_reward_machine(M: Mdp, R: RewardMachine) -> Mdp:
     """Rewardful MDP whose reward is emitted by the machine reading labels."""
     if M.labels is None:
         raise ValueError("the MDP must be labeled")
-    found = Explorer((M.initial, R.initial))
+    found = Explorer((M.initial, R.initial), what="reward product")
     actions, trans, rewards = {}, {}, {}
     for src, (s, u) in found:
         u2, r = R.step(u, M.labels[s])
@@ -358,6 +358,7 @@ def _mecs(A: MdpArrays, within):
     src, dst = A.state[A.entry_row], A.P.indices
     inner = within[A.state]
     while True:
+        check_time("end component decomposition")
         live = inner[A.entry_row]
         graph = sparse.csr_matrix(
             (np.ones(np.count_nonzero(live)), (src[live], dst[live])),
@@ -435,6 +436,13 @@ def _prob1_region(M: Mdp, target):
     return set(np.flatnonzero(region).tolist())
 
 
+def buchi_value(P: ProductMdp):
+    """Maximal probability of visiting accepting actions of the product
+    ``P`` infinitely often."""
+    values, _ = max_reach_prob(P, accepting_mecs(P))
+    return values[P.initial]
+
+
 def max_reach_prob(M: Mdp, target):
     """Value vector and positional strategy maximizing P(reach target)."""
     A = M.arrays
@@ -444,6 +452,7 @@ def max_reach_prob(M: Mdp, target):
     free = can_reach & ~sure & ~tgt
     v = sure.astype(float)
     while True:
+        check_time("reachability value iteration")
         new = np.where(free, A.state_max(A.P @ v), v)
         residual = np.max(np.abs(new - v), initial=0.0)
         v = new
@@ -556,6 +565,7 @@ def _policy_iteration(A: MdpArrays, lam):
     eye = sparse.identity(A.n_states, format="csr")
     pick = A.first_best(A.R)
     while True:
+        check_time("policy iteration")
         v = spsolve((eye - lam * A.P[pick]).tocsc(), A.R[pick])
         q = A.R + lam * (A.P @ v)
         best = A.state_max(q)
@@ -614,8 +624,8 @@ def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
     """Satisfaction probability and discounted value of the induced chain.
 
     Explores the Markov chain that ``strategy`` induces from the initial
-    state, at most ``max_chain`` nodes (ValueError beyond).  Satisfaction is
-    the probability of absorption into a bottom SCC with an accepting
+    state, at most ``max_chain`` nodes (CapacityError beyond).  Satisfaction
+    is the probability of absorption into a bottom SCC with an accepting
     transition, and the value solves (I - lam P) v = r; both are sparse
     direct solves on the chain.
     """
@@ -624,21 +634,19 @@ def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
 
     src, dst, prob = [], [], []
     reward, accepting = [], []
-    try:
-        found = Explorer(strategy.start(P.initial), budget=max_chain)
-        for i, node in found:
-            s = node[0]
-            a = strategy.action(node)
-            r = 0.0
-            for t, p in P.trans[(s, a)]:
-                src.append(i)
-                dst.append(found.intern(strategy.step(node, t)))
-                prob.append(p)
-                r += p * P.reward(s, a, t)
-            reward.append(r)
-            accepting.append((s, a) in P.acc)
-    except CapacityError:
-        raise ValueError("induced chain exceeds the state budget") from None
+    found = Explorer(strategy.start(P.initial), budget=max_chain,
+                     what="value check")
+    for i, node in found:
+        s = node[0]
+        a = strategy.action(node)
+        r = 0.0
+        for t, p in P.trans[(s, a)]:
+            src.append(i)
+            dst.append(found.intern(strategy.step(node, t)))
+            prob.append(p)
+            r += p * P.reward(s, a, t)
+        reward.append(r)
+        accepting.append((s, a) in P.acc)
     n = len(found)
     G = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
     G.eliminate_zeros()
@@ -752,7 +760,9 @@ def mdp_from_json(text: str) -> Mdp:
     return model_from_doc(json.loads(text), lambda entry: entry["name"])
 
 
-def strategy_to_json(strategy: Strategy) -> str:
+def strategy_to_doc(strategy: Strategy) -> dict:
+    """The JSON document of a strategy: its ``kind`` and its choices in
+    state order, or the two strategies and the switching step."""
     doc = {"kind": strategy.kind}
     if strategy.kind == "positional":
         doc["choices"] = [{"state": s, "action": a}
@@ -762,6 +772,10 @@ def strategy_to_json(strategy: Strategy) -> str:
                           for (s, m), a in sorted(strategy.choices.items())]
     else:
         doc["switch_step"] = strategy.switch_step
-        doc["first"] = json.loads(strategy_to_json(strategy.first))
-        doc["second"] = json.loads(strategy_to_json(strategy.second))
-    return json.dumps(doc, indent=2)
+        doc["first"] = strategy_to_doc(strategy.first)
+        doc["second"] = strategy_to_doc(strategy.second)
+    return doc
+
+
+def strategy_to_json(strategy: Strategy) -> str:
+    return json.dumps(strategy_to_doc(strategy), indent=2)

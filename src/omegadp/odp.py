@@ -32,6 +32,7 @@ from .collect import build_collection
 from .complement import complement_uca
 from .mdp import Mdp, lexicographic_solve, model_from_doc, model_to_doc, \
     product_with_nba
+from .reduction import reduce_nba
 
 
 class Odp(Mdp):
@@ -100,7 +101,8 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
     final = B.final_states
     t0 = _tracker_step(B, tuple(frozenset((p,)) for p in range(B.n_states)),
                        D.labels[D.initial])
-    found = Explorer((D.initial, t0), budget=max_trackers)
+    found = Explorer((D.initial, t0), budget=max_trackers,
+                     what="guard compilation")
     actions, trans, rewards, labels = {}, {}, {}, []
     for src, (s, tracker) in found:
         labels.append(D.labels[s])
@@ -127,34 +129,31 @@ def _trivial_lookahead(ap) -> Automaton:
     return Automaton("UCA", base, 1, None, delta, ())
 
 
-# checking NBAs already built, keyed by the schema's content, the letter set
-# and the reduction flag; the lab's takes a while to build and is the same
-# for every map and parameter setting that emits the same letters
+# checking NBAs already built, keyed by the schema's content and the letter
+# set; the lab's takes a while to build and is the same for every map and
+# parameter setting that emits the same letters
 _CHECKING_NBAS = {}
 _CHECKING_NBAS_MAX = 8
 
 
-def _checking_nba(schema, letters, reduce):
-    """Complement of the schema's collection automaton over ``letters``,
-    built once per content and shared: callers must not mutate it."""
+def _checking_nba(schema, letters):
+    """Reduced complement of the schema's collection automaton over
+    ``letters``, built once per content and shared: callers must not mutate
+    it."""
     key = (schema.kind, schema.alphabet, schema.n_states, schema.initial,
            frozenset(schema.delta.items()), schema.gamma,
-           schema.final_states, letters, reduce)
+           schema.final_states, letters)
     N = _CHECKING_NBAS.get(key)
     if N is None:
         C = build_collection(schema, "at-most-one", letters=letters)
-        N = complement_uca(C)
-        if reduce:
-            from .reduction import reduce_nba
-            N = reduce_nba(N)
+        N = reduce_nba(complement_uca(C))
         if len(_CHECKING_NBAS) >= _CHECKING_NBAS_MAX:
             del _CHECKING_NBAS[next(iter(_CHECKING_NBAS))]
         _CHECKING_NBAS[key] = N
     return N
 
 
-def remove_lookahead(D: Odp, reduce: bool = True,
-                     nba: Automaton | None = None):
+def remove_lookahead(D: Odp, nba: Automaton | None = None):
     """Turn promises into letters; returns (MDP, checking NBA).
 
     The process must have trivial lookback.  Each step emits the state label
@@ -165,19 +164,19 @@ def remove_lookahead(D: Odp, reduce: bool = True,
     state covers exactly the suffix the promise speaks about.  The collection
     automaton of the lookahead schema accepts exactly the traces whose every
     promise holds, and its complement (a good-for-MDPs NBA for the same
-    language, with entry rankings pinned at the collecting state) is
-    returned for the downstream product.  Both are built over the letters
-    the process emits and no others: the product never reads another
-    letter, and every letter left out shrinks the complement.
+    language, with entry rankings pinned at the collecting state, then
+    reduced) is returned for the downstream product.  Both are built over
+    the letters the process emits and no others: the product never reads
+    another letter, and every letter left out shrinks the complement.
 
     A previously computed checking NBA can be passed as ``nba`` to skip the
     complementation; its alphabet must contain every letter the process
     emits (ValueError otherwise).  Without one, the NBA built by an earlier
-    call with an equal schema, letter set and ``reduce`` is reused.
+    call with an equal schema and letter set is reused.
     """
     if D.lookback is not None:
         raise ValueError("remove the lookbacks first")
-    found = Explorer((D.initial, TOP))
+    found = Explorer((D.initial, TOP), what="promise compilation")
     actions, trans, rewards, labels = {}, {}, {}, []
     for src, (s, pending) in found:
         labels.append((D.labels[s], pending))
@@ -190,7 +189,7 @@ def remove_lookahead(D: Odp, reduce: bool = True,
     if nba is None:
         schema = D.lookahead if D.lookahead is not None \
             else _trivial_lookahead(D.alphabet.ap)
-        N = _checking_nba(schema, letters, reduce)
+        N = _checking_nba(schema, letters)
     else:
         N = nba
         missing = letters.difference(N.alphabet.letters())

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .automata import check_time
 from .mdp import STUCK, ProductMdp, Strategy, switch_horizon
 
 _ARROW = {"N": "^", "S": "v", "E": ">", "W": "<"}
@@ -189,6 +190,7 @@ def lex_q_learn(P: ProductMdp, episodes, steps=1000, lam=0.99, zeta=0.99,
 
     try:
         for ep in range(episodes):
+            check_time("Q-learning")
             frac = ep / (episodes - 1) if episodes > 1 else 1.0
             eps_explore = explore[0] + (explore[1] - explore[0]) * frac
             sat_phase = ep % 2 == 0

@@ -19,12 +19,13 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Automaton, Edges, is_strongly_limit_deterministic
-from .complement import ComplementOptions, TimeoutError_, complement_uca
+from .automata import Automaton, Edges, check_time, \
+    is_strongly_limit_deterministic, time_limit
+from .complement import ComplementOptions, complement_uca
 
 
 @dataclass
@@ -62,11 +63,6 @@ def canonical_empty(alphabet) -> Automaton:
     """The one-state automaton with no transitions (empty language)."""
     return Automaton("NBA", alphabet, 1, 0, {}, (),
                      tags={"parts": (set(), {0})})
-
-
-def _check(deadline, what):
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError_(f"{what} exceeded its deadline")
 
 
 def _final_mask(A: Automaton):
@@ -140,6 +136,7 @@ def prune_empty(A: Automaton) -> Automaton:
     A run crosses such an edge at most once, so clearing its mark changes
     no run's acceptance; it only lets the lumping stages merge more.
     """
+    check_time("pruning")
     E = A.edges
     comp = _components(A.n_states, E.src, E.dst)
     live = _nonempty(E, comp)
@@ -165,7 +162,7 @@ def _row_ids(M):
     return ids, int(new.sum())
 
 
-def _bisimulation(n, E: Edges, active, deadline, what):
+def _bisimulation(n, E: Edges, active, what):
     """Coarsest strong bisimulation that refines ``active`` states only;
     every other state is a block of its own.  Returns block ids."""
     L = max(len(E.letters), 1)
@@ -178,7 +175,7 @@ def _bisimulation(n, E: Edges, active, deadline, what):
     det = not np.any((src[1:] == src[:-1]) & (let[1:] == let[:-1]))
     n_blocks = 1 if len(act) else 0
     while True:
-        _check(deadline, what)
+        check_time(what)
         move = (block[dst] * 2 + acc) * L + let
         s = src
         if not det:
@@ -222,10 +219,10 @@ def _quotient(A: Automaton, block, final) -> Automaton:
                     final[keep])
 
 
-def lump_final(A: Automaton, deadline=None) -> Automaton:
+def lump_final(A: Automaton) -> Automaton:
     """Quotient the deterministic second phase by strong bisimulation."""
     final = _final_mask(A)
-    block = _bisimulation(A.n_states, A.edges, final, deadline, "lumping")
+    block = _bisimulation(A.n_states, A.edges, final, "lumping")
     return _quotient(A, block, final)
 
 
@@ -315,7 +312,7 @@ def _phase2_fingerprints(T, nonempty, states):
     return np.stack(columns, axis=1).astype(np.int64)
 
 
-def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
+def merge_lang_final(A: Automaton) -> Automaton:
     """Redirect every jump into the second phase to one representative per
     language; representatives are the lowest state ids.
 
@@ -341,7 +338,7 @@ def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
     order = np.lexsort((states, fingerprint))
     group, member = fingerprint[order], states[order]
     while len(member):
-        _check(deadline, "language merging")
+        check_time("language merging")
         lowest = np.ones(len(member), dtype=bool)
         lowest[1:] = group[1:] != group[:-1]
         rep = member[lowest][np.cumsum(lowest) - 1]
@@ -368,7 +365,7 @@ def _reachable_part(A: Automaton, initial, E: Edges, final) -> Automaton:
                      _reached(A.n_states, E.src, E.dst, [initial]), final)
 
 
-def drop_dominated_jumps(A: Automaton, deadline=None) -> Automaton:
+def drop_dominated_jumps(A: Automaton) -> Automaton:
     """Delete each jump into the second phase whose target's language is
     included in the target language of a sibling, a jump that leaves the
     same state on the same letter; of siblings with equal languages the
@@ -379,7 +376,7 @@ def drop_dominated_jumps(A: Automaton, deadline=None) -> Automaton:
     deterministic second phase accepts every suffix the deleted target
     accepts.  All sibling pairs share one inclusion check.
     """
-    _check(deadline, "jump dominance")
+    check_time("jump dominance")
     final = _final_mask(A)
     E = A.edges
     n = A.n_states
@@ -414,58 +411,56 @@ def drop_dominated_jumps(A: Automaton, deadline=None) -> Automaton:
     return _reachable_part(A, A.initial, edges, final)
 
 
-def lump_all(A: Automaton, deadline=None) -> Automaton:
+def lump_all(A: Automaton) -> Automaton:
     """Strong bisimulation quotient over the whole automaton."""
     final = _final_mask(A)
     block = _bisimulation(A.n_states, A.edges,
-                          np.ones(A.n_states, dtype=bool), deadline, "lumping")
+                          np.ones(A.n_states, dtype=bool), "lumping")
     return _quotient(A, block, final)
 
 
-def reduction_stages(A: Automaton, deadline=None):
+def reduction_stages(A: Automaton):
     """Prune, lump final, merge languages (and drop dominated jumps) and
     lump all, in turn; yields the name of each stage's ``PipelineStats``
     field and its result."""
     A = prune_empty(A)
     yield "prune", A
-    A = lump_final(A, deadline)
+    A = lump_final(A)
     yield "lumpd", A
-    A = drop_dominated_jumps(merge_lang_final(A, deadline), deadline)
+    A = drop_dominated_jumps(merge_lang_final(A))
     yield "lang", A
-    yield "lumpa", lump_all(A, deadline)
+    yield "lumpa", lump_all(A)
 
 
-def reduce_nba(A: Automaton, deadline=None) -> Automaton:
+def reduce_nba(A: Automaton) -> Automaton:
     """The result of all four reduction stages."""
-    for _, A in reduction_stages(A, deadline):
+    for _, A in reduction_stages(A):
         pass
     return A
 
 
-def run_pipeline(A: Automaton, budget: float = 600.0,
-                 options: ComplementOptions | None = None):
+def run_pipeline(A: Automaton, budget: float = 600.0):
     """complement -> prune -> lump final -> merge languages and drop
-    dominated jumps -> lump all.
+    dominated jumps -> lump all, within ``budget`` seconds.
 
     ``A`` is read as a UCA (an NBA is reinterpreted structurally).  On budget
-    exhaustion the stats cover the completed stages and carry a timeout flag.
+    exhaustion the stats cover the completed stages and carry a timeout flag,
+    and the result is the last stage's output (None before the complement).
     """
     t0 = time.monotonic()
-    deadline = t0 + budget
     if A.kind == "NBA":
         A = A.reinterpret("UCA")
     stats = PipelineStats(orig=A.n_states)
     result = None
     try:
-        # the generic rank construction; shape special-casing is a collection
-        # automaton optimization and would skew the stage counts here
-        opts = replace(options or ComplementOptions(special="off"),
-                       deadline=deadline)
-        result = complement_uca(A, opts)
-        stats.compl = result.tags["stats"]["states"]
-        for field, result in reduction_stages(result, deadline):
-            setattr(stats, field, result.n_states)
-    except TimeoutError_:
+        with time_limit(budget):
+            # the generic rank construction: shape special-casing, an
+            # optimization for collection automata, would skew the counts
+            result = complement_uca(A, ComplementOptions(special="off"))
+            stats.compl = result.tags["stats"]["states"]
+            for field, result in reduction_stages(result):
+                setattr(stats, field, result.n_states)
+    except TimeoutError:
         stats.timed_out = True
     stats.time = time.monotonic() - t0
     return result, stats

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Automaton, letter_sort_key
-from .complement import CapacityError
+from .automata import Automaton, CapacityError, check_time
 
 
 def _validate_tree(tree):
@@ -161,7 +160,7 @@ def determinize_uca(A: Automaton, max_states: int = 200_000,
         raise ValueError("determinization expects a UCA")
     if A.is_schema:
         raise ValueError("instantiate the schema first")
-    letters = sorted(A.alphabet.letters(), key=letter_sort_key)
+    letters = A.alphabet.letters()
     ids = {}
     trees = []
     annotations = {}
@@ -178,6 +177,7 @@ def determinize_uca(A: Automaton, max_states: int = 200_000,
     delta = {}
     i = 0
     while i < len(trees):
+        check_time("determinization")
         tree = trees[i]
         src = ids[tree]
         i += 1
@@ -295,22 +295,9 @@ def gfm_value_test(C: Automaton, A: Automaton, M, tol=1e-7):
     for every MDP; a gap (product value below the semantic one) witnesses
     that C is not good for MDPs or has the wrong language.
     """
-    from .mdp import accepting_mecs, max_reach_prob, product_with_nba
-    P = product_with_nba(M, C)
-    v, _ = max_reach_prob(P, accepting_mecs(P))
-    product_value = v[P.initial]
+    from .mdp import buchi_value, product_with_nba
+    product_value = buchi_value(product_with_nba(M, C))
     semantic_value, _ = streett_mdp_max_prob(M, determinize_uca(A))
     return abs(product_value - semantic_value) <= tol, \
         (product_value, semantic_value)
 
-
-def format_tree(tree) -> str:
-    """Indented text rendering of a history tree, for debugging."""
-    if not tree:
-        return "(empty)"
-    lines = []
-    for name, label in tree:
-        indent = "  " * len(name)
-        tag = ".".join(map(str, name)) if name else "root"
-        lines.append(f"{indent}{tag}: {{{', '.join(map(str, sorted(label)))}}}")
-    return "\n".join(lines)

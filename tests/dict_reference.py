@@ -9,14 +9,13 @@ import time
 from omegadp.automata import (
     Automaton,
     _strongly_connected_components,
+    check_time,
     letter_sort_key,
     nonempty_states,
 )
 from omegadp.complement import (
     CapacityError,
     ComplementOptions,
-    TimeoutError_,
-    _check_deadline,
     _Indexed,
     _resolve_pin,
 )
@@ -176,7 +175,7 @@ def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     while wi < len(worklist):
         sid = worklist[wi]
         wi += 1
-        _check_deadline(opts)
+        check_time("complement construction")
         kind = kinds[sid]
         payload = payloads[sid]
         if kind == 0:
@@ -345,14 +344,13 @@ def _quotient(A: Automaton, block_of, parts) -> Automaton:
                      delta, gamma, tags=tags, check=False)
 
 
-def lump_final(A: Automaton, deadline=None) -> Automaton:
+def lump_final(A: Automaton) -> Automaton:
     """Quotient the deterministic second phase by strong bisimulation."""
     q1, q2 = _parts_of(A)
     letters = sorted(A.alphabet.letters(), key=letter_sort_key)
     block_of = {q: (0 if q in q2 else None) for q in range(A.n_states)}
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError_("lumping exceeded its deadline")
+        check_time("lumping")
         sigs = {}
         for q in q2:
             sig = []
@@ -462,7 +460,7 @@ def _phase2_fingerprints(A: Automaton, q2, letters):
     return {q: tuple(v) for q, v in fp.items()}
 
 
-def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
+def merge_lang_final(A: Automaton) -> Automaton:
     """Redirect every jump into the second phase to one representative per
     language; representatives are the lowest state ids.
 
@@ -496,8 +494,7 @@ def merge_lang_final(A: Automaton, deadline=None) -> Automaton:
     for group in buckets.values():
         group.sort()
         for i, qa in enumerate(group):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError_("language merging exceeded its deadline")
+            check_time("language merging")
             if find(qa) != qa:
                 continue
             for qb in group[:i]:
@@ -529,7 +526,7 @@ def prune_unreachable(A: Automaton) -> Automaton:
     return _restrict(A, reachable_states(A))
 
 
-def drop_dominated_jumps(A: Automaton, deadline=None) -> Automaton:
+def drop_dominated_jumps(A: Automaton) -> Automaton:
     """Delete each jump into the second phase to ``t`` when a sibling jump
     (same source, same letter) goes to ``u`` with L(t) <= L(u), and
     L(u) > L(t) or ``u < t``; then prune the unreachable states."""
@@ -553,15 +550,14 @@ def drop_dominated_jumps(A: Automaton, deadline=None) -> Automaton:
     return prune_unreachable(B)
 
 
-def lump_all(A: Automaton, deadline=None) -> Automaton:
+def lump_all(A: Automaton) -> Automaton:
     """Strong bisimulation quotient over the whole automaton."""
     q1, q2 = _parts_of(A)
     letters = sorted(A.alphabet.letters(), key=letter_sort_key)
     block_of = [0] * A.n_states
     n_blocks = 1
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError_("lumping exceeded its deadline")
+        check_time("lumping")
         keys = {}
         new_block = [0] * A.n_states
         for q in range(A.n_states):

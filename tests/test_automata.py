@@ -9,14 +9,17 @@ from omegadp.automata import (
     Automaton,
     LassoWord,
     canonical_order,
+    check_time,
     instantiate,
     intersect_nba,
     is_empty,
     is_strongly_limit_deterministic,
     lasso_member_nba,
     lasso_member_uca,
+    letter_sort_key,
     nonempty_states,
     renumber,
+    time_limit,
 )
 from omegadp.complement import complement_uca
 from omegadp.hoa import parse_hoa
@@ -185,6 +188,38 @@ def test_renumber_preserves_language(rng):
         B = renumber(A, canonical_order(A))
         for w in lassos:
             assert lasso_member_nba(A, w) == lasso_member_nba(B, w)
+
+
+def test_letters_come_in_canonical_order():
+    plain = Alphabet(("a", "b"))
+    promised = Alphabet(("a",), (frozenset({1, 0}), 2, TOP, 0, frozenset()))
+    subset = Alphabet(("a",), (TOP, 1, 0), ((1, 0), (0, 1), (1, TOP), (0, 0)))
+    assert plain.letters() == [0, 1, 2, 3]
+    assert promised.letters() == [
+        (b, p) for b in (0, 1)
+        for p in (TOP, 0, 2, frozenset(), frozenset({0, 1}))]
+    assert subset.letters() == [(0, 0), (0, 1), (1, TOP), (1, 0)]
+    for ab in (plain, promised, subset):
+        assert ab.letters() == sorted(ab.letters(), key=letter_sort_key)
+
+
+def test_time_limit_keeps_the_earliest_deadline_and_restores_it():
+    check_time("no limit")
+    with time_limit(None):
+        check_time("still no limit")
+    with time_limit(-1):
+        # a later or absent inner limit keeps the expired outer deadline
+        for inner in (3600, None):
+            with time_limit(inner), pytest.raises(TimeoutError):
+                check_time("inner loop")
+    with time_limit(3600):
+        with pytest.raises(TimeoutError,
+                           match="^inner loop exceeded its deadline$"):
+            with time_limit(-1):
+                check_time("inner loop")
+        # the exception left the inner block; the outer deadline is back
+        check_time("outer loop")
+    check_time("no limit again")
 
 
 def test_promise_alphabet_letters():

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import dict_reference as ref
+from omegadp import automata
 from omegadp import complement as complement_module
 from omegadp import reduction
-from omegadp.automata import Alphabet, Automaton
+from omegadp.automata import Alphabet, Automaton, time_limit
 from omegadp.complement import CapacityError, ComplementOptions, complement_uca
 from omegadp.hoa import parse_hoa
 from conftest import random_uca
@@ -118,8 +119,9 @@ def test_deadline_is_checked_in_every_batch(monkeypatch):
         calls.append(1)
         return 0.0
 
-    monkeypatch.setattr(complement_module.time, "monotonic", clock)
-    C = complement_uca(U, ComplementOptions(special="off", deadline=1.0))
+    monkeypatch.setattr(automata.time, "monotonic", clock)
+    with time_limit(1.0):
+        C = complement_uca(U, ComplementOptions(special="off"))
     subsets = len(C.tags["parts"][0])
     # far more batches of ranking states than subset states
     assert C.n_states - subsets > 40 * subsets

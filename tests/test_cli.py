@@ -258,3 +258,23 @@ def test_learn_rejects_unknown_config_key(tmp_path, capsys):
     assert main(["learn", "--config", str(config), "--no-render"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "bogus" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{lab}", "--lam", "0.99"],
+    ["learn", "--no-render"],
+    ["check", "{f05}", "--gfm"],
+    ["check", "{f05}", "--against", "{f05}"],
+    ["determinize", "{f05}", "--as-uca"],
+    ["complement", "{f05}", "--as-uca"],
+], ids=["solve", "learn", "check-gfm", "check-against", "determinize",
+        "complement"])
+def test_every_subcommand_stops_at_its_timeout(argv, tmp_path, capsys):
+    lab = tmp_path / "lab.json"
+    if "{lab}" in argv:
+        lab.write_text(odp_to_json(build_biolab()))
+    argv = [a.format(lab=lab, f05=FIXTURES / "reduce_05.hoa") for a in argv]
+    assert main(argv + ["--timeout", "0.01"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TimeoutError"
+    assert err["message"].endswith("exceeded its deadline")

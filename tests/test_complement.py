@@ -1,5 +1,3 @@
-import time
-
 import pytest
 
 from omegadp.automata import (
@@ -10,17 +8,18 @@ from omegadp.automata import (
     is_strongly_limit_deterministic,
     lasso_member_nba,
     lasso_member_uca,
+    time_limit,
 )
 from omegadp.collect import build_collection
 from omegadp.complement import (
     CapacityError,
     ComplementOptions,
-    TimeoutError_,
     complement_special,
     complement_uca,
     detect_shape,
 )
 from conftest import all_lassos, random_uca
+from test_acceptance import shape_fixtures
 
 
 def assert_same_language(U, C, lassos):
@@ -194,9 +193,18 @@ def random_uca_for_budget():
 
 def test_deadline_abort():
     U = random_uca_for_budget()
-    opts = ComplementOptions(special="off", deadline=time.monotonic() - 1.0)
-    with pytest.raises(TimeoutError_):
-        complement_uca(U, opts)
+    with time_limit(-1), pytest.raises(TimeoutError,
+                                       match="complement construction"):
+        complement_uca(U, ComplementOptions(special="off"))
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_special_constructions_honour_the_deadline(index):
+    U = shape_fixtures()[index]
+    assert complement_uca(U).tags["construction"].startswith("special-")
+    with time_limit(-1), pytest.raises(TimeoutError,
+                                       match="complement construction"):
+        complement_uca(U)
 
 
 def test_stats_reported():

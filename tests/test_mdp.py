@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omegadp.automata import Alphabet, Automaton
+from omegadp.automata import Alphabet, Automaton, CapacityError
 from omegadp.cli import uniform_chain
 from omegadp.complement import ComplementOptions, complement_uca
 from omegadp.mdp import (
@@ -545,7 +545,7 @@ def test_value_check_budget():
     sat, _ = strategy_value_check(P, staying_then_cycling(10), 0.9,
                                   max_chain=12)
     assert sat == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(CapacityError, match="budget"):
         strategy_value_check(P, staying_then_cycling(10), 0.9, max_chain=11)
 
 

@@ -227,11 +227,9 @@ def test_checking_nba_is_shared_by_content():
                for (s, act), dist in D.trans.items()}
     _, N_same = remove_lookahead(D)
     assert N_same is N1
-    # a process that emits another letter set, or another reduction flag,
-    # gets its own automaton
+    # a process that emits another letter set gets its own automaton
     _, N_other = remove_lookahead(example2_with_free_a())
-    _, N_raw = remove_lookahead(example2_odp(), reduce=False)
-    assert N_other is not N1 and N_raw is not N1 and N_raw is not N_other
+    assert N_other is not N1
     # and so does a schema that differs in one transition
     D = example2_odp()
     S = D.lookahead

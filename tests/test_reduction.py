@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from omegadp import automata
 from omegadp.automata import (
     Alphabet,
     Automaton,
     LassoWord,
+    check_time,
     lasso_member_nba,
     lasso_member_uca,
 )
@@ -207,20 +209,37 @@ def test_timeout_reports_partial_stats():
     assert stats.row("x")[-1] == "timeout"
 
 
-def test_timeout_inside_lump_final_keeps_the_pruned_automaton(monkeypatch):
+def clock_expired_inside(name):
+    """A clock that reads 0 except inside the function ``name`` and
+    anything it calls, where every deadline has passed."""
     def clock():
-        # the deadline has passed for lump_final and anything it calls
         frame = sys._getframe(1)
         while frame is not None:
-            if frame.f_code.co_name == "lump_final":
+            if frame.f_code.co_name == name:
                 return 1e9
             frame = frame.f_back
         return 0.0
+    return clock
 
+
+def test_timeout_inside_prune_empty_keeps_the_complement(monkeypatch):
+    U = random_uca(random.Random(3), 3)
+    C = complement_uca(U, ComplementOptions(special="off"))
+    monkeypatch.setattr(automata.time, "monotonic",
+                        clock_expired_inside("prune_empty"))
+    R, stats = run_pipeline(U, budget=10.0)
+    assert stats.timed_out
+    assert stats.compl == C.n_states and stats.prune is None
+    # the complement, with its construction stats, is what came out
+    assert R.n_states == C.n_states and "stats" in R.tags
+
+
+def test_timeout_inside_lump_final_keeps_the_pruned_automaton(monkeypatch):
     U = random_uca(random.Random(3), 3)
     pruned = prune_empty(complement_uca(U, ComplementOptions(special="off")))
     assert pruned.n_states > 2
-    monkeypatch.setattr(reduction.time, "monotonic", clock)
+    monkeypatch.setattr(automata.time, "monotonic",
+                        clock_expired_inside("lump_final"))
     R, stats = run_pipeline(U, budget=10.0)
     assert stats.timed_out
     assert (stats.compl, stats.prune) == (
@@ -301,15 +320,13 @@ def test_batch_reduce_csv_goes_on_past_a_broken_file(tmp_path, rng):
         assert parse_hoa((out_dir / f"{name}.hoa").read_text()).kind == "NBA"
 
 
-def test_run_pipeline_leaves_the_callers_options_alone():
-    rng = random.Random(5)
-    A = random_uca(rng, 2)
-    opts = ComplementOptions(special="off")
-    run_pipeline(A, budget=0.5, options=opts)
-    # the pipeline's deadline stays in the pipeline: a later complement
-    # with the same options has none
-    assert opts == ComplementOptions(special="off")
-    complement_uca(A, opts)
+def test_run_pipeline_budget_ends_with_the_pipeline():
+    A = random_uca(random.Random(5), 2)
+    _, stats = run_pipeline(A, budget=-1.0)
+    assert stats.timed_out
+    # the pipeline's deadline stays in the pipeline: later work has none
+    check_time("later work")
+    complement_uca(A, ComplementOptions(special="off"))
 
 
 def test_batch_reduce_loads_the_graph_routines_before_any_file(tmp_path,
