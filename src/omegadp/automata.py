@@ -544,65 +544,120 @@ def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
     return not lasso_member_nba(A.reinterpret("NBA"), w)
 
 
+def _reaching(src, dst, n_states, seed):
+    """Mask of the states with a path, possibly empty, to a state of the
+    mask ``seed`` along the edges ``src[k] -> dst[k]``."""
+    order = np.argsort(dst, kind="stable")
+    preds = src[order].tolist()
+    starts = np.searchsorted(dst[order], np.arange(n_states + 1)).tolist()
+    found = seed.tolist()
+    work = np.flatnonzero(seed).tolist()
+    while work:
+        t = work.pop()
+        for p in preds[starts[t]:starts[t + 1]]:
+            if not found[p]:
+                found[p] = True
+                work.append(p)
+    return np.array(found, dtype=bool)
+
+
 def nonempty_states(A: Automaton) -> set:
-    """States of an NBA from which an accepting lasso exists."""
-    succ = {q: set() for q in range(A.n_states)}
-    pred = {q: set() for q in range(A.n_states)}
-    for (q, a), targets in A.delta.items():
-        for t in targets:
-            succ[q].add(t)
-            pred[t].add(q)
-    comp, _ = _strongly_connected_components(A.n_states, lambda q: succ[q])
-    live_comps = set()
-    for (q, a, t) in A.gamma:
-        if comp[q] == comp[t]:
-            live_comps.add(comp[q])
-    live = {q for q in range(A.n_states) if comp[q] in live_comps}
-    frontier = list(live)
-    while frontier:
-        q = frontier.pop()
-        for p in pred[q]:
-            if p not in live:
-                live.add(p)
-                frontier.append(p)
-    return live
+    """States of an NBA from which an accepting lasso exists: those that
+    reach a strongly connected component holding a marked edge."""
+    e, n = A.edges, A.n_states
+    pairs = np.sort(e.src * n + e.dst)
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    src, dst = pairs[first] // n, pairs[first] % n
+    starts = np.searchsorted(src, np.arange(n + 1)).tolist()
+    succ = dst.tolist()
+    comp, _ = _strongly_connected_components(
+        n, lambda q: succ[starts[q]:starts[q + 1]])
+    comp = np.array(comp, dtype=np.int64)
+    ms, md = comp[e.src[e.acc]], comp[e.dst[e.acc]]
+    live = np.isin(comp, ms[ms == md])
+    return set(np.flatnonzero(_reaching(src, dst, n, live)).tolist())
 
 
 def is_empty(A: Automaton) -> bool:
     return A.initial not in nonempty_states(A)
 
 
+# sources expanded together by intersect_nba
+_BATCH = 4096
+
+
+def _letter_groups(e: Edges, n_states):
+    """First edge and edge count of every (state, letter) group of ``e``,
+    indexed by ``state * len(letters) + letter``."""
+    counts = np.bincount(e.src * len(e.letters) + e.let,
+                         minlength=n_states * len(e.letters))
+    return np.cumsum(counts) - counts, counts
+
+
 def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
-    """Buchi intersection with a two-phase wait flag for the transition marks."""
+    """Buchi intersection with a two-phase wait flag for the transition marks.
+
+    States are the reachable triples (state of ``A``, state of ``B``, flag),
+    numbered in breadth-first first-seen order, as :class:`Explorer` would:
+    sources in id order, then letters, then the successors in ``A``, then
+    those in ``B``.  The unexpanded states are taken up to ``_BATCH`` at a
+    time, one breadth-first level when it is smaller; all their moves come
+    from one join of both automata's edges on the letter, and the new
+    triples get ids in order of first appearance.  The deadline is checked
+    once per batch.
+    """
     if A.alphabet != B.alphabet:
         raise ValueError("alphabet mismatch")
     if A.is_schema or B.is_schema:
         raise ValueError("cannot intersect schemas")
-    letters = A.alphabet.letters()
-    found = Explorer((A.initial, B.initial, 0), what="intersection")
-    delta = {}
-    gamma = set()
-    for src, (p, q, flag) in found:
-        for a in letters:
-            targets = []
-            for p2 in A.successors(p, a):
-                for q2 in B.successors(q, a):
-                    acc_a = (p, a, p2) in A.gamma
-                    acc_b = (q, a, q2) in B.gamma
-                    nflag = flag
-                    mark = False
-                    if nflag == 0 and acc_a:
-                        nflag = 1
-                    if nflag == 1 and acc_b:
-                        nflag = 0
-                        mark = True
-                    dst = found.intern((p2, q2, nflag))
-                    targets.append(dst)
-                    if mark:
-                        gamma.add((src, a, dst))
-            if targets:
-                delta[(src, a)] = tuple(sorted(set(targets)))
-    return Automaton("NBA", A.alphabet, len(found), 0, delta, gamma, check=False)
+    ea, eb = A.edges, B.edges
+    L, nb = len(ea.letters), B.n_states
+    a_first, a_count = _letter_groups(ea, A.n_states)
+    b_first, b_count = _letter_groups(eb, nb)
+    start = (A.initial * nb + B.initial) * 2  # key of (p, q, flag)
+    ids = {start: 0}
+    pending = np.array([start], dtype=np.int64)
+    parts = []
+    done = 0
+    while len(pending):
+        check_time("intersection")
+        batch, pending = pending[:_BATCH], pending[_BATCH:]
+        ga = ((batch // (2 * nb)) * L)[:, None] + np.arange(L)
+        gb = ((batch // 2 % nb) * L)[:, None] + np.arange(L)
+        ga, gb = ga.ravel(), gb.ravel()
+        fan_b = b_count[gb]
+        sizes = a_count[ga] * fan_b
+        # one pair of edges per move, grouped by (source, letter); inside a
+        # group, A's edge is the major and B's the minor index
+        group = np.repeat(np.arange(len(ga)), sizes)
+        pos = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes,
+                                                sizes)
+        ka = a_first[ga][group] + pos // fan_b[group]
+        kb = b_first[gb][group] + pos % fan_b[group]
+        # the flag rises on a mark of A and falls, marking the move, on a
+        # mark of B
+        risen = (batch[group // L] % 2 == 1) | ea.acc[ka]
+        mark = risen & eb.acc[kb]
+        keys = (ea.dst[ka] * nb + eb.dst[kb]) * 2 + (risen & ~eb.acc[kb])
+        uniq, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        seen = uniq[order]
+        before = len(ids)
+        got = np.array([ids.setdefault(k, len(ids)) for k in seen.tolist()],
+                       dtype=np.int64)
+        pending = np.concatenate([pending, seen[got >= before]])
+        uid = np.empty(len(uniq), dtype=np.int64)
+        uid[order] = got
+        parts.append((done + group // L, group % L, uid[inverse], mark))
+        done += len(batch)
+    src, let, dst, acc = (np.concatenate(c) for c in zip(*parts))
+    # each move is made once, so sorting is all the edges need
+    order = np.argsort((src * L + let) * len(ids) + dst)
+    return Automaton.from_edges(
+        "NBA", A.alphabet, len(ids), 0,
+        Edges(ea.letters, src[order], let[order], dst[order], acc[order]))
 
 
 def is_strongly_limit_deterministic(A: Automaton):
@@ -613,32 +668,21 @@ def is_strongly_limit_deterministic(A: Automaton):
     Returns ``(flag, (Q1, Q2))``; the partition is meaningful only when the
     flag is true.
     """
-    letters = set(A.alphabet.letters())
-    moves = [(q, targets) for (q, a), targets in A.delta.items()
-             if a in letters]
+    e, n = A.edges, A.n_states
     # Greatest set closed under successors where every state is
-    # deterministic: the states that cannot reach a nondeterministic one,
-    # found by a backward search from the nondeterministic states.
-    preds = [[] for _ in range(A.n_states)]
-    q1 = set()
-    for q, targets in moves:
-        if len(targets) > 1:
-            q1.add(q)
-        for t in targets:
-            preds[t].append(q)
-    work = list(q1)
-    while work:
-        for p in preds[work.pop()]:
-            if p not in q1:
-                q1.add(p)
-                work.append(p)
-    q2 = set(range(A.n_states)) - q1
-    for (q, a, t) in A.gamma:
-        if q not in q2 or t not in q2:
-            return False, (q1, q2)
-    for q, targets in moves:
-        if q in q1 and sum(t in q1 for t in targets) > 1:
-            return False, (q1, q2)
+    # deterministic: the states that cannot reach a nondeterministic one.
+    twin = (e.src[1:] == e.src[:-1]) & (e.let[1:] == e.let[:-1])
+    seed = np.zeros(n, dtype=bool)
+    seed[e.src[1:][twin]] = True
+    in1 = _reaching(e.src, e.dst, n, seed)
+    q1 = set(np.flatnonzero(in1).tolist())
+    q2 = set(range(n)) - q1
+    if (in1[e.src[e.acc]] | in1[e.dst[e.acc]]).any():
+        return False, (q1, q2)
+    inner = in1[e.src] & in1[e.dst]
+    src, let = e.src[inner], e.let[inner]
+    if ((src[1:] == src[:-1]) & (let[1:] == let[:-1])).any():
+        return False, (q1, q2)
     return True, (q1, q2)
 
 

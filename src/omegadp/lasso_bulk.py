@@ -11,9 +11,14 @@ per word; over the 30948 words at bound 6 on four letters that is far too
 slow for large corpora.  Here the work is shared and vectorized:
 
 * prefix reach sets live on a trie, one boolean mat-vec per node;
-* for nondeterministic automata, every cycle word of a given length is
-  handled at once with stacked boolean transition matrices, and the
-  accepting-cycle test is a batched transitive closure;
+* for nondeterministic automata, the relation and accept matrices of
+  every cycle word come from those of the word one letter shorter,
+  ``rel(w·a) = rel(w)·E[a]`` and ``acc(w·a) = acc(w)·E[a] + rel(w)·F[a]``;
+  the accepting-loop test, a batched transitive closure, runs only on one
+  representative ``v`` per rotation class, and a word that is ``v``
+  rotated by ``r`` is accepted from the states that ``rel(v[r:])`` takes
+  into those accepting ``v^omega``, since acceptance ignores a finite
+  prefix;
 * automata that pass ``is_strongly_limit_deterministic`` (complement
   outputs in particular) get a much cheaper path: inside each part a run
   is a function of its start state, so reading a cycle word is a walk in a
@@ -69,14 +74,6 @@ def mismatches(sig_a, sig_b, letters, bound, limit=10):
         return []
     words = bounded_lassos(letters, bound)
     return [words[i] for i in idx]
-
-
-def _word_block(n_letters, cl):
-    """Integer array of all words of length ``cl`` in lexicographic order."""
-    words = np.fromiter(
-        (l for w in itertools.product(range(n_letters), repeat=cl) for l in w),
-        dtype=np.int64, count=cl * n_letters ** cl)
-    return words.reshape(-1, cl)
 
 
 def _doubling_steps(domain):
@@ -169,59 +166,113 @@ def uca_signature(A: Automaton, bound: int) -> np.ndarray:
     return ~nba_signature(A.reinterpret("NBA"), bound)
 
 
+# largest working array of the generic path, in float32 cells
+_CELLS = 8_000_000
+
+
+def _word_mats(E, F, longest):
+    """Relation and accept matrices of words, by extension one letter at a
+    time: ``rel(w·a) = rel(w)·E[a]`` and ``acc(w·a) = acc(w)·E[a] +
+    rel(w)·F[a]``, thresholded to 0/1.  Both live in one ``(m, 2m)`` block
+    ``[rel | acc]``, which one product with ``[[E, F], [0, E]]`` extends.
+
+    The blocks of every word up to length ``longest`` are kept, level by
+    level in lexicographic order, as far as they fit in ``_CELLS`` cells.
+    Returns ``mats(codes, lengths)``, giving the ``rel`` and ``acc`` stacks
+    of the words named by their lexicographic index among the words of
+    their length; a word longer than the kept ones extends its longest
+    kept prefix.
+    """
+    L, m = E.shape[0], E.shape[1]
+    step = np.zeros((L, 2 * m, 2 * m), dtype=np.float32)
+    step[:, :m, :m] = step[:, m:, m:] = E
+    step[:, :m, m:] = F
+    levels = [np.eye(m, 2 * m, dtype=np.float32)[None]]
+    cells = 2 * m * m
+    while len(levels) <= longest and cells + len(levels[-1]) * L * 2 * m * m \
+            <= _CELLS:
+        nxt = np.matmul(levels[-1][:, None], step)
+        levels.append(np.minimum(nxt, 1.0, out=nxt).reshape(-1, m, 2 * m))
+        cells += nxt.size
+    top = len(levels) - 1
+    offset = np.cumsum([0] + [len(x) for x in levels[:-1]])
+    kept = np.concatenate(levels)
+
+    def mats(codes, lengths):
+        lengths = np.broadcast_to(lengths, codes.shape)
+        short = np.minimum(lengths, top)
+        x = kept[offset[short] + codes // L ** (lengths - short)]
+        for p in range(top, int(lengths.max(initial=0))):
+            letter = codes // L ** np.maximum(lengths - 1 - p, 0) % L
+            for a in range(L):
+                sel = np.flatnonzero((lengths > p) & (letter == a))
+                x[sel] = np.minimum(np.matmul(x[sel], step[a]), 1.0)
+        return x[:, :, :m], x[:, :, m:]
+
+    return mats
+
+
 def _sig_generic(A: Automaton, bound: int) -> np.ndarray:
-    """Boolean-matrix signature; cost grows cubically with the state count."""
-    letters = A.alphabet.letters()
-    index = {a: i for i, a in enumerate(letters)}
-    L, m = len(letters), A.n_states
+    """Boolean-matrix signature for any NBA.
+
+    A state ``q`` accepts ``w^omega`` when it reaches, along ``rel(w)``, a
+    state on a loop of ``rel(w)`` that passes ``acc(w)``; that takes a
+    transitive closure, done only for one representative per rotation
+    class.  Word ``j`` is its representative ``v`` rotated by ``r =
+    rot[j]``, so ``j^omega = v[r:]·v^omega`` and the states accepting it
+    are ``rel(v[r:])`` applied to those accepting ``v^omega``; ``v[r:]`` is
+    the prefix of ``j`` of length ``cl - r``, so only words shorter than
+    ``bound`` are kept (see ``_word_mats``).
+    """
+    L, m = len(A.alphabet.letters()), A.n_states
+    e = A.edges
     E = np.zeros((L, m, m), dtype=np.float32)
     F = np.zeros((L, m, m), dtype=np.float32)
-    for (q, a), targets in A.delta.items():
-        for t in targets:
-            E[index[a], q, t] = 1.0
-            if (q, a, t) in A.gamma:
-                F[index[a], q, t] = 1.0
-    rows = _prefix_rows(E, A.initial, bound, L, m)
+    E[e.let, e.src, e.dst] = 1.0
+    F[e.let[e.acc], e.src[e.acc], e.dst[e.acc]] = 1.0
+    rows = _prefix_rows(E, A.initial, bound)
+    mats = _word_mats(E, F, bound - 1)
     eye = np.eye(m, dtype=np.float32)
     squarings = _doubling_steps(m + 1)
-    chunk = max(1, 8_000_000 // max(1, m * m))
+    chunk = max(1, _CELLS // (2 * m * m))
     out = []
     for cl in range(1, bound + 1):
-        W = _word_block(L, cl)
-        rcat = np.concatenate(rows[:bound - cl + 1])
-        blocks = np.empty((len(W), len(rcat)), dtype=bool)
-        for lo in range(0, len(W), chunk):
+        reps, rep_idx, rot = _rotation_classes(L, cl)
+        rep_codes = reps @ L ** np.arange(cl - 1, -1, -1)
+        pre_rep = np.empty((len(reps), m), dtype=np.float32)
+        for lo in range(0, len(reps), chunk):
             check_time("lasso signatures")
-            Wc = W[lo:lo + chunk]
-            rel = E[Wc[:, 0]]
-            acc = F[Wc[:, 0]]
-            for p in range(1, cl):
-                en, fn = E[Wc[:, p]], F[Wc[:, p]]
-                acc = (np.matmul(rel, fn) + np.matmul(acc, en) > 0
-                       ).astype(np.float32)
-                rel = (np.matmul(rel, en) > 0).astype(np.float32)
+            rel, acc = mats(rep_codes[lo:lo + chunk], cl)
             closure = np.minimum(rel + eye, 1.0)
             for _ in range(squarings):
-                closure = (np.matmul(closure, closure) > 0).astype(np.float32)
+                closure = np.matmul(closure, closure)
+                np.minimum(closure, 1.0, out=closure)
             good = np.matmul(closure, np.matmul(acc, closure)
-                             ).diagonal(axis1=1, axis2=2)
-            good = (good > 0).astype(np.float32)
-            pre = np.matmul(closure, good[:, :, None])[:, :, 0]
-            pre = (pre > 0).astype(np.float32)
-            blocks[lo:lo + chunk] = np.matmul(rcat, pre.T).T > 0
-        out.append(blocks.ravel())
+                             ).diagonal(axis1=1, axis2=2) > 0
+            pre_rep[lo:lo + chunk] = np.matmul(
+                closure, good[:, :, None].astype(np.float32))[:, :, 0] > 0
+        pre = pre_rep[rep_idx]
+        moved = np.flatnonzero(rot)
+        for lo in range(0, len(moved), chunk):
+            check_time("lasso signatures")
+            j = moved[lo:lo + chunk]
+            rel, _ = mats(j // L ** rot[j], cl - rot[j])
+            pre[j] = np.matmul(rel, pre[j][:, :, None])[:, :, 0] > 0
+        rcat = np.concatenate(rows[:bound - cl + 1])
+        out.append((np.matmul(pre, rcat.T) > 0).ravel())
     return np.concatenate(out)
 
 
-def _prefix_rows(E, initial, bound, L, m):
+def _prefix_rows(E, initial, bound):
     """Reach-set row vectors for every prefix, grouped by length."""
+    L, m = E.shape[0], E.shape[1]
+    step = E.transpose(1, 0, 2).reshape(m, L * m)
     first = np.zeros((1, m), dtype=np.float32)
     first[0, initial] = 1.0
     rows = [first]
     for _ in range(1, bound):
-        cur = rows[-1]
-        nxt = np.stack([np.matmul(cur, E[a]) for a in range(L)], axis=1)
-        rows.append((nxt > 0).astype(np.float32).reshape(-1, m))
+        nxt = np.matmul(rows[-1], step).reshape(-1, m)
+        rows.append((nxt > 0).astype(np.float32))
     return rows
 
 
@@ -240,35 +291,34 @@ def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:
     any whole-word iterate from ``S_p(q)`` does.  Cost O(k·n·(cl + log n))
     per batch of ``k`` cycle words on ``n`` states.
     """
-    letters = A.alphabet.letters()
-    index = {a: i for i, a in enumerate(letters)}
-    L = len(letters)
-    ids1 = {q: i for i, q in enumerate(sorted(q1))}
-    ids2 = {q: i for i, q in enumerate(sorted(q2))}
-    m1, m2 = len(ids1), len(ids2)
+    L, e = len(A.alphabet.letters()), A.edges
+    ids1 = np.full(A.n_states, -1, dtype=np.intp)
+    ids2 = np.full(A.n_states, -1, dtype=np.intp)
+    ids1[sorted(q1)] = np.arange(len(q1))
+    ids2[sorted(q2)] = np.arange(len(q2))
+    m1, m2 = len(q1), len(q2)
     sink1, sink2 = m1, m2
     next1 = np.full((L, m1 + 1), sink1, dtype=np.intp)
     next2 = np.full((L, m2 + 1), sink2, dtype=np.intp)
     acc2 = np.zeros((L, m2 + 1), dtype=bool)
     jump = np.zeros((L, m1 + 1, m2 + 1), dtype=np.float32)
     rel2 = np.zeros((L, m2 + 1, m2 + 1), dtype=np.float32)
-    for (q, a), targets in A.delta.items():
-        ai = index[a]
-        for t in targets:
-            if q in ids2:
-                next2[ai, ids2[q]] = ids2[t]
-                rel2[ai, ids2[q], ids2[t]] = 1.0
-                if (q, a, t) in A.gamma:
-                    acc2[ai, ids2[q]] = True
-            elif t in ids2:
-                jump[ai, ids1[q], ids2[t]] = 1.0
-            else:
-                next1[ai, ids1[q]] = ids1[t]
+    s1, s2, d1, d2 = ids1[e.src], ids2[e.src], ids1[e.dst], ids2[e.dst]
+    inner2 = s2 >= 0
+    let, src, dst, acc = e.let[inner2], s2[inner2], d2[inner2], e.acc[inner2]
+    next2[let, src] = dst
+    rel2[let, src, dst] = 1.0
+    acc2[let[acc], src[acc]] = True
+    jumps = ~inner2 & (d2 >= 0)
+    jump[e.let[jumps], s1[jumps], d2[jumps]] = 1.0
+    inner1 = ~inner2 & (d2 < 0)
+    next1[e.let[inner1], s1[inner1]] = d1[inner1]
     # Prefix walks: the unique part-one state plus the set of part-two
     # states reached by runs that already jumped.
-    p1 = [np.array([ids1.get(A.initial, sink1)], dtype=np.int64)]
+    p1 = [np.array([ids1[A.initial] if A.initial in q1 else sink1],
+                   dtype=np.int64)]
     d0 = np.zeros((1, m2 + 1), dtype=np.float32)
-    if A.initial in ids2:
+    if A.initial in q2:
         d0[0, ids2[A.initial]] = 1.0
     dsets = [d0]
     rel2_t = rel2.transpose(1, 0, 2).reshape(m2 + 1, L * (m2 + 1))

@@ -1,8 +1,8 @@
-"""Dict-based reference versions of the rank construction and the
-reduction stages: one ranking state, one letter, one edge or one pair of
-states at a time, transitions in ``delta``/``gamma`` dicts.  The library's
-batched array versions must build exactly the same automata
-(``test_batched.py``)."""
+"""Dict-based reference versions of the rank construction, the reduction
+stages, the Buchi intersection and the emptiness check: one ranking state,
+one letter, one edge or one pair of states at a time, transitions in
+``delta``/``gamma`` dicts.  The library's batched array versions must build
+exactly the same automata (``test_batched.py``)."""
 
 import time
 
@@ -11,7 +11,6 @@ from omegadp.automata import (
     _strongly_connected_components,
     check_time,
     letter_sort_key,
-    nonempty_states,
 )
 from omegadp.complement import (
     CapacityError,
@@ -38,6 +37,66 @@ def reachable_states(A: Automaton, start=None) -> set:
                     seen.add(t)
                     frontier.append(t)
     return seen
+
+
+def nonempty_states(A: Automaton) -> set:
+    """States of an NBA from which an accepting lasso exists."""
+    succ = {q: set() for q in range(A.n_states)}
+    pred = {q: set() for q in range(A.n_states)}
+    for (q, a), targets in A.delta.items():
+        for t in targets:
+            succ[q].add(t)
+            pred[t].add(q)
+    comp, _ = _strongly_connected_components(A.n_states, lambda q: succ[q])
+    live_comps = set()
+    for (q, a, t) in A.gamma:
+        if comp[q] == comp[t]:
+            live_comps.add(comp[q])
+    live = {q for q in range(A.n_states) if comp[q] in live_comps}
+    frontier = list(live)
+    while frontier:
+        q = frontier.pop()
+        for p in pred[q]:
+            if p not in live:
+                live.add(p)
+                frontier.append(p)
+    return live
+
+
+def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
+    """Buchi intersection with a two-phase wait flag for the transition
+    marks; states are numbered in breadth-first first-seen order, sources
+    in id order, then letters, then the successors in ``A`` and in ``B``."""
+    if A.alphabet != B.alphabet:
+        raise ValueError("alphabet mismatch")
+    letters = A.alphabet.letters()
+    keys = [(A.initial, B.initial, 0)]
+    ids = {keys[0]: 0}
+    delta = {}
+    gamma = set()
+    for src, (p, q, flag) in enumerate(keys):  # grows while it runs
+        for a in letters:
+            targets = []
+            for p2 in A.successors(p, a):
+                for q2 in B.successors(q, a):
+                    nflag = flag
+                    mark = False
+                    if nflag == 0 and (p, a, p2) in A.gamma:
+                        nflag = 1
+                    if nflag == 1 and (q, a, q2) in B.gamma:
+                        nflag = 0
+                        mark = True
+                    key = (p2, q2, nflag)
+                    if key not in ids:
+                        ids[key] = len(keys)
+                        keys.append(key)
+                    targets.append(ids[key])
+                    if mark:
+                        gamma.add((src, a, ids[key]))
+            if targets:
+                delta[(src, a)] = tuple(sorted(set(targets)))
+    return Automaton("NBA", A.alphabet, len(keys), 0, delta, gamma,
+                     check=False)
 
 
 def _bits(mask):

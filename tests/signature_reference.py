@@ -1,14 +1,17 @@
 """Reference versions of the lasso signatures and of the limit-determinism
 check: every cycle word's eventual loop is found by doubling the functional
-graph on (state, phase) pairs, and the deterministic part is the greatest
+graph on (state, phase) pairs, the generic path multiplies out the relation
+of every cycle word on its own, and the deterministic part is the greatest
 fixpoint of a re-sweep over all states.  The library's versions
 (``lasso_bulk``, ``automata.is_strongly_limit_deterministic``) must give
 exactly the same results (``test_lasso_bulk.py``)."""
 
+import itertools
+
 import numpy as np
 
 from omegadp.automata import Automaton
-from omegadp.lasso_bulk import _rotation_classes, _sig_generic
+from omegadp.lasso_bulk import _rotation_classes
 
 
 def _doubling_steps(domain):
@@ -60,6 +63,71 @@ def nba_signature(A: Automaton, bound: int) -> np.ndarray:
     if flag:
         return _sig_limit_det(A, bound, q1, q2)
     return _sig_generic(A, bound)
+
+
+def _word_block(n_letters, cl):
+    """Integer array of all words of length ``cl`` in lexicographic order."""
+    words = np.fromiter(
+        (l for w in itertools.product(range(n_letters), repeat=cl) for l in w),
+        dtype=np.int64, count=cl * n_letters ** cl)
+    return words.reshape(-1, cl)
+
+
+def _sig_generic(A: Automaton, bound: int) -> np.ndarray:
+    """Boolean-matrix signature: the relation and accept matrices of every
+    cycle word are multiplied out letter by letter, and the accepting-loop
+    test is a transitive closure per word."""
+    letters = A.alphabet.letters()
+    index = {a: i for i, a in enumerate(letters)}
+    L, m = len(letters), A.n_states
+    E = np.zeros((L, m, m), dtype=np.float32)
+    F = np.zeros((L, m, m), dtype=np.float32)
+    for (q, a), targets in A.delta.items():
+        for t in targets:
+            E[index[a], q, t] = 1.0
+            if (q, a, t) in A.gamma:
+                F[index[a], q, t] = 1.0
+    rows = _prefix_rows(E, A.initial, bound, L, m)
+    eye = np.eye(m, dtype=np.float32)
+    squarings = _doubling_steps(m + 1)
+    chunk = max(1, 8_000_000 // max(1, m * m))
+    out = []
+    for cl in range(1, bound + 1):
+        W = _word_block(L, cl)
+        rcat = np.concatenate(rows[:bound - cl + 1])
+        blocks = np.empty((len(W), len(rcat)), dtype=bool)
+        for lo in range(0, len(W), chunk):
+            Wc = W[lo:lo + chunk]
+            rel = E[Wc[:, 0]]
+            acc = F[Wc[:, 0]]
+            for p in range(1, cl):
+                en, fn = E[Wc[:, p]], F[Wc[:, p]]
+                acc = (np.matmul(rel, fn) + np.matmul(acc, en) > 0
+                       ).astype(np.float32)
+                rel = (np.matmul(rel, en) > 0).astype(np.float32)
+            closure = np.minimum(rel + eye, 1.0)
+            for _ in range(squarings):
+                closure = (np.matmul(closure, closure) > 0).astype(np.float32)
+            good = np.matmul(closure, np.matmul(acc, closure)
+                             ).diagonal(axis1=1, axis2=2)
+            good = (good > 0).astype(np.float32)
+            pre = np.matmul(closure, good[:, :, None])[:, :, 0]
+            pre = (pre > 0).astype(np.float32)
+            blocks[lo:lo + chunk] = np.matmul(rcat, pre.T).T > 0
+        out.append(blocks.ravel())
+    return np.concatenate(out)
+
+
+def _prefix_rows(E, initial, bound, L, m):
+    """Reach-set row vectors for every prefix, grouped by length."""
+    first = np.zeros((1, m), dtype=np.float32)
+    first[0, initial] = 1.0
+    rows = [first]
+    for _ in range(1, bound):
+        cur = rows[-1]
+        nxt = np.stack([np.matmul(cur, E[a]) for a in range(L)], axis=1)
+        rows.append((nxt > 0).astype(np.float32).reshape(-1, m))
+    return rows
 
 
 def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:

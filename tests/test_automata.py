@@ -120,16 +120,15 @@ def test_nonempty_states_and_is_empty():
 
 
 def test_intersection_emptiness(rng):
-    lassos = all_lassos(2, 2, 2)
+    lassos = all_lassos(2, 3, 3)
     for _ in range(20):
         A = random_nba(rng, rng.randint(1, 3))
         B = random_nba(rng, rng.randint(1, 3))
         P = intersect_nba(A, B)
-        both = [w for w in lassos
-                if lasso_member_nba(A, w) and lasso_member_nba(B, w)]
-        for w in both:
-            assert lasso_member_nba(P, w)
-        if both:
+        both = [lasso_member_nba(A, w) and lasso_member_nba(B, w)
+                for w in lassos]
+        assert [lasso_member_nba(P, w) for w in lassos] == both
+        if any(both):
             assert not is_empty(P)
 
 

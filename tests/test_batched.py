@@ -1,7 +1,8 @@
-"""The batched rank construction and the array reduction stages build
-exactly the automata of the dict-based reference versions in
-``dict_reference.py``: same states, initial state, transitions, accepting
-transitions, phase partition and blocked count."""
+"""The batched rank construction, the array reduction stages and the
+batched intersection build exactly the automata of the dict-based
+reference versions in ``dict_reference.py``: same states, initial state,
+transitions, accepting transitions, phase partition and blocked count; the
+emptiness check finds the same states."""
 
 import random
 from pathlib import Path
@@ -15,7 +16,7 @@ from omegadp import reduction
 from omegadp.automata import Alphabet, Automaton, time_limit
 from omegadp.complement import CapacityError, ComplementOptions, complement_uca
 from omegadp.hoa import parse_hoa
-from conftest import random_uca
+from conftest import random_nba, random_uca
 from test_acceptance import random_collection
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -126,3 +127,39 @@ def test_deadline_is_checked_in_every_batch(monkeypatch):
     # far more batches of ranking states than subset states
     assert C.n_states - subsets > 40 * subsets
     assert len(calls) >= subsets + (C.n_states - subsets) / 16
+
+
+def test_intersection_matches_the_dict_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        n_ap = rng.randint(1, 2)
+        U = random_uca(rng, rng.randint(1, 3), n_ap=n_ap)
+        pairs = [(complement_uca(U), U.reinterpret("NBA")),
+                 (random_nba(rng, rng.randint(1, 5), n_ap=n_ap),
+                  random_nba(rng, rng.randint(1, 5), n_ap=n_ap))]
+        for A, B in pairs:
+            mine, theirs = automata.intersect_nba(A, B), ref.intersect_nba(A, B)
+            assert (mine.n_states, mine.delta, mine.gamma) \
+                == (theirs.n_states, theirs.delta, theirs.gamma)
+            assert automata.nonempty_states(mine) \
+                == ref.nonempty_states(theirs)
+
+
+def test_intersection_deadline_expires_between_batches(monkeypatch):
+    rng = random.Random(5)
+    U = random_uca(rng, 3, n_ap=2)
+    A, B = complement_uca(U), U.reinterpret("NBA")
+    calls = []
+
+    def clock():
+        # entering the limit and the first batch see time 0; the second
+        # batch sees the deadline passed
+        calls.append(1)
+        return 0.0 if len(calls) <= 2 else 100.0
+
+    monkeypatch.setattr(automata.time, "monotonic", clock)
+    assert ref.intersect_nba(A, B).n_states > 1
+    with time_limit(1.0), pytest.raises(
+            TimeoutError, match="^intersection exceeded its deadline$"):
+        automata.intersect_nba(A, B)
+    assert len(calls) == 3

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 import signature_reference as reference
+from omegadp import lasso_bulk
 from omegadp.automata import (
     Alphabet, Automaton, is_strongly_limit_deterministic, lasso_member_nba,
     lasso_member_uca)
@@ -132,6 +135,46 @@ def test_signatures_match_the_doubling_reference(rng):
         sig = dsa_signature(D, bound)
         assert sig.any() and not sig.all()
         assert np.array_equal(sig, reference.dsa_signature(D, bound))
+
+
+def test_signatures_match_the_frozen_generic_reference():
+    rng = random.Random(2024)
+    for i in range(200):
+        n_ap, bound = 1 + i % 2, 4 + i % 3
+        A = random_nba(rng, rng.randint(1, 8), n_ap=n_ap)
+        assert np.array_equal(nba_signature(A, bound),
+                              reference.nba_signature(A, bound))
+        U = random_uca(rng, rng.randint(1, 8), n_ap=n_ap)
+        assert np.array_equal(
+            uca_signature(U, bound),
+            ~reference.nba_signature(U.reinterpret("NBA"), bound))
+
+
+def test_generic_signature_of_an_automaton_split_into_chunks():
+    # 45 states on 4 letters: the 4^6 cycle words of length 6 do not fit
+    # in one working array
+    A = random_nba(random.Random(0), 45, n_ap=2, p_edge=0.03, p_accept=0.05)
+    assert not is_strongly_limit_deterministic(A)[0]
+    assert lasso_bulk._CELLS // (2 * 45 * 45) < 4 ** 6
+    sig = nba_signature(A, 6)
+    assert sig.any() and not sig.all()
+    assert np.array_equal(sig, reference.nba_signature(A, 6))
+
+
+@pytest.mark.parametrize("cells", [1, 40, 300])
+def test_generic_signature_with_few_kept_words(monkeypatch, cells):
+    # tiny working arrays: few or no word levels are kept, so the words
+    # are extended letter by letter in many small chunks
+    monkeypatch.setattr(lasso_bulk, "_CELLS", cells)
+    rng = random.Random(cells)
+    tested = 0
+    while tested < 4:
+        A = random_nba(rng, rng.randint(1, 5), n_ap=2)
+        if is_strongly_limit_deterministic(A)[0]:
+            continue
+        assert np.array_equal(nba_signature(A, 5),
+                              reference.nba_signature(A, 5))
+        tested += 1
 
 
 def test_deterministic_automaton_uses_fast_path():
