@@ -194,18 +194,21 @@ def _signature(A, bound):
     return nba_signature(A.reinterpret("NBA"), bound)
 
 
-def random_mdp(rng, n, alphabet, n_actions=2):
-    """Small random labeled MDP; one action per state when n_actions is 1."""
-    letters = alphabet.letters()
+def random_mdp(rng, n, alphabet=None, n_actions=2):
+    """Small random MDP, labeled over ``alphabet`` unless it is None; one
+    action per state when n_actions is 1."""
+    letters = alphabet.letters() if alphabet is not None else None
     actions, trans, labels = {}, {}, []
     for s in range(n):
-        labels.append(letters[rng.randrange(len(letters))])
+        if letters is not None:
+            labels.append(letters[rng.randrange(len(letters))])
         names = tuple(f"a{k}" for k in range(rng.randint(1, n_actions)))
         actions[s] = names
         for a in names:
             support = rng.sample(range(n), rng.randint(1, min(2, n)))
             trans[(s, a)] = tuple((t, 1.0 / len(support)) for t in support)
-    return Mdp(n, 0, actions, trans, alphabet=alphabet, labels=labels)
+    return Mdp(n, 0, actions, trans, alphabet=alphabet,
+               labels=labels if letters is not None else None)
 
 
 def _check_input(args):

@@ -10,9 +10,9 @@ most epsilon of discounted value.
 
 One model class, ``Mdp``, serves every stage: an ODP (``odp.Odp``) is an
 ``Mdp`` with guards and promises on its actions, and the compiled processes
-and products (``ProductMdp`` adds the accepting actions) are ``Mdp``
-objects whose ``pairs`` say what each state stands for in the model they
-were compiled from.  ``model_to_doc`` and ``model_from_doc`` are the one
+and products are ``Mdp`` objects whose ``pairs`` say what each state stands
+for in the model they were compiled from; a product's ``acc`` holds its
+accepting actions.  ``model_to_doc`` and ``model_from_doc`` are the one
 JSON codec of all of them.  A ``Strategy`` walks memory nodes by ``start``,
 ``action`` and ``step``; the value check and the ODP translation both use
 them.
@@ -64,11 +64,13 @@ class Mdp:
     (guard, name, promise) triple for an ODP (``odp.Odp``), an
     (action, automaton successor) pair for a product.  A model compiled
     from another one records in ``pairs[i]`` what its state ``i`` stands
-    for there.
+    for there.  ``acc`` holds the accepting (state, action) pairs of an
+    automaton product and is empty elsewhere.
     """
 
     def __init__(self, n_states, initial, actions, trans, alphabet=None,
-                 labels=None, rewards=None, check=True, pairs=None):
+                 labels=None, rewards=None, check=True, pairs=None,
+                 acc=()):
         self.n_states = n_states
         self.initial = initial
         self.actions = {s: tuple(a) for s, a in actions.items()}
@@ -77,14 +79,15 @@ class Mdp:
         self.labels = tuple(labels) if labels is not None else None
         self.rewards = dict(rewards) if rewards else {}
         self.pairs = tuple(pairs) if pairs is not None else None
+        self.acc = frozenset(acc)
         if check:
             self._validate()
 
     def _validate(self):
         """Raise ValueError unless the initial state is a state, every state
         has actions, each with a probability distribution over the states,
-        and every action, transition and reward belongs to a state, an
-        action and a successor of the model."""
+        and every action, transition, reward and accepting pair belongs to
+        a state, an action and a successor of the model."""
         n = self.n_states
         if not (0 <= self.initial < n):
             raise ValueError(f"initial state {self.initial} out of range")
@@ -108,10 +111,12 @@ class Mdp:
                     # a NaN fails both comparisons, so it is rejected here
                     if not (0 <= t < n) or not (0 <= p <= 1):
                         raise ValueError(f"bad transition ({s}, {a}) -> {t}")
-        for s, a in self.trans:
-            if a not in self.actions.get(s, ()):
-                raise ValueError(f"distribution given for ({s}, {a}), "
-                                 f"not an action")
+        for what, keys in (("distribution", self.trans),
+                           ("accepting mark", self.acc)):
+            for s, a in keys:
+                if a not in self.actions.get(s, ()):
+                    raise ValueError(f"{what} given for ({s}, {a}), "
+                                     f"not an action")
         for s, a, t in self.rewards:
             if all(u != t for u, _ in self.trans.get((s, a), ())):
                 raise ValueError(f"reward given for ({s}, {a}) -> {t}, "
@@ -167,27 +172,18 @@ class RewardMachine:
 STUCK = (None, None)
 
 
-class ProductMdp(Mdp):
+def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     """MDP times automaton; the automaton move is folded into the action.
 
-    States are reachable (mdp state, automaton state) pairs and an action is
-    an (mdp action, automaton successor) pair.  ``acc`` holds the
-    (state, action) pairs whose underlying automaton transition is accepting.
-    A pair state where the automaton has no move on the state's letter has
-    the single action ``STUCK``: a probability-one self-loop that is never
-    accepting and pays nothing, so the product stays a total MDP and such a
-    state is a rejecting end component.
+    States are reachable (mdp state, automaton state) pairs, the letter is
+    read off the MDP state, and an action is an (mdp action, automaton
+    successor) pair.  ``acc`` holds the (state, action) pairs whose
+    underlying automaton transition is accepting.  A pair state where the
+    automaton has no move on the state's letter has the single action
+    ``STUCK``: a probability-one self-loop that is never accepting and pays
+    nothing, so the product stays a total MDP and such a state is a
+    rejecting end component.
     """
-
-    def __init__(self, n_states, initial, actions, trans, acc, pairs,
-                 alphabet=None, labels=None, rewards=None):
-        super().__init__(n_states, initial, actions, trans, alphabet,
-                         labels, rewards, check=False, pairs=pairs)
-        self.acc = frozenset(acc)
-
-
-def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
-    """Synchronous product; letters are read off the source MDP state."""
     if M.labels is None:
         raise ValueError("the MDP must be labeled")
     if M.alphabet is not None and C.alphabet.ap != M.alphabet.ap:
@@ -212,10 +208,9 @@ def product_with_nba(M: Mdp, C: Automaton) -> ProductMdp:
             trans[(src, STUCK)] = ((src, 1.0),)
         actions[src] = tuple(acts)
     pairs = found.keys
-    return ProductMdp(len(pairs), 0, actions, trans, acc, pairs,
-                      alphabet=M.alphabet,
-                      labels=tuple(M.labels[s] for s, _ in pairs),
-                      rewards=rewards)
+    return Mdp(len(pairs), 0, actions, trans, alphabet=M.alphabet,
+               labels=tuple(M.labels[s] for s, _ in pairs), rewards=rewards,
+               check=False, pairs=pairs, acc=acc)
 
 
 def product_with_reward_machine(M: Mdp, R: RewardMachine) -> Mdp:
@@ -261,7 +256,7 @@ class MdpArrays:
 
     @classmethod
     def of(cls, M: Mdp):
-        acc = getattr(M, "acc", frozenset())
+        acc = M.acc
         reward = M.rewards.get
         first, action, expect, is_acc = [0], [], [], []
         indices, data, indptr = [], [], [0]
@@ -395,7 +390,7 @@ def _accepting_mecs(A: MdpArrays):
     return accepting[label], inner
 
 
-def accepting_mecs(P: ProductMdp):
+def accepting_mecs(P: Mdp):
     """Union of states of MECs that contain an accepting action."""
     return set(np.flatnonzero(_accepting_mecs(P.arrays)[0]).tolist())
 
@@ -436,7 +431,7 @@ def _prob1_region(M: Mdp, target):
     return set(np.flatnonzero(region).tolist())
 
 
-def buchi_value(P: ProductMdp):
+def buchi_value(P: Mdp):
     """Maximal probability of visiting accepting actions of the product
     ``P`` infinitely often."""
     values, _ = max_reach_prob(P, accepting_mecs(P))
@@ -544,7 +539,7 @@ def _almost_sure(A: MdpArrays):
     return goal, region, strategy
 
 
-def almost_sure_buchi_region(P: ProductMdp):
+def almost_sure_buchi_region(P: Mdp):
     """Winning region and strategy for "accepting action infinitely often".
 
     The strategy reaches an accepting MEC with probability one; inside the
@@ -594,7 +589,7 @@ def switch_horizon(lam, eps, r_max):
     return max(0, math.ceil(math.log(eps * (1 - lam) / (2 * r_max), lam)))
 
 
-def lexicographic_solve(P: ProductMdp, lam, eps):
+def lexicographic_solve(P: Mdp, lam, eps):
     """Maximize discounted reward among almost-surely accepting strategies.
 
     Raises NoValidStrategy (with the best satisfaction probability attached)
@@ -619,7 +614,7 @@ def lexicographic_solve(P: ProductMdp, lam, eps):
     return 1.0, d_star, strategy
 
 
-def strategy_value_check(P: ProductMdp, strategy: Strategy, lam,
+def strategy_value_check(P: Mdp, strategy: Strategy, lam,
                          max_chain=500_000):
     """Satisfaction probability and discounted value of the induced chain.
 

@@ -11,78 +11,53 @@ transition) breaks ties in the satisfaction phase, so the final policy keeps
 making progress toward accepting transitions instead of stalling on a
 value-equivalent loop.
 
-The returned strategy is switching: follow the reward-greedy policy for a
-computed horizon, then the satisfaction-greedy policy forever, mirroring the
-structure of the exact solver.
+The tables are lists over the rows of the product's ``MdpArrays``
+(``P.arrays``), the form the exact solver reads, and one greedy rule picks
+from them both while training and for the returned strategy.  That strategy
+is switching: follow the reward-greedy policy for a computed horizon, then
+the satisfaction-greedy policy forever, mirroring the structure of the exact
+solver.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .automata import check_time
-from .mdp import STUCK, ProductMdp, Strategy, switch_horizon
+from .mdp import STUCK, Mdp, Strategy, switch_horizon
 
 _ARROW = {"N": "^", "S": "v", "E": ">", "W": "<"}
 
 
-@dataclass
 class LexQTables:
-    """Learned action-value tables keyed by (product state, action)."""
+    """Learned action values, one entry per row of ``P.arrays``.
 
-    q_sat: dict = field(default_factory=dict)
-    q_rec: dict = field(default_factory=dict)
-    q_disc: dict = field(default_factory=dict)
-    visits: dict = field(default_factory=dict)
-    zeta: float = 0.99
-    lam: float = 0.99
-    tau_lex: float = 0.01
-    sat_init: float = 0.0
+    Row ``k`` is action ``arrays.action[k]`` of state ``arrays.state[k]``;
+    ``sat``, ``rec`` and ``disc`` hold its satisfaction, recurrence and
+    reward values and ``updates`` the number of updates it has had.  A row
+    never updated keeps its initial value: ``sat_init`` in ``sat``, 0 in
+    the others.
+    """
 
-    def sat(self, s, a):
-        return self.q_sat.get((s, a), self.sat_init)
+    def __init__(self, P: Mdp, sat_init=0.0):
+        self.arrays = P.arrays
+        n = len(self.arrays.action)
+        self.sat = [sat_init] * n
+        self.rec = [0.0] * n
+        self.disc = [0.0] * n
+        self.updates = [0] * n
 
-    def rec(self, s, a):
-        return self.q_rec.get((s, a), 0.0)
-
-    def disc(self, s, a):
-        return self.q_disc.get((s, a), 0.0)
-
-    def sat_max(self, P, s):
-        return max(self.sat(s, a) for a in P.actions[s])
-
-    def lex_greedy(self, P, s):
-        """Best reward among actions whose satisfaction value is within
-        tau_lex of the state's best."""
-        top = self.sat_max(P, s)
-        best, pick = None, None
-        for a in P.actions[s]:
-            if self.sat(s, a) < top - self.tau_lex:
-                continue
-            v = self.disc(s, a)
-            if best is None or v > best + 1e-12:
-                best, pick = v, a
-        return pick
-
-    def sat_greedy(self, P, s):
-        """Satisfaction-first choice: near-maximal q_sat, recurrence
-        tie-break.  The filter reuses tau_lex so that an action whose value
-        still carries optimistic initialization does not crowd out a
-        well-explored one that actually makes progress."""
-        top = self.sat_max(P, s)
-        best, pick = None, None
-        for a in P.actions[s]:
-            if self.sat(s, a) < top - self.tau_lex:
-                continue
-            v = self.rec(s, a)
-            if best is None or v > best + 1e-12:
-                best, pick = v, a
-        return pick
+    @property
+    def visits(self):
+        """(state, action) -> update count of every updated row, in row
+        order."""
+        action = self.arrays.action
+        return {(s, action[k]): n for k, (s, n) in enumerate(
+            zip(self.arrays.state.tolist(), self.updates)) if n}
 
 
-def lex_q_learn(P: ProductMdp, episodes, steps=1000, lam=0.99, zeta=0.99,
+def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
                 tau_lex=0.01, eps=0.01, explore=(1.0, 0.05), alpha_power=0.7,
                 alpha_floor=0.2, optimism=0.0, seed=0, value_cap=None,
                 tables=None):
@@ -100,24 +75,27 @@ def lex_q_learn(P: ProductMdp, episodes, steps=1000, lam=0.99, zeta=0.99,
     every accepting transition it stumbles on.  ``explore`` is the epsilon
     of the epsilon-greedy wrapper, either a constant or a (start, end) pair
     interpolated linearly over the episodes.  Learning rates adapt per
-    state-action pair: while a pair has only ever produced one successor it
-    is treated as deterministic and updated with rate 1 (asynchronous value
-    iteration); once a second successor shows up the satisfaction and
-    recurrence tables fall back to a decaying rate (robust to stochastic
-    outcomes such as the zapper) and the reward table keeps at least
-    ``alpha_floor`` so large discounted values still relax.  Untried
-    actions carry a satisfaction value of ``optimism``; the pessimistic
-    default is important because the satisfaction update passes values
-    through non-accepting transitions unchanged, so an optimistic init
-    would survive forever on any non-accepting loop (a crash sink would
-    keep looking safe no matter how often it is observed); for the same
-    reason a ``STUCK`` state bootstraps 0 whatever ``optimism`` is.
-    Passing a previous run's ``tables`` continues training from them, which
-    allows staged schedules (broad exploration first, polish after); the
-    tables get every update made, also when training stops with an error.
-    Returns (tables, strategy)
-    where the strategy switches from reward-greedy to satisfaction-greedy
-    after switch_horizon(lam, eps, r_max) steps.
+    row: while a row has only ever produced one successor it is treated as
+    deterministic and updated with rate 1 (asynchronous value iteration);
+    once a second successor shows up the satisfaction and recurrence tables
+    fall back to a decaying rate (robust to stochastic outcomes such as the
+    zapper) and the reward table keeps at least ``alpha_floor`` so large
+    discounted values still relax.  Untried actions carry a satisfaction
+    value of ``optimism``; the pessimistic default is important because the
+    satisfaction update passes values through non-accepting transitions
+    unchanged, so an optimistic init would survive forever on any
+    non-accepting loop (a crash sink would keep looking safe no matter how
+    often it is observed); for the same reason a ``STUCK`` state bootstraps
+    0 whatever ``optimism`` is.
+
+    The tables are rows of ``P.arrays``, updated in place.  Passing a
+    previous run's ``tables`` continues training from them, which allows
+    staged schedules (broad exploration first, polish after); they must
+    come from the same product, and tables with another row count raise
+    ValueError.  The tables keep every update made, also when training
+    stops with an error.  Returns (tables, strategy) where the strategy
+    switches from reward-greedy to satisfaction-greedy after
+    switch_horizon(lam, eps, r_max) steps.
 
     Raises RuntimeError when any table value escapes ``value_cap`` (by
     default a bound no legitimate fixed point can exceed), with the episode,
@@ -133,48 +111,36 @@ def lex_q_learn(P: ProductMdp, episodes, steps=1000, lam=0.99, zeta=0.99,
         explore = (float(explore), float(explore))
     if value_cap is None:
         value_cap = 2.0 + P.r_max / (1 - lam)
+    A = P.arrays
+    n_rows = len(A.action)
+    if tables is None:
+        tables = LexQTables(P, sat_init=optimism)
+    elif len(tables.sat) != n_rows:
+        raise ValueError(f"the tables have {len(tables.sat)} rows, the "
+                         f"product {n_rows}")
+    sat, rec, disc, updates = tables.sat, tables.rec, tables.disc, \
+        tables.updates
+    first, action, acc = A.first.tolist(), A.action, A.acc.tolist()
+    trans, reward = P.trans, P.reward
     rng = random.Random(seed)
-    if tables is not None:
-        tab = tables
-        tab.zeta, tab.lam, tab.tau_lex = zeta, lam, tau_lex
-    else:
-        tab = LexQTables(zeta=zeta, lam=lam, tau_lex=tau_lex,
-                         sat_init=optimism)
-    # The tables live in flat lists while training, one row per (state,
-    # action) pair: state s owns rows base[s] .. base[s + 1] - 1 in the
-    # order of P.actions[s].  Rows updated here are written back to the
-    # dicts in first-update order, so the dicts end up as if updated in
-    # place.
-    actions, trans, acc_pairs, reward = P.actions, P.trans, P.acc, P.reward
-    n_states = P.n_states
-    base = [0] * (n_states + 1)
-    for s in range(n_states):
-        base[s + 1] = base[s] + len(actions[s])
-    n_rows = base[n_states]
-    sat, rec, disc = [tab.sat_init] * n_rows, [0.0] * n_rows, [0.0] * n_rows
-    visits = [0] * n_rows
-    for table, row_values in ((tab.q_sat, sat), (tab.q_rec, rec),
-                              (tab.q_disc, disc), (tab.visits, visits)):
-        for (s, a), v in table.items():
-            if 0 <= s < n_states and a in actions[s]:
-                row_values[base[s] + actions[s].index(a)] = v
-    tau = tab.tau_lex
     rand, randrange = rng.random, rng.randrange
-    updated = {}  # row -> (state, action), in first-update order
     row_trans = [None] * n_rows
-    row_acc = [None] * n_rows
     first_succ = [None] * n_rows
     stochastic = [False] * n_rows
 
     def greedy_at(s):
-        """One pass for what ``LexQTables.sat_max``, ``sat_greedy`` and
-        ``lex_greedy`` give at ``s``, with rows for actions: (top,
-        sat-greedy row, its q_rec, lex-greedy row, its q_disc)."""
-        lo, hi = base[s], base[s + 1]
+        """The greedy rule at ``s``: (the best q_sat, the sat-greedy row,
+        its q_rec, the lex-greedy row, its q_disc).  Both picks keep the
+        rows within tau_lex of the best q_sat; among them the sat-greedy
+        row has the highest q_rec and the lex-greedy row the highest
+        q_disc, the first in row order on ties.  The filter keeps an action
+        whose value still carries optimistic initialization from crowding
+        out a well-explored one that makes progress."""
+        lo, hi = first[s], first[s + 1]
         if hi - lo == 1:
             return sat[lo], lo, rec[lo], lo, disc[lo]
         top = max(sat[lo:hi])
-        floor = top - tau
+        floor = top - tau_lex
         best_r = best_d = None
         pick_r = pick_d = lo
         for k in range(lo, hi):
@@ -188,115 +154,102 @@ def lex_q_learn(P: ProductMdp, episodes, steps=1000, lam=0.99, zeta=0.99,
                 best_d, pick_d = v, k
         return top, pick_r, best_r, pick_d, best_d
 
-    try:
-        for ep in range(episodes):
-            check_time("Q-learning")
-            frac = ep / (episodes - 1) if episodes > 1 else 1.0
-            eps_explore = explore[0] + (explore[1] - explore[0]) * frac
-            sat_phase = ep % 2 == 0
-            s = P.initial
-            # the greedy picks at s, valid while no update has touched s
-            here = None
-            for step in range(steps):
-                acts = actions[s]
-                if acts[0] == STUCK:
+    for ep in range(episodes):
+        check_time("Q-learning")
+        frac = ep / (episodes - 1) if episodes > 1 else 1.0
+        eps_explore = explore[0] + (explore[1] - explore[0]) * frac
+        sat_phase = ep % 2 == 0
+        s = P.initial
+        # the greedy picks at s, valid while no update has touched s
+        here = None
+        for step in range(steps):
+            lo = first[s]
+            if action[lo] == STUCK:
+                break
+            k = -1
+            if rand() >= eps_explore:
+                if here is None:
+                    here = greedy_at(s)
+                if sat_phase:
+                    k, v = here[1], here[2]
+                else:
+                    k = here[3]
+                    v = rec[k]
+                if v <= 0.0:
+                    # no known route to an accepting transition from here,
+                    # so greedy would stall; wander until one is found
+                    k = -1
+            if k < 0:
+                k = lo + randrange(first[s + 1] - lo)
+            a = action[k]
+            dist = row_trans[k]
+            if dist is None:
+                dist = row_trans[k] = trans[(s, a)]
+            u = rand()
+            t = None
+            for t, p in dist:
+                u -= p
+                if u <= 0:
                     break
-                lo = base[s]
-                k = -1
-                if rand() >= eps_explore:
-                    if here is None:
-                        here = greedy_at(s)
-                    if sat_phase:
-                        k, v = here[1], here[2]
-                    else:
-                        k = here[3]
-                        v = rec[k]
-                    if v <= 0.0:
-                        # no known route to an accepting transition from
-                        # here, so greedy would stall; wander until one is
-                        # found
-                        k = -1
-                if k < 0:
-                    k = lo + randrange(len(acts))
-                a = acts[k - lo]
-                dist = row_trans[k]
-                if dist is None:
-                    key = (s, a)
-                    dist = row_trans[k] = trans[key]
-                    row_acc[k] = key in acc_pairs
-                    updated[k] = key
-                u = rand()
-                t = None
-                for t, p in dist:
-                    u -= p
-                    if u <= 0:
-                        break
-                r = reward(s, a, t)
-                n = visits[k] = visits[k] + 1
-                first = first_succ[k]
-                if first is None:
-                    first_succ[k] = t
-                elif first != t:
-                    stochastic[k] = True
-                if stochastic[k]:
-                    alpha = n ** -alpha_power
-                    alpha_d = max(alpha, alpha_floor)
-                else:
-                    alpha = alpha_d = 1.0
-                if actions[t][0] != STUCK:
-                    there = greedy_at(t)
-                    boot_sat, boot_rec, boot_disc = there[0], there[2], \
-                        there[4]
-                else:
-                    there = None
-                    boot_sat = boot_rec = boot_disc = 0.0
-                if row_acc[k]:
-                    tgt_sat = (1 - zeta) + zeta * boot_sat
-                    tgt_rec = 1.0
-                else:
-                    tgt_sat = boot_sat
-                    tgt_rec = zeta * boot_rec
-                tgt_disc = r + lam * boot_disc
-                old = sat[k]
-                vs = sat[k] = old + alpha * (tgt_sat - old)
-                old = rec[k]
-                vr = rec[k] = old + alpha * (tgt_rec - old)
-                old = disc[k]
-                vd = disc[k] = old + alpha_d * (tgt_disc - old)
-                if not (abs(vs) <= value_cap and abs(vr) <= value_cap
-                        and abs(vd) <= value_cap) or not (
-                        math.isfinite(vs) and math.isfinite(vr)
-                        and math.isfinite(vd)):
-                    raise RuntimeError(
-                        f"q-learning diverged at episode {ep}, step {step}, "
-                        f"state {s}, action {a!r}: q_sat={vs}, q_rec={vr}, "
-                        f"q_disc={vd} exceed cap {value_cap}")
-                # the update changed s's rows, so picks made at t before it
-                # are stale only on a self-loop
-                here = there if t != s else None
-                s = t
-    finally:
-        for k, key in updated.items():
-            tab.q_sat[key] = sat[k]
-            tab.q_rec[key] = rec[k]
-            tab.q_disc[key] = disc[k]
-            tab.visits[key] = visits[k]
-    first, second_choices, second_update = {}, {}, {}
-    for s in range(n_states):
+            r = reward(s, a, t)
+            n = updates[k] = updates[k] + 1
+            prior = first_succ[k]
+            if prior is None:
+                first_succ[k] = t
+            elif prior != t:
+                stochastic[k] = True
+            if stochastic[k]:
+                alpha = n ** -alpha_power
+                alpha_d = max(alpha, alpha_floor)
+            else:
+                alpha = alpha_d = 1.0
+            if action[first[t]] != STUCK:
+                there = greedy_at(t)
+                boot_sat, boot_rec, boot_disc = there[0], there[2], there[4]
+            else:
+                there = None
+                boot_sat = boot_rec = boot_disc = 0.0
+            if acc[k]:
+                tgt_sat = (1 - zeta) + zeta * boot_sat
+                tgt_rec = 1.0
+            else:
+                tgt_sat = boot_sat
+                tgt_rec = zeta * boot_rec
+            tgt_disc = r + lam * boot_disc
+            old = sat[k]
+            vs = sat[k] = old + alpha * (tgt_sat - old)
+            old = rec[k]
+            vr = rec[k] = old + alpha * (tgt_rec - old)
+            old = disc[k]
+            vd = disc[k] = old + alpha_d * (tgt_disc - old)
+            if not (abs(vs) <= value_cap and abs(vr) <= value_cap
+                    and abs(vd) <= value_cap) or not (
+                    math.isfinite(vs) and math.isfinite(vr)
+                    and math.isfinite(vd)):
+                raise RuntimeError(
+                    f"q-learning diverged at episode {ep}, step {step}, "
+                    f"state {s}, action {a!r}: q_sat={vs}, q_rec={vr}, "
+                    f"q_disc={vd} exceed cap {value_cap}")
+            # the update changed s's rows, so picks made at t before it
+            # are stale only on a self-loop
+            here = there if t != s else None
+            s = t
+    lex_choices, sat_choices, sat_update = {}, {}, {}
+    for s in range(P.n_states):
         _, k_sat, _, k_lex, _ = greedy_at(s)
-        first[s] = actions[s][k_lex - base[s]]
-        second_choices[(s, 0)] = actions[s][k_sat - base[s]]
-        second_update[(s, 0)] = 0
+        lex_choices[s] = action[k_lex]
+        sat_choices[(s, 0)] = action[k_sat]
+        sat_update[(s, 0)] = 0
     strategy = Strategy(
         "switching",
-        first=Strategy("positional", choices=first),
-        second=Strategy("finite-memory", choices=second_choices,
-                        update=second_update, memory_size=1),
+        first=Strategy("positional", choices=lex_choices),
+        second=Strategy("finite-memory", choices=sat_choices,
+                        update=sat_update, memory_size=1),
         switch_step=switch_horizon(lam, eps, P.r_max))
-    return tab, strategy
+    return tables, strategy
 
 
-def policy_arrows(P: ProductMdp, choices, cell_of):
+def policy_arrows(P: Mdp, choices, cell_of):
     """Group a product-state action map into per-mode arrow grids.
 
     ``choices`` maps product states to product actions, ``cell_of`` maps a

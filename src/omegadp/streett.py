@@ -153,8 +153,7 @@ class StreettDsa:
     trees: list = field(default_factory=list)
 
 
-def determinize_uca(A: Automaton, max_states: int = 200_000,
-                    validate: bool = False) -> StreettDsa:
+def determinize_uca(A: Automaton, max_states: int = 200_000) -> StreettDsa:
     """Build the reachable Streett automaton from the initial history tree."""
     if A.kind != "UCA":
         raise ValueError("determinization expects a UCA")
@@ -181,8 +180,6 @@ def determinize_uca(A: Automaton, max_states: int = 200_000,
         tree = trees[i]
         src = ids[tree]
         i += 1
-        if validate:
-            _validate_tree(tree)
         for a in letters:
             succ, flags = sigma_successor(tree, A, a)
             delta[(src, a)] = intern(succ)

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from omegadp.automata import Alphabet, Automaton, CapacityError
-from omegadp.cli import uniform_chain
+from omegadp.cli import random_mdp, uniform_chain
 from omegadp.complement import ComplementOptions, complement_uca
 from omegadp.mdp import (
     STUCK,
     Mdp,
     NoValidStrategy,
-    ProductMdp,
     RewardMachine,
     Strategy,
     accepting_mecs,
@@ -106,6 +105,8 @@ def test_validation_rejects_what_names_nothing_real():
             {**loop, (7, "b"): ((0, 1.0),)})
     with pytest.raises(ValueError, match="not an action"):
         Mdp(2, 0, {0: ("a",), 1: ("a",)}, {**loop, (0, "zz"): ((0, 1.0),)})
+    with pytest.raises(ValueError, match="accepting mark given for"):
+        Mdp(2, 0, {0: ("a",), 1: ("a",)}, loop, acc={(1, "zz")})
     # a reward on no action would also raise r_max, which sets the
     # switching horizon and the Q-learning value cap
     with pytest.raises(ValueError, match="not a transition"):
@@ -212,23 +213,12 @@ def brute_force_mecs(M):
                    if not any(S < T for T in components)), key=min)
 
 
-def random_mdp(rng, n, n_actions=2, alphabet=None, rewards=False):
-    """Random MDP; with ``rewards``, every transition pays 0 to 3."""
-    actions, trans, labels = {}, {}, []
-    for s in range(n):
-        if alphabet is not None:
-            labels.append(rng.choice(alphabet.letters()))
-        names = tuple(f"a{k}" for k in range(rng.randint(1, n_actions)))
-        actions[s] = names
-        for a in names:
-            support = rng.sample(range(n), rng.randint(1, min(2, n)))
-            trans[(s, a)] = tuple((t, 1.0 / len(support)) for t in support)
-    pay = {}
-    if rewards:
-        pay = {(s, a, t): float(rng.randint(0, 3))
-               for (s, a), dist in trans.items() for t, _ in dist}
-    return Mdp(n, 0, actions, trans, alphabet=alphabet,
-               labels=labels if alphabet is not None else None, rewards=pay)
+def with_rewards(rng, M):
+    """``M`` with every transition paying 0 to 3, drawn in row order."""
+    pay = {(s, a, t): float(rng.randint(0, 3))
+           for (s, a), dist in M.trans.items() for t, _ in dist}
+    return Mdp(M.n_states, M.initial, M.actions, M.trans,
+               alphabet=M.alphabet, labels=M.labels, rewards=pay)
 
 
 def test_mec_decomposition_matches_brute_force(rng):
@@ -359,7 +349,8 @@ def exact_policy_values(M, choices, lam):
 
 def test_discounted_vi_matches_policy_enumeration(rng):
     for _ in range(40):
-        M = random_mdp(rng, rng.randint(1, 5), n_actions=3, rewards=True)
+        M = with_rewards(rng, random_mdp(rng, rng.randint(1, 5),
+                                         n_actions=3))
         lam = rng.choice((0.0, 0.5, 0.9, 0.99))
         policies = itertools.product(
             *(M.actions[s] for s in range(M.n_states)))
@@ -490,7 +481,7 @@ def test_strategy_json():
 def two_state_loop():
     """State 0 may "stay" (paying 1) or "go" to state 1, whose accepting
     move "back" pays 2."""
-    return ProductMdp(
+    return Mdp(
         2, 0, {0: ("stay", "go"), 1: ("back",)},
         {(0, "stay"): ((0, 1.0),), (0, "go"): ((1, 1.0),),
          (1, "back"): ((0, 1.0),)},
@@ -525,7 +516,7 @@ def test_value_check_of_a_switching_strategy():
 def test_value_check_of_a_partly_accepting_chain():
     # retry with 1/2, win with 1/8, lose with 3/8: absorbed in the
     # accepting loop with probability (1/8) / (1/2) = 1/4
-    P = ProductMdp(
+    P = Mdp(
         3, 0, {0: ("flip",), 1: ("loop",), 2: ("loop",)},
         {(0, "flip"): ((0, .5), (1, .125), (2, .375)),
          (1, "loop"): ((1, 1.0),), (2, "loop"): ((2, 1.0),)},
@@ -556,8 +547,8 @@ def solved_strategies(count=200, seed=2024):
     out = []
     for _ in range(count):
         C = random_nba(rng, rng.randint(2, 3), n_ap=1)
-        M = random_mdp(rng, rng.randint(4, 8), n_actions=3,
-                       alphabet=C.alphabet, rewards=True)
+        M = with_rewards(rng, random_mdp(rng, rng.randint(4, 8),
+                                         C.alphabet, n_actions=3))
         try:
             _, _, sigma = lexicographic_solve(product_with_nba(M, C), 0.9,
                                               0.01)

@@ -42,7 +42,9 @@ def test_agreement_with_lasso_oracle(rng):
     lassos = all_lassos(2, 2, 4)
     for _ in range(25):
         U = random_uca(rng, rng.randint(1, 3))
-        D = determinize_uca(U, validate=True)
+        D = determinize_uca(U)
+        for tree in D.trees:
+            _validate_tree(tree)
         for w in lassos:
             assert lasso_member_dsa(D, w) == lasso_member_uca(U, w), w
 
