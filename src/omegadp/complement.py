@@ -19,9 +19,30 @@ any number of UCA states works.  The worklist is taken in FIFO batches of
 consecutive ranking states (at most ``_CHUNK``); numpy computes the ranking
 update of a whole batch on every letter at once, and the successors are then
 interned in (state, letter) order, which gives every state the id the
-one-at-a-time loop would give it.  The entry rankings of a subset are built
-once per subset and reused by every subset state and letter that reaches
-it.  The output keeps its transitions as :class:`~omegadp.automata.Edges`;
+one-at-a-time loop would give it.  The batch kernel works in three steps:
+
+* Least incoming rank.  The UCA's moves are grouped by (letter, target)
+  once per construction, largest group first (:func:`_move_groups`).  One
+  gather reads, for every move and ranking, what the move brings (the
+  source's rank, or along a rejecting move the even rank at or below it),
+  and one elementwise minimum per layer of the groups folds each group
+  into its cell, so ``g[letter, target, ranking]`` costs one pass over the
+  move list.
+* Tightness.  A ranking is tight when its top rank is odd and it holds
+  every odd rank below.  Each rank held sets one bit of a mask of odd
+  ranks (64 odd ranks per word, as many words as the UCA needs); the OR
+  over the targets must equal the mask of all odd ranks up to the top
+  (:func:`_tight`).  The ``O`` and ``i`` update and the new rows are then
+  computed only for the (ranking, letter) pairs that stay tight.
+* Interning.  Row bytes are dict keys.  A batch looks all of its keys up at
+  once and only the misses get fresh ids, in first-seen order.  The entry
+  rankings of a subset are interned once, when the subset is first
+  reached; every later jump into the subset reuses the stored ids.  They
+  are built once per subset size and pin position, and counted in closed
+  form first, so a count above the state budget fails before any row is
+  built.
+
+The output keeps its transitions as :class:`~omegadp.automata.Edges`;
 the ``delta``/``gamma`` dicts are built only if someone reads them.
 """
 
@@ -29,6 +50,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress, repeat
+from math import comb
+from operator import is_
 
 import numpy as np
 
@@ -36,7 +60,8 @@ from .automata import Automaton, CapacityError, Edges, Explorer, check_time
 
 
 # a batch holds at most _CHUNK ranking states, and at most _CHUNK_CELLS cells
-# of successor rows (states x letters x row width)
+# of successor rows (states x letters x row width) and of incoming moves
+# (states x UCA moves)
 _CHUNK = 4096
 _CHUNK_CELLS = 1 << 22
 
@@ -116,6 +141,23 @@ def _tight_rankings(states, odd_only, pinned):
     return np.concatenate(blocks)
 
 
+def _n_tight_rankings(m, odd_only, pinned):
+    """``len(_tight_rankings(states, odd_only, pinned))`` for ``m`` states,
+    ``pinned`` telling whether the pinned state is among them, without
+    building a row."""
+    total = 0
+    for n in range(1, m + 1):
+        v = n if odd_only else 2 * n
+        total += (_n_onto(m - 1, v, n - 1) if pinned else _n_onto(m, v, n))
+    return total
+
+
+def _n_onto(m, v, c):
+    """The number of rows of length ``m`` over ``v`` values that hold each
+    of ``c`` given values, by inclusion and exclusion."""
+    return sum((-1) ** k * comb(c, k) * (v - k) ** m for k in range(c + 1))
+
+
 def _onto_rows(m, values, must_cover):
     """All rows of length ``m`` over the ascending ``values`` that hold every
     value of ``must_cover``, in lexicographic order, built a column at a
@@ -128,6 +170,7 @@ def _onto_rows(m, values, must_cover):
     rows = np.zeros((1, 0), dtype=np.int16)
     held = np.zeros((1, v), dtype=bool)
     for pos in range(m + 1):
+        check_time("complement construction")
         ok = (~held[:, need]).sum(axis=1) <= m - pos
         rows, held = rows[ok], held[ok]
         if pos == m:
@@ -200,22 +243,84 @@ def complement_uca(A: Automaton, opts: ComplementOptions | None = None) -> Autom
     return _complement_general(A, opts)
 
 
-def _moves(idx):
-    """``moves[q, a, t]``: 0 if the UCA has no move from ``q`` to ``t`` on
-    letter index ``a``, 1 for a plain move, 2 for a rejecting one."""
-    moves = np.zeros((idx.n, len(idx.letters), idx.n), dtype=np.int8)
-    for q in range(idx.n):
-        for li in range(len(idx.letters)):
-            moves[q, li, _bits(idx.succ[q][li])] = 1
-            moves[q, li, _bits(idx.rej[q][li])] = 2
-    return moves
+def _post(idx):
+    """``post[q, a * n + t]``: 1 if the UCA moves from ``q`` to ``t`` on
+    letter index ``a``, else 0."""
+    n = idx.n
+    post = np.zeros((n, len(idx.letters) * n), dtype=np.float32)
+    for q in range(n):
+        post[q, [li * n + t for li, mask in enumerate(idx.succ[q])
+                 for t in _bits(mask)]] = 1
+    return post
+
+
+def _move_groups(idx):
+    """The moves of the UCA laid out for the least incoming rank.
+
+    The moves into one cell (letter * n + target) form a group, and the
+    groups are ordered by size, largest first.  Layer ``d`` holds the
+    ``d``-th move, in source order, of every group that has one, so it
+    covers a prefix of the groups.  Returns ``(take, sizes, cells)``:
+    ``take`` lists the layers one after the other, each move as the row it
+    reads of the rows a source brings (row ``q`` its rank, row ``n + q``
+    along a rejecting move the even rank at or below it); ``sizes`` are the
+    layer lengths; ``cells`` are the groups' cells."""
+    n = idx.n
+    groups = []
+    for li in range(len(idx.letters)):
+        for t in range(n):
+            bit = 1 << t
+            reads = [q + n if idx.rej[q][li] & bit else q
+                     for q in range(n) if idx.succ[q][li] & bit]
+            if reads:
+                groups.append((li * n + t, reads))
+    groups.sort(key=lambda group: -len(group[1]))
+    # (one empty layer when there are no moves)
+    depth = len(groups[0][1]) if groups else 1
+    sizes = [sum(len(reads) > d for _, reads in groups) for d in range(depth)]
+    take = [reads[d] for d, k in enumerate(sizes) for _, reads in groups[:k]]
+    return (np.array(take, dtype=np.intp), sizes,
+            np.array([cell for cell, _ in groups], dtype=np.intp))
+
+
+def _odd_rank_masks(n):
+    """Masks of odd ranks for rankings of up to ``n`` states, one word per
+    64 odd ranks; rank 2j+1 is bit j % 64 of word j // 64.
+
+    ``bits[w, r]`` is the bit that rank ``r`` (0 .. 2n) sets in word ``w``,
+    nothing for an even rank; ``upto[w, c]`` is word ``w`` of the mask of
+    the ``c`` lowest odd ranks (c = 0 .. n)."""
+    words = (n + 63) // 64
+    j = np.arange(n)
+    bits = np.zeros((words, 2 * n + 1), dtype=np.uint64)
+    bits[j // 64, 2 * j + 1] = np.left_shift(np.uint64(1),
+                                              (j % 64).astype(np.uint64))
+    upto = np.zeros((words, n + 1), dtype=np.uint64)
+    upto[:, 1:] = np.bitwise_or.accumulate(bits[:, 1::2], axis=1)
+    return bits, upto
+
+
+def _tight(g, top, masks):
+    """Whether each ranking is tight: its largest rank ``top`` is odd and
+    it holds every odd rank below ``top``.
+
+    ``g[a, t, s]`` is the rank of UCA state ``t`` in ranking ``s`` after
+    letter ``a``, or 2n where ``t`` is absent; ``top[a, s]`` is the largest
+    rank held, -1 if none; ``masks`` is ``_odd_rank_masks(n)``.  Per word,
+    the OR of the bits of the ranks held must be the mask of every odd rank
+    up to ``top``."""
+    ok = (top > 0) & ((top & 1) == 1)
+    odd_upto = (top + 1) >> 1
+    for bits, upto in zip(*masks):
+        ok &= np.bitwise_or.reduce(bits.take(g), axis=1) == upto.take(odd_upto)
+    return ok
 
 
 def _row_keys(table):
     """The bytes of each row of a 2-d array, as dict keys."""
-    buf = table.tobytes()
-    w = table.shape[1] * table.itemsize
-    return [buf[k:k + w] for k in range(0, len(buf), w)]
+    table = np.ascontiguousarray(table)
+    return table.view(np.dtype((np.void, table.shape[1] * table.itemsize))) \
+        .ravel().tolist()
 
 
 # per (ranking state, letter) outcome of a batched ranking update
@@ -230,16 +335,18 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     pinned = _resolve_pin(A, opts)
     W = 2 * n + 1  # rank row: ranks (-1 absent), then O flags, then i
     big = 2 * n  # above every rank
-    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W)))
-    moves = _moves(idx)
-    post = (moves > 0).astype(np.float32)
+    take, sizes, cells = _move_groups(idx)
+    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W, len(take))))
+    post = _post(idx)
+    masks = _odd_rank_masks(n)
 
     kinds = bytearray()  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
     subset_ids = {}  # subset mask -> id
     subset_of = {}  # id -> subset mask
     rank_ids = {}  # rank row bytes -> id
     rows = np.empty((1024, W), dtype=np.int16)  # rank row of each state id
-    entries = {}  # subset mask -> (keys, rows) of its entry rankings
+    entries = {}  # subset mask -> jump_targets(mask)
+    rankings = {}  # (size, pin position) -> entry rankings of a subset
     sink = []
     src_parts, let_parts, dst_parts, acc_parts = [], [], [], []
     blocked = 0
@@ -264,41 +371,57 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
             subset_of[sid] = S
         return sid
 
-    def intern_ranks(keys, table):
-        """Ids of the rank rows ``table`` (with bytes ``keys``), interned in
-        order; new rows are stored."""
+    def intern_ranks(table):
+        """Ids of the rank rows ``table``, interned in order; new rows are
+        stored."""
         nonlocal rows
+        keys = _row_keys(table)
+        ids = list(map(rank_ids.get, keys))
+        if None not in ids:
+            return np.array(ids, dtype=np.int64)
+        # the new rows' keys, in the order first seen
+        new = dict.fromkeys(compress(keys, map(is_, ids, repeat(None))))
         first = len(kinds)
-        fresh = first
-        ids = []
-        for key in keys:
-            sid = rank_ids.setdefault(key, fresh)
-            if sid == fresh:
-                fresh += 1
-            ids.append(sid)
+        fresh = first + len(new)
         if fresh > opts.max_states:
             raise CapacityError(
                 f"state budget of {opts.max_states} exceeded", opts.max_states)
-        if fresh > first:
-            kinds.extend(bytes([2]) * (fresh - first))
-            if fresh > len(rows):
-                grown = np.empty((max(fresh, 2 * len(rows)), W), dtype=np.int16)
-                grown[:len(rows)] = rows
-                rows = grown
-            new_ids, at = np.unique(ids, return_index=True)
-            at = at[new_ids >= first]
-            rows[first:fresh] = table[at]
+        rank_ids.update(zip(new, range(first, fresh)))
+        ids = np.fromiter(map(rank_ids.__getitem__, keys), dtype=np.int64,
+                          count=len(keys))
+        kinds.extend(bytes([2]) * (fresh - first))
+        if fresh > len(rows):
+            grown = np.empty((max(fresh, 2 * len(rows)), W), dtype=np.int16)
+            grown[:len(rows)] = rows
+            rows = grown
+        at = ids >= first
+        rows[ids[at]] = table[at]
         return ids
 
-    def entry_rankings(S2):
+    def jump_targets(S2):
+        """The sorted ids of subset ``S2`` and of its entry rankings,
+        interned the first time ``S2`` is reached."""
         got = entries.get(S2)
         if got is None:
+            sub = intern_subset(S2)
             states = _bits(S2)
-            ranks = _tight_rankings(states, opts.odd_entry, pinned)
+            # the rankings depend on the subset only through its size and
+            # where the pinned state sits in it
+            m = len(states)
+            pin = states.index(pinned) if pinned in states else None
+            ranks = rankings.get((m, pin))
+            if ranks is None:
+                if _n_tight_rankings(m, opts.odd_entry, pin is not None) \
+                        > opts.max_states:
+                    raise CapacityError(
+                        f"state budget of {opts.max_states} exceeded",
+                        opts.max_states)
+                ranks = rankings[m, pin] = _tight_rankings(
+                    states, opts.odd_entry, pinned)
             table = np.zeros((len(ranks), W), dtype=np.int16)
             table[:, :n] = -1
             table[:, states] = ranks
-            got = entries[S2] = (_row_keys(table), table)
+            got = entries[S2] = np.sort(np.append(intern_ranks(table), sub))
         return got
 
     def add_edges(src, let, dst, acc):
@@ -312,79 +435,77 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
 
     def expand_subset(sid):
         S = subset_of[sid]
-        let, dst = [], []
+        dst = []
         for li in range(L):
             S2 = idx.post(S, li)
-            if S2 == 0:
-                targets = [get_empty()]
-            else:
-                targets = [intern_subset(S2)] + intern_ranks(*entry_rankings(S2))
-            targets = sorted(set(targets))
-            let += [li] * len(targets)
-            dst += targets
-        add_edges([sid] * len(dst), let, dst, [False] * len(dst))
+            dst.append(jump_targets(S2) if S2 else [get_empty()])
+        fan = [len(d) for d in dst]
+        k = sum(fan)
+        add_edges(np.full(k, sid), np.repeat(np.arange(L), fan),
+                  np.concatenate(dst), np.zeros(k, dtype=bool))
 
     def expand_ranks(lo, hi):
         """The ranking update of states ``lo .. hi-1`` on every letter."""
         nonlocal blocked
         m = hi - lo
         F = rows[lo:hi]
-        f, i = F[:, :n], F[:, 2 * n]
-        # what a move from q brings to its target: nothing (big), q's rank,
-        # or along a rejecting move the even rank at or below it
-        brings = np.stack([np.full_like(f, big), np.where(f >= 0, f, big),
-                           np.where(f >= 0, f - (f & 1), big)], axis=2)
-        g = np.full((m, L, n), big, dtype=np.int16)
-        for q in range(n):
-            np.minimum(g, brings[:, q, moves[q]], out=g)
-        # g[s, a, t] is the least rank a run of s brings to t on letter a
-        alive = g < big
-        some = alive.any(axis=2)
-        r = np.where(alive, g, np.int16(-1))
-        top = r.max(axis=2)
-        # tight: the top rank is odd and every odd rank below it is held
-        held = np.zeros((m, L, big), dtype=bool)
-        hs, ha, ht = np.nonzero(alive)
-        held[hs, ha, r[hs, ha, ht]] = True
-        ok = some & (top % 2 == 1) \
-            & (held[:, :, 1::2].sum(axis=2) == (top + 1) // 2)
+        # what a move brings to its target, per source state and ranking:
+        # nothing (big) from an absent source, the source's rank, or along
+        # a rejecting move the even rank at or below it
+        f = np.ascontiguousarray(F[:, :n].T)
+        f[f < 0] = big
+        brings = np.concatenate([f, f & np.int16(-2)])
+        # g[a, t, s]: the least rank a run of s brings to t on letter a
+        least = brings[take]
+        at = sizes[0]
+        for k in sizes[1:]:
+            np.minimum(least[:k], least[at:at + k], out=least[:k])
+            at += k
+        g = np.full((L * n, m), big, dtype=np.int16)
+        g[cells] = least[:sizes[0]]
+        g = g.reshape(L, n, m)
+        top = np.where(g < big, g, np.int16(-1)).max(axis=1)
+        ok = _tight(g, top, masks)
         if pinned is not None:
             # the pinned state never dies and nothing feeds into it, so
             # its rank stays put while everyone else only decreases; a
             # run where it stops carrying the maximum cannot have been
             # pinned at entry and is dropped
-            ok &= r[:, :, pinned] == top
-        owed = np.tensordot(F[:, n:2 * n].astype(np.float32), post,
-                            axes=([1], [0])) > 0
-        owing = alive & (r == i[:, None, None]) & owed
-        still = owing.any(axis=2)
-        # breakpoint: O empties, and the next even rank i2 is owed
-        i2 = (i[:, None] + 2) % np.where(ok, top + 1, 1)
-        out = np.empty((m, L, W), dtype=np.int16)
-        out[:, :, :n] = r
-        out[:, :, n:2 * n] = np.where(still[:, :, None], owing,
-                                      r == i2[:, :, None])
-        out[:, :, 2 * n] = np.where(still, i[:, None], i2)
-        status = np.where(ok, _NEXT, np.where(some, _BLOCKED, _EMPTY))
-        mark = ~(some & still)
-        st = status.reshape(-1)
+            ok &= g[:, pinned] == top
+        status = np.where(ok, _NEXT, np.where(top >= 0, _BLOCKED, _EMPTY))
+        st = status.T.reshape(-1)  # in (state, letter) order
         go = np.flatnonzero(st != _BLOCKED)
         blocked += m * L - len(go)
         nxt = np.flatnonzero(st == _NEXT)
-        table = out.reshape(m * L, W)[nxt]
-        keys = _row_keys(table)
+        s, a = np.divmod(nxt, L)
+        r = g[a, :, s]
+        r[r == big] = -1
+        i = F[s, 2 * n]
+        # owed to t: some state of O moves to t; O keeps the states owed
+        # the even rank i; once it empties (a breakpoint) it refills with
+        # the states of the next even rank i2
+        owed = (F[:, n:2 * n].astype(np.float32) @ post > 0) \
+            .reshape(m * L, n)[nxt]
+        owing = (r == i[:, None]) & owed
+        still = owing.any(axis=1)
+        i2 = (i + 2) % (top[a, s] + 1)
+        table = np.empty((len(nxt), W), dtype=np.int16)
+        table[:, :n] = r
+        table[:, n:2 * n] = np.where(still[:, None], owing, r == i2[:, None])
+        table[:, 2 * n] = np.where(still, i, i2)
+        mark = np.ones(m * L, dtype=bool)
+        mark[nxt] = ~still
         to_empty = st == _EMPTY
         # targets are interned in (state, letter) order, the sink included
         cut = len(nxt)
         if not sink and to_empty.any():
             cut = int(np.searchsorted(nxt, np.argmax(to_empty)))
-        ids = intern_ranks(keys[:cut], table[:cut])
+        ids = intern_ranks(table[:cut])
         dst = np.empty(m * L, dtype=np.int64)
         if to_empty.any():
             dst[to_empty] = get_empty()
-        ids += intern_ranks(keys[cut:], table[cut:])
-        dst[nxt] = ids
-        add_edges(lo + go // L, go % L, dst[go], mark.reshape(-1)[go])
+        dst[nxt] = np.concatenate([ids, intern_ranks(table[cut:])])
+        add_edges(lo + go // L, go % L, dst[go], mark[go])
 
     start = intern_subset(1 << A.initial)
     wi = 0
@@ -392,10 +513,10 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         check_time("complement construction")
         kind = kinds[wi]
         if kind == 2:
-            hi = wi + 1
             limit = min(len(kinds), wi + chunk)
-            while hi < limit and kinds[hi] == 2:
-                hi += 1
+            hi = min((k for k in (kinds.find(0, wi, limit),
+                                  kinds.find(1, wi, limit)) if k >= 0),
+                     default=limit)
             expand_ranks(wi, hi)
             wi = hi
             continue

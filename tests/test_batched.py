@@ -4,9 +4,11 @@ reference versions in ``dict_reference.py``: same states, initial state,
 transitions, accepting transitions, phase partition and blocked count; the
 emptiness check finds the same states."""
 
+import hashlib
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dict_reference as ref
@@ -163,3 +165,57 @@ def test_intersection_deadline_expires_between_batches(monkeypatch):
             TimeoutError, match="^intersection exceeded its deadline$"):
         automata.intersect_nba(A, B)
     assert len(calls) == 3
+
+
+def test_reduce_05_complement_is_pinned():
+    """The generic complement of ``reduce_05``, edge for edge."""
+    C = complement_uca(fixture("reduce_05"), ComplementOptions(special="off"))
+    E = C.edges
+    stats = C.tags["stats"]
+    assert (C.n_states, len(E), stats["accepting_transitions"],
+            stats["blocked_transitions"]) == (246_080, 1_156_709, 613_723,
+                                              1_311_537)
+    digest = hashlib.sha256()
+    for column in (E.src, E.let, E.dst):
+        digest.update(np.asarray(column, dtype=np.int64).tobytes())
+    digest.update(np.asarray(E.acc, dtype=np.uint8).tobytes())
+    assert digest.hexdigest() == \
+        "3fae463fb0f0907716848351ba8ec7d5a3753a6c3b50e9ba47440773428f50a1"
+
+
+def held_tight(g, big):
+    """Tightness by a table of the ranks held, one row per ranking."""
+    alive = g < big
+    r = np.where(alive, g, -1)
+    top = r.max(axis=1)
+    held = np.zeros(top.shape + (big,), dtype=bool)
+    ha, ht, hs = np.nonzero(alive)
+    held[ha, hs, r[ha, ht, hs]] = True
+    return alive.any(axis=1) & (top % 2 == 1) \
+        & (held[:, :, 1::2].sum(axis=2) == (top + 1) // 2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 63, 64, 65, 100, 130])
+def test_tightness_by_odd_rank_masks(n):
+    rng = np.random.default_rng(n)
+    L, m, big = 3, 400, 2 * n
+    g = rng.integers(0, big + 1, size=(L, n, m)).astype(np.int16)
+    # mostly tight rankings, some with one odd rank moved away or an even
+    # rank on top, so both answers occur at every size
+    for a in range(L):
+        for s in range(m):
+            k = rng.integers(1, n + 1)
+            who = rng.permutation(n)
+            g[a, who[:k], s] = np.arange(1, 2 * k, 2)
+            g[a, who[k:], s] = rng.choice([big, *range(2 * k)], n - k)
+            if s % 3 == 1:
+                g[a, who[rng.integers(k)], s] -= 1
+            elif s % 3 == 2 and k < n:
+                g[a, who[k], s] = 2 * k
+    top = np.where(g < big, g, -1).max(axis=1)
+    expect = held_tight(g, big)
+    assert 0 < expect.sum() < expect.size
+    if n > 64:
+        assert top.max() >= 129
+    got = complement_module._tight(g, top, complement_module._odd_rank_masks(n))
+    assert np.array_equal(got, expect)

@@ -1,5 +1,10 @@
+import time
+
+import numpy as np
 import pytest
 
+from omegadp import complement as complement_module
+from omegadp import reduction
 from omegadp.automata import (
     Alphabet,
     Automaton,
@@ -225,3 +230,67 @@ def test_requires_instantiated_uca():
     schema = Automaton("UCA", ab, 1, None, {(0, 0): (0,)}, {(0, 0, 0)})
     with pytest.raises(ValueError):
         complement_uca(schema)
+
+
+def test_entry_ranking_count_is_the_number_built():
+    for m in range(1, 7):
+        states = list(range(m))
+        for odd_only in (True, False):
+            for pinned in (None, m - 1):
+                built = complement_module._tight_rankings(states, odd_only,
+                                                          pinned)
+                assert complement_module._n_tight_rankings(
+                    m, odd_only, pinned is not None) == len(built)
+    # odd entry rankings of m states are the ordered set partitions
+    assert complement_module._n_tight_rankings(10, True, False) == 102_247_563
+
+
+def test_entry_rankings_over_budget_fail_before_they_are_built(monkeypatch):
+    """Nine states, every move to every state: the entry rankings of the
+    full subset alone (7,087,261 of them) exceed the budget."""
+    ab = Alphabet(("a",))
+    U = Automaton("UCA", ab, 9, 0,
+                  {(q, a): tuple(range(9)) for q in range(9) for a in (0, 1)},
+                  set())
+    sizes = []
+    real = complement_module._tight_rankings
+
+    def tight_rankings(states, odd_only, pinned):
+        sizes.append(len(states))
+        return real(states, odd_only, pinned)
+
+    monkeypatch.setattr(complement_module, "_tight_rankings", tight_rankings)
+    t0 = time.monotonic()
+    with time_limit(0.5), pytest.raises(CapacityError) as exc:
+        complement_uca(U, ComplementOptions(special="off", max_states=100))
+    assert time.monotonic() - t0 < 0.5
+    assert exc.value.states_built == 100
+    assert sizes == []
+
+
+def test_entry_ranking_build_honours_the_deadline():
+    with time_limit(-1), pytest.raises(TimeoutError,
+                                       match="complement construction"):
+        complement_module._tight_rankings(list(range(5)), True, None)
+
+
+def test_a_pointwise_larger_entry_ranking_can_accept_less():
+    """Entry rankings f <= f' of one subset, yet L(f) is not included in
+    L(f'): f' = (1, 3) blocks on letter 0, where f = (1, 1) goes on.  So
+    the pointwise-maximal entry rankings alone do not give the language."""
+    ab = Alphabet(("p",))
+    U = Automaton("UCA", ab, 2, 0, {(0, 1): (0, 1), (1, 0): (0, 1)}, set())
+    C = complement_uca(U, ComplementOptions(special="off"))
+    entries = complement_module._tight_rankings([0, 1], True, None)
+    assert entries.tolist() == [[1, 1], [1, 3], [3, 1]]
+    # the start subset {0} jumps on letter 1 to subset {0, 1} and to its
+    # entry rankings, interned in the order listed
+    targets = C.successors(C.initial, 1)
+    sub, f, f2, _ = targets
+    assert C.tags["parts"][0] == {C.initial, sub}
+    assert C.successors(f2, 0) == ()
+    assert C.successors(f, 0) != ()
+    T, mark = reduction._successor_table(C.n_states, C.edges)
+    fails = reduction._inclusion_fails(T, mark, np.array([f, f2]),
+                                       np.array([f2, f]))
+    assert fails.tolist() == [True, False]
