@@ -9,6 +9,16 @@ Acceptance marks sit on transitions.  For an NBA/DBA a marked transition is
 accepting; for a UCA it is rejecting.  A DFA carries a final-state set
 instead.  Automata need not be complete: a run that cannot continue is
 neither accepting (NBA) nor rejecting (UCA).
+
+This module is also the one graph layer of the library.  Strongly connected
+components, reachability and emptiness are computed on edge arrays by
+``scipy.sparse.csgraph`` (``_components``, ``_reached``, ``_nonempty``), and
+the reduction stages, the end component decomposition of ``mdp`` and the
+checks here all call them; scipy is imported inside them, because loading it
+costs more than importing the rest of the library.  Explorations that
+number states one key at a time use ``Explorer``.  ``lasso_member_nba`` keeps
+a Python Tarjan of its own: it is the membership oracle the array
+constructions are tested against, so it shares no code with them.
 """
 
 from __future__ import annotations
@@ -496,47 +506,26 @@ def lasso_member_nba(A: Automaton, w: LassoWord) -> bool:
     k = len(w.cycle)
     # Nodes of the cycle layer are (state, position); find a marked edge on a
     # cycle reachable from the entry set.
-    nodes = {}
-
-    def node_id(q, j):
-        key = (q, j)
-        if key not in nodes:
-            nodes[key] = len(nodes)
-        return nodes[key]
-
+    nodes = Explorer((min(current), 0), what="lasso membership")
+    for q in current:
+        nodes.intern((q, 0))
     succ_lists = []
     edge_marks = []  # (src_id, dst_id) marked
-    frontier = [(q, 0) for q in current]
-    for q, j in frontier:
-        node_id(q, j)
-    i = 0
-    while i < len(frontier):
-        q, j = frontier[i]
-        i += 1
+    for sid, (q, j) in nodes:
         a = w.cycle[j]
-        nj = (j + 1) % k
-        sid = nodes[(q, j)]
-        while len(succ_lists) <= sid:
-            succ_lists.append([])
+        succ_lists.append([])
         for t in A.successors(q, a):
-            if (t, nj) not in nodes:
-                node_id(t, nj)
-                frontier.append((t, nj))
-            tid = nodes[(t, nj)]
+            tid = nodes.intern((t, (j + 1) % k))
             succ_lists[sid].append(tid)
             if (q, a, t) in A.gamma:
                 edge_marks.append((sid, tid))
-    while len(succ_lists) < len(nodes):
-        succ_lists.append([])
     if not edge_marks:
         return False
-    comp, _ = _strongly_connected_components(len(nodes), lambda x: succ_lists[x])
-    for sid, tid in edge_marks:
-        if comp[sid] == comp[tid]:
-            # Single-node components only qualify through self-loops, which is
-            # exactly the sid == tid case here.
-            return True
-    return False
+    comp, _ = _strongly_connected_components(len(nodes),
+                                             succ_lists.__getitem__)
+    # Single-node components only qualify through self-loops, which is
+    # exactly the sid == tid case here.
+    return any(comp[sid] == comp[tid] for sid, tid in edge_marks)
 
 
 def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
@@ -544,39 +533,50 @@ def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
     return not lasso_member_nba(A.reinterpret("NBA"), w)
 
 
-def _reaching(src, dst, n_states, seed):
-    """Mask of the states with a path, possibly empty, to a state of the
-    mask ``seed`` along the edges ``src[k] -> dst[k]``."""
-    order = np.argsort(dst, kind="stable")
-    preds = src[order].tolist()
-    starts = np.searchsorted(dst[order], np.arange(n_states + 1)).tolist()
-    found = seed.tolist()
-    work = np.flatnonzero(seed).tolist()
-    while work:
-        t = work.pop()
-        for p in preds[starts[t]:starts[t + 1]]:
-            if not found[p]:
-                found[p] = True
-                work.append(p)
-    return np.array(found, dtype=bool)
+def _graph(n, src, dst):
+    # the conversion merges repeated edges, on which scipy's SCC search hangs
+    from scipy.sparse import csr_matrix
+    return csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+
+
+def _reached(n, src, dst, roots):
+    """Mask of the states reachable from the states ``roots`` along the
+    edges ``src -> dst``."""
+    from scipy.sparse.csgraph import breadth_first_order
+    roots = np.asarray(roots, dtype=np.int64)
+    if not len(roots):
+        return np.zeros(n, dtype=bool)
+    # a virtual state n leads to every root
+    G = _graph(n + 1, np.concatenate([src, np.full(len(roots), n)]),
+               np.concatenate([dst, roots]))
+    out = np.zeros(n + 1, dtype=bool)
+    out[breadth_first_order(G, n, return_predecessors=False)] = True
+    return out[:n]
+
+
+def _components(n, src, dst):
+    """Strongly connected component label of each state."""
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(_graph(n, src, dst), directed=True,
+                                connection="strong")[1]
+
+
+def _nonempty(E: Edges, comp):
+    """Mask of the states from which some accepting lasso exists; ``comp``
+    labels the strongly connected components."""
+    n = len(comp)
+    inner = E.acc & (comp[E.src] == comp[E.dst])
+    live = np.zeros(n, dtype=bool)
+    live[comp[E.src[inner]]] = True
+    return _reached(n, E.dst, E.src, np.flatnonzero(live[comp]))
 
 
 def nonempty_states(A: Automaton) -> set:
     """States of an NBA from which an accepting lasso exists: those that
     reach a strongly connected component holding a marked edge."""
-    e, n = A.edges, A.n_states
-    pairs = np.sort(e.src * n + e.dst)
-    first = np.ones(len(pairs), dtype=bool)
-    first[1:] = pairs[1:] != pairs[:-1]
-    src, dst = pairs[first] // n, pairs[first] % n
-    starts = np.searchsorted(src, np.arange(n + 1)).tolist()
-    succ = dst.tolist()
-    comp, _ = _strongly_connected_components(
-        n, lambda q: succ[starts[q]:starts[q + 1]])
-    comp = np.array(comp, dtype=np.int64)
-    ms, md = comp[e.src[e.acc]], comp[e.dst[e.acc]]
-    live = np.isin(comp, ms[ms == md])
-    return set(np.flatnonzero(_reaching(src, dst, n, live)).tolist())
+    e = A.edges
+    live = _nonempty(e, _components(A.n_states, e.src, e.dst))
+    return set(np.flatnonzero(live).tolist())
 
 
 def is_empty(A: Automaton) -> bool:
@@ -674,7 +674,7 @@ def is_strongly_limit_deterministic(A: Automaton):
     twin = (e.src[1:] == e.src[:-1]) & (e.let[1:] == e.let[:-1])
     seed = np.zeros(n, dtype=bool)
     seed[e.src[1:][twin]] = True
-    in1 = _reaching(e.src, e.dst, n, seed)
+    in1 = _reached(n, e.dst, e.src, np.flatnonzero(seed))
     q1 = set(np.flatnonzero(in1).tolist())
     q2 = set(range(n)) - q1
     if (in1[e.src[e.acc]] | in1[e.dst[e.acc]]).any():

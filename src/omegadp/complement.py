@@ -188,10 +188,10 @@ def _resolve_pin(A: Automaton, opts: ComplementOptions):
         pin = A.tags.get("collection_initial")
     if pin is None:
         return None
-    for (q, a, t) in A.transitions():
-        if t == pin and q != pin:
-            raise ValueError(
-                f"cannot pin state {pin}: it has incoming transitions")
+    E = A.edges
+    if ((E.dst == pin) & (E.src != pin)).any():
+        raise ValueError(
+            f"cannot pin state {pin}: it has incoming transitions")
     return pin
 
 
@@ -199,32 +199,21 @@ def detect_shape(A: Automaton):
     """Detect the safety / reachability special shapes, if any."""
     if A.is_schema:
         return None
-    init = A.initial
+    E, init = A.edges, A.initial
     # reachability: every transition rejecting, except non-rejecting
     # self-loops on the initial state (which must have no other predecessors)
-    reach_ok = True
-    for (q, a, t) in A.transitions():
-        if q == init and t == init:
-            if (q, a, t) in A.gamma:
-                reach_ok = False
-                break
-        elif (q, a, t) not in A.gamma:
-            reach_ok = False
-            break
-        elif t == init:
-            reach_ok = False
-            break
-    if reach_ok and A.gamma:
+    loop = (E.src == init) & (E.dst == init)
+    if E.acc.any() and np.array_equal(E.acc, ~loop) \
+            and not (E.acc & (E.dst == init)).any():
         return "reachability"
     # safety: one rejecting sink with complete rejecting self-loops; all other
     # transitions non-rejecting
-    sinks = {q for (q, a, t) in A.gamma}
+    sinks = np.unique(E.src[E.acc])
     if len(sinks) == 1:
-        (z,) = sinks
-        letters = A.alphabet.letters()
-        ok = all(A.successors(z, a) == (z,) and (z, a, z) in A.gamma for a in letters)
-        ok = ok and all(q == z for (q, a, t) in A.gamma)
-        if ok:
+        z = sinks[0]
+        out = E.src == z
+        if out.sum() == len(E.letters) and (E.dst[out] == z).all() \
+                and E.acc[out].all():
             return "safety"
     return None
 

@@ -21,14 +21,14 @@ Models are built and read as dicts of tuples.  The solvers read one array
 form instead, ``MdpArrays``, built once per model on first use
 (``Mdp.arrays``): one CSR row per (state, action) pair in the state's action
 order, with expected rewards and an accepting-row mask.  On it, maximal end
-components come from strongly connected components refined until stable,
-qualitative regions and strategies from attractors over the rows in row
-order, and the discounted optimum from exact policy iteration with sparse
-direct solves.  ``strategy_value_check`` evaluates a strategy object on the
-Markov chain it induces, independently of the solvers, by two sparse direct
-solves.  ``scipy.sparse.csgraph`` and ``scipy.sparse.linalg`` are imported
-inside the functions that use them: loading them costs more than importing
-the rest of the library.
+components come from strongly connected components (the graph layer of
+``automata``) refined until stable, qualitative regions and strategies from
+attractors over the rows in row order, and the discounted optimum from
+exact policy iteration with sparse direct solves.  ``strategy_value_check``
+evaluates a strategy object on the Markov chain it induces, independently of
+the solvers, by two sparse direct solves.  ``scipy.sparse.csgraph`` and
+``scipy.sparse.linalg`` are imported inside the functions that use them:
+loading them costs more than importing the rest of the library.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .automata import Alphabet, Automaton, Explorer, check_time, \
-    label_from_names, label_to_names
+from .automata import Alphabet, Automaton, Explorer, _components, \
+    check_time, label_from_names, label_to_names
 
 
 class NoValidStrategy(Exception):
@@ -349,16 +349,12 @@ def _mecs(A: MdpArrays, within):
     a singleton.  Returns the component label of every state and the mask of
     inner rows; a state lies in a MEC exactly when it keeps an inner row.
     """
-    from scipy.sparse.csgraph import connected_components
     src, dst = A.state[A.entry_row], A.P.indices
     inner = within[A.state]
     while True:
         check_time("end component decomposition")
         live = inner[A.entry_row]
-        graph = sparse.csr_matrix(
-            (np.ones(np.count_nonzero(live)), (src[live], dst[live])),
-            shape=(A.n_states, A.n_states))
-        _, label = connected_components(graph, connection="strong")
+        label = _components(A.n_states, src[live], dst[live])
         refined = inner & ~A.row_any(label[dst] != label[src])
         if np.array_equal(refined, inner):
             return label, inner

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Automaton, Edges, check_time, \
-    is_strongly_limit_deterministic, time_limit
+from .automata import Automaton, Edges, _components, _nonempty, _reached, \
+    check_time, is_strongly_limit_deterministic, time_limit
 from .complement import ComplementOptions, complement_uca
 
 
@@ -81,41 +81,6 @@ def _derived(A: Automaton, n, initial, edges: Edges, final) -> Automaton:
         tags["parts"] = (set(np.flatnonzero(~final).tolist()),
                          set(np.flatnonzero(final).tolist()))
     return Automaton.from_edges(A.kind, A.alphabet, n, initial, edges, tags)
-
-
-def _graph(n, src, dst):
-    from scipy.sparse import csr_matrix
-    return csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-
-
-def _reached(n, src, dst, roots):
-    """Mask of the states reachable from the states ``roots`` along the
-    edges ``src -> dst``."""
-    from scipy.sparse.csgraph import breadth_first_order
-    # a virtual state n leads to every root
-    roots = np.asarray(roots, dtype=np.int64)
-    G = _graph(n + 1, np.concatenate([src, np.full(len(roots), n)]),
-               np.concatenate([dst, roots]))
-    out = np.zeros(n + 1, dtype=bool)
-    out[breadth_first_order(G, n, return_predecessors=False)] = True
-    return out[:n]
-
-
-def _components(n, src, dst):
-    """Strongly connected component label of each state."""
-    from scipy.sparse.csgraph import connected_components
-    return connected_components(_graph(n, src, dst), directed=True,
-                                connection="strong")[1]
-
-
-def _nonempty(E: Edges, comp):
-    """Mask of the states from which some accepting lasso exists; ``comp``
-    labels the strongly connected components."""
-    n = len(comp)
-    inner = E.acc & (comp[E.src] == comp[E.dst])
-    live = np.zeros(n, dtype=bool)
-    live[comp[E.src[inner]]] = True
-    return _reached(n, E.dst, E.src, np.flatnonzero(live[comp]))
 
 
 def _restrict(A: Automaton, initial, E: Edges, keep, final) -> Automaton:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Automaton, CapacityError, check_time
+from .automata import Automaton, Explorer
 
 
 def _validate_tree(tree):
@@ -160,29 +160,12 @@ def determinize_uca(A: Automaton, max_states: int = 200_000) -> StreettDsa:
     if A.is_schema:
         raise ValueError("instantiate the schema first")
     letters = A.alphabet.letters()
-    ids = {}
-    trees = []
-    annotations = {}
-
-    def intern(tree):
-        if tree not in ids:
-            if len(ids) >= max_states:
-                raise CapacityError("history tree budget exceeded", len(ids))
-            ids[tree] = len(ids)
-            trees.append(tree)
-        return ids[tree]
-
-    intern(initial_tree(A))
-    delta = {}
-    i = 0
-    while i < len(trees):
-        check_time("determinization")
-        tree = trees[i]
-        src = ids[tree]
-        i += 1
+    found = Explorer(initial_tree(A), max_states, "determinization")
+    delta, annotations = {}, {}
+    for src, tree in found:
         for a in letters:
             succ, flags = sigma_successor(tree, A, a)
-            delta[(src, a)] = intern(succ)
+            delta[(src, a)] = found.intern(succ)
             annotations[(src, a)] = flags
 
     pairs = {}
@@ -195,8 +178,7 @@ def determinize_uca(A: Automaton, max_states: int = 200_000) -> StreettDsa:
         unst = {t for t, flags in annotations.items()
                 if name not in flags["stable"]}
         pairs[name] = (coll, unst)
-    return StreettDsa(A.alphabet, len(trees), ids[initial_tree(A)], delta,
-                      pairs, trees)
+    return StreettDsa(A.alphabet, len(found), 0, delta, pairs, found.keys)
 
 
 def lasso_member_dsa(D: StreettDsa, w) -> bool:
@@ -236,30 +218,17 @@ def streett_mdp_max_prob(M, D: StreettDsa):
         raise ValueError("the MDP must be labeled")
     if M.alphabet is not None and D.alphabet.ap != M.alphabet.ap:
         raise ValueError("alphabet mismatch between MDP and automaton")
-    ids = {}
-    pairs = []
-
-    def intern(s, d):
-        if (s, d) not in ids:
-            ids[(s, d)] = len(ids)
-            pairs.append((s, d))
-        return ids[(s, d)]
-
-    intern(M.initial, D.initial)
+    found = Explorer((M.initial, D.initial), what="Streett product")
     actions, trans = {}, {}
-    i = 0
-    while i < len(pairs):
-        s, d = pairs[i]
-        src = ids[(s, d)]
-        i += 1
+    for src, (s, d) in found:
         d2 = D.delta[(d, M.labels[s])]
         actions[src] = M.actions[s]
         for a in M.actions[s]:
-            trans[(src, a)] = tuple((intern(t, d2), p)
+            trans[(src, a)] = tuple((found.intern((t, d2)), p)
                                     for t, p in M.trans[(s, a)])
-    product = Mdp(len(pairs), 0, actions, trans, check=False)
+    product = Mdp(len(found), 0, actions, trans, check=False)
     # the automaton transition taken from a product state is fixed
-    dsa_of = [(d, M.labels[s]) for s, d in pairs]
+    dsa_of = [(d, M.labels[s]) for s, d in found.keys]
     streett = list(D.pairs.values())
 
     def accepting(states):

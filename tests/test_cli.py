@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import shutil
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from omegadp import automata
 from omegadp.automata import (
     Alphabet, Automaton, is_strongly_limit_deterministic)
 from omegadp.biolab import BiolabGrid, build_biolab
@@ -269,11 +271,16 @@ def test_learn_rejects_unknown_config_key(tmp_path, capsys):
     ["complement", "{f05}", "--as-uca"],
 ], ids=["solve", "learn", "check-gfm", "check-against", "determinize",
         "complement"])
-def test_every_subcommand_stops_at_its_timeout(argv, tmp_path, capsys):
+def test_every_subcommand_stops_at_its_timeout(argv, tmp_path, capsys,
+                                               monkeypatch):
     lab = tmp_path / "lab.json"
     if "{lab}" in argv:
         lab.write_text(odp_to_json(build_biolab()))
     argv = [a.format(lab=lab, f05=FIXTURES / "reduce_05.hoa") for a in argv]
+    # a clock that moves on a second at every read: each run passes its
+    # deadline at its first check, however fast the machine
+    ticks = itertools.count()
+    monkeypatch.setattr(automata.time, "monotonic", lambda: float(next(ticks)))
     assert main(argv + ["--timeout", "0.01"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "TimeoutError"

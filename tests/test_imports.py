@@ -1,12 +1,20 @@
-"""Every module-level import in the library is used.
+"""Every module-level import in the library is used, and the heavy ones
+stay out of the modules that do not need them.
 
 No linter is a dependency of the project, so this scans the syntax trees:
 a name bound by a module-level ``import`` counts as used when the module
 reads it anywhere, or lists it in ``__all__``.  ``__init__.py`` re-exports
 its imports and ``from __future__`` imports bind nothing.
+
+Loading scipy's graph and solver routines costs more than importing the
+rest of the library, so the modules import them inside the functions that
+use them; a fresh interpreter checks which modules an import loads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +57,26 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_modules_loaded_by(statement):
+    """The ``scipy`` modules in ``sys.modules`` after ``statement`` runs in
+    a fresh interpreter."""
+    code = (f"import sys; {statement}; print(*(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_the_automaton_modules_load_no_scipy():
+    assert scipy_modules_loaded_by(
+        "import omegadp, omegadp.automata, omegadp.reduction, "
+        "omegadp.lasso_bulk, omegadp.streett") == set()
+
+
+def test_the_mdp_module_loads_no_graph_or_solver_routines():
+    loaded = scipy_modules_loaded_by("import omegadp.mdp")
+    assert "scipy.sparse" in loaded
+    assert not loaded & {"scipy.sparse.csgraph", "scipy.sparse.linalg"}

@@ -388,6 +388,17 @@ def test_pipeline_agrees_with_streett_oracle(rng):
         assert got >= value - 1e-3
 
 
+def test_lab_value_matches_the_streett_oracle():
+    # the lab's d* through the checking NBA against the product with the
+    # history-tree Streett automaton of the same collection
+    D = build_biolab()
+    value, _ = solve_odp(D, 0.99, 0.01)
+    M, _ = remove_lookahead(remove_lookback(D))
+    dsa = determinize_uca(build_collection(D.lookahead, "at-most-one",
+                                           letters=frozenset(M.labels)))
+    assert abs(streett_lex_value(M, dsa, 0.99) - value) <= 1e-9
+
+
 def test_validate_run_basics():
     D = example2_odp()
     a, b = (None, "a", 0), (None, "b", 0)

@@ -121,7 +121,7 @@ def test_equal_languages_get_equal_fingerprints_whatever_their_marks():
                   tags={"parts": ({0}, {1, 2, 3})})
     E = A.edges
     T, _ = reduction._successor_table(A.n_states, E)
-    nonempty = reduction._nonempty(E, reduction._components(
+    nonempty = automata._nonempty(E, automata._components(
         A.n_states, E.src, E.dst))
     rows = reduction._phase2_fingerprints(T, nonempty, np.array([1, 2, 3]))
     assert (rows[0] == rows[1]).all() and (rows[1] == rows[2]).all()
