@@ -1,7 +1,9 @@
 """Command-line front end for the toolkit.
 
 Subcommands cover the whole pipeline: ``complement`` turns a universal
-co-Buchi automaton into a good-for-MDPs Buchi automaton, ``reduce`` and
+co-Buchi automaton into a good-for-MDPs Buchi automaton (``--stats`` writes
+its state, transition, accepting and blocked transition counts, the input's
+state count and the construction's wall time in ms), ``reduce`` and
 ``stats`` batch the reduction pipeline over a directory of HOA files into a
 CSV of per-stage state counts, ``solve`` computes the optimal discounted
 value of a decision process with guards and promises, ``learn`` trains the
@@ -29,6 +31,7 @@ import json
 import os
 import statistics
 import sys
+import time
 
 from .automata import time_limit
 from .complement import ComplementOptions, complement_uca
@@ -79,13 +82,16 @@ def cmd_complement(args):
     A = _as_uca(_read_automaton(args.input), args.as_uca)
     opts = ComplementOptions(
         odd_entry=not args.plain_entry,
-        pin_max_rank=None if args.no_pin else "auto",
-        special=args.special,
+        special=args.special == "auto",
         max_states=args.max_states)
+    t0 = time.monotonic()
     C = complement_uca(A, opts)
+    wall = time.monotonic() - t0
     _write_text(args.output, emit_hoa(C))
-    stats = dict(C.tags.get("stats", {}))
-    stats["input_states"] = A.n_states
+    E = C.edges
+    stats = {"states": C.n_states, "transitions": len(E),
+             "accepting_transitions": int(E.acc.sum()), **C.tags["stats"],
+             "wall_time_ms": int(wall * 1000), "input_states": A.n_states}
     _write_text(args.stats, json.dumps(stats, indent=2))
     return 0
 
@@ -353,11 +359,10 @@ def _build_parser():
                    help="read an NBA file structurally as a UCA")
     p.add_argument("--plain-entry", action="store_true",
                    help="disable the odd-rank entry restriction")
-    p.add_argument("--no-pin", action="store_true",
-                   help="disable max-rank pinning")
-    p.add_argument("--special", default="auto",
-                   choices=("auto", "off", "safety", "reachability"),
-                   help="shape special-casing mode")
+    p.add_argument("--special", default="auto", choices=("auto", "off"),
+                   help="auto: safety and reachability shaped inputs get "
+                        "their smaller constructions; off: always the rank "
+                        "construction")
     p.add_argument("--max-states", type=int, default=50_000_000)
     p.set_defaults(func=cmd_complement)
 

@@ -7,10 +7,10 @@ even index ``i``), and a deterministic ranking update whose breakpoints (the
 moments ``O`` empties) are the accepting transitions.  The empty subset is a
 single canonical accepting sink.
 
-Optimizations: entry rankings can be restricted to odd ranks, and for
-collection automata the fresh initial state can be pinned as the unique
-maximal rank.  Safety and reachability shaped inputs collapse to subset and
-breakpoint constructions.
+Optimizations: entry rankings can be restricted to odd ranks, and in a
+collection automaton (tag ``collection_initial``) the fresh initial state is
+pinned to the maximal rank.  Safety and reachability shaped inputs collapse
+to subset and breakpoint constructions.
 
 The general construction explores breadth first and numbers states in the
 order they are found.  Ranking states are held as int16 rows of one table
@@ -37,19 +37,26 @@ one-at-a-time loop would give it.  The batch kernel works in three steps:
 * Interning.  Row bytes are dict keys.  A batch looks all of its keys up at
   once and only the misses get fresh ids, in first-seen order.  The entry
   rankings of a subset are interned once, when the subset is first
-  reached; every later jump into the subset reuses the stored ids.  They
-  are built once per subset size and pin position, and counted in closed
-  form first, so a count above the state budget fails before any row is
-  built.
+  reached; every later jump into the subset reuses the stored ids.  Their
+  table depends only on the subset size and the pin position, and is
+  counted in closed form first, so a count above the state budget fails
+  before any row is built.  A table of at most ``_KEEP_CELLS`` cells is
+  built once per process (``_kept_rankings`` keeps the last 64, 8 MiB at
+  most); a larger one lasts one construction.
 
-The output keeps its transitions as :class:`~omegadp.automata.Edges`;
-the ``delta``/``gamma`` dicts are built only if someone reads them.
+Input and output are :class:`~omegadp.automata.Edges` (``A.edges``); no
+``delta``/``gamma`` dict is built on either side.  The output's tags are
+``parts`` (the first-phase subset states, then the rest), ``construction``
+(``rank``, ``special-safety`` or ``special-reachability``) and ``stats``,
+whose one entry ``blocked_transitions`` counts the ranking updates dropped
+as not tight or unpinned; the automaton gives its own state and transition
+counts.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from math import comb
 from operator import is_
@@ -66,68 +73,47 @@ _CHUNK = 4096
 _CHUNK_CELLS = 1 << 22
 
 
+_KEEP_CELLS = 1 << 16  # int16 cells of the largest table _kept_rankings gets
+
+
 @dataclass
 class ComplementOptions:
-    odd_entry: bool = True
-    pin_max_rank: int | str | None = "auto"  # state id, "auto", or None
-    special: str = "auto"  # "auto", "off", "safety", "reachability"
-    max_states: int = 50_000_000
+    odd_entry: bool = True  # entry rankings use odd ranks only
+    special: bool = True  # safety/reachability shapes get own constructions
+    max_states: int = 50_000_000  # CapacityError beyond this many states
 
 
-class _Indexed:
-    """Bitmask transition tables of the input UCA."""
-
-    def __init__(self, A: Automaton):
-        self.A = A
-        self.letters = A.alphabet.letters()
-        self.n = A.n_states
-        L = len(self.letters)
-        self.succ = [[0] * L for _ in range(self.n)]
-        self.rej = [[0] * L for _ in range(self.n)]
-        index = {a: i for i, a in enumerate(self.letters)}
-        for (q, a), targets in A.delta.items():
-            li = index[a]
-            mask = 0
-            for t in targets:
-                mask |= 1 << t
-            self.succ[q][li] = mask
-        for (q, a, t) in A.gamma:
-            self.rej[q][index[a]] |= 1 << t
-
-    def post(self, mask, li):
-        out = 0
-        succ = self.succ
-        while mask:
-            low = mask & -mask
-            out |= succ[low.bit_length() - 1][li]
-            mask ^= low
-        return out
+def _successor_masks(E: Edges, n):
+    """``succ[a][q]``: the bitmask of the UCA's successors of state ``q``
+    on letter index ``a``."""
+    succ = [[0] * n for _ in E.letters]
+    for q, a, t in zip(E.src.tolist(), E.let.tolist(), E.dst.tolist()):
+        succ[a][q] |= 1 << t
+    return succ
 
 
-def _bits(mask):
-    out = []
+def _image(succ, mask):
+    """The union of ``succ[q]`` over the states ``q`` of ``mask``."""
+    out = 0
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        out |= succ[low.bit_length() - 1]
         mask ^= low
     return out
 
 
-def _tight_rankings(states, odd_only, pinned):
-    """All tight level rankings over ``states`` (sorted ids) as the rows of
-    an int16 array, columns aligned with ``states``, in lexicographic (rank,
-    values) order.
+def _tight_rankings(m, odd_only, pin):
+    """All tight level rankings of ``m`` states as the rows of a read-only
+    int16 array, a column per state, in lexicographic (rank, values) order.
 
-    ``odd_only`` restricts the range to odd ranks; ``pinned`` forces that
-    state to carry the maximal rank.  Other states may share the maximum:
-    demanding a unique carrier is too strong, because a run that keeps
-    dying and re-entering through rejecting edges can only ever hold even
-    ranks, so somebody else must be free to hold the low odd ranks that
-    tightness requires, and with a short rank range that somebody is the
-    pinned state's own rank.
+    ``odd_only`` restricts the range to odd ranks; ``pin``, a column or
+    None, forces that state to carry the maximal rank.  Other states may
+    share the maximum: demanding a unique carrier is too strong, because a
+    run that keeps dying and re-entering through rejecting edges can only
+    ever hold even ranks, so somebody else must be free to hold the low odd
+    ranks that tightness requires, and with a short rank range that
+    somebody is the pinned state's own rank.
     """
-    m = len(states)
-    pin = states.index(pinned) if pinned in states else None
     blocks = []
     for n in range(1, m + 1):
         top = 2 * n - 1
@@ -138,13 +124,17 @@ def _tight_rankings(states, odd_only, pinned):
             # pinned gets top; the rest must cover the odd ranks below it
             rest = _onto_rows(m - 1, values, range(1, top - 1, 2))
             blocks.append(np.insert(rest, pin, top, axis=1))
-    return np.concatenate(blocks)
+    table = np.concatenate(blocks)
+    table.flags.writeable = False
+    return table
+
+
+_kept_rankings = lru_cache(maxsize=64)(_tight_rankings)
 
 
 def _n_tight_rankings(m, odd_only, pinned):
-    """``len(_tight_rankings(states, odd_only, pinned))`` for ``m`` states,
-    ``pinned`` telling whether the pinned state is among them, without
-    building a row."""
+    """``len(_tight_rankings(m, odd_only, pin))``, ``pinned`` telling
+    whether ``pin`` is a column, without building a row."""
     total = 0
     for n in range(1, m + 1):
         v = n if odd_only else 2 * n
@@ -182,10 +172,9 @@ def _onto_rows(m, values, must_cover):
         held[np.arange(k * v), pick] = True
 
 
-def _resolve_pin(A: Automaton, opts: ComplementOptions):
-    pin = opts.pin_max_rank
-    if pin == "auto":
-        pin = A.tags.get("collection_initial")
+def _resolve_pin(A: Automaton):
+    """The state pinned to the maximal rank (tag ``collection_initial``)."""
+    pin = A.tags.get("collection_initial")
     if pin is None:
         return None
     E = A.edges
@@ -225,25 +214,21 @@ def complement_uca(A: Automaton, opts: ComplementOptions | None = None) -> Autom
     if A.is_schema:
         raise ValueError("instantiate the schema first")
     opts = opts or ComplementOptions()
-    if opts.special != "off":
-        shape = opts.special if opts.special in ("safety", "reachability") else detect_shape(A)
-        if shape is not None:
-            return complement_special(A, shape, opts)
+    shape = detect_shape(A) if opts.special else None
+    if shape is not None:
+        return complement_special(A, shape, opts)
     return _complement_general(A, opts)
 
 
-def _post(idx):
+def _post(E: Edges, n):
     """``post[q, a * n + t]``: 1 if the UCA moves from ``q`` to ``t`` on
     letter index ``a``, else 0."""
-    n = idx.n
-    post = np.zeros((n, len(idx.letters) * n), dtype=np.float32)
-    for q in range(n):
-        post[q, [li * n + t for li, mask in enumerate(idx.succ[q])
-                 for t in _bits(mask)]] = 1
+    post = np.zeros((n, len(E.letters) * n), dtype=np.float32)
+    post[E.src, E.let * n + E.dst] = 1
     return post
 
 
-def _move_groups(idx):
+def _move_groups(E: Edges, n):
     """The moves of the UCA laid out for the least incoming rank.
 
     The moves into one cell (letter * n + target) form a group, and the
@@ -254,22 +239,19 @@ def _move_groups(idx):
     reads of the rows a source brings (row ``q`` its rank, row ``n + q``
     along a rejecting move the even rank at or below it); ``sizes`` are the
     layer lengths; ``cells`` are the groups' cells."""
-    n = idx.n
-    groups = []
-    for li in range(len(idx.letters)):
-        for t in range(n):
-            bit = 1 << t
-            reads = [q + n if idx.rej[q][li] & bit else q
-                     for q in range(n) if idx.succ[q][li] & bit]
-            if reads:
-                groups.append((li * n + t, reads))
-    groups.sort(key=lambda group: -len(group[1]))
+    cell = E.let * n + E.dst
+    order = np.lexsort((E.src, cell))
+    reads = (E.src + n * E.acc)[order]
+    cells, first, size = np.unique(cell[order], return_index=True,
+                                   return_counts=True)
+    # largest first, equal sizes in cell order
+    by_size = np.argsort(-size, kind="stable")
+    cells, first, size = cells[by_size], first[by_size], size[by_size]
     # (one empty layer when there are no moves)
-    depth = len(groups[0][1]) if groups else 1
-    sizes = [sum(len(reads) > d for _, reads in groups) for d in range(depth)]
-    take = [reads[d] for d, k in enumerate(sizes) for _, reads in groups[:k]]
-    return (np.array(take, dtype=np.intp), sizes,
-            np.array([cell for cell, _ in groups], dtype=np.intp))
+    depth = int(size[0]) if len(size) else 1
+    sizes = [int(np.count_nonzero(size > d)) for d in range(depth)]
+    take = np.concatenate([reads[first[:k] + d] for d, k in enumerate(sizes)])
+    return take.astype(np.intp), sizes, cells.astype(np.intp)
 
 
 def _odd_rank_masks(n):
@@ -317,16 +299,16 @@ _BLOCKED, _EMPTY, _NEXT = 0, 1, 2
 
 
 def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
-    t0 = time.monotonic()
-    idx = _Indexed(A)
-    letters = idx.letters
-    L, n = len(letters), idx.n
-    pinned = _resolve_pin(A, opts)
+    E = A.edges
+    letters = E.letters
+    L, n = len(letters), A.n_states
+    succ = _successor_masks(E, n)
+    pinned = _resolve_pin(A)
     W = 2 * n + 1  # rank row: ranks (-1 absent), then O flags, then i
     big = 2 * n  # above every rank
-    take, sizes, cells = _move_groups(idx)
+    take, sizes, cells = _move_groups(E, n)
     chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W, len(take))))
-    post = _post(idx)
+    post = _post(E, n)
     masks = _odd_rank_masks(n)
 
     kinds = bytearray()  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
@@ -335,7 +317,7 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     rank_ids = {}  # rank row bytes -> id
     rows = np.empty((1024, W), dtype=np.int16)  # rank row of each state id
     entries = {}  # subset mask -> jump_targets(mask)
-    rankings = {}  # (size, pin position) -> entry rankings of a subset
+    large = {}  # entry-ranking tables too large to keep past this call
     sink = []
     src_parts, let_parts, dst_parts, acc_parts = [], [], [], []
     blocked = 0
@@ -393,20 +375,18 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         got = entries.get(S2)
         if got is None:
             sub = intern_subset(S2)
-            states = _bits(S2)
-            # the rankings depend on the subset only through its size and
-            # where the pinned state sits in it
+            states = [q for q in range(n) if S2 >> q & 1]
             m = len(states)
             pin = states.index(pinned) if pinned in states else None
-            ranks = rankings.get((m, pin))
-            if ranks is None:
-                if _n_tight_rankings(m, opts.odd_entry, pin is not None) \
-                        > opts.max_states:
-                    raise CapacityError(
-                        f"state budget of {opts.max_states} exceeded",
-                        opts.max_states)
-                ranks = rankings[m, pin] = _tight_rankings(
-                    states, opts.odd_entry, pinned)
+            count = _n_tight_rankings(m, opts.odd_entry, pin is not None)
+            if count > opts.max_states:
+                raise CapacityError(
+                    f"state budget of {opts.max_states} exceeded",
+                    opts.max_states)
+            key = (m, opts.odd_entry, pin)
+            if count * m > _KEEP_CELLS and key not in large:
+                large[key] = _tight_rankings(*key)
+            ranks = large[key] if key in large else _kept_rankings(*key)
             table = np.zeros((len(ranks), W), dtype=np.int16)
             table[:, :n] = -1
             table[:, states] = ranks
@@ -426,7 +406,7 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         S = subset_of[sid]
         dst = []
         for li in range(L):
-            S2 = idx.post(S, li)
+            S2 = _image(succ[li], S)
             dst.append(jump_targets(S2) if S2 else [get_empty()])
         fan = [len(d) for d in dst]
         k = sum(fan)
@@ -512,21 +492,19 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         (expand_subset if kind == 1 else expand_sink)(wi)
         wi += 1
 
-    n_out = len(kinds)
     edges = Edges(letters, *(np.concatenate(p) for p in
                              (src_parts, let_parts, dst_parts, acc_parts)))
-    q1 = set(subset_of)
-    q2 = set(range(n_out)) - q1
-    stats = {
-        "states": n_out,
-        "transitions": len(edges),
-        "accepting_transitions": int(edges.acc.sum()),
-        "blocked_transitions": blocked,
-        "wall_time_ms": int((time.monotonic() - t0) * 1000),
-    }
-    return Automaton.from_edges("NBA", A.alphabet, n_out, start, edges,
-                                tags={"parts": (q1, q2), "stats": stats,
-                                      "construction": "rank"})
+    return _result(A, len(kinds), start, edges, set(subset_of), blocked,
+                   "rank")
+
+
+def _result(A: Automaton, n, start, edges: Edges, q1, blocked,
+            construction) -> Automaton:
+    """The output automaton; ``q1`` are the first phase's subset states."""
+    return Automaton.from_edges(
+        "NBA", A.alphabet, n, start, edges,
+        tags={"parts": (q1, set(range(n)) - q1), "construction": construction,
+              "stats": {"blocked_transitions": blocked}})
 
 
 def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None = None) -> Automaton:
@@ -535,18 +513,16 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
     actual = detect_shape(A)
     if actual != shape:
         raise ValueError(f"input does not match the {shape} shape (detected {actual})")
-    t0 = time.monotonic()
-    idx = _Indexed(A)
-    letters = idx.letters
-    init = A.initial
+    E = A.edges
+    L, init = len(E.letters), A.initial
+    succ = _successor_masks(E, A.n_states)
     if shape == "safety":
-        (z,) = {q for (q, a, t) in A.gamma}
-        zbit = 1 << z
+        zbit = 1 << int(E.src[E.acc][0])
     else:
-        has_exempt = any((init, a, init) not in A.gamma
-                         and init in A.successors(init, a)
-                         for a in A.alphabet.letters())
-        ebit = (1 << init) if has_exempt else 0
+        # the initial state is exempt from ranking when it keeps a
+        # non-rejecting self-loop
+        exempt = ((E.src == init) & (E.dst == init) & ~E.acc).any()
+        ebit = (1 << init) if exempt else 0
 
     # a state is (kind, payload): kind 1 a first-phase subset, kind 2 a
     # second-phase subset that avoids the rejecting sink (safety) or a
@@ -554,76 +530,46 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
     EMPTY = (0, ())
     found = Explorer((1, 1 << init), budget=opts.max_states,
                      what="complement construction")
-    delta = {}
-    gamma = set()
+    out = []  # (source, letter index, target, marked)
     for sid, (kind, payload) in found:
         if kind == 0:
-            for a in letters:
-                delta[(sid, a)] = (sid,)
-                gamma.add((sid, a, sid))
+            out += [(sid, li, sid, True) for li in range(L)]
         elif shape == "safety":
-            S = payload
-            for li, a in enumerate(letters):
-                S2 = idx.post(S, li)
-                targets = []
+            for li in range(L):
+                S2 = _image(succ[li], payload)
                 if S2 == 0:
-                    targets.append(found.intern(EMPTY))
+                    targets = [found.intern(EMPTY)]
                 else:
-                    if kind == 1:
-                        targets.append(found.intern((1, S2)))
-                    if not (S2 & zbit):
+                    targets = [found.intern((1, S2))] if kind == 1 else []
+                    if not S2 & zbit:
                         targets.append(found.intern((2, S2)))
-                if kind == 2 and not targets:
-                    continue  # the run through the sink blocks phase 2
-                if targets:
-                    delta[(sid, a)] = tuple(sorted(set(targets)))
-                    if kind == 2:
-                        for t in targets:
-                            gamma.add((sid, a, t))
+                # phase 2 marks every move; a run through the sink blocks
+                out += [(sid, li, t, kind == 2) for t in targets]
         elif kind == 1:
-            S = payload
-            for li, a in enumerate(letters):
-                S2 = idx.post(S, li)
-                targets = []
+            for li in range(L):
+                S2 = _image(succ[li], payload)
                 if S2 == 0:
-                    targets.append(found.intern(EMPTY))
-                else:
-                    targets.append(found.intern((1, S2)))
-                    if ebit and (S2 & ebit):
-                        # entry ranking: exempt state rank 1, others 0;
-                        # the first breakpoint fires immediately (O = empty)
-                        targets.append(found.intern((2, (S2, S2 & ~ebit))))
-                delta[(sid, a)] = tuple(sorted(set(targets)))
+                    out.append((sid, li, found.intern(EMPTY), False))
+                    continue
+                out.append((sid, li, found.intern((1, S2)), False))
+                if S2 & ebit:
+                    # entry ranking: exempt state rank 1, others 0; the
+                    # first breakpoint fires immediately (O = empty)
+                    out.append((sid, li, found.intern((2, (S2, S2 & ~ebit))),
+                                False))
         else:
             S, O = payload
-            for li, a in enumerate(letters):
-                S2 = idx.post(S, li)
+            for li in range(L):
+                S2 = _image(succ[li], S)
                 if S2 == 0:
-                    tid = found.intern(EMPTY)
-                    delta[(sid, a)] = (tid,)
-                    gamma.add((sid, a, tid))
-                    continue
-                if not (ebit and (S2 & ebit)):
-                    continue  # ranking no longer tight: blocked
-                O2 = idx.post(O, li) & S2 & ~ebit
-                if O2:
-                    delta[(sid, a)] = (found.intern((2, (S2, O2))),)
-                else:
-                    tid = found.intern((2, (S2, S2 & ~ebit)))
-                    delta[(sid, a)] = (tid,)
-                    gamma.add((sid, a, tid))
+                    out.append((sid, li, found.intern(EMPTY), True))
+                elif S2 & ebit:  # otherwise no longer tight: blocked
+                    O2 = _image(succ[li], O) & S2 & ~ebit
+                    # a breakpoint once O empties: it refills with S2
+                    tid = found.intern((2, (S2, O2 or S2 & ~ebit)))
+                    out.append((sid, li, tid, not O2))
 
-    n = len(found)
+    src, let, dst, acc = np.array(out, dtype=np.int64).reshape(-1, 4).T
+    edges = Edges.normalised(E.letters, src, let, dst, acc.astype(bool))
     q1 = {sid for sid, (kind, _) in found if kind == 1}
-    q2 = set(range(n)) - q1
-    stats = {
-        "states": n,
-        "transitions": sum(len(v) for v in delta.values()),
-        "accepting_transitions": len(gamma),
-        "blocked_transitions": 0,
-        "wall_time_ms": int((time.monotonic() - t0) * 1000),
-    }
-    return Automaton("NBA", A.alphabet, n, 0, delta, gamma,
-                     tags={"parts": (q1, q2), "stats": stats,
-                           "construction": f"special-{shape}"},
-                     check=False)
+    return _result(A, len(found), 0, edges, q1, 0, f"special-{shape}")

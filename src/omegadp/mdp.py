@@ -421,12 +421,6 @@ def _prob1(A: MdpArrays, target):
         region = inside
 
 
-def _prob1_region(M: Mdp, target):
-    """``_prob1`` on a dict model, as a set of states."""
-    region = _prob1(M.arrays, _mask(M.n_states, target))
-    return set(np.flatnonzero(region).tolist())
-
-
 def buchi_value(P: Mdp):
     """Maximal probability of visiting accepting actions of the product
     ``P`` infinitely often."""

@@ -421,8 +421,8 @@ def run_pipeline(A: Automaton, budget: float = 600.0):
         with time_limit(budget):
             # the generic rank construction: shape special-casing, an
             # optimization for collection automata, would skew the counts
-            result = complement_uca(A, ComplementOptions(special="off"))
-            stats.compl = result.tags["stats"]["states"]
+            result = complement_uca(A, ComplementOptions(special=False))
+            stats.compl = result.n_states
             for field, result in reduction_stages(result):
                 setattr(stats, field, result.n_states)
     except TimeoutError:

@@ -6,6 +6,13 @@ import pytest
 from omegadp.automata import Alphabet, Automaton, LassoWord
 
 
+def untagged(A):
+    """``A`` without its tags: a collection whose fresh initial state the
+    complement does not pin."""
+    return Automaton.from_edges(A.kind, A.alphabet, A.n_states, A.initial,
+                                A.edges)
+
+
 def all_lassos(n_letters, max_prefix, max_cycle):
     """Every lasso word with bounded prefix and cycle lengths."""
     out = []

@@ -12,12 +12,7 @@ from omegadp.automata import (
     check_time,
     letter_sort_key,
 )
-from omegadp.complement import (
-    CapacityError,
-    ComplementOptions,
-    _Indexed,
-    _resolve_pin,
-)
+from omegadp.complement import CapacityError, ComplementOptions, _resolve_pin
 from omegadp.reduction import _parts_of, canonical_empty
 
 
@@ -97,6 +92,29 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
                 delta[(src, a)] = tuple(sorted(set(targets)))
     return Automaton("NBA", A.alphabet, len(keys), 0, delta, gamma,
                      check=False)
+
+
+class _Indexed:
+    """Bitmask transition tables of the input UCA, read from its dicts."""
+
+    def __init__(self, A: Automaton):
+        self.letters = A.alphabet.letters()
+        self.n = A.n_states
+        L = len(self.letters)
+        self.succ = [[0] * L for _ in range(self.n)]
+        self.rej = [[0] * L for _ in range(self.n)]
+        index = {a: i for i, a in enumerate(self.letters)}
+        for (q, a), targets in A.delta.items():
+            for t in targets:
+                self.succ[q][index[a]] |= 1 << t
+        for (q, a, t) in A.gamma:
+            self.rej[q][index[a]] |= 1 << t
+
+    def post(self, mask, li):
+        out = 0
+        for q in _bits(mask):
+            out |= self.succ[q][li]
+        return out
 
 
 def _bits(mask):
@@ -196,7 +214,7 @@ def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     idx = _Indexed(A)
     letters = idx.letters
     L = len(letters)
-    pinned = _resolve_pin(A, opts)
+    pinned = _resolve_pin(A)
 
     ids = {}
     kinds = []  # per state id: 1 = subset, 2 = ranking, 0 = empty sink

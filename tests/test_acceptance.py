@@ -48,7 +48,13 @@ from omegadp.qlearn import lex_q_learn
 from omegadp.reduction import run_pipeline
 from omegadp.streett import determinize_uca, streett_mdp_max_prob
 
-from conftest import example2_odp, random_dfa_schema, random_odp, random_uca
+from conftest import (
+    example2_odp,
+    random_dfa_schema,
+    random_odp,
+    random_uca,
+    untagged,
+)
 from test_odp import compiled_value, finite_horizon_value
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -289,13 +295,10 @@ def test_restricted_constructions_shrink_without_changing_the_language():
     shapes_seen = set()
     for i, col in enumerate(corpus):
         restricted = complement_uca(
-            col, ComplementOptions(odd_entry=True, pin_max_rank="auto",
-                                   special="off"))
+            col, ComplementOptions(odd_entry=True, special=False))
         free = complement_uca(
-            col, ComplementOptions(odd_entry=False, pin_max_rank=None,
-                                   special="off"))
-        assert restricted.tags["stats"]["states"] \
-            <= free.tags["stats"]["states"], f"instance {i} grew"
+            untagged(col), ComplementOptions(odd_entry=False, special=False))
+        assert restricted.n_states <= free.n_states, f"instance {i} grew"
         n_letters = len(col.alphabet.letters())
         sig_r = nba_signature(restricted, 4)
         sig_f = nba_signature(free, 4)
@@ -308,8 +311,7 @@ def test_restricted_constructions_shrink_without_changing_the_language():
             shapes_seen.add(shape)
             special = complement_uca(col)
             assert special.tags["construction"] == f"special-{shape}"
-            assert special.tags["stats"]["states"] \
-                <= free.tags["stats"]["states"], f"instance {i} grew"
+            assert special.n_states <= free.n_states, f"instance {i} grew"
             sig_s = nba_signature(special, 4)
             if not np.array_equal(sig_s, sig_f):
                 bad = mismatches(sig_s, sig_f, range(n_letters), 4)

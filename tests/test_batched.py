@@ -34,9 +34,8 @@ def assert_same_complement(U, opts):
     mine = complement_uca(U, opts)
     theirs = ref.complement_general(U, opts)
     assert shape(mine) == shape(theirs)
-    for key in ("states", "transitions", "accepting_transitions",
-                "blocked_transitions"):
-        assert mine.tags["stats"][key] == theirs.tags["stats"][key], key
+    assert mine.tags["stats"]["blocked_transitions"] \
+        == theirs.tags["stats"]["blocked_transitions"]
     return theirs
 
 
@@ -72,7 +71,7 @@ def test_random_ucas_match_the_reference(odd_entry):
     for k in range(200):
         U = random_uca(rng, rng.randint(1, 5))
         C = assert_same_complement(
-            U, ComplementOptions(special="off", odd_entry=odd_entry))
+            U, ComplementOptions(special=False, odd_entry=odd_entry))
         if k % 4 == 0:
             assert_same_stages(C)
 
@@ -83,21 +82,21 @@ def test_pinned_collections_match_the_reference():
         col = random_collection(rng)
         assert col.tags.get("collection_initial") is not None
         assert_same_stages(
-            assert_same_complement(col, ComplementOptions(special="off")))
+            assert_same_complement(col, ComplementOptions(special=False)))
 
 
 @pytest.mark.parametrize("name", ["reduce_01", "reduce_02", "reduce_03",
                                   "reduce_04"])
 def test_fixtures_match_the_reference(name):
     assert_same_stages(
-        assert_same_complement(fixture(name), ComplementOptions(special="off")))
+        assert_same_complement(fixture(name), ComplementOptions(special=False)))
 
 
 def test_no_cap_on_the_number_of_uca_states():
     U = seventy_state_uca()
     for odd_entry in (True, False):
         C = assert_same_complement(
-            U, ComplementOptions(special="off", odd_entry=odd_entry))
+            U, ComplementOptions(special=False, odd_entry=odd_entry))
         assert C.n_states > 400
     assert_same_stages(C)
 
@@ -108,7 +107,7 @@ def test_state_budget_is_exact_inside_a_batch():
         errors = []
         for build in (complement_uca, ref.complement_general):
             with pytest.raises(CapacityError) as exc:
-                build(U, ComplementOptions(special="off", max_states=budget))
+                build(U, ComplementOptions(special=False, max_states=budget))
             errors.append(exc.value.states_built)
         assert errors == [budget, budget]
 
@@ -124,7 +123,7 @@ def test_deadline_is_checked_in_every_batch(monkeypatch):
 
     monkeypatch.setattr(automata.time, "monotonic", clock)
     with time_limit(1.0):
-        C = complement_uca(U, ComplementOptions(special="off"))
+        C = complement_uca(U, ComplementOptions(special=False))
     subsets = len(C.tags["parts"][0])
     # far more batches of ranking states than subset states
     assert C.n_states - subsets > 40 * subsets
@@ -169,12 +168,11 @@ def test_intersection_deadline_expires_between_batches(monkeypatch):
 
 def test_reduce_05_complement_is_pinned():
     """The generic complement of ``reduce_05``, edge for edge."""
-    C = complement_uca(fixture("reduce_05"), ComplementOptions(special="off"))
+    C = complement_uca(fixture("reduce_05"), ComplementOptions(special=False))
     E = C.edges
-    stats = C.tags["stats"]
-    assert (C.n_states, len(E), stats["accepting_transitions"],
-            stats["blocked_transitions"]) == (246_080, 1_156_709, 613_723,
-                                              1_311_537)
+    assert (C.n_states, len(E), int(E.acc.sum()),
+            C.tags["stats"]["blocked_transitions"]) == (246_080, 1_156_709,
+                                                        613_723, 1_311_537)
     digest = hashlib.sha256()
     for column in (E.src, E.let, E.dst):
         digest.update(np.asarray(column, dtype=np.int64).tobytes())

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import os
+import random
 import shutil
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from omegadp.automata import (
     Alphabet, Automaton, is_strongly_limit_deterministic)
 from omegadp.biolab import BiolabGrid, build_biolab
 from omegadp.cli import main
+from omegadp.complement import ComplementOptions, complement_uca
 from omegadp.hoa import emit_hoa, parse_hoa
 from omegadp.odp import odp_to_json, remove_lookahead, remove_lookback
 
 from conftest import example2_odp, random_uca
+from test_acceptance import shape_fixtures
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -48,6 +51,36 @@ def test_complement_writes_hoa_and_stats(tmp_path, capsys):
     assert C.kind == "NBA"
     doc = json.loads(stats.read_text())
     assert doc["input_states"] == 1 and doc["states"] == C.n_states
+
+
+def test_complement_stats_match_the_emitted_automaton(tmp_path):
+    U = random_uca(random.Random(7), 3)
+    src = write_uca(tmp_path / "in.hoa", U)
+    out, stats = tmp_path / "out.hoa", tmp_path / "stats.json"
+    assert main(["complement", src, "-o", str(out), "--stats", str(stats)]) == 0
+    C = parse_hoa(out.read_text())
+    doc = json.loads(stats.read_text())
+    assert list(doc) == ["states", "transitions", "accepting_transitions",
+                         "blocked_transitions", "wall_time_ms", "input_states"]
+    blocked = complement_uca(U).tags["stats"]["blocked_transitions"]
+    assert blocked > 0
+    assert (doc["states"], doc["transitions"], doc["accepting_transitions"],
+            doc["blocked_transitions"], doc["input_states"]) \
+        == (C.n_states, len(C.edges), int(C.edges.acc.sum()), blocked, 3)
+    assert isinstance(doc["wall_time_ms"], int) and doc["wall_time_ms"] >= 0
+
+
+def test_complement_flags_are_the_options(tmp_path):
+    """``--special off --plain-entry`` on a reachability shaped UCA,
+    which ``--special auto`` would give its own construction."""
+    src = write_uca(tmp_path / "in.hoa", shape_fixtures()[0])
+    out = tmp_path / "out.hoa"
+    assert main(["complement", src, "-o", str(out), "--special", "off",
+                 "--plain-entry"]) == 0
+    opts = ComplementOptions(special=False, odd_entry=False)
+    C = complement_uca(parse_hoa(Path(src).read_text()), opts)
+    assert C.tags["construction"] == "rank"
+    assert out.read_text() == emit_hoa(C)
 
 
 def test_complement_rejects_nba_without_flag(tmp_path, capsys):

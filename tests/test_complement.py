@@ -23,7 +23,7 @@ from omegadp.complement import (
     complement_uca,
     detect_shape,
 )
-from conftest import all_lassos, random_uca
+from conftest import all_lassos, random_uca, untagged
 from test_acceptance import shape_fixtures
 
 
@@ -46,14 +46,14 @@ def test_random_language_equivalence(rng):
     lassos = all_lassos(2, 2, 4)
     for _ in range(15):
         U = random_uca(rng, rng.randint(1, 4))
-        C = complement_uca(U, ComplementOptions(special="off"))
+        C = complement_uca(U, ComplementOptions(special=False))
         assert_same_language(U, C, lassos)
 
 
 def test_output_is_strongly_limit_deterministic(rng):
     for _ in range(15):
         U = random_uca(rng, rng.randint(1, 4))
-        C = complement_uca(U, ComplementOptions(special="off"))
+        C = complement_uca(U, ComplementOptions(special=False))
         ok, (q1, q2) = is_strongly_limit_deterministic(C)
         assert ok
         declared_q1, declared_q2 = C.tags["parts"]
@@ -66,9 +66,9 @@ def test_odd_entry_restriction_preserves_language(rng):
     lassos = all_lassos(2, 2, 3)
     for _ in range(8):
         U = random_uca(rng, rng.randint(1, 3))
-        C_odd = complement_uca(U, ComplementOptions(odd_entry=True, special="off"))
-        C_all = complement_uca(U, ComplementOptions(odd_entry=False, special="off"))
-        assert C_odd.tags["stats"]["states"] <= C_all.tags["stats"]["states"]
+        C_odd = complement_uca(U, ComplementOptions(odd_entry=True, special=False))
+        C_all = complement_uca(U, ComplementOptions(odd_entry=False, special=False))
+        assert C_odd.n_states <= C_all.n_states
         assert_same_language(U, C_odd, lassos)
         assert_same_language(U, C_all, lassos)
 
@@ -83,9 +83,9 @@ def gfb_collection():
 
 def test_pinning_on_collection_automata():
     col = gfb_collection()
-    pinned = complement_uca(col, ComplementOptions(special="off"))
-    free = complement_uca(col, ComplementOptions(pin_max_rank=None, special="off"))
-    assert pinned.tags["stats"]["states"] <= free.tags["stats"]["states"]
+    pinned = complement_uca(col, ComplementOptions(special=False))
+    free = complement_uca(untagged(col), ComplementOptions(special=False))
+    assert pinned.n_states <= free.n_states
     letters = col.alphabet.letters()
     lassos = [LassoWord((), (a,)) for a in letters]
     lassos += [LassoWord((a,), (b,)) for a in letters for b in letters]
@@ -99,9 +99,11 @@ def test_pinning_on_collection_automata():
 def test_pin_refused_with_incoming_transitions():
     ab = Alphabet(("a",))
     delta = {(0, 0): (1,), (1, 0): (0,)}
-    U = Automaton("UCA", ab, 2, 0, delta, {(0, 0, 1)})
-    with pytest.raises(ValueError):
-        complement_uca(U, ComplementOptions(pin_max_rank=1, special="off"))
+    U = Automaton("UCA", ab, 2, 0, delta, {(0, 0, 1)},
+                  tags={"collection_initial": 1})
+    with pytest.raises(ValueError, match="cannot pin state 1"):
+        complement_uca(U, ComplementOptions(special=False))
+    complement_uca(untagged(U), ComplementOptions(special=False))
 
 
 def test_detect_reachability_shape():
@@ -109,8 +111,8 @@ def test_detect_reachability_shape():
     assert detect_shape(U) == "reachability"
     C = complement_uca(U)
     assert C.tags["construction"] == "special-reachability"
-    general = complement_uca(U, ComplementOptions(special="off"))
-    assert C.tags["stats"]["states"] <= general.tags["stats"]["states"]
+    general = complement_uca(U, ComplementOptions(special=False))
+    assert C.n_states <= general.n_states
     assert_same_language(U, C, all_lassos(2, 3, 4))
     assert is_strongly_limit_deterministic(C)[0]
 
@@ -120,8 +122,8 @@ def test_detect_safety_shape_on_adjusted_collection():
     assert detect_shape(col) == "safety"
     C = complement_uca(col)
     assert C.tags["construction"] == "special-safety"
-    general = complement_uca(col, ComplementOptions(special="off"))
-    assert C.tags["stats"]["states"] <= general.tags["stats"]["states"]
+    general = complement_uca(col, ComplementOptions(special=False))
+    assert C.n_states <= general.n_states
     letters = col.alphabet.letters()
     lassos = [LassoWord(p, (c,)) for c in letters for p in [()] + [(a,) for a in letters]]
     lassos += [LassoWord((), (a, b)) for a in letters for b in letters]
@@ -143,7 +145,7 @@ def test_capacity_budget():
     ab = Alphabet(("a", "b"))
     U = random_uca_for_budget()
     with pytest.raises(CapacityError) as exc:
-        complement_uca(U, ComplementOptions(max_states=3, special="off"))
+        complement_uca(U, ComplementOptions(max_states=3, special=False))
     assert exc.value.states_built == 3
     # the special constructions stop exactly at their budget too
     for shape, V in (("reachability", reachability_uca()),
@@ -200,7 +202,7 @@ def test_deadline_abort():
     U = random_uca_for_budget()
     with time_limit(-1), pytest.raises(TimeoutError,
                                        match="complement construction"):
-        complement_uca(U, ComplementOptions(special="off"))
+        complement_uca(U, ComplementOptions(special=False))
 
 
 @pytest.mark.parametrize("index", [0, 1])
@@ -213,13 +215,42 @@ def test_special_constructions_honour_the_deadline(index):
 
 
 def test_stats_reported():
+    """Only the blocked count, which the automaton cannot give."""
     U = random_uca_for_budget()
-    C = complement_uca(U, ComplementOptions(special="off"))
-    stats = C.tags["stats"]
-    assert stats["states"] > 0
-    assert stats["transitions"] >= stats["states"]
-    assert stats["accepting_transitions"] == len(C.gamma)
-    assert stats["wall_time_ms"] >= 0
+    C = complement_uca(U, ComplementOptions(special=False))
+    assert list(C.tags["stats"]) == ["blocked_transitions"]
+    assert C.tags["stats"]["blocked_transitions"] > 0
+    for V in shape_fixtures():
+        assert complement_uca(V).tags["stats"] == {"blocked_transitions": 0}
+
+
+def dicts_built(A):
+    """Which of the ``delta`` and ``gamma`` slots of ``A`` are set, read
+    through the slot descriptors so that nothing builds them."""
+    built = []
+    for name in ("delta", "gamma"):
+        try:
+            Automaton.__dict__[name].__get__(A, Automaton)
+            built.append(name)
+        except AttributeError:
+            pass
+    return built
+
+
+@pytest.mark.parametrize("construction", ["rank", "special-reachability",
+                                          "special-safety"])
+def test_no_dicts_are_built_on_either_side(construction):
+    """Every construction reads its input's edge arrays and emits edge
+    arrays."""
+    U = {"rank": random_uca_for_budget(),
+         "special-reachability": reachability_uca(),
+         "special-safety": safety_collection()}[construction]
+    A = Automaton.from_edges("UCA", U.alphabet, U.n_states, U.initial,
+                             U.edges, U.tags)
+    C = complement_uca(A)
+    assert C.tags["construction"] == construction
+    assert dicts_built(A) == dicts_built(C) == []
+    assert dicts_built(U) == ["delta", "gamma"]
 
 
 def test_requires_instantiated_uca():
@@ -234,13 +265,11 @@ def test_requires_instantiated_uca():
 
 def test_entry_ranking_count_is_the_number_built():
     for m in range(1, 7):
-        states = list(range(m))
         for odd_only in (True, False):
-            for pinned in (None, m - 1):
-                built = complement_module._tight_rankings(states, odd_only,
-                                                          pinned)
+            for pin in (None, m - 1):
+                built = complement_module._tight_rankings(m, odd_only, pin)
                 assert complement_module._n_tight_rankings(
-                    m, odd_only, pinned is not None) == len(built)
+                    m, odd_only, pin is not None) == len(built)
     # odd entry rankings of m states are the ordered set partitions
     assert complement_module._n_tight_rankings(10, True, False) == 102_247_563
 
@@ -255,23 +284,75 @@ def test_entry_rankings_over_budget_fail_before_they_are_built(monkeypatch):
     sizes = []
     real = complement_module._tight_rankings
 
-    def tight_rankings(states, odd_only, pinned):
-        sizes.append(len(states))
-        return real(states, odd_only, pinned)
+    def tight_rankings(m, odd_only, pin):
+        sizes.append(m)
+        return real(m, odd_only, pin)
 
     monkeypatch.setattr(complement_module, "_tight_rankings", tight_rankings)
     t0 = time.monotonic()
     with time_limit(0.5), pytest.raises(CapacityError) as exc:
-        complement_uca(U, ComplementOptions(special="off", max_states=100))
+        complement_uca(U, ComplementOptions(special=False, max_states=100))
     assert time.monotonic() - t0 < 0.5
     assert exc.value.states_built == 100
     assert sizes == []
 
 
 def test_entry_ranking_build_honours_the_deadline():
+    # the builder itself, not the memo, whose kept table would skip the build
     with time_limit(-1), pytest.raises(TimeoutError,
                                        match="complement construction"):
-        complement_module._tight_rankings(list(range(5)), True, None)
+        complement_module._tight_rankings(5, True, None)
+
+
+def test_entry_rankings_are_built_once_per_process(monkeypatch):
+    """Two constructions jump into a subset of two states, unpinned, and
+    share one read-only table."""
+    got = []
+    real = complement_module._kept_rankings
+
+    def kept_rankings(m, odd_only, pin):
+        got.append(((m, odd_only, pin), real(m, odd_only, pin)))
+        return got[-1][1]
+
+    monkeypatch.setattr(complement_module, "_kept_rankings", kept_rankings)
+    ab = Alphabet(("p",))
+    delta = {(q, a): (0, 1) for q in range(2) for a in (0, 1)}
+    for gamma in ({(0, 1, 0)}, {(1, 0, 1), (0, 0, 1)}):
+        U = Automaton("UCA", ab, 2, 0, delta, gamma)
+        complement_uca(U, ComplementOptions(special=False))
+    tables = [table for key, table in got if key == (2, True, None)]
+    assert len(tables) == 2 and tables[0] is tables[1]
+    assert not tables[0].flags.writeable
+    with pytest.raises(ValueError):
+        tables[0][0, 0] = 7
+
+
+def test_large_entry_rankings_last_one_construction(monkeypatch):
+    """Seven states, every move to every state: the full subset's entry
+    rankings (47,293 rows of 7 cells) are over the memo's bound, so each
+    construction builds them once for itself and the memo keeps nothing,
+    also when the construction then runs over its state budget."""
+    built = []
+    real = complement_module._tight_rankings
+
+    def tight_rankings(m, odd_only, pin):
+        built.append(m)
+        return real(m, odd_only, pin)
+
+    monkeypatch.setattr(complement_module, "_tight_rankings", tight_rankings)
+    complement_module._kept_rankings.cache_clear()
+    ab = Alphabet(("a",))
+    U = Automaton("UCA", ab, 7, 0,
+                  {(q, a): tuple(range(7)) for q in range(7) for a in (0, 1)},
+                  set())
+    # the complement has 47,295 states: the table passes the count check,
+    # then interning its rows runs one state over the budget
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            complement_uca(U, ComplementOptions(special=False,
+                                                max_states=47_294))
+    assert built == [7, 7]
+    assert complement_module._kept_rankings.cache_info().currsize == 0
 
 
 def test_a_pointwise_larger_entry_ranking_can_accept_less():
@@ -280,8 +361,8 @@ def test_a_pointwise_larger_entry_ranking_can_accept_less():
     the pointwise-maximal entry rankings alone do not give the language."""
     ab = Alphabet(("p",))
     U = Automaton("UCA", ab, 2, 0, {(0, 1): (0, 1), (1, 0): (0, 1)}, set())
-    C = complement_uca(U, ComplementOptions(special="off"))
-    entries = complement_module._tight_rankings([0, 1], True, None)
+    C = complement_uca(U, ComplementOptions(special=False))
+    entries = complement_module._tight_rankings(2, True, None)
     assert entries.tolist() == [[1, 1], [1, 3], [3, 1]]
     # the start subset {0} jumps on letter 1 to subset {0, 1} and to its
     # entry rankings, interned in the order listed

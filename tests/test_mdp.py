@@ -61,7 +61,7 @@ def infinitely_many_b_nba():
     U = Automaton("UCA", ab, 2, 0,
                   {(0, 0): (0, 1), (0, 1): (0,), (1, 0): (1,)},
                   {(1, 0, 1)})
-    return complement_uca(U, ComplementOptions(special="off"))
+    return complement_uca(U, ComplementOptions(special=False))
 
 
 def test_validation():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from omegadp.automata import TOP, Alphabet, Automaton, lasso_member_nba
@@ -11,7 +12,8 @@ from omegadp.lasso_bulk import bounded_lassos
 from omegadp.mdp import (
     Mdp,
     NoValidStrategy,
-    _prob1_region,
+    _mask,
+    _prob1,
     discounted_vi,
     mec_decomposition,
     strategy_value_check,
@@ -345,7 +347,8 @@ def streett_lex_value(M, D, lam):
     for states, _ in mec_decomposition(prod):
         if accepting(states):
             goal |= states
-    region = _prob1_region(prod, goal)
+    region = _prob1(prod.arrays, _mask(prod.n_states, goal))
+    region = set(np.flatnonzero(region).tolist())
     if 0 not in region:
         return None
     sub_actions, sub_trans, sub_rewards = {}, {}, {}

@@ -61,7 +61,7 @@ def test_pipeline_preserves_language_and_shrinks(rng):
 
 def test_stages_are_idempotent(rng):
     U = random_uca(rng, 3)
-    C = prune_empty(complement_uca(U, ComplementOptions(special="off")))
+    C = prune_empty(complement_uca(U, ComplementOptions(special=False)))
     D = lump_final(C)
     assert lump_final(D).n_states == D.n_states
     G = merge_lang_final(D)
@@ -173,7 +173,7 @@ def oracle_disagreements(odd_entry, count=100, bound=5):
     for k in range(count):
         U = random_uca(rng, rng.randint(1, 4), n_ap=rng.randint(1, 2))
         R = reduce_nba(complement_uca(
-            U, ComplementOptions(special="off", odd_entry=odd_entry)))
+            U, ComplementOptions(special=False, odd_entry=odd_entry)))
         D = determinize_uca(U)
         for _ in range(3):
             M = random_mdp(rng, rng.randint(2, 6), U.alphabet)
@@ -224,7 +224,7 @@ def clock_expired_inside(name):
 
 def test_timeout_inside_prune_empty_keeps_the_complement(monkeypatch):
     U = random_uca(random.Random(3), 3)
-    C = complement_uca(U, ComplementOptions(special="off"))
+    C = complement_uca(U, ComplementOptions(special=False))
     monkeypatch.setattr(automata.time, "monotonic",
                         clock_expired_inside("prune_empty"))
     R, stats = run_pipeline(U, budget=10.0)
@@ -236,14 +236,14 @@ def test_timeout_inside_prune_empty_keeps_the_complement(monkeypatch):
 
 def test_timeout_inside_lump_final_keeps_the_pruned_automaton(monkeypatch):
     U = random_uca(random.Random(3), 3)
-    pruned = prune_empty(complement_uca(U, ComplementOptions(special="off")))
+    pruned = prune_empty(complement_uca(U, ComplementOptions(special=False)))
     assert pruned.n_states > 2
     monkeypatch.setattr(automata.time, "monotonic",
                         clock_expired_inside("lump_final"))
     R, stats = run_pipeline(U, budget=10.0)
     assert stats.timed_out
     assert (stats.compl, stats.prune) == (
-        complement_uca(U, ComplementOptions(special="off")).n_states,
+        complement_uca(U, ComplementOptions(special=False)).n_states,
         pruned.n_states)
     assert stats.lumpd is None and stats.lang is None and stats.lumpa is None
     assert stats.row("x")[-1] == "timeout"
@@ -326,7 +326,7 @@ def test_run_pipeline_budget_ends_with_the_pipeline():
     assert stats.timed_out
     # the pipeline's deadline stays in the pipeline: later work has none
     check_time("later work")
-    complement_uca(A, ComplementOptions(special="off"))
+    complement_uca(A, ComplementOptions(special=False))
 
 
 def test_batch_reduce_loads_the_graph_routines_before_any_file(tmp_path,

@@ -94,7 +94,7 @@ def test_rank_complement_agrees_with_determinization(rng):
     lassos = all_lassos(2, 2, 4)
     for _ in range(10):
         U = random_uca(rng, rng.randint(1, 3))
-        C = complement_uca(U, ComplementOptions(special="off"))
+        C = complement_uca(U, ComplementOptions(special=False))
         D = determinize_uca(U)
         from omegadp.automata import lasso_member_nba
         for w in lassos:
@@ -127,7 +127,7 @@ def test_value_gap_detects_non_gfm_automaton():
 def test_value_agreement_on_random_pairs(rng):
     for _ in range(8):
         U = random_uca(rng, rng.randint(1, 3))
-        C = complement_uca(U, ComplementOptions(special="off"))
+        C = complement_uca(U, ComplementOptions(special=False))
         actions = {}
         trans = {}
         labels = []
