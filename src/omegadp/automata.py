@@ -534,9 +534,17 @@ def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
 
 
 def _graph(n, src, dst):
-    # the conversion merges repeated edges, on which scipy's SCC search hangs
+    """The edges ``src -> dst`` as a CSR matrix, built straight from the
+    sorted ``(src, dst)`` keys with repeats dropped: scipy's SCC search
+    hangs on repeated edges."""
     from scipy.sparse import csr_matrix
-    return csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    keys = np.sort(np.asarray(src, dtype=np.int64) * n + dst)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    return csr_matrix((np.ones(len(keys)), (keys % n).astype(np.int32),
+                       indptr), shape=(n, n))
 
 
 def _reached(n, src, dst, roots):

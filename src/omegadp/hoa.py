@@ -12,7 +12,9 @@ vocabulary in binary (least significant bit first), plus a ``promise-vocab:``
 header that records the vocabulary so the round trip is exact.  An alphabet
 restricted to a letter subset adds a ``letter-subset:`` header listing the
 bit pattern of each of its letters; edge labels then stand for the letters of
-the subset they cover.
+the subset they cover.  A collection automaton's fresh initial state (tag
+``collection_initial``, which the complement pins to the maximal rank) is
+written as a ``collection-initial:`` header.
 """
 
 from __future__ import annotations
@@ -218,6 +220,7 @@ def parse_hoa(text: str) -> Automaton:
     acc_name = None
     vocab_json = None
     subset_json = None
+    collection_initial = None
     tok = tz.next()
     if tok != "HOA:":
         raise HoaError("missing HOA: header", tz.line, tz.col)
@@ -253,6 +256,8 @@ def parse_hoa(text: str) -> Automaton:
             vocab_json = tz.rest_of_line()
         elif tok == "letter-subset:":
             subset_json = tz.rest_of_line()
+        elif tok == "collection-initial:":
+            collection_initial = int(tz.next())
         elif tok.endswith(":"):
             # tool:, name:, properties:, and other ignorable headers
             _header_values(tz)
@@ -366,7 +371,12 @@ def parse_hoa(text: str) -> Automaton:
     if kind == "NBA_ALL":
         kind = "NBA"
         gamma = set((q, a, t) for (q, a), ts in delta.items() for t in ts)
-    return Automaton(kind, alphabet, n_states, start, delta, gamma)
+    tags = {}
+    if collection_initial is not None:
+        if not 0 <= collection_initial < n_states:
+            raise HoaError("collection-initial names no state")
+        tags["collection_initial"] = collection_initial
+    return Automaton(kind, alphabet, n_states, start, delta, gamma, tags=tags)
 
 
 def _prm_width(n_promises):
@@ -425,6 +435,8 @@ def emit_hoa(A: Automaton, name=None) -> str:
     if alphabet.subset is not None:
         subset = sorted(codes.values())
         lines.append(f"letter-subset: {json.dumps(subset)}")
+    if "collection_initial" in A.tags:
+        lines.append(f"collection-initial: {A.tags['collection_initial']}")
     lines.append("--BODY--")
     for q in range(A.n_states):
         lines.append(f"State: {q}")

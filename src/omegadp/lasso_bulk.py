@@ -22,9 +22,23 @@ slow for large corpora.  Here the work is shared and vectorized:
 * automata that pass ``is_strongly_limit_deterministic`` (complement
   outputs in particular) get a much cheaper path: inside each part a run
   is a function of its start state, so reading a cycle word is a walk in a
-  functional graph instead of a matrix closure;
+  functional graph instead of a matrix closure.  That path first cuts the
+  automaton to its live states, those from which an accepting lasso
+  exists, by its own Emerson–Lei fixpoint (``_live_states``; it calls
+  nothing of the emptiness layer of ``automata``, which it helps to
+  check); every other state becomes the sink of its part, and the input
+  automaton is not changed.  Fewer than half of the states of a typical
+  complement are live;
 * deterministic Streett automata also take the functional path, OR-ing the
   per-pair transition flags over the eventual loop.
+
+On both paths the rotation classes of every cycle length go through one
+batch (``_cycle_batch``), cut into pieces of at most ``_CELLS`` (generic)
+or ``_STEP_CELLS`` (functional) cells.  For the functional path each
+representative is padded to ``bound + 1`` letters with a padding letter, a
+step that moves no state and sets no flag, so one pass over the phases
+serves every length.  The last phase is always padding and holds the
+value of phase 0, so "phase ``p + 1``" needs no modulo.
 
 The functional path analyses each cycle word ``w`` of length ``cl`` at
 phase 0 only.  One backward scan over ``w`` gives, for every phase ``p``,
@@ -43,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import typing
 
 import numpy as np
 
@@ -149,13 +164,56 @@ def _rotation_classes(n_letters, cl):
     return np.array(reps, dtype=np.int64).reshape(len(reps), cl), rep_idx, rot
 
 
+class _Cycles(typing.NamedTuple):
+    """The rotation classes of every cycle length up to ``bound`` as one
+    batch (see ``_cycle_batch``)."""
+
+    reps: np.ndarray    # (R, bound + 1) representatives, padded
+    length: np.ndarray  # (R,) cycle length of each representative
+    code: np.ndarray    # (R,) its index among the words of its length
+    rep: np.ndarray     # (W,) representative of each cycle word
+    rot: np.ndarray     # (W,) and the rotation that gives the word
+    blocks: tuple       # (words, prefix count) of each cycle length
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_batch(n_letters, bound):
+    """The representatives of ``_rotation_classes`` for every cycle length
+    ``1..bound``, in that order, padded with the letter ``n_letters`` to
+    ``bound + 1`` letters; the padding letter stands for a step that moves
+    nothing and sets no flag, so a padded word reads like the word itself,
+    and its last phase, always padding, holds the value of phase 0.  The
+    ``W`` cycle words of every length are in signature order (by length,
+    then lexicographic), and word ``j`` is representative ``rep[j]``
+    rotated by ``rot[j]``, as in ``_rotation_classes``.  ``blocks`` holds,
+    per cycle length, the slice of its words and the number of prefixes
+    they go with: those of length at most ``bound - cl``, which come first
+    when the prefixes are listed by length."""
+    reps, length, code, rep, rot, blocks = [], [], [], [], [], []
+    base = words = 0
+    for cl in range(1, bound + 1):
+        r, rep_idx, shift = _rotation_classes(n_letters, cl)
+        reps.append(np.pad(r, ((0, 0), (0, bound + 1 - cl)),
+                           constant_values=n_letters))
+        length.append(np.full(len(r), cl))
+        code.append(r @ n_letters ** np.arange(cl - 1, -1, -1))
+        rep.append(rep_idx + base)
+        rot.append(shift)
+        blocks.append((slice(words, words + len(rep_idx)),
+                       sum(n_letters ** p for p in range(bound - cl + 1))))
+        base += len(r)
+        words += len(rep_idx)
+    return _Cycles(*map(np.concatenate, (reps, length, code, rep, rot)),
+                   tuple(blocks))
+
+
 def nba_signature(A: Automaton, bound: int) -> np.ndarray:
     """Membership of every bounded lasso in the language of an NBA/DBA."""
     if A.is_schema:
         raise ValueError("schema has no initial state")
-    flag, (q1, q2) = is_strongly_limit_deterministic(A)
+    flag, (q1, _) = is_strongly_limit_deterministic(A)
     if flag:
-        return _sig_limit_det(A, bound, q1, q2)
+        return _sig_limit_det(A, bound, q1)
     return _sig_generic(A, bound)
 
 
@@ -222,7 +280,8 @@ def _sig_generic(A: Automaton, bound: int) -> np.ndarray:
     rot[j]``, so ``j^omega = v[r:]·v^omega`` and the states accepting it
     are ``rel(v[r:])`` applied to those accepting ``v^omega``; ``v[r:]`` is
     the prefix of ``j`` of length ``cl - r``, so only words shorter than
-    ``bound`` are kept (see ``_word_mats``).
+    ``bound`` are kept (see ``_word_mats``).  The representatives, and then
+    the rotated words, of every cycle length go through ``mats`` together.
     """
     L, m = len(A.alphabet.letters()), A.n_states
     e = A.edges
@@ -235,32 +294,32 @@ def _sig_generic(A: Automaton, bound: int) -> np.ndarray:
     eye = np.eye(m, dtype=np.float32)
     squarings = _doubling_steps(m + 1)
     chunk = max(1, _CELLS // (2 * m * m))
-    out = []
-    for cl in range(1, bound + 1):
-        reps, rep_idx, rot = _rotation_classes(L, cl)
-        rep_codes = reps @ L ** np.arange(cl - 1, -1, -1)
-        pre_rep = np.empty((len(reps), m), dtype=np.float32)
-        for lo in range(0, len(reps), chunk):
-            check_time("lasso signatures")
-            rel, acc = mats(rep_codes[lo:lo + chunk], cl)
-            closure = np.minimum(rel + eye, 1.0)
-            for _ in range(squarings):
-                closure = np.matmul(closure, closure)
-                np.minimum(closure, 1.0, out=closure)
-            good = np.matmul(closure, np.matmul(acc, closure)
-                             ).diagonal(axis1=1, axis2=2) > 0
-            pre_rep[lo:lo + chunk] = np.matmul(
-                closure, good[:, :, None].astype(np.float32))[:, :, 0] > 0
-        pre = pre_rep[rep_idx]
-        moved = np.flatnonzero(rot)
-        for lo in range(0, len(moved), chunk):
-            check_time("lasso signatures")
-            j = moved[lo:lo + chunk]
-            rel, _ = mats(j // L ** rot[j], cl - rot[j])
-            pre[j] = np.matmul(rel, pre[j][:, :, None])[:, :, 0] > 0
-        rcat = np.concatenate(rows[:bound - cl + 1])
-        out.append((np.matmul(pre, rcat.T) > 0).ravel())
-    return np.concatenate(out)
+    cyc = _cycle_batch(L, bound)
+    pre_rep = np.empty((len(cyc.reps), m), dtype=np.float32)
+    for lo in range(0, len(cyc.reps), chunk):
+        check_time("lasso signatures")
+        rel, acc = mats(cyc.code[lo:lo + chunk], cyc.length[lo:lo + chunk])
+        closure = np.minimum(rel + eye, 1.0)
+        for _ in range(squarings):
+            closure = np.matmul(closure, closure)
+            np.minimum(closure, 1.0, out=closure)
+        good = np.matmul(closure, np.matmul(acc, closure)
+                         ).diagonal(axis1=1, axis2=2) > 0
+        pre_rep[lo:lo + chunk] = np.matmul(
+            closure, good[:, :, None].astype(np.float32))[:, :, 0] > 0
+    pre = pre_rep[cyc.rep]
+    count = L ** np.arange(1, bound + 1)
+    length = np.repeat(np.arange(1, bound + 1), count)
+    code = np.arange(len(pre)) - np.repeat(np.cumsum(count) - count, count)
+    moved = np.flatnonzero(cyc.rot)
+    for lo in range(0, len(moved), chunk):
+        check_time("lasso signatures")
+        j = moved[lo:lo + chunk]
+        rel, _ = mats(code[j] // L ** cyc.rot[j], length[j] - cyc.rot[j])
+        pre[j] = np.matmul(rel, pre[j][:, :, None])[:, :, 0] > 0
+    rcat = np.concatenate(rows)
+    return np.concatenate([(np.matmul(pre[w], rcat[:pre_n].T) > 0).ravel()
+                           for w, pre_n in cyc.blocks])
 
 
 def _prefix_rows(E, initial, bound):
@@ -276,93 +335,136 @@ def _prefix_rows(E, initial, bound):
     return rows
 
 
-def _sig_limit_det(A: Automaton, bound: int, q1, q2) -> np.ndarray:
+def _reaching(n, src, dst, roots):
+    """Mask of the states with a path along the edges ``src -> dst`` to
+    one of the states ``roots`` (a breadth-first sweep over all edges per
+    level)."""
+    seen = np.zeros(n, dtype=bool)
+    seen[roots] = True
+    while True:
+        new = seen[dst] & ~seen[src]
+        if not new.any():
+            return seen
+        seen[src[new]] = True
+
+
+def _live_states(n, e):
+    """Mask of the states from which an accepting lasso exists, by the
+    Emerson–Lei fixpoint ``nu Z. mu Y. pre_acc(Z) | pre(Y)``: ``Z`` starts
+    as every state and is replaced by the states that can reach a marked
+    edge into ``Z`` until that no longer shrinks it.  On a limit-
+    deterministic automaton every marked edge lies in part two, so the
+    part-two states left are those that reach a cycle through a marked
+    edge, and the part-one states those that reach a jump into them."""
+    live = np.ones(n, dtype=bool)
+    while True:
+        nxt = _reaching(n, e.src, e.dst, e.src[e.acc & live[e.dst]])
+        if nxt.sum() == live.sum():
+            return live
+        live = nxt
+
+
+# largest working set of one batch of the functional paths, in cells
+_STEP_CELLS = 1_000_000
+
+
+def _sig_limit_det(A: Automaton, bound: int, q1) -> np.ndarray:
     """Signature via the two-part structure: a run is a deterministic walk
     in part one plus a choice of jump point into the deterministic accepting
-    part.
+    part; ``q1`` is part one.
 
-    Both parts are functional graphs (each with a sink for missing moves)
-    and go through the suffix-map scheme of the module docstring.  A cycle
-    word is good for part-two state ``q`` at phase ``p`` when the flags OR'ed
-    over the eventual loop from ``(q, p)`` hold an accepting step; that is
-    the loop from ``S_p(q)`` at phase 0.  A jump at phase ``p`` wins when its
-    target is good at phase ``p + 1``, and a part-one state ``q`` at phase
-    ``p`` passes a winning jump when the suffix to the next phase 0 does, or
-    any whole-word iterate from ``S_p(q)`` does.  Cost O(k·n·(cl + log n))
-    per batch of ``k`` cycle words on ``n`` states.
+    Only the live states (``_live_states``) are kept; every other state of a
+    part is that part's sink, which also takes the missing moves.  Both
+    parts are then functional graphs and go through the suffix-map scheme
+    of the module docstring, for the padded representatives of every cycle
+    length at once (``_cycle_batch``).  A cycle word is good for part-two
+    state ``q`` at phase ``p`` when the flags OR'ed over the eventual loop
+    from ``(q, p)`` hold an accepting step; that is the loop from
+    ``S_p(q)`` at phase 0, and the padded phase ``bound`` holds it for
+    phase 0 again.  A jump at phase ``p`` wins when its target is good at
+    phase ``p + 1``, and a part-one state ``q`` at phase ``p`` passes a
+    winning jump when the suffix to the next phase 0 does, or any
+    whole-word iterate from ``S_p(q)`` does.  Cost O(k·n·(bound + log n))
+    per batch of ``k`` cycle words on ``n`` live states.
     """
-    L, e = len(A.alphabet.letters()), A.edges
-    ids1 = np.full(A.n_states, -1, dtype=np.intp)
-    ids2 = np.full(A.n_states, -1, dtype=np.intp)
-    ids1[sorted(q1)] = np.arange(len(q1))
-    ids2[sorted(q2)] = np.arange(len(q2))
-    m1, m2 = len(q1), len(q2)
-    sink1, sink2 = m1, m2
-    next1 = np.full((L, m1 + 1), sink1, dtype=np.intp)
-    next2 = np.full((L, m2 + 1), sink2, dtype=np.intp)
-    acc2 = np.zeros((L, m2 + 1), dtype=bool)
-    jump = np.zeros((L, m1 + 1, m2 + 1), dtype=np.float32)
+    L, e, n = len(A.alphabet.letters()), A.edges, A.n_states
+    live = _live_states(n, e)
+    in1 = np.zeros(n, dtype=bool)
+    in1[list(q1)] = True
+    live1, live2 = live & in1, live & ~in1
+    m1, m2 = int(live1.sum()), int(live2.sum())
+    ids = np.where(in1, m1, m2)
+    ids[live1], ids[live2] = np.arange(m1), np.arange(m2)
+    # the step arrays have a padding letter L: the identity, with no flag
+    # and no jump (rel2 serves only the prefixes, which never read it)
+    next1 = np.full((L + 1, m1 + 1), m1, dtype=np.intp)
+    next2 = np.full((L + 1, m2 + 1), m2, dtype=np.intp)
+    next1[L], next2[L] = np.arange(m1 + 1), np.arange(m2 + 1)
+    acc2 = np.zeros((L + 1, m2 + 1), dtype=bool)
+    jump = np.zeros((L + 1, m1 + 1, m2 + 1), dtype=np.float32)
     rel2 = np.zeros((L, m2 + 1, m2 + 1), dtype=np.float32)
-    s1, s2, d1, d2 = ids1[e.src], ids2[e.src], ids1[e.dst], ids2[e.dst]
-    inner2 = s2 >= 0
-    let, src, dst, acc = e.let[inner2], s2[inner2], d2[inner2], e.acc[inner2]
-    next2[let, src] = dst
-    rel2[let, src, dst] = 1.0
+    kept = live[e.src] & live[e.dst]
+    let, src, dst, acc = e.let[kept], ids[e.src[kept]], ids[e.dst[kept]], \
+        e.acc[kept]
+    from1, to1 = in1[e.src[kept]], in1[e.dst[kept]]
+    inner2 = ~from1
+    next2[let[inner2], src[inner2]] = dst[inner2]
+    rel2[let[inner2], src[inner2], dst[inner2]] = 1.0
     acc2[let[acc], src[acc]] = True
-    jumps = ~inner2 & (d2 >= 0)
-    jump[e.let[jumps], s1[jumps], d2[jumps]] = 1.0
-    inner1 = ~inner2 & (d2 < 0)
-    next1[e.let[inner1], s1[inner1]] = d1[inner1]
+    jumps = from1 & ~to1
+    jump[let[jumps], src[jumps], dst[jumps]] = 1.0
+    inner1 = from1 & to1
+    next1[let[inner1], src[inner1]] = dst[inner1]
     # Prefix walks: the unique part-one state plus the set of part-two
     # states reached by runs that already jumped.
-    p1 = [np.array([ids1[A.initial] if A.initial in q1 else sink1],
+    p1 = [np.array([ids[A.initial] if in1[A.initial] else m1],
                    dtype=np.int64)]
     d0 = np.zeros((1, m2 + 1), dtype=np.float32)
-    if A.initial in q2:
-        d0[0, ids2[A.initial]] = 1.0
+    if not in1[A.initial]:
+        d0[0, ids[A.initial]] = 1.0
     dsets = [d0]
     rel2_t = rel2.transpose(1, 0, 2).reshape(m2 + 1, L * (m2 + 1))
     for _ in range(1, bound):
         cur1, curd = p1[-1], dsets[-1]
-        p1.append(next1[:, cur1].T.reshape(-1))
+        p1.append(next1[:L, cur1].T.reshape(-1))
         moved = np.matmul(curd, rel2_t).reshape(-1, L, m2 + 1)
-        jumped = jump[:, cur1, :].transpose(1, 0, 2)
+        jumped = jump[:L, cur1, :].transpose(1, 0, 2)
         dsets.append(((moved + jumped) > 0).astype(np.float32
                                                    ).reshape(-1, m2 + 1))
-    jumps_t = jump.transpose(2, 0, 1).reshape(m2 + 1, L * (m1 + 1))
-    out = []
-    chunk = max(1, 4_000_000 // max(1, (m1 + m2 + 2) * bound))
-    for cl in range(1, bound + 1):
-        reps, rep_idx, rot = _rotation_classes(L, cl)
-        p1cat = np.concatenate(p1[:bound - cl + 1])
-        dcat = np.concatenate(dsets[:bound - cl + 1])
-        good_rep = np.empty((cl, len(reps), m2 + 1), dtype=bool)
-        hit_rep = np.empty((cl, len(reps), m1 + 1), dtype=bool)
-        for lo in range(0, len(reps), chunk):
-            check_time("lasso signatures")
-            Wc = reps[lo:lo + chunk]
-            # accepting-loop test for the deterministic part, per phase
-            good2 = _loop_or(next2[Wc.T], acc2[Wc.T])
-            # a jump at phase p wins when its target is good at phase p+1:
-            # per phase, one product against the jumps on every letter,
-            # then each word's own letter is picked out
-            jg = np.empty((cl, len(Wc), m1 + 1), dtype=bool)
-            for p in range(cl):
-                wins = np.matmul(good2[(p + 1) % cl].astype(np.float32),
-                                 jumps_t) > 0
-                jg[p] = wins.reshape(len(Wc), L, m1 + 1)[
-                    np.arange(len(Wc)), Wc[:, p]]
-            # does the part-one walk ever pass a winning jump?
-            S1, F1 = _suffix_maps(next1[Wc.T], jg)
-            _, ever = _iterate_or(S1[0], F1[0])
-            good_rep[:, lo:lo + chunk] = good2
-            hit_rep[:, lo:lo + chunk] = F1 | np.take(ever, S1)
-        # phase-shift the representative results back onto every word
-        g0 = good_rep[rot, rep_idx].astype(np.float32)
-        term1 = np.matmul(g0, dcat.T) > 0
-        term2 = hit_rep[rot[:, None], rep_idx[:, None], p1cat[None, :]]
-        out.append((term1 | term2).ravel())
-    return np.concatenate(out)
+    cyc = _cycle_batch(L, bound)
+    good_rep = np.empty((bound, len(cyc.reps), m2 + 1), dtype=bool)
+    hit_rep = np.empty((bound, len(cyc.reps), m1 + 1), dtype=bool)
+    jumps_t = jump.transpose(2, 0, 1).reshape(m2 + 1, (L + 1) * (m1 + 1))
+    chunk = max(1, _STEP_CELLS
+                // ((bound + 1) * ((L + 1) * (m1 + 1) + m1 + m2 + 2)))
+    phases = np.arange(bound)[:, None]
+    for lo in range(0, len(cyc.reps), chunk):
+        check_time("lasso signatures")
+        W = cyc.reps[lo:lo + chunk].T
+        k = W.shape[1]
+        # accepting-loop test for the deterministic part, per phase
+        good2 = _loop_or(next2[W], acc2[W])
+        # a jump at phase p wins when its target is good at phase p+1: one
+        # product against the jumps on every letter, then each word's own
+        # letter is picked out
+        wins = np.matmul(good2[1:].reshape(bound * k, m2 + 1)
+                         .astype(np.float32), jumps_t) > 0
+        jg = np.zeros((bound + 1, k, m1 + 1), dtype=bool)
+        jg[:bound] = wins.reshape(bound, k, L + 1, m1 + 1)[
+            phases, np.arange(k), W[:bound]]
+        # does the part-one walk ever pass a winning jump?
+        S1, F1 = _suffix_maps(next1[W], jg)
+        _, ever = _iterate_or(S1[0], F1[0])
+        good_rep[:, lo:lo + k] = good2[:bound]
+        hit_rep[:, lo:lo + k] = F1[:bound] | np.take(ever, S1[:bound])
+    # phase-shift the representative results back onto every word
+    at = cyc.rot * len(cyc.reps) + cyc.rep
+    good0 = good_rep.reshape(-1, m2 + 1)[at]
+    hit0 = hit_rep.reshape(-1, m1 + 1)[at]
+    p1cat, dcat = np.concatenate(p1), np.concatenate(dsets)
+    return np.concatenate([
+        ((np.matmul(good0[w].astype(np.float32), dcat[:pre_n].T) > 0)
+         | hit0[w][:, p1cat[:pre_n]]).ravel() for w, pre_n in cyc.blocks])
 
 
 def dsa_signature(D, bound: int) -> np.ndarray:
@@ -372,8 +474,9 @@ def dsa_signature(D, bound: int) -> np.ndarray:
     Each pair's collapse and unstable flags are packed into one integer per
     transition and OR'ed over the eventual loop by the suffix-map scheme of
     the module docstring: doubling on the whole-word map of the ``n``
-    states, then one gather per phase.  Cost O(k·n·(cl + log n)) for ``k``
-    cycle words.
+    states, then one gather per phase, for the padded representatives of
+    every cycle length at once (``_cycle_batch``).  Cost
+    O(k·n·(bound + log n)) for ``k`` cycle words.
     """
     letters = D.alphabet.letters()
     index = {a: i for i, a in enumerate(letters)}
@@ -381,8 +484,10 @@ def dsa_signature(D, bound: int) -> np.ndarray:
     names = sorted(D.pairs, key=str)
     if 2 * len(names) > 62:
         raise ValueError("too many Streett pairs for packed flags")
-    nxt = np.zeros((L, n), dtype=np.intp)
-    flags = np.zeros((L, n), dtype=np.int64)
+    # the padding letter L moves no state and sets no flag (_cycle_batch)
+    nxt = np.zeros((L + 1, n), dtype=np.intp)
+    flags = np.zeros((L + 1, n), dtype=np.int64)
+    nxt[L] = np.arange(n)
     for a in letters:
         ai = index[a]
         for s in range(n):
@@ -399,18 +504,19 @@ def dsa_signature(D, bound: int) -> np.ndarray:
             flags[ai, s] = bits
     states = [np.array([D.initial], dtype=np.int64)]
     for _ in range(1, bound):
-        states.append(nxt[:, states[-1]].T.reshape(-1))
-    out = []
-    for cl in range(1, bound + 1):
+        states.append(nxt[:L, states[-1]].T.reshape(-1))
+    # a loop rejects when some pair's collapse bit is set and its unstable
+    # bit, the next one up, is not
+    collapse = sum(1 << (2 * i) for i in range(len(names)))
+    cyc = _cycle_batch(L, bound)
+    reject = np.empty((bound, len(cyc.reps), n), dtype=bool)
+    chunk = max(1, _STEP_CELLS // ((bound + 1) * n))
+    for lo in range(0, len(cyc.reps), chunk):
         check_time("lasso signatures")
-        reps, rep_idx, rot = _rotation_classes(L, cl)
-        scat = np.concatenate(states[:bound - cl + 1])
-        loop = _loop_or(nxt[reps.T], flags[reps.T])
-        reject = np.zeros(loop.shape, dtype=bool)
-        for i in range(len(names)):
-            coll = (loop >> (2 * i)) & 1
-            unst = (loop >> (2 * i + 1)) & 1
-            reject |= (coll == 1) & (unst == 0)
-        out.append(~reject[rot[:, None], rep_idx[:, None],
-                           scat[None, :]].ravel())
-    return np.concatenate(out)
+        W = cyc.reps[lo:lo + chunk].T
+        loop = _loop_or(nxt[W], flags[W])[:bound]
+        reject[:, lo:lo + W.shape[1]] = (loop & ~(loop >> 1) & collapse) != 0
+    reject0 = reject.reshape(-1, n)[cyc.rot * len(cyc.reps) + cyc.rep]
+    scat = np.concatenate(states)
+    return np.concatenate([~reject0[w][:, scat[:pre_n]].ravel()
+                           for w, pre_n in cyc.blocks])

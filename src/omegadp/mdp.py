@@ -737,14 +737,6 @@ def model_from_doc(doc: dict, decode_action, model=Mdp, **fields):
                  labels=labels, rewards=rewards, **fields)
 
 
-def mdp_to_json(M: Mdp) -> str:
-    return json.dumps(model_to_doc(M, lambda a: {"name": a}), indent=2)
-
-
-def mdp_from_json(text: str) -> Mdp:
-    return model_from_doc(json.loads(text), lambda entry: entry["name"])
-
-
 def strategy_to_doc(strategy: Strategy) -> dict:
     """The JSON document of a strategy: its ``kind`` and its choices in
     state order, or the two strategies and the switching step."""

@@ -1,8 +1,10 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import signature_reference
+from omegadp import automata
 from omegadp.automata import (
     TOP,
     Alphabet,
@@ -251,3 +253,27 @@ def test_validation_rejects_bad_structures():
         Automaton("DBA", ab, 2, 0, {(0, 0): (0, 1)})
     with pytest.raises(ValueError):
         Automaton("FOO", ab, 1, 0, {})
+
+
+def test_graph_helpers_agree_with_scipy_on_repeated_edges():
+    # the CSR is built from the sorted unique (src, dst) keys; the labels
+    # and masks are those of scipy's own COO conversion, which merges the
+    # repeats that its strong-component search would hang on
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        src = rng.integers(0, n, int(rng.integers(0, 4 * n)))
+        dst = rng.integers(0, n, len(src))
+        src = np.concatenate([src, src[::2]])
+        dst = np.concatenate([dst, dst[::2]])
+        G = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+        want = connected_components(G, directed=True, connection="strong")[1]
+        assert np.array_equal(automata._components(n, src, dst), want)
+        roots = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        reached = np.zeros(n, dtype=bool)
+        for r in roots:
+            reached[breadth_first_order(G, r, return_predecessors=False)] = True
+        assert np.array_equal(automata._reached(n, src, dst, roots), reached)

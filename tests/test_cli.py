@@ -18,7 +18,7 @@ from omegadp.hoa import emit_hoa, parse_hoa
 from omegadp.odp import odp_to_json, remove_lookahead, remove_lookback
 
 from conftest import example2_odp, random_uca
-from test_acceptance import shape_fixtures
+from test_acceptance import random_collection, shape_fixtures
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -81,6 +81,16 @@ def test_complement_flags_are_the_options(tmp_path):
     C = complement_uca(parse_hoa(Path(src).read_text()), opts)
     assert C.tags["construction"] == "rank"
     assert out.read_text() == emit_hoa(C)
+
+
+def test_complement_pins_the_fresh_initial_state_of_a_collection(tmp_path):
+    # the collection's fresh initial state travels in the HOA header, so
+    # the complement pins it to the maximal rank, as in the library
+    col = random_collection(random.Random(99))
+    src, out = tmp_path / "col.hoa", tmp_path / "out.hoa"
+    src.write_text(emit_hoa(col))
+    assert main(["complement", str(src), "-o", str(out)]) == 0
+    assert parse_hoa(out.read_text()).n_states == 58
 
 
 def test_complement_rejects_nba_without_flag(tmp_path, capsys):

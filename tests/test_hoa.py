@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from omegadp.automata import TOP, Alphabet, Automaton, LassoWord, \
     canonical_order, lasso_member_nba, renumber
+from omegadp.complement import complement_uca
 from omegadp.hoa import HoaError, emit_hoa, parse_hoa
 from omegadp.odp import remove_lookahead
-from conftest import all_lassos, example2_odp, random_nba
+from conftest import all_lassos, example2_odp, random_nba, untagged
+from test_acceptance import random_collection
 
 
 def test_round_trip_random(rng):
@@ -137,3 +141,22 @@ State: 0
     A = parse_hoa(text)
     assert A.kind == "NBA"
     assert (0, 0, 0) in A.gamma
+
+
+def test_collection_initial_round_trip():
+    col = random_collection(random.Random(99))
+    text = emit_hoa(col)
+    back = parse_hoa(text)
+    assert back.tags == {"collection_initial": 0}
+    assert emit_hoa(back) == text
+    # pinned: 58 states; without the header the complement pins nothing
+    assert complement_uca(back).n_states == 58
+    assert complement_uca(untagged(back)).n_states == 127
+    assert "collection-initial" not in emit_hoa(untagged(back))
+
+
+def test_collection_initial_must_name_a_state():
+    text = emit_hoa(random_collection(random.Random(99)))
+    with pytest.raises(HoaError, match="collection-initial names no state"):
+        parse_hoa(text.replace("collection-initial: 0",
+                               "collection-initial: 9"))

@@ -24,9 +24,9 @@ from omegadp.mdp import (
     discounted_vi,
     lexicographic_solve,
     max_reach_prob,
-    mdp_from_json,
-    mdp_to_json,
     mec_decomposition,
+    model_from_doc,
+    model_to_doc,
     product_with_nba,
     product_with_reward_machine,
     strategy_to_json,
@@ -84,13 +84,23 @@ def test_validation_rejects_a_nan_probability():
             {(0, "a"): ((0, math.nan), (1, 1.0)), (1, "a"): ((1, 1.0),)})
 
 
+def mdp_doc(M):
+    """The JSON document of an MDP whose actions are named by themselves,
+    read back from its text."""
+    return json.loads(json.dumps(model_to_doc(M, lambda a: {"name": a})))
+
+
+def mdp_of_doc(doc):
+    return model_from_doc(doc, lambda entry: entry["name"])
+
+
 def test_json_rejects_an_initial_state_out_of_range():
     M = Mdp(2, 0, {0: ("a",), 1: ("a",)},
             {(0, "a"): ((1, 1.0),), (1, "a"): ((1, 1.0),)})
-    doc = json.loads(mdp_to_json(M))
+    doc = mdp_doc(M)
     doc["initial"] = 7
     with pytest.raises(ValueError, match="initial state 7 out of range"):
-        mdp_from_json(json.dumps(doc))
+        mdp_of_doc(doc)
 
 
 def two_state_chain(**kwargs):
@@ -119,37 +129,37 @@ def test_validation_rejects_what_names_nothing_real():
 @pytest.mark.parametrize("ids", [[0, -1], [0, 0], [0, 5], [1, 2]])
 def test_json_state_ids_must_be_each_state_once(ids):
     M = two_state_chain(alphabet=Alphabet(("b",)), labels=(0, 1))
-    doc = json.loads(mdp_to_json(M))
+    doc = mdp_doc(M)
     for st, i in zip(doc["states"], ids):
         st["id"] = i
     with pytest.raises(ValueError, match="state ids must be 0..1"):
-        mdp_from_json(json.dumps(doc))
+        mdp_of_doc(doc)
     # an unlabeled model is read without the labels, but the ids still count
-    doc = json.loads(mdp_to_json(two_state_chain()))
+    doc = mdp_doc(two_state_chain())
     for st, i in zip(doc["states"], ids):
         st["id"] = i
     with pytest.raises(ValueError, match="state ids must be 0..1"):
-        mdp_from_json(json.dumps(doc))
+        mdp_of_doc(doc)
 
 
 def test_json_rejects_an_action_of_no_state():
-    doc = json.loads(mdp_to_json(two_state_chain()))
+    doc = mdp_doc(two_state_chain())
     doc["actions"].append({"state": 5, "name": "a",
                            "successors": [{"target": 0, "prob": 1.0}]})
     with pytest.raises(ValueError, match="actions given for 5"):
-        mdp_from_json(json.dumps(doc))
+        mdp_of_doc(doc)
 
 
 def test_json_key_order():
     M = two_state_chain(alphabet=Alphabet(("b",)), labels=(0, 1),
                         rewards={(0, "a", 1): 2.0})
-    doc = json.loads(mdp_to_json(M))
+    doc = mdp_doc(M)
     assert list(doc) == ["ap", "states", "initial", "actions"]
     assert list(doc["states"][1]) == ["id", "label"]
     assert list(doc["actions"][0]) == ["state", "name", "successors",
                                        "reward"]
     assert doc["actions"][0]["reward"] == {"1": 2.0}
-    assert "label" not in json.loads(mdp_to_json(two_state_chain()))[
+    assert "label" not in mdp_doc(two_state_chain())[
         "states"][0]
 
 
@@ -456,7 +466,7 @@ def test_switch_horizon_guarantee():
 
 def test_json_round_trip():
     M = free_letter_mdp()
-    N = mdp_from_json(mdp_to_json(M))
+    N = mdp_of_doc(mdp_doc(M))
     assert N.n_states == M.n_states
     assert N.initial == M.initial
     assert N.actions == M.actions
