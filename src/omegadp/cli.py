@@ -106,16 +106,17 @@ def _summary_rows(rows):
         row = [label]
         for col in range(1, 8):
             vals = [float(r[col]) for r in rows
-                    if isinstance(r[col], (int, float))
-                    or str(r[col]).replace(".", "", 1).isdigit()]
+                    if r[col] not in ("", "timeout")]
             row.append(f"{agg(vals):.3f}" if vals else "")
         out.append(row)
     return out
 
 
-def _run_batch(args, out_dir):
+def cmd_batch(args):
+    if args.out_dir is not None:
+        os.makedirs(args.out_dir, exist_ok=True)
     rows = batch_reduce(args.input, args.output, args.timeout, args.workers,
-                        out_dir)
+                        args.out_dir)
     errors = [{"file": r[0], "message": r[7][len("error: "):]}
               for r in rows if r[7].startswith("error:")]
     good = [r for r in rows if not r[7].startswith("error:")]
@@ -127,15 +128,6 @@ def _run_batch(args, out_dir):
               file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_reduce(args):
-    os.makedirs(args.out_dir, exist_ok=True)
-    return _run_batch(args, args.out_dir)
-
-
-def cmd_stats(args):
-    return _run_batch(args, None)
 
 
 def cmd_solve(args):
@@ -376,9 +368,7 @@ def _build_parser():
         if name == "reduce":
             p.add_argument("--out-dir", required=True,
                            help="directory for the reduced automata")
-            p.set_defaults(func=cmd_reduce)
-        else:
-            p.set_defaults(func=cmd_stats)
+        p.set_defaults(func=cmd_batch, out_dir=None)
 
     p = sub.add_parser("solve", parents=[common],
                        help="solve a decision process JSON file")

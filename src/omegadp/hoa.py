@@ -15,11 +15,17 @@ bit pattern of each of its letters; edge labels then stand for the letters of
 the subset they cover.  A collection automaton's fresh initial state (tag
 ``collection_initial``, which the complement pins to the maximal rank) is
 written as a ``collection-initial:`` header.
+
+The scanner skips blanks and ``/* comments */`` and reads a token as a quoted
+string, one of ``[]{}()!&|``, or a run of any other characters, so a comment
+ends a token only after a blank.  Every error found in the text, a malformed
+number included, is a ``HoaError`` naming its line and column.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .automata import TOP, Alphabet, Automaton, canonical_order, \
     promise_sort_key, renumber
@@ -36,65 +42,52 @@ class HoaError(ValueError):
         self.column = column
 
 
-class _Tokenizer:
+_BLANK = re.compile(r"(?:[ \t\r\n]+|/\*.*?\*/)*", re.S)
+_TOKEN = re.compile(r'"[^"]*"|[\[\]{}()!&|]|[^\[\]{}()!&|" \t\r\n]+')
+
+
+class _Scanner:
+    """The tokens of a HOA text, read from ``pos`` on."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def _advance(self, n):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_ws(self):
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c in " \t\r\n":
-                self._advance(1)
-            elif self.text.startswith("/*", self.pos):
-                end = self.text.find("*/", self.pos + 2)
-                if end < 0:
-                    raise HoaError("unterminated comment", self.line, self.col)
-                self._advance(end + 2 - self.pos)
-            else:
-                return
+    def error(self, message):
+        """A HoaError located at ``pos``."""
+        line = self.text.count("\n", 0, self.pos) + 1
+        return HoaError(message, line,
+                        self.pos - self.text.rfind("\n", 0, self.pos))
 
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
+        self.pos = _BLANK.match(self.text, self.pos).end()
+        if self.text.startswith("/*", self.pos):
+            raise self.error("unterminated comment")
+        if self.pos == len(self.text):
             return None
-        c = self.text[self.pos]
-        if c == '"':
-            end = self.pos + 1
-            while end < len(self.text) and self.text[end] != '"':
-                end += 1
-            if end >= len(self.text):
-                raise HoaError("unterminated string", self.line, self.col)
-            return self.text[self.pos:end + 1]
-        if c in "[]{}()!&|":
-            return c
-        end = self.pos
-        while end < len(self.text) and self.text[end] not in " \t\r\n[]{}()!&|\"":
-            end += 1
-        return self.text[self.pos:end]
+        tok = _TOKEN.match(self.text, self.pos)
+        if tok is None:
+            raise self.error("unterminated string")
+        return tok.group()
 
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise HoaError("unexpected end of input", self.line, self.col)
-        self._advance(len(tok))
+            raise self.error("unexpected end of input")
+        self.pos += len(tok)
         return tok
 
     def expect(self, tok):
         got = self.next()
         if got != tok:
-            raise HoaError(f"expected {tok!r}, got {got!r}", self.line, self.col)
+            raise self.error(f"expected {tok!r}, got {got!r}")
+
+    def integer(self):
+        tok = self.next()
+        try:
+            return int(tok)
+        except ValueError:
+            raise self.error(f"expected a number, got {tok!r}") from None
 
     def rest_of_line(self):
         """Raw text up to the next newline (for headers holding JSON)."""
@@ -102,7 +95,7 @@ class _Tokenizer:
         if end < 0:
             end = len(self.text)
         out = self.text[self.pos:end].strip()
-        self._advance(end - self.pos)
+        self.pos = end
         return out
 
 
@@ -126,9 +119,9 @@ def _parse_label_expr(tz, n_ap):
         try:
             idx = int(tok)
         except ValueError:
-            raise HoaError(f"bad label token {tok!r}", tz.line, tz.col)
+            raise tz.error(f"bad label token {tok!r}")
         if not (0 <= idx < n_ap):
-            raise HoaError(f"AP index {idx} not declared", tz.line, tz.col)
+            raise tz.error(f"AP index {idx} not declared")
         return frozenset(b for b in all_letters if b & (1 << idx))
 
     def conj():
@@ -166,7 +159,7 @@ def _marked(tz):
     tz.next()
     accs = []
     while tz.peek() != "}":
-        accs.append(int(tz.next()))
+        accs.append(tz.integer())
     tz.expect("}")
     return bool(accs)
 
@@ -212,7 +205,7 @@ def _vocab_from_json(items):
 
 
 def parse_hoa(text: str) -> Automaton:
-    tz = _Tokenizer(text)
+    tz = _Scanner(text)
     n_states = None
     start = 0
     ap_names = []
@@ -223,32 +216,32 @@ def parse_hoa(text: str) -> Automaton:
     collection_initial = None
     tok = tz.next()
     if tok != "HOA:":
-        raise HoaError("missing HOA: header", tz.line, tz.col)
+        raise tz.error("missing HOA: header")
     version = tz.next()
     if version != "v1":
-        raise HoaError(f"unsupported HOA version {version!r}", tz.line, tz.col)
+        raise tz.error(f"unsupported HOA version {version!r}")
     while True:
         tok = tz.peek()
         if tok is None:
-            raise HoaError("missing --BODY--", tz.line, tz.col)
+            raise tz.error("missing --BODY--")
         if tok == "--BODY--":
             tz.next()
             break
         tok = tz.next()
         if tok == "States:":
-            n_states = int(tz.next())
+            n_states = tz.integer()
         elif tok == "Start:":
-            start = int(tz.next())
+            start = tz.integer()
         elif tok == "AP:":
-            n_ap = int(tz.next())
+            n_ap = tz.integer()
             ap_names = []
             for _ in range(n_ap):
                 name = tz.next()
                 if not (name.startswith('"') and name.endswith('"')):
-                    raise HoaError("AP names must be quoted", tz.line, tz.col)
+                    raise tz.error("AP names must be quoted")
                 ap_names.append(name[1:-1])
         elif tok == "Acceptance:":
-            n_sets = int(tz.next())
+            n_sets = tz.integer()
             acceptance = (n_sets, "".join(_header_values(tz)))
         elif tok == "acc-name:":
             acc_name = tz.next()
@@ -257,12 +250,12 @@ def parse_hoa(text: str) -> Automaton:
         elif tok == "letter-subset:":
             subset_json = tz.rest_of_line()
         elif tok == "collection-initial:":
-            collection_initial = int(tz.next())
+            collection_initial = tz.integer()
         elif tok.endswith(":"):
             # tool:, name:, properties:, and other ignorable headers
             _header_values(tz)
         else:
-            raise HoaError(f"unexpected header token {tok!r}", tz.line, tz.col)
+            raise tz.error(f"unexpected header token {tok!r}")
     if len(ap_names) > MAX_AP:
         raise HoaError(f"{len(ap_names)} atomic propositions exceed the cap of {MAX_AP}")
     if acceptance is None:
@@ -346,23 +339,23 @@ def parse_hoa(text: str) -> Automaton:
                 tz.next()
                 label = _parse_label_expr(tz, n_all_ap)
                 tz.expect("]")
-            current = int(tz.next())
+            current = tz.integer()
             seen_states.add(current)
             if tz.peek() is not None and tz.peek().startswith('"'):
                 tz.next()
             state_acc[current] = _marked(tz)
             if label is not None:
-                raise HoaError("state labels are not supported", tz.line, tz.col)
+                raise tz.error("state labels are not supported")
         elif tok == "[":
             if current is None:
-                raise HoaError("edge before any State:", tz.line, tz.col)
+                raise tz.error("edge before any State:")
             letters = _parse_label_expr(tz, n_all_ap)
             tz.expect("]")
-            target = int(tz.next())
+            target = tz.integer()
             marked = _marked(tz) or state_acc.get(current, False)
             add_edge(current, decode_letters(letters), target, marked)
         else:
-            raise HoaError(f"unexpected body token {tok!r}", tz.line, tz.col)
+            raise tz.error(f"unexpected body token {tok!r}")
 
     if n_states is None:
         n_states = (max(seen_states) + 1) if seen_states else 1

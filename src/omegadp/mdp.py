@@ -129,17 +129,17 @@ class Mdp:
     def reward(self, s, a, t):
         return self.rewards.get((s, a, t), 0.0)
 
-    def lift(self, s, a, row, target, trans, rewards, paid=0.0):
+    def lift(self, s, a, row, target, trans, rewards):
         """Copy the distribution of (s, a) to ``trans[row]`` of a model
         compiled from this one: ``row`` is a (state, action) pair there and
-        ``target(t)`` the state reached for ``t``.  The rewards, plus
-        ``paid`` on every transition, go to ``rewards``."""
+        ``target(t)`` the state reached for ``t``.  The rewards of the
+        transitions go to ``rewards``, keyed by the compiled transition."""
         src, b = row
         dist = []
         for t, p in self.trans[(s, a)]:
             dst = target(t)
             dist.append((dst, p))
-            r = paid + self.reward(s, a, t)
+            r = self.reward(s, a, t)
             if r:
                 rewards[(src, b, dst)] = r
         trans[row] = tuple(dist)
@@ -149,21 +149,6 @@ class Mdp:
         """The solvers' array form, built on first use and kept: the dict
         fields must not change once a solver has read the model."""
         return MdpArrays.of(self)
-
-
-@dataclass
-class RewardMachine:
-    """Mealy machine over letters that emits rewards on its transitions."""
-
-    n_states: int
-    initial: int
-    delta: dict  # (u, letter) -> u'
-    rho: dict    # (u, letter) -> reward
-
-    def step(self, u, letter):
-        if (u, letter) not in self.delta:
-            raise ValueError(f"reward machine has no move for ({u}, {letter})")
-        return self.delta[(u, letter)], self.rho.get((u, letter), 0.0)
 
 
 #: The only product action at a state where the automaton has no move on
@@ -211,23 +196,6 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     return Mdp(len(pairs), 0, actions, trans, alphabet=M.alphabet,
                labels=tuple(M.labels[s] for s, _ in pairs), rewards=rewards,
                check=False, pairs=pairs, acc=acc)
-
-
-def product_with_reward_machine(M: Mdp, R: RewardMachine) -> Mdp:
-    """Rewardful MDP whose reward is emitted by the machine reading labels."""
-    if M.labels is None:
-        raise ValueError("the MDP must be labeled")
-    found = Explorer((M.initial, R.initial), what="reward product")
-    actions, trans, rewards = {}, {}, {}
-    for src, (s, u) in found:
-        u2, r = R.step(u, M.labels[s])
-        actions[src] = M.actions[s]
-        for a in M.actions[s]:
-            M.lift(s, a, (src, a), lambda t: found.intern((t, u2)), trans,
-                   rewards, paid=r)
-    return Mdp(len(found), 0, actions, trans, alphabet=M.alphabet,
-               labels=tuple(M.labels[s] for s, _ in found.keys),
-               rewards=rewards, check=False)
 
 
 class MdpArrays:

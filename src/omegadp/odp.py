@@ -17,8 +17,11 @@ the lexicographic solver.  Each step returns an ``Mdp`` again, whose
 (ODP state, guard tracker) pair after ``remove_lookback``, an (ODP state,
 pending promise) pair after ``remove_lookahead``, an (MDP state, automaton
 state) pair in the product.  The product strategy is translated back into a
-strategy over the original process along these pairs.  The JSON form is the
-MDP form plus guards, promises and schemas (``mdp.model_to_doc``).
+strategy over the original process along these pairs.  The solvers read
+only a model's rows, so a process without guards or promises, such as
+``remove_lookback`` makes of a promise-free one, goes to them as it is.  The
+JSON form is the MDP form plus guards, promises and schemas
+(``mdp.model_to_doc``).
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from __future__ import annotations
 import json
 
 from .automata import TOP, Alphabet, Automaton, Explorer, LassoWord, \
-    instantiate, label_from_names, label_to_names, lasso_member_uca, \
-    letter_sort_key
+    instantiate, label_from_names, label_to_names, lasso_member_uca
 from .collect import build_collection
 from .complement import complement_uca
 from .mdp import Mdp, lexicographic_solve, model_from_doc, model_to_doc, \
@@ -153,7 +155,7 @@ def _checking_nba(schema, letters):
     return N
 
 
-def remove_lookahead(D: Odp, nba: Automaton | None = None):
+def remove_lookahead(D: Odp):
     """Turn promises into letters; returns (MDP, checking NBA).
 
     The process must have trivial lookback.  Each step emits the state label
@@ -167,12 +169,9 @@ def remove_lookahead(D: Odp, nba: Automaton | None = None):
     language, with entry rankings pinned at the collecting state, then
     reduced) is returned for the downstream product.  Both are built over
     the letters the process emits and no others: the product never reads
-    another letter, and every letter left out shrinks the complement.
-
-    A previously computed checking NBA can be passed as ``nba`` to skip the
-    complementation; its alphabet must contain every letter the process
-    emits (ValueError otherwise).  Without one, the NBA built by an earlier
-    call with an equal schema and letter set is reused.
+    another letter, and every letter left out shrinks the complement.  The
+    NBA is built once per schema content and letter set and shared by every
+    later call with equal ones, which must not mutate it.
     """
     if D.lookback is not None:
         raise ValueError("remove the lookbacks first")
@@ -185,33 +184,12 @@ def remove_lookahead(D: Odp, nba: Automaton | None = None):
             alpha = TOP if act[2] is None else act[2]
             D.lift(s, act, (src, act), lambda t: found.intern((t, alpha)),
                    trans, rewards)
-    letters = frozenset(labels)
-    if nba is None:
-        schema = D.lookahead if D.lookahead is not None \
-            else _trivial_lookahead(D.alphabet.ap)
-        N = _checking_nba(schema, letters)
-    else:
-        N = nba
-        missing = letters.difference(N.alphabet.letters())
-        if missing:
-            letter = min(missing, key=letter_sort_key)
-            raise ValueError(f"the process emits the letter {letter!r}, "
-                             f"which the given checking NBA's alphabet lacks")
+    schema = D.lookahead if D.lookahead is not None \
+        else _trivial_lookahead(D.alphabet.ap)
+    N = _checking_nba(schema, frozenset(labels))
     M = Mdp(len(found), 0, actions, trans, alphabet=N.alphabet,
             labels=labels, rewards=rewards, check=False, pairs=found.keys)
     return M, N
-
-
-def as_mdp(D: Odp) -> Mdp:
-    """View a process with trivial lookback and no promises as a plain MDP."""
-    if D.lookback is not None:
-        raise ValueError("remove the lookbacks first")
-    if any(act[2] is not None for s in range(D.n_states)
-           for act in D.actions[s]):
-        raise ValueError("the process makes promises")
-    return Mdp(D.n_states, D.initial, D.actions, D.trans,
-               alphabet=Alphabet(D.alphabet.ap), labels=D.labels,
-               rewards=D.rewards, check=False)
 
 
 class OdpStrategy:
@@ -243,17 +221,15 @@ class OdpStrategy:
         raise ValueError(f"state {next_state} is not a successor under {pa}")
 
 
-def solve_odp(D: Odp, lam, eps, nba=None):
+def solve_odp(D: Odp, lam, eps):
     """Optimal discounted value among almost-surely promise-keeping
     strategies, with an eps-optimal strategy over the original process.
 
     Raises NoValidStrategy when no strategy keeps all promises almost
     surely, and CapacityError when a compilation budget is exceeded.
-    ``nba`` forwards a precomputed checking automaton to the lookahead
-    elimination.
     """
     compiled = remove_lookback(D)
-    M, N = remove_lookahead(compiled, nba=nba)
+    M, N = remove_lookahead(compiled)
     P = product_with_nba(M, N)
     _, value, sigma = lexicographic_solve(P, lam, eps)
     odp_state_of = [M.pairs[m_id][0] for m_id, _ in P.pairs]

@@ -35,14 +35,7 @@ from omegadp.lasso_bulk import (
     nba_signature,
     uca_signature,
 )
-from omegadp.mdp import (
-    Mdp,
-    RewardMachine,
-    discounted_vi,
-    product_with_nba,
-    product_with_reward_machine,
-    strategy_value_check,
-)
+from omegadp.mdp import product_with_nba, strategy_value_check
 from omegadp.odp import remove_lookahead, remove_lookback, solve_odp
 from omegadp.qlearn import lex_q_learn
 from omegadp.reduction import run_pipeline
@@ -394,7 +387,7 @@ def test_lab_case_study_exact_and_learned():
     compiled = remove_lookback(D)
     M, N = remove_lookahead(compiled)
     P = product_with_nba(M, N)
-    d_star, sigma = solve_odp(D, lam, eps, nba=N)
+    d_star, sigma = solve_odp(D, lam, eps)
     sat, disc = strategy_value_check(sigma.product, sigma.inner, lam)
     assert sat == pytest.approx(1.0, abs=1e-9)
     assert disc >= d_star - eps
@@ -413,32 +406,3 @@ def test_lab_case_study_exact_and_learned():
     assert elapsed < 1800.0
     report(f"PASS lab case study: exact value {d_star:.4f}, learned "
            f"sat {sat_l:.4f} value {disc_l:.4f}, {elapsed:.0f}s")
-
-
-# --- reward-machine products against closed forms ----------------------------
-
-
-def test_reward_machine_products_match_closed_forms():
-    t0 = time.monotonic()
-    lam = 0.5
-    ab = Alphabet(("b",))
-    # constant machine: pays 3 every step, value 3/(1-lam)
-    M = Mdp(1, 0, {0: ("stay",)}, {(0, "stay"): ((0, 1.0),)},
-            alphabet=ab, labels=(0,))
-    R = RewardMachine(1, 0, {(0, 0): 0, (0, 1): 0},
-                      {(0, 0): 3.0, (0, 1): 3.0})
-    v, _ = discounted_vi(product_with_reward_machine(M, R), lam)
-    assert v[0] == pytest.approx(3.0 / (1 - lam), abs=1e-8)
-    # two-state machine paying one step after each b label: the chain
-    # alternates labels 0, 1, 0, ..., so the payments hit the even steps
-    # from step 2 on and sum to lam^2 / (1 - lam^2)
-    M2 = Mdp(2, 0, {0: ("go",), 1: ("go",)},
-             {(0, "go"): ((1, 1.0),), (1, "go"): ((0, 1.0),)},
-             alphabet=ab, labels=(0, 1))
-    R2 = RewardMachine(2, 0, {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1},
-                       {(1, 0): 1.0, (1, 1): 1.0})
-    v2, _ = discounted_vi(product_with_reward_machine(M2, R2), lam)
-    assert v2[0] == pytest.approx(lam * lam / (1 - lam * lam), abs=1e-8)
-    elapsed = time.monotonic() - t0
-    assert elapsed < 1.0
-    report(f"PASS reward-machine closed forms, {elapsed:.2f}s")

@@ -5,7 +5,7 @@ from omegadp.biolab import (DIRTY_PROMISE, HOME_PROMISE, SINCE_GUARD,
                             build_biolab, default_grid, guard_schema,
                             lookahead_schema)
 from omegadp.mdp import strategy_value_check
-from omegadp.odp import remove_lookahead, remove_lookback, solve_odp
+from omegadp.odp import solve_odp
 
 CLEAN, DIRTY, DECON, HOME = 1, 2, 4, 8
 
@@ -120,10 +120,7 @@ def _reachable_odp_states(sigma):
 def test_optimal_routes():
     lam, eps = 0.99, 0.01
     D = build_biolab()
-    compiled = remove_lookback(D)
-    _, nba = remove_lookahead(compiled)
-
-    value, sigma = solve_odp(D, lam, eps, nba=nba)
+    value, sigma = solve_odp(D, lam, eps)
     sat, disc = strategy_value_check(sigma.product, sigma.inner, lam)
     assert sat == pytest.approx(1.0, abs=1e-9)
     assert disc >= value - eps
@@ -133,7 +130,7 @@ def test_optimal_routes():
     assert all(z == 0 for _, z in keys)
 
     D0 = build_biolab(p_zap=0.0)
-    value0, sigma0 = solve_odp(D0, lam, eps, nba=nba)
+    value0, sigma0 = solve_odp(D0, lam, eps)
     sat0, disc0 = strategy_value_check(sigma0.product, sigma0.inner, lam)
     assert sat0 == pytest.approx(1.0, abs=1e-9)
     assert disc0 >= value0 - eps

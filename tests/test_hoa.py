@@ -160,3 +160,46 @@ def test_collection_initial_must_name_a_state():
     with pytest.raises(HoaError, match="collection-initial names no state"):
         parse_hoa(text.replace("collection-initial: 0",
                                "collection-initial: 9"))
+
+
+def test_scanner_reads_comments_quoted_names_and_tight_edges():
+    spaced = """HOA: v1
+name: "a b"
+States: 2
+Start: 0
+AP: 2 "a a" "c"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0
+[0 & !1] 1 {0}
+[t] 0
+State: 1
+[!0 | 1] 1
+--END--
+"""
+    tight = ('HOA: v1 /* first */ name: "a /* not a comment */ b"'
+             '/* two\nlines */States: 2 Start: 0 AP: 2 "a a""c"\n'
+             'acc-name: Buchi Acceptance: 1 Inf(0) --BODY--\n'
+             'State: 0 "a start"[0&!1]1{0}[t]0 /**/State: 1 [!0|1]1 --END--')
+    A, B = parse_hoa(spaced), parse_hoa(tight)
+    assert A.alphabet.ap == B.alphabet.ap == ("a a", "c")
+    assert (A.n_states, A.initial, A.delta, A.gamma) \
+        == (B.n_states, B.initial, B.delta, B.gamma)
+    assert emit_hoa(A) == emit_hoa(B)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("HOA: v1\nStates: 1 /* never\nclosed", "line 2, column 11: "
+     "unterminated comment"),
+    ('HOA: v1\nAP: 1 "a\n--BODY--\n', "line 2, column 7: "
+     "unterminated string"),
+    ("HOA: v1\nStates: two\n", "line 2, column 12: expected a number, "
+     "got 'two'"),
+    ('HOA: v1\nAP: 1 "a"\nAcceptance: 1 Inf(0)\n--BODY--\nState: 0\n'
+     '[0] 0 {z}\n', "line 6, column 9: expected a number, got 'z'"),
+])
+def test_scanner_errors_carry_line_and_column(text, message):
+    with pytest.raises(HoaError) as exc:
+        parse_hoa(text)
+    assert str(exc.value) == message

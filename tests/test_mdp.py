@@ -17,7 +17,6 @@ from omegadp.mdp import (
     STUCK,
     Mdp,
     NoValidStrategy,
-    RewardMachine,
     Strategy,
     accepting_mecs,
     almost_sure_buchi_region,
@@ -28,7 +27,6 @@ from omegadp.mdp import (
     model_from_doc,
     model_to_doc,
     product_with_nba,
-    product_with_reward_machine,
     strategy_to_json,
     strategy_value_check,
     switch_horizon,
@@ -305,32 +303,6 @@ def test_products_are_total_mdps(rng):
     P = product_with_nba(uniform_chain(N.alphabet), N)
     P._validate()
     assert any(P.actions[s] == (STUCK,) for s in range(P.n_states))
-
-
-def test_reward_machine_constant():
-    M = free_letter_mdp()
-    R = RewardMachine(1, 0, {(0, 0): 0, (0, 1): 0}, {(0, 0): 3.0, (0, 1): 3.0})
-    prod = product_with_reward_machine(M, R)
-    v, _ = discounted_vi(prod, 0.5)
-    # the machine pays 3 every step regardless of the action rewards
-    assert v[0] == pytest.approx(3.0 / 0.5 + 2.0, abs=1e-6)
-
-
-def test_reward_machine_pays_after_b():
-    # pay 1 exactly when the previous state was labeled b
-    ab = Alphabet(("b",))
-    M = Mdp(2, 0, {0: ("go",), 1: ("go",)},
-            {(0, "go"): ((1, 1.0),), (1, "go"): ((0, 1.0),)},
-            alphabet=ab, labels=(0, 1))
-    R = RewardMachine(2, 0, {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1},
-                      {(1, 0): 1.0, (1, 1): 1.0})
-    prod = product_with_reward_machine(M, R)
-    lam = 0.5
-    v, _ = discounted_vi(prod, lam)
-    # the machine learns about b one step late, so it first pays on the
-    # third transition and then on every second one
-    expect = lam * lam / (1 - lam * lam)
-    assert v[0] == pytest.approx(expect, abs=1e-6)
 
 
 def test_discounted_vi_basics():

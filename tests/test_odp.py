@@ -20,7 +20,6 @@ from omegadp.mdp import (
 )
 from omegadp.odp import (
     Odp,
-    as_mdp,
     odp_from_json,
     odp_to_json,
     remove_lookahead,
@@ -137,7 +136,7 @@ def test_random_lookbacks_match_finite_horizon_oracle(rng):
 
 
 def compiled_value(D, lam):
-    M = as_mdp(remove_lookback(D))
+    M = remove_lookback(D)
     v, _ = discounted_vi(M, lam)
     return v[M.initial]
 
@@ -187,7 +186,7 @@ def test_trivial_promises_reduce_to_plain_vi(rng):
         D = random_odp(rng, rng.randint(2, 4))
         lam = 0.5
         value, sigma = solve_odp(D, lam, 0.01)
-        v, _ = discounted_vi(as_mdp(D), lam)
+        v, _ = discounted_vi(D, lam)
         assert value == pytest.approx(v[D.initial])
         sat, got = strategy_value_check(sigma.product, sigma.inner, lam)
         assert sat == pytest.approx(1.0)
@@ -249,19 +248,6 @@ def test_checking_nba_reads_exactly_the_emitted_letters():
         == {(0, TOP), (0, 0), (1, 0)}
     M, N = remove_lookahead(example2_with_free_a())
     assert set(N.alphabet.letters()) == set(M.labels) == {(0, TOP), (1, 0)}
-
-
-def test_precomputed_nba_must_cover_the_emitted_letters():
-    _, small = remove_lookahead(example2_with_free_a())
-    D = example2_odp()
-    with pytest.raises(ValueError, match=r"\(0, 0\)"):
-        remove_lookahead(D, nba=small)
-    with pytest.raises(ValueError, match=r"\(0, 0\)"):
-        solve_odp(D, 0.5, 0.01, nba=small)
-    # an NBA over a superset of the letters is accepted
-    _, big = remove_lookahead(D)
-    M, N = remove_lookahead(example2_with_free_a(), nba=big)
-    assert N is big and M.alphabet == big.alphabet
 
 
 def test_emitted_letter_nba_agrees_with_the_full_vocabulary(rng):
