@@ -17,9 +17,10 @@ the subset they cover.  A collection automaton's fresh initial state (tag
 written as a ``collection-initial:`` header.
 
 The scanner skips blanks and ``/* comments */`` and reads a token as a quoted
-string, one of ``[]{}()!&|``, or a run of any other characters, so a comment
-ends a token only after a blank.  Every error found in the text, a malformed
-number included, is a ``HoaError`` naming its line and column.
+string, one of ``[]{}()!&|``, or a run of any other characters up to a blank
+or a ``/*``, so a comment may stand between any two tokens.  Every error
+found in the text, a malformed number included, is a ``HoaError`` naming its
+line and column.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class HoaError(ValueError):
 
 
 _BLANK = re.compile(r"(?:[ \t\r\n]+|/\*.*?\*/)*", re.S)
-_TOKEN = re.compile(r'"[^"]*"|[\[\]{}()!&|]|[^\[\]{}()!&|" \t\r\n]+')
+_TOKEN = re.compile(
+    r'"[^"]*"|[\[\]{}()!&|]|(?:[^\[\]{}()!&|" \t\r\n/]+|/(?!\*))+')
 
 
 class _Scanner:

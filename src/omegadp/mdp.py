@@ -24,7 +24,8 @@ order, with expected rewards and an accepting-row mask.  On it, maximal end
 components come from strongly connected components (the graph layer of
 ``automata``) refined until stable, qualitative regions and strategies from
 attractors over the rows in row order, and the discounted optimum from
-exact policy iteration with sparse direct solves.  ``strategy_value_check``
+exact policy iteration with sparse direct solves, started from the greedy
+policy of a few value-iteration sweeps.  ``strategy_value_check``
 evaluates a strategy object on the Markov chain it induces, independently of
 the solvers, by two sparse direct solves.  ``scipy.sparse.csgraph`` and
 ``scipy.sparse.linalg`` are imported inside the functions that use them:
@@ -206,6 +207,8 @@ class MdpArrays:
     of state ``s`` are ``first[s]:first[s + 1]``; row ``k`` is action
     ``action[k]`` of state ``state[k]``, moves by row ``k`` of ``P``, pays
     ``R[k]`` in expectation and is accepting when ``acc[k]`` is set.
+    ``of`` raises ValueError unless every row has no negative entry and
+    sums to 1 within 1e-9.
     """
 
     def __init__(self, first, action, P, R, acc):
@@ -244,8 +247,17 @@ class MdpArrays:
                                np.array(indices, dtype=np.int64),
                                np.array(indptr, dtype=np.int64)),
                               shape=(len(action), M.n_states))
-        return cls(np.array(first, dtype=np.int64), action, P,
-                   np.array(expect), np.array(is_acc, dtype=bool))
+        A = cls(np.array(first, dtype=np.int64), action, P,
+                np.array(expect), np.array(is_acc, dtype=bool))
+        # checked once here; ``restrict`` keeps whole rows
+        total = np.add.reduceat(P.data, P.indptr[:-1])
+        bad = ~(np.abs(total - 1.0) <= 1e-9) | A.row_any(P.data < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"distribution of ({int(A.state[k])}, "
+                             f"{A.action[k]}) is not a probability "
+                             f"distribution: it sums to {total[k]}")
+        return A
 
     @cached_property
     def entry_row(self):
@@ -508,15 +520,46 @@ def almost_sure_buchi_region(P: Mdp):
     return set(np.flatnonzero(region).tolist()), strategy
 
 
+#: The warm start of :func:`_policy_iteration`: value-iteration sweeps run in
+#: blocks of ``_SWEEPS``, at most ``_MAX_SWEEPS`` of them in all.
+_SWEEPS = 4
+_MAX_SWEEPS = 400
+
+
+def _warm_start(A: MdpArrays, lam):
+    """The greedy picks of value iteration from v = 0, taken after each
+    block of sweeps, once a block leaves them unchanged or the sweeps reach
+    ``_MAX_SWEEPS``."""
+    v = np.zeros(A.n_states)
+    pick = None
+    for _ in range(_MAX_SWEEPS // _SWEEPS):
+        check_time("policy iteration")
+        for _ in range(_SWEEPS):
+            q = A.R + lam * (A.P @ v)
+            v = A.state_max(q)
+        last, pick = pick, A.first_best(q)
+        if np.array_equal(pick, last):
+            break
+    return pick
+
+
 def _policy_iteration(A: MdpArrays, lam):
-    """Optimal discounted values by exact policy iteration (Puterman,
-    *MDPs*, ch. 6), and per state the first row within 1e-12 of the optimal
-    one-step value."""
+    """Optimal discounted values, and per state the first row within 1e-12
+    of the optimal one-step value.
+
+    Modified policy iteration (Puterman & Shin 1978; Puterman, *MDPs*,
+    §6.5): value-iteration sweeps pick the first policy (``_warm_start``),
+    then exact policy iteration improves it, one sparse direct solve per
+    policy, switching a state's action only on a clear gain.  Exact policy
+    iteration reaches an optimal policy from any first policy, so where the
+    sweeps stop changes only how many solves it takes: the values are the
+    optimum's, up to the rounding of the last solve.
+    """
     if not (0 <= lam < 1):
         raise ValueError("discount factor must lie in [0, 1)")
     from scipy.sparse.linalg import spsolve
     eye = sparse.identity(A.n_states, format="csr")
-    pick = A.first_best(A.R)
+    pick = _warm_start(A, lam)
     while True:
         check_time("policy iteration")
         v = spsolve((eye - lam * A.P[pick]).tocsc(), A.R[pick])
@@ -532,8 +575,11 @@ def _policy_iteration(A: MdpArrays, lam):
 def discounted_vi(M: Mdp, lam):
     """Optimal discounted values and a positional strategy attaining them.
 
-    Solved exactly by policy iteration; at each state the strategy plays the
-    first action whose one-step value is within 1e-12 of the maximum.
+    Value-iteration sweeps from v = 0 choose a first policy and exact policy
+    iteration finishes from it (``_policy_iteration``), so the values are
+    those of an optimal policy, solved exactly, however early the sweeps
+    stop.  At each state the strategy plays the first action whose one-step
+    value is within 1e-12 of the maximum.
     """
     A = M.arrays
     v, pick = _policy_iteration(A, lam)

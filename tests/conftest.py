@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -113,6 +114,19 @@ def random_odp(rng, n_states, lookback=None, lookahead=None, n_ap=1,
         actions[s] = tuple(acts)
     return Odp(n_states, 0, actions, trans, ab, labels,
                lookback=lookback, lookahead=lookahead, rewards=rewards)
+
+
+def clock_expired_inside(name):
+    """A clock that reads 0 except inside the function ``name`` and
+    anything it calls, where every deadline has passed."""
+    def clock():
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name == name:
+                return 1e9
+            frame = frame.f_back
+        return 0.0
+    return clock
 
 
 @pytest.fixture

@@ -182,11 +182,15 @@ State: 1
              '/* two\nlines */States: 2 Start: 0 AP: 2 "a a""c"\n'
              'acc-name: Buchi Acceptance: 1 Inf(0) --BODY--\n'
              'State: 0 "a start"[0&!1]1{0}[t]0 /**/State: 1 [!0|1]1 --END--')
-    A, B = parse_hoa(spaced), parse_hoa(tight)
-    assert A.alphabet.ap == B.alphabet.ap == ("a a", "c")
-    assert (A.n_states, A.initial, A.delta, A.gamma) \
-        == (B.n_states, B.initial, B.delta, B.gamma)
-    assert emit_hoa(A) == emit_hoa(B)
+    # a comment also ends a plain token with no blank before it
+    tighter = tight.replace("Start: 0 ", "Start: 0/* initial */") \
+        .replace("[t]0 /**/", "[t]0/**/")
+    A = parse_hoa(spaced)
+    for B in (parse_hoa(tight), parse_hoa(tighter)):
+        assert A.alphabet.ap == B.alphabet.ap == ("a a", "c")
+        assert (A.n_states, A.initial, A.delta, A.gamma) \
+            == (B.n_states, B.initial, B.delta, B.gamma)
+        assert emit_hoa(A) == emit_hoa(B)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from omegadp.automata import Alphabet, Automaton, CapacityError
+from omegadp import automata
+from omegadp.automata import Alphabet, Automaton, CapacityError, time_limit
+from omegadp.biolab import build_biolab
 from omegadp.cli import random_mdp, uniform_chain
 from omegadp.complement import ComplementOptions, complement_uca
 from omegadp.mdp import (
@@ -18,6 +22,8 @@ from omegadp.mdp import (
     Mdp,
     NoValidStrategy,
     Strategy,
+    _almost_sure,
+    _policy_iteration,
     accepting_mecs,
     almost_sure_buchi_region,
     discounted_vi,
@@ -31,9 +37,13 @@ from omegadp.mdp import (
     strategy_value_check,
     switch_horizon,
 )
+from omegadp.odp import remove_lookahead, remove_lookback
 
-from conftest import random_nba, random_uca
+import policy_reference
+from conftest import clock_expired_inside, random_nba, random_uca
 from test_acceptance import lookahead_guesser_nba
+
+LAB_D_STAR = 14.016667725703476
 
 
 def coin_gadget():
@@ -356,6 +366,77 @@ def test_discounted_vi_returns_the_first_of_tied_actions():
         v, sigma = discounted_vi(M, 0.9)
         assert v[0] == pytest.approx(10.0, abs=1e-9)
         assert sigma.choices[0] == names[0]
+
+
+def test_warm_start_matches_the_cold_start_reference(rng):
+    for _ in range(200):
+        M = with_rewards(rng, random_mdp(rng, rng.randint(1, 10),
+                                         n_actions=3))
+        for lam in (0.0, 0.5, 0.9, 0.99):
+            v, pick = _policy_iteration(M.arrays, lam)
+            ref_v, ref_pick = policy_reference.policy_iteration(M.arrays, lam)
+            assert pick.tolist() == ref_pick.tolist()
+            np.testing.assert_allclose(v, ref_v, rtol=0, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=1)
+def lab_product():
+    M, N = remove_lookahead(remove_lookback(build_biolab()))
+    return product_with_nba(M, N)
+
+
+def test_warm_start_matches_the_cold_start_reference_on_the_lab():
+    A = lab_product().arrays
+    sub, _ = A.restrict(_almost_sure(A)[1])
+    v, pick = _policy_iteration(sub, 0.99)
+    ref_v, ref_pick = policy_reference.policy_iteration(sub, 0.99)
+    assert pick.tolist() == ref_pick.tolist()
+    np.testing.assert_allclose(v, ref_v, rtol=0, atol=1e-12)
+
+
+def counted_spsolve(monkeypatch):
+    """Count the calls of ``spsolve`` that the solvers make."""
+    calls = []
+    solve = scipy.sparse.linalg.spsolve
+
+    def spsolve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
+    return calls
+
+
+def test_lab_solve_needs_few_factorisations(monkeypatch):
+    # the cold start from the reward-greedy policy needed 40
+    calls = counted_spsolve(monkeypatch)
+    _, value, _ = lexicographic_solve(lab_product(), 0.99, 0.01)
+    assert abs(value - LAB_D_STAR) <= 1e-12
+    assert 1 <= len(calls) <= 8
+
+
+def test_deadline_passes_during_the_sweeps(monkeypatch):
+    calls = counted_spsolve(monkeypatch)
+    monkeypatch.setattr(automata.time, "monotonic",
+                        clock_expired_inside("_warm_start"))
+    with time_limit(10.0), pytest.raises(
+            TimeoutError, match="^policy iteration exceeded its deadline$"):
+        lexicographic_solve(lab_product(), 0.99, 0.01)
+    assert calls == []
+
+
+def test_arrays_reject_rows_that_are_not_distributions():
+    for dist in (((0, 0.6), (1, 0.6)), ((0, 1.5), (1, -0.5)),
+                 ((0, math.nan), (1, 1.0))):
+        M = Mdp(2, 0, {0: ("a",), 1: ("b",)},
+                {(0, "a"): dist, (1, "b"): ((1, 1.0),)}, check=False)
+        with pytest.raises(ValueError, match=r"^distribution of \(0, a\)"):
+            discounted_vi(M, 0.9)
+    # rounding within 1e-9 is accepted
+    M = Mdp(2, 0, {0: ("a",), 1: ("b",)},
+            {(0, "a"): ((0, 0.5), (1, 0.5 + 1e-10)), (1, "b"): ((1, 1.0),)},
+            check=False)
+    assert discounted_vi(M, 0.9)[0] == [0.0, 0.0]
 
 
 def test_almost_sure_region_trivial_cases():

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 import time
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from omegadp.reduction import (
     run_pipeline,
 )
 from omegadp.streett import determinize_uca, streett_mdp_max_prob
-from conftest import all_lassos, random_uca
+from conftest import all_lassos, clock_expired_inside, random_uca
 from test_mdp import run_python
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -207,19 +206,6 @@ def test_timeout_reports_partial_stats():
     assert stats.timed_out
     assert stats.compl is None
     assert stats.row("x")[-1] == "timeout"
-
-
-def clock_expired_inside(name):
-    """A clock that reads 0 except inside the function ``name`` and
-    anything it calls, where every deadline has passed."""
-    def clock():
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code.co_name == name:
-                return 1e9
-            frame = frame.f_back
-        return 0.0
-    return clock
 
 
 def test_timeout_inside_prune_empty_keeps_the_complement(monkeypatch):
