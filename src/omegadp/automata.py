@@ -603,6 +603,23 @@ def _letter_groups(e: Edges, n_states):
     return np.cumsum(counts) - counts, counts
 
 
+def _intern_batch(ids, keys):
+    """The ids of the int ``keys`` in ``ids`` (key to id), where a key seen
+    for the first time gets the next free id in order of first appearance,
+    as :class:`Explorer` would give them one at a time; also the new keys,
+    in id order."""
+    uniq, first, inverse = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    seen = uniq[order]
+    before = len(ids)
+    got = np.array([ids.setdefault(k, len(ids)) for k in seen.tolist()],
+                   dtype=np.int64)
+    uid = np.empty(len(uniq), dtype=np.int64)
+    uid[order] = got
+    return uid[inverse], seen[got >= before]
+
+
 def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
     """Buchi intersection with a two-phase wait flag for the transition marks.
 
@@ -648,17 +665,9 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
         risen = (batch[group // L] % 2 == 1) | ea.acc[ka]
         mark = risen & eb.acc[kb]
         keys = (ea.dst[ka] * nb + eb.dst[kb]) * 2 + (risen & ~eb.acc[kb])
-        uniq, first, inverse = np.unique(keys, return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(first)
-        seen = uniq[order]
-        before = len(ids)
-        got = np.array([ids.setdefault(k, len(ids)) for k in seen.tolist()],
-                       dtype=np.int64)
-        pending = np.concatenate([pending, seen[got >= before]])
-        uid = np.empty(len(uniq), dtype=np.int64)
-        uid[order] = got
-        parts.append((done + group // L, group % L, uid[inverse], mark))
+        dst, new = _intern_batch(ids, keys)
+        pending = np.concatenate([pending, new])
+        parts.append((done + group // L, group % L, dst, mark))
         done += len(batch)
     src, let, dst, acc = (np.concatenate(c) for c in zip(*parts))
     # each move is made once, so sorting is all the edges need

@@ -100,6 +100,41 @@ class BiolabGrid:
         return cls(width, height, walls, zapper, features["H"], features["C"],
                    features["D"], features["1"], features["2"], dirty)
 
+    def scaled(self, k) -> "BiolabGrid":
+        """The grid with each cell made a k x k block of cells.
+
+        A wall between two cells walls the whole boundary between their
+        blocks.  The zapper boundary keeps one zapped door, at offset
+        ``k // 2`` along it from its lower-left end, and is walled
+        elsewhere.  Each feature sits at the lower-left cell of its block,
+        and every cell of a dirty block is dirty.  ``scaled(1)`` is a copy
+        of the grid.
+        """
+        if k < 1:
+            raise ValueError("the scale must be a positive integer")
+
+        def corner(cell):
+            return (k * cell[0], k * cell[1])
+
+        def boundary(edge):
+            # the cell pairs across the boundary of two blocks, in order
+            (x, y), (x2, y2) = sorted(edge)
+            if x == x2:
+                return [frozenset({(k * x + i, k * y2 - 1),
+                                   (k * x + i, k * y2)}) for i in range(k)]
+            return [frozenset({(k * x2 - 1, k * y + j), (k * x2, k * y + j)})
+                    for j in range(k)]
+
+        walls = {pair for edge in self.walls for pair in boundary(edge)}
+        door = boundary(self.zapper)
+        walls.update(door[:k // 2] + door[k // 2 + 1:])
+        dirty = {(x + i, y + j) for x, y in map(corner, self.dirty_area)
+                 for i in range(k) for j in range(k)}
+        return BiolabGrid(k * self.width, k * self.height, walls,
+                          door[k // 2], corner(self.home),
+                          corner(self.clean_lab), corner(self.dirty_lab),
+                          corner(self.decon1), corner(self.decon2), dirty)
+
     def cells(self):
         return [(x, y) for x in range(self.width) for y in range(self.height)]
 

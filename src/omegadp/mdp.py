@@ -17,19 +17,25 @@ JSON codec of all of them.  A ``Strategy`` walks memory nodes by ``start``,
 ``action`` and ``step``; the value check and the ODP translation both use
 them.
 
-Models are built and read as dicts of tuples.  The solvers read one array
-form instead, ``MdpArrays``, built once per model on first use
-(``Mdp.arrays``): one CSR row per (state, action) pair in the state's action
-order, with expected rewards and an accepting-row mask.  On it, maximal end
-components come from strongly connected components (the graph layer of
-``automata``) refined until stable, qualitative regions and strategies from
-attractors over the rows in row order, and the discounted optimum from
-exact policy iteration with sparse direct solves, started from the greedy
-policy of a few value-iteration sweeps.  ``strategy_value_check``
-evaluates a strategy object on the Markov chain it induces, independently of
-the solvers, by two sparse direct solves.  ``scipy.sparse.csgraph`` and
-``scipy.sparse.linalg`` are imported inside the functions that use them:
-loading them costs more than importing the rest of the library.
+A model has two forms.  Hand-written models, ODPs and their compilations
+are built as dicts of tuples (``actions``, ``trans``, ``rewards``, ``acc``).
+The solvers read one array form instead, ``MdpArrays`` (``Mdp.arrays``):
+one CSR row per (state, action) pair in the state's action order, with a
+reward per stored transition, the rows' expected rewards and an
+accepting-row mask.  A dict-built model gets its arrays on first use; a
+product is built straight into them, one breadth-first batch of states at a
+time, and its dict fields are made from the arrays only if something reads
+them, so solving, checking and learning on a product never build them.  On
+the arrays, maximal end components come from strongly connected components
+(the graph layer of ``automata``) refined until stable, qualitative regions
+and strategies from attractors over the rows in row order, and the
+discounted optimum from exact policy iteration with sparse direct solves,
+started from the greedy policy of a few value-iteration sweeps.
+``strategy_value_check`` evaluates a strategy object on the Markov chain it
+induces, independently of the solvers, by two sparse direct solves.
+``scipy.sparse.csgraph`` and ``scipy.sparse.linalg`` are imported inside
+the functions that use them: loading them costs more than importing the
+rest of the library.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ import numpy as np
 from scipy import sparse
 
 from .automata import Alphabet, Automaton, Explorer, _components, \
-    check_time, label_from_names, label_to_names
+    _intern_batch, _letter_groups, check_time, label_from_names, \
+    label_to_names
 
 
 class NoValidStrategy(Exception):
@@ -67,6 +74,11 @@ class Mdp:
     from another one records in ``pairs[i]`` what its state ``i`` stands
     for there.  ``acc`` holds the accepting (state, action) pairs of an
     automaton product and is empty elsewhere.
+
+    The constructor takes the dict fields and the solvers' ``arrays`` are
+    made from them on first use.  :meth:`from_arrays` goes the other way:
+    its model starts from the arrays, and each dict field is made from them
+    the first time it is read.
     """
 
     def __init__(self, n_states, initial, actions, trans, alphabet=None,
@@ -123,9 +135,31 @@ class Mdp:
                 raise ValueError(f"reward given for ({s}, {a}) -> {t}, "
                                  f"not a transition")
 
+    @classmethod
+    def from_arrays(cls, A: "MdpArrays", initial, alphabet=None, labels=None,
+                    pairs=None) -> "Mdp":
+        """The model whose rows are ``A``, unchecked: the arrays' maker
+        vouches for them."""
+        M = cls.__new__(cls)
+        M.n_states, M.initial, M.alphabet = A.n_states, initial, alphabet
+        M.labels = tuple(labels) if labels is not None else None
+        M.pairs = tuple(pairs) if pairs is not None else None
+        M.arrays = A
+        return M
+
+    def __getattr__(self, name):
+        # reached only while an attribute is unset: the dict fields of a
+        # model made by from_arrays, before their first read
+        build = _DICT_FIELDS.get(name)
+        if build is None or "arrays" not in self.__dict__:
+            raise AttributeError(name)
+        value = build(self.arrays)
+        setattr(self, name, value)
+        return value
+
     @property
     def r_max(self):
-        return max((abs(r) for r in self.rewards.values()), default=0.0)
+        return float(np.max(np.abs(self.arrays.reward), initial=0.0))
 
     def reward(self, s, a, t):
         return self.rewards.get((s, a, t), 0.0)
@@ -158,6 +192,10 @@ class Mdp:
 STUCK = (None, None)
 
 
+#: Product states expanded together by :func:`product_with_nba`.
+_BATCH = 4096
+
+
 def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     """MDP times automaton; the automaton move is folded into the action.
 
@@ -169,34 +207,83 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     ``STUCK``: a probability-one self-loop that is never accepting and pays
     nothing, so the product stays a total MDP and such a state is a
     rejecting end component.
+
+    The product is built as its ``MdpArrays``, from the rows of ``M.arrays``
+    (checked there) and the automaton's edges.  A state's rows are its MDP
+    state's rows in action order, each once per automaton successor, in
+    ascending order.  States are numbered breadth-first, as
+    :class:`~omegadp.automata.Explorer` would: the unexpanded states are
+    taken up to ``_BATCH`` at a time, one breadth-first level when it is
+    smaller, and the pairs their rows reach first get the next ids in
+    order of first appearance.  The deadline is checked once per batch.
     """
     if M.labels is None:
         raise ValueError("the MDP must be labeled")
     if M.alphabet is not None and C.alphabet.ap != M.alphabet.ap:
         raise ValueError("alphabet mismatch between MDP and automaton")
-    found = Explorer((M.initial, C.initial), what="product construction")
-    intern = found.intern
-    actions, trans, rewards = {}, {}, {}
-    acc = set()
-    for src, (s, q) in found:
-        letter = M.labels[s]
-        acts = []
-        for a in M.actions[s]:
-            for q2 in C.successors(q, letter):
-                pa = (a, q2)
-                acts.append(pa)
-                M.lift(s, a, (src, pa), lambda t: intern((t, q2)), trans,
-                       rewards)
-                if (q, letter, q2) in C.gamma:
-                    acc.add((src, pa))
-        if not acts:
-            acts.append(STUCK)
-            trans[(src, STUCK)] = ((src, 1.0),)
-        actions[src] = tuple(acts)
-    pairs = found.keys
-    return Mdp(len(pairs), 0, actions, trans, alphabet=M.alphabet,
-               labels=tuple(M.labels[s] for s, _ in pairs), rewards=rewards,
-               check=False, pairs=pairs, acc=acc)
+    A, e, nq = M.arrays, C.edges, C.n_states
+    L = len(e.letters)
+    index = {a: i for i, a in enumerate(e.letters)}
+    letter = np.array([index.get(a, -1) for a in M.labels], dtype=np.int64)
+    g_first, g_count = _letter_groups(e, nq)
+    m_ptr, m_action = A.P.indptr, A.action
+    start = M.initial * nq + C.initial  # key of the pair (m, q)
+    ids = {start: 0}
+    pending = np.array([start], dtype=np.int64)
+    keys, parts = [pending], []
+    while len(pending):
+        check_time("product construction")
+        batch, pending = pending[:_BATCH], pending[_BATCH:]
+        m, q = batch // nq, batch % nq
+        group = q * L + letter[m]
+        fan = np.where(letter[m] >= 0, g_count[group], 0)
+        width = np.maximum(fan, 1)
+        n_rows = np.where(fan > 0, (A.first[m + 1] - A.first[m]) * fan, 1)
+        # per row: its state in the batch and its place among the state's
+        # rows; the MDP row is the major and the automaton edge the minor
+        # index, and a STUCK row stands in for an automaton without a move
+        own = np.repeat(np.arange(len(batch)), n_rows)
+        pos = np.arange(len(own)) - np.repeat(np.cumsum(n_rows) - n_rows,
+                                              n_rows)
+        stuck = fan[own] == 0
+        mrow = A.first[m][own] + pos // width[own]
+        moves = np.flatnonzero(~stuck)
+        edge = g_first[group[own[moves]]] + pos[moves] % width[own[moves]]
+        q2 = np.full(len(own), -1, dtype=np.int64)
+        q2[moves] = e.dst[edge]
+        acc = np.zeros(len(own), dtype=bool)
+        acc[moves] = e.acc[edge]
+        # per stored transition: the MDP row's, or the STUCK self-loop
+        size = np.where(stuck, 1, m_ptr[mrow + 1] - m_ptr[mrow])
+        row = np.repeat(np.arange(len(own)), size)
+        entry = m_ptr[mrow][row] + np.arange(len(row)) \
+            - np.repeat(np.cumsum(size) - size, size)
+        loop = stuck[row]
+        dst, new = _intern_batch(
+            ids, np.where(loop, batch[own[row]],
+                          A.P.indices[entry] * nq + q2[row]))
+        pending = np.concatenate([pending, new])
+        keys.append(new)
+        action = list(zip(map(m_action.__getitem__, mrow.tolist()),
+                          q2.tolist()))
+        for j in np.flatnonzero(stuck).tolist():
+            action[j] = STUCK
+        parts.append((n_rows, action, np.where(stuck, 0.0, A.R[mrow]), acc,
+                      size, dst, np.where(loop, 1.0, A.P.data[entry]),
+                      np.where(loop, 0.0, A.reward[entry])))
+    n_rows, action, R, acc, size, dst, prob, reward = zip(*parts)
+    keys, R = np.concatenate(keys), np.concatenate(R)
+    P = sparse.csr_matrix(
+        (np.concatenate(prob), np.concatenate(dst),
+         np.concatenate([[0], np.cumsum(np.concatenate(size))])),
+        shape=(len(R), len(keys)))
+    first = np.concatenate([[0], np.cumsum(np.concatenate(n_rows))])
+    arrays = MdpArrays(first, [a for part in action for a in part], P, R,
+                       np.concatenate(acc), np.concatenate(reward))
+    ms = (keys // nq).tolist()
+    return Mdp.from_arrays(arrays, 0, alphabet=M.alphabet,
+                           labels=[M.labels[s] for s in ms],
+                           pairs=zip(ms, (keys % nq).tolist()))
 
 
 class MdpArrays:
@@ -206,12 +293,13 @@ class MdpArrays:
     tuple, so "first row" means "first action" in every tie-break.  The rows
     of state ``s`` are ``first[s]:first[s + 1]``; row ``k`` is action
     ``action[k]`` of state ``state[k]``, moves by row ``k`` of ``P``, pays
-    ``R[k]`` in expectation and is accepting when ``acc[k]`` is set.
-    ``of`` raises ValueError unless every row has no negative entry and
-    sums to 1 within 1e-9.
+    ``R[k]`` in expectation and is accepting when ``acc[k]`` is set.  The
+    stored transition ``j`` (entry ``j`` of ``P.data``) pays
+    ``reward[j]``.  ``of`` raises ValueError unless every row has no
+    negative entry and sums to 1 within 1e-9.
     """
 
-    def __init__(self, first, action, P, R, acc):
+    def __init__(self, first, action, P, R, acc, reward):
         counts = np.diff(first)
         if not counts.all():
             raise ValueError(f"state {int(np.argmin(counts))} has no actions")
@@ -224,20 +312,23 @@ class MdpArrays:
         self.P = P
         self.R = R
         self.acc = acc
+        self.reward = reward
 
     @classmethod
     def of(cls, M: Mdp):
         acc = M.acc
         reward = M.rewards.get
         first, action, expect, is_acc = [0], [], [], []
-        indices, data, indptr = [], [], [0]
+        indices, data, pay, indptr = [], [], [], [0]
         for s in range(M.n_states):
             for a in M.actions[s]:
                 r = 0.0
                 for t, p in M.trans[(s, a)]:
+                    x = reward((s, a, t), 0.0)
                     indices.append(t)
                     data.append(p)
-                    r += p * reward((s, a, t), 0.0)
+                    pay.append(x)
+                    r += p * x
                 indptr.append(len(indices))
                 action.append(a)
                 expect.append(r)
@@ -248,8 +339,9 @@ class MdpArrays:
                                np.array(indptr, dtype=np.int64)),
                               shape=(len(action), M.n_states))
         A = cls(np.array(first, dtype=np.int64), action, P,
-                np.array(expect), np.array(is_acc, dtype=bool))
-        # checked once here; ``restrict`` keeps whole rows
+                np.array(expect), np.array(is_acc, dtype=bool),
+                np.array(pay, dtype=float))
+        # checked once here; a product and ``restrict`` keep whole rows
         total = np.add.reduceat(P.data, P.indptr[:-1])
         bad = ~(np.abs(total - 1.0) <= 1e-9) | A.row_any(P.data < 0)
         if bad.any():
@@ -258,6 +350,36 @@ class MdpArrays:
                              f"{A.action[k]}) is not a probability "
                              f"distribution: it sums to {total[k]}")
         return A
+
+    def actions_dict(self):
+        """The ``actions`` field of :class:`Mdp`: state to its actions."""
+        first, action = self.first.tolist(), self.action
+        return {s: tuple(action[first[s]:first[s + 1]])
+                for s in range(self.n_states)}
+
+    def trans_dict(self):
+        """The ``trans`` field of :class:`Mdp`: (state, action) to its
+        (target, probability) pairs in stored order."""
+        ptr = self.P.indptr.tolist()
+        moves = list(zip(self.P.indices.tolist(), self.P.data.tolist()))
+        return {(s, a): tuple(moves[ptr[k]:ptr[k + 1]]) for k, (s, a)
+                in enumerate(zip(self.state.tolist(), self.action))}
+
+    def rewards_dict(self):
+        """The ``rewards`` field of :class:`Mdp`: the transitions that pay,
+        keyed by (state, action, target)."""
+        paid = np.flatnonzero(self.reward)
+        rows = self.entry_row[paid].tolist()
+        state, action = self.state.tolist(), self.action
+        return {(state[k], action[k], t): r for k, t, r in zip(
+            rows, self.P.indices[paid].tolist(), self.reward[paid].tolist())}
+
+    def acc_set(self):
+        """The ``acc`` field of :class:`Mdp`: the accepting (state, action)
+        pairs."""
+        state = self.state.tolist()
+        return frozenset((state[k], self.action[k])
+                         for k in np.flatnonzero(self.acc).tolist())
 
     @cached_property
     def entry_row(self):
@@ -289,9 +411,12 @@ class MdpArrays:
         return np.minimum.reduceat(
             np.where(rows, np.arange(rows.size), rows.size), self.first[:-1])
 
-    def first_best(self, q, tol=1e-12):
-        """Per state, its first row within ``tol`` of the state's maximum."""
-        return self.first_row(q >= self.state_max(q)[self.state] - tol)
+    def first_best(self, q, best=None, tol=1e-12):
+        """Per state, its first row within ``tol`` of the state's maximum,
+        ``best`` when the caller has it."""
+        if best is None:
+            best = self.state_max(q)
+        return self.first_row(q >= best[self.state] - tol)
 
     def choices(self, pick):
         return {s: self.action[k] for s, k in enumerate(pick.tolist())}
@@ -299,19 +424,28 @@ class MdpArrays:
     def restrict(self, keep):
         """The sub-model on the states in ``keep`` with the rows that stay in
         it, and the kept states' ids in this model (the index remap)."""
-        rows = np.flatnonzero(self.stays(keep))
+        kept = self.stays(keep)
+        rows = np.flatnonzero(kept)
         states = np.flatnonzero(keep)
         remap = np.full(self.n_states, -1, dtype=np.int64)
         remap[states] = np.arange(states.size)
-        P = self.P[rows]
-        P = sparse.csr_matrix((P.data, remap[P.indices], P.indptr),
-                              shape=(rows.size, states.size))
+        entries = kept[self.entry_row]
+        P = sparse.csr_matrix(
+            (self.P.data[entries], remap[self.P.indices[entries]],
+             np.concatenate([[0], np.cumsum(np.diff(self.P.indptr)[rows])])),
+            shape=(rows.size, states.size))
         first = np.zeros(states.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(remap[self.state[rows]], minlength=states.size),
                   out=first[1:])
         sub = MdpArrays(first, [self.action[k] for k in rows.tolist()], P,
-                        self.R[rows], self.acc[rows])
+                        self.R[rows], self.acc[rows], self.reward[entries])
         return sub, states
+
+
+# how an Mdp made by ``from_arrays`` builds each dict field on first read
+_DICT_FIELDS = {"actions": MdpArrays.actions_dict,
+                "trans": MdpArrays.trans_dict,
+                "rewards": MdpArrays.rewards_dict, "acc": MdpArrays.acc_set}
 
 
 def _mask(n, members):
@@ -537,7 +671,7 @@ def _warm_start(A: MdpArrays, lam):
         for _ in range(_SWEEPS):
             q = A.R + lam * (A.P @ v)
             v = A.state_max(q)
-        last, pick = pick, A.first_best(q)
+        last, pick = pick, A.first_best(q, v)
         if np.array_equal(pick, last):
             break
     return pick
@@ -567,9 +701,10 @@ def _policy_iteration(A: MdpArrays, lam):
         best = A.state_max(q)
         # switch only on a clear gain, so rounding cannot make it cycle
         better = best > q[pick] + 1e-12 * max(1.0, np.max(np.abs(best)))
+        greedy = A.first_best(q, best)
         if not better.any():
-            return v, A.first_best(q)
-        pick = np.where(better, A.first_best(q), pick)
+            return v, greedy
+        pick = np.where(better, greedy, pick)
 
 
 def discounted_vi(M: Mdp, lam):
@@ -626,26 +761,26 @@ def strategy_value_check(P: Mdp, strategy: Strategy, lam,
     state, at most ``max_chain`` nodes (CapacityError beyond).  Satisfaction
     is the probability of absorption into a bottom SCC with an accepting
     transition, and the value solves (I - lam P) v = r; both are sparse
-    direct solves on the chain.
+    direct solves on the chain.  The chain's moves and rewards are read from
+    the rows of ``P.arrays``, so the check builds no dict form of ``P``.
     """
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
-    src, dst, prob = [], [], []
-    reward, accepting = [], []
+    A = P.arrays
+    first, action, ptr = A.first.tolist(), A.action, A.P.indptr.tolist()
+    targets, probs = A.P.indices.tolist(), A.P.data.tolist()
+    src, dst, prob, played = [], [], [], []
     found = Explorer(strategy.start(P.initial), budget=max_chain,
                      what="value check")
     for i, node in found:
         s = node[0]
-        a = strategy.action(node)
-        r = 0.0
-        for t, p in P.trans[(s, a)]:
+        k = action.index(strategy.action(node), first[s], first[s + 1])
+        played.append(k)
+        for j in range(ptr[k], ptr[k + 1]):
             src.append(i)
-            dst.append(found.intern(strategy.step(node, t)))
-            prob.append(p)
-            r += p * P.reward(s, a, t)
-        reward.append(r)
-        accepting.append((s, a) in P.acc)
+            dst.append(found.intern(strategy.step(node, targets[j])))
+            prob.append(probs[j])
     n = len(found)
     G = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
     G.eliminate_zeros()
@@ -656,7 +791,7 @@ def strategy_value_check(P: Mdp, strategy: Strategy, lam,
     left = np.zeros(n_comp, dtype=bool)
     left[comp[rows][comp[rows] != comp[G.indices]]] = True
     has_acc = np.zeros(n_comp, dtype=bool)
-    has_acc[comp[np.array(accepting, dtype=bool)]] = True
+    has_acc[comp[A.acc[played]]] = True
     sat = (~left & has_acc)[comp].astype(float)
     transient = np.flatnonzero(left[comp])
     if transient.size:
@@ -665,7 +800,7 @@ def strategy_value_check(P: Mdp, strategy: Strategy, lam,
             (sparse.identity(transient.size, format="csc")
              - T[:, transient]).tocsc(), T @ sat)
     v = spsolve((sparse.identity(n, format="csc") - lam * G).tocsc(),
-                np.array(reward))
+                A.R[played])
     return float(sat[0]), float(v[0])
 
 

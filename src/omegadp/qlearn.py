@@ -13,7 +13,9 @@ value-equivalent loop.
 
 The tables are lists over the rows of the product's ``MdpArrays``
 (``P.arrays``), the form the exact solver reads, and one greedy rule picks
-from them both while training and for the returned strategy.  That strategy
+from them both while training and for the returned strategy.  Episodes draw
+successors and rewards from the rows' stored transitions, so learning
+builds no dict form of the product.  That strategy
 is switching: follow the reward-greedy policy for a computed horizon, then
 the satisfaction-greedy policy forever, mirroring the structure of the exact
 solver.
@@ -121,10 +123,10 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
     sat, rec, disc, updates = tables.sat, tables.rec, tables.disc, \
         tables.updates
     first, action, acc = A.first.tolist(), A.action, A.acc.tolist()
-    trans, reward = P.trans, P.reward
+    ptr, moves = A.P.indptr.tolist(), list(zip(
+        A.P.indices.tolist(), A.P.data.tolist(), A.reward.tolist()))
     rng = random.Random(seed)
     rand, randrange = rng.random, rng.randrange
-    row_trans = [None] * n_rows
     first_succ = [None] * n_rows
     stochastic = [False] * n_rows
 
@@ -182,16 +184,12 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
             if k < 0:
                 k = lo + randrange(first[s + 1] - lo)
             a = action[k]
-            dist = row_trans[k]
-            if dist is None:
-                dist = row_trans[k] = trans[(s, a)]
+            # the successor by the row's stored transitions, in order
             u = rand()
-            t = None
-            for t, p in dist:
+            for t, p, r in moves[ptr[k]:ptr[k + 1]]:
                 u -= p
                 if u <= 0:
                     break
-            r = reward(s, a, t)
             n = updates[k] = updates[k] + 1
             prior = first_succ[k]
             if prior is None:

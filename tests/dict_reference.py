@@ -1,17 +1,20 @@
 """Dict-based reference versions of the rank construction, the reduction
-stages, the Buchi intersection and the emptiness check: one ranking state,
-one letter, one edge or one pair of states at a time, transitions in
-``delta``/``gamma`` dicts.  The library's batched array versions must build
-exactly the same automata (``test_batched.py``)."""
+stages, the Buchi intersection, the emptiness check and the MDP product:
+one ranking state, one letter, one edge, one pair of states or one row at a
+time, transitions in ``delta``/``gamma`` dicts and products as dicts of
+tuples.  The library's batched array versions must build exactly the same
+automata and products (``test_batched.py``)."""
 
 import time
 
 from omegadp.automata import (
     Automaton,
+    Explorer,
     _strongly_connected_components,
     check_time,
     letter_sort_key,
 )
+from omegadp.mdp import STUCK, Mdp
 from omegadp.complement import CapacityError, ComplementOptions, _resolve_pin
 from omegadp.reduction import _parts_of, canonical_empty
 
@@ -654,3 +657,35 @@ def lump_all(A: Automaton) -> Automaton:
     return _quotient(A, block_of, (q1, q2))
 
 
+def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
+    """MDP times automaton, one product state and one row at a time: the
+    rows of (m, q) are m's actions in order, each paired with the automaton
+    successors on m's letter in order, or the single ``STUCK`` self-loop
+    when there is none; new pairs are numbered breadth-first."""
+    if M.labels is None:
+        raise ValueError("the MDP must be labeled")
+    if M.alphabet is not None and C.alphabet.ap != M.alphabet.ap:
+        raise ValueError("alphabet mismatch between MDP and automaton")
+    found = Explorer((M.initial, C.initial), what="product construction")
+    intern = found.intern
+    actions, trans, rewards = {}, {}, {}
+    acc = set()
+    for src, (s, q) in found:
+        letter = M.labels[s]
+        acts = []
+        for a in M.actions[s]:
+            for q2 in C.successors(q, letter):
+                pa = (a, q2)
+                acts.append(pa)
+                M.lift(s, a, (src, pa), lambda t: intern((t, q2)), trans,
+                       rewards)
+                if (q, letter, q2) in C.gamma:
+                    acc.add((src, pa))
+        if not acts:
+            acts.append(STUCK)
+            trans[(src, STUCK)] = ((src, 1.0),)
+        actions[src] = tuple(acts)
+    pairs = found.keys
+    return Mdp(len(pairs), 0, actions, trans, alphabet=M.alphabet,
+               labels=tuple(M.labels[s] for s, _ in pairs), rewards=rewards,
+               check=False, pairs=pairs, acc=acc)

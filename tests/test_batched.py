@@ -1,11 +1,17 @@
-"""The batched rank construction, the array reduction stages and the
-batched intersection build exactly the automata of the dict-based
-reference versions in ``dict_reference.py``: same states, initial state,
-transitions, accepting transitions, phase partition and blocked count; the
-emptiness check finds the same states."""
+"""The batched rank construction, the array reduction stages, the batched
+intersection and the array-built MDP product build exactly the automata and
+products of the dict-based reference versions in ``dict_reference.py``:
+same states, initial state, transitions, accepting transitions, phase
+partition and blocked count; the emptiness check finds the same states; a
+product has the same pairs, labels, arrays, dict fields and JSON bytes."""
 
+import copy
+import functools
 import hashlib
+import importlib.util
+import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +20,20 @@ import pytest
 import dict_reference as ref
 from omegadp import automata
 from omegadp import complement as complement_module
-from omegadp import reduction
+from omegadp import mdp, reduction
 from omegadp.automata import Alphabet, Automaton, time_limit
+from omegadp.biolab import build_biolab
+from omegadp.cli import random_mdp, uniform_chain
 from omegadp.complement import CapacityError, ComplementOptions, complement_uca
 from omegadp.hoa import parse_hoa
+from omegadp.mdp import STUCK, model_to_doc
+from omegadp.odp import remove_lookahead, remove_lookback
 from conftest import random_nba, random_uca
-from test_acceptance import random_collection
+from test_acceptance import lookahead_guesser_nba, random_collection
+from test_mdp import free_letter_mdp, infinitely_many_b_nba, with_rewards
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 STAGES = ("prune_empty", "lump_final", "merge_lang_final",
           "drop_dominated_jumps", "lump_all")
 
@@ -217,3 +229,119 @@ def test_tightness_by_odd_rank_masks(n):
         assert top.max() >= 129
     got = complement_module._tight(g, top, complement_module._odd_rank_masks(n))
     assert np.array_equal(got, expect)
+
+
+def same_array(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape \
+        and x.tobytes() == y.tobytes()
+
+
+def assert_plain_values(P):
+    """The dict fields hold Python ints and floats, not numpy scalars."""
+    for (s, (_, q2)), dist in P.trans.items():
+        assert type(s) is int and (q2 is None or type(q2) is int)
+        assert all(type(t) is int and type(p) is float for t, p in dist)
+    for (s, _, t), r in P.rewards.items():
+        assert type(s) is int and type(t) is int and type(r) is float
+    assert all(type(s) is int for s in P.actions)
+    assert all(type(s) is int for s, _ in P.acc)
+    assert all(type(m) is int and type(q) is int for m, q in P.pairs)
+
+
+def assert_same_product(M, C):
+    """The product of ``M`` and ``C`` against the dict reference's; returns
+    the number of STUCK rows."""
+    mine, theirs = mdp.product_with_nba(M, C), ref.product_with_nba(M, C)
+    assert (mine.n_states, mine.initial, mine.alphabet, mine.pairs,
+            mine.labels) == (theirs.n_states, theirs.initial,
+                             theirs.alphabet, theirs.pairs, theirs.labels)
+    a, b = mine.arrays, theirs.arrays
+    assert a.n_states == b.n_states and a.action == b.action
+    assert a.P.shape == b.P.shape
+    for x, y in ((a.first, b.first), (a.state, b.state), (a.R, b.R),
+                 (a.acc, b.acc), (a.reward, b.reward),
+                 (a.P.indptr, b.P.indptr), (a.P.indices, b.P.indices),
+                 (a.P.data, b.P.data)):
+        assert same_array(x, y)
+    # built on first read only
+    assert not {"actions", "trans", "rewards", "acc"} & set(vars(mine))
+    assert (mine.actions, mine.trans, mine.rewards, mine.acc) \
+        == (theirs.actions, theirs.trans, theirs.rewards, theirs.acc)
+    assert_plain_values(mine)
+
+    assert doc_text(mine) == doc_text(theirs)
+    return a.action.count(STUCK)
+
+
+def doc_text(P):
+    """``json.dumps`` of the product's document; a state's label there is
+    its base letter, which is all that the document format names."""
+    view = copy.copy(P)
+    view.labels = tuple(map(P.alphabet.base_of, P.labels))
+    return json.dumps(model_to_doc(view, lambda pa: {"name": repr(pa)}))
+
+
+def test_random_products_match_the_dict_reference():
+    # the generator of test_mdp.solved_strategies
+    rng = random.Random(2024)
+    for _ in range(200):
+        C = random_nba(rng, rng.randint(2, 3), n_ap=1)
+        M = with_rewards(rng, random_mdp(rng, rng.randint(4, 8),
+                                         C.alphabet, n_actions=3))
+        assert_same_product(M, C)
+
+
+def test_stuck_products_match_the_dict_reference():
+    rng = random.Random(7)
+    stuck = assert_same_product(free_letter_mdp(), infinitely_many_b_nba())
+    N = lookahead_guesser_nba()
+    stuck += assert_same_product(uniform_chain(N.alphabet), N)
+    for _ in range(100):
+        n_ap = rng.randint(1, 2)
+        C = complement_uca(random_uca(rng, rng.randint(1, 3), n_ap=n_ap))
+        M = with_rewards(rng, random_mdp(rng, rng.randint(1, 6),
+                                         alphabet=C.alphabet))
+        stuck += assert_same_product(M, C)
+    assert stuck > 20
+
+
+@functools.cache
+def perfbench_workloads():
+    """The benchmark's workload module, for the inputs of its lab runs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("schema, states, rows", [
+    ("lab", 4_649, 23_542), ("lab-full", 4_569, 23_126)])
+def test_lab_products_match_the_dict_reference(schema, states, rows):
+    D = build_biolab()
+    if schema == "lab":
+        work = perfbench_workloads()
+        D = work.restrict_promises(D, work.LAB_REDUCED_SCHEMA)
+    M, N = remove_lookahead(remove_lookback(D))
+    assert_same_product(M, N)
+    P = mdp.product_with_nba(M, N)
+    assert (P.n_states, len(P.arrays.action)) == (states, rows)
+
+
+def test_product_deadline_is_checked_in_every_batch(monkeypatch):
+    monkeypatch.setattr(mdp, "_BATCH", 2)
+    M, N = free_letter_mdp(), infinitely_many_b_nba()
+    calls = []
+
+    def clock():
+        calls.append(1)
+        return 0.0
+
+    monkeypatch.setattr(automata.time, "monotonic", clock)
+    with time_limit(1.0):
+        P = mdp.product_with_nba(M, N)
+    assert P.pairs == ref.product_with_nba(M, N).pairs
+    # entering the limit, then one batch per two states at most
+    assert len(calls) >= 1 + P.n_states / 2

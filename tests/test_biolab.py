@@ -138,3 +138,34 @@ def test_optimal_routes():
     keys0 = {D0.keys[s] for s in _reachable_odp_states(sigma0)}
     assert any(z == 1 for _, z in keys0)
     assert value0 > value
+
+
+def test_scaled_grid_geometry():
+    g = default_grid()
+    one = g.scaled(1)
+    assert (one.walls, one.zapper, one.dirty_area) \
+        == (g.walls, g.zapper, g.dirty_area)
+    two = g.scaled(2)
+    assert (two.width, two.height) == (24, 18)
+    assert (two.home, two.clean_lab, two.dirty_lab) == ((2, 2), (12, 6),
+                                                        (10, 6))
+    # the zapper boundary between (7, 2) and (7, 3): door at offset 1
+    assert two.zapper == frozenset({(15, 5), (15, 6)})
+    assert frozenset({(14, 5), (14, 6)}) in two.walls
+    # a wall blocks the whole block boundary, a block's inside is open
+    assert two.move((4, 5), "N") == (4, 5) and two.move((5, 5), "N") == (5, 5)
+    assert two.move((4, 4), "N") == (4, 5)
+    assert {(0, 12), (1, 12), (0, 13), (1, 13)} <= two.dirty_area
+    with pytest.raises(ValueError):
+        g.scaled(0)
+
+
+def test_scaled_lab_values():
+    lam, eps = 0.99, 0.01
+    D = build_biolab(grid=default_grid().scaled(1))
+    assert D.n_states == build_biolab().n_states == 217
+    assert solve_odp(D, lam, eps)[0] == 14.016667725703476
+    D2 = build_biolab(grid=default_grid().scaled(2))
+    assert D2.n_states == 865
+    assert solve_odp(D2, lam, eps)[0] == pytest.approx(6.2710118843844915,
+                                                       abs=1e-9)

@@ -20,6 +20,7 @@ from omegadp.complement import ComplementOptions, complement_uca
 from omegadp.mdp import (
     STUCK,
     Mdp,
+    MdpArrays,
     NoValidStrategy,
     Strategy,
     _almost_sure,
@@ -37,7 +38,9 @@ from omegadp.mdp import (
     strategy_value_check,
     switch_horizon,
 )
-from omegadp.odp import remove_lookahead, remove_lookback
+from omegadp import odp
+from omegadp.odp import remove_lookahead, remove_lookback, solve_odp
+from omegadp.qlearn import lex_q_learn
 
 import policy_reference
 from conftest import clock_expired_inside, random_nba, random_uca
@@ -437,6 +440,40 @@ def test_arrays_reject_rows_that_are_not_distributions():
             {(0, "a"): ((0, 0.5), (1, 0.5 + 1e-10)), (1, "b"): ((1, 1.0),)},
             check=False)
     assert discounted_vi(M, 0.9)[0] == [0.0, 0.0]
+
+
+def test_product_rejects_a_row_that_is_not_a_distribution():
+    # the product reads the rows of M.arrays, which checks each of them
+    M = Mdp(2, 0, {0: ("a",), 1: ("b",)},
+            {(0, "a"): ((0, 0.6), (1, 0.6)), (1, "b"): ((1, 1.0),)},
+            alphabet=Alphabet(("b",)), labels=[0, 1], check=False)
+    with pytest.raises(ValueError, match=r"^distribution of \(0, a\)"):
+        product_with_nba(M, infinitely_many_b_nba())
+
+
+def test_solving_and_learning_build_no_dict_form_of_the_product(
+        monkeypatch):
+    made, multiplied = [], []
+    of = MdpArrays.of.__func__
+
+    def arrays_of(cls, M):
+        made.append(M)
+        return of(cls, M)
+
+    def product(M, N):
+        multiplied.append(M)
+        return product_with_nba(M, N)
+
+    monkeypatch.setattr(MdpArrays, "of", classmethod(arrays_of))
+    monkeypatch.setattr(odp, "product_with_nba", product)
+    value, sigma = solve_odp(build_biolab(), 0.99, 0.01)
+    P = sigma.product
+    sat, _ = strategy_value_check(P, sigma.inner, 0.99)
+    assert value == LAB_D_STAR and sat == pytest.approx(1.0, abs=1e-9)
+    lex_q_learn(P, episodes=2, steps=100)
+    # the arrays of the promise MDP only; the product was built as arrays
+    assert made == multiplied and made[0] is not P
+    assert not {"trans", "rewards"} & set(vars(P))
 
 
 def test_almost_sure_region_trivial_cases():
