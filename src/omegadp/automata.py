@@ -329,7 +329,8 @@ class Automaton:
     ``delta`` maps ``(state, letter)`` to a sorted tuple of successors and
     ``gamma`` is the set of marked ``(state, letter, target)`` transitions.
     ``tags`` carries construction metadata (e.g. the fresh initial state of a
-    collection automaton, or the phase partition of a complement output).
+    collection automaton, or the second-phase mask ``final`` of a complement
+    output).
 
     The transitions can also be held as :class:`Edges` (``edges``); each form
     is built from the other on first use and kept.  The array constructions
@@ -533,18 +534,32 @@ def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
     return not lasso_member_nba(A.reinterpret("NBA"), w)
 
 
-def _graph(n, src, dst):
-    """The edges ``src -> dst`` as a CSR matrix, built straight from the
-    sorted ``(src, dst)`` keys with repeats dropped: scipy's SCC search
-    hangs on repeated edges."""
+def _graph(n, src, dst, roots=None):
+    """The edges ``src -> dst`` as a CSR matrix over the states 0 .. n-1,
+    and with ``roots``, over a virtual state n that leads to every root.
+
+    It is built straight from the sorted ``(src, dst)`` keys, one int64
+    array sorted in place, with repeats dropped: scipy's SCC search hangs
+    on repeated edges.  The graph routines read only the structure, so the
+    data is one float broadcast over the entries and takes no memory."""
     from scipy.sparse import csr_matrix
-    keys = np.sort(np.asarray(src, dtype=np.int64) * n + dst)
+    size = n if roots is None else n + 1
+    m = len(src)
+    keys = np.empty(m + (0 if roots is None else len(roots)), dtype=np.int64)
+    np.multiply(src, size, out=keys[:m])
+    keys[:m] += dst
+    if roots is not None:
+        keys[m:] = roots
+        keys[m:] += n * size
+    keys.sort()
     first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    return csr_matrix((np.ones(len(keys)), (keys % n).astype(np.int32),
-                       indptr), shape=(n, n))
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():
+        keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
+    indices = np.remainder(keys, size, out=keys).astype(np.int32)
+    return csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr),
+                      shape=(size, size))
 
 
 def _reached(n, src, dst, roots):
@@ -554,9 +569,7 @@ def _reached(n, src, dst, roots):
     roots = np.asarray(roots, dtype=np.int64)
     if not len(roots):
         return np.zeros(n, dtype=bool)
-    # a virtual state n leads to every root
-    G = _graph(n + 1, np.concatenate([src, np.full(len(roots), n)]),
-               np.concatenate([dst, roots]))
+    G = _graph(n, src, dst, roots)
     out = np.zeros(n + 1, dtype=bool)
     out[breadth_first_order(G, n, return_predecessors=False)] = True
     return out[:n]
@@ -677,6 +690,24 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
         Edges(ea.letters, src[order], let[order], dst[order], acc[order]))
 
 
+def _first_phase(A: Automaton):
+    """``(flag, in1)``: ``in1`` masks the part Q1 of the partition that
+    :func:`is_strongly_limit_deterministic` checks, and the flag tells
+    whether the check passes."""
+    e, n = A.edges, A.n_states
+    # Greatest set closed under successors where every state is
+    # deterministic: the states that cannot reach a nondeterministic one.
+    twin = (e.src[1:] == e.src[:-1]) & (e.let[1:] == e.let[:-1])
+    seed = np.zeros(n, dtype=bool)
+    seed[e.src[1:][twin]] = True
+    in1 = _reached(n, e.dst, e.src, np.flatnonzero(seed))
+    if (in1[e.src[e.acc]] | in1[e.dst[e.acc]]).any():
+        return False, in1
+    inner = in1[e.src] & in1[e.dst]
+    src, let = e.src[inner], e.let[inner]
+    return not ((src[1:] == src[:-1]) & (let[1:] == let[:-1])).any(), in1
+
+
 def is_strongly_limit_deterministic(A: Automaton):
     """Check for a partition (Q1, Q2) that is deterministic inside each part,
     closed and fully deterministic on Q2, with every marked transition lying
@@ -685,22 +716,9 @@ def is_strongly_limit_deterministic(A: Automaton):
     Returns ``(flag, (Q1, Q2))``; the partition is meaningful only when the
     flag is true.
     """
-    e, n = A.edges, A.n_states
-    # Greatest set closed under successors where every state is
-    # deterministic: the states that cannot reach a nondeterministic one.
-    twin = (e.src[1:] == e.src[:-1]) & (e.let[1:] == e.let[:-1])
-    seed = np.zeros(n, dtype=bool)
-    seed[e.src[1:][twin]] = True
-    in1 = _reached(n, e.dst, e.src, np.flatnonzero(seed))
+    flag, in1 = _first_phase(A)
     q1 = set(np.flatnonzero(in1).tolist())
-    q2 = set(range(n)) - q1
-    if (in1[e.src[e.acc]] | in1[e.dst[e.acc]]).any():
-        return False, (q1, q2)
-    inner = in1[e.src] & in1[e.dst]
-    src, let = e.src[inner], e.let[inner]
-    if ((src[1:] == src[:-1]) & (let[1:] == let[:-1])).any():
-        return False, (q1, q2)
-    return True, (q1, q2)
+    return flag, (q1, set(range(A.n_states)) - q1)
 
 
 def canonical_order(A: Automaton) -> list:
@@ -731,9 +749,7 @@ def renumber(A: Automaton, order) -> Automaton:
     tags = dict(A.tags)
     if "collection_initial" in tags:
         tags["collection_initial"] = old_to_new[tags["collection_initial"]]
-    if "parts" in tags:
-        q1, q2 = tags["parts"]
-        tags["parts"] = ({old_to_new[q] for q in q1 if q in old_to_new},
-                         {old_to_new[q] for q in q2 if q in old_to_new})
+    if "final" in tags:
+        tags["final"] = tags["final"][np.asarray(order, dtype=np.int64)]
     return Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,
                      finals, tags, check=False)

@@ -358,9 +358,14 @@ def _build_parser():
     p.add_argument("--max-states", type=int, default=50_000_000)
     p.set_defaults(func=cmd_complement)
 
+    columns = ("CSV columns: orig, the input's states; compl, the states of "
+               "the generic rank complement, which builds no entry ranking "
+               "that every letter blocks; prune, lumpd, lang and lumpa, the "
+               "states after each reduction stage; time, the seconds taken.")
     for name, help_ in (("reduce", "batch reduce a directory of HOA files"),
                         ("stats", "batch stage statistics without outputs")):
-        p = sub.add_parser(name, parents=[common], help=help_)
+        p = sub.add_parser(name, parents=[common], help=help_,
+                           description=columns)
         p.add_argument("input", help="directory of .hoa files")
         p.add_argument("-o", "--output", required=True, help="CSV path")
         p.add_argument("--workers", type=int, default=None,

@@ -19,7 +19,8 @@ any number of UCA states works.  The worklist is taken in FIFO batches of
 consecutive ranking states (at most ``_CHUNK``); numpy computes the ranking
 update of a whole batch on every letter at once, and the successors are then
 interned in (state, letter) order, which gives every state the id the
-one-at-a-time loop would give it.  The batch kernel works in three steps:
+one-at-a-time loop would give it.  A batch goes through three steps, and
+the entry rankings of a subset through a fourth:
 
 * Least incoming rank.  The UCA's moves are grouped by (letter, target)
   once per construction, largest group first (:func:`_move_groups`).  One
@@ -36,21 +37,34 @@ one-at-a-time loop would give it.  The batch kernel works in three steps:
   computed only for the (ranking, letter) pairs that stay tight.
 * Interning.  Row bytes are dict keys.  A batch looks all of its keys up at
   once and only the misses get fresh ids, in first-seen order.  The entry
-  rankings of a subset are interned once, when the subset is first
-  reached; every later jump into the subset reuses the stored ids.  Their
-  table depends only on the subset size and the pin position, and is
-  counted in closed form first, so a count above the state budget fails
-  before any row is built.  A table of at most ``_KEEP_CELLS`` cells is
-  built once per process (``_kept_rankings`` keeps the last 64, 8 MiB at
-  most); a larger one lasts one construction.
+  rankings of a subset are decided once, when the subset is first reached;
+  every later jump into the subset reuses the stored ids.  Their table
+  depends only on the subset size and the pin position, and is counted in
+  closed form first, so a count above the state budget fails before any
+  row is built.  A table of at most ``_KEEP_CELLS`` cells is built once per
+  process (``_kept_rankings`` keeps the last 64, 8 MiB at most); a larger
+  one lasts one construction.
+* Live entries.  Most entry rankings have no move: every letter blocks
+  them.  The same kernel (:func:`_ranking_update`) runs over the entry
+  tables of all the subsets that one subset expansion reaches first, in
+  pieces of at most ``_CHUNK`` rows, and only the entries that some letter
+  keeps tight (or sends to the sink) are interned and jumped to.  A dropped
+  entry has no successor, so it was never live, and the other states keep
+  their order: pruning gives the same automaton as it would with them.
+
+When the exploration ends, the interning dict, the entry ids and the row
+table are freed, and the edge parts are joined one field at a time.
 
 Input and output are :class:`~omegadp.automata.Edges` (``A.edges``); no
 ``delta``/``gamma`` dict is built on either side.  The output's tags are
-``parts`` (the first-phase subset states, then the rest), ``construction``
-(``rank``, ``special-safety`` or ``special-reachability``) and ``stats``,
-whose one entry ``blocked_transitions`` counts the ranking updates dropped
-as not tight or unpinned; the automaton gives its own state and transition
-counts.
+``final`` (a bool array, true on the second phase: every state but the
+first-phase subsets), ``construction`` (``rank``, ``special-safety`` or
+``special-reachability``) and ``stats``, whose one entry
+``blocked_transitions`` counts the ranking updates dropped as not tight or
+unpinned: those of the ranking states built, and all the updates of each
+entry ranking that is not built because every letter blocks it (counted
+once, when its subset is first reached).  The automaton gives its own state
+and transition counts.
 """
 
 from __future__ import annotations
@@ -60,6 +74,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 from math import comb
 from operator import is_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,6 +313,58 @@ def _row_keys(table):
 _BLOCKED, _EMPTY, _NEXT = 0, 1, 2
 
 
+class _Moves(NamedTuple):
+    """A UCA of ``n`` states over ``L`` letters, laid out for
+    :func:`_ranking_update`: its move groups (:func:`_move_groups`), the
+    masks of :func:`_odd_rank_masks` and the pinned state, or None."""
+
+    n: int
+    L: int
+    take: np.ndarray
+    sizes: list
+    cells: np.ndarray
+    masks: tuple
+    pinned: int | None
+
+
+def _ranking_update(F, mv: _Moves):
+    """The ranking update of the rank rows ``F`` (one per ranking state) on
+    every letter; ``F`` is left as it is.
+
+    Returns ``(g, top, status)``: ``g[a, t, s]`` is the least rank that row
+    ``s`` brings to UCA state ``t`` on letter ``a`` (2n where ``t`` is
+    absent), ``top[a, s]`` the largest rank held after it (-1 if none) and
+    ``status[a, s]`` one of ``_BLOCKED``, ``_EMPTY`` (every run died) and
+    ``_NEXT``."""
+    n, L, big = mv.n, mv.L, 2 * mv.n
+    # what a move brings to its target, per source state and ranking:
+    # nothing (big) from an absent source, the source's rank, or along a
+    # rejecting move the even rank at or below it (a copy: for one row the
+    # transpose is a view of F)
+    f = F[:, :n].T.copy()
+    f[f < 0] = big
+    brings = np.concatenate([f, f & np.int16(-2)])
+    # g[a, t, s]: the least rank a run of s brings to t on letter a
+    least = brings[mv.take]
+    at = mv.sizes[0]
+    for k in mv.sizes[1:]:
+        np.minimum(least[:k], least[at:at + k], out=least[:k])
+        at += k
+    g = np.full((L * n, len(F)), big, dtype=np.int16)
+    g[mv.cells] = least[:mv.sizes[0]]
+    g = g.reshape(L, n, len(F))
+    top = np.where(g < big, g, np.int16(-1)).max(axis=1)
+    ok = _tight(g, top, mv.masks)
+    if mv.pinned is not None:
+        # the pinned state never dies and nothing feeds into it, so its
+        # rank stays put while everyone else only decreases; a run where it
+        # stops carrying the maximum cannot have been pinned at entry and
+        # is dropped
+        ok &= g[:, mv.pinned] == top
+    status = np.where(ok, _NEXT, np.where(top >= 0, _BLOCKED, _EMPTY))
+    return g, top, status
+
+
 def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     E = A.edges
     letters = E.letters
@@ -306,10 +373,9 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     pinned = _resolve_pin(A)
     W = 2 * n + 1  # rank row: ranks (-1 absent), then O flags, then i
     big = 2 * n  # above every rank
-    take, sizes, cells = _move_groups(E, n)
-    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W, len(take))))
+    mv = _Moves(n, L, *_move_groups(E, n), _odd_rank_masks(n), pinned)
+    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W, len(mv.take))))
     post = _post(E, n)
-    masks = _odd_rank_masks(n)
 
     kinds = bytearray()  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
     subset_ids = {}  # subset mask -> id
@@ -369,29 +435,37 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         rows[ids[at]] = table[at]
         return ids
 
-    def jump_targets(S2):
-        """The sorted ids of subset ``S2`` and of its entry rankings,
-        interned the first time ``S2`` is reached."""
-        got = entries.get(S2)
-        if got is None:
-            sub = intern_subset(S2)
-            states = [q for q in range(n) if S2 >> q & 1]
-            m = len(states)
-            pin = states.index(pinned) if pinned in states else None
-            count = _n_tight_rankings(m, opts.odd_entry, pin is not None)
-            if count > opts.max_states:
-                raise CapacityError(
-                    f"state budget of {opts.max_states} exceeded",
-                    opts.max_states)
-            key = (m, opts.odd_entry, pin)
-            if count * m > _KEEP_CELLS and key not in large:
-                large[key] = _tight_rankings(*key)
-            ranks = large[key] if key in large else _kept_rankings(*key)
-            table = np.zeros((len(ranks), W), dtype=np.int16)
-            table[:, :n] = -1
-            table[:, states] = ranks
-            got = entries[S2] = np.sort(np.append(intern_ranks(table), sub))
-        return got
+    def entry_table(S2):
+        """The rank rows of the entry rankings of subset ``S2``."""
+        states = [q for q in range(n) if S2 >> q & 1]
+        m = len(states)
+        pin = states.index(pinned) if pinned in states else None
+        count = _n_tight_rankings(m, opts.odd_entry, pin is not None)
+        if count > opts.max_states:
+            raise CapacityError(
+                f"state budget of {opts.max_states} exceeded",
+                opts.max_states)
+        key = (m, opts.odd_entry, pin)
+        if count * m > _KEEP_CELLS and key not in large:
+            large[key] = _tight_rankings(*key)
+        ranks = large[key] if key in large else _kept_rankings(*key)
+        table = np.zeros((len(ranks), W), dtype=np.int16)
+        table[:, :n] = -1
+        table[:, states] = ranks
+        return table
+
+    def moving(tables):
+        """Per table, the mask of its rows that some letter does not block;
+        one kernel run over all the tables, in pieces of ``chunk`` rows."""
+        nonlocal blocked
+        every = np.concatenate(tables)
+        keep = np.empty(len(every), dtype=bool)
+        for lo in range(0, len(every), chunk):
+            check_time("complement construction")
+            status = _ranking_update(every[lo:lo + chunk], mv)[2]
+            keep[lo:lo + chunk] = (status != _BLOCKED).any(axis=0)
+        blocked += L * (len(keep) - int(np.count_nonzero(keep)))
+        return np.split(keep, np.cumsum([len(t) for t in tables[:-1]]))
 
     def add_edges(src, let, dst, acc):
         src_parts.append(np.asarray(src, dtype=np.int64))
@@ -404,10 +478,22 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
 
     def expand_subset(sid):
         S = subset_of[sid]
-        dst = []
-        for li in range(L):
-            S2 = _image(succ[li], S)
-            dst.append(jump_targets(S2) if S2 else [get_empty()])
+        images = [_image(succ[li], S) for li in range(L)]
+        # the subsets reached for the first time get their entry rankings;
+        # states are interned in letter order, each new subset before its
+        # entries, the sink where a letter kills every run
+        fresh = [S2 for S2 in dict.fromkeys(images) if S2 and S2 not in entries]
+        if fresh:
+            tables = [entry_table(S2) for S2 in fresh]
+            kept = dict(zip(fresh, zip(tables, moving(tables))))
+        for S2 in images:
+            if not S2:
+                get_empty()
+            elif S2 not in entries:
+                table, keep = kept[S2]
+                sub = intern_subset(S2)
+                entries[S2] = np.sort(np.append(intern_ranks(table[keep]), sub))
+        dst = [entries[S2] if S2 else [get_empty()] for S2 in images]
         fan = [len(d) for d in dst]
         k = sum(fan)
         add_edges(np.full(k, sid), np.repeat(np.arange(L), fan),
@@ -418,30 +504,7 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         nonlocal blocked
         m = hi - lo
         F = rows[lo:hi]
-        # what a move brings to its target, per source state and ranking:
-        # nothing (big) from an absent source, the source's rank, or along
-        # a rejecting move the even rank at or below it
-        f = np.ascontiguousarray(F[:, :n].T)
-        f[f < 0] = big
-        brings = np.concatenate([f, f & np.int16(-2)])
-        # g[a, t, s]: the least rank a run of s brings to t on letter a
-        least = brings[take]
-        at = sizes[0]
-        for k in sizes[1:]:
-            np.minimum(least[:k], least[at:at + k], out=least[:k])
-            at += k
-        g = np.full((L * n, m), big, dtype=np.int16)
-        g[cells] = least[:sizes[0]]
-        g = g.reshape(L, n, m)
-        top = np.where(g < big, g, np.int16(-1)).max(axis=1)
-        ok = _tight(g, top, masks)
-        if pinned is not None:
-            # the pinned state never dies and nothing feeds into it, so
-            # its rank stays put while everyone else only decreases; a
-            # run where it stops carrying the maximum cannot have been
-            # pinned at entry and is dropped
-            ok &= g[:, pinned] == top
-        status = np.where(ok, _NEXT, np.where(top >= 0, _BLOCKED, _EMPTY))
+        g, top, status = _ranking_update(F, mv)
         st = status.T.reshape(-1)  # in (state, letter) order
         go = np.flatnonzero(st != _BLOCKED)
         blocked += m * L - len(go)
@@ -492,18 +555,31 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         (expand_subset if kind == 1 else expand_sink)(wi)
         wi += 1
 
-    edges = Edges(letters, *(np.concatenate(p) for p in
+    # free the interning before the edges are joined, one field at a time
+    rank_ids.clear()
+    entries.clear()
+    large.clear()
+    rows = None
+    edges = Edges(letters, *(_joined(p) for p in
                              (src_parts, let_parts, dst_parts, acc_parts)))
-    return _result(A, len(kinds), start, edges, set(subset_of), blocked,
-                   "rank")
+    final = np.frombuffer(kinds, dtype=np.uint8) != 1
+    return _result(A, len(kinds), start, edges, final, blocked, "rank")
 
 
-def _result(A: Automaton, n, start, edges: Edges, q1, blocked,
+def _joined(parts):
+    """The arrays ``parts`` joined into one; the list is emptied, so each
+    part is freed as soon as the join no longer needs it."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
+
+
+def _result(A: Automaton, n, start, edges: Edges, final, blocked,
             construction) -> Automaton:
-    """The output automaton; ``q1`` are the first phase's subset states."""
+    """The output automaton; ``final`` masks the second phase."""
     return Automaton.from_edges(
         "NBA", A.alphabet, n, start, edges,
-        tags={"parts": (q1, set(range(n)) - q1), "construction": construction,
+        tags={"final": final, "construction": construction,
               "stats": {"blocked_transitions": blocked}})
 
 
@@ -571,5 +647,5 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
 
     src, let, dst, acc = np.array(out, dtype=np.int64).reshape(-1, 4).T
     edges = Edges.normalised(E.letters, src, let, dst, acc.astype(bool))
-    q1 = {sid for sid, (kind, _) in found if kind == 1}
-    return _result(A, len(found), 0, edges, q1, 0, f"special-{shape}")
+    final = np.array([kind != 1 for kind, _ in found.keys], dtype=bool)
+    return _result(A, len(found), 0, edges, final, 0, f"special-{shape}")

@@ -214,8 +214,12 @@ class OdpStrategy:
         return act
 
     def advance(self, memory, next_state):
+        # the played row of the product's arrays: no dict form is built
+        A = self.product.arrays
         pa = self.inner.action(memory)
-        for dst, _ in self.product.trans[(memory[0], pa)]:
+        lo, hi = A.first[memory[0]:memory[0] + 2].tolist()
+        k = A.action.index(pa, lo, hi)
+        for dst in A.P.indices[A.P.indptr[k]:A.P.indptr[k + 1]].tolist():
             if self.odp_state_of[dst] == next_state:
                 return self.inner.step(memory, dst)
         raise ValueError(f"state {next_state} is not a successor under {pa}")

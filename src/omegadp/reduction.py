@@ -9,6 +9,12 @@ the language and the two-phase structure that makes the automaton good for
 MDPs: the second phase stays deterministic, and every jump that is deleted
 has a sibling that accepts at least the same suffixes.
 
+The phase partition travels as the tag ``final``: a bool array with one
+entry per state, true on the second (final) phase.  The complement sets it,
+and every stage passes on its restriction to the states that stage keeps;
+for an automaton without the tag, the stages take the partition that
+``is_strongly_limit_deterministic`` finds.
+
 Language classes are found by exact inclusion checks.  Only states whose
 fingerprints agree are compared, so a fingerprint column must depend on
 the state's language alone: equal languages, equal fingerprints.
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Automaton, Edges, _components, _nonempty, _reached, \
-    check_time, is_strongly_limit_deterministic, time_limit
+from .automata import Automaton, Edges, _components, _first_phase, \
+    _nonempty, _reached, check_time, time_limit
 from .complement import ComplementOptions, complement_uca
 
 
@@ -49,37 +55,31 @@ class PipelineStats:
                 cell(self.lumpd), cell(self.lang), cell(self.lumpa), t]
 
 
-def _parts_of(A: Automaton):
-    parts = A.tags.get("parts")
-    if parts is not None:
-        return parts
-    flag, parts = is_strongly_limit_deterministic(A)
-    if not flag:
-        raise ValueError("automaton is not strongly limit deterministic")
-    return parts
-
-
 def canonical_empty(alphabet) -> Automaton:
     """The one-state automaton with no transitions (empty language)."""
     return Automaton("NBA", alphabet, 1, 0, {}, (),
-                     tags={"parts": (set(), {0})})
+                     tags={"final": np.ones(1, dtype=bool)})
 
 
 def _final_mask(A: Automaton):
-    """Mask of the second (final) phase."""
-    final = np.zeros(A.n_states, dtype=bool)
-    final[list(_parts_of(A)[1])] = True
+    """Mask of the second (final) phase: the ``final`` tag, or else the
+    partition that :func:`is_strongly_limit_deterministic` finds."""
+    final = A.tags.get("final")
+    if final is None:
+        flag, in1 = _first_phase(A)
+        if not flag:
+            raise ValueError("automaton is not strongly limit deterministic")
+        final = ~in1
     return final
 
 
 def _derived(A: Automaton, n, initial, edges: Edges, final) -> Automaton:
     """An automaton over ``A``'s alphabet and tags (without stats), with the
-    phase partition read from the mask ``final`` when it is given."""
+    second-phase mask ``final`` when it is given."""
     tags = dict(A.tags)
     tags.pop("stats", None)
     if final is not None:
-        tags["parts"] = (set(np.flatnonzero(~final).tolist()),
-                         set(np.flatnonzero(final).tolist()))
+        tags["final"] = final
     return Automaton.from_edges(A.kind, A.alphabet, n, initial, edges, tags)
 
 
@@ -110,8 +110,7 @@ def prune_empty(A: Automaton) -> Automaton:
     live &= _reached(A.n_states, E.src, E.dst, [A.initial])
     E = Edges(E.letters, E.src, E.let, E.dst,
               E.acc & (comp[E.src] == comp[E.dst]))
-    return _restrict(A, A.initial, E, live,
-                     _final_mask(A) if "parts" in A.tags else None)
+    return _restrict(A, A.initial, E, live, A.tags.get("final"))
 
 
 def _row_ids(M):

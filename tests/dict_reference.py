@@ -7,16 +7,38 @@ automata and products (``test_batched.py``)."""
 
 import time
 
+import numpy as np
+
 from omegadp.automata import (
     Automaton,
     Explorer,
     _strongly_connected_components,
     check_time,
+    is_strongly_limit_deterministic,
     letter_sort_key,
 )
 from omegadp.mdp import STUCK, Mdp
 from omegadp.complement import CapacityError, ComplementOptions, _resolve_pin
-from omegadp.reduction import _parts_of, canonical_empty
+from omegadp.reduction import canonical_empty
+
+
+def _parts_of(A: Automaton):
+    """The phase partition ``(Q1, Q2)`` read from the second-phase mask
+    ``final``, one state at a time, or else the one that
+    ``is_strongly_limit_deterministic`` finds."""
+    final = A.tags.get("final")
+    if final is None:
+        flag, parts = is_strongly_limit_deterministic(A)
+        if not flag:
+            raise ValueError("automaton is not strongly limit deterministic")
+        return parts
+    q2 = {q for q in range(A.n_states) if final[q]}
+    return set(range(A.n_states)) - q2, q2
+
+
+def _final_tag(n, q2):
+    """The second-phase mask of ``n`` states whose second phase is ``q2``."""
+    return np.array([q in q2 for q in range(n)], dtype=bool)
 
 
 def reachable_states(A: Automaton, start=None) -> set:
@@ -212,6 +234,58 @@ def _is_tight(members):
     return len(odds_seen) == (top + 1) // 2
 
 
+_BLOCKED, _EMPTY = "blocked", "empty"
+
+
+def _rank_update(idx, pinned, payload, li):
+    """The ranking update of the ranking state ``payload`` (S, O, f, i) on
+    letter index ``li``: ``_BLOCKED``, ``_EMPTY`` when every run dies, or
+    the successor's payload and whether the move is a breakpoint."""
+    S, O, f, i = payload
+    rank_of = dict(zip(_bits(S), f))
+    # auxiliary g: minimum over source-rank contributions
+    minrank = {}
+    for q, j in rank_of.items():
+        m = idx.succ[q][li]
+        for t in _bits(m):
+            if j < minrank.get(t, 1 << 30):
+                minrank[t] = j
+        rm = idx.rej[q][li]
+        ev = j - (j & 1)
+        for t in _bits(rm):
+            if ev < minrank.get(t, 1 << 30):
+                minrank[t] = ev
+    if not minrank:
+        return _EMPTY
+    members = sorted(minrank.items())
+    if not _is_tight(members):
+        return _BLOCKED
+    top = max(r for _, r in members)
+    if pinned is not None and minrank.get(pinned) != top:
+        # the pinned state never dies and nothing feeds into it, so its
+        # rank stays put while everyone else only decreases; a run where
+        # it stops carrying the maximum cannot have been pinned at entry
+        # and is dropped
+        return _BLOCKED
+    S2 = 0
+    for q, _ in members:
+        S2 |= 1 << q
+    f2 = tuple(r for _, r in members)
+    Opost = idx.post(O, li)
+    O2 = 0
+    for q, r in members:
+        if r == i and (Opost >> q) & 1:
+            O2 |= 1 << q
+    if O2:
+        return (S2, O2, f2, i), False
+    i2 = (i + 2) % (top + 1)
+    O3 = 0
+    for q, r in members:
+        if r == i2:
+            O3 |= 1 << q
+    return (S2, O3, f2, i2), True
+
+
 def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     t0 = time.monotonic()
     idx = _Indexed(A)
@@ -241,6 +315,23 @@ def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     delta = {}
     gamma = set()
     blocked = 0
+    entries = {}  # subset -> the entry rankings that some letter moves
+
+    def entry_rankings(S2):
+        """The entry rankings of ``S2`` that not every letter blocks,
+        decided when ``S2`` is first reached; the blocked updates of the
+        others count then."""
+        nonlocal blocked
+        if S2 not in entries:
+            entries[S2] = []
+            for f in _tight_rankings(_bits(S2), opts.odd_entry, pinned):
+                entry = (S2, 0, f, 0)
+                if all(_rank_update(idx, pinned, entry, li) == _BLOCKED
+                       for li in range(L)):
+                    blocked += L
+                else:
+                    entries[S2].append(entry)
+        return entries[S2]
 
     empty_id = None
 
@@ -272,72 +363,27 @@ def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
                     targets.append(get_empty())
                 else:
                     targets.append(intern(1, S2))
-                    states2 = _bits(S2)
-                    for f in _tight_rankings(states2, opts.odd_entry, pinned):
-                        targets.append(intern(2, (S2, 0, f, 0)))
+                    for entry in entry_rankings(S2):
+                        targets.append(intern(2, entry))
                 delta[(sid, a)] = tuple(sorted(set(targets)))
             continue
         # kind == 2: ranking state (S_mask, O_mask, f_tuple, i)
-        S, O, f, i = payload
-        states = _bits(S)
-        rank_of = dict(zip(states, f))
         for li, a in enumerate(letters):
-            # auxiliary g: minimum over source-rank contributions
-            minrank = {}
-            for q, j in rank_of.items():
-                m = idx.succ[q][li]
-                for t in _bits(m):
-                    if j < minrank.get(t, 1 << 30):
-                        minrank[t] = j
-                rm = idx.rej[q][li]
-                ev = j - (j & 1)
-                for t in _bits(rm):
-                    if ev < minrank.get(t, 1 << 30):
-                        minrank[t] = ev
-            if not minrank:
+            got = _rank_update(idx, pinned, payload, li)
+            if got == _BLOCKED:
+                blocked += 1
+            elif got == _EMPTY:
                 # all runs died; the empty subset is the accepting sink
                 tid = get_empty()
                 delta[(sid, a)] = (tid,)
                 gamma.add((sid, a, tid))
-                continue
-            members = sorted(minrank.items())
-            if not _is_tight(members):
-                blocked += 1
-                continue
-            if pinned is not None:
-                # the pinned state never dies and nothing feeds into it, so
-                # its rank stays put while everyone else only decreases; a
-                # run where it stops carrying the maximum cannot have been
-                # pinned at entry and is dropped
-                top = max(r for _, r in members)
-                if minrank.get(pinned) != top:
-                    blocked += 1
-                    continue
-            S2 = 0
-            for q, _ in members:
-                S2 |= 1 << q
-            f2 = tuple(r for _, r in members)
-            Opost = idx.post(O, li)
-            O2 = 0
-            for q, r in members:
-                if r == i and (Opost >> q) & 1:
-                    O2 |= 1 << q
-            if O2:
-                tid = intern(2, (S2, O2, f2, i))
-                delta[(sid, a)] = (tid,)
             else:
-                top = max(r for _, r in members)
-                i2 = (i + 2) % (top + 1)
-                O3 = 0
-                for q, r in members:
-                    if r == i2:
-                        O3 |= 1 << q
-                tid = intern(2, (S2, O3, f2, i2))
+                tid = intern(2, got[0])
                 delta[(sid, a)] = (tid,)
-                gamma.add((sid, a, tid))
+                if got[1]:
+                    gamma.add((sid, a, tid))
 
     n = len(kinds)
-    q1 = {sid for sid in range(n) if kinds[sid] == 1}
     q2 = {sid for sid in range(n) if kinds[sid] != 1}
     stats = {
         "states": n,
@@ -347,7 +393,7 @@ def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         "wall_time_ms": int((time.monotonic() - t0) * 1000),
     }
     return Automaton("NBA", A.alphabet, n, start, delta, gamma,
-                     tags={"parts": (q1, q2), "stats": stats,
+                     tags={"final": _final_tag(n, q2), "stats": stats,
                            "construction": "rank"},
                      check=False)
 
@@ -366,10 +412,10 @@ def _restrict(A: Automaton, keep: set) -> Automaton:
     gamma = {(remap[q], a, remap[t]) for (q, a, t) in A.gamma
              if q in keep and t in keep}
     tags = dict(A.tags)
-    if "parts" in tags:
-        q1, q2 = tags["parts"]
-        tags["parts"] = ({remap[q] for q in q1 if q in keep},
-                         {remap[q] for q in q2 if q in keep})
+    if "final" in tags:
+        _, q2 = _parts_of(A)
+        tags["final"] = _final_tag(len(order),
+                                   {remap[q] for q in q2 if q in keep})
     tags.pop("stats", None)
     return Automaton(A.kind, A.alphabet, len(order), remap[A.initial],
                      delta, gamma, tags=tags, check=False)
@@ -414,11 +460,10 @@ def _quotient(A: Automaton, block_of, parts) -> Automaton:
         for t in targets:
             if (q, a, t) in A.gamma:
                 gamma.add((src, a, remap[rep_of[t]]))
-    q1, q2 = parts
-    new_q1 = {remap[q] for q in keep if q in q1}
+    _, q2 = parts
     new_q2 = {remap[q] for q in keep if q in q2}
     tags = dict(A.tags)
-    tags["parts"] = (new_q1, new_q2)
+    tags["final"] = _final_tag(len(keep), new_q2)
     tags.pop("stats", None)
     return Automaton(A.kind, A.alphabet, len(keep), remap[rep_of[A.initial]],
                      delta, gamma, tags=tags, check=False)
@@ -594,7 +639,7 @@ def merge_lang_final(A: Automaton) -> Automaton:
     gamma = {(q, a, t) if q in q2 else (q, a, redirect.get(t, t))
              for (q, a, t) in A.gamma}
     tags = dict(A.tags)
-    tags["parts"] = (set(q1), set(q2))
+    tags["final"] = _final_tag(A.n_states, q2)
     tags.pop("stats", None)
     initial = redirect.get(A.initial, A.initial)
     B = Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,

@@ -12,6 +12,7 @@ import importlib.util
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 import dict_reference as ref
 from omegadp import automata
 from omegadp import complement as complement_module
-from omegadp import mdp, reduction
+from omegadp import mdp, odp, reduction
 from omegadp.automata import Alphabet, Automaton, time_limit
 from omegadp.biolab import build_biolab
 from omegadp.cli import random_mdp, uniform_chain
@@ -39,7 +40,9 @@ STAGES = ("prune_empty", "lump_final", "merge_lang_final",
 
 
 def shape(A):
-    return (A.n_states, A.initial, A.delta, A.gamma, A.tags.get("parts"))
+    final = A.tags.get("final")
+    return (A.n_states, A.initial, A.delta, A.gamma,
+            None if final is None else final.tolist())
 
 
 def assert_same_complement(U, opts):
@@ -136,7 +139,7 @@ def test_deadline_is_checked_in_every_batch(monkeypatch):
     monkeypatch.setattr(automata.time, "monotonic", clock)
     with time_limit(1.0):
         C = complement_uca(U, ComplementOptions(special=False))
-    subsets = len(C.tags["parts"][0])
+    subsets = int(np.count_nonzero(~C.tags["final"]))
     # far more batches of ranking states than subset states
     assert C.n_states - subsets > 40 * subsets
     assert len(calls) >= subsets + (C.n_states - subsets) / 16
@@ -183,14 +186,95 @@ def test_reduce_05_complement_is_pinned():
     C = complement_uca(fixture("reduce_05"), ComplementOptions(special=False))
     E = C.edges
     assert (C.n_states, len(E), int(E.acc.sum()),
-            C.tags["stats"]["blocked_transitions"]) == (246_080, 1_156_709,
+            C.tags["stats"]["blocked_transitions"]) == (192_199, 1_009_345,
                                                         613_723, 1_311_537)
     digest = hashlib.sha256()
     for column in (E.src, E.let, E.dst):
         digest.update(np.asarray(column, dtype=np.int64).tobytes())
     digest.update(np.asarray(E.acc, dtype=np.uint8).tobytes())
     assert digest.hexdigest() == \
-        "3fae463fb0f0907716848351ba8ec7d5a3753a6c3b50e9ba47440773428f50a1"
+        "0b24eadb58427880c0bef575df6ec34858fc40d598d0bb5a92170ac268cfaa31"
+
+
+def phase_digest(A):
+    """sha256 of an automaton's state count, initial state, edges and
+    second phase."""
+    E = A.edges
+    digest = hashlib.sha256()
+    digest.update(np.array([A.n_states, A.initial], dtype=np.int64).tobytes())
+    for column in (E.src, E.let, E.dst):
+        digest.update(np.asarray(column, dtype=np.int64).tobytes())
+    digest.update(np.asarray(E.acc, dtype=bool).tobytes())
+    digest.update(np.flatnonzero(A.tags["final"]).astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def lab_collection(schema, monkeypatch):
+    """The collection automaton that the checking NBA of ``lab`` or
+    ``lab-full`` complements."""
+    D = build_biolab()
+    if schema == "lab":
+        work = perfbench_workloads()
+        D = work.restrict_promises(D, work.LAB_REDUCED_SCHEMA)
+    got = []
+
+    def complement(C):
+        got.append(C)
+        return complement_uca(C)
+
+    monkeypatch.setattr(odp, "_CHECKING_NBAS", {})
+    monkeypatch.setattr(odp, "complement_uca", complement)
+    remove_lookahead(remove_lookback(D))
+    return got[0]
+
+
+# the digests were recorded while the complement still built the entry
+# rankings that every letter blocks (246,080, 16,561 and 164,979 states):
+# dropping them changes neither the pruned nor the reduced automaton
+@pytest.mark.parametrize("name, built, pruned, reduced", [
+    ("reduce_05", 192_199,
+     (87_979, "35c9271f1cbe33fa798c8f4a45a293956711fe29b9ecd6935166ff93b347e5cc"),
+     (14, "2ac77de2c9ec0b6836c88cd449bf18456d438bdbea3eb3fc92043edd3fca35be")),
+    ("lab", 4_943,
+     (525, "3cffc63b3210a44c39a54249b45ab9c7656ac69543b7d5798b0551e5fe3c5287"),
+     (20, "83173d7d005a749e93e6a63a3a3e9308bca9f3ef3a9d2e950b2156bc5d884fac")),
+    ("lab-full", 53_271,
+     (4_034, "4a016b89e5fcde100b6e6a1d8458c504a357134c8549acf139a34d9be0799255"),
+     (20, "309a1e20af16f5c94e6b2982fdf560e34cb8e71797de03ac9fde3f50b0c65cf8")),
+])
+def test_pruned_and_reduced_automata_are_pinned(name, built, pruned, reduced,
+                                                monkeypatch):
+    if name == "reduce_05":
+        C = complement_uca(fixture(name), ComplementOptions(special=False))
+    else:
+        C = complement_uca(lab_collection(name, monkeypatch))
+    assert C.n_states == built
+    E, final = C.edges, C.tags["final"]
+    jumps = ~final[E.src] & final[E.dst]
+    assert (np.bincount(E.src, minlength=C.n_states)[E.dst[jumps]] > 0).all()
+    stages = dict(reduction.reduction_stages(C))
+    for got, (states, digest) in ((stages["prune"], pruned),
+                                  (stages["lumpa"], reduced)):
+        assert (got.n_states, phase_digest(got)) == (states, digest)
+
+
+def test_reduce_05_complement_and_prune_stay_within_their_memory():
+    """The traced peak of ``complement_uca`` and then ``prune_empty`` on
+    ``reduce_05`` (numpy buffers included).  It measured 75.5 MiB, in the
+    complement's interning and edge parts; ``prune_empty`` peaks at 47.7
+    MiB, the complement's 24.3 MiB included.  The bound leaves 9.5 MiB
+    above it.  Building the move-less entry rankings, joining the edges at
+    once and copying keys and data into each graph took 126.7 MiB."""
+    U = fixture("reduce_05")
+    reduction._load_graph_routines()
+    tracemalloc.start()
+    try:
+        C = complement_uca(U, ComplementOptions(special=False))
+        reduction.prune_empty(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 85 * 2**20
 
 
 def held_tight(g, big):

@@ -90,7 +90,7 @@ def test_complement_pins_the_fresh_initial_state_of_a_collection(tmp_path):
     src, out = tmp_path / "col.hoa", tmp_path / "out.hoa"
     src.write_text(emit_hoa(col))
     assert main(["complement", str(src), "-o", str(out)]) == 0
-    assert parse_hoa(out.read_text()).n_states == 58
+    assert parse_hoa(out.read_text()).n_states == 31
 
 
 def test_complement_rejects_nba_without_flag(tmp_path, capsys):

@@ -56,10 +56,10 @@ def test_output_is_strongly_limit_deterministic(rng):
         C = complement_uca(U, ComplementOptions(special=False))
         ok, (q1, q2) = is_strongly_limit_deterministic(C)
         assert ok
-        declared_q1, declared_q2 = C.tags["parts"]
+        final = C.tags["final"]
         # every accepting transition lies inside the declared second part
         for (q, a, t) in C.gamma:
-            assert q in declared_q2 and t in declared_q2
+            assert final[q] and final[t]
 
 
 def test_odd_entry_restriction_preserves_language(rng):
@@ -355,6 +355,49 @@ def test_large_entry_rankings_last_one_construction(monkeypatch):
     assert complement_module._kept_rankings.cache_info().currsize == 0
 
 
+def test_no_jump_enters_a_ranking_without_a_move(rng):
+    """An entry ranking that every letter blocks is neither built nor
+    jumped to; its blocked updates still count, once."""
+    for _ in range(30):
+        U = random_uca(rng, rng.randint(1, 5))
+        C = complement_uca(U, ComplementOptions(special=False))
+        E, final = C.edges, C.tags["final"]
+        jumps = ~final[E.src] & final[E.dst]
+        moves = np.bincount(E.src, minlength=C.n_states)
+        assert (moves[E.dst[jumps]] > 0).all()
+    # one state, a rejecting self-loop on letter 0 and none on letter 1:
+    # the entry ranking (1) of {0} goes on letter 1 and blocks on letter 0
+    ab = Alphabet(("p",))
+    U = Automaton("UCA", ab, 1, 0, {(0, 0): (0,), (0, 1): (0,)}, {(0, 0, 0)})
+    C = complement_uca(U, ComplementOptions(special=False))
+    assert C.n_states == 2 and C.tags["stats"]["blocked_transitions"] == 1
+    # every letter blocks it when both self-loops reject: only the subset
+    # is built, and the entry's two blocked updates count
+    U = Automaton("UCA", ab, 1, 0, {(0, 0): (0,), (0, 1): (0,)},
+                  {(0, 0, 0), (0, 1, 0)})
+    C = complement_uca(U, ComplementOptions(special=False))
+    assert C.n_states == 1 and C.tags["stats"]["blocked_transitions"] == 2
+
+
+def test_the_ranking_update_leaves_its_rows_unchanged():
+    """A batch of one ranking state is one row of the stored table; the
+    update must not write its placeholder for absent states into it."""
+    U = Automaton("UCA", Alphabet(("p",)), 3, 0,
+                  {(0, 0): (0, 1), (0, 1): (2,), (1, 0): (1,), (2, 1): (0, 2)},
+                  {(0, 0, 1), (2, 1, 2)})
+    E, n = U.edges, U.n_states
+    mv = complement_module._Moves(
+        n, len(E.letters), *complement_module._move_groups(E, n),
+        complement_module._odd_rank_masks(n), None)
+    rows = np.zeros((3, 2 * n + 1), dtype=np.int16)
+    rows[:, :n] = [[1, -1, -1], [-1, 1, 3], [3, 1, -1]]
+    before = rows.copy()
+    for lo in range(3):
+        complement_module._ranking_update(rows[lo:lo + 1], mv)
+    complement_module._ranking_update(rows, mv)
+    assert np.array_equal(rows, before)
+
+
 def test_a_pointwise_larger_entry_ranking_can_accept_less():
     """Entry rankings f <= f' of one subset, yet L(f) is not included in
     L(f'): f' = (1, 3) blocks on letter 0, where f = (1, 1) goes on.  So
@@ -368,7 +411,7 @@ def test_a_pointwise_larger_entry_ranking_can_accept_less():
     # entry rankings, interned in the order listed
     targets = C.successors(C.initial, 1)
     sub, f, f2, _ = targets
-    assert C.tags["parts"][0] == {C.initial, sub}
+    assert np.flatnonzero(~C.tags["final"]).tolist() == [C.initial, sub]
     assert C.successors(f2, 0) == ()
     assert C.successors(f, 0) != ()
     T, mark = reduction._successor_table(C.n_states, C.edges)

@@ -149,9 +149,9 @@ def test_collection_initial_round_trip():
     back = parse_hoa(text)
     assert back.tags == {"collection_initial": 0}
     assert emit_hoa(back) == text
-    # pinned: 58 states; without the header the complement pins nothing
-    assert complement_uca(back).n_states == 58
-    assert complement_uca(untagged(back)).n_states == 127
+    # pinned: 31 states; without the header the complement pins nothing
+    assert complement_uca(back).n_states == 31
+    assert complement_uca(untagged(back)).n_states == 87
     assert "collection-initial" not in emit_hoa(untagged(back))
 
 

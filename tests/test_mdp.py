@@ -273,7 +273,10 @@ def test_product_with_deterministic_automaton():
 
 def test_product_transition_soundness():
     M = free_letter_mdp()
-    C = infinitely_many_b_nba()
+    # eventually always b: state 1 has no move on a, so the product has
+    # states without an automaton move
+    C = Automaton("NBA", M.alphabet, 2, 0,
+                  {(0, 0): (0,), (0, 1): (0, 1), (1, 1): (1,)}, {(1, 1, 1)})
     P = product_with_nba(M, C)
     stuck = 0
     for src in range(P.n_states):
@@ -466,11 +469,21 @@ def test_solving_and_learning_build_no_dict_form_of_the_product(
 
     monkeypatch.setattr(MdpArrays, "of", classmethod(arrays_of))
     monkeypatch.setattr(odp, "product_with_nba", product)
-    value, sigma = solve_odp(build_biolab(), 0.99, 0.01)
+    D = build_biolab()
+    value, sigma = solve_odp(D, 0.99, 0.01)
     P = sigma.product
     sat, _ = strategy_value_check(P, sigma.inner, 0.99)
     assert value == LAB_D_STAR and sat == pytest.approx(1.0, abs=1e-9)
     lex_q_learn(P, episodes=2, steps=100)
+    # playing the strategy on the lab walks the product's rows as well
+    rng = random.Random(3)
+    memory, s = sigma.initial_memory(), D.initial
+    for _ in range(200):
+        act = sigma.choose(memory)
+        t = rng.choice([t for t, p in D.trans[(s, act)] if p > 0])
+        memory, s = sigma.advance(memory, t), t
+    with pytest.raises(ValueError, match="is not a successor"):
+        sigma.advance(memory, D.n_states)
     # the arrays of the promise MDP only; the product was built as arrays
     assert made == multiplied and made[0] is not P
     assert not {"trans", "rewards"} & set(vars(P))
