@@ -276,6 +276,8 @@ class Edges:
     def normalised(cls, letters, src, let, dst, acc):
         """Sort the edges and merge repeats; a merged edge is marked when any
         of its copies is."""
+        src, let, dst = (np.asarray(c, dtype=np.int64) for c in (src, let, dst))
+        acc = np.asarray(acc, dtype=bool)
         order = np.lexsort((dst, let, src))
         src, let, dst, acc = src[order], let[order], dst[order], acc[order]
         first = np.ones(len(src), dtype=bool)
@@ -300,10 +302,7 @@ class Edges:
                 let.append(li)
                 dst.append(t)
                 acc.append((q, a, t) in gamma)
-        return cls.normalised(letters, np.array(src, dtype=np.int64),
-                              np.array(let, dtype=np.int64),
-                              np.array(dst, dtype=np.int64),
-                              np.array(acc, dtype=bool))
+        return cls.normalised(letters, src, let, dst, acc)
 
     def __len__(self):
         return len(self.src)
@@ -334,9 +333,11 @@ class Automaton:
 
     The transitions can also be held as :class:`Edges` (``edges``); each form
     is built from the other on first use and kept.  The array constructions
-    (complement, reduction) make automata with :meth:`from_edges`, so their
-    dicts are only built if someone reads them.  Automata are shared, never
-    mutated.
+    (complement, reduction, HOA parsing) make automata with
+    :meth:`from_edges`, so their dicts are only built if someone reads them.
+    Automata are shared, never mutated: :meth:`reinterpret` and
+    :func:`instantiate` return copies that share the forms already built,
+    and whichever form a copy builds later is its own.
     """
 
     KINDS = ("NBA", "UCA", "DFA", "DBA")
@@ -415,15 +416,28 @@ class Automaton:
             for t in targets:
                 yield (q, a, t)
 
+    def _copy(self, kind, initial) -> "Automaton":
+        """Read as ``kind`` from ``initial``: a copy that shares the
+        transition forms built so far and builds no other."""
+        B = Automaton.from_edges(kind, self.alphabet, self.n_states, initial,
+                                 self._edges, self.tags)
+        B.final_states = self.final_states
+        for name in ("delta", "gamma"):
+            try:  # object.__getattribute__ does not fall back to __getattr__
+                setattr(B, name, object.__getattribute__(self, name))
+            except AttributeError:
+                pass
+        return B
+
     def reinterpret(self, kind) -> "Automaton":
         """Same structure read under a different acceptance semantics."""
-        return Automaton(kind, self.alphabet, self.n_states, self.initial,
-                         self.delta, self.gamma, self.final_states, self.tags,
-                         check=False)
+        return self._copy(kind, self.initial)
 
     def __repr__(self):
+        E = self._edges
+        n = len(E) if E is not None else sum(map(len, self.delta.values()))
         return (f"Automaton({self.kind}, states={self.n_states}, "
-                f"initial={self.initial}, transitions={sum(len(v) for v in self.delta.values())})")
+                f"initial={self.initial}, transitions={n})")
 
 
 def instantiate(schema: Automaton, q: int) -> Automaton:
@@ -432,9 +446,7 @@ def instantiate(schema: Automaton, q: int) -> Automaton:
         raise ValueError("automaton already has an initial state")
     if not (0 <= q < schema.n_states):
         raise ValueError(f"unknown state id {q}")
-    return Automaton(schema.kind, schema.alphabet, schema.n_states, q,
-                     schema.delta, schema.gamma, schema.final_states,
-                     schema.tags, check=False)
+    return schema._copy(schema.kind, q)
 
 
 def _strongly_connected_components(n_nodes, succ):
@@ -492,8 +504,9 @@ def _strongly_connected_components(n_nodes, succ):
 
 
 def lasso_member_nba(A: Automaton, w: LassoWord) -> bool:
-    """Does some run of the NBA/DBA on ``prefix . cycle^omega`` visit an
-    accepting transition infinitely often?"""
+    """Does some run of ``A`` on ``prefix . cycle^omega`` visit a marked
+    transition infinitely often?  ``A.kind`` is not read: the marks count as
+    accepting."""
     if A.is_schema:
         raise ValueError("schema has no initial state")
     current = {A.initial}
@@ -531,7 +544,7 @@ def lasso_member_nba(A: Automaton, w: LassoWord) -> bool:
 
 def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
     """A UCA accepts iff no run visits a rejecting transition infinitely often."""
-    return not lasso_member_nba(A.reinterpret("NBA"), w)
+    return not lasso_member_nba(A, w)
 
 
 def _graph(n, src, dst, roots=None):
@@ -719,37 +732,3 @@ def is_strongly_limit_deterministic(A: Automaton):
     flag, in1 = _first_phase(A)
     q1 = set(np.flatnonzero(in1).tolist())
     return flag, (q1, set(range(A.n_states)) - q1)
-
-
-def canonical_order(A: Automaton) -> list:
-    """BFS renumbering from the initial state, letters in canonical order.
-
-    Unreachable states follow in original id order.
-    """
-    if A.is_schema:
-        return list(range(A.n_states))
-    letters = A.alphabet.letters()
-    found = Explorer(A.initial, what="renumbering")
-    for _, q in found:
-        for a in letters:
-            for t in A.successors(q, a):
-                found.intern(t)
-    return found.keys + [q for q in range(A.n_states) if q not in found.ids]
-
-
-def renumber(A: Automaton, order) -> Automaton:
-    """Relabel states so that ``order[i]`` becomes state ``i``."""
-    old_to_new = {old: new for new, old in enumerate(order)}
-    delta = {}
-    for (q, a), targets in A.delta.items():
-        delta[(old_to_new[q], a)] = tuple(sorted(old_to_new[t] for t in targets))
-    gamma = {(old_to_new[q], a, old_to_new[t]) for (q, a, t) in A.gamma}
-    finals = {old_to_new[q] for q in A.final_states}
-    initial = None if A.initial is None else old_to_new[A.initial]
-    tags = dict(A.tags)
-    if "collection_initial" in tags:
-        tags["collection_initial"] = old_to_new[tags["collection_initial"]]
-    if "final" in tags:
-        tags["final"] = tags["final"][np.asarray(order, dtype=np.int64)]
-    return Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,
-                     finals, tags, check=False)

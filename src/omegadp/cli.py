@@ -46,7 +46,7 @@ from .mdp import (
     strategy_to_json,
     strategy_value_check,
 )
-from .odp import odp_from_json, remove_lookahead, remove_lookback, solve_odp
+from .odp import compile_product, odp_from_json, solve_odp
 from .qlearn import lex_q_learn, policy_arrows, render_policy
 from .reduction import batch_reduce
 from .streett import determinize_uca, streett_mdp_max_prob
@@ -168,9 +168,7 @@ def cmd_learn(args):
     train = {k: config[k] for k in train_keys if k in config}
     train.setdefault("episodes", 80_000)
     lam = train.get("lam", 0.99)
-    compiled = remove_lookback(D)
-    M, N = remove_lookahead(compiled)
-    P = product_with_nba(M, N)
+    P, odp_state_of = compile_product(D)
     _, strategy = lex_q_learn(P, seed=args.seed, **train)
     _write_text(args.output, strategy_to_json(strategy))
     sat, disc = strategy_value_check(P, strategy, lam)
@@ -179,7 +177,7 @@ def cmd_learn(args):
                       "episodes": train["episodes"]}, indent=2))
     if not args.no_render:
         def cell_of(x):
-            key = D.keys[compiled.pairs[M.pairs[P.pairs[x][0]][0]][0]]
+            key = D.keys[odp_state_of[x]]
             return None if key == "wreck" else key[0]
         choices = {s: a for (s, _), a in strategy.second.choices.items()}
         print(render_policy(grid, policy_arrows(P, choices, cell_of)))

@@ -6,6 +6,11 @@ marking all outgoing transitions of accepting states).  Edge labels are
 boolean expressions over AP indices (``!``, ``&``, ``|``, ``t``, ``f``,
 parentheses) and are expanded to explicit letters at parse time.
 
+Both directions work on the edge arrays (``Automaton.edges``) and build no
+``delta``/``gamma`` dicts: ``parse_hoa`` makes its automaton with
+``from_edges``, marking a repeated edge when any copy is marked, and
+``emit_hoa`` numbers the states breadth-first over ``A.edges``.
+
 Promise alphabets are encoded with auxiliary atomic propositions named
 ``_prm0``, ``_prm1``, ... holding the index of the promise in the declared
 vocabulary in binary (least significant bit first), plus a ``promise-vocab:``
@@ -19,8 +24,9 @@ written as a ``collection-initial:`` header.
 The scanner skips blanks and ``/* comments */`` and reads a token as a quoted
 string, one of ``[]{}()!&|``, or a run of any other characters up to a blank
 or a ``/*``, so a comment may stand between any two tokens.  Every error
-found in the text, a malformed number included, is a ``HoaError`` naming its
-line and column.
+found at a place in the text is a ``HoaError`` naming its line and column:
+a malformed number, and a ``Start:`` or a state id beyond the ``States:``
+count, included.
 """
 
 from __future__ import annotations
@@ -28,8 +34,10 @@ from __future__ import annotations
 import json
 import re
 
-from .automata import TOP, Alphabet, Automaton, canonical_order, \
-    promise_sort_key, renumber
+import numpy as np
+
+from .automata import TOP, Alphabet, Automaton, Edges, Explorer, \
+    promise_sort_key
 
 MAX_AP = 16
 
@@ -55,11 +63,11 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def error(self, message):
-        """A HoaError located at ``pos``."""
-        line = self.text.count("\n", 0, self.pos) + 1
-        return HoaError(message, line,
-                        self.pos - self.text.rfind("\n", 0, self.pos))
+    def error(self, message, pos=None):
+        """A HoaError located at ``pos``, by default the scanner's."""
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        return HoaError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def peek(self):
         self.pos = _BLANK.match(self.text, self.pos).end()
@@ -85,11 +93,11 @@ class _Scanner:
             raise self.error(f"expected {tok!r}, got {got!r}")
 
     def integer(self):
+        """A nonnegative decimal number."""
         tok = self.next()
-        try:
-            return int(tok)
-        except ValueError:
-            raise self.error(f"expected a number, got {tok!r}") from None
+        if not (tok.isascii() and tok.isdigit()):
+            raise self.error(f"expected a number, got {tok!r}")
+        return int(tok)
 
     def rest_of_line(self):
         """Raw text up to the next newline (for headers holding JSON)."""
@@ -209,7 +217,7 @@ def _vocab_from_json(items):
 def parse_hoa(text: str) -> Automaton:
     tz = _Scanner(text)
     n_states = None
-    start = 0
+    start, start_at = 0, 0
     ap_names = []
     acceptance = None
     acc_name = None
@@ -233,7 +241,7 @@ def parse_hoa(text: str) -> Automaton:
         if tok == "States:":
             n_states = tz.integer()
         elif tok == "Start:":
-            start = tz.integer()
+            start, start_at = tz.integer(), tz.pos
         elif tok == "AP:":
             n_ap = tz.integer()
             ap_names = []
@@ -264,15 +272,12 @@ def parse_hoa(text: str) -> Automaton:
         raise HoaError("missing Acceptance: header")
     n_sets, formula = acceptance
     formula = formula.replace(" ", "")
-    if n_sets == 1 and formula == "Inf(0)":
-        kind = "NBA"
-    elif n_sets == 1 and formula == "Fin(0)":
-        kind = "UCA"
-    elif n_sets == 0 and formula in ("t",):
-        kind = "NBA_ALL"  # every run accepting
-    else:
+    # "0 t" makes every run accepting: an NBA with every edge marked
+    kind = {(1, "Inf(0)"): "NBA", (1, "Fin(0)"): "UCA",
+            (0, "t"): "NBA"}.get((n_sets, formula))
+    if kind is None:
         raise HoaError(f"unsupported acceptance condition {formula!r} with {n_sets} sets")
-    if acc_name == "co-Buchi" and kind == "NBA":
+    if acc_name == "co-Buchi" and formula == "Inf(0)":
         raise HoaError("acc-name co-Buchi conflicts with Inf acceptance")
 
     promises = None
@@ -282,19 +287,14 @@ def parse_hoa(text: str) -> Automaton:
     n_base_ap = len(ap_names)
     n_all_ap = n_base_ap + n_prm_bits
 
-    def decode_letters(raw_letters):
-        """Map raw bit patterns over all APs to alphabet letters."""
+    def letter_of(raw):
+        """The letter of a bit pattern over all APs; None beyond the
+        promise vocabulary."""
         if promises is None:
-            return list(raw_letters)
-        out = []
-        base_mask = (1 << n_base_ap) - 1
-        for raw in raw_letters:
-            base = raw & base_mask
-            idx = raw >> n_base_ap
-            if idx >= len(promises):
-                continue  # bit patterns beyond the vocabulary are unused
-            out.append((base, promises[idx]))
-        return out
+            return raw
+        idx = raw >> n_base_ap
+        if idx < len(promises):
+            return raw & ((1 << n_base_ap) - 1), promises[idx]
 
     subset = None
     if subset_json is not None:
@@ -302,32 +302,22 @@ def parse_hoa(text: str) -> Automaton:
         if not (isinstance(raw, list)
                 and all(type(x) is int and x >= 0 for x in raw)):
             raise HoaError("letter-subset must be a list of bit patterns")
-        subset = set(decode_letters(raw))
-        if len(subset) != len(set(raw)):
+        subset = set(map(letter_of, raw))
+        if None in subset:
             raise HoaError("letter-subset names a bit pattern beyond the "
                            "promise vocabulary")
     try:
         alphabet = Alphabet(tuple(ap_names), promises, subset)
     except ValueError as exc:
         raise HoaError(str(exc)) from None
+    letters = alphabet.letters()
+    # letters outside a letter subset have no index, so their edges drop out
+    index = {a: i for i, a in enumerate(letters)}
 
-    delta = {}
-    gamma = set()
-    seen_states = set()
+    # one entry per letter that an edge line reads
+    src, let, dst, acc = [], [], [], []
     current = None
-    state_acc = {}
-
-    def add_edge(src, letters, target, marked):
-        for a in letters:
-            if subset is not None and a not in subset:
-                continue
-            key = (src, a)
-            cur = delta.get(key, ())
-            if target not in cur:
-                delta[key] = cur + (target,)
-            if marked:
-                gamma.add((src, a, target))
-
+    top, top_at = -1, 0  # the largest state id in the body and where it ends
     while True:
         tok = tz.peek()
         if tok is None or tok == "--END--":
@@ -336,42 +326,45 @@ def parse_hoa(text: str) -> Automaton:
             break
         tok = tz.next()
         if tok == "State:":
-            label = None
             if tz.peek() == "[":
-                tz.next()
-                label = _parse_label_expr(tz, n_all_ap)
-                tz.expect("]")
+                raise tz.error("state labels are not supported")
             current = tz.integer()
-            seen_states.add(current)
+            if current > top:
+                top, top_at = current, tz.pos
             if tz.peek() is not None and tz.peek().startswith('"'):
                 tz.next()
-            state_acc[current] = _marked(tz)
-            if label is not None:
-                raise tz.error("state labels are not supported")
+            state_marked = _marked(tz)
         elif tok == "[":
             if current is None:
                 raise tz.error("edge before any State:")
-            letters = _parse_label_expr(tz, n_all_ap)
+            raw = _parse_label_expr(tz, n_all_ap)
             tz.expect("]")
             target = tz.integer()
-            marked = _marked(tz) or state_acc.get(current, False)
-            add_edge(current, decode_letters(letters), target, marked)
+            if target > top:
+                top, top_at = target, tz.pos
+            marked = _marked(tz) or state_marked or n_sets == 0
+            ids = [index[a] for a in map(letter_of, raw) if a in index]
+            let += ids
+            src += [current] * len(ids)
+            dst += [target] * len(ids)
+            acc += [marked] * len(ids)
         else:
             raise tz.error(f"unexpected body token {tok!r}")
 
+    # without a States: header, every state id in the body names a state
     if n_states is None:
-        n_states = (max(seen_states) + 1) if seen_states else 1
-    elif seen_states and max(seen_states) >= n_states:
-        raise HoaError("state id exceeds declared States: count")
-    if kind == "NBA_ALL":
-        kind = "NBA"
-        gamma = set((q, a, t) for (q, a), ts in delta.items() for t in ts)
+        n_states = max(top + 1, 1)
+    if top >= n_states:
+        raise tz.error(f"state {top} out of range", top_at)
+    if start >= n_states:
+        raise tz.error(f"initial state {start} out of range", start_at)
+    edges = Edges.normalised(letters, src, let, dst, acc)
     tags = {}
     if collection_initial is not None:
         if not 0 <= collection_initial < n_states:
             raise HoaError("collection-initial names no state")
         tags["collection_initial"] = collection_initial
-    return Automaton(kind, alphabet, n_states, start, delta, gamma, tags=tags)
+    return Automaton.from_edges(kind, alphabet, n_states, start, edges, tags)
 
 
 def _prm_width(n_promises):
@@ -401,47 +394,53 @@ def _expr_for_bits(bits, n_ap):
 
 
 def emit_hoa(A: Automaton, name=None) -> str:
-    """Canonical HOA v1 text: BFS state order, edges sorted by (letter, target)."""
+    """Canonical HOA v1 text: states numbered breadth-first from the initial
+    state, successors in (letter, target) order, unreached states last in
+    id order; each state's edges sorted by (letter bits, target)."""
     if A.kind not in ("NBA", "UCA"):
         raise ValueError(f"cannot emit automata of kind {A.kind}")
     if A.is_schema:
         raise ValueError("cannot emit a schema (no initial state)")
-    A = renumber(A, canonical_order(A))
+    e, n = A.edges, A.n_states
+    # the rows are sorted by (source, letter, target), so each state's
+    # slice lists its successors in the order the numbering visits them
+    first = np.searchsorted(e.src, np.arange(n + 1)).tolist()
+    succ = e.dst.tolist()
+    found = Explorer(A.initial, what="renumbering")
+    for _, q in found:
+        for t in succ[first[q]:first[q + 1]]:
+            found.intern(t)
+    order = found.keys + [q for q in range(n) if q not in found.ids]
+    new = np.empty(n, dtype=np.int64)
+    new[order] = np.arange(n)
     alphabet = A.alphabet
     vocab, codes = _letter_codes(alphabet)
     ap_list = list(alphabet.ap)
     if alphabet.promises is not None:
         ap_list += [f"_prm{i}" for i in range(_prm_width(len(vocab)))]
     n_all = len(ap_list)
-    lines = ["HOA: v1"]
-    if name:
-        lines.append(f'name: "{name}"')
-    lines.append(f"States: {A.n_states}")
-    lines.append(f"Start: {A.initial}")
-    lines.append("AP: {} {}".format(len(ap_list), " ".join(f'"{p}"' for p in ap_list)))
-    if A.kind == "NBA":
-        lines.append("acc-name: Buchi")
-        lines.append("Acceptance: 1 Inf(0)")
-    else:
-        lines.append("acc-name: co-Buchi")
-        lines.append("Acceptance: 1 Fin(0)")
+    lines = ["HOA: v1"] + ([f'name: "{name}"'] if name else []) + [
+        f"States: {n}", "Start: 0",
+        "AP: {} {}".format(len(ap_list), " ".join(f'"{p}"' for p in ap_list))]
+    lines += (["acc-name: Buchi", "Acceptance: 1 Inf(0)"] if A.kind == "NBA"
+              else ["acc-name: co-Buchi", "Acceptance: 1 Fin(0)"])
     if alphabet.promises is not None:
         lines.append(f"promise-vocab: {_vocab_to_json(vocab)}")
     if alphabet.subset is not None:
-        subset = sorted(codes.values())
-        lines.append(f"letter-subset: {json.dumps(subset)}")
+        lines.append(f"letter-subset: {json.dumps(sorted(codes.values()))}")
     if "collection_initial" in A.tags:
-        lines.append(f"collection-initial: {A.tags['collection_initial']}")
+        lines.append(f"collection-initial: {new[A.tags['collection_initial']]}")
     lines.append("--BODY--")
-    for q in range(A.n_states):
+    bits = list(codes.values())
+    labels = [f"[{_expr_for_bits(b, n_all)}] " for b in bits]
+    src, dst = new[e.src], new[e.dst]
+    by = np.lexsort((dst, np.array(bits)[e.let], src))
+    marks = ("", " {0}")
+    body = [labels[a] + str(t) + marks[m] for a, t, m in
+            zip(e.let[by].tolist(), dst[by].tolist(), e.acc[by].tolist())]
+    bounds = np.searchsorted(src[by], np.arange(n + 1)).tolist()
+    for q in range(n):
         lines.append(f"State: {q}")
-        edges = []
-        for a, bits in codes.items():
-            for t in A.successors(q, a):
-                marked = (q, a, t) in A.gamma
-                edges.append((bits, t, marked))
-        for bits, t, marked in sorted(edges):
-            suffix = " {0}" if marked else ""
-            lines.append(f"[{_expr_for_bits(bits, n_all)}] {t}{suffix}")
+        lines += body[bounds[q]:bounds[q + 1]]
     lines.append("--END--")
     return "\n".join(lines) + "\n"

@@ -225,6 +225,17 @@ class OdpStrategy:
         raise ValueError(f"state {next_state} is not a successor under {pa}")
 
 
+def compile_product(D: Odp):
+    """The product that solving ``D`` works on, and its states' ODP states."""
+    compiled = remove_lookback(D)
+    M, N = remove_lookahead(compiled)
+    P = product_with_nba(M, N)
+    odp_state_of = [M.pairs[m_id][0] for m_id, _ in P.pairs]
+    if compiled.pairs is not None:
+        odp_state_of = [compiled.pairs[s][0] for s in odp_state_of]
+    return P, odp_state_of
+
+
 def solve_odp(D: Odp, lam, eps):
     """Optimal discounted value among almost-surely promise-keeping
     strategies, with an eps-optimal strategy over the original process.
@@ -232,13 +243,8 @@ def solve_odp(D: Odp, lam, eps):
     Raises NoValidStrategy when no strategy keeps all promises almost
     surely, and CapacityError when a compilation budget is exceeded.
     """
-    compiled = remove_lookback(D)
-    M, N = remove_lookahead(compiled)
-    P = product_with_nba(M, N)
+    P, odp_state_of = compile_product(D)
     _, value, sigma = lexicographic_solve(P, lam, eps)
-    odp_state_of = [M.pairs[m_id][0] for m_id, _ in P.pairs]
-    if compiled.pairs is not None:
-        odp_state_of = [compiled.pairs[s][0] for s in odp_state_of]
     return value, OdpStrategy(P, sigma, odp_state_of)
 
 

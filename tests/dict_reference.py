@@ -1,15 +1,20 @@
 """Dict-based reference versions of the rank construction, the reduction
-stages, the Buchi intersection, the emptiness check and the MDP product:
-one ranking state, one letter, one edge, one pair of states or one row at a
-time, transitions in ``delta``/``gamma`` dicts and products as dicts of
-tuples.  The library's batched array versions must build exactly the same
-automata and products (``test_batched.py``)."""
+stages, the Buchi intersection, the emptiness check, the MDP product and the
+HOA reader and writer: one ranking state, one letter, one edge, one pair of
+states or one row at a time, transitions in ``delta``/``gamma`` dicts and
+products as dicts of tuples.  The library's batched array versions must
+build exactly the same automata and products (``test_batched.py``), and its
+HOA layer must read the same automata and write the same text
+(``test_hoa.py``)."""
 
+import json
 import time
 
 import numpy as np
 
+from omegadp import hoa
 from omegadp.automata import (
+    Alphabet,
     Automaton,
     Explorer,
     _strongly_connected_components,
@@ -734,3 +739,260 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     return Mdp(len(pairs), 0, actions, trans, alphabet=M.alphabet,
                labels=tuple(M.labels[s] for s, _ in pairs), rewards=rewards,
                check=False, pairs=pairs, acc=acc)
+
+
+# --- HOA, one dict entry at a time --------------------------------------------
+
+
+def canonical_order(A: Automaton) -> list:
+    """BFS renumbering from the initial state, letters in canonical order.
+
+    Unreachable states follow in original id order.
+    """
+    if A.is_schema:
+        return list(range(A.n_states))
+    letters = A.alphabet.letters()
+    found = Explorer(A.initial, what="renumbering")
+    for _, q in found:
+        for a in letters:
+            for t in A.successors(q, a):
+                found.intern(t)
+    return found.keys + [q for q in range(A.n_states) if q not in found.ids]
+
+
+def renumber(A: Automaton, order) -> Automaton:
+    """Relabel states so that ``order[i]`` becomes state ``i``."""
+    old_to_new = {old: new for new, old in enumerate(order)}
+    delta = {}
+    for (q, a), targets in A.delta.items():
+        delta[(old_to_new[q], a)] = tuple(sorted(old_to_new[t] for t in targets))
+    gamma = {(old_to_new[q], a, old_to_new[t]) for (q, a, t) in A.gamma}
+    finals = {old_to_new[q] for q in A.final_states}
+    initial = None if A.initial is None else old_to_new[A.initial]
+    tags = dict(A.tags)
+    if "collection_initial" in tags:
+        tags["collection_initial"] = old_to_new[tags["collection_initial"]]
+    if "final" in tags:
+        tags["final"] = tags["final"][np.asarray(order, dtype=np.int64)]
+    return Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,
+                     finals, tags, check=False)
+
+
+def parse_hoa(text: str) -> Automaton:
+    """HOA text to an automaton whose ``delta`` collects one edge at a
+    time."""
+    tz = hoa._Scanner(text)
+    n_states = None
+    start = 0
+    ap_names = []
+    acceptance = None
+    acc_name = None
+    vocab_json = None
+    subset_json = None
+    collection_initial = None
+    tok = tz.next()
+    if tok != "HOA:":
+        raise tz.error("missing HOA: header")
+    version = tz.next()
+    if version != "v1":
+        raise tz.error(f"unsupported HOA version {version!r}")
+    while True:
+        tok = tz.peek()
+        if tok is None:
+            raise tz.error("missing --BODY--")
+        if tok == "--BODY--":
+            tz.next()
+            break
+        tok = tz.next()
+        if tok == "States:":
+            n_states = tz.integer()
+        elif tok == "Start:":
+            start = tz.integer()
+        elif tok == "AP:":
+            n_ap = tz.integer()
+            ap_names = []
+            for _ in range(n_ap):
+                name = tz.next()
+                if not (name.startswith('"') and name.endswith('"')):
+                    raise tz.error("AP names must be quoted")
+                ap_names.append(name[1:-1])
+        elif tok == "Acceptance:":
+            n_sets = tz.integer()
+            acceptance = (n_sets, "".join(hoa._header_values(tz)))
+        elif tok == "acc-name:":
+            acc_name = tz.next()
+        elif tok == "promise-vocab:":
+            vocab_json = tz.rest_of_line()
+        elif tok == "letter-subset:":
+            subset_json = tz.rest_of_line()
+        elif tok == "collection-initial:":
+            collection_initial = tz.integer()
+        elif tok.endswith(":"):
+            hoa._header_values(tz)
+        else:
+            raise tz.error(f"unexpected header token {tok!r}")
+    if len(ap_names) > hoa.MAX_AP:
+        raise hoa.HoaError(f"{len(ap_names)} atomic propositions exceed "
+                           f"the cap of {hoa.MAX_AP}")
+    if acceptance is None:
+        raise hoa.HoaError("missing Acceptance: header")
+    n_sets, formula = acceptance
+    formula = formula.replace(" ", "")
+    if n_sets == 1 and formula == "Inf(0)":
+        kind = "NBA"
+    elif n_sets == 1 and formula == "Fin(0)":
+        kind = "UCA"
+    elif n_sets == 0 and formula in ("t",):
+        kind = "NBA_ALL"  # every run accepting
+    else:
+        raise hoa.HoaError(f"unsupported acceptance condition {formula!r} "
+                           f"with {n_sets} sets")
+    if acc_name == "co-Buchi" and kind == "NBA":
+        raise hoa.HoaError("acc-name co-Buchi conflicts with Inf acceptance")
+
+    promises = None
+    n_prm_bits = 0
+    if vocab_json is not None:
+        ap_names, promises, n_prm_bits = hoa._decode_promise_aps(ap_names,
+                                                                 vocab_json)
+    n_base_ap = len(ap_names)
+    n_all_ap = n_base_ap + n_prm_bits
+
+    def decode_letters(raw_letters):
+        """Map raw bit patterns over all APs to alphabet letters."""
+        if promises is None:
+            return list(raw_letters)
+        out = []
+        base_mask = (1 << n_base_ap) - 1
+        for raw in raw_letters:
+            base = raw & base_mask
+            idx = raw >> n_base_ap
+            if idx >= len(promises):
+                continue  # bit patterns beyond the vocabulary are unused
+            out.append((base, promises[idx]))
+        return out
+
+    subset = None
+    if subset_json is not None:
+        raw = json.loads(subset_json)
+        if not (isinstance(raw, list)
+                and all(type(x) is int and x >= 0 for x in raw)):
+            raise hoa.HoaError("letter-subset must be a list of bit patterns")
+        subset = set(decode_letters(raw))
+        if len(subset) != len(set(raw)):
+            raise hoa.HoaError("letter-subset names a bit pattern beyond "
+                               "the promise vocabulary")
+    try:
+        alphabet = Alphabet(tuple(ap_names), promises, subset)
+    except ValueError as exc:
+        raise hoa.HoaError(str(exc)) from None
+
+    delta = {}
+    gamma = set()
+    seen_states = set()
+    current = None
+    state_acc = {}
+
+    def add_edge(src, letters, target, marked):
+        for a in letters:
+            if subset is not None and a not in subset:
+                continue
+            key = (src, a)
+            cur = delta.get(key, ())
+            if target not in cur:
+                delta[key] = cur + (target,)
+            if marked:
+                gamma.add((src, a, target))
+
+    while True:
+        tok = tz.peek()
+        if tok is None or tok == "--END--":
+            if tok == "--END--":
+                tz.next()
+            break
+        tok = tz.next()
+        if tok == "State:":
+            label = None
+            if tz.peek() == "[":
+                tz.next()
+                label = hoa._parse_label_expr(tz, n_all_ap)
+                tz.expect("]")
+            current = tz.integer()
+            seen_states.add(current)
+            if tz.peek() is not None and tz.peek().startswith('"'):
+                tz.next()
+            state_acc[current] = hoa._marked(tz)
+            if label is not None:
+                raise tz.error("state labels are not supported")
+        elif tok == "[":
+            if current is None:
+                raise tz.error("edge before any State:")
+            letters = hoa._parse_label_expr(tz, n_all_ap)
+            tz.expect("]")
+            target = tz.integer()
+            marked = hoa._marked(tz) or state_acc.get(current, False)
+            add_edge(current, decode_letters(letters), target, marked)
+        else:
+            raise tz.error(f"unexpected body token {tok!r}")
+
+    if n_states is None:
+        n_states = (max(seen_states) + 1) if seen_states else 1
+    elif seen_states and max(seen_states) >= n_states:
+        raise hoa.HoaError("state id exceeds declared States: count")
+    if kind == "NBA_ALL":
+        kind = "NBA"
+        gamma = set((q, a, t) for (q, a), ts in delta.items() for t in ts)
+    tags = {}
+    if collection_initial is not None:
+        if not 0 <= collection_initial < n_states:
+            raise hoa.HoaError("collection-initial names no state")
+        tags["collection_initial"] = collection_initial
+    return Automaton(kind, alphabet, n_states, start, delta, gamma, tags=tags)
+
+
+def emit_hoa(A: Automaton, name=None) -> str:
+    """Canonical HOA v1 text, written from ``renumber(A, canonical_order(A))``
+    one ``successors`` call at a time."""
+    if A.kind not in ("NBA", "UCA"):
+        raise ValueError(f"cannot emit automata of kind {A.kind}")
+    if A.is_schema:
+        raise ValueError("cannot emit a schema (no initial state)")
+    A = renumber(A, canonical_order(A))
+    alphabet = A.alphabet
+    vocab, codes = hoa._letter_codes(alphabet)
+    ap_list = list(alphabet.ap)
+    if alphabet.promises is not None:
+        ap_list += [f"_prm{i}" for i in range(hoa._prm_width(len(vocab)))]
+    n_all = len(ap_list)
+    lines = ["HOA: v1"]
+    if name:
+        lines.append(f'name: "{name}"')
+    lines.append(f"States: {A.n_states}")
+    lines.append(f"Start: {A.initial}")
+    lines.append("AP: {} {}".format(len(ap_list), " ".join(f'"{p}"' for p in ap_list)))
+    if A.kind == "NBA":
+        lines.append("acc-name: Buchi")
+        lines.append("Acceptance: 1 Inf(0)")
+    else:
+        lines.append("acc-name: co-Buchi")
+        lines.append("Acceptance: 1 Fin(0)")
+    if alphabet.promises is not None:
+        lines.append(f"promise-vocab: {hoa._vocab_to_json(vocab)}")
+    if alphabet.subset is not None:
+        subset = sorted(codes.values())
+        lines.append(f"letter-subset: {json.dumps(subset)}")
+    if "collection_initial" in A.tags:
+        lines.append(f"collection-initial: {A.tags['collection_initial']}")
+    lines.append("--BODY--")
+    for q in range(A.n_states):
+        lines.append(f"State: {q}")
+        edges = []
+        for a, bits in codes.items():
+            for t in A.successors(q, a):
+                marked = (q, a, t) in A.gamma
+                edges.append((bits, t, marked))
+        for bits, t, marked in sorted(edges):
+            suffix = " {0}" if marked else ""
+            lines.append(f"[{hoa._expr_for_bits(bits, n_all)}] {t}{suffix}")
+    lines.append("--END--")
+    return "\n".join(lines) + "\n"

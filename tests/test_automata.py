@@ -10,7 +10,6 @@ from omegadp.automata import (
     Alphabet,
     Automaton,
     LassoWord,
-    canonical_order,
     check_time,
     instantiate,
     intersect_nba,
@@ -20,11 +19,10 @@ from omegadp.automata import (
     lasso_member_uca,
     letter_sort_key,
     nonempty_states,
-    renumber,
     time_limit,
 )
 from omegadp.complement import complement_uca
-from omegadp.hoa import parse_hoa
+from omegadp.hoa import emit_hoa, parse_hoa
 from omegadp.reduction import run_pipeline
 from conftest import all_lassos, random_nba, random_uca
 
@@ -183,10 +181,12 @@ def test_schema_instantiation():
 
 
 def test_renumber_preserves_language(rng):
+    # emit_hoa numbers the states breadth-first from the initial state
     lassos = all_lassos(2, 2, 2)
     for _ in range(10):
         A = random_nba(rng, rng.randint(2, 4))
-        B = renumber(A, canonical_order(A))
+        B = parse_hoa(emit_hoa(A))
+        assert B.initial == 0 and B.n_states == A.n_states
         for w in lassos:
             assert lasso_member_nba(A, w) == lasso_member_nba(B, w)
 

@@ -1,14 +1,34 @@
 import random
+from pathlib import Path
 
 import pytest
 
+import dict_reference as ref
+from omegadp import automata
 from omegadp.automata import TOP, Alphabet, Automaton, LassoWord, \
-    canonical_order, lasso_member_nba, renumber
+    instantiate, lasso_member_nba
 from omegadp.complement import complement_uca
 from omegadp.hoa import HoaError, emit_hoa, parse_hoa
 from omegadp.odp import remove_lookahead
-from conftest import all_lassos, example2_odp, random_nba, untagged
+from omegadp.reduction import run_pipeline
+from conftest import all_lassos, example2_odp, random_nba, random_uca, \
+    untagged
 from test_acceptance import random_collection
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def parsed(A):
+    return (A.kind, A.n_states, A.initial, A.alphabet, A.delta, A.gamma,
+            A.tags)
+
+
+def assert_as_reference(A, name=None):
+    """``A`` is written as the dict reference writes it, and the text reads
+    back as the reference reads it."""
+    text = emit_hoa(A, name)
+    assert text == ref.emit_hoa(A, name)
+    assert parsed(parse_hoa(text)) == parsed(ref.parse_hoa(text))
 
 
 def test_round_trip_random(rng):
@@ -60,7 +80,7 @@ def test_round_trip_letter_subset():
     B = parse_hoa(text)
     assert B.alphabet == N.alphabet
     assert B.alphabet.letters() == N.alphabet.letters()
-    C = renumber(N, canonical_order(N))
+    C = ref.renumber(N, ref.canonical_order(N))
     assert B.n_states == C.n_states and B.initial == C.initial
     assert B.delta == C.delta
     assert B.gamma == C.gamma
@@ -202,8 +222,130 @@ State: 1
      "got 'two'"),
     ('HOA: v1\nAP: 1 "a"\nAcceptance: 1 Inf(0)\n--BODY--\nState: 0\n'
      '[0] 0 {z}\n', "line 6, column 9: expected a number, got 'z'"),
+    ("HOA: v1\nStates: 2\nStart: 5\nAcceptance: 1 Inf(0)\n--BODY--\n",
+     "line 3, column 9: initial state 5 out of range"),
+    ('HOA: v1\nStates: 1\nAP: 1 "a"\nAcceptance: 1 Inf(0)\n--BODY--\n'
+     'State: 0\n[0] 3\n', "line 7, column 6: state 3 out of range"),
 ])
 def test_scanner_errors_carry_line_and_column(text, message):
     with pytest.raises(HoaError) as exc:
         parse_hoa(text)
     assert str(exc.value) == message
+
+
+def test_emission_and_parsing_match_the_dict_reference():
+    for path in sorted(FIXTURES.glob("*.hoa")):
+        text = path.read_text()
+        A = parse_hoa(text)
+        assert parsed(A) == parsed(ref.parse_hoa(text))
+        for B in (A, run_pipeline(A)[0]):
+            assert_as_reference(B, path.stem)
+    rng = random.Random(21)
+    for _ in range(300):
+        n, n_ap = rng.randint(1, 4), rng.randint(1, 2)
+        U = random_uca(rng, n, n_ap)
+        for B in (U, random_nba(rng, n, n_ap), complement_uca(U)):
+            assert_as_reference(B)
+    for _ in range(60):
+        C = random_collection(rng)
+        assert C.alphabet.promises is not None
+        assert "collection_initial" in C.tags
+        assert_as_reference(C)
+        assert_as_reference(complement_uca(C))
+    _, N = remove_lookahead(example2_odp())
+    assert N.alphabet.subset is not None
+    assert_as_reference(N)
+
+
+# a vocabulary out of canonical order, a bit pattern beyond it, and a
+# letter subset
+PROMISED = """HOA: v1
+States: 2
+Start: 0
+AP: 3 "a" "_prm0" "_prm1"
+Acceptance: 1 Inf(0)
+promise-vocab: [{"state": 1}, {"top": true}, {"states": [0, 2]}]
+letter-subset: [0, 3, 5]
+--BODY--
+State: 0
+[t] 1 {0}
+[!1 & !2] 0
+State: 1
+[0] 1
+[2] 0 {0}
+--END--
+"""
+
+
+@pytest.mark.parametrize("text", [
+    # the same edge twice, marked in one copy only
+    """HOA: v1
+States: 2
+Start: 1
+AP: 2 "a" "b"
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0
+[0] 1
+[0 & 1] 1 {0}
+[t] 0
+[t] 0
+State: 1
+[!0] 0 {0}
+[!0 | 1] 0
+--END--
+""",
+    # state-based marks under co-Buchi acceptance, and a state without edges
+    """HOA: v1
+States: 4
+Start: 0
+AP: 1 "a"
+acc-name: co-Buchi
+Acceptance: 1 Fin(0)
+--BODY--
+State: 0 {0}
+[0] 1
+[!0] 2
+State: 1 "named"
+[t] 1
+State: 2 {0}
+[0] 0 {0}
+[0] 0
+--END--
+""",
+    # every edge accepting, states counted from the body
+    """HOA: v1
+AP: 1 "a"
+Acceptance: 0 t
+--BODY--
+State: 0
+[0] 1
+State: 1
+[t] 0
+[t] 1
+--END--
+""",
+    PROMISED,
+    PROMISED.replace("letter-subset: [0, 3, 5]\n", ""),
+])
+def test_parse_matches_the_dict_reference(text):
+    assert parsed(parse_hoa(text)) == parsed(ref.parse_hoa(text))
+
+
+def test_file_to_file_builds_no_dict_automaton(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a dict form was built")
+
+    monkeypatch.setattr(automata.Edges, "to_dicts", refuse)
+    A = parse_hoa((FIXTURES / "reduce_05.hoa").read_text())
+    R, _ = run_pipeline(A)
+    text = emit_hoa(R)
+    schema = Automaton.from_edges("UCA", A.alphabet, A.n_states, None,
+                                  A.edges)
+    copies = (A.reinterpret("UCA"), instantiate(schema, 1))
+    for B in (A, R, parse_hoa(text)) + copies:
+        assert "transitions=" in repr(B)
+        for name in ("delta", "gamma"):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(B, name)
+    assert all(B.edges is A.edges for B in copies)
