@@ -16,7 +16,9 @@ components, reachability and emptiness are computed on edge arrays by
 the reduction stages, the end component decomposition of ``mdp`` and the
 checks here all call them; scipy is imported inside them, because loading it
 costs more than importing the rest of the library.  Explorations that
-number states one key at a time use ``Explorer``.  ``lasso_member_nba`` keeps
+number states one key at a time use ``Explorer``; those that number a batch
+of keys at once (the complement's rank rows, ``intersect_nba`` and
+``mdp.product_with_nba``) use ``Interner``.  ``lasso_member_nba`` keeps
 a Python Tarjan of its own: it is the membership oracle the array
 constructions are tested against, so it shares no code with them.
 """
@@ -27,6 +29,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -135,6 +138,134 @@ class Explorer:
 
     def __len__(self):
         return len(self.keys)
+
+
+# rows of one batch that Interner probes together
+_PROBE = 8192
+_FREE = np.int64(np.iinfo(np.int64).max)  # an empty slot of an Interner
+
+
+def _reserved(a, size):
+    """``a``, or a copy of it at least twice as long when it is shorter
+    than ``size``; the part past ``len(a)`` is uninitialised."""
+    if len(a) >= size:
+        return a
+    grown = np.empty((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    grown[:len(a)] = a
+    return grown
+
+
+@lru_cache(maxsize=64)
+def _multipliers(width):
+    """``width`` random odd 64-bit multipliers, the same in every run."""
+    mult = np.random.default_rng(0x5EED).integers(
+        0, 1 << 64, size=width, dtype=np.uint64) | np.uint64(1)
+    mult.flags.writeable = False
+    return mult
+
+
+class Interner:
+    """Ids for the rows of integer tables: a row seen for the first time
+    gets the next free id, in order of first appearance, and the same id
+    ever after, as :class:`Explorer` would give them one row at a time.
+
+    ``rows[i]`` is the row of id ``i < len(self)``.  The index is an
+    open-addressing table of int64 ids with linear probing, at most half
+    full.  A row's first slot is the top bits of its 64-bit hash: the
+    wrapped sum of its entries times random odd multipliers (``mult``, from
+    a fixed seed).  A batch is probed in slices of at most ``_PROBE`` rows,
+    each slice in a few numpy steps per probe.  A probe stops only at a
+    slot whose stored row equals the row, so a hash collision never merges
+    two rows.
+    """
+
+    __slots__ = ("rows", "mult", "table", "shift", "n")
+
+    def __init__(self, width, dtype):
+        self.rows = np.empty((1024, width), dtype=dtype)
+        self.mult = _multipliers(width)
+        # a small exploration's rows then mostly find their row, or a free
+        # slot, at the first probe
+        self.table = np.full(1 << 14, _FREE, dtype=np.int64)
+        self.shift = np.uint64(64 - 14)
+        self.n = 0
+
+    def __len__(self):
+        return self.n
+
+    def ids(self, table):
+        """The ids of the rows of the 2-d array ``table``."""
+        if len(table) <= _PROBE:
+            return self._slice(table)
+        return np.concatenate([self._slice(table[lo:lo + _PROBE])
+                               for lo in range(0, len(table), _PROBE)])
+
+    def _slice(self, keys):
+        """The ids of the rows ``keys``, at most ``_PROBE`` of them."""
+        n, k = self.n, len(keys)
+        if not k:
+            return np.empty(0, dtype=np.int64)
+        if n + k > len(self.rows):
+            self.rows = _reserved(self.rows, n + k)
+        if 2 * (n + k) > len(self.table):
+            self._rehash(2 * (n + k))
+        # the slice's rows take the ids n .. n+k-1 while they probe
+        self.rows[n:n + k] = keys
+        mine = np.arange(n, n + k)
+        got, where = self._probe(mine, self._slots(keys), keys)
+        new = got == mine
+        fresh = int(np.count_nonzero(new))
+        if 0 < fresh < k:
+            # the rows that found themselves are new: number them densely,
+            # in order, and move their rows down
+            number = np.cumsum(new) + (n - 1)
+            later = got >= n
+            got[later] = number[got[later] - n]
+            self.table[where[new]] = number[new]
+            self.rows[n:n + fresh] = self.rows[mine[new]]
+        self.n = n + fresh
+        return got
+
+    def _slots(self, keys):
+        """The first slot of each row of ``keys``."""
+        return ((keys.astype(np.uint64) @ self.mult) >> self.shift) \
+            .astype(np.intp)
+
+    def _probe(self, ids, at, keys):
+        """Probe for the rows ``keys``, stored as ``ids``, from the slots
+        ``at``: a row whose slot is free claims it, the lowest id first,
+        and a row stops at the first slot that holds an equal row, its own
+        claim included.  Returns that slot's id and the slot, per row."""
+        table, rows = self.table, self.rows
+        rounds = []  # per round: the ids met, the slots, the rows that go on
+        while True:
+            occ = table[at]
+            free = occ == _FREE
+            if np.count_nonzero(free):
+                np.minimum.at(table, at[free], ids[free])
+                occ = table[at]
+            on = (rows[occ] != keys).any(axis=1)
+            if not np.count_nonzero(on):
+                break
+            rounds.append((occ, at, on))
+            ids, keys = ids[on], keys[on]
+            at = (at[on] + 1) & (len(table) - 1)
+        for prev, prev_at, on in reversed(rounds):
+            prev[on], prev_at[on] = occ, at
+            occ, at = prev, prev_at
+        return occ, at
+
+    def _rehash(self, size):
+        """A table of at least ``size`` slots, the stored ids placed anew,
+        a slice at a time."""
+        bits = (size - 1).bit_length()
+        self.table = None  # freed before the new one is allocated
+        self.table = np.full(1 << bits, _FREE, dtype=np.int64)
+        self.shift = np.uint64(64 - bits)
+        for lo in range(0, self.n, _PROBE):
+            hi = min(self.n, lo + _PROBE)
+            keys = self.rows[lo:hi]
+            self._probe(np.arange(lo, hi), self._slots(keys), keys)
 
 
 def promise_sort_key(p):
@@ -261,22 +392,26 @@ class Edges:
     """Transitions as parallel arrays, sorted by (source, letter, target)
     without repeats: edge ``k`` reads ``letters[let[k]]`` from ``src[k]`` to
     ``dst[k]`` and is marked when ``acc[k]``.  ``letters`` is the alphabet
-    in canonical order."""
+    in canonical order.
+
+    ``src``, ``let`` and ``dst`` are int32.  A key composed of two of them,
+    such as ``src * n + dst``, can pass 2**31, so it is formed in int64."""
 
     __slots__ = ("letters", "src", "let", "dst", "acc")
 
     def __init__(self, letters, src, let, dst, acc):
         self.letters = letters
-        self.src = np.asarray(src, dtype=np.int64)
-        self.let = np.asarray(let, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
+        self.src = np.asarray(src, dtype=np.int32)
+        self.let = np.asarray(let, dtype=np.int32)
+        self.dst = np.asarray(dst, dtype=np.int32)
         self.acc = np.asarray(acc, dtype=bool)
 
     @classmethod
     def normalised(cls, letters, src, let, dst, acc):
         """Sort the edges and merge repeats; a merged edge is marked when any
         of its copies is."""
-        src, let, dst = (np.asarray(c, dtype=np.int64) for c in (src, let, dst))
+        src, let, dst = (np.asarray(c, dtype=np.int32)
+                         for c in (src, let, dst))
         acc = np.asarray(acc, dtype=bool)
         order = np.lexsort((dst, let, src))
         src, let, dst, acc = src[order], let[order], dst[order], acc[order]
@@ -559,7 +694,7 @@ def _graph(n, src, dst, roots=None):
     size = n if roots is None else n + 1
     m = len(src)
     keys = np.empty(m + (0 if roots is None else len(roots)), dtype=np.int64)
-    np.multiply(src, size, out=keys[:m])
+    np.multiply(src, size, out=keys[:m], dtype=np.int64)
     keys[:m] += dst
     if roots is not None:
         keys[m:] = roots
@@ -624,26 +759,17 @@ _BATCH = 4096
 def _letter_groups(e: Edges, n_states):
     """First edge and edge count of every (state, letter) group of ``e``,
     indexed by ``state * len(letters) + letter``."""
-    counts = np.bincount(e.src * len(e.letters) + e.let,
+    counts = np.bincount(e.src.astype(np.int64) * len(e.letters) + e.let,
                          minlength=n_states * len(e.letters))
     return np.cumsum(counts) - counts, counts
 
 
-def _intern_batch(ids, keys):
-    """The ids of the int ``keys`` in ``ids`` (key to id), where a key seen
-    for the first time gets the next free id in order of first appearance,
-    as :class:`Explorer` would give them one at a time; also the new keys,
-    in id order."""
-    uniq, first, inverse = np.unique(keys, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first)
-    seen = uniq[order]
-    before = len(ids)
-    got = np.array([ids.setdefault(k, len(ids)) for k in seen.tolist()],
-                   dtype=np.int64)
-    uid = np.empty(len(uniq), dtype=np.int64)
-    uid[order] = got
-    return uid[inverse], seen[got >= before]
+def _intern_batch(index: Interner, keys):
+    """The ids of the int ``keys`` in ``index``, a one-column
+    :class:`Interner`; also the new keys, in id order."""
+    before = len(index)
+    ids = index.ids(keys[:, None])
+    return ids, index.rows[before:len(index), 0].copy()
 
 
 def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
@@ -666,9 +792,10 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
     L, nb = len(ea.letters), B.n_states
     a_first, a_count = _letter_groups(ea, A.n_states)
     b_first, b_count = _letter_groups(eb, nb)
-    start = (A.initial * nb + B.initial) * 2  # key of (p, q, flag)
-    ids = {start: 0}
-    pending = np.array([start], dtype=np.int64)
+    # keys of the triples (p, q, flag), numbered from the start triple's
+    ids = Interner(1, np.int64)
+    start = (A.initial * nb + B.initial) * 2
+    pending = _intern_batch(ids, np.array([start]))[1]
     parts = []
     done = 0
     while len(pending):
@@ -690,7 +817,8 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
         # mark of B
         risen = (batch[group // L] % 2 == 1) | ea.acc[ka]
         mark = risen & eb.acc[kb]
-        keys = (ea.dst[ka] * nb + eb.dst[kb]) * 2 + (risen & ~eb.acc[kb])
+        keys = (ea.dst[ka].astype(np.int64) * nb + eb.dst[kb]) * 2 \
+            + (risen & ~eb.acc[kb])
         dst, new = _intern_batch(ids, keys)
         pending = np.concatenate([pending, new])
         parts.append((done + group // L, group % L, dst, mark))

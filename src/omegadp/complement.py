@@ -35,15 +35,21 @@ the entry rankings of a subset through a fourth:
   over the targets must equal the mask of all odd ranks up to the top
   (:func:`_tight`).  The ``O`` and ``i`` update and the new rows are then
   computed only for the (ranking, letter) pairs that stay tight.
-* Interning.  Row bytes are dict keys.  A batch looks all of its keys up at
-  once and only the misses get fresh ids, in first-seen order.  The entry
-  rankings of a subset are decided once, when the subset is first reached;
-  every later jump into the subset reuses the stored ids.  Their table
-  depends only on the subset size and the pin position, and is counted in
-  closed form first, so a count above the state budget fails before any
-  row is built.  A table of at most ``_KEEP_CELLS`` cells is built once per
-  process (``_kept_rankings`` keeps the last 64, 8 MiB at most); a larger
-  one lasts one construction.
+* Interning.  One :class:`~omegadp.automata.Interner` stores each rank
+  row once, in order of first appearance, and finds a row by its 64-bit
+  hash in an open-addressing table of ids, a whole batch at once.  A row's
+  state id is kept in one int32 array: the rows are numbered in state id
+  order, but the subsets and the sink take ids between them, so the new
+  rows of a batch are looked up in one call and then numbered in pieces,
+  each new subset or sink between the pieces.  A batch of consecutive
+  ranking states therefore reads a slice of the interner's rows.  The
+  entry rankings of a subset are decided once, when the subset is first
+  reached; every later jump into the subset reuses the stored ids.  Their
+  table depends only on the subset size and the pin position, and is
+  counted in closed form first, so a count above the state budget fails
+  before any row is built.  A table of at most ``_KEEP_CELLS`` cells is
+  built once per process (``_kept_rankings`` keeps the last 64, 8 MiB at
+  most); a larger one lasts one construction.
 * Live entries.  Most entry rankings have no move: every letter blocks
   them.  The same kernel (:func:`_ranking_update`) runs over the entry
   tables of all the subsets that one subset expansion reaches first, in
@@ -52,8 +58,8 @@ the entry rankings of a subset through a fourth:
   entry has no successor, so it was never live, and the other states keep
   their order: pruning gives the same automaton as it would with them.
 
-When the exploration ends, the interning dict, the entry ids and the row
-table are freed, and the edge parts are joined one field at a time.
+When the exploration ends, the interner, the entry ids and the state ids
+are freed, and the int32 edge parts are joined one field at a time.
 
 Input and output are :class:`~omegadp.automata.Edges` (``A.edges``); no
 ``delta``/``gamma`` dict is built on either side.  The output's tags are
@@ -71,14 +77,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
 from math import comb
-from operator import is_
 from typing import NamedTuple
 
 import numpy as np
 
-from .automata import Automaton, CapacityError, Edges, Explorer, check_time
+from .automata import Automaton, CapacityError, Edges, Explorer, Interner, \
+    _reserved, check_time
 
 
 # a batch holds at most _CHUNK ranking states, and at most _CHUNK_CELLS cells
@@ -302,13 +307,6 @@ def _tight(g, top, masks):
     return ok
 
 
-def _row_keys(table):
-    """The bytes of each row of a 2-d array, as dict keys."""
-    table = np.ascontiguousarray(table)
-    return table.view(np.dtype((np.void, table.shape[1] * table.itemsize))) \
-        .ravel().tolist()
-
-
 # per (ranking state, letter) outcome of a batched ranking update
 _BLOCKED, _EMPTY, _NEXT = 0, 1, 2
 
@@ -380,8 +378,9 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     kinds = bytearray()  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
     subset_ids = {}  # subset mask -> id
     subset_of = {}  # id -> subset mask
-    rank_ids = {}  # rank row bytes -> id
-    rows = np.empty((1024, W), dtype=np.int16)  # rank row of each state id
+    ranks = Interner(W, np.int16)  # the rank rows, in state id order
+    state_of = np.empty(1024, dtype=np.int32)  # state id of each rank row
+    numbered = 0  # the rank rows that have a state id
     entries = {}  # subset mask -> jump_targets(mask)
     large = {}  # entry-ranking tables too large to keep past this call
     sink = []
@@ -408,32 +407,22 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
             subset_of[sid] = S
         return sid
 
-    def intern_ranks(table):
-        """Ids of the rank rows ``table``, interned in order; new rows are
-        stored."""
-        nonlocal rows
-        keys = _row_keys(table)
-        ids = list(map(rank_ids.get, keys))
-        if None not in ids:
-            return np.array(ids, dtype=np.int64)
-        # the new rows' keys, in the order first seen
-        new = dict.fromkeys(compress(keys, map(is_, ids, repeat(None))))
-        first = len(kinds)
-        fresh = first + len(new)
-        if fresh > opts.max_states:
-            raise CapacityError(
-                f"state budget of {opts.max_states} exceeded", opts.max_states)
-        rank_ids.update(zip(new, range(first, fresh)))
-        ids = np.fromiter(map(rank_ids.__getitem__, keys), dtype=np.int64,
-                          count=len(keys))
-        kinds.extend(bytes([2]) * (fresh - first))
-        if fresh > len(rows):
-            grown = np.empty((max(fresh, 2 * len(rows)), W), dtype=np.int16)
-            grown[:len(rows)] = rows
-            rows = grown
-        at = ids >= first
-        rows[ids[at]] = table[at]
-        return ids
+    def state_ids(rank):
+        """The state ids of the rank rows ``rank`` (ids of ``ranks``); the
+        rows up to the last of them that have none get the next state ids,
+        in order."""
+        nonlocal state_of, numbered
+        upto = int(rank.max()) + 1 if len(rank) else 0
+        if upto > numbered:
+            first, fresh = len(kinds), upto - numbered
+            if first + fresh > opts.max_states:
+                raise CapacityError(f"state budget of {opts.max_states} "
+                                    "exceeded", opts.max_states)
+            kinds.extend(bytes([2]) * fresh)
+            state_of = _reserved(state_of, upto)
+            state_of[numbered:upto] = np.arange(first, first + fresh)
+            numbered = upto
+        return state_of[rank]
 
     def entry_table(S2):
         """The rank rows of the entry rankings of subset ``S2``."""
@@ -455,8 +444,9 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         return table
 
     def moving(tables):
-        """Per table, the mask of its rows that some letter does not block;
-        one kernel run over all the tables, in pieces of ``chunk`` rows."""
+        """The rows of the tables that some letter does not block, in one
+        array, and where each table's rows end in it; one kernel run over
+        all the tables, in pieces of ``chunk`` rows."""
         nonlocal blocked
         every = np.concatenate(tables)
         keep = np.empty(len(every), dtype=bool)
@@ -465,12 +455,13 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
             status = _ranking_update(every[lo:lo + chunk], mv)[2]
             keep[lo:lo + chunk] = (status != _BLOCKED).any(axis=0)
         blocked += L * (len(keep) - int(np.count_nonzero(keep)))
-        return np.split(keep, np.cumsum([len(t) for t in tables[:-1]]))
+        return every[keep], \
+            np.cumsum(keep)[np.cumsum([len(t) for t in tables]) - 1]
 
     def add_edges(src, let, dst, acc):
-        src_parts.append(np.asarray(src, dtype=np.int64))
-        let_parts.append(np.asarray(let, dtype=np.int64))
-        dst_parts.append(np.asarray(dst, dtype=np.int64))
+        src_parts.append(np.asarray(src, dtype=np.int32))
+        let_parts.append(np.asarray(let, dtype=np.int32))
+        dst_parts.append(np.asarray(dst, dtype=np.int32))
         acc_parts.append(np.asarray(acc, dtype=bool))
 
     def expand_sink(sid):
@@ -484,15 +475,14 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         # entries, the sink where a letter kills every run
         fresh = [S2 for S2 in dict.fromkeys(images) if S2 and S2 not in entries]
         if fresh:
-            tables = [entry_table(S2) for S2 in fresh]
-            kept = dict(zip(fresh, zip(tables, moving(tables))))
+            rows, ends = moving([entry_table(S2) for S2 in fresh])
+            kept = dict(zip(fresh, np.split(ranks.ids(rows), ends[:-1])))
         for S2 in images:
             if not S2:
                 get_empty()
             elif S2 not in entries:
-                table, keep = kept[S2]
                 sub = intern_subset(S2)
-                entries[S2] = np.sort(np.append(intern_ranks(table[keep]), sub))
+                entries[S2] = np.sort(np.append(state_ids(kept[S2]), sub))
         dst = [entries[S2] if S2 else [get_empty()] for S2 in images]
         fan = [len(d) for d in dst]
         k = sum(fan)
@@ -503,7 +493,9 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         """The ranking update of states ``lo .. hi-1`` on every letter."""
         nonlocal blocked
         m = hi - lo
-        F = rows[lo:hi]
+        # ranking states are numbered in the order their rows are interned
+        r = int(np.searchsorted(state_of[:numbered], lo))
+        F = ranks.rows[r:r + m]
         g, top, status = _ranking_update(F, mv)
         st = status.T.reshape(-1)  # in (state, letter) order
         go = np.flatnonzero(st != _BLOCKED)
@@ -532,11 +524,12 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         cut = len(nxt)
         if not sink and to_empty.any():
             cut = int(np.searchsorted(nxt, np.argmax(to_empty)))
-        ids = intern_ranks(table[:cut])
-        dst = np.empty(m * L, dtype=np.int64)
+        rank = ranks.ids(table)
+        ids = state_ids(rank[:cut])
+        dst = np.empty(m * L, dtype=np.int32)
         if to_empty.any():
             dst[to_empty] = get_empty()
-        dst[nxt] = np.concatenate([ids, intern_ranks(table[cut:])])
+        dst[nxt] = np.concatenate([ids, state_ids(rank[cut:])])
         add_edges(lo + go // L, go % L, dst[go], mark[go])
 
     start = intern_subset(1 << A.initial)
@@ -556,10 +549,9 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         wi += 1
 
     # free the interning before the edges are joined, one field at a time
-    rank_ids.clear()
+    ranks = state_of = None
     entries.clear()
     large.clear()
-    rows = None
     edges = Edges(letters, *(_joined(p) for p in
                              (src_parts, let_parts, dst_parts, acc_parts)))
     final = np.frombuffer(kinds, dtype=np.uint8) != 1

@@ -57,11 +57,15 @@ _TOKEN = re.compile(
 
 
 class _Scanner:
-    """The tokens of a HOA text, read from ``pos`` on."""
+    """The tokens of a HOA text, read from ``pos`` on.
+
+    The last token peeked is kept with its start, so peeking and then
+    taking it matches it once."""
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.peeked = (-1, None)  # start and text of the last token peeked
 
     def error(self, message, pos=None):
         """A HoaError located at ``pos``, by default the scanner's."""
@@ -70,15 +74,21 @@ class _Scanner:
         return HoaError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def peek(self):
+        start, tok = self.peeked
+        if start == self.pos:
+            return tok
         self.pos = _BLANK.match(self.text, self.pos).end()
         if self.text.startswith("/*", self.pos):
             raise self.error("unterminated comment")
         if self.pos == len(self.text):
-            return None
-        tok = _TOKEN.match(self.text, self.pos)
-        if tok is None:
-            raise self.error("unterminated string")
-        return tok.group()
+            tok = None
+        else:
+            match = _TOKEN.match(self.text, self.pos)
+            if match is None:
+                raise self.error("unterminated string")
+            tok = match.group()
+        self.peeked = (self.pos, tok)
+        return tok
 
     def next(self):
         tok = self.peek()

@@ -48,9 +48,9 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .automata import Alphabet, Automaton, Explorer, _components, \
-    _intern_batch, _letter_groups, check_time, label_from_names, \
-    label_to_names
+from .automata import Alphabet, Automaton, Explorer, Interner, \
+    _components, _intern_batch, _letter_groups, check_time, \
+    label_from_names, label_to_names
 
 
 class NoValidStrategy(Exception):
@@ -227,9 +227,9 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     letter = np.array([index.get(a, -1) for a in M.labels], dtype=np.int64)
     g_first, g_count = _letter_groups(e, nq)
     m_ptr, m_action = A.P.indptr, A.action
-    start = M.initial * nq + C.initial  # key of the pair (m, q)
-    ids = {start: 0}
-    pending = np.array([start], dtype=np.int64)
+    # keys of the pairs (m, q), numbered from the start pair's
+    ids = Interner(1, np.int64)
+    pending = _intern_batch(ids, np.array([M.initial * nq + C.initial]))[1]
     keys, parts = [pending], []
     while len(pending):
         check_time("product construction")
@@ -261,7 +261,8 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
         loop = stuck[row]
         dst, new = _intern_batch(
             ids, np.where(loop, batch[own[row]],
-                          A.P.indices[entry] * nq + q2[row]))
+                          A.P.indices[entry].astype(np.int64) * nq
+                          + q2[row]))
         pending = np.concatenate([pending, new])
         keys.append(new)
         action = list(zip(map(m_action.__getitem__, mrow.tolist()),

@@ -169,7 +169,10 @@ def _bisimulation(n, E: Edges, active, what):
 
 
 def _quotient(A: Automaton, block, final) -> Automaton:
-    """Collapse each block to its lowest-id member."""
+    """Collapse each block to its lowest-id member.  A block is in the
+    second phase when any member is: a first-phase state bisimilar to a
+    second-phase one moves like it, so no edge of the quotient leads from
+    the second phase back into the first."""
     E = A.edges
     blocks, first = np.unique(block, return_index=True)
     rep_of = first[np.searchsorted(blocks, block)]
@@ -179,8 +182,10 @@ def _quotient(A: Automaton, block, final) -> Automaton:
     m = keep[E.src]
     edges = Edges.normalised(E.letters, new_id[E.src[m]], E.let[m],
                              new_id[rep_of[E.dst[m]]], E.acc[m])
+    second = np.zeros(len(first), dtype=bool)
+    second[new_id[rep_of[final]]] = True
     return _derived(A, len(first), int(new_id[rep_of[A.initial]]), edges,
-                    final[keep])
+                    second)
 
 
 def lump_final(A: Automaton) -> Automaton:
@@ -360,7 +365,7 @@ def drop_dominated_jumps(A: Automaton) -> Automaton:
     i, j = i[i != j], j[i != j]
     if not len(i):
         return A
-    q, q2 = E.dst[jumps[i]], E.dst[jumps[j]]
+    q, q2 = E.dst[jumps[i]].astype(np.int64), E.dst[jumps[j]]
     pairs, inverse = np.unique(q * n + q2, return_inverse=True)
     T, mark = _successor_table(n, E)
     P, R = np.divmod(pairs, n)

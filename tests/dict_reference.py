@@ -466,7 +466,8 @@ def _quotient(A: Automaton, block_of, parts) -> Automaton:
             if (q, a, t) in A.gamma:
                 gamma.add((src, a, remap[rep_of[t]]))
     _, q2 = parts
-    new_q2 = {remap[q] for q in keep if q in q2}
+    # a block is in the second phase when any member is
+    new_q2 = {remap[rep_of[q]] for q in q2}
     tags = dict(A.tags)
     tags["final"] = _final_tag(len(keep), new_q2)
     tags.pop("stats", None)

@@ -277,3 +277,113 @@ def test_graph_helpers_agree_with_scipy_on_repeated_edges():
         for r in roots:
             reached[breadth_first_order(G, r, return_predecessors=False)] = True
         assert np.array_equal(automata._reached(n, src, dst, roots), reached)
+
+
+def dict_ids(index, table):
+    """The ids a dict interner gives the rows of ``table``, in order of
+    first appearance."""
+    return [index.setdefault(row.tobytes(), len(index)) for row in table]
+
+
+def assert_interns_like_a_dict(interner, batches):
+    index = {}
+    for table in batches:
+        got = interner.ids(table)
+        assert got.dtype == np.int64
+        assert got.tolist() == dict_ids(index, table)
+        # each row is stored once, under its id
+        stored = interner.rows[:len(interner)]
+        assert [row.tobytes() for row in stored] == list(index)
+
+
+def test_interner_ids_match_a_dict_when_every_hash_collides():
+    rng = np.random.default_rng(3)
+    interner = automata.Interner(5, np.int16)
+    interner.mult = np.zeros(5, dtype=np.uint64)
+    pool = rng.integers(-1, 3, size=(120, 5)).astype(np.int16)
+    batches = [pool[rng.integers(0, len(pool), int(rng.integers(0, 40)))]
+               for _ in range(25)]
+    assert_interns_like_a_dict(interner, batches)
+    # one slot chain holds every row
+    assert len(np.unique(interner._slots(pool))) == 1
+
+
+def test_interner_ids_match_a_dict_on_random_tables():
+    rng = np.random.default_rng(4)
+    for width in (1, 3, 21):
+        pool = rng.integers(-1, 4, size=(30_000, width)).astype(np.int16)
+        # small batches, then batches of more than one probe slice, with
+        # repeats inside each batch and across batches
+        sizes = [0, 1, 7, 300, automata._PROBE + 1, 3 * automata._PROBE + 5,
+                 5, 2_000]
+        batches = [pool[rng.integers(0, len(pool), k)] for k in sizes]
+        assert any(len(np.unique(b, axis=0)) < len(b) for b in batches)
+        assert_interns_like_a_dict(automata.Interner(width, np.int16),
+                                   batches)
+
+
+def test_intern_batch_numbers_one_column_keys_like_a_dict():
+    rng = np.random.default_rng(5)
+    interner = automata.Interner(1, np.int64)
+    index = {}
+    for k in (1, 0, 5, 40, 3_000, automata._PROBE + 3, 17):
+        # keys as intersect_nba and product_with_nba compose them: products
+        # of state ids, some beyond 2**31
+        keys = rng.integers(0, 600, k) * 40_000_000 + rng.integers(0, 9, k)
+        before = len(index)
+        ids, new = automata._intern_batch(interner, keys)
+        assert ids.tolist() == [index.setdefault(x, len(index))
+                                for x in keys.tolist()]
+        assert new.tolist() == list(index)[before:]
+
+
+def wide_automaton(n):
+    """An NBA over ``n`` states whose edges join states more than 46,341
+    apart, so that ``src * n + dst`` passes 2**31; the live part is two
+    cycles through the last states, and the first phase is state 0."""
+    rng = np.random.default_rng(6)
+    src = np.concatenate([[0, 0, n - 1, n - 2, n - 3, n - 3],
+                          rng.integers(0, n, 4_000)])
+    dst = np.concatenate([[n - 1, n - 3, n - 2, n - 1, n - 3, 0],
+                          rng.integers(0, n, 4_000)])
+    let = np.concatenate([[0, 1, 0, 0, 0, 1], rng.integers(0, 2, 4_000)])
+    acc = np.concatenate([[False, False, True, False, True, False],
+                          rng.random(4_000) < 0.2])
+    alphabet = Alphabet(("a",))
+    E = automata.Edges.normalised(alphabet.letters(), src, let, dst, acc)
+    final = np.ones(n, dtype=bool)
+    final[0] = False
+    return Automaton.from_edges("NBA", alphabet, n, 0, E,
+                                tags={"final": final})
+
+
+def test_state_ids_beyond_46341_compose_into_int64_keys():
+    import dict_reference as ref
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from omegadp.reduction import prune_empty
+
+    n = 50_000
+    A = wide_automaton(n)
+    E = A.edges
+    assert E.src.dtype == np.int32
+    assert int(E.src.max()) * n > 2**31
+    src, dst = E.src.astype(np.int64), E.dst.astype(np.int64)
+    G = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    want = connected_components(G, directed=True, connection="strong")[1]
+    assert np.array_equal(automata._components(n, E.src, E.dst), want)
+    reached = np.zeros(n, dtype=bool)
+    for r in (0, n - 1):
+        reached[breadth_first_order(G, r, return_predecessors=False)] = True
+    assert np.array_equal(automata._reached(n, E.src, E.dst, [0, n - 1]),
+                          reached)
+
+    def shape(B):
+        return (B.n_states, B.initial, B.delta, B.gamma,
+                B.tags["final"].tolist())
+
+    assert shape(prune_empty(A)) == shape(ref.prune_empty(A))
+    # the start triple's successor (n-1, n-1, 0) has key ~5e9
+    mine, theirs = intersect_nba(A, A), ref.intersect_nba(A, A)
+    assert (mine.n_states, mine.delta, mine.gamma) \
+        == (theirs.n_states, theirs.delta, theirs.gamma)
