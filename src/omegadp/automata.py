@@ -2,8 +2,8 @@
 
 Letters of a plain alphabet are bit patterns over the atomic propositions
 (an ``int`` in ``range(2**len(ap))``).  Promise alphabets pair each base
-letter with a promise identifier: a schema state id, a frozenset of schema
-state ids, or the trivial promise ``TOP``.
+letter with a promise identifier: a schema state id (a nonnegative int) or
+the trivial promise ``TOP``.
 
 Acceptance marks sit on transitions.  For an NBA/DBA a marked transition is
 accepting; for a UCA it is rejecting.  A DFA carries a final-state set
@@ -269,12 +269,9 @@ class Interner:
 
 
 def promise_sort_key(p):
-    """Total order on promise identifiers for canonical letter ordering."""
-    if p is TOP or isinstance(p, TrivialPromise):
-        return (0,)
-    if isinstance(p, int):
-        return (1, p)
-    return (2, tuple(sorted(p)))
+    """Total order on promise identifiers for canonical letter ordering:
+    ``TOP`` first, then the schema states."""
+    return (0,) if p is TOP else (1, p)
 
 
 def letter_sort_key(letter):
@@ -301,10 +298,11 @@ def label_from_names(names: Iterable[str], ap) -> int:
 class Alphabet:
     """Atomic propositions plus an optional promise component.
 
-    ``promises`` is the ordered vocabulary of promise identifiers; ``None``
-    means a plain alphabet whose letters are the ints ``0 .. 2**|ap|-1``.
-    ``subset``, when set, is an explicit tuple of letters (stored in
-    canonical order): the alphabet then has those letters and no others.
+    ``promises`` is the ordered vocabulary of promise identifiers, each
+    ``TOP`` or a schema state (a nonnegative int); ``None`` means a plain
+    alphabet whose letters are the ints ``0 .. 2**|ap|-1``.  ``subset``,
+    when set, is an explicit tuple of letters (stored in canonical order):
+    the alphabet then has those letters and no others.
     """
 
     ap: tuple
@@ -315,6 +313,9 @@ class Alphabet:
         object.__setattr__(self, "ap", tuple(self.ap))
         if self.promises is not None:
             object.__setattr__(self, "promises", tuple(self.promises))
+            for p in self.promises:
+                if p is not TOP and not (type(p) is int and p >= 0):
+                    raise ValueError(f"bad promise identifier {p!r}")
         if self.subset is not None:
             subset = set(self.subset)
             for letter in subset:

@@ -14,10 +14,12 @@ Both directions work on the edge arrays (``Automaton.edges``) and build no
 Promise alphabets are encoded with auxiliary atomic propositions named
 ``_prm0``, ``_prm1``, ... holding the index of the promise in the declared
 vocabulary in binary (least significant bit first), plus a ``promise-vocab:``
-header that records the vocabulary so the round trip is exact.  An alphabet
-restricted to a letter subset adds a ``letter-subset:`` header listing the
-bit pattern of each of its letters; edge labels then stand for the letters of
-the subset they cover.  A collection automaton's fresh initial state (tag
+header that records the vocabulary so the round trip is exact: a JSON list
+whose items are ``{"top": true}`` for the trivial promise and ``{"state": n}``
+for schema state ``n``, in vocabulary order.  An alphabet restricted to a
+letter subset adds a ``letter-subset:`` header listing the bit pattern of
+each of its letters; edge labels then stand for the letters of the subset
+they cover.  A collection automaton's fresh initial state (tag
 ``collection_initial``, which the complement pins to the maximal rank) is
 written as a ``collection-initial:`` header.
 
@@ -25,8 +27,8 @@ The scanner skips blanks and ``/* comments */`` and reads a token as a quoted
 string, one of ``[]{}()!&|``, or a run of any other characters up to a blank
 or a ``/*``, so a comment may stand between any two tokens.  Every error
 found at a place in the text is a ``HoaError`` naming its line and column:
-a malformed number, and a ``Start:`` or a state id beyond the ``States:``
-count, included.
+a malformed number, a malformed JSON header, and a ``Start:`` or a state id
+beyond the ``States:`` count, included.
 """
 
 from __future__ import annotations
@@ -109,14 +111,18 @@ class _Scanner:
             raise self.error(f"expected a number, got {tok!r}")
         return int(tok)
 
-    def rest_of_line(self):
-        """Raw text up to the next newline (for headers holding JSON)."""
+    def json_line(self):
+        """The JSON value that fills the rest of the line (for headers
+        holding JSON), and where it starts."""
         end = self.text.find("\n", self.pos)
         if end < 0:
             end = len(self.text)
-        out = self.text[self.pos:end].strip()
+        start = _BLANK.match(self.text, self.pos, end).end()
         self.pos = end
-        return out
+        try:
+            return json.loads(self.text[start:end]), start
+        except json.JSONDecodeError as exc:
+            raise self.error(f"bad JSON: {exc.msg}", start + exc.pos) from None
 
 
 def _parse_label_expr(tz, n_ap):
@@ -184,7 +190,7 @@ def _marked(tz):
     return bool(accs)
 
 
-def _decode_promise_aps(ap_names, vocab_json):
+def _decode_promise_aps(tz, ap_names, vocab_header):
     """Split AP names into base APs and promise index bits."""
     # _prm bits are the trailing APs, emitted as _prm0.._prmK in order
     n_bits = 0
@@ -194,34 +200,37 @@ def _decode_promise_aps(ap_names, vocab_json):
         else:
             break
     base = ap_names[:len(ap_names) - n_bits]
-    vocab = _vocab_from_json(json.loads(vocab_json))
+    items, at = vocab_header
+    vocab = _vocab_from_json(items)
+    if vocab is None:
+        raise tz.error('promise-vocab must list distinct {"top": true} and '
+                       '{"state": n} items', at)
     if n_bits < _prm_width(len(vocab)):
-        raise HoaError("promise-vocab header does not match _prm* AP count")
+        raise tz.error("promise-vocab header does not match _prm* AP count",
+                       at)
     return tuple(base), vocab, n_bits
 
 
 def _vocab_to_json(promises):
-    out = []
-    for p in promises:
-        if p is TOP:
-            out.append({"top": True})
-        elif isinstance(p, int):
-            out.append({"state": p})
-        else:
-            out.append({"states": sorted(p)})
-    return json.dumps(out)
+    return json.dumps([{"top": True} if p is TOP else {"state": p}
+                       for p in promises])
 
 
 def _vocab_from_json(items):
+    """The promises that ``promise-vocab:`` items name; None unless each is
+    ``{"top": true}`` or ``{"state": n}`` and no promise repeats."""
+    if not isinstance(items, list):
+        return None
     vocab = []
     for item in items:
-        if item.get("top"):
+        if item == {"top": True} and item["top"] is True:
             vocab.append(TOP)
-        elif "state" in item:
+        elif isinstance(item, dict) and list(item) == ["state"] \
+                and type(item["state"]) is int and item["state"] >= 0:
             vocab.append(item["state"])
         else:
-            vocab.append(frozenset(item["states"]))
-    return tuple(vocab)
+            return None
+    return tuple(vocab) if len(set(vocab)) == len(vocab) else None
 
 
 def parse_hoa(text: str) -> Automaton:
@@ -231,8 +240,8 @@ def parse_hoa(text: str) -> Automaton:
     ap_names = []
     acceptance = None
     acc_name = None
-    vocab_json = None
-    subset_json = None
+    vocab_header = None
+    subset_header = None
     collection_initial = None
     tok = tz.next()
     if tok != "HOA:":
@@ -266,9 +275,9 @@ def parse_hoa(text: str) -> Automaton:
         elif tok == "acc-name:":
             acc_name = tz.next()
         elif tok == "promise-vocab:":
-            vocab_json = tz.rest_of_line()
+            vocab_header = tz.json_line()
         elif tok == "letter-subset:":
-            subset_json = tz.rest_of_line()
+            subset_header = tz.json_line()
         elif tok == "collection-initial:":
             collection_initial = tz.integer()
         elif tok.endswith(":"):
@@ -292,8 +301,9 @@ def parse_hoa(text: str) -> Automaton:
 
     promises = None
     n_prm_bits = 0
-    if vocab_json is not None:
-        ap_names, promises, n_prm_bits = _decode_promise_aps(ap_names, vocab_json)
+    if vocab_header is not None:
+        ap_names, promises, n_prm_bits = _decode_promise_aps(
+            tz, ap_names, vocab_header)
     n_base_ap = len(ap_names)
     n_all_ap = n_base_ap + n_prm_bits
 
@@ -307,15 +317,15 @@ def parse_hoa(text: str) -> Automaton:
             return raw & ((1 << n_base_ap) - 1), promises[idx]
 
     subset = None
-    if subset_json is not None:
-        raw = json.loads(subset_json)
+    if subset_header is not None:
+        raw, at = subset_header
         if not (isinstance(raw, list)
                 and all(type(x) is int and x >= 0 for x in raw)):
-            raise HoaError("letter-subset must be a list of bit patterns")
+            raise tz.error("letter-subset must be a list of bit patterns", at)
         subset = set(map(letter_of, raw))
         if None in subset:
-            raise HoaError("letter-subset names a bit pattern beyond the "
-                           "promise vocabulary")
+            raise tz.error("letter-subset names a bit pattern beyond the "
+                           "promise vocabulary", at)
     try:
         alphabet = Alphabet(tuple(ap_names), promises, subset)
     except ValueError as exc:

@@ -72,14 +72,12 @@ class Odp(Mdp):
             raise ValueError("lookback schema has no final states")
         for acts in self.actions.values():
             for beta, _, alpha in acts:
-                if beta is not None:
-                    if self.lookback is None or \
-                            not (0 <= beta < self.lookback.n_states):
-                        raise ValueError(f"bad guard state {beta}")
-                if alpha is not None:
-                    if self.lookahead is None or \
-                            not (0 <= alpha < self.lookahead.n_states):
-                        raise ValueError(f"bad promise state {alpha}")
+                for x, schema, what in ((beta, self.lookback, "guard"),
+                                        (alpha, self.lookahead, "promise")):
+                    if x is not None and not (
+                            type(x) is int and schema is not None
+                            and 0 <= x < schema.n_states):
+                        raise ValueError(f"bad {what} state {x!r}")
 
 
 def _tracker_step(B: Automaton, tracker, letter):
@@ -131,30 +129,6 @@ def _trivial_lookahead(ap) -> Automaton:
     return Automaton("UCA", base, 1, None, delta, ())
 
 
-# checking NBAs already built, keyed by the schema's content and the letter
-# set; the lab's takes a while to build and is the same for every map and
-# parameter setting that emits the same letters
-_CHECKING_NBAS = {}
-_CHECKING_NBAS_MAX = 8
-
-
-def _checking_nba(schema, letters):
-    """Reduced complement of the schema's collection automaton over
-    ``letters``, built once per content and shared: callers must not mutate
-    it."""
-    key = (schema.kind, schema.alphabet, schema.n_states, schema.initial,
-           frozenset(schema.delta.items()), schema.gamma,
-           schema.final_states, letters)
-    N = _CHECKING_NBAS.get(key)
-    if N is None:
-        C = build_collection(schema, "at-most-one", letters=letters)
-        N = reduce_nba(complement_uca(C))
-        if len(_CHECKING_NBAS) >= _CHECKING_NBAS_MAX:
-            del _CHECKING_NBAS[next(iter(_CHECKING_NBAS))]
-        _CHECKING_NBAS[key] = N
-    return N
-
-
 def remove_lookahead(D: Odp):
     """Turn promises into letters; returns (MDP, checking NBA).
 
@@ -169,9 +143,8 @@ def remove_lookahead(D: Odp):
     language, with entry rankings pinned at the collecting state, then
     reduced) is returned for the downstream product.  Both are built over
     the letters the process emits and no others: the product never reads
-    another letter, and every letter left out shrinks the complement.  The
-    NBA is built once per schema content and letter set and shared by every
-    later call with equal ones, which must not mutate it.
+    another letter, and every letter left out shrinks the complement.  Each
+    call builds its own NBA.
     """
     if D.lookback is not None:
         raise ValueError("remove the lookbacks first")
@@ -186,7 +159,7 @@ def remove_lookahead(D: Odp):
                    trans, rewards)
     schema = D.lookahead if D.lookahead is not None \
         else _trivial_lookahead(D.alphabet.ap)
-    N = _checking_nba(schema, frozenset(labels))
+    N = reduce_nba(complement_uca(build_collection(schema, frozenset(labels))))
     M = Mdp(len(found), 0, actions, trans, alphabet=N.alphabet,
             labels=labels, rewards=rewards, check=False, pairs=found.keys)
     return M, N
@@ -343,6 +316,12 @@ def odp_from_json(text: str) -> Odp:
     ap = doc["ap"]
     schemas = {key: _schema_from_doc(doc[key], ap)
                for key in ("lookback", "lookahead") if key in doc}
+    def state(entry, key):
+        x = entry.get(key)
+        if x is not None and type(x) is not int:
+            raise ValueError(f"{key} {x!r} is not a schema state")
+        return x
+
     return model_from_doc(
-        doc, lambda entry: (entry.get("guard"), entry["name"],
-                            entry.get("promise")), Odp, **schemas)
+        doc, lambda entry: (state(entry, "guard"), entry["name"],
+                            state(entry, "promise")), Odp, **schemas)

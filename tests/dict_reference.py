@@ -788,8 +788,8 @@ def parse_hoa(text: str) -> Automaton:
     ap_names = []
     acceptance = None
     acc_name = None
-    vocab_json = None
-    subset_json = None
+    vocab_header = None
+    subset_header = None
     collection_initial = None
     tok = tz.next()
     if tok != "HOA:":
@@ -823,9 +823,9 @@ def parse_hoa(text: str) -> Automaton:
         elif tok == "acc-name:":
             acc_name = tz.next()
         elif tok == "promise-vocab:":
-            vocab_json = tz.rest_of_line()
+            vocab_header = tz.json_line()
         elif tok == "letter-subset:":
-            subset_json = tz.rest_of_line()
+            subset_header = tz.json_line()
         elif tok == "collection-initial:":
             collection_initial = tz.integer()
         elif tok.endswith(":"):
@@ -853,9 +853,9 @@ def parse_hoa(text: str) -> Automaton:
 
     promises = None
     n_prm_bits = 0
-    if vocab_json is not None:
-        ap_names, promises, n_prm_bits = hoa._decode_promise_aps(ap_names,
-                                                                 vocab_json)
+    if vocab_header is not None:
+        ap_names, promises, n_prm_bits = hoa._decode_promise_aps(
+            tz, ap_names, vocab_header)
     n_base_ap = len(ap_names)
     n_all_ap = n_base_ap + n_prm_bits
 
@@ -874,8 +874,8 @@ def parse_hoa(text: str) -> Automaton:
         return out
 
     subset = None
-    if subset_json is not None:
-        raw = json.loads(subset_json)
+    if subset_header is not None:
+        raw, _ = subset_header
         if not (isinstance(raw, list)
                 and all(type(x) is int and x >= 0 for x in raw)):
             raise hoa.HoaError("letter-subset must be a list of bit patterns")

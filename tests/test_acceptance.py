@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from omegadp.automata import (
+    TOP,
     Alphabet,
     Automaton,
     LassoWord,
@@ -266,19 +267,31 @@ def random_collection(rng):
     return build_collection(schema)
 
 
+def safety_collection():
+    """A collection of the schema "from state 0, no b ever" (state 1 is a
+    rejecting sink) whose entry moves from the collecting state 2 are
+    unmarked, so its only marks are the sink's loops: a safety UCA."""
+    ab = Alphabet(("b",), (TOP, 0, 1))
+    delta = {}
+    for p in (TOP, 0, 1):
+        delta[(0, (0, p))] = (0,)
+        delta[(0, (1, p))] = (1,)
+        delta[(1, (0, p))] = delta[(1, (1, p))] = (1,)
+        delta[(2, (0, p))] = delta[(2, (1, p))] = (2,)
+    delta[(2, (0, 0))] = (0, 2)
+    delta[(2, (0, 1))] = delta[(2, (1, 0))] = delta[(2, (1, 1))] = (1, 2)
+    gamma = {(1, (b, p), 1) for b in (0, 1) for p in (TOP, 0, 1)}
+    return Automaton("UCA", ab, 3, 2, delta, gamma,
+                     tags={"collection_initial": 2})
+
+
 def shape_fixtures():
     ab = Alphabet(("a",))
     reach = Automaton(
         "UCA", ab, 2, 0,
         {(0, 0): (0, 1), (0, 1): (0,), (1, 0): (1,), (1, 1): (1,)},
         {(0, 0, 1), (1, 0, 1), (1, 1, 1)})
-    ab_b = Alphabet(("b",))
-    schema = Automaton(
-        "UCA", ab_b, 2, None,
-        {(0, 0): (0,), (0, 1): (1,), (1, 0): (1,), (1, 1): (1,)},
-        {(1, 0, 1), (1, 1, 1)})
-    safety = build_collection(schema, finality_mode="safety-adjusted")
-    return [reach, safety]
+    return [reach, safety_collection()]
 
 
 def test_restricted_constructions_shrink_without_changing_the_language():

@@ -193,15 +193,17 @@ def test_renumber_preserves_language(rng):
 
 def test_letters_come_in_canonical_order():
     plain = Alphabet(("a", "b"))
-    promised = Alphabet(("a",), (frozenset({1, 0}), 2, TOP, 0, frozenset()))
+    promised = Alphabet(("a",), (2, TOP, 0))
     subset = Alphabet(("a",), (TOP, 1, 0), ((1, 0), (0, 1), (1, TOP), (0, 0)))
     assert plain.letters() == [0, 1, 2, 3]
-    assert promised.letters() == [
-        (b, p) for b in (0, 1)
-        for p in (TOP, 0, 2, frozenset(), frozenset({0, 1}))]
+    assert promised.letters() == [(b, p) for b in (0, 1) for p in (TOP, 0, 2)]
     assert subset.letters() == [(0, 0), (0, 1), (1, TOP), (1, 0)]
     for ab in (plain, promised, subset):
         assert ab.letters() == sorted(ab.letters(), key=letter_sort_key)
+    # a promise is TOP or a schema state, and nothing else
+    for bad in (-1, True, 1.0, "0", None, frozenset(), frozenset({0})):
+        with pytest.raises(ValueError, match="bad promise identifier"):
+            Alphabet(("a",), (TOP, bad))
 
 
 def test_time_limit_keeps_the_earliest_deadline_and_restores_it():

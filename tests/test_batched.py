@@ -222,7 +222,6 @@ def lab_collection(schema, monkeypatch):
         got.append(C)
         return complement_uca(C)
 
-    monkeypatch.setattr(odp, "_CHECKING_NBAS", {})
     monkeypatch.setattr(odp, "complement_uca", complement)
     remove_lookahead(remove_lookback(D))
     return got[0]

@@ -10,7 +10,7 @@ from omegadp.automata import (
     instantiate,
     lasso_member_uca,
 )
-from omegadp.collect import build_collection, default_promise_vocabulary
+from omegadp.collect import build_collection
 
 
 def suffix_lasso(w, t):
@@ -27,12 +27,9 @@ def promises_hold(schema, w):
     horizon = len(w.prefix) + len(w.cycle)
     for t in range(horizon):
         _, p = w.letter_at(t)
-        if p is TOP:
-            continue
-        promised = p if isinstance(p, frozenset) else (p,)
-        for q in promised:
-            if not lasso_member_uca(instantiate(schema, q), suffix_lasso(w, t)):
-                return False
+        if p is not TOP and not lasso_member_uca(instantiate(schema, p),
+                                                 suffix_lasso(w, t)):
+            return False
     return True
 
 
@@ -44,14 +41,6 @@ def gfb_schema():
     return Automaton("UCA", ab, 2, None, delta, gamma)
 
 
-def safety_schema():
-    # from state 0: no b ever; state 1 is a rejecting sink
-    ab = Alphabet(("b",))
-    delta = {(0, 0): (0,), (0, 1): (1,), (1, 0): (1,), (1, 1): (1,)}
-    gamma = {(1, 0, 1), (1, 1, 1)}
-    return Automaton("UCA", ab, 2, None, delta, gamma)
-
-
 def small_promise_lassos(letters, max_prefix, max_cycle):
     for pl in range(max_prefix + 1):
         for cl in range(1, max_cycle + 1):
@@ -60,34 +49,18 @@ def small_promise_lassos(letters, max_prefix, max_cycle):
                     yield LassoWord(p, c)
 
 
-@pytest.mark.parametrize("mode", ["single", "at-most-one", "sets"])
-def test_collection_language_matches_promise_semantics(mode):
+def test_collection_language_matches_promise_semantics():
     schema = gfb_schema()
-    col = build_collection(schema, promise_mode=mode)
+    col = build_collection(schema)
     letters = col.alphabet.letters()
     for w in small_promise_lassos(letters, 1, 2):
         assert lasso_member_uca(col, w) == promises_hold(schema, w), w
 
 
-def test_finality_modes_agree_on_language():
-    schema = safety_schema()
-    cd = build_collection(schema, finality_mode="default")
-    cs = build_collection(schema, finality_mode="safety-adjusted")
-    letters = cd.alphabet.letters()
-    for w in small_promise_lassos(letters, 1, 2):
-        assert lasso_member_uca(cd, w) == lasso_member_uca(cs, w)
-    # the marks differ: safety-adjusted leaves the entry transitions unmarked
-    fresh = cd.tags["collection_initial"]
-    assert any(q == fresh for (q, a, t) in cd.gamma)
-    assert not any(q == fresh for (q, a, t) in cs.gamma)
-
-
 def test_trivial_promise_forever_is_accepted():
     schema = gfb_schema()
-    col = build_collection(schema, promise_mode="at-most-one")
+    col = build_collection(schema)
     assert lasso_member_uca(col, LassoWord((), ((0, TOP),)))
-    col2 = build_collection(schema, promise_mode="sets")
-    assert lasso_member_uca(col2, LassoWord((), ((0, frozenset()),)))
 
 
 def test_fresh_state_structure():
@@ -105,7 +78,7 @@ def test_fresh_state_structure():
 
 def test_promise_vocabulary_restriction():
     schema = gfb_schema()
-    col = build_collection(schema, promise_mode="at-most-one",
+    col = build_collection(schema,
                            letters=[(a, p) for a in (0, 1) for p in (0, TOP)])
     assert col.alphabet.promises == (TOP, 0)
     assert col.alphabet.size == 4
@@ -121,21 +94,17 @@ def test_promise_vocabulary_restriction():
 
 
 def test_default_vocabulary_sizes():
-    schema = gfb_schema()
-    assert len(default_promise_vocabulary(schema, "single")) == 2
-    assert len(default_promise_vocabulary(schema, "at-most-one")) == 3
-    assert len(default_promise_vocabulary(schema, "sets")) == 4
+    # the trivial promise and one promise per schema state
+    col = build_collection(gfb_schema())
+    assert col.alphabet.promises == (TOP, 0, 1)
+    assert col.alphabet.size == 6
 
 
 def test_rejects_bad_inputs():
     schema = gfb_schema()
-    with pytest.raises(ValueError):
-        build_collection(schema, promise_mode="many")
-    with pytest.raises(ValueError):
-        build_collection(schema, finality_mode="foo")
-    with pytest.raises(ValueError):
-        build_collection(schema, promise_mode="single", letters=((0, TOP),))
-    with pytest.raises(ValueError):
-        build_collection(schema, letters=((0, 5),))
+    # a promise is TOP or a schema state, and nothing else
+    for bad in (5, -1, True, 1.0, "0", None, frozenset({0}), frozenset()):
+        with pytest.raises(ValueError, match="not TOP or a schema state"):
+            build_collection(schema, letters=((0, TOP), (0, bad)))
     with pytest.raises(ValueError):
         build_collection(schema.reinterpret("NBA"))

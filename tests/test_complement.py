@@ -24,7 +24,7 @@ from omegadp.complement import (
     detect_shape,
 )
 from conftest import all_lassos, random_uca, untagged
-from test_acceptance import shape_fixtures
+from test_acceptance import safety_collection, shape_fixtures
 
 
 def assert_same_language(U, C, lassos):
@@ -78,7 +78,7 @@ def gfb_collection():
     delta = {(0, 0): (0, 1), (0, 1): (0,), (1, 0): (1,)}
     gamma = {(1, 0, 1)}
     schema = Automaton("UCA", ab, 2, None, delta, gamma)
-    return build_collection(schema, promise_mode="at-most-one")
+    return build_collection(schema)
 
 
 def test_pinning_on_collection_automata():
@@ -181,14 +181,6 @@ def reachability_uca():
     delta = {(0, 0): (0, 1), (0, 1): (0,), (1, 0): (1,), (1, 1): (1,)}
     gamma = {(0, 0, 1), (1, 0, 1), (1, 1, 1)}
     return Automaton("UCA", ab, 2, 0, delta, gamma)
-
-
-def safety_collection():
-    ab = Alphabet(("b",))
-    delta = {(0, 0): (0,), (0, 1): (1,), (1, 0): (1,), (1, 1): (1,)}
-    gamma = {(1, 0, 1), (1, 1, 1)}
-    schema = Automaton("UCA", ab, 2, None, delta, gamma)
-    return build_collection(schema, finality_mode="safety-adjusted")
 
 
 def random_uca_for_budget():

@@ -59,15 +59,15 @@ def test_round_trip_uca_kind():
 
 
 def test_round_trip_promise_alphabet():
-    ab = Alphabet(("a",), (TOP, 0, frozenset()))
-    delta = {(0, (0, TOP)): (0,), (0, (1, 0)): (0, 1), (1, (0, frozenset())): (1,)}
-    gamma = {(1, (0, frozenset()), 1)}
+    ab = Alphabet(("a",), (TOP, 0, 1))
+    delta = {(0, (0, TOP)): (0,), (0, (1, 0)): (0, 1), (1, (0, 1)): (1,)}
+    gamma = {(1, (0, 1), 1)}
     A = Automaton("UCA", ab, 2, 0, delta, gamma)
     B = parse_hoa(emit_hoa(A))
     assert B.alphabet.ap == ("a",)
     assert set(B.alphabet.promises) == set(ab.promises)
     assert any(p is TOP for p in B.alphabet.promises)
-    w = LassoWord(((1, 0),), ((0, frozenset()),))
+    w = LassoWord(((1, 0),), ((0, 1),))
     assert lasso_member_nba(A.reinterpret("NBA"), w)
     assert lasso_member_nba(B.reinterpret("NBA"), w)
 
@@ -257,14 +257,15 @@ def test_emission_and_parsing_match_the_dict_reference():
     assert_as_reference(N)
 
 
-# a vocabulary out of canonical order, a bit pattern beyond it, and a
-# letter subset
+# a vocabulary out of canonical order (state 1, top, state 0), a bit pattern
+# beyond it, and a letter subset
+VOCAB = '[{"state": 1}, {"top": true}, {"state": 0}]'
 PROMISED = """HOA: v1
 States: 2
 Start: 0
 AP: 3 "a" "_prm0" "_prm1"
 Acceptance: 1 Inf(0)
-promise-vocab: [{"state": 1}, {"top": true}, {"states": [0, 2]}]
+promise-vocab: [{"state": 1}, {"top": true}, {"state": 0}]
 letter-subset: [0, 3, 5]
 --BODY--
 State: 0
@@ -330,6 +331,43 @@ State: 1
 ])
 def test_parse_matches_the_dict_reference(text):
     assert parsed(parse_hoa(text)) == parsed(ref.parse_hoa(text))
+
+
+BAD_VOCAB = ("line 6, column 16: promise-vocab must list distinct "
+             '{"top": true} and {"state": n} items')
+SETS = PROMISED.replace('{"state": 0}', '{"states": [0, 2]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    # a promise that is a set of states, with and without a letter subset
+    (SETS, BAD_VOCAB),
+    (SETS.replace("letter-subset: [0, 3, 5]\n", ""), BAD_VOCAB),
+    # items of the wrong shape, states that are not schema states, a
+    # repeated promise, and a vocabulary that the _prm bits cannot index
+    *[(PROMISED.replace(VOCAB, bad), BAD_VOCAB) for bad in (
+        '[{"foo": 1}]', '{"a": 1}', '[1]', '[{"top": 1}]',
+        '[{"state": -3}]', '[{"state": "x"}]', '[{"state": 1.0}]',
+        '[{"state": true}]', '[{"state": 0, "top": true}]',
+        '[{"state": 0}, {"state": 0}]')],
+    (PROMISED.replace(VOCAB, "[" + ", ".join(
+        f'{{"state": {q}}}' for q in range(5)) + "]"),
+     "line 6, column 16: promise-vocab header does not match _prm* AP "
+     "count"),
+    # malformed JSON, located at the character that breaks it
+    (PROMISED.replace(VOCAB, "nope"),
+     "line 6, column 16: bad JSON: Expecting value"),
+    (PROMISED.replace("[0, 3, 5]", "[0, 3"),
+     "line 7, column 21: bad JSON: Expecting ',' delimiter"),
+    (PROMISED.replace("[0, 3, 5]", "[0, 3.5]"),
+     "line 7, column 16: letter-subset must be a list of bit patterns"),
+    (PROMISED.replace("[0, 3, 5]", "[0, 7]"),
+     "line 7, column 16: letter-subset names a bit pattern beyond the "
+     "promise vocabulary"),
+])
+def test_json_headers_are_checked_where_they_stand(text, message):
+    with pytest.raises(HoaError) as exc:
+        parse_hoa(text)
+    assert str(exc.value) == message
 
 
 def test_file_to_file_builds_no_dict_automaton(monkeypatch):

@@ -70,6 +70,23 @@ def test_validation():
         guard = Automaton("DFA", ab, 1, None, {(0, 0): (0,)}, ())
         Odp(1, 0, {0: ((0, "x", None),)},
             {(0, (0, "x", None)): ((0, 1.0),)}, ab, (0,), lookback=guard)
+    # a guard or promise is None or a schema state, not a float or a bool
+    schema = gf_b_schema()
+    for bad in (1.5, 0.0, True, False, -1, 2):
+        act = (None, "x", bad)
+        with pytest.raises(ValueError, match="bad promise state"):
+            Odp(1, 0, {0: (act,)}, {(0, act): ((0, 1.0),)}, ab, (0,),
+                lookahead=schema)
+
+
+def test_json_rejects_a_guard_or_promise_that_is_no_schema_state():
+    for D, key in ((after_c_guard_odp(), "guard"), (example2_odp(), "promise")):
+        doc = json.loads(odp_to_json(D))
+        entry = next(e for e in doc["actions"] if e[key] is not None)
+        for bad in (1.5, True, [0, 1], "x", {"state": 0}, -1, 7):
+            entry[key] = bad
+            with pytest.raises(ValueError, match=key):
+                odp_from_json(json.dumps(doc))
 
 
 def test_trivial_lookback_is_identity():
@@ -217,29 +234,15 @@ def example2_with_free_a():
     return D
 
 
-def test_checking_nba_is_shared_by_content():
-    # two separately built processes with equal schemas share one NBA
+def test_equal_processes_get_equal_checking_nbas():
+    # each call builds its own automaton, and equal processes give equal ones
     _, N1 = remove_lookahead(example2_odp())
     _, N2 = remove_lookahead(example2_odp())
-    assert N1 is N2
-    # a process with other moves that emits the same letters shares it too
-    D = example2_odp()
-    D.trans = {(s, act): ((0, 0.5), (1, 0.5)) if act[1] == "b" else dist
-               for (s, act), dist in D.trans.items()}
-    _, N_same = remove_lookahead(D)
-    assert N_same is N1
-    # a process that emits another letter set gets its own automaton
-    _, N_other = remove_lookahead(example2_with_free_a())
-    assert N_other is not N1
-    # and so does a schema that differs in one transition
-    D = example2_odp()
-    S = D.lookahead
-    delta = dict(S.delta)
-    delta.pop(next(iter(delta)))
-    D.lookahead = Automaton(S.kind, S.alphabet, S.n_states, None, delta,
-                            {g for g in S.gamma if g[:2] in delta})
-    _, N3 = remove_lookahead(D)
-    assert N3 is not N1
+    assert N1 is not N2
+    assert N1.alphabet == N2.alphabet and N1.n_states == N2.n_states
+    for col in ("src", "let", "dst", "acc"):
+        assert np.array_equal(getattr(N1.edges, col), getattr(N2.edges, col))
+    assert np.array_equal(N1.tags["final"], N2.tags["final"])
 
 
 def test_checking_nba_reads_exactly_the_emitted_letters():
@@ -255,7 +258,7 @@ def test_emitted_letter_nba_agrees_with_the_full_vocabulary(rng):
         schema = random_uca_schema(rng, 2)
         D = random_odp(rng, rng.randint(2, 3), lookahead=schema)
         M, N = remove_lookahead(D)
-        full = complement_uca(build_collection(schema, "at-most-one"))
+        full = complement_uca(build_collection(schema))
         assert full.alphabet.size == 6
         letters = N.alphabet.letters()
         assert set(letters) == set(M.labels)
@@ -363,7 +366,7 @@ def test_pipeline_agrees_with_streett_oracle(rng):
         schema = random_uca_schema(rng, 2)
         D = random_odp(rng, rng.randint(2, 3), lookahead=schema)
         M, _ = remove_lookahead(D)
-        dsa = determinize_uca(build_collection(D.lookahead, "at-most-one"))
+        dsa = determinize_uca(build_collection(D.lookahead))
         oracle = streett_lex_value(M, dsa, lam)
         try:
             value, sigma = solve_odp(D, lam, 1e-3)
@@ -383,7 +386,7 @@ def test_lab_value_matches_the_streett_oracle():
     D = build_biolab()
     value, _ = solve_odp(D, 0.99, 0.01)
     M, _ = remove_lookahead(remove_lookback(D))
-    dsa = determinize_uca(build_collection(D.lookahead, "at-most-one",
+    dsa = determinize_uca(build_collection(D.lookahead,
                                            letters=frozenset(M.labels)))
     assert abs(streett_lex_value(M, dsa, 0.99) - value) <= 1e-9
 
