@@ -15,7 +15,12 @@ components, reachability and emptiness are computed on edge arrays by
 ``scipy.sparse.csgraph`` (``_components``, ``_reached``, ``_nonempty``), and
 the reduction stages, the end component decomposition of ``mdp`` and the
 checks here all call them; scipy is imported inside them, because loading it
-costs more than importing the rest of the library.  Explorations that
+costs more than importing the rest of the library.  Each graph is one set of
+int32 CSR arrays (``_Graph``), built a slice of edges at a time, so that no
+step holds an int64 key per edge: a search from many roots writes them into
+spare slots as the row of one virtual root, and backward reachability builds
+the reverse graph from the edges.  ``prune_empty`` shares one graph between
+the strong components and the forward search.  Explorations that
 number states one key at a time use ``Explorer``; those that number a batch
 of keys at once (the complement's rank rows, ``intersect_nba`` and
 ``mdp.product_with_nba``) use ``Interner``.  ``lasso_member_nba`` keeps
@@ -142,15 +147,17 @@ class Explorer:
 
 # rows of one batch that Interner probes together
 _PROBE = 8192
-_FREE = np.int64(np.iinfo(np.int64).max)  # an empty slot of an Interner
+_FREE = np.int32(np.iinfo(np.int32).max)  # an empty slot of an Interner
 
 
 def _reserved(a, size):
-    """``a``, or a copy of it at least twice as long when it is shorter
-    than ``size``; the part past ``len(a)`` is uninitialised."""
+    """``a``, or a copy of it half as long again, or as long as ``size``
+    if that is more, when it is shorter than ``size``; the part past
+    ``len(a)`` is uninitialised."""
     if len(a) >= size:
         return a
-    grown = np.empty((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    grown = np.empty((max(size, len(a) + len(a) // 2),) + a.shape[1:],
+                     dtype=a.dtype)
     grown[:len(a)] = a
     return grown
 
@@ -169,11 +176,11 @@ class Interner:
     gets the next free id, in order of first appearance, and the same id
     ever after, as :class:`Explorer` would give them one row at a time.
 
-    ``rows[i]`` is the row of id ``i < len(self)``.  The index is an
-    open-addressing table of int64 ids with linear probing, at most half
-    full.  A row's first slot is the top bits of its 64-bit hash: the
-    wrapped sum of its entries times random odd multipliers (``mult``, from
-    a fixed seed).  A batch is probed in slices of at most ``_PROBE`` rows,
+    ``rows[i]`` is the row of id ``i < len(self)``, and the ids are int32.
+    The index is an open-addressing table of int32 ids with linear probing,
+    at most half full.  A row's first slot is the top bits of its 64-bit
+    hash: the wrapped sum of its entries times random odd multipliers
+    (``mult``, from a fixed seed).  A batch is probed in slices of at most ``_PROBE`` rows,
     each slice in a few numpy steps per probe.  A probe stops only at a
     slot whose stored row equals the row, so a hash collision never merges
     two rows.
@@ -186,7 +193,7 @@ class Interner:
         self.mult = _multipliers(width)
         # a small exploration's rows then mostly find their row, or a free
         # slot, at the first probe
-        self.table = np.full(1 << 14, _FREE, dtype=np.int64)
+        self.table = np.full(1 << 14, _FREE, dtype=np.int32)
         self.shift = np.uint64(64 - 14)
         self.n = 0
 
@@ -204,14 +211,14 @@ class Interner:
         """The ids of the rows ``keys``, at most ``_PROBE`` of them."""
         n, k = self.n, len(keys)
         if not k:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int32)
         if n + k > len(self.rows):
             self.rows = _reserved(self.rows, n + k)
         if 2 * (n + k) > len(self.table):
             self._rehash(2 * (n + k))
         # the slice's rows take the ids n .. n+k-1 while they probe
         self.rows[n:n + k] = keys
-        mine = np.arange(n, n + k)
+        mine = np.arange(n, n + k, dtype=np.int32)
         got, where = self._probe(mine, self._slots(keys), keys)
         new = got == mine
         fresh = int(np.count_nonzero(new))
@@ -260,12 +267,13 @@ class Interner:
         a slice at a time."""
         bits = (size - 1).bit_length()
         self.table = None  # freed before the new one is allocated
-        self.table = np.full(1 << bits, _FREE, dtype=np.int64)
+        self.table = np.full(1 << bits, _FREE, dtype=np.int32)
         self.shift = np.uint64(64 - bits)
         for lo in range(0, self.n, _PROBE):
             hi = min(self.n, lo + _PROBE)
             keys = self.rows[lo:hi]
-            self._probe(np.arange(lo, hi), self._slots(keys), keys)
+            self._probe(np.arange(lo, hi, dtype=np.int32), self._slots(keys),
+                        keys)
 
 
 def promise_sort_key(p):
@@ -683,62 +691,170 @@ def lasso_member_uca(A: Automaton, w: LassoWord) -> bool:
     return not lasso_member_nba(A, w)
 
 
-def _graph(n, src, dst, roots=None):
-    """The edges ``src -> dst`` as a CSR matrix over the states 0 .. n-1,
-    and with ``roots``, over a virtual state n that leads to every root.
+# edges per slice of the graph routines: their temporary arrays stay this
+# small, however large the graph
+_SLICE_BITS = 16
+_SLICE = 1 << _SLICE_BITS
+# the data of every graph matrix: scipy reads only the structure
+_ONES = np.broadcast_to(1.0, 1 << 40)
 
-    It is built straight from the sorted ``(src, dst)`` keys, one int64
-    array sorted in place, with repeats dropped: scipy's SCC search hangs
-    on repeated edges.  The graph routines read only the structure, so the
-    data is one float broadcast over the entries and takes no memory."""
-    from scipy.sparse import csr_matrix
-    size = n if roots is None else n + 1
-    m = len(src)
-    keys = np.empty(m + (0 if roots is None else len(roots)), dtype=np.int64)
-    np.multiply(src, size, out=keys[:m], dtype=np.int64)
-    keys[:m] += dst
-    if roots is not None:
-        keys[m:] = roots
-        keys[m:] += n * size
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    if not first.all():
-        keys = keys[first]
-    indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
-    indices = np.remainder(keys, size, out=keys).astype(np.int32)
-    return csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr),
-                      shape=(size, size))
+
+class _Graph:
+    """The edges ``src -> dst`` over the states ``0 .. n-1`` as int32 CSR
+    arrays: the targets of state ``q`` are
+    ``indices[indptr[q]:indptr[q + 1]]``.
+
+    ``_Graph(n, src, dst, spare)`` takes the edges in any order and keeps
+    their repeats, which :meth:`reached` does not mind.  A first pass counts
+    the edges out of each state, and a second one moves each slice of
+    ``_SLICE`` edges into the rows of their sources.  ``indices`` keeps
+    ``spare`` free slots after the last target, and ``indptr`` one entry
+    more than a CSR needs: :meth:`reached` writes there the row of a virtual
+    state ``n`` that leads to every root.
+
+    :meth:`simple` gives each row ascending and without repeats, because
+    scipy's strong component search hangs on repeated edges.  No step holds
+    a key per edge.  scipy reads only the structure, so its matrices carry
+    a slice of ``_ONES``, one float broadcast, which takes no memory."""
+
+    __slots__ = ("n", "indptr", "indices")
+
+    def __init__(self, n, src, dst, spare=0):
+        m = len(src)
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        for lo in range(0, m, _SLICE):
+            np.add.at(indptr[2:], src[lo:lo + _SLICE], np.int32(1))
+        np.cumsum(indptr, out=indptr)
+        # ahead[q] = indptr[q + 1] moves from where row q starts to where
+        # it ends
+        ahead = indptr[1:]
+        indices = np.empty(m + spare, dtype=np.int32)
+        for lo in range(0, m, _SLICE):
+            # the slice's edges by source, in their order for each source
+            key = np.left_shift(src[lo:lo + _SLICE], _SLICE_BITS,
+                                dtype=np.int64)
+            step = np.arange(len(key), dtype=np.int32)
+            key += step
+            key.sort()
+            row = key >> _SLICE_BITS
+            head = np.empty(len(row), dtype=bool)
+            head[:1] = True
+            np.not_equal(row[1:], row[:-1], out=head[1:])
+            # they go to consecutive places of the source's row
+            at = ahead[row]
+            at += step
+            at -= np.maximum.accumulate(step * head)
+            key &= _SLICE - 1
+            indices[at] = dst[lo:lo + _SLICE][key]
+            head[:-1] = head[1:]
+            head[-1:] = True
+            ahead[row[head]] = at[head] + 1
+        self.n, self.indptr, self.indices = n, indptr, indices
+
+    @classmethod
+    def simple(cls, n, src, dst) -> "_Graph":
+        """The graph with each row ascending and without repeats.  Edges
+        sorted by source, as :class:`Edges` keeps them, are read as they
+        are, others are first grouped by source as ``_Graph`` does; then a
+        slice of sources at a time, as int64 keys ``src * n + dst``.  The
+        repeats of a pair have its source, so they lie in its slice, where
+        a sort of the keys finds them."""
+        if len(src) > 1 and np.any(src[1:] < src[:-1]):
+            grouped = cls(n, src, dst)
+            src = np.repeat(np.arange(n, dtype=np.int32),
+                            np.diff(grouped.indptr[:n + 1]))
+            dst = grouped.indices
+        m = len(src)
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        indices = np.empty(m, dtype=np.int32)
+        lo = w = 0
+        while lo < m:
+            # a slice ends with the last edge of its last source
+            hi = m if lo + _SLICE >= m else \
+                int(np.searchsorted(src, src[lo + _SLICE - 1], "right"))
+            key = src[lo:hi].astype(np.int64)
+            key *= n
+            key += dst[lo:hi]
+            key.sort()
+            keep = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            row, col = np.divmod(key[keep], n)
+            indices[w:w + len(row)] = col
+            # where each row's targets end
+            last = np.flatnonzero(row[1:] != row[:-1])
+            indptr[row[last] + 1] = last + (w + 1)
+            w += len(row)
+            indptr[row[-1:] + 1] = w
+            lo = hi
+        # a row without targets ends where the one before it ends
+        np.maximum.accumulate(indptr, out=indptr)
+        G = cls.__new__(cls)
+        G.n, G.indptr, G.indices = n, indptr, indices
+        return G
+
+    def _matrix(self, size):
+        from scipy.sparse import csr_matrix
+        indptr = self.indptr[:size + 1]
+        end = int(indptr[-1])
+        return csr_matrix((_ONES[:end], self.indices[:end], indptr),
+                          shape=(size, size))
+
+    def components(self):
+        """Strongly connected component label of each state."""
+        from scipy.sparse.csgraph import connected_components
+        return connected_components(self._matrix(self.n), directed=True,
+                                    connection="strong")[1]
+
+    def reached(self, roots):
+        """Mask of the states reachable from the states ``roots``; unless
+        there is one root, they need as many spare slots."""
+        from scipy.sparse.csgraph import breadth_first_order
+        n, indptr = self.n, self.indptr
+        if len(roots) == 1:
+            start, size = int(roots[0]), n
+        else:
+            end = int(indptr[n])
+            self.indices[end:end + len(roots)] = roots
+            indptr[n + 1] = end + len(roots)
+            start, size = n, n + 1
+        out = np.zeros(n + 1, dtype=bool)
+        out[breadth_first_order(self._matrix(size), start,
+                                return_predecessors=False)] = True
+        return out[:n]
 
 
 def _reached(n, src, dst, roots):
     """Mask of the states reachable from the states ``roots`` along the
     edges ``src -> dst``."""
-    from scipy.sparse.csgraph import breadth_first_order
-    roots = np.asarray(roots, dtype=np.int64)
     if not len(roots):
         return np.zeros(n, dtype=bool)
-    G = _graph(n, src, dst, roots)
-    out = np.zeros(n + 1, dtype=bool)
-    out[breadth_first_order(G, n, return_predecessors=False)] = True
-    return out[:n]
+    return _Graph(n, src, dst, len(roots)).reached(roots)
 
 
 def _components(n, src, dst):
     """Strongly connected component label of each state."""
-    from scipy.sparse.csgraph import connected_components
-    return connected_components(_graph(n, src, dst), directed=True,
-                                connection="strong")[1]
+    return _Graph.simple(n, src, dst).components()
+
+
+def _inner(comp, src, dst):
+    """Mask of the edges ``src -> dst`` that stay inside one component of
+    ``comp``, a slice at a time."""
+    out = np.empty(len(src), dtype=bool)
+    for lo in range(0, len(src), _SLICE):
+        np.equal(comp[src[lo:lo + _SLICE]], comp[dst[lo:lo + _SLICE]],
+                 out=out[lo:lo + _SLICE])
+    return out
 
 
 def _nonempty(E: Edges, comp):
-    """Mask of the states from which some accepting lasso exists; ``comp``
-    labels the strongly connected components."""
-    n = len(comp)
-    inner = E.acc & (comp[E.src] == comp[E.dst])
-    live = np.zeros(n, dtype=bool)
+    """Mask of the states from which some accepting lasso exists: those
+    that reach a strongly connected component, labelled by ``comp``, that
+    holds a marked edge."""
+    inner = _inner(comp, E.src, E.dst)
+    inner &= E.acc
+    live = np.zeros(len(comp), dtype=bool)
     live[comp[E.src[inner]]] = True
-    return _reached(n, E.dst, E.src, np.flatnonzero(live[comp]))
+    return _reached(len(comp), E.dst, E.src, np.flatnonzero(live[comp]))
 
 
 def nonempty_states(A: Automaton) -> set:

@@ -13,9 +13,12 @@ pinned to the maximal rank.  Safety and reachability shaped inputs collapse
 to subset and breakpoint constructions.
 
 The general construction explores breadth first and numbers states in the
-order they are found.  Ranking states are held as int16 rows of one table
-(a rank per UCA state, -1 when absent, then the ``O`` flags, then ``i``), so
-any number of UCA states works.  The worklist is taken in FIFO batches of
+order they are found.  Ranking states are held as rows of one table (a rank
+per UCA state, -1 when absent, then the ``O`` flags, then ``i``), so any
+number of UCA states works.  A row's dtype is the narrowest signed one that
+holds 2n, the mark of an absent state in the ranking update
+(:func:`_row_dtype`): int8 up to 63 UCA states, int16 above.  A row has the
+same values, hash and id in either.  The worklist is taken in FIFO batches of
 consecutive ranking states (at most ``_CHUNK``); numpy computes the ranking
 update of a whole batch on every letter at once, and the successors are then
 interned in (state, letter) order, which gives every state the id the
@@ -37,7 +40,8 @@ the entry rankings of a subset through a fourth:
   computed only for the (ranking, letter) pairs that stay tight.
 * Interning.  One :class:`~omegadp.automata.Interner` stores each rank
   row once, in order of first appearance, and finds a row by its 64-bit
-  hash in an open-addressing table of ids, a whole batch at once.  A row's
+  hash in an open-addressing table of int32 ids, a whole batch at once;
+  its rows grow by half at a time.  A row's
   state id is kept in one int32 array: the rows are numbered in state id
   order, but the subsets and the sink take ids between them, so the new
   rows of a batch are looked up in one call and then numbered in pieces,
@@ -58,8 +62,12 @@ the entry rankings of a subset through a fourth:
   entry has no successor, so it was never live, and the other states keep
   their order: pruning gives the same automaton as it would with them.
 
-When the exploration ends, the interner, the entry ids and the state ids
-are freed, and the int32 edge parts are joined one field at a time.
+The states are expanded in id order, so the edges come in the order of
+their sources: the construction keeps the number of edges of each state,
+and per edge its letter (uint16: an alphabet has at most 2**16 letters),
+target and mark.  When the exploration ends, the interner, the entry ids
+and the state ids are freed, the sources are spelled out from the counts,
+and the other edge parts are joined one field at a time.
 
 Input and output are :class:`~omegadp.automata.Edges` (``A.edges``); no
 ``delta``/``gamma`` dict is built on either side.  The output's tags are
@@ -341,17 +349,17 @@ def _ranking_update(F, mv: _Moves):
     # transpose is a view of F)
     f = F[:, :n].T.copy()
     f[f < 0] = big
-    brings = np.concatenate([f, f & np.int16(-2)])
+    brings = np.concatenate([f, f & -2])
     # g[a, t, s]: the least rank a run of s brings to t on letter a
     least = brings[mv.take]
     at = mv.sizes[0]
     for k in mv.sizes[1:]:
         np.minimum(least[:k], least[at:at + k], out=least[:k])
         at += k
-    g = np.full((L * n, len(F)), big, dtype=np.int16)
+    g = np.full((L * n, len(F)), big, dtype=F.dtype)
     g[mv.cells] = least[:mv.sizes[0]]
     g = g.reshape(L, n, len(F))
-    top = np.where(g < big, g, np.int16(-1)).max(axis=1)
+    top = np.where(g < big, g, -1).max(axis=1)
     ok = _tight(g, top, mv.masks)
     if mv.pinned is not None:
         # the pinned state never dies and nothing feeds into it, so its
@@ -363,10 +371,17 @@ def _ranking_update(F, mv: _Moves):
     return g, top, status
 
 
+def _row_dtype(n):
+    """The narrowest signed dtype of the rank rows of an ``n``-state UCA:
+    it holds 2n, the mark of an absent state in the ranking update."""
+    return np.int8 if 2 * n <= np.iinfo(np.int8).max else np.int16
+
+
 def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     E = A.edges
     letters = E.letters
     L, n = len(letters), A.n_states
+    row = _row_dtype(n)
     succ = _successor_masks(E, n)
     pinned = _resolve_pin(A)
     W = 2 * n + 1  # rank row: ranks (-1 absent), then O flags, then i
@@ -378,13 +393,15 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     kinds = bytearray()  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
     subset_ids = {}  # subset mask -> id
     subset_of = {}  # id -> subset mask
-    ranks = Interner(W, np.int16)  # the rank rows, in state id order
+    ranks = Interner(W, row)  # the rank rows, in state id order
     state_of = np.empty(1024, dtype=np.int32)  # state id of each rank row
     numbered = 0  # the rank rows that have a state id
     entries = {}  # subset mask -> jump_targets(mask)
     large = {}  # entry-ranking tables too large to keep past this call
     sink = []
-    src_parts, let_parts, dst_parts, acc_parts = [], [], [], []
+    # the edges, in the order of their sources: the number of each
+    # state's edges, and per edge its letter, target and mark
+    deg_parts, let_parts, dst_parts, acc_parts = [], [], [], []
     blocked = 0
 
     def new_state(kind):
@@ -438,7 +455,7 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         if count * m > _KEEP_CELLS and key not in large:
             large[key] = _tight_rankings(*key)
         ranks = large[key] if key in large else _kept_rankings(*key)
-        table = np.zeros((len(ranks), W), dtype=np.int16)
+        table = np.zeros((len(ranks), W), dtype=row)
         table[:, :n] = -1
         table[:, states] = ranks
         return table
@@ -458,14 +475,15 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         return every[keep], \
             np.cumsum(keep)[np.cumsum([len(t) for t in tables]) - 1]
 
-    def add_edges(src, let, dst, acc):
-        src_parts.append(np.asarray(src, dtype=np.int32))
-        let_parts.append(np.asarray(let, dtype=np.int32))
+    def add_edges(deg, let, dst, acc):
+        """The edges of the states expanded next: ``deg`` of each."""
+        deg_parts.append(np.asarray(deg, dtype=np.int32))
+        let_parts.append(np.asarray(let, dtype=np.uint16))
         dst_parts.append(np.asarray(dst, dtype=np.int32))
         acc_parts.append(np.asarray(acc, dtype=bool))
 
     def expand_sink(sid):
-        add_edges([sid] * L, range(L), [sid] * L, [True] * L)
+        add_edges([L], range(L), [sid] * L, [True] * L)
 
     def expand_subset(sid):
         S = subset_of[sid]
@@ -486,7 +504,7 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         dst = [entries[S2] if S2 else [get_empty()] for S2 in images]
         fan = [len(d) for d in dst]
         k = sum(fan)
-        add_edges(np.full(k, sid), np.repeat(np.arange(L), fan),
+        add_edges([k], np.repeat(np.arange(L), fan),
                   np.concatenate(dst), np.zeros(k, dtype=bool))
 
     def expand_ranks(lo, hi):
@@ -513,7 +531,7 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         owing = (r == i[:, None]) & owed
         still = owing.any(axis=1)
         i2 = (i + 2) % (top[a, s] + 1)
-        table = np.empty((len(nxt), W), dtype=np.int16)
+        table = np.empty((len(nxt), W), dtype=row)
         table[:, :n] = r
         table[:, n:2 * n] = np.where(still[:, None], owing, r == i2[:, None])
         table[:, 2 * n] = np.where(still, i, i2)
@@ -530,7 +548,8 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         if to_empty.any():
             dst[to_empty] = get_empty()
         dst[nxt] = np.concatenate([ids, state_ids(rank[cut:])])
-        add_edges(lo + go // L, go % L, dst[go], mark[go])
+        add_edges(np.bincount(go // L, minlength=m), go % L, dst[go],
+                  mark[go])
 
     start = intern_subset(1 << A.initial)
     wi = 0
@@ -552,16 +571,19 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     ranks = state_of = None
     entries.clear()
     large.clear()
-    edges = Edges(letters, *(_joined(p) for p in
-                             (src_parts, let_parts, dst_parts, acc_parts)))
+    src = np.repeat(np.arange(len(kinds), dtype=np.int32),
+                    _joined(deg_parts))
+    edges = Edges(letters, src, _joined(let_parts, np.int32),
+                  _joined(dst_parts), _joined(acc_parts))
     final = np.frombuffer(kinds, dtype=np.uint8) != 1
     return _result(A, len(kinds), start, edges, final, blocked, "rank")
 
 
-def _joined(parts):
-    """The arrays ``parts`` joined into one; the list is emptied, so each
-    part is freed as soon as the join no longer needs it."""
-    out = np.concatenate(parts)
+def _joined(parts, dtype=None):
+    """The arrays ``parts`` joined into one, of ``dtype`` if it is given;
+    the list is emptied, so each part is freed as soon as the join no
+    longer needs it."""
+    out = np.concatenate(parts, dtype=dtype)
     parts.clear()
     return out
 

@@ -28,7 +28,10 @@ string, one of ``[]{}()!&|``, or a run of any other characters up to a blank
 or a ``/*``, so a comment may stand between any two tokens.  Every error
 found at a place in the text is a ``HoaError`` naming its line and column:
 a malformed number, a malformed JSON header, and a ``Start:`` or a state id
-beyond the ``States:`` count, included.
+beyond the ``States:`` count, included.  A header refused once all headers
+are read is located at its value (an unsupported ``Acceptance:``, too many
+APs, a ``collection-initial:`` that names no state), and an alphabet that
+cannot be built, or a missing ``Acceptance:``, at ``--BODY--``.
 """
 
 from __future__ import annotations
@@ -91,6 +94,11 @@ class _Scanner:
             tok = match.group()
         self.peeked = (self.pos, tok)
         return tok
+
+    def here(self):
+        """Where the next token starts."""
+        self.peek()
+        return self.pos
 
     def next(self):
         tok = self.peek()
@@ -254,6 +262,7 @@ def parse_hoa(text: str) -> Automaton:
         if tok is None:
             raise tz.error("missing --BODY--")
         if tok == "--BODY--":
+            body_at = tz.pos
             tz.next()
             break
         tok = tz.next()
@@ -262,6 +271,7 @@ def parse_hoa(text: str) -> Automaton:
         elif tok == "Start:":
             start, start_at = tz.integer(), tz.pos
         elif tok == "AP:":
+            ap_at = tz.here()
             n_ap = tz.integer()
             ap_names = []
             for _ in range(n_ap):
@@ -270,6 +280,7 @@ def parse_hoa(text: str) -> Automaton:
                     raise tz.error("AP names must be quoted")
                 ap_names.append(name[1:-1])
         elif tok == "Acceptance:":
+            acceptance_at = tz.here()
             n_sets = tz.integer()
             acceptance = (n_sets, "".join(_header_values(tz)))
         elif tok == "acc-name:":
@@ -279,6 +290,7 @@ def parse_hoa(text: str) -> Automaton:
         elif tok == "letter-subset:":
             subset_header = tz.json_line()
         elif tok == "collection-initial:":
+            collection_at = tz.here()
             collection_initial = tz.integer()
         elif tok.endswith(":"):
             # tool:, name:, properties:, and other ignorable headers
@@ -286,18 +298,21 @@ def parse_hoa(text: str) -> Automaton:
         else:
             raise tz.error(f"unexpected header token {tok!r}")
     if len(ap_names) > MAX_AP:
-        raise HoaError(f"{len(ap_names)} atomic propositions exceed the cap of {MAX_AP}")
+        raise tz.error(f"{len(ap_names)} atomic propositions exceed the cap "
+                       f"of {MAX_AP}", ap_at)
     if acceptance is None:
-        raise HoaError("missing Acceptance: header")
+        raise tz.error("missing Acceptance: header", body_at)
     n_sets, formula = acceptance
     formula = formula.replace(" ", "")
     # "0 t" makes every run accepting: an NBA with every edge marked
     kind = {(1, "Inf(0)"): "NBA", (1, "Fin(0)"): "UCA",
             (0, "t"): "NBA"}.get((n_sets, formula))
     if kind is None:
-        raise HoaError(f"unsupported acceptance condition {formula!r} with {n_sets} sets")
+        raise tz.error(f"unsupported acceptance condition {formula!r} with "
+                       f"{n_sets} sets", acceptance_at)
     if acc_name == "co-Buchi" and formula == "Inf(0)":
-        raise HoaError("acc-name co-Buchi conflicts with Inf acceptance")
+        raise tz.error("acc-name co-Buchi conflicts with Inf acceptance",
+                       acceptance_at)
 
     promises = None
     n_prm_bits = 0
@@ -329,7 +344,8 @@ def parse_hoa(text: str) -> Automaton:
     try:
         alphabet = Alphabet(tuple(ap_names), promises, subset)
     except ValueError as exc:
-        raise HoaError(str(exc)) from None
+        # the alphabet stands complete once the headers end
+        raise tz.error(str(exc), body_at) from None
     letters = alphabet.letters()
     # letters outside a letter subset have no index, so their edges drop out
     index = {a: i for i, a in enumerate(letters)}
@@ -382,7 +398,8 @@ def parse_hoa(text: str) -> Automaton:
     tags = {}
     if collection_initial is not None:
         if not 0 <= collection_initial < n_states:
-            raise HoaError("collection-initial names no state")
+            raise tz.error("collection-initial names no state",
+                           collection_at)
         tags["collection_initial"] = collection_initial
     return Automaton.from_edges(kind, alphabet, n_states, start, edges, tags)
 

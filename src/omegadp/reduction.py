@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Automaton, Edges, _components, _first_phase, \
-    _nonempty, _reached, check_time, time_limit
+from .automata import _SLICE, Automaton, Edges, _components, _first_phase, \
+    _Graph, _inner, _nonempty, _reached, check_time, time_limit
 from .complement import ComplementOptions, complement_uca
 
 
@@ -83,14 +83,33 @@ def _derived(A: Automaton, n, initial, edges: Edges, final) -> Automaton:
     return Automaton.from_edges(A.kind, A.alphabet, n, initial, edges, tags)
 
 
-def _restrict(A: Automaton, initial, E: Edges, keep, final) -> Automaton:
+def _renumbered(new_id, col):
+    """``new_id[col]``, written over ``col`` a slice at a time."""
+    for lo in range(0, len(col), _SLICE):
+        part = col[lo:lo + _SLICE]
+        part[:] = new_id[part]
+    return col
+
+
+def _restrict(A: Automaton, initial, E: Edges, keep, final,
+              comp=None) -> Automaton:
     """``A`` with initial state ``initial`` and edges ``E``, without the
-    states outside the mask ``keep``, renumbered densely."""
-    new_id = np.cumsum(keep) - 1
-    m = keep[E.src] & keep[E.dst]
-    edges = Edges(E.letters, new_id[E.src[m]], E.let[m], new_id[E.dst[m]],
-                  E.acc[m])
-    return _derived(A, int(keep.sum()), int(new_id[initial]), edges,
+    states outside the mask ``keep``, renumbered densely.  With ``comp``, a
+    component label per state, the marks on the kept edges between two
+    components are cleared.  The edge columns are restricted one at a
+    time."""
+    new_id = np.cumsum(keep, dtype=np.int32)
+    new_id -= 1
+    m = keep[E.src]
+    m &= keep[E.dst]
+    src = _renumbered(new_id, E.src[m])
+    dst = _renumbered(new_id, E.dst[m])
+    let, acc = E.let[m], E.acc[m]
+    del m
+    if comp is not None:
+        acc &= _inner(comp[keep], src, dst)
+    return _derived(A, int(np.count_nonzero(keep)), int(new_id[initial]),
+                    Edges(E.letters, src, let, dst, acc),
                     None if final is None else final[keep])
 
 
@@ -103,14 +122,15 @@ def prune_empty(A: Automaton) -> Automaton:
     """
     check_time("pruning")
     E = A.edges
-    comp = _components(A.n_states, E.src, E.dst)
-    live = _nonempty(E, comp)
+    G = _Graph.simple(A.n_states, E.src, E.dst)
+    comp = G.components()
+    live = G.reached([A.initial])
+    # the forward arrays are freed before the backward ones are built
+    del G
+    live &= _nonempty(E, comp)
     if not live[A.initial]:
         return canonical_empty(A.alphabet)
-    live &= _reached(A.n_states, E.src, E.dst, [A.initial])
-    E = Edges(E.letters, E.src, E.let, E.dst,
-              E.acc & (comp[E.src] == comp[E.dst]))
-    return _restrict(A, A.initial, E, live, A.tags.get("final"))
+    return _restrict(A, A.initial, E, live, A.tags.get("final"), comp)
 
 
 def _row_ids(M):
@@ -126,37 +146,53 @@ def _row_ids(M):
     return ids, int(new.sum())
 
 
+def _code_dtype(n, L):
+    """The dtype of the block ids and move codes of :func:`_bisimulation`
+    over ``n`` states and ``L`` letters: a block id is below 2n, so a move
+    code is below (2 * 2n + 1) * L, which int32 holds unless it is large."""
+    return np.int32 if (4 * n + 1) * L <= np.iinfo(np.int32).max \
+        else np.int64
+
+
 def _bisimulation(n, E: Edges, active, what):
     """Coarsest strong bisimulation that refines ``active`` states only;
     every other state is a block of its own.  Returns block ids."""
     L = max(len(E.letters), 1)
-    block = np.where(active, 0, n + np.arange(n))
+    code = _code_dtype(n, L)
+    block = np.where(active, 0, n + np.arange(n, dtype=code))
     act = np.flatnonzero(active)
-    m = active[E.src]
-    src, let, dst, acc = E.src[m], E.let[m], E.dst[m], E.acc[m]
+    # the moves of every edge are coded, and those of the other states are
+    # never read, so no edge array is copied
+    src, let, dst, acc = E.src, E.let, E.dst, E.acc
+    bounds = np.arange(n + 1, dtype=src.dtype)
     # one move per (source, letter) keeps letter order canonical; otherwise
     # each state's moves are sorted and deduplicated every round
-    det = not np.any((src[1:] == src[:-1]) & (let[1:] == let[:-1]))
+    det = not np.any((src[1:] == src[:-1]) & (let[1:] == let[:-1])
+                     & active[src[1:]])
+    offset = np.searchsorted(src, bounds)
     n_blocks = 1 if len(act) else 0
     while True:
         check_time(what)
-        move = (block[dst] * 2 + acc) * L + let
-        s = src
+        move = block[dst]
+        move *= 2
+        move += acc
+        move *= L
+        move += let
         if not det:
-            order = np.lexsort((move, s))
-            s, move = s[order], move[order]
+            order = np.lexsort((move, src))
+            s, move = src[order], move[order]
             first = np.ones(len(s), dtype=bool)
             first[1:] = (s[1:] != s[:-1]) | (move[1:] != move[:-1])
             s, move = s[first], move[first]
-        count = np.bincount(s, minlength=n)
-        offset = np.concatenate([[0], np.cumsum(count)])
+            offset = np.searchsorted(s, bounds)
+        count = np.diff(offset)
         new_block = np.empty(len(act), dtype=np.int64)
         total = 0
         # states with different numbers of moves never share a block
         for k in np.unique(count[act]):
             sel = np.flatnonzero(count[act] == k)
             states = act[sel]
-            M = np.empty((len(states), k + 1), dtype=np.int64)
+            M = np.empty((len(states), k + 1), dtype=code)
             M[:, 0] = block[states]
             M[:, 1:] = move[offset[states][:, None] + np.arange(k)]
             ids, k_blocks = _row_ids(M)
@@ -239,8 +275,8 @@ def _inclusion_fails(T, mark, P, R):
         acc.append(mark[p[k], a])
         frontier = np.setdiff1d(d, seen)
         seen = np.union1d(seen, frontier)
-    src = np.searchsorted(seen, np.concatenate(src))
-    dst = np.searchsorted(seen, np.concatenate(dst))
+    src = np.searchsorted(seen, np.concatenate(src)).astype(np.int32)
+    dst = np.searchsorted(seen, np.concatenate(dst)).astype(np.int32)
     keep = ~np.concatenate(cut)
     acc = np.concatenate(acc) & keep
     comp = _components(len(seen), src[keep], dst[keep])
@@ -436,8 +472,9 @@ def run_pipeline(A: Automaton, budget: float = 600.0):
 
 
 def _load_graph_routines():
-    """Import the graph routines that the stages load on first use, so that
-    no file's ``time`` cell includes loading them."""
+    """Import scipy's graph routines, which the graph layer of
+    :mod:`omegadp.automata` loads on first use, so that no file's ``time``
+    cell includes loading them."""
     import scipy.sparse.csgraph  # noqa: F401
 
 

@@ -281,6 +281,77 @@ def test_graph_helpers_agree_with_scipy_on_repeated_edges():
         assert np.array_equal(automata._reached(n, src, dst, roots), reached)
 
 
+def canonical(labels):
+    """Component labels renamed in order of first appearance."""
+    seen = {}
+    return [seen.setdefault(x, len(seen)) for x in list(labels)]
+
+
+def set_reach(n, pairs, roots):
+    """The states reachable from ``roots`` along ``pairs``, by a set-based
+    search."""
+    succ = {}
+    for s, d in pairs:
+        succ.setdefault(s, set()).add(d)
+    seen, todo = set(roots), list(roots)
+    while todo:
+        for t in succ.get(todo.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return [q in seen for q in range(n)]
+
+
+def random_edges(rng):
+    """Edges over 1 to 3 letters: the same (src, dst) pair on several
+    letters, self-loops, isolated states, and sometimes no edge at all."""
+    n, L = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+    m = int(rng.integers(0, 4 * n)) if rng.random() < 0.9 else 0
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    let = rng.integers(0, L, m)
+    k = m // 3
+    loops = rng.integers(0, n, int(rng.integers(0, n // 4 + 1)))
+    src = np.concatenate([src, src[:k], loops])
+    dst = np.concatenate([dst, dst[:k], loops])
+    let = np.concatenate([let, (let[:k] + 1) % L, rng.integers(0, L, len(loops))])
+    acc = rng.random(len(src)) < 0.3
+    return n, automata.Edges.normalised(list(range(L)), src, let, dst, acc)
+
+
+@pytest.mark.parametrize("bits", [2, 5, 16])
+def test_graph_layer_matches_tarjan_and_a_set_search(bits, monkeypatch):
+    # small slices split the edges of one graph into many, and a row of
+    # the reverse graph across several
+    monkeypatch.setattr(automata, "_SLICE_BITS", bits)
+    monkeypatch.setattr(automata, "_SLICE", 1 << bits)
+    rng = np.random.default_rng(bits)
+    for _ in range(120):
+        n, E = random_edges(rng)
+        src, dst = E.src.tolist(), E.dst.tolist()
+        pairs = set(zip(src, dst))
+        succ = [sorted(t for s, t in pairs if s == q) for q in range(n)]
+        order = rng.permutation(len(E))
+        for G in (automata._Graph.simple(n, E.src, E.dst),
+                  automata._Graph.simple(n, E.src[order], E.dst[order])):
+            # each row ascending and without repeats
+            assert G.indptr[0] == 0 and G.indptr[n] == G.indptr[n + 1]
+            assert [G.indices[G.indptr[q]:G.indptr[q + 1]].tolist()
+                    for q in range(n)] == succ
+            comp, _ = automata._strongly_connected_components(
+                n, succ.__getitem__)
+            assert canonical(G.components()) == canonical(comp)
+        back = [(d, s) for s, d in pairs]
+        for roots in ([], [int(rng.integers(n))],
+                      sorted(set(rng.integers(0, n, 4).tolist())),
+                      list(range(n))):
+            assert automata._reached(n, E.src, E.dst, roots).tolist() \
+                == set_reach(n, pairs, roots)
+            assert automata._reached(n, E.dst, E.src, roots).tolist() \
+                == set_reach(n, back, roots)
+            if len(roots) == 1:
+                assert G.reached(roots).tolist() == set_reach(n, pairs, roots)
+
+
 def dict_ids(index, table):
     """The ids a dict interner gives the rows of ``table``, in order of
     first appearance."""
@@ -291,7 +362,7 @@ def assert_interns_like_a_dict(interner, batches):
     index = {}
     for table in batches:
         got = interner.ids(table)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert got.tolist() == dict_ids(index, table)
         # each row is stored once, under its id
         stored = interner.rows[:len(interner)]
@@ -379,6 +450,18 @@ def test_state_ids_beyond_46341_compose_into_int64_keys():
         reached[breadth_first_order(G, r, return_predecessors=False)] = True
     assert np.array_equal(automata._reached(n, E.src, E.dst, [0, n - 1]),
                           reached)
+    # the one-row-per-state graph that the strong components read is the
+    # canonical CSR of scipy's own conversion, and the reverse graph
+    # reaches what scipy's transpose does
+    S = automata._Graph.simple(n, E.src, E.dst)
+    assert np.array_equal(S.indptr[:n + 1], G.indptr)
+    assert np.array_equal(S.indices[:S.indptr[n]], G.indices)
+    back = np.zeros(n, dtype=bool)
+    for r in (0, n - 1):
+        back[breadth_first_order(G.T.tocsr(), r,
+                                 return_predecessors=False)] = True
+    assert np.array_equal(automata._reached(n, E.dst, E.src, [0, n - 1]),
+                          back)
 
     def shape(B):
         return (B.n_states, B.initial, B.delta, B.gamma,

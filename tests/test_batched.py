@@ -62,17 +62,19 @@ def assert_same_stages(C):
         C = theirs
 
 
-def seventy_state_uca():
-    """70 states, but every reachable subset has at most two of them."""
-    n = 70
+def seventy_state_uca(n=70):
+    """``n`` states, but every reachable subset has at most two of them:
+    they lie on a ring of an even number of states, and state ``n - 1`` is
+    unreachable when ``n`` is odd."""
     delta, gamma = {}, set()
-    for q in range(n):
-        delta[(q, 0)] = ((q + 1) % n,)
-        delta[(q, 1)] = tuple(sorted({q, (q + 35) % n}))
+    ring = n - n % 2
+    for q in range(ring):
+        delta[(q, 0)] = ((q + 1) % ring,)
+        delta[(q, 1)] = tuple(sorted({q, (q + ring // 2) % ring}))
         if q % 2 == 0:
             gamma.add((q, 1, q))
         if q % 7 == 0:
-            gamma.add((q, 0, (q + 1) % n))
+            gamma.add((q, 0, (q + 1) % ring))
     return Automaton("UCA", Alphabet(("a",)), n, 0, delta, gamma)
 
 
@@ -114,6 +116,36 @@ def test_no_cap_on_the_number_of_uca_states():
             U, ComplementOptions(special=False, odd_entry=odd_entry))
         assert C.n_states > 400
     assert_same_stages(C)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_narrow_rank_rows_build_the_int16_complement(n, monkeypatch):
+    # 63 states is the last UCA whose rank rows fit int8 (2n <= 127)
+    U = seventy_state_uca(n)
+    assert complement_module._row_dtype(n) == (np.int8 if n == 63
+                                               else np.int16)
+    narrow = complement_uca(U, ComplementOptions(special=False))
+    monkeypatch.setattr(complement_module, "_row_dtype",
+                        lambda n: np.int16)
+    wide = complement_uca(U, ComplementOptions(special=False))
+    assert narrow.n_states == wide.n_states > 300
+    for column in ("src", "let", "dst", "acc"):
+        assert np.array_equal(getattr(narrow.edges, column),
+                              getattr(wide.edges, column))
+    assert np.array_equal(narrow.tags["final"], wide.tags["final"])
+    assert narrow.tags["stats"] == wide.tags["stats"]
+
+
+@pytest.mark.parametrize("name", ["reduce_01", "reduce_03", "reduce_04"])
+def test_bisimulation_codes_moves_alike_in_int32_and_int64(name,
+                                                           monkeypatch):
+    P = reduction.prune_empty(
+        complement_uca(fixture(name), ComplementOptions(special=False)))
+    narrow = [reduction.lump_final(P), reduction.lump_all(P)]
+    monkeypatch.setattr(reduction, "_code_dtype", lambda n, L: np.int64)
+    wide = [reduction.lump_final(P), reduction.lump_all(P)]
+    assert [phase_digest(B) for B in narrow] \
+        == [phase_digest(B) for B in wide]
 
 
 def test_state_budget_is_exact_inside_a_batch():
@@ -292,27 +324,30 @@ def test_complement_and_every_stage_keep_two_phases(source, monkeypatch):
 
 def test_reduce_05_complement_and_prune_stay_within_their_memory():
     """The traced peaks (numpy buffers included) on ``reduce_05`` of
-    ``complement_uca`` and then ``prune_empty``, and of ``lump_final`` on
-    the pruned automaton once the complement is freed.  They measured 40.5
-    MiB, at the complement's last growth of its rank rows, and 25.5 MiB;
-    the prune peaks at 34.3 MiB, the complement's 13.5 MiB of edges
-    included.  The bounds leave about 10 % above each.  With a dict keyed
-    by row bytes and int64 edges they were 75.5 and 36.7 MiB."""
+    ``complement_uca``, of ``prune_empty`` while the complement's 13.5 MiB
+    of edges are alive, and of ``lump_final`` on the pruned automaton once
+    the complement is freed.  They measured 23.6, 23.7 and 18.2 MiB; the
+    bounds leave about 10 % above each.  With int16 rank rows, int64
+    interner slots and a graph build that sorts an int64 key per edge they
+    were 40.5, 34.3 and 25.5 MiB."""
     U = fixture("reduce_05")
     reduction._load_graph_routines()
     tracemalloc.start()
     try:
         C = complement_uca(U, ComplementOptions(special=False))
-        P = reduction.prune_empty(C)
         built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        P = reduction.prune_empty(C)
+        pruned = tracemalloc.get_traced_memory()[1]
         del C
         tracemalloc.reset_peak()
         reduction.lump_final(P)
         lumped = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert built <= 45 * 2**20
-    assert lumped <= 28 * 2**20
+    assert built <= 26 * 2**20
+    assert pruned <= 26 * 2**20
+    assert lumped <= 20 * 2**20
 
 
 def held_tight(g, big):

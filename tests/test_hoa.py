@@ -213,6 +213,9 @@ State: 1
         assert emit_hoa(A) == emit_hoa(B)
 
 
+HEADERS = 'HOA: v1\nStates: 1\nAP: 1 "a"\nAcceptance: 1 Inf(0)\n'
+
+
 @pytest.mark.parametrize("text, message", [
     ("HOA: v1\nStates: 1 /* never\nclosed", "line 2, column 11: "
      "unterminated comment"),
@@ -226,11 +229,31 @@ State: 1
      "line 3, column 9: initial state 5 out of range"),
     ('HOA: v1\nStates: 1\nAP: 1 "a"\nAcceptance: 1 Inf(0)\n--BODY--\n'
      'State: 0\n[0] 3\n', "line 7, column 6: state 3 out of range"),
+    # headers refused once all are read: at their value or at --BODY--
+    ("HOA: v1\nAcceptance: 2 Inf(0)&Fin(1)\n--BODY--\n--END--\n",
+     "line 2, column 13: unsupported acceptance condition 'Inf(0)&Fin(1)' "
+     "with 2 sets"),
+    ('HOA: v1\nStates: 1\nAP: 1 "a"\n--BODY--\n--END--\n',
+     "line 4, column 1: missing Acceptance: header"),
+    (HEADERS + "collection-initial: 4\n--BODY--\n--END--\n",
+     "line 5, column 21: collection-initial names no state"),
+    (HEADERS.replace('AP: 1 "a"', "AP: 17 " + " ".join(
+        f'"p{i}"' for i in range(17))) + "--BODY--\n--END--\n",
+     "line 3, column 5: 17 atomic propositions exceed the cap of 16"),
 ])
 def test_scanner_errors_carry_line_and_column(text, message):
     with pytest.raises(HoaError) as exc:
         parse_hoa(text)
     assert str(exc.value) == message
+
+
+def test_alphabet_errors_are_located_at_the_body(monkeypatch):
+    from omegadp import automata
+    monkeypatch.setattr(automata, "MAX_LETTERS", 1)
+    with pytest.raises(HoaError) as exc:
+        parse_hoa(HEADERS + "--BODY--\n--END--\n")
+    assert str(exc.value) == ("line 5, column 1: alphabet has 2 letters, "
+                              "exceeding the cap of 1")
 
 
 def test_emission_and_parsing_match_the_dict_reference():
