@@ -948,17 +948,17 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
         Edges(ea.letters, src[order], let[order], dst[order], acc[order]))
 
 
-def _first_phase(A: Automaton):
+def _first_phase(A: Automaton, reached=_reached):
     """``(flag, in1)``: ``in1`` masks the part Q1 of the partition that
     :func:`is_strongly_limit_deterministic` checks, and the flag tells
-    whether the check passes."""
+    whether the check passes; ``reached`` is the search, as ``_reached``."""
     e, n = A.edges, A.n_states
     # Greatest set closed under successors where every state is
     # deterministic: the states that cannot reach a nondeterministic one.
     twin = (e.src[1:] == e.src[:-1]) & (e.let[1:] == e.let[:-1])
     seed = np.zeros(n, dtype=bool)
     seed[e.src[1:][twin]] = True
-    in1 = _reached(n, e.dst, e.src, np.flatnonzero(seed))
+    in1 = reached(n, e.dst, e.src, np.flatnonzero(seed))
     if (in1[e.src[e.acc]] | in1[e.dst[e.acc]]).any():
         return False, in1
     inner = in1[e.src] & in1[e.dst]

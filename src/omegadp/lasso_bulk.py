@@ -22,13 +22,14 @@ slow for large corpora.  Here the work is shared and vectorized:
 * automata that pass ``is_strongly_limit_deterministic`` (complement
   outputs in particular) get a much cheaper path: inside each part a run
   is a function of its start state, so reading a cycle word is a walk in a
-  functional graph instead of a matrix closure.  That path first cuts the
-  automaton to its live states, those from which an accepting lasso
-  exists, by its own Emerson–Lei fixpoint (``_live_states``; it calls
-  nothing of the emptiness layer of ``automata``, which it helps to
-  check); every other state becomes the sink of its part, and the input
-  automaton is not changed.  Fewer than half of the states of a typical
-  complement are live;
+  functional graph instead of a matrix closure.  The check searches by
+  ``_reaching`` here.  That path first cuts the automaton to its live
+  states, those from which an accepting lasso exists, by its own
+  Emerson–Lei fixpoint (``_live_states``).  Neither calls the graph or
+  emptiness layer of ``automata``, which the signatures help to check.
+  Every other state becomes the sink of its part, and the input automaton
+  is not changed.  Fewer than half of the states of a typical complement
+  are live;
 * deterministic Streett automata also take the functional path, OR-ing the
   per-pair transition flags over the eventual loop.
 
@@ -61,8 +62,7 @@ import typing
 
 import numpy as np
 
-from .automata import Automaton, LassoWord, check_time, \
-    is_strongly_limit_deterministic
+from .automata import Automaton, LassoWord, _first_phase, check_time
 
 
 def bounded_lassos(letters, bound):
@@ -211,9 +211,9 @@ def nba_signature(A: Automaton, bound: int) -> np.ndarray:
     """Membership of every bounded lasso in the language of an NBA/DBA."""
     if A.is_schema:
         raise ValueError("schema has no initial state")
-    flag, (q1, _) = is_strongly_limit_deterministic(A)
+    flag, in1 = _first_phase(A, _reaching)
     if flag:
-        return _sig_limit_det(A, bound, q1)
+        return _sig_limit_det(A, bound, in1)
     return _sig_generic(A, bound)
 
 
@@ -336,16 +336,15 @@ def _prefix_rows(E, initial, bound):
 
 
 def _reaching(n, src, dst, roots):
-    """Mask of the states with a path along the edges ``src -> dst`` to
-    one of the states ``roots`` (a breadth-first sweep over all edges per
-    level)."""
+    """Mask of the states reached from the states ``roots`` along the edges
+    ``src -> dst`` (a breadth-first sweep over all edges per level)."""
     seen = np.zeros(n, dtype=bool)
     seen[roots] = True
     while True:
-        new = seen[dst] & ~seen[src]
+        new = seen[src] & ~seen[dst]
         if not new.any():
             return seen
-        seen[src[new]] = True
+        seen[dst[new]] = True
 
 
 def _live_states(n, e):
@@ -358,7 +357,7 @@ def _live_states(n, e):
     edge, and the part-one states those that reach a jump into them."""
     live = np.ones(n, dtype=bool)
     while True:
-        nxt = _reaching(n, e.src, e.dst, e.src[e.acc & live[e.dst]])
+        nxt = _reaching(n, e.dst, e.src, e.src[e.acc & live[e.dst]])
         if nxt.sum() == live.sum():
             return live
         live = nxt
@@ -368,10 +367,10 @@ def _live_states(n, e):
 _STEP_CELLS = 1_000_000
 
 
-def _sig_limit_det(A: Automaton, bound: int, q1) -> np.ndarray:
+def _sig_limit_det(A: Automaton, bound: int, in1) -> np.ndarray:
     """Signature via the two-part structure: a run is a deterministic walk
     in part one plus a choice of jump point into the deterministic accepting
-    part; ``q1`` is part one.
+    part; ``in1`` masks part one.
 
     Only the live states (``_live_states``) are kept; every other state of a
     part is that part's sink, which also takes the missing moves.  Both
@@ -389,8 +388,6 @@ def _sig_limit_det(A: Automaton, bound: int, q1) -> np.ndarray:
     """
     L, e, n = len(A.alphabet.letters()), A.edges, A.n_states
     live = _live_states(n, e)
-    in1 = np.zeros(n, dtype=bool)
-    in1[list(q1)] = True
     live1, live2 = live & in1, live & ~in1
     m1, m2 = int(live1.sum()), int(live2.sum())
     ids = np.where(in1, m1, m2)

@@ -14,23 +14,24 @@ and products are ``Mdp`` objects whose ``pairs`` say what each state stands
 for in the model they were compiled from; a product's ``acc`` holds its
 accepting actions.  ``model_to_doc`` and ``model_from_doc`` are the one
 JSON codec of all of them.  A ``Strategy`` walks memory nodes by ``start``,
-``action`` and ``step``; the value check and the ODP translation both use
-them.
+``row`` (the row played, or ``action``, its name) and ``step``; the value
+check and the ODP translation both use them.
 
-A model has two forms.  Hand-written models, ODPs and their compilations
-are built as dicts of tuples (``actions``, ``trans``, ``rewards``, ``acc``).
-The solvers read one array form instead, ``MdpArrays`` (``Mdp.arrays``):
-one CSR row per (state, action) pair in the state's action order, with a
-reward per stored transition, the rows' expected rewards and an
-accepting-row mask.  A dict-built model gets its arrays on first use; a
-product is built straight into them, one breadth-first batch of states at a
-time, and its dict fields are made from the arrays only if something reads
-them, so solving, checking and learning on a product never build them.  On
-the arrays, maximal end components come from strongly connected components
-(the graph layer of ``automata``) refined until stable, qualitative regions
-and strategies from attractors over the rows in row order, and the
-discounted optimum from exact policy iteration with sparse direct solves,
-started from the greedy policy of a few value-iteration sweeps.
+A model has two forms.  Hand-written models, ODPs and their compilations are
+built as dicts of tuples (``actions``, ``trans``, ``rewards``, ``acc``).
+The solvers read one array form instead, ``MdpArrays`` (``Mdp.arrays``): one
+CSR row per (state, action) pair in the state's action order, with a reward
+per stored transition, the rows' expected rewards and an accepting-row mask.
+A dict-built model gets its arrays on first use; a product is built straight
+into them, one breadth-first batch of states at a time; its dict fields, and
+the actions that name its rows and a solver's strategy's picks, are made
+only if something reads them, so solving, checking and learning on a product
+never build them.  On the arrays, maximal end components come from strongly
+connected components (the graph layer of ``automata``) refined until stable,
+qualitative regions and strategies from attractors over the rows in row
+order, and the discounted optimum from exact policy iteration with sparse
+direct solves, started from the greedy policy of a few value-iteration
+sweeps.
 ``strategy_value_check`` evaluates a strategy object on the Markov chain it
 induces, independently of the solvers, by two sparse direct solves.
 ``scipy.sparse.csgraph`` and ``scipy.sparse.linalg`` are imported inside
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,8 +68,8 @@ class Mdp:
     (state, action) to a tuple of (target, probability) pairs; ``rewards``
     maps (state, action, target) to a real.  Ties in all solvers are broken
     toward the action that comes first in the state's action tuple.  An
-    action is any hashable value: a name for a plain MDP, a
-    (guard, name, promise) triple for an ODP (``odp.Odp``), an
+    action is any hashable value, at most once per state: a name for a
+    plain MDP, a (guard, name, promise) triple for an ODP (``odp.Odp``), an
     (action, automaton successor) pair for a product.  A model compiled
     from another one records in ``pairs[i]`` what its state ``i`` stands
     for there.  ``acc`` holds the accepting (state, action) pairs of an
@@ -98,9 +98,9 @@ class Mdp:
 
     def _validate(self):
         """Raise ValueError unless the initial state is a state, every state
-        has actions, each with a probability distribution over the states,
-        and every action, transition, reward and accepting pair belongs to
-        a state, an action and a successor of the model."""
+        has distinct actions, each with a probability distribution over the
+        states, and every action, transition, reward and accepting pair
+        belongs to a state, an action and a successor of the model."""
         n = self.n_states
         if not (0 <= self.initial < n):
             raise ValueError(f"initial state {self.initial} out of range")
@@ -110,9 +110,12 @@ class Mdp:
             if s not in range(n):
                 raise ValueError(f"actions given for {s!r}, not a state")
         for s in range(n):
-            if not self.actions.get(s):
+            acts = self.actions.get(s)
+            if not acts:
                 raise ValueError(f"state {s} has no actions")
-            for a in self.actions[s]:
+            for i, a in enumerate(acts):
+                if a in acts[:i]:
+                    raise ValueError(f"state {s} has action {a!r} twice")
                 dist = self.trans.get((s, a))
                 if not dist:
                     raise ValueError(f"missing distribution for ({s}, {a})")
@@ -226,7 +229,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     index = {a: i for i, a in enumerate(e.letters)}
     letter = np.array([index.get(a, -1) for a in M.labels], dtype=np.int64)
     g_first, g_count = _letter_groups(e, nq)
-    m_ptr, m_action = A.P.indptr, A.action
+    m_ptr = A.P.indptr
     # keys of the pairs (m, q), numbered from the start pair's
     ids = Interner(1, np.int64)
     pending = _intern_batch(ids, np.array([M.initial * nq + C.initial]))[1]
@@ -249,7 +252,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
         mrow = A.first[m][own] + pos // width[own]
         moves = np.flatnonzero(~stuck)
         edge = g_first[group[own[moves]]] + pos[moves] % width[own[moves]]
-        q2 = np.full(len(own), -1, dtype=np.int64)
+        q2 = np.full(len(own), -1, dtype=np.int32)
         q2[moves] = e.dst[edge]
         acc = np.zeros(len(own), dtype=bool)
         acc[moves] = e.acc[edge]
@@ -265,22 +268,18 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
                           + q2[row]))
         pending = np.concatenate([pending, new])
         keys.append(new)
-        action = list(zip(map(m_action.__getitem__, mrow.tolist()),
-                          q2.tolist()))
-        for j in np.flatnonzero(stuck).tolist():
-            action[j] = STUCK
-        parts.append((n_rows, action, np.where(stuck, 0.0, A.R[mrow]), acc,
-                      size, dst, np.where(loop, 1.0, A.P.data[entry]),
+        parts.append((n_rows, mrow, q2, stuck, np.where(stuck, 0.0, A.R[mrow]),
+                      acc, size, dst, np.where(loop, 1.0, A.P.data[entry]),
                       np.where(loop, 0.0, A.reward[entry])))
-    n_rows, action, R, acc, size, dst, prob, reward = zip(*parts)
-    keys, R = np.concatenate(keys), np.concatenate(R)
+    n_rows, mrow, q2, stuck, R, acc, size, dst, prob, reward = map(
+        np.concatenate, zip(*parts))
+    keys = np.concatenate(keys)
     P = sparse.csr_matrix(
-        (np.concatenate(prob), np.concatenate(dst),
-         np.concatenate([[0], np.cumsum(np.concatenate(size))])),
+        (prob, dst, np.concatenate([[0], np.cumsum(size)])),
         shape=(len(R), len(keys)))
-    first = np.concatenate([[0], np.cumsum(np.concatenate(n_rows))])
-    arrays = MdpArrays(first, [a for part in action for a in part], P, R,
-                       np.concatenate(acc), np.concatenate(reward))
+    first = np.concatenate([[0], np.cumsum(n_rows)])
+    arrays = MdpArrays(first, P, R, acc, reward, base=A, succ=q2, stuck=stuck,
+                       row=np.where(stuck, -1, mrow).astype(np.int32))
     ms = (keys // nq).tolist()
     return Mdp.from_arrays(arrays, 0, alphabet=M.alphabet,
                            labels=[M.labels[s] for s in ms],
@@ -292,15 +291,21 @@ class MdpArrays:
 
     Rows are ordered by state and, within a state, by the state's action
     tuple, so "first row" means "first action" in every tie-break.  The rows
-    of state ``s`` are ``first[s]:first[s + 1]``; row ``k`` is action
-    ``action[k]`` of state ``state[k]``, moves by row ``k`` of ``P``, pays
-    ``R[k]`` in expectation and is accepting when ``acc[k]`` is set.  The
-    stored transition ``j`` (entry ``j`` of ``P.data``) pays
-    ``reward[j]``.  ``of`` raises ValueError unless every row has no
-    negative entry and sums to 1 within 1e-9.
+    of state ``s`` are ``first[s]:first[s + 1]``; row ``k`` is an action of
+    state ``state[k]``, moves by row ``k`` of ``P``, pays ``R[k]`` in
+    expectation, is accepting when ``acc[k]`` is set and is ``STUCK`` when
+    ``stuck[k]`` is.  The stored transition ``j`` (entry ``j`` of
+    ``P.data``) pays ``reward[j]``.  ``of`` raises ValueError unless every
+    row has no negative entry and sums to 1 within 1e-9.
+
+    A model built from dicts keeps its actions in ``action``.  The row ``k``
+    of a product or a sub-model is named by ints: its row ``row[k]`` in
+    ``base`` (-1 for ``STUCK``) and, in a product, the automaton successor
+    ``succ[k]``; ``names`` and ``action`` make its actions when read.
     """
 
-    def __init__(self, first, action, P, R, acc, reward):
+    def __init__(self, first, P, R, acc, reward, action=None, base=None,
+                 row=None, succ=None, stuck=None):
         counts = np.diff(first)
         if not counts.all():
             raise ValueError(f"state {int(np.argmin(counts))} has no actions")
@@ -309,17 +314,16 @@ class MdpArrays:
         self.n_states = len(counts)
         self.first = first
         self.state = np.repeat(np.arange(self.n_states), counts)
-        self.action = action
-        self.P = P
-        self.R = R
-        self.acc = acc
-        self.reward = reward
+        self.P, self.R, self.acc, self.reward = P, R, acc, reward
+        self.base, self.row, self.succ, self.stuck = base, row, succ, stuck
+        if action is not None:
+            self.action = action
 
     @classmethod
     def of(cls, M: Mdp):
         acc = M.acc
         reward = M.rewards.get
-        first, action, expect, is_acc = [0], [], [], []
+        first, action, expect, is_acc, stuck = [0], [], [], [], []
         indices, data, pay, indptr = [], [], [], [0]
         for s in range(M.n_states):
             for a in M.actions[s]:
@@ -334,14 +338,15 @@ class MdpArrays:
                 action.append(a)
                 expect.append(r)
                 is_acc.append((s, a) in acc)
+                stuck.append(a == STUCK)
             first.append(len(action))
         P = sparse.csr_matrix((np.array(data, dtype=float),
                                np.array(indices, dtype=np.int64),
                                np.array(indptr, dtype=np.int64)),
                               shape=(len(action), M.n_states))
-        A = cls(np.array(first, dtype=np.int64), action, P,
-                np.array(expect), np.array(is_acc, dtype=bool),
-                np.array(pay, dtype=float))
+        A = cls(np.array(first, dtype=np.int64), P, np.array(expect),
+                np.array(is_acc, dtype=bool), np.array(pay, dtype=float),
+                action=action, stuck=np.array(stuck, dtype=bool))
         # checked once here; a product and ``restrict`` keep whole rows
         total = np.add.reduceat(P.data, P.indptr[:-1])
         bad = ~(np.abs(total - 1.0) <= 1e-9) | A.row_any(P.data < 0)
@@ -351,6 +356,21 @@ class MdpArrays:
                              f"{A.action[k]}) is not a probability "
                              f"distribution: it sums to {total[k]}")
         return A
+
+    def names(self, rows):
+        """The actions of the rows ``rows``, a list or array of indices."""
+        if self.base is None:
+            return [self.action[k] for k in rows]
+        out = self.base.names(self.row[rows])
+        if self.succ is None:
+            return out
+        return [STUCK if q < 0 else (a, q)
+                for a, q in zip(out, self.succ[rows].tolist())]
+
+    @cached_property
+    def action(self):
+        """Every row's action, made on first read."""
+        return self.names(np.arange(self.state.size))
 
     def actions_dict(self):
         """The ``actions`` field of :class:`Mdp`: state to its actions."""
@@ -378,9 +398,8 @@ class MdpArrays:
     def acc_set(self):
         """The ``acc`` field of :class:`Mdp`: the accepting (state, action)
         pairs."""
-        state = self.state.tolist()
-        return frozenset((state[k], self.action[k])
-                         for k in np.flatnonzero(self.acc).tolist())
+        rows = np.flatnonzero(self.acc)
+        return frozenset(zip(self.state[rows].tolist(), self.names(rows)))
 
     @cached_property
     def entry_row(self):
@@ -419,9 +438,6 @@ class MdpArrays:
             best = self.state_max(q)
         return self.first_row(q >= best[self.state] - tol)
 
-    def choices(self, pick):
-        return {s: self.action[k] for s, k in enumerate(pick.tolist())}
-
     def restrict(self, keep):
         """The sub-model on the states in ``keep`` with the rows that stay in
         it, and the kept states' ids in this model (the index remap)."""
@@ -438,8 +454,9 @@ class MdpArrays:
         first = np.zeros(states.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(remap[self.state[rows]], minlength=states.size),
                   out=first[1:])
-        sub = MdpArrays(first, [self.action[k] for k in rows.tolist()], P,
-                        self.R[rows], self.acc[rows], self.reward[entries])
+        sub = MdpArrays(first, P, self.R[rows], self.acc[rows],
+                        self.reward[entries], base=self, row=rows,
+                        stuck=self.stuck[rows])
         return sub, states
 
 
@@ -483,13 +500,11 @@ def mec_decomposition(M: Mdp, within=None):
     keep = (np.ones(A.n_states, dtype=bool) if within is None
             else _mask(A.n_states, within))
     label, inner = _mecs(A, keep)
-    found = {}
-    label, state = label.tolist(), A.state.tolist()
-    for k in np.flatnonzero(inner).tolist():
-        s = state[k]
+    found, label, rows = {}, label.tolist(), np.flatnonzero(inner)
+    for s, a in zip(A.state[rows].tolist(), A.names(rows)):
         states, pairs = found.setdefault(label[s], (set(), set()))
         states.add(s)
-        pairs.add((s, A.action[k]))
+        pairs.add((s, a))
     return sorted(found.values(), key=lambda mec: min(mec[0]))
 
 
@@ -562,10 +577,9 @@ def max_reach_prob(M: Mdp, target):
     # progressing, so pick actions along the qualitative backward closure
     _, pick = _attractor(A, tgt & sure, A.stays(sure))
     pick = np.where(pick >= 0, pick, A.first_best(A.P @ v))
-    return v.tolist(), Strategy("positional", choices=A.choices(pick))
+    return v.tolist(), Strategy("positional", rows=pick, arrays=A)
 
 
-@dataclass
 class Strategy:
     """Positional, finite-memory, or switching decision rule.
 
@@ -574,38 +588,64 @@ class Strategy:
     next memory.  Switching: follow the positional ``first`` for
     ``switch_step`` steps, then the finite-memory ``second`` forever.
 
+    Solvers and the learner give ``rows`` instead, the row of ``arrays`` each
+    state plays or -1 (memory 0); ``choices`` and ``update`` follow on read.
+
     A play is a walk over memory nodes: ``(s,)`` for a positional strategy,
     ``(s, m)`` for a finite-memory one and ``(s, k, m)`` for a switching
     one, with ``k`` the step count saturating at ``switch_step`` and ``m``
     the second strategy's memory.
     """
 
-    kind: str
-    choices: dict = field(default_factory=dict)
-    update: dict = field(default_factory=dict)
-    memory_size: int = 1
-    first: "Strategy" = None
-    second: "Strategy" = None
-    switch_step: int = 0
+    def __init__(self, kind, choices=None, update=None, memory_size=1,
+                 first=None, second=None, switch_step=0, rows=None,
+                 arrays=None):
+        self.kind, self.first, self.second = kind, first, second
+        self.switch_step, self.memory_size = switch_step, memory_size
+        self.rows, self.arrays = rows, arrays
+        if rows is None:
+            self.choices, self.update = choices or {}, update or {}
+
+    @cached_property
+    def choices(self):
+        states = np.flatnonzero(self.rows >= 0)
+        keys = states.tolist() if self.kind == "positional" \
+            else [(s, 0) for s in states.tolist()]
+        return dict(zip(keys, self.arrays.names(self.rows[states])))
+
+    @cached_property
+    def update(self):
+        return dict.fromkeys(self.choices, 0) \
+            if self.kind == "finite-memory" else {}
 
     def start(self, s):
         """The memory node of a play starting in state ``s``."""
-        if self.kind == "positional":
-            return (s,)
-        if self.kind == "finite-memory":
-            return (s, 0)
-        return (s, 0, 0)
+        return (s,) if self.kind == "positional" else (s, 0) \
+            if self.kind == "finite-memory" else (s, 0, 0)
+
+    def _at(self, node):
+        """The strategy that plays at ``node``, and its node there."""
+        if self.kind != "switching":
+            return self, node
+        s, k, m = node
+        return (self.first, (s,)) if k < self.switch_step \
+            else (self.second, (s, m))
+
+    def row(self, node, A: MdpArrays):
+        """The row of ``A`` played at the memory node ``node``."""
+        part, node = self._at(node)
+        if part.rows is None or A is not part.arrays:
+            return A.action.index(part.action(node), *A.first[node[0]:][:2])
+        if part.rows[node[0]] < 0:
+            raise KeyError(node)
+        return int(part.rows[node[0]])
 
     def action(self, node):
         """The action played at the memory node ``node``."""
-        if self.kind == "positional":
-            return self.choices[node[0]]
-        if self.kind == "finite-memory":
-            return self.choices[node]
-        s, k, m = node
-        if k < self.switch_step:
-            return self.first.choices[s]
-        return self.second.choices[(s, m)]
+        part, node = self._at(node)
+        if part.rows is not None:
+            return part.arrays.names([part.row(node, part.arrays)])[0]
+        return part.choices[node if part.kind == "finite-memory" else node[0]]
 
     def step(self, node, t):
         """The memory node after the play moves from ``node`` to state
@@ -613,11 +653,11 @@ class Strategy:
         if self.kind == "positional":
             return (t,)
         if self.kind == "finite-memory":
-            return (t, self.update[node])
+            return (t, 0 if self.rows is not None else self.update[node])
         s, k, m = node
         if k < self.switch_step:
             return (t, k + 1, 0)
-        return (t, self.switch_step, self.second.update[(s, m)])
+        return (t, self.switch_step, self.second.step((s, m), t)[1])
 
 
 def _almost_sure(A: MdpArrays):
@@ -636,12 +676,9 @@ def _almost_sure(A: MdpArrays):
     seeds = owner < A.state.size
     allowed = np.where(goal[A.state], inner, A.stays(region))
     _, pick = _attractor(A, seeds, allowed)
-    pick = np.where(seeds, owner, pick).tolist()
-    choices = {(s, 0): A.action[pick[s]]
-               for s in np.flatnonzero(region).tolist()}
-    strategy = Strategy("finite-memory", choices=choices,
-                        update=dict.fromkeys(choices, 0), memory_size=1)
-    return goal, region, strategy
+    pick = np.where(seeds, owner, pick)
+    return goal, region, Strategy(
+        "finite-memory", rows=np.where(region, pick, -1), arrays=A)
 
 
 def almost_sure_buchi_region(P: Mdp):
@@ -719,7 +756,7 @@ def discounted_vi(M: Mdp, lam):
     """
     A = M.arrays
     v, pick = _policy_iteration(A, lam)
-    return v.tolist(), Strategy("positional", choices=A.choices(pick))
+    return v.tolist(), Strategy("positional", rows=pick, arrays=A)
 
 
 def switch_horizon(lam, eps, r_max):
@@ -746,11 +783,11 @@ def lexicographic_solve(P: Mdp, lam, eps):
     values, pick = _policy_iteration(sub, lam)
     d_star = float(values[np.searchsorted(states, P.initial)])
     t_switch = switch_horizon(lam, eps, P.r_max)
-    # lift the restricted positional strategy back to original state ids
-    lifted = Strategy("positional", choices=dict(zip(
-        states.tolist(), (sub.action[k] for k in pick.tolist()))))
-    strategy = Strategy("switching", first=lifted, second=sure,
-                        switch_step=t_switch)
+    # the restricted picks as rows of the product
+    rows = np.full(A.n_states, -1, dtype=np.int64)
+    rows[states] = sub.row[pick]
+    strategy = Strategy("switching", first=Strategy(
+        "positional", rows=rows, arrays=A), second=sure, switch_step=t_switch)
     return 1.0, d_star, strategy
 
 
@@ -763,20 +800,20 @@ def strategy_value_check(P: Mdp, strategy: Strategy, lam,
     is the probability of absorption into a bottom SCC with an accepting
     transition, and the value solves (I - lam P) v = r; both are sparse
     direct solves on the chain.  The chain's moves and rewards are read from
-    the rows of ``P.arrays``, so the check builds no dict form of ``P``.
+    the rows of ``P.arrays`` that the strategy plays (``Strategy.row``), so
+    the check names no action and builds no dict form of ``P``.
     """
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
     A = P.arrays
-    first, action, ptr = A.first.tolist(), A.action, A.P.indptr.tolist()
-    targets, probs = A.P.indices.tolist(), A.P.data.tolist()
+    ptr, targets, probs = (A.P.indptr.tolist(), A.P.indices.tolist(),
+                           A.P.data.tolist())
     src, dst, prob, played = [], [], [], []
     found = Explorer(strategy.start(P.initial), budget=max_chain,
                      what="value check")
     for i, node in found:
-        s = node[0]
-        k = action.index(strategy.action(node), first[s], first[s + 1])
+        k = strategy.row(node, A)
         played.append(k)
         for j in range(ptr[k], ptr[k + 1]):
             src.append(i)

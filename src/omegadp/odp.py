@@ -183,19 +183,17 @@ class OdpStrategy:
         return self.inner.start(self.product.initial)
 
     def choose(self, memory):
-        act, _ = self.inner.action(memory)
-        return act
+        return self.inner.action(memory)[0]
 
     def advance(self, memory, next_state):
-        # the played row of the product's arrays: no dict form is built
+        # the played row of the product's arrays: no action is named
         A = self.product.arrays
-        pa = self.inner.action(memory)
-        lo, hi = A.first[memory[0]:memory[0] + 2].tolist()
-        k = A.action.index(pa, lo, hi)
+        k = self.inner.row(memory, A)
         for dst in A.P.indices[A.P.indptr[k]:A.P.indptr[k + 1]].tolist():
             if self.odp_state_of[dst] == next_state:
                 return self.inner.step(memory, dst)
-        raise ValueError(f"state {next_state} is not a successor under {pa}")
+        raise ValueError(f"state {next_state} is not a successor under "
+                         f"{A.names([k])[0]}")
 
 
 def compile_product(D: Odp):

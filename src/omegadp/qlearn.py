@@ -13,18 +13,21 @@ value-equivalent loop.
 
 The tables are lists over the rows of the product's ``MdpArrays``
 (``P.arrays``), the form the exact solver reads, and one greedy rule picks
-from them both while training and for the returned strategy.  Episodes draw
-successors and rewards from the rows' stored transitions, so learning
-builds no dict form of the product.  That strategy
-is switching: follow the reward-greedy policy for a computed horizon, then
-the satisfaction-greedy policy forever, mirroring the structure of the exact
-solver.
+from them both while training and for the returned strategy.  Learning
+names rows by their index alone: it tests ``STUCK`` by the rows' mask and
+reads successors and rewards from the arrays of the rows' stored
+transitions, so it builds no dict form of the product and no action.  The
+returned strategy holds the rows it picks.  It is switching: follow the
+reward-greedy policy for a computed horizon, then the satisfaction-greedy
+policy forever, mirroring the structure of the exact solver.
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
 
 from .automata import check_time
 from .mdp import STUCK, Mdp, Strategy, switch_horizon
@@ -35,16 +38,15 @@ _ARROW = {"N": "^", "S": "v", "E": ">", "W": "<"}
 class LexQTables:
     """Learned action values, one entry per row of ``P.arrays``.
 
-    Row ``k`` is action ``arrays.action[k]`` of state ``arrays.state[k]``;
-    ``sat``, ``rec`` and ``disc`` hold its satisfaction, recurrence and
-    reward values and ``updates`` the number of updates it has had.  A row
-    never updated keeps its initial value: ``sat_init`` in ``sat``, 0 in
-    the others.
+    Row ``k`` is an action of state ``arrays.state[k]``; ``sat``, ``rec``
+    and ``disc`` hold its satisfaction, recurrence and reward values and
+    ``updates`` the number of updates it has had.  A row never updated
+    keeps its initial value: ``sat_init`` in ``sat``, 0 in the others.
     """
 
     def __init__(self, P: Mdp, sat_init=0.0):
         self.arrays = P.arrays
-        n = len(self.arrays.action)
+        n = self.arrays.state.size
         self.sat = [sat_init] * n
         self.rec = [0.0] * n
         self.disc = [0.0] * n
@@ -54,9 +56,9 @@ class LexQTables:
     def visits(self):
         """(state, action) -> update count of every updated row, in row
         order."""
-        action = self.arrays.action
-        return {(s, action[k]): n for k, (s, n) in enumerate(
-            zip(self.arrays.state.tolist(), self.updates)) if n}
+        A, rows = self.arrays, np.flatnonzero(self.updates)
+        return {(s, a): self.updates[k] for k, s, a in zip(
+            rows.tolist(), A.state[rows].tolist(), A.names(rows))}
 
 
 def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
@@ -114,7 +116,7 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
     if value_cap is None:
         value_cap = 2.0 + P.r_max / (1 - lam)
     A = P.arrays
-    n_rows = len(A.action)
+    n_rows = A.state.size
     if tables is None:
         tables = LexQTables(P, sat_init=optimism)
     elif len(tables.sat) != n_rows:
@@ -122,9 +124,11 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
                          f"product {n_rows}")
     sat, rec, disc, updates = tables.sat, tables.rec, tables.disc, \
         tables.updates
-    first, action, acc = A.first.tolist(), A.action, A.acc.tolist()
-    ptr, moves = A.P.indptr.tolist(), list(zip(
-        A.P.indices.tolist(), A.P.data.tolist(), A.reward.tolist()))
+    # the arrays are read in place: an item of a memoryview is a Python
+    # number, so no list of the rows or of the stored transitions is made
+    first, stuck, acc, ptr, target, prob, pay = map(memoryview, (
+        A.first, A.stuck, A.acc, A.P.indptr, A.P.indices, A.P.data,
+        A.reward))
     rng = random.Random(seed)
     rand, randrange = rng.random, rng.randrange
     first_succ = [None] * n_rows
@@ -166,7 +170,7 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
         here = None
         for step in range(steps):
             lo = first[s]
-            if action[lo] == STUCK:
+            if stuck[lo]:
                 break
             k = -1
             if rand() >= eps_explore:
@@ -183,13 +187,13 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
                     k = -1
             if k < 0:
                 k = lo + randrange(first[s + 1] - lo)
-            a = action[k]
             # the successor by the row's stored transitions, in order
             u = rand()
-            for t, p, r in moves[ptr[k]:ptr[k + 1]]:
-                u -= p
+            for j in range(ptr[k], ptr[k + 1]):
+                u -= prob[j]
                 if u <= 0:
                     break
+            t, r = target[j], pay[j]
             n = updates[k] = updates[k] + 1
             prior = first_succ[k]
             if prior is None:
@@ -201,7 +205,7 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
                 alpha_d = max(alpha, alpha_floor)
             else:
                 alpha = alpha_d = 1.0
-            if action[first[t]] != STUCK:
+            if not stuck[first[t]]:
                 there = greedy_at(t)
                 boot_sat, boot_rec, boot_disc = there[0], there[2], there[4]
             else:
@@ -226,23 +230,17 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
                     and math.isfinite(vd)):
                 raise RuntimeError(
                     f"q-learning diverged at episode {ep}, step {step}, "
-                    f"state {s}, action {a!r}: q_sat={vs}, q_rec={vr}, "
-                    f"q_disc={vd} exceed cap {value_cap}")
+                    f"state {s}, action {A.names([k])[0]!r}: q_sat={vs}, "
+                    f"q_rec={vr}, q_disc={vd} exceed cap {value_cap}")
             # the update changed s's rows, so picks made at t before it
             # are stale only on a self-loop
             here = there if t != s else None
             s = t
-    lex_choices, sat_choices, sat_update = {}, {}, {}
-    for s in range(P.n_states):
-        _, k_sat, _, k_lex, _ = greedy_at(s)
-        lex_choices[s] = action[k_lex]
-        sat_choices[(s, 0)] = action[k_sat]
-        sat_update[(s, 0)] = 0
+    _, k_sat, _, k_lex, _ = zip(*map(greedy_at, range(P.n_states)))
     strategy = Strategy(
         "switching",
-        first=Strategy("positional", choices=lex_choices),
-        second=Strategy("finite-memory", choices=sat_choices,
-                        update=sat_update, memory_size=1),
+        first=Strategy("positional", rows=np.array(k_lex), arrays=A),
+        second=Strategy("finite-memory", rows=np.array(k_sat), arrays=A),
         switch_step=switch_horizon(lam, eps, P.r_max))
     return tables, strategy
 

@@ -1,11 +1,14 @@
+import hashlib
+
 import pytest
 
 from omegadp.automata import LassoWord, instantiate, lasso_member_uca
 from omegadp.biolab import (DIRTY_PROMISE, HOME_PROMISE, SINCE_GUARD,
                             build_biolab, default_grid, guard_schema,
                             lookahead_schema)
-from omegadp.mdp import strategy_value_check
+from omegadp.mdp import strategy_to_json, strategy_value_check
 from omegadp.odp import solve_odp
+from omegadp.qlearn import lex_q_learn
 
 CLEAN, DIRTY, DECON, HOME = 1, 2, 4, 8
 
@@ -138,6 +141,21 @@ def test_optimal_routes():
     keys0 = {D0.keys[s] for s in _reachable_odp_states(sigma0)}
     assert any(z == 1 for _, z in keys0)
     assert value0 > value
+
+
+def test_lab_strategies_are_pinned():
+    # sha256 of the strategies' JSON as written when product rows were
+    # named by action tuples and strategies held dicts of them
+    def digest(strategy):
+        return hashlib.sha256(strategy_to_json(strategy).encode()).hexdigest()
+
+    _, sigma = solve_odp(build_biolab(), 0.99, 0.01)
+    assert digest(sigma.inner) == ("150168e50ea6bbcf5721a8b8da346d3c"
+                                   "addd5f59fb62e917b58d7145ff7eff9f")
+    _, learned = lex_q_learn(sigma.product, episodes=200, steps=1000,
+                             lam=0.99, seed=1)
+    assert digest(learned) == ("92eacb38d197ca130981950abc5ce77a"
+                               "a3121a8162f20b983a0cf35d7cb6cba7")
 
 
 def test_scaled_grid_geometry():

@@ -51,6 +51,34 @@ def test_signatures_use_no_emptiness_routine(monkeypatch):
                               reference.nba_signature(C, 5))
 
 
+def test_signature_partition_is_the_graph_layers():
+    # 200 random UCAs: their complements, and the UCAs read as NBAs
+    rng = random.Random(200)
+    flags = set()
+    for _ in range(200):
+        U = random_uca(rng, rng.randint(1, 4), n_ap=2)
+        for A in (complement_uca(U), U.reinterpret("NBA")):
+            flag, in1 = automata._first_phase(A, lasso_bulk._reaching)
+            want, (q1, _) = is_strongly_limit_deterministic(A)
+            assert flag == want
+            assert set(np.flatnonzero(in1).tolist()) == q1
+            flags.add(flag)
+    assert flags == {False, True}
+
+
+def test_signatures_use_no_graph_search(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the signature called the graph layer")
+
+    # bound 4: the reference is too slow at the benchmark's bound 6
+    complements = oracle_corpus(1)
+    for name in ("_reached", "_Graph"):
+        monkeypatch.setattr(automata, name, forbidden)
+    for C in complements:
+        assert np.array_equal(nba_signature(C, 4),
+                              reference.nba_signature(C, 4))
+
+
 def nba(n, delta, gamma):
     return Automaton("NBA", Alphabet(("b",)), n, 0, delta, gamma)
 

@@ -161,6 +161,20 @@ def test_json_rejects_an_action_of_no_state():
         mdp_of_doc(doc)
 
 
+def test_a_repeated_action_is_refused():
+    # a row is named by its index, so each name may stand for one row only
+    with pytest.raises(ValueError, match="state 0 has action 'a' twice"):
+        Mdp(1, 0, {0: ("a", "a")}, {(0, "a"): ((0, 1.0),)})
+
+
+def test_json_refuses_a_repeated_action():
+    doc = mdp_doc(two_state_chain())
+    doc["actions"].append({"state": 0, "name": "a",
+                           "successors": [{"target": 0, "prob": 1.0}]})
+    with pytest.raises(ValueError, match="state 0 has action 'a' twice"):
+        mdp_of_doc(doc)
+
+
 def test_json_key_order():
     M = two_state_chain(alphabet=Alphabet(("b",)), labels=(0, 1),
                         rewards={(0, "a", 1): 2.0})
@@ -456,8 +470,8 @@ def test_product_rejects_a_row_that_is_not_a_distribution():
 
 def test_solving_and_learning_build_no_dict_form_of_the_product(
         monkeypatch):
-    made, multiplied = [], []
-    of = MdpArrays.of.__func__
+    made, multiplied, named = [], [], []
+    of, names = MdpArrays.of.__func__, MdpArrays.names
 
     def arrays_of(cls, M):
         made.append(M)
@@ -467,7 +481,12 @@ def test_solving_and_learning_build_no_dict_form_of_the_product(
         multiplied.append(M)
         return product_with_nba(M, N)
 
+    def names_of(A, rows):
+        named.append(A)
+        return names(A, rows)
+
     monkeypatch.setattr(MdpArrays, "of", classmethod(arrays_of))
+    monkeypatch.setattr(MdpArrays, "names", names_of)
     monkeypatch.setattr(odp, "product_with_nba", product)
     D = build_biolab()
     value, sigma = solve_odp(D, 0.99, 0.01)
@@ -475,7 +494,10 @@ def test_solving_and_learning_build_no_dict_form_of_the_product(
     sat, _ = strategy_value_check(P, sigma.inner, 0.99)
     assert value == LAB_D_STAR and sat == pytest.approx(1.0, abs=1e-9)
     lex_q_learn(P, episodes=2, steps=100)
-    # playing the strategy on the lab walks the product's rows as well
+    # solving, checking and learning read rows by their index alone
+    assert not named
+    # playing the strategy on the lab walks the product's rows as well, and
+    # names one row per step, the one shown to the process
     rng = random.Random(3)
     memory, s = sigma.initial_memory(), D.initial
     for _ in range(200):
@@ -484,6 +506,8 @@ def test_solving_and_learning_build_no_dict_form_of_the_product(
         memory, s = sigma.advance(memory, t), t
     with pytest.raises(ValueError, match="is not a successor"):
         sigma.advance(memory, D.n_states)
+    assert sum(A is P.arrays for A in named) == 201
+    assert "action" not in vars(P.arrays)
     # the arrays of the promise MDP only; the product was built as arrays
     assert made == multiplied and made[0] is not P
     assert not {"trans", "rewards"} & set(vars(P))

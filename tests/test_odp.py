@@ -89,6 +89,15 @@ def test_json_rejects_a_guard_or_promise_that_is_no_schema_state():
                 odp_from_json(json.dumps(doc))
 
 
+def test_json_refuses_a_repeated_action():
+    doc = json.loads(odp_to_json(example2_odp()))
+    entry = dict(doc["actions"][0])
+    doc["actions"].append(entry)
+    with pytest.raises(ValueError, match=f"state {entry['state']} has "
+                       f"action .* twice"):
+        odp_from_json(json.dumps(doc))
+
+
 def test_trivial_lookback_is_identity():
     D = example2_odp()
     assert remove_lookback(D) is D
