@@ -179,8 +179,7 @@ def cmd_learn(args):
         def cell_of(x):
             key = D.keys[odp_state_of[x]]
             return None if key == "wreck" else key[0]
-        choices = {s: a for (s, _), a in strategy.second.choices.items()}
-        print(render_policy(grid, policy_arrows(P, choices, cell_of)))
+        print(render_policy(grid, policy_arrows(P, strategy.second, cell_of)))
     return 0
 
 

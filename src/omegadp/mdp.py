@@ -13,9 +13,11 @@ One model class, ``Mdp``, serves every stage: an ODP (``odp.Odp``) is an
 and products are ``Mdp`` objects whose ``pairs`` say what each state stands
 for in the model they were compiled from; a product's ``acc`` holds its
 accepting actions.  ``model_to_doc`` and ``model_from_doc`` are the one
-JSON codec of all of them.  A ``Strategy`` walks memory nodes by ``start``,
-``row`` (the row played, or ``action``, its name) and ``step``; the value
-check and the ODP translation both use them.
+JSON codec of all of them.  A ``Strategy`` is the rows of a model that it
+plays, one per state, or a switch between two such strategies after a fixed
+number of steps; it walks memory nodes by ``start``, ``row`` (the row played,
+or ``action``, its name) and ``step``, as the value check and the ODP
+translation do.
 
 A model has two forms.  Hand-written models, ODPs and their compilations are
 built as dicts of tuples (``actions``, ``trans``, ``rewards``, ``acc``).
@@ -581,30 +583,28 @@ def max_reach_prob(M: Mdp, target):
 
 
 class Strategy:
-    """Positional, finite-memory, or switching decision rule.
+    """Positional, finite-memory or switching decision rule.
 
-    Positional: ``choices`` maps state -> action.  Finite-memory: ``choices``
-    maps (state, memory) -> action and ``update`` maps (state, memory) ->
-    next memory.  Switching: follow the positional ``first`` for
-    ``switch_step`` steps, then the finite-memory ``second`` forever.
+    A positional or finite-memory strategy is the rows it plays: ``rows[s]``
+    is the row of ``arrays`` that state ``s`` plays, or -1 where it plays
+    none.  A finite-memory strategy has the single memory value 0, so it
+    plays as a positional one; its ``choices`` (its actions by name, made on
+    read) are keyed by (state, 0) and a positional one's by state.  A
+    switching strategy follows ``first`` for ``switch_step`` steps and then
+    ``second`` forever; its ``arrays`` are theirs.
 
-    Solvers and the learner give ``rows`` instead, the row of ``arrays`` each
-    state plays or -1 (memory 0); ``choices`` and ``update`` follow on read.
-
-    A play is a walk over memory nodes: ``(s,)`` for a positional strategy,
-    ``(s, m)`` for a finite-memory one and ``(s, k, m)`` for a switching
-    one, with ``k`` the step count saturating at ``switch_step`` and ``m``
-    the second strategy's memory.
+    A play is a walk over memory nodes: ``(s,)``, and for a switching
+    strategy ``(s, k)`` with ``k`` the step count saturating at
+    ``switch_step``.
     """
 
-    def __init__(self, kind, choices=None, update=None, memory_size=1,
-                 first=None, second=None, switch_step=0, rows=None,
-                 arrays=None):
-        self.kind, self.first, self.second = kind, first, second
-        self.switch_step, self.memory_size = switch_step, memory_size
-        self.rows, self.arrays = rows, arrays
-        if rows is None:
-            self.choices, self.update = choices or {}, update or {}
+    def __init__(self, kind, rows=None, arrays=None, first=None, second=None,
+                 switch_step=0):
+        self.kind, self.rows, self.switch_step = kind, rows, switch_step
+        self.first, self.second = first, second
+        self.arrays = arrays if first is None else first.arrays
+        if second is not None and second.arrays is not self.arrays:
+            raise ValueError("the two strategies play rows of two models")
 
     @cached_property
     def choices(self):
@@ -613,51 +613,29 @@ class Strategy:
             else [(s, 0) for s in states.tolist()]
         return dict(zip(keys, self.arrays.names(self.rows[states])))
 
-    @cached_property
-    def update(self):
-        return dict.fromkeys(self.choices, 0) \
-            if self.kind == "finite-memory" else {}
-
     def start(self, s):
         """The memory node of a play starting in state ``s``."""
-        return (s,) if self.kind == "positional" else (s, 0) \
-            if self.kind == "finite-memory" else (s, 0, 0)
+        return (s, 0) if self.kind == "switching" else (s,)
 
-    def _at(self, node):
-        """The strategy that plays at ``node``, and its node there."""
-        if self.kind != "switching":
-            return self, node
-        s, k, m = node
-        return (self.first, (s,)) if k < self.switch_step \
-            else (self.second, (s, m))
-
-    def row(self, node, A: MdpArrays):
-        """The row of ``A`` played at the memory node ``node``."""
-        part, node = self._at(node)
-        if part.rows is None or A is not part.arrays:
-            return A.action.index(part.action(node), *A.first[node[0]:][:2])
-        if part.rows[node[0]] < 0:
+    def row(self, node):
+        """The row of ``arrays`` played at the memory node ``node``."""
+        part = self if self.kind != "switching" else (
+            self.first if node[1] < self.switch_step else self.second)
+        k = int(part.rows[node[0]])
+        if k < 0:
             raise KeyError(node)
-        return int(part.rows[node[0]])
+        return k
 
     def action(self, node):
         """The action played at the memory node ``node``."""
-        part, node = self._at(node)
-        if part.rows is not None:
-            return part.arrays.names([part.row(node, part.arrays)])[0]
-        return part.choices[node if part.kind == "finite-memory" else node[0]]
+        return self.arrays.names([self.row(node)])[0]
 
     def step(self, node, t):
         """The memory node after the play moves from ``node`` to state
         ``t``."""
-        if self.kind == "positional":
+        if self.kind != "switching":
             return (t,)
-        if self.kind == "finite-memory":
-            return (t, 0 if self.rows is not None else self.update[node])
-        s, k, m = node
-        if k < self.switch_step:
-            return (t, k + 1, 0)
-        return (t, self.switch_step, self.second.step((s, m), t)[1])
+        return (t, min(node[1] + 1, self.switch_step))
 
 
 def _almost_sure(A: MdpArrays):
@@ -727,8 +705,6 @@ def _policy_iteration(A: MdpArrays, lam):
     sweeps stop changes only how many solves it takes: the values are the
     optimum's, up to the rounding of the last solve.
     """
-    if not (0 <= lam < 1):
-        raise ValueError("discount factor must lie in [0, 1)")
     from scipy.sparse.linalg import spsolve
     eye = sparse.identity(A.n_states, format="csr")
     pick = _warm_start(A, lam)
@@ -754,6 +730,8 @@ def discounted_vi(M: Mdp, lam):
     stop.  At each state the strategy plays the first action whose one-step
     value is within 1e-12 of the maximum.
     """
+    if not (0 <= lam < 1):
+        raise ValueError("discount factor must lie in [0, 1)")
     A = M.arrays
     v, pick = _policy_iteration(A, lam)
     return v.tolist(), Strategy("positional", rows=pick, arrays=A)
@@ -770,8 +748,11 @@ def lexicographic_solve(P: Mdp, lam, eps):
     """Maximize discounted reward among almost-surely accepting strategies.
 
     Raises NoValidStrategy (with the best satisfaction probability attached)
-    when the initial state lies outside the almost-sure winning region.
+    when the initial state lies outside the almost-sure winning region, and
+    ValueError unless 0 <= lam < 1 and eps > 0.
     """
+    if not (0 <= lam < 1):
+        raise ValueError("discount factor must lie in [0, 1)")
     if eps <= 0:
         raise ValueError("eps must be positive")
     A = P.arrays
@@ -801,19 +782,25 @@ def strategy_value_check(P: Mdp, strategy: Strategy, lam,
     transition, and the value solves (I - lam P) v = r; both are sparse
     direct solves on the chain.  The chain's moves and rewards are read from
     the rows of ``P.arrays`` that the strategy plays (``Strategy.row``), so
-    the check names no action and builds no dict form of ``P``.
+    the check names no action and builds no dict form of ``P``.  Raises
+    ValueError unless 0 <= lam < 1 and the strategy plays rows of
+    ``P.arrays``.
     """
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
+    if not (0 <= lam < 1):
+        raise ValueError("discount factor must lie in [0, 1)")
     A = P.arrays
+    if strategy.arrays is not A:
+        raise ValueError("the strategy plays rows of another model")
     ptr, targets, probs = (A.P.indptr.tolist(), A.P.indices.tolist(),
                            A.P.data.tolist())
     src, dst, prob, played = [], [], [], []
     found = Explorer(strategy.start(P.initial), budget=max_chain,
                      what="value check")
     for i, node in found:
-        k = strategy.row(node, A)
+        k = strategy.row(node)
         played.append(k)
         for j in range(ptr[k], ptr[k + 1]):
             src.append(i)

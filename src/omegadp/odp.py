@@ -168,10 +168,10 @@ def remove_lookahead(D: Odp):
 class OdpStrategy:
     """Product strategy translated back to the original decision process.
 
-    Memory is a (product state, step count, second-phase memory) triple; the
-    step count saturates at the switching point.  ``choose`` yields the ODP
-    action triple to play and ``advance`` moves the memory deterministically
-    given the successor ODP state.
+    Memory is a (product state, step count) pair; the step count saturates
+    at the switching point.  ``choose`` yields the ODP action triple to play
+    and ``advance`` moves the memory deterministically given the successor
+    ODP state.
     """
 
     def __init__(self, product, inner, odp_state_of):
@@ -188,7 +188,7 @@ class OdpStrategy:
     def advance(self, memory, next_state):
         # the played row of the product's arrays: no action is named
         A = self.product.arrays
-        k = self.inner.row(memory, A)
+        k = self.inner.row(memory)
         for dst in A.P.indices[A.P.indptr[k]:A.P.indptr[k + 1]].tolist():
             if self.odp_state_of[dst] == next_state:
                 return self.inner.step(memory, dst)

@@ -30,7 +30,7 @@ import random
 import numpy as np
 
 from .automata import check_time
-from .mdp import STUCK, Mdp, Strategy, switch_horizon
+from .mdp import Mdp, Strategy, switch_horizon
 
 _ARROW = {"N": "^", "S": "v", "E": ">", "W": "<"}
 
@@ -245,21 +245,21 @@ def lex_q_learn(P: Mdp, episodes, steps=1000, lam=0.99, zeta=0.99,
     return tables, strategy
 
 
-def policy_arrows(P: Mdp, choices, cell_of):
-    """Group a product-state action map into per-mode arrow grids.
+def policy_arrows(P: Mdp, strategy, cell_of):
+    """Group the rows a strategy plays on ``P`` into per-mode arrow grids.
 
-    ``choices`` maps product states to product actions, ``cell_of`` maps a
-    product state to a grid cell (or None to skip it), and the automaton
-    component of the state becomes the memory-mode label.  ``STUCK`` moves
-    nowhere on the grid and draws no arrow.
+    ``strategy`` plays rows of ``P.arrays`` at its states (a positional or
+    finite-memory one), ``cell_of`` maps a product state to a grid cell (or
+    None to skip it), and the automaton component of the state becomes the
+    memory-mode label.  ``STUCK`` moves nowhere on the grid and draws no
+    arrow.  Only the rows drawn are named.
     """
+    A, rows = P.arrays, strategy.rows
+    drawn = [x for x in np.flatnonzero(rows >= 0).tolist()
+             if not A.stuck[rows[x]] and cell_of(x) is not None]
     arrows = {}
-    for x, pa in choices.items():
-        cell = cell_of(x)
-        if cell is None or pa == STUCK:
-            continue
-        mode = P.pairs[x][1]
-        arrows.setdefault(mode, {})[cell] = pa[0][1]
+    for x, (act, _) in zip(drawn, A.names(rows[drawn])):
+        arrows.setdefault(P.pairs[x][1], {})[cell_of(x)] = act[1]
     return arrows
 
 

@@ -9,6 +9,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from omegadp.automata import check_time
 from omegadp.mdp import STUCK, Strategy, switch_horizon
 
@@ -230,16 +232,12 @@ def lex_q_learn(P, episodes, steps=1000, lam=0.99, zeta=0.99,
             tab.q_rec[key] = rec[k]
             tab.q_disc[key] = disc[k]
             tab.visits[key] = visits[k]
-    first, second_choices, second_update = {}, {}, {}
-    for s in range(n_states):
-        _, k_sat, _, k_lex, _ = greedy_at(s)
-        first[s] = actions[s][k_lex - base[s]]
-        second_choices[(s, 0)] = actions[s][k_sat - base[s]]
-        second_update[(s, 0)] = 0
+    # the flat rows are those of P.arrays: both follow P.actions' order
+    _, k_sat, _, k_lex, _ = zip(*map(greedy_at, range(n_states)))
     strategy = Strategy(
         "switching",
-        first=Strategy("positional", choices=first),
-        second=Strategy("finite-memory", choices=second_choices,
-                        update=second_update, memory_size=1),
+        first=Strategy("positional", rows=np.array(k_lex), arrays=P.arrays),
+        second=Strategy("finite-memory", rows=np.array(k_sat),
+                        arrays=P.arrays),
         switch_step=switch_horizon(lam, eps, P.r_max))
     return tab, strategy

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -288,6 +289,11 @@ def test_learn_smoke(tmp_path, capsys):
     report = json.loads(text[:text.index("}") + 1])
     assert report["product_states"] > 0
     assert "+" in text and "z" in text
+    # sha256 of the maps drawn when the arrows were read off a dict of
+    # every state's named action
+    render = text[text.index("}") + 1:]
+    assert hashlib.sha256(render.encode()).hexdigest() == (
+        "e9f1366fb57841c213c27111e03c8df57a672e0ec8d3b161d4d358ad80bd17fd")
 
 
 def test_tiny_map_nba_reads_exactly_the_emitted_letters():

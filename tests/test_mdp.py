@@ -190,13 +190,16 @@ def test_json_key_order():
 
 def test_strategy_memory_nodes():
     P = two_state_loop()
-    first, second = staying_then_cycling(0).first, \
-        staying_then_cycling(0).second
+    first, second = staying_then_cycling(P, 0).first, \
+        staying_then_cycling(P, 0).second
     assert first.start(0) == (0,)
     assert first.action((1,)) == "back" and first.step((1,), 0) == (0,)
-    assert second.start(1) == (1, 0)
-    assert second.action((0, 0)) == "go" and second.step((0, 0), 1) == (1, 0)
-    sigma = staying_then_cycling(2)
+    # the second strategy's one memory value leaves only the state
+    assert second.start(1) == (1,)
+    assert second.action((0,)) == "go" and second.step((0,), 1) == (1,)
+    assert second.row((1,)) == 2 and second.choices == {(0, 0): "go",
+                                                        (1, 0): "back"}
+    sigma = staying_then_cycling(P, 2)
     node = sigma.start(P.initial)
     walk = [node]
     for _ in range(4):
@@ -204,7 +207,15 @@ def test_strategy_memory_nodes():
         node = sigma.step(node, t)
         walk.append(node)
     # two steps of "stay", then "go" and "back" with the count saturated
-    assert walk == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 2, 0), (0, 2, 0)]
+    assert walk == [(0, 0), (0, 1), (0, 2), (1, 2), (0, 2)]
+
+
+def test_strategy_plays_no_row_where_it_has_none():
+    P = two_state_loop()
+    sigma = strategy_of(P, "positional", {1: "back"})
+    assert sigma.choices == {1: "back"}
+    with pytest.raises(KeyError):
+        sigma.row((0,))
 
 
 def test_reachability_values():
@@ -564,6 +575,10 @@ def test_no_valid_strategy():
     with pytest.raises(NoValidStrategy) as exc:
         lexicographic_solve(P, 0.5, 0.01)
     assert exc.value.sat_prob == pytest.approx(0.5)
+    # a bad discount is refused before the winning region is sought
+    for lam in (1.0, 1.5, -0.5):
+        with pytest.raises(ValueError, match="discount factor"):
+            lexicographic_solve(P, lam, 0.01)
 
 
 def test_risky_reward_action_is_deleted():
@@ -626,10 +641,20 @@ def two_state_loop():
         rewards={(0, "stay", 0): 1.0, (1, "back", 0): 2.0})
 
 
-def staying_then_cycling(k):
-    first = Strategy("positional", choices={0: "stay", 1: "back"})
-    second = Strategy("finite-memory", choices={(0, 0): "go", (1, 0): "back"},
-                      update={(0, 0): 0, (1, 0): 0})
+def strategy_of(P, kind, choices):
+    """The ``kind`` strategy that plays at each state ``s`` of ``choices``
+    the row of ``P.arrays`` whose action is ``choices[s]``."""
+    A = P.arrays
+    rows = np.full(A.n_states, -1, dtype=np.int64)
+    for s, a in choices.items():
+        rows[s] = A.action.index(a, A.first[s], A.first[s + 1])
+    return Strategy(kind, rows=rows, arrays=A)
+
+
+def staying_then_cycling(P, k):
+    """On ``two_state_loop()``: "stay" for k steps, then "go" and "back"."""
+    first = strategy_of(P, "positional", {0: "stay", 1: "back"})
+    second = strategy_of(P, "finite-memory", {0: "go", 1: "back"})
     return Strategy("switching", first=first, second=second, switch_step=k)
 
 
@@ -637,7 +662,8 @@ def test_value_check_of_a_switching_strategy():
     P = two_state_loop()
     lam = 0.9
     for k in (0, 1, 5, 40):
-        sat, value = strategy_value_check(P, staying_then_cycling(k), lam)
+        sat, value = strategy_value_check(P, staying_then_cycling(P, k),
+                                          lam)
         # k steps paying 1, then "go"/"back" forever: 2 on every second step
         expect = ((1 - lam ** k) / (1 - lam)
                   + 2 * lam ** (k + 1) / (1 - lam ** 2))
@@ -645,9 +671,12 @@ def test_value_check_of_a_switching_strategy():
         assert value == pytest.approx(expect, abs=1e-9)
     # staying forever pays 1 per step but never accepts
     sat, value = strategy_value_check(
-        P, staying_then_cycling(0).first, lam)
+        P, staying_then_cycling(P, 0).first, lam)
     assert sat == 0.0
     assert value == pytest.approx(1 / (1 - lam), abs=1e-9)
+    for lam in (1.0, 1.5, -0.5):
+        with pytest.raises(ValueError, match="discount factor"):
+            strategy_value_check(P, staying_then_cycling(P, 1), lam)
 
 
 def test_value_check_of_a_partly_accepting_chain():
@@ -660,7 +689,7 @@ def test_value_check_of_a_partly_accepting_chain():
         acc={(1, "loop")}, pairs=[(0, 0), (1, 0), (2, 0)],
         rewards={(1, "loop", 1): 1.0})
     lam = 0.5
-    sigma = Strategy("positional", choices={0: "flip", 1: "loop", 2: "loop"})
+    sigma = strategy_of(P, "positional", {0: "flip", 1: "loop", 2: "loop"})
     sat, value = strategy_value_check(P, sigma, lam)
     assert sat == pytest.approx(0.25, abs=1e-12)
     # v0 = lam (v0 / 2 + v1 / 8) with v1 = 1 / (1 - lam) = 2
@@ -669,12 +698,28 @@ def test_value_check_of_a_partly_accepting_chain():
 
 def test_value_check_budget():
     P = two_state_loop()
-    # nodes (0, 0..10, 0) and (1, 10, 0)
-    sat, _ = strategy_value_check(P, staying_then_cycling(10), 0.9,
+    # nodes (0, 0..10) and (1, 10)
+    sat, _ = strategy_value_check(P, staying_then_cycling(P, 10), 0.9,
                                   max_chain=12)
     assert sat == pytest.approx(1.0)
     with pytest.raises(CapacityError, match="budget"):
-        strategy_value_check(P, staying_then_cycling(10), 0.9, max_chain=11)
+        strategy_value_check(P, staying_then_cycling(P, 10), 0.9,
+                             max_chain=11)
+
+
+def test_value_check_refuses_another_models_strategy():
+    M = free_letter_mdp()
+    P = product_with_nba(M, infinitely_many_b_nba())
+    _, _, sigma = lexicographic_solve(P, 0.5, 0.01)
+    # a second build of the same product has equal rows in other arrays
+    Q = product_with_nba(M, infinitely_many_b_nba())
+    with pytest.raises(ValueError, match="another model"):
+        strategy_value_check(Q, sigma, 0.5)
+    with pytest.raises(ValueError, match="another model"):
+        strategy_value_check(Q, sigma.second, 0.5)
+    with pytest.raises(ValueError, match="two models"):
+        Strategy("switching", first=sigma.first,
+                 second=lexicographic_solve(Q, 0.5, 0.01)[2].second)
 
 
 def solved_strategies(count=200, seed=2024):

@@ -3,6 +3,7 @@ import pytest
 from omegadp.automata import Alphabet
 from omegadp.mdp import (
     STUCK,
+    Strategy,
     discounted_vi,
     product_with_nba,
     strategy_value_check,
@@ -82,7 +83,6 @@ def assert_matches_reference(P, got, want):
         assert sigma.switch_step == ref_sigma.switch_step
         assert sigma.first.choices == ref_sigma.first.choices
         assert sigma.second.choices == ref_sigma.second.choices
-        assert sigma.second.update == ref_sigma.second.update
 
 
 def both_learners(P, **kw):
@@ -203,13 +203,11 @@ def test_render_policy_bare_and_arrows():
 def test_policy_arrows_groups_by_automaton_state():
     D = chain_odp()
     P = compile_product(D)
-    choices = {}
-    for s in range(P.n_states):
-        acts = P.actions.get(s, ())
-        if acts:
-            choices[s] = acts[0]
+    # every state's first row
+    first = Strategy("positional", rows=P.arrays.first[:-1],
+                     arrays=P.arrays)
     cells = {0: (0, 0), 1: (1, 0)}
-    arrows = policy_arrows(P, choices, lambda x: cells[P.pairs[x][0]])
+    arrows = policy_arrows(P, first, lambda x: cells[P.pairs[x][0]])
     assert arrows
     for mode, grid in arrows.items():
         for cell, direction in grid.items():
