@@ -400,7 +400,8 @@ def _build_parser():
     p.add_argument("--against", default=None,
                    help="second HOA file for lasso equivalence")
     p.add_argument("--bound", type=int, default=6,
-                   help="lasso length bound for --against")
+                   help="lasso length bound for --against, at least 1; "
+                        "time and memory grow with letters^bound")
     p.add_argument("--gfm", action="store_true",
                    help="value-agreement check on random processes")
     p.add_argument("--mdps", type=int, default=20,

@@ -2,21 +2,47 @@
 check: every cycle word's eventual loop is found by doubling the functional
 graph on (state, phase) pairs, the generic path multiplies out the relation
 of every cycle word on its own, and the deterministic part is the greatest
-fixpoint of a re-sweep over all states.  The library's versions
-(``lasso_bulk``, ``automata.is_strongly_limit_deterministic``) must give
-exactly the same results (``test_lasso_bulk.py``)."""
+fixpoint of a re-sweep over all states; rotation classes are found word by
+word.  The library's versions (``lasso_bulk``,
+``automata.is_strongly_limit_deterministic``) must give exactly the same
+results (``test_lasso_bulk.py``)."""
 
+import functools
 import itertools
 
 import numpy as np
 
 from omegadp.automata import Automaton
-from omegadp.lasso_bulk import _rotation_classes
 
 
 def _doubling_steps(domain):
     """Squarings needed for a window covering ``domain`` many steps."""
     return max(1, int(domain - 1).bit_length())
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_classes(n_letters, cl):
+    """Group cycle words by rotation.
+
+    Reading a rotated cycle is the same functional walk at a shifted phase,
+    so per-word analyses only need one representative per class.  Returns
+    ``(reps, rep_idx, rot)`` where ``reps`` is the array of representative
+    words, and word ``j`` read from phase ``p`` equals representative
+    ``rep_idx[j]`` read from phase ``(p + rot[j]) % cl``.
+    """
+    words = list(itertools.product(range(n_letters), repeat=cl))
+    rep_pos = {}
+    reps = []
+    rep_idx = np.empty(len(words), dtype=np.int64)
+    rot = np.empty(len(words), dtype=np.int64)
+    for j, w in enumerate(words):
+        best, shift = min((w[s:] + w[:s], s) for s in range(cl))
+        if best not in rep_pos:
+            rep_pos[best] = len(reps)
+            reps.append(best)
+        rep_idx[j] = rep_pos[best]
+        rot[j] = (cl - shift) % cl
+    return np.array(reps, dtype=np.int64).reshape(len(reps), cl), rep_idx, rot
 
 
 def is_strongly_limit_deterministic(A: Automaton):

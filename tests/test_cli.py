@@ -192,6 +192,16 @@ def test_check_detects_language_difference(tmp_path, capsys):
     assert report["mismatch_count"] == report["words_checked"]
 
 
+def test_check_rejects_a_bound_below_one(tmp_path, rng, capsys):
+    src = write_uca(tmp_path / "a.hoa", random_uca(rng, 2, n_ap=1))
+    assert main(["check", src, "--against", src, "--bound", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"] == "lasso bound must be at least 1, got 0"
+
+
 def test_check_against_the_reduced_complement_of_a_fixture(tmp_path, capsys):
     fixture = FIXTURES / "reduce_03.hoa"
     indir = tmp_path / "in"

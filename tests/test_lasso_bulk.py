@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,12 +151,14 @@ def test_signatures_match_the_frozen_generic_reference():
             ~reference.nba_signature(U.reinterpret("NBA"), bound))
 
 
-def test_generic_signature_of_an_automaton_split_into_chunks():
-    # 45 states on 4 letters: the 4^6 cycle words of length 6 do not fit
-    # in one working array
+def test_generic_signature_of_an_automaton_split_into_chunks(monkeypatch):
+    # 45 states on 4 letters: the rotation classes of the cycle words up to
+    # length 6 do not fit in one slice of the budget
+    monkeypatch.setattr(lasso_bulk, "_BUDGET", 1 << 22)
     A = random_nba(random.Random(0), 45, n_ap=2, p_edge=0.03, p_accept=0.05)
     assert not is_strongly_limit_deterministic(A)[0]
-    assert lasso_bulk._CELLS // (2 * 45 * 45) < 4 ** 6
+    reps, _ = lasso_bulk._cycle_batch(4, 6)
+    assert lasso_bulk._BUDGET // (4 * 45 * (8 * 45 + 6)) < len(reps)
     sig = nba_signature(A, 6)
     assert sig.any() and not sig.all()
     assert np.array_equal(sig, reference.nba_signature(A, 6))
@@ -163,9 +166,10 @@ def test_generic_signature_of_an_automaton_split_into_chunks():
 
 @pytest.mark.parametrize("cells", [1, 40, 300])
 def test_generic_signature_with_few_kept_words(monkeypatch, cells):
-    # tiny working arrays: few or no word levels are kept, so the words
-    # are extended letter by letter in many small chunks
-    monkeypatch.setattr(lasso_bulk, "_CELLS", cells)
+    # tiny working arrays of that many float32 cells: few or no word
+    # levels are kept, so the words are extended letter by letter in many
+    # small chunks
+    monkeypatch.setattr(lasso_bulk, "_BUDGET", 4 * cells)
     rng = random.Random(cells)
     tested = 0
     while tested < 4:
@@ -198,3 +202,63 @@ def test_mismatches_reports_differing_words(rng):
     bad = mismatches(sig, flipped, range(2), 3)
     assert bad == [bounded_lassos(range(2), 3)[5]]
     assert mismatches(sig, sig, range(2), 3) == []
+
+
+def test_mismatches_stop_at_the_limit_across_slices(monkeypatch):
+    monkeypatch.setattr(lasso_bulk, "_BUDGET", 4 * 17)
+    words = bounded_lassos(range(2), 3)
+    sig = np.zeros(len(words), dtype=bool)
+    sig[[2, 3, 9, 17, 30]] = True
+    assert mismatches(sig, ~sig, range(2), 3, limit=len(words)) == words
+    assert mismatches(np.zeros_like(sig), sig, range(2), 3, limit=4) == \
+        [words[i] for i in (2, 3, 9, 17)]
+
+
+@pytest.mark.parametrize("n_letters", [1, 2, 3, 4])
+def test_signature_positions_decode_to_the_enumeration(n_letters):
+    letters = "abcd"[:n_letters]
+    for bound in range(1, 6):
+        words = bounded_lassos(letters, bound)
+        assert [lasso_bulk._lasso_at(i, letters, bound)
+                for i in range(len(words))] == words
+
+
+def test_least_rotations_are_the_reference_representatives():
+    for n_letters in range(1, 5):
+        for cl in range(1, 6):
+            reps, _, _ = reference._rotation_classes(n_letters, cl)
+            codes = reps @ n_letters ** np.arange(cl - 1, -1, -1)
+            assert np.array_equal(
+                lasso_bulk._least_rotations(n_letters, cl), codes)
+
+
+@pytest.mark.parametrize("bound", [0, -2])
+def test_signatures_reject_a_bound_below_one(bound):
+    U = random_uca(random.Random(3), 2, n_ap=1)
+    D = determinize_uca(U)
+    for sign, A in ((nba_signature, U.reinterpret("NBA")),
+                    (nba_signature, complement_uca(U)),
+                    (uca_signature, U), (dsa_signature, D)):
+        with pytest.raises(ValueError,
+                           match=f"bound must be at least 1, got {bound}$"):
+            sign(A, bound)
+
+
+def test_signatures_stay_in_their_working_set():
+    # the largest complement and determinisation of a fixed corpus of
+    # random UCAs: one call's traced peak, output included, at bound 6
+    rng = random.Random(7)
+    corpus = [random_uca(rng, 1 + i % 4, n_ap=2) for i in range(80)]
+    C = max((complement_uca(A) for A in corpus), key=lambda C: C.n_states)
+    D = max((determinize_uca(A) for A in corpus), key=lambda D: D.n_states)
+    U = max(corpus, key=lambda A: A.n_states)
+    for sign, A in ((nba_signature, C), (dsa_signature, D),
+                    (uca_signature, U)):
+        sign(A, 6)  # the rotation classes are built once per process
+        tracemalloc.start()
+        try:
+            sign(A, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20, (sign.__name__, peak)

@@ -126,9 +126,9 @@ def test_hand_built_cuts_match_the_reference(case):
 
 
 def test_limit_deterministic_batches_of_one_word(monkeypatch):
-    # a cells budget below one word's working set: every representative
-    # is its own batch
-    monkeypatch.setattr(lasso_bulk, "_STEP_CELLS", 1)
+    # a budget below one word's working set: every representative is its
+    # own batch, and every tile of the output one bit
+    monkeypatch.setattr(lasso_bulk, "_BUDGET", 1)
     rng = random.Random(11)
     for _ in range(8):
         C = complement_uca(random_uca(rng, rng.randint(1, 3), n_ap=2))
