@@ -20,11 +20,15 @@ int32 CSR arrays (``_Graph``), built a slice of edges at a time, so that no
 step holds an int64 key per edge: a search from many roots writes them into
 spare slots as the row of one virtual root, and backward reachability builds
 the reverse graph from the edges.  ``prune_empty`` shares one graph between
-the strong components and the forward search.  Explorations that
-number states one key at a time use ``Explorer``; those that number a batch
-of keys at once (the complement's rank rows, ``intersect_nba`` and
-``mdp.product_with_nba``) use ``Interner``.  ``lasso_member_nba`` keeps
-a Python Tarjan of its own: it is the membership oracle the array
+the strong components and the forward search.  Explorations that number
+states one key at a time use ``Explorer``.  Those that number a batch of
+rows at once use ``Interner``, the library's one exact row-set primitive:
+the complement's rank rows, the product states of ``intersect_nba`` and
+``mdp.product_with_nba``, and in the reduction the rows of each
+bisimulation round, the language fingerprints and the pairs of the
+inclusion search.  It stores each row zero-padded to whole 64-bit words
+and hashes and compares it a word at a time.  ``lasso_member_nba`` keeps a
+Python Tarjan of its own: it is the membership oracle the array
 constructions are tested against, so it shares no code with them.
 """
 
@@ -153,10 +157,10 @@ _FREE = np.int32(np.iinfo(np.int32).max)  # an empty slot of an Interner
 def _reserved(a, size):
     """``a``, or a copy of it half as long again, or as long as ``size``
     if that is more, when it is shorter than ``size``; the part past
-    ``len(a)`` is uninitialised."""
+    ``len(a)`` is zero."""
     if len(a) >= size:
         return a
-    grown = np.empty((max(size, len(a) + len(a) // 2),) + a.shape[1:],
+    grown = np.zeros((max(size, len(a) + len(a) // 2),) + a.shape[1:],
                      dtype=a.dtype)
     grown[:len(a)] = a
     return grown
@@ -177,20 +181,30 @@ class Interner:
     ever after, as :class:`Explorer` would give them one row at a time.
 
     ``rows[i]`` is the row of id ``i < len(self)``, and the ids are int32.
-    The index is an open-addressing table of int32 ids with linear probing,
-    at most half full.  A row's first slot is the top bits of its 64-bit
-    hash: the wrapped sum of its entries times random odd multipliers
-    (``mult``, from a fixed seed).  A batch is probed in slices of at most ``_PROBE`` rows,
-    each slice in a few numpy steps per probe.  A probe stops only at a
-    slot whose stored row equals the row, so a hash collision never merges
-    two rows.
+    Each row is stored zero-padded to whole 64-bit words (``words``), and
+    ``rows`` is the view of them in the caller's dtype and width.  The
+    index is an open-addressing table of int32 ids with linear probing, at
+    most half full.  A row's first slot is the top bits of its 64-bit hash:
+    the wrapped sum of its words times random odd multipliers (``mult``,
+    one per word, from a fixed seed), so a rank row of 21 int8 entries
+    costs three multiplies.  A batch is probed in slices of at most
+    ``_PROBE`` rows, each slice in a few numpy steps per probe.  A probe
+    compares rows word by word and stops only at a slot whose stored row
+    equals the row, so a hash collision never merges two rows.  A batch's
+    rows are written straight into ``rows``, so packing costs no copy of
+    its own, and keys of one int64 column fill their word exactly.  The
+    complement, ``intersect_nba``, ``mdp.product_with_nba`` and the
+    reduction's bisimulation rounds, fingerprints and inclusion search all
+    number their rows with it.
     """
 
-    __slots__ = ("rows", "mult", "table", "shift", "n")
+    __slots__ = ("words", "rows", "mult", "table", "shift", "n")
 
     def __init__(self, width, dtype):
-        self.rows = np.empty((1024, width), dtype=dtype)
-        self.mult = _multipliers(width)
+        self.mult = _multipliers(-(-width * np.dtype(dtype).itemsize // 8))
+        # only ``rows`` is ever written, so the padding stays zero
+        self.words = np.zeros((1024, len(self.mult)), dtype=np.uint64)
+        self.rows = self.words.view(dtype)[:, :width]
         # a small exploration's rows then mostly find their row, or a free
         # slot, at the first probe
         self.table = np.full(1 << 14, _FREE, dtype=np.int32)
@@ -212,14 +226,17 @@ class Interner:
         n, k = self.n, len(keys)
         if not k:
             return np.empty(0, dtype=np.int32)
-        if n + k > len(self.rows):
-            self.rows = _reserved(self.rows, n + k)
+        if n + k > len(self.words):
+            rows = self.rows
+            self.words = _reserved(self.words, n + k)
+            self.rows = self.words.view(rows.dtype)[:, :rows.shape[1]]
         if 2 * (n + k) > len(self.table):
             self._rehash(2 * (n + k))
         # the slice's rows take the ids n .. n+k-1 while they probe
         self.rows[n:n + k] = keys
+        words = self.words[n:n + k]
         mine = np.arange(n, n + k, dtype=np.int32)
-        got, where = self._probe(mine, self._slots(keys), keys)
+        got, where = self._probe(mine, self._slots(words), words)
         new = got == mine
         fresh = int(np.count_nonzero(new))
         if 0 < fresh < k:
@@ -229,21 +246,26 @@ class Interner:
             later = got >= n
             got[later] = number[got[later] - n]
             self.table[where[new]] = number[new]
-            self.rows[n:n + fresh] = self.rows[mine[new]]
+            self.words[n:n + fresh] = words.compress(new, axis=0)
         self.n = n + fresh
         return got
 
-    def _slots(self, keys):
-        """The first slot of each row of ``keys``."""
-        return ((keys.astype(np.uint64) @ self.mult) >> self.shift) \
-            .astype(np.intp)
+    def _slots(self, words):
+        """The first slot of each row of ``words``."""
+        mult = self.mult
+        h = words[:, 0] * mult[0]
+        for j in range(1, len(mult)):
+            h += words[:, j] * mult[j]
+        h >>= self.shift
+        return h.astype(np.intp)
 
     def _probe(self, ids, at, keys):
-        """Probe for the rows ``keys``, stored as ``ids``, from the slots
-        ``at``: a row whose slot is free claims it, the lowest id first,
-        and a row stops at the first slot that holds an equal row, its own
-        claim included.  Returns that slot's id and the slot, per row."""
-        table, rows = self.table, self.rows
+        """Probe for the rows of words ``keys``, stored as ``ids``, from the
+        slots ``at``: a row whose slot is free claims it, the lowest id
+        first, and a row stops at the first slot that holds an equal row,
+        its own claim included.  Returns that slot's id and the slot, per
+        row."""
+        table, words = self.table, self.words
         rounds = []  # per round: the ids met, the slots, the rows that go on
         while True:
             occ = table[at]
@@ -251,11 +273,15 @@ class Interner:
             if np.count_nonzero(free):
                 np.minimum.at(table, at[free], ids[free])
                 occ = table[at]
-            on = (rows[occ] != keys).any(axis=1)
+            # take and compress move rows far faster than indexing does
+            met = words.take(occ, axis=0)
+            on = met[:, 0] != keys[:, 0]
+            for j in range(1, keys.shape[1]):
+                on |= met[:, j] != keys[:, j]
             if not np.count_nonzero(on):
                 break
             rounds.append((occ, at, on))
-            ids, keys = ids[on], keys[on]
+            ids, keys = ids[on], keys.compress(on, axis=0)
             at = (at[on] + 1) & (len(table) - 1)
         for prev, prev_at, on in reversed(rounds):
             prev[on], prev_at[on] = occ, at
@@ -271,7 +297,7 @@ class Interner:
         self.shift = np.uint64(64 - bits)
         for lo in range(0, self.n, _PROBE):
             hi = min(self.n, lo + _PROBE)
-            keys = self.rows[lo:hi]
+            keys = self.words[lo:hi]
             self._probe(np.arange(lo, hi, dtype=np.int32), self._slots(keys),
                         keys)
 

@@ -15,9 +15,15 @@ and every stage passes on its restriction to the states that stage keeps;
 for an automaton without the tag, the stages take the partition that
 ``is_strongly_limit_deterministic`` finds.
 
+The lumping stages refine a partition in rounds: each round writes a
+state's block and coded moves as one row, and an
+:class:`~omegadp.automata.Interner` numbers the rows by first appearance.
+
 Language classes are found by exact inclusion checks.  Only states whose
 fingerprints agree are compared, so a fingerprint column must depend on
-the state's language alone: equal languages, equal fingerprints.
+the state's language alone: equal languages, equal fingerprints.  An
+``Interner`` numbers the fingerprints, and the inclusion search's product
+pairs breadth first.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import _SLICE, Automaton, Edges, _components, _first_phase, \
-    _Graph, _inner, _nonempty, _reached, check_time, time_limit
+from .automata import _SLICE, Automaton, Edges, Interner, _components, \
+    _first_phase, _Graph, _inner, _intern_batch, _nonempty, _reached, \
+    check_time, time_limit
 from .complement import ComplementOptions, complement_uca
 
 
@@ -133,19 +140,6 @@ def prune_empty(A: Automaton) -> Automaton:
     return _restrict(A, A.initial, E, live, A.tags.get("final"), comp)
 
 
-def _row_ids(M):
-    """Equal rows of ``M`` get equal ids in ``0 .. k-1``."""
-    if len(M) == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    order = np.lexsort(M.T[::-1])
-    sorted_rows = M[order]
-    new = np.ones(len(M), dtype=bool)
-    new[1:] = (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
-    ids = np.empty(len(M), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, int(new.sum())
-
-
 def _code_dtype(n, L):
     """The dtype of the block ids and move codes of :func:`_bisimulation`
     over ``n`` states and ``L`` letters: a block id is below 2n, so a move
@@ -154,50 +148,70 @@ def _code_dtype(n, L):
         else np.int64
 
 
+def _move_groups(act, offset, dst, tail):
+    """The states ``act`` grouped by their number k of moves, the entries
+    ``offset[q]`` to ``offset[q + 1]`` of the move columns ``dst`` and
+    ``tail``: per group ``(sel, states, d, t)``, where ``states = act[sel]``
+    and row i of ``d`` and ``t`` holds the moves of ``states[i]``."""
+    count = np.diff(offset)[act]
+    groups = []
+    for k in np.unique(count):
+        sel = np.flatnonzero(count == k)
+        at = offset[act[sel]][:, None] + np.arange(k)
+        groups.append((sel, act[sel], dst.take(at), tail.take(at)))
+    return groups
+
+
 def _bisimulation(n, E: Edges, active, what):
     """Coarsest strong bisimulation that refines ``active`` states only;
-    every other state is a block of its own.  Returns block ids."""
+    every other state is a block of its own.  Returns block ids.
+
+    A round codes each move of an active state as ``block[dst] * 2L +
+    tail``, where ``tail = mark * L + letter``, and the states with the
+    same block and the same moves form a block of the next round.  States
+    with different numbers of moves never share one, so one
+    :class:`Interner` per move count numbers the rows (block, moves) by
+    first appearance, after the blocks of the smaller counts."""
     L = max(len(E.letters), 1)
     code = _code_dtype(n, L)
     block = np.where(active, 0, n + np.arange(n, dtype=code))
     act = np.flatnonzero(active)
-    # the moves of every edge are coded, and those of the other states are
-    # never read, so no edge array is copied
     src, let, dst, acc = E.src, E.let, E.dst, E.acc
     bounds = np.arange(n + 1, dtype=src.dtype)
-    # one move per (source, letter) keeps letter order canonical; otherwise
-    # each state's moves are sorted and deduplicated every round
+    tail = acc.astype(code)
+    tail *= L
+    tail += let
+    # with one move per (source, letter) the edges keep each state's moves
+    # in letter order, so the groups are gathered once, before the rounds;
+    # otherwise each state's moves are sorted and deduplicated every round
     det = not np.any((src[1:] == src[:-1]) & (let[1:] == let[:-1])
                      & active[src[1:]])
-    offset = np.searchsorted(src, bounds)
+    if det:
+        groups = _move_groups(act, np.searchsorted(src, bounds), dst, tail)
+        del tail  # the groups hold all the rounds read
     n_blocks = 1 if len(act) else 0
     while True:
         check_time(what)
-        move = block[dst]
-        move *= 2
-        move += acc
-        move *= L
-        move += let
         if not det:
+            move = block[dst] * (2 * L) + tail
             order = np.lexsort((move, src))
-            s, move = src[order], move[order]
-            first = np.ones(len(s), dtype=bool)
-            first[1:] = (s[1:] != s[:-1]) | (move[1:] != move[:-1])
-            s, move = s[first], move[first]
-            offset = np.searchsorted(s, bounds)
-        count = np.diff(offset)
-        new_block = np.empty(len(act), dtype=np.int64)
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (src[order[1:]] != src[order[:-1]]) \
+                | (move[order[1:]] != move[order[:-1]])
+            kept = order[first]
+            groups = _move_groups(act, np.searchsorted(src[kept], bounds),
+                                  dst[kept], tail[kept])
+        new_block = np.empty(len(act), dtype=code)
         total = 0
-        # states with different numbers of moves never share a block
-        for k in np.unique(count[act]):
-            sel = np.flatnonzero(count[act] == k)
-            states = act[sel]
-            M = np.empty((len(states), k + 1), dtype=code)
+        for sel, states, d, t in groups:
+            M = np.empty((len(states), d.shape[1] + 1), dtype=code)
             M[:, 0] = block[states]
-            M[:, 1:] = move[offset[states][:, None] + np.arange(k)]
-            ids, k_blocks = _row_ids(M)
-            new_block[sel] = ids + total
-            total += k_blocks
+            np.multiply(block.take(d), 2 * L, out=M[:, 1:])
+            M[:, 1:] += t
+            rows = Interner(M.shape[1], code)
+            new_block[sel] = rows.ids(M)
+            new_block[sel] += total
+            total += len(rows)
         if total == n_blocks:
             return block
         block[act] = new_block
@@ -252,36 +266,38 @@ def _inclusion_fails(T, mark, P, R):
     All pairs share one product exploration.  A product state is a pair
     (p, r) where r may be a dead run.  Inclusion fails exactly when, after
     deleting r-accepting edges, some cycle reachable from the start pair
-    still carries a p-accepting edge.
+    still carries a p-accepting edge.  An :class:`Interner` numbers the
+    pairs breadth first, from the start pairs' ids on, so each level's
+    pairs are the ids that follow the last level's.
     """
     n, L = T.shape
     base = n + 1  # r == n is the dead run
     T_r = np.vstack([np.where(T < 0, n, T), np.full((1, L), n)])
     mark_r = np.vstack([mark, np.zeros((1, L), dtype=bool)])
-    starts = P * base + R
-    seen = np.unique(starts)
-    frontier = seen
+    pairs = Interner(1, np.int64)
+    starts, frontier = _intern_batch(pairs, P * base + R)
     src, dst, cut, acc = [], [], [], []
+    done = 0  # the id of the frontier's first pair
     while len(frontier):
         p, r = np.divmod(frontier, base)
         P2 = T[p]
         if np.any(P2 == -2):
             raise ValueError("second phase is not deterministic")
         k, a = np.nonzero(P2 >= 0)
-        d = P2[k, a] * base + T_r[r[k], a]
-        src.append(frontier[k])
+        d, new = _intern_batch(pairs, P2[k, a] * base + T_r[r[k], a])
+        src.append(k + done)
         dst.append(d)
         cut.append(mark_r[r[k], a])
         acc.append(mark[p[k], a])
-        frontier = np.setdiff1d(d, seen)
-        seen = np.union1d(seen, frontier)
-    src = np.searchsorted(seen, np.concatenate(src)).astype(np.int32)
-    dst = np.searchsorted(seen, np.concatenate(dst)).astype(np.int32)
+        done += len(frontier)
+        frontier = new
+    src = np.concatenate(src).astype(np.int32)
+    dst = np.concatenate(dst)
     keep = ~np.concatenate(cut)
     acc = np.concatenate(acc) & keep
-    comp = _components(len(seen), src[keep], dst[keep])
+    comp = _components(len(pairs), src[keep], dst[keep])
     bad = src[acc & (comp[src] == comp[dst])]
-    return _reached(len(seen), dst, src, bad)[np.searchsorted(seen, starts)]
+    return _reached(len(pairs), dst, src, bad)[starts]
 
 
 def _phase2_fingerprints(T, nonempty, states):
@@ -335,7 +351,8 @@ def merge_lang_final(A: Automaton) -> Automaton:
     T, mark = _successor_table(n, E)
     states = np.flatnonzero(final)
     nonempty = _nonempty(E, _components(n, E.src, E.dst))
-    fingerprint, _ = _row_ids(_phase2_fingerprints(T, nonempty, states))
+    prints = _phase2_fingerprints(T, nonempty, states)
+    fingerprint = Interner(prints.shape[1], np.int64).ids(prints)
     # language classes inside each fingerprint group, one class per round:
     # the lowest pending member of a group represents its class, and every
     # other pending member is checked against it in both directions

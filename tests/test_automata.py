@@ -364,35 +364,41 @@ def assert_interns_like_a_dict(interner, batches):
         got = interner.ids(table)
         assert got.dtype == np.int32
         assert got.tolist() == dict_ids(index, table)
-        # each row is stored once, under its id
+        # each row is stored once, under its id, without its padding
         stored = interner.rows[:len(interner)]
+        assert stored.dtype == table.dtype
+        assert stored.shape == (len(index), table.shape[1])
         assert [row.tobytes() for row in stored] == list(index)
 
 
 def test_interner_ids_match_a_dict_when_every_hash_collides():
     rng = np.random.default_rng(3)
     interner = automata.Interner(5, np.int16)
-    interner.mult = np.zeros(5, dtype=np.uint64)
+    interner.mult = np.zeros_like(interner.mult)
     pool = rng.integers(-1, 3, size=(120, 5)).astype(np.int16)
     batches = [pool[rng.integers(0, len(pool), int(rng.integers(0, 40)))]
                for _ in range(25)]
     assert_interns_like_a_dict(interner, batches)
     # one slot chain holds every row
-    assert len(np.unique(interner._slots(pool))) == 1
+    stored = interner.words[:len(interner)]
+    assert len(np.unique(interner._slots(stored))) == 1
 
 
 def test_interner_ids_match_a_dict_on_random_tables():
     rng = np.random.default_rng(4)
-    for width in (1, 3, 21):
-        pool = rng.integers(-1, 4, size=(30_000, width)).astype(np.int16)
+    # int16 rows, and int8 rows of widths that fill less than one word,
+    # exactly one word, a little more and the 21 entries of a rank row
+    for dtype, width in ((np.int16, 1), (np.int16, 3), (np.int16, 21),
+                         (np.int8, 1), (np.int8, 7), (np.int8, 8),
+                         (np.int8, 9), (np.int8, 21)):
+        pool = rng.integers(-1, 4, size=(30_000, width)).astype(dtype)
         # small batches, then batches of more than one probe slice, with
         # repeats inside each batch and across batches
         sizes = [0, 1, 7, 300, automata._PROBE + 1, 3 * automata._PROBE + 5,
                  5, 2_000]
         batches = [pool[rng.integers(0, len(pool), k)] for k in sizes]
         assert any(len(np.unique(b, axis=0)) < len(b) for b in batches)
-        assert_interns_like_a_dict(automata.Interner(width, np.int16),
-                                   batches)
+        assert_interns_like_a_dict(automata.Interner(width, dtype), batches)
 
 
 def test_intern_batch_numbers_one_column_keys_like_a_dict():

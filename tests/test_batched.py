@@ -259,6 +259,22 @@ def lab_collection(schema, monkeypatch):
     return got[0]
 
 
+# the outputs of the middle stages, lump final and merge languages, as
+# the reduction built them while it numbered its bisimulation rounds by
+# sorting and its inclusion search by set algebra
+MIDDLE_STAGES = {
+    "reduce_05": {
+        "lumpd": (5_085, "2056b760fbad5f2b376227e599279b3558d4168cd1e6b7a2915482b9c1d26bbb"),
+        "lang": (37, "fee9fbcf882a856c1c40d9ad15a3499dac3bc4f5458ccdeacff701034b0d57d6")},
+    "lab": {
+        "lumpd": (178, "99e78e183105eea3c276e1793b7db276f7950351ab42b27c0594faa35c78db70"),
+        "lang": (22, "1dacd38d9ac301d6085e5c20409dab3d3b546551079975cf68202e1b63983fbf")},
+    "lab-full": {
+        "lumpd": (935, "7589c3dab2316aba4ed497e60f54d4f8f9cee8ce7c14b40b2fd35259e236fdcb"),
+        "lang": (22, "4986483ed930245f3ed0d2b2762da27ce706bb6db7630c50f48d93b8f3f37314")},
+}
+
+
 # the digests were recorded while the complement still built the entry
 # rankings that every letter blocks (246,080, 16,561 and 164,979 states):
 # dropping them changes neither the pruned nor the reduced automaton
@@ -284,9 +300,36 @@ def test_pruned_and_reduced_automata_are_pinned(name, built, pruned, reduced,
     jumps = ~final[E.src] & final[E.dst]
     assert (np.bincount(E.src, minlength=C.n_states)[E.dst[jumps]] > 0).all()
     stages = dict(reduction.reduction_stages(C))
-    for got, (states, digest) in ((stages["prune"], pruned),
-                                  (stages["lumpa"], reduced)):
-        assert (got.n_states, phase_digest(got)) == (states, digest)
+    pinned = dict(MIDDLE_STAGES[name], prune=pruned, lumpa=reduced)
+    assert {stage: (got.n_states, phase_digest(got))
+            for stage, got in stages.items()} == pinned
+
+
+def stage_digests(A):
+    """The phase digest after each stage that numbers rows with an
+    ``Interner``, run in pipeline order from ``A``."""
+    digests = []
+    for name in STAGES[1:]:
+        A = getattr(reduction, name)(A)
+        digests.append(phase_digest(A))
+    return digests
+
+
+def test_stages_are_the_same_when_every_interner_hash_collides(monkeypatch):
+    rng = random.Random(30)
+    complements = [complement_uca(fixture(f"reduce_0{i}"),
+                                  ComplementOptions(special=False))
+                   for i in range(1, 5)] \
+        + [complement_uca(random_collection(rng)) for _ in range(40)]
+    plain = [stage_digests(C) for C in complements]
+    # every Interner built from here on hashes each row to one slot, so
+    # only its row comparisons tell rows apart
+    monkeypatch.setattr(automata, "_multipliers",
+                        lambda n: np.zeros(n, dtype=np.uint64))
+    rows = automata.Interner(3, np.int32)
+    rows.ids(np.arange(30, dtype=np.int32).reshape(10, 3))
+    assert len(np.unique(rows._slots(rows.words[:len(rows)]))) == 1
+    assert [stage_digests(C) for C in complements] == plain
 
 
 def assert_two_phases(A):
