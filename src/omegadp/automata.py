@@ -10,10 +10,14 @@ accepting; for a UCA it is rejecting.  A DFA carries a final-state set
 instead.  Automata need not be complete: a run that cannot continue is
 neither accepting (NBA) nor rejecting (UCA).
 
+An automaton holds its transitions in one form, the edge arrays
+(``Edges``), set when it is made.  Its dicts ``delta`` and ``gamma`` are
+read-only views of them (``view``), made only if something reads them.
+
 This module is also the one graph layer of the library.  Strongly connected
 components, reachability and emptiness are computed on edge arrays by
 ``scipy.sparse.csgraph`` (``_components``, ``_reached``, ``_nonempty``), and
-the reduction stages, the end component decomposition of ``mdp`` and the
+the reduction stages, the MEC decomposition and value check of ``mdp`` and the
 checks here all call them; scipy is imported inside them, because loading it
 costs more than importing the rest of the library.  Each graph is one set of
 int32 CSR arrays (``_Graph``), built a slice of edges at a time, so that no
@@ -38,7 +42,8 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -396,9 +401,6 @@ class Alphabet:
         promises = sorted(self.promises, key=promise_sort_key)
         return [(b, p) for b in base for p in promises]
 
-    def base_of(self, letter) -> int:
-        return letter if self.promises is None else letter[0]
-
     def letter_of(self, assignment: Iterable[str]) -> int:
         """Encode a set of true atomic propositions as a base letter."""
         return label_from_names(assignment, self.ap)
@@ -416,11 +418,6 @@ class LassoWord:
         object.__setattr__(self, "cycle", tuple(self.cycle))
         if not self.cycle:
             raise ValueError("lasso cycle must be nonempty")
-
-    def letter_at(self, i: int):
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
 
 class Edges:
@@ -460,119 +457,122 @@ class Edges:
         return cls(letters, src, let, dst, acc)
 
     @classmethod
-    def of(cls, A: "Automaton") -> "Edges":
-        letters = A.alphabet.letters()
+    def of(cls, kind, alphabet, n_states, delta, gamma) -> "Edges":
+        """The edges of the ``delta`` and ``gamma`` that :class:`Automaton`
+        takes; raises ValueError unless every transition and mark joins two
+        states on a letter of ``alphabet``, at most one per letter from a
+        state of a DFA or DBA."""
+        letters = alphabet.letters()
         index = {a: i for i, a in enumerate(letters)}
+        gamma = frozenset(gamma)
         src, let, dst, acc = [], [], [], []
-        gamma = A.gamma
-        for (q, a), targets in A.delta.items():
-            li = index[a]
+        for (q, a), targets in delta.items():
+            if not targets:
+                continue
+            if not (0 <= q < n_states):
+                raise ValueError(f"transition source {q} out of range")
+            li = index.get(a)
+            if li is None:
+                raise ValueError(f"transition on {a!r}, not a letter of the "
+                                 f"alphabet")
+            if any(not (0 <= t < n_states) for t in targets):
+                raise ValueError(
+                    f"transition target out of range at ({q}, {a!r})")
+            if kind in ("DFA", "DBA") and len(targets) > 1:
+                raise ValueError(
+                    f"{kind} state {q} has {len(targets)} successors on {a!r}")
             for t in targets:
                 src.append(q)
                 let.append(li)
                 dst.append(t)
                 acc.append((q, a, t) in gamma)
+        for (q, a, t) in gamma:
+            if t not in delta.get((q, a), ()):
+                raise ValueError(
+                    f"marked transition ({q}, {a!r}, {t}) is not a transition")
         return cls.normalised(letters, src, let, dst, acc)
 
     def __len__(self):
         return len(self.src)
 
-    def to_dicts(self):
-        """The ``delta`` and ``gamma`` of :class:`Automaton`."""
-        letters = self.letters
-        src, let, dst = self.src.tolist(), self.let.tolist(), self.dst.tolist()
-        new = np.ones(len(src) + 1, dtype=bool)
-        new[1:-1] = (self.src[1:] != self.src[:-1]) | (self.let[1:] != self.let[:-1])
-        bounds = np.flatnonzero(new).tolist()
-        delta = {(src[s], letters[let[s]]): tuple(dst[s:e])
-                 for s, e in zip(bounds, bounds[1:])}
-        marked = np.flatnonzero(self.acc).tolist()
-        gamma = frozenset((src[k], letters[let[k]], dst[k]) for k in marked)
-        return delta, gamma
+
+class view(cached_property):
+    """A read-only attribute made from a model's one transition form the
+    first time it is read and kept: the dict forms of :class:`Automaton`
+    and :class:`~omegadp.mdp.Mdp`."""
+
+    def __set__(self, obj, value):
+        raise AttributeError(f"{self.attrname} is a read-only view")
 
 
 class Automaton:
     """Shared representation for NBA / UCA / DFA / DBA automata.
 
     ``initial is None`` marks an automaton schema (instantiate at any state).
-    ``delta`` maps ``(state, letter)`` to a sorted tuple of successors and
-    ``gamma`` is the set of marked ``(state, letter, target)`` transitions.
     ``tags`` carries construction metadata (e.g. the fresh initial state of a
     collection automaton, or the second-phase mask ``final`` of a complement
     output).
 
-    The transitions can also be held as :class:`Edges` (``edges``); each form
-    is built from the other on first use and kept.  The array constructions
-    (complement, reduction, HOA parsing) make automata with
-    :meth:`from_edges`, so their dicts are only built if someone reads them.
+    The transitions are held once, as the :class:`Edges` ``edges``.  The
+    constructor checks the dicts it takes and sorts them into edges:
+    ``delta`` maps ``(state, letter)`` to its successors and ``gamma`` is
+    the set of marked ``(state, letter, target)`` transitions.  The array
+    constructions (complement, reduction, HOA parsing, intersection) use
+    :meth:`from_edges`.  ``delta`` (to ascending tuples) and ``gamma`` are
+    read-only views of the edges, made on first read and kept, for the
+    oracles, the JSON writers and an ODP's guard and promise schemas.
     Automata are shared, never mutated: :meth:`reinterpret` and
-    :func:`instantiate` return copies that share the forms already built,
-    and whichever form a copy builds later is its own.
+    :func:`instantiate` return copies with the same edges.
     """
 
     KINDS = ("NBA", "UCA", "DFA", "DBA")
 
-    __slots__ = ("kind", "alphabet", "n_states", "initial", "delta", "gamma",
-                 "_edges", "final_states", "tags")
-
     def __init__(self, kind, alphabet, n_states, initial, delta, gamma=(),
-                 final_states=(), tags=None, check=True):
+                 final_states=(), tags=None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown automaton kind {kind!r}")
-        self.kind = kind
-        self.alphabet = alphabet
-        self.n_states = n_states
-        self.initial = initial
-        self.delta = {k: tuple(sorted(v)) for k, v in delta.items() if v}
-        self.gamma = frozenset(gamma)
-        self._edges = None
-        self.final_states = frozenset(final_states)
-        self.tags = dict(tags) if tags else {}
-        if check:
-            self._validate()
+        if initial is not None and not (0 <= initial < n_states):
+            raise ValueError(f"initial state {initial} out of range")
+        edges = Edges.of(kind, alphabet, n_states, delta, gamma)
+        if any(not (0 <= q < n_states) for q in final_states):
+            raise ValueError("final state out of range")
+        self._set(kind, alphabet, n_states, initial, edges, final_states,
+                  tags)
 
     @classmethod
     def from_edges(cls, kind, alphabet, n_states, initial, edges: Edges,
-                   tags=None) -> "Automaton":
-        """An automaton whose ``delta`` and ``gamma`` are built from
-        ``edges`` when first read."""
+                   tags=None, final_states=()) -> "Automaton":
+        """The automaton with the transitions ``edges``, unchecked: their
+        maker vouches for them."""
         A = cls.__new__(cls)
-        A.kind, A.alphabet, A.n_states, A.initial = kind, alphabet, n_states, initial
-        A._edges = edges
-        A.final_states = frozenset()
-        A.tags = dict(tags) if tags else {}
+        A._set(kind, alphabet, n_states, initial, edges, final_states, tags)
         return A
 
-    def __getattr__(self, name):
-        # reached only while a slot is unset: the dicts of an automaton
-        # made by from_edges, before their first use
-        if name in ("delta", "gamma"):
-            self.delta, self.gamma = self._edges.to_dicts()
-            return getattr(self, name)
-        raise AttributeError(name)
+    def _set(self, kind, alphabet, n_states, initial, edges, final_states,
+             tags):
+        self.kind, self.alphabet = kind, alphabet
+        self.n_states, self.initial, self.edges = n_states, initial, edges
+        self.final_states = frozenset(final_states)
+        self.tags = dict(tags) if tags else {}
 
-    @property
-    def edges(self) -> Edges:
-        if self._edges is None:
-            self._edges = Edges.of(self)
-        return self._edges
+    @view
+    def delta(self):
+        e = self.edges
+        letters = e.letters
+        src, let, dst = e.src.tolist(), e.let.tolist(), e.dst.tolist()
+        new = np.ones(len(src) + 1, dtype=bool)
+        new[1:-1] = (e.src[1:] != e.src[:-1]) | (e.let[1:] != e.let[:-1])
+        bounds = np.flatnonzero(new).tolist()
+        return MappingProxyType({(src[lo], letters[let[lo]]): tuple(dst[lo:hi])
+                                 for lo, hi in zip(bounds, bounds[1:])})
 
-    def _validate(self):
-        if self.initial is not None and not (0 <= self.initial < self.n_states):
-            raise ValueError(f"initial state {self.initial} out of range")
-        for (q, a), targets in self.delta.items():
-            if not (0 <= q < self.n_states):
-                raise ValueError(f"transition source {q} out of range")
-            if any(not (0 <= t < self.n_states) for t in targets):
-                raise ValueError(f"transition target out of range at ({q}, {a!r})")
-            if self.kind in ("DFA", "DBA") and len(targets) > 1:
-                raise ValueError(
-                    f"{self.kind} state {q} has {len(targets)} successors on {a!r}")
-        for (q, a, t) in self.gamma:
-            if t not in self.delta.get((q, a), ()):
-                raise ValueError(f"marked transition ({q}, {a!r}, {t}) is not a transition")
-        if any(not (0 <= q < self.n_states) for q in self.final_states):
-            raise ValueError("final state out of range")
+    @view
+    def gamma(self):
+        e = self.edges
+        marked = np.flatnonzero(e.acc)
+        return frozenset(zip(e.src[marked].tolist(),
+                             [e.letters[k] for k in e.let[marked].tolist()],
+                             e.dst[marked].tolist()))
 
     @property
     def is_schema(self) -> bool:
@@ -581,33 +581,19 @@ class Automaton:
     def successors(self, q, letter):
         return self.delta.get((q, letter), ())
 
-    def transitions(self):
-        for (q, a), targets in self.delta.items():
-            for t in targets:
-                yield (q, a, t)
-
     def _copy(self, kind, initial) -> "Automaton":
-        """Read as ``kind`` from ``initial``: a copy that shares the
-        transition forms built so far and builds no other."""
-        B = Automaton.from_edges(kind, self.alphabet, self.n_states, initial,
-                                 self._edges, self.tags)
-        B.final_states = self.final_states
-        for name in ("delta", "gamma"):
-            try:  # object.__getattribute__ does not fall back to __getattr__
-                setattr(B, name, object.__getattribute__(self, name))
-            except AttributeError:
-                pass
-        return B
+        """Read as ``kind`` from ``initial``: a copy with the same edges."""
+        return Automaton.from_edges(kind, self.alphabet, self.n_states,
+                                    initial, self.edges, self.tags,
+                                    self.final_states)
 
     def reinterpret(self, kind) -> "Automaton":
         """Same structure read under a different acceptance semantics."""
         return self._copy(kind, self.initial)
 
     def __repr__(self):
-        E = self._edges
-        n = len(E) if E is not None else sum(map(len, self.delta.values()))
         return (f"Automaton({self.kind}, states={self.n_states}, "
-                f"initial={self.initial}, transitions={n})")
+                f"initial={self.initial}, transitions={len(self.edges)})")
 
 
 def instantiate(schema: Automaton, q: int) -> Automaton:

@@ -135,9 +135,6 @@ class BiolabGrid:
                           corner(self.clean_lab), corner(self.dirty_lab),
                           corner(self.decon1), corner(self.decon2), dirty)
 
-    def cells(self):
-        return [(x, y) for x in range(self.width) for y in range(self.height)]
-
     def move(self, cell, direction):
         """Target of a step; bumping a wall or the border keeps position."""
         dx, dy = DIRECTIONS[direction]
@@ -274,8 +271,6 @@ def build_biolab(rho=10.0, f1=1.0, f2=2.0, xi=1.0, p_slip=0.0, p_zap=0.1,
                     outcomes.append((side, p_slip / 2.0))
             dist = {}
             for direction, p in outcomes:
-                if p == 0:
-                    continue
                 target = grid.move(cell, direction)
                 if z == 0 and frozenset({cell, target}) == grid.zapper:
                     if p_zap > 0:

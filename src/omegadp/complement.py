@@ -538,16 +538,12 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         mark = np.ones(m * L, dtype=bool)
         mark[nxt] = ~still
         to_empty = st == _EMPTY
-        # targets are interned in (state, letter) order, the sink included
-        cut = len(nxt)
-        if not sink and to_empty.any():
-            cut = int(np.searchsorted(nxt, np.argmax(to_empty)))
-        rank = ranks.ids(table)
-        ids = state_ids(rank[:cut])
+        # the sink exists already: a ranking state holds the UCA states of
+        # the subset its word reaches, a state with a lower id, expanded first
         dst = np.empty(m * L, dtype=np.int32)
         if to_empty.any():
             dst[to_empty] = get_empty()
-        dst[nxt] = np.concatenate([ids, state_ids(rank[cut:])])
+        dst[nxt] = state_ids(ranks.ids(table))
         add_edges(np.bincount(go // L, minlength=m), go % L, dst[go],
                   mark[go])
 

@@ -7,7 +7,7 @@ boolean expressions over AP indices (``!``, ``&``, ``|``, ``t``, ``f``,
 parentheses) and are expanded to explicit letters at parse time.
 
 Both directions work on the edge arrays (``Automaton.edges``) and build no
-``delta``/``gamma`` dicts: ``parse_hoa`` makes its automaton with
+``delta``/``gamma`` views: ``parse_hoa`` makes its automaton with
 ``from_edges``, marking a repeated edge when any copy is marked, and
 ``emit_hoa`` numbers the states breadth-first over ``A.edges``.
 

@@ -19,26 +19,28 @@ number of steps; it walks memory nodes by ``start``, ``row`` (the row played,
 or ``action``, its name) and ``step``, as the value check and the ODP
 translation do.
 
-A model has two forms.  Hand-written models, ODPs and their compilations are
-built as dicts of tuples (``actions``, ``trans``, ``rewards``, ``acc``).
-The solvers read one array form instead, ``MdpArrays`` (``Mdp.arrays``): one
-CSR row per (state, action) pair in the state's action order, with a reward
-per stored transition, the rows' expected rewards and an accepting-row mask.
-A dict-built model gets its arrays on first use; a product is built straight
-into them, one breadth-first batch of states at a time; its dict fields, and
-the actions that name its rows and a solver's strategy's picks, are made
-only if something reads them, so solving, checking and learning on a product
-never build them.  On the arrays, maximal end components come from strongly
-connected components (the graph layer of ``automata``) refined until stable,
+A model has one form, the rows ``MdpArrays`` (``Mdp.arrays``), set when it
+is made: one CSR row per (state, action) pair in the state's action order,
+with a reward per stored transition, the rows' expected rewards and an
+accepting-row mask.  A hand-written model is checked and built into rows
+from dicts of tuples; the compilations of an ODP copy their input's rows
+(``MdpArrays.lifted``), and a product is built straight into rows, one
+breadth-first batch of states at a time.  The dicts ``actions``,
+``trans``, ``rewards`` and ``acc`` are read-only views of the rows, and
+the actions that name a compiled model's rows and a solver's strategy's
+picks are made only if something reads them, so compiling, solving,
+checking and learning never build them.
+
+On the arrays, maximal end components come from strongly connected
+components (the graph layer of ``automata``) refined until stable,
 qualitative regions and strategies from attractors over the rows in row
 order, and the discounted optimum from exact policy iteration with sparse
 direct solves, started from the greedy policy of a few value-iteration
-sweeps.
-``strategy_value_check`` evaluates a strategy object on the Markov chain it
-induces, independently of the solvers, by two sparse direct solves.
-``scipy.sparse.csgraph`` and ``scipy.sparse.linalg`` are imported inside
-the functions that use them: loading them costs more than importing the
-rest of the library.
+sweeps.  ``strategy_value_check`` evaluates a strategy object on the
+Markov chain it induces, independently of the solvers, by two sparse
+direct solves; its recurrent classes come from the same graph layer.
+``scipy.sparse.linalg`` is imported inside the functions that use it:
+loading it costs more than importing the rest of the library.
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
 
 from .automata import Alphabet, Automaton, Explorer, Interner, \
     _components, _intern_batch, _letter_groups, check_time, \
-    label_from_names, label_to_names
+    label_from_names, label_to_names, view
 
 
 class NoValidStrategy(Exception):
@@ -66,79 +69,34 @@ class NoValidStrategy(Exception):
 class Mdp:
     """Finite MDP with an optional state labeling and optional rewards.
 
-    ``actions`` maps a state to its ordered action tuple and ``trans`` maps
-    (state, action) to a tuple of (target, probability) pairs; ``rewards``
-    maps (state, action, target) to a real.  Ties in all solvers are broken
-    toward the action that comes first in the state's action tuple.  An
-    action is any hashable value, at most once per state: a name for a
-    plain MDP, a (guard, name, promise) triple for an ODP (``odp.Odp``), an
-    (action, automaton successor) pair for a product.  A model compiled
-    from another one records in ``pairs[i]`` what its state ``i`` stands
-    for there.  ``acc`` holds the accepting (state, action) pairs of an
-    automaton product and is empty elsewhere.
+    The constructor takes the model as dicts: ``actions`` maps a state to
+    its ordered action tuple and ``trans`` maps (state, action) to a tuple
+    of (target, probability) pairs; ``rewards`` maps (state, action,
+    target) to a real, and ``acc`` holds the accepting (state, action)
+    pairs of an automaton product.  Ties in all solvers are broken toward
+    the action that comes first in the state's action tuple.  An action is
+    any hashable value, at most once per state: a name for a plain MDP, a
+    (guard, name, promise) triple for an ODP (``odp.Odp``), an (action,
+    automaton successor) pair for a product.  A model compiled from another
+    one records in ``pairs[i]`` what its state ``i`` stands for there.
 
-    The constructor takes the dict fields and the solvers' ``arrays`` are
-    made from them on first use.  :meth:`from_arrays` goes the other way:
-    its model starts from the arrays, and each dict field is made from them
-    the first time it is read.
+    The model is held once, as the rows ``arrays`` (``MdpArrays``): the
+    constructor checks the dicts and builds them, :meth:`from_arrays` takes
+    them as they are.  ``actions``, ``trans``, ``rewards`` (the transitions
+    that pay) and ``acc`` are read-only views of the rows, made on first
+    read and kept.
     """
 
     def __init__(self, n_states, initial, actions, trans, alphabet=None,
-                 labels=None, rewards=None, check=True, pairs=None,
-                 acc=()):
-        self.n_states = n_states
-        self.initial = initial
-        self.actions = {s: tuple(a) for s, a in actions.items()}
-        self.trans = {k: tuple(v) for k, v in trans.items()}
-        self.alphabet = alphabet
-        self.labels = tuple(labels) if labels is not None else None
-        self.rewards = dict(rewards) if rewards else {}
-        self.pairs = tuple(pairs) if pairs is not None else None
-        self.acc = frozenset(acc)
-        if check:
-            self._validate()
-
-    def _validate(self):
-        """Raise ValueError unless the initial state is a state, every state
-        has distinct actions, each with a probability distribution over the
-        states, and every action, transition, reward and accepting pair
-        belongs to a state, an action and a successor of the model."""
-        n = self.n_states
-        if not (0 <= self.initial < n):
-            raise ValueError(f"initial state {self.initial} out of range")
-        if self.labels is not None and len(self.labels) != n:
+                 labels=None, rewards=None, pairs=None, acc=()):
+        if not (0 <= initial < n_states):
+            raise ValueError(f"initial state {initial} out of range")
+        labels = tuple(labels) if labels is not None else None
+        if labels is not None and len(labels) != n_states:
             raise ValueError("label vector length mismatch")
-        for s in self.actions:
-            if s not in range(n):
-                raise ValueError(f"actions given for {s!r}, not a state")
-        for s in range(n):
-            acts = self.actions.get(s)
-            if not acts:
-                raise ValueError(f"state {s} has no actions")
-            for i, a in enumerate(acts):
-                if a in acts[:i]:
-                    raise ValueError(f"state {s} has action {a!r} twice")
-                dist = self.trans.get((s, a))
-                if not dist:
-                    raise ValueError(f"missing distribution for ({s}, {a})")
-                total = sum(p for _, p in dist)
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(
-                        f"distribution of ({s}, {a}) sums to {total}")
-                for t, p in dist:
-                    # a NaN fails both comparisons, so it is rejected here
-                    if not (0 <= t < n) or not (0 <= p <= 1):
-                        raise ValueError(f"bad transition ({s}, {a}) -> {t}")
-        for what, keys in (("distribution", self.trans),
-                           ("accepting mark", self.acc)):
-            for s, a in keys:
-                if a not in self.actions.get(s, ()):
-                    raise ValueError(f"{what} given for ({s}, {a}), "
-                                     f"not an action")
-        for s, a, t in self.rewards:
-            if all(u != t for u, _ in self.trans.get((s, a), ())):
-                raise ValueError(f"reward given for ({s}, {a}) -> {t}, "
-                                 f"not a transition")
+        arrays = MdpArrays.of(n_states, actions, trans, rewards or {},
+                              frozenset(acc))
+        self._set(arrays, initial, alphabet, labels, pairs)
 
     @classmethod
     def from_arrays(cls, A: "MdpArrays", initial, alphabet=None, labels=None,
@@ -146,21 +104,49 @@ class Mdp:
         """The model whose rows are ``A``, unchecked: the arrays' maker
         vouches for them."""
         M = cls.__new__(cls)
-        M.n_states, M.initial, M.alphabet = A.n_states, initial, alphabet
-        M.labels = tuple(labels) if labels is not None else None
-        M.pairs = tuple(pairs) if pairs is not None else None
-        M.arrays = A
+        M._set(A, initial, alphabet, labels, pairs)
         return M
 
-    def __getattr__(self, name):
-        # reached only while an attribute is unset: the dict fields of a
-        # model made by from_arrays, before their first read
-        build = _DICT_FIELDS.get(name)
-        if build is None or "arrays" not in self.__dict__:
-            raise AttributeError(name)
-        value = build(self.arrays)
-        setattr(self, name, value)
-        return value
+    def _set(self, arrays, initial, alphabet, labels, pairs):
+        self.arrays, self.n_states = arrays, arrays.n_states
+        self.initial, self.alphabet = initial, alphabet
+        self.labels = tuple(labels) if labels is not None else None
+        self.pairs = tuple(pairs) if pairs is not None else None
+
+    @view
+    def actions(self):
+        A = self.arrays
+        first, action = A.first.tolist(), A.action
+        return MappingProxyType({s: tuple(action[first[s]:first[s + 1]])
+                                 for s in range(A.n_states)})
+
+    @view
+    def trans(self):
+        """(state, action) to its (target, probability) pairs in stored
+        order."""
+        A = self.arrays
+        ptr = A.P.indptr.tolist()
+        moves = list(zip(A.P.indices.tolist(), A.P.data.tolist()))
+        return MappingProxyType({(s, a): tuple(moves[ptr[k]:ptr[k + 1]])
+                                 for k, (s, a) in enumerate(
+                                     zip(A.state.tolist(), A.action))})
+
+    @view
+    def rewards(self):
+        """The transitions that pay, keyed by (state, action, target)."""
+        A = self.arrays
+        paid = np.flatnonzero(A.reward)
+        state, action = A.state.tolist(), A.action
+        pay = zip(A.entry_row[paid].tolist(), A.P.indices[paid].tolist(),
+                  A.reward[paid].tolist())
+        return MappingProxyType({(state[k], action[k], t): r
+                                 for k, t, r in pay})
+
+    @view
+    def acc(self):
+        rows = np.flatnonzero(self.arrays.acc)
+        return frozenset(zip(self.arrays.state[rows].tolist(),
+                             self.arrays.names(rows)))
 
     @property
     def r_max(self):
@@ -168,27 +154,6 @@ class Mdp:
 
     def reward(self, s, a, t):
         return self.rewards.get((s, a, t), 0.0)
-
-    def lift(self, s, a, row, target, trans, rewards):
-        """Copy the distribution of (s, a) to ``trans[row]`` of a model
-        compiled from this one: ``row`` is a (state, action) pair there and
-        ``target(t)`` the state reached for ``t``.  The rewards of the
-        transitions go to ``rewards``, keyed by the compiled transition."""
-        src, b = row
-        dist = []
-        for t, p in self.trans[(s, a)]:
-            dst = target(t)
-            dist.append((dst, p))
-            r = self.reward(s, a, t)
-            if r:
-                rewards[(src, b, dst)] = r
-        trans[row] = tuple(dist)
-
-    @cached_property
-    def arrays(self):
-        """The solvers' array form, built on first use and kept: the dict
-        fields must not change once a solver has read the model."""
-        return MdpArrays.of(self)
 
 
 #: The only product action at a state where the automaton has no move on
@@ -214,7 +179,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     rejecting end component.
 
     The product is built as its ``MdpArrays``, from the rows of ``M.arrays``
-    (checked there) and the automaton's edges.  A state's rows are its MDP
+    and the automaton's edges.  A state's rows are its MDP
     state's rows in action order, each once per automaton successor, in
     ascending order.  States are numbered breadth-first, as
     :class:`~omegadp.automata.Explorer` would: the unexpanded states are
@@ -297,13 +262,15 @@ class MdpArrays:
     state ``state[k]``, moves by row ``k`` of ``P``, pays ``R[k]`` in
     expectation, is accepting when ``acc[k]`` is set and is ``STUCK`` when
     ``stuck[k]`` is.  The stored transition ``j`` (entry ``j`` of
-    ``P.data``) pays ``reward[j]``.  ``of`` raises ValueError unless every
-    row has no negative entry and sums to 1 within 1e-9.
+    ``P.data``) pays ``reward[j]``.  This is the one form of a model:
+    ``of`` checks and builds it from the dicts that :class:`Mdp` takes,
+    and every other model is made from the rows of another.
 
     A model built from dicts keeps its actions in ``action``.  The row ``k``
-    of a product or a sub-model is named by ints: its row ``row[k]`` in
-    ``base`` (-1 for ``STUCK``) and, in a product, the automaton successor
-    ``succ[k]``; ``names`` and ``action`` make its actions when read.
+    of a compiled model, a product or a sub-model is named by ints: its row
+    ``row[k]`` in ``base`` (-1 for ``STUCK``) and, in a product, the
+    automaton successor ``succ[k]``; ``names`` and ``action`` make its
+    actions when read.
     """
 
     def __init__(self, first, P, R, acc, reward, action=None, base=None,
@@ -322,15 +289,37 @@ class MdpArrays:
             self.action = action
 
     @classmethod
-    def of(cls, M: Mdp):
-        acc = M.acc
-        reward = M.rewards.get
+    def of(cls, n, actions, trans, rewards, acc):
+        """The rows of the dict form that :class:`Mdp` takes.  Raises
+        ValueError unless every state has distinct actions, each with a
+        probability distribution over the states, and every action,
+        transition, reward and accepting pair belongs to a state, an action
+        and a successor of the model."""
+        for s in actions:
+            if s not in range(n):
+                raise ValueError(f"actions given for {s!r}, not a state")
+        reward = rewards.get
         first, action, expect, is_acc, stuck = [0], [], [], [], []
         indices, data, pay, indptr = [], [], [], [0]
-        for s in range(M.n_states):
-            for a in M.actions[s]:
+        for s in range(n):
+            acts = tuple(actions.get(s, ()))
+            if not acts:
+                raise ValueError(f"state {s} has no actions")
+            for i, a in enumerate(acts):
+                if a in acts[:i]:
+                    raise ValueError(f"state {s} has action {a!r} twice")
+                dist = trans.get((s, a))
+                if not dist:
+                    raise ValueError(f"missing distribution for ({s}, {a})")
+                total = sum(p for _, p in dist)
+                if abs(total - 1.0) > 1e-12:
+                    raise ValueError(
+                        f"distribution of ({s}, {a}) sums to {total}")
                 r = 0.0
-                for t, p in M.trans[(s, a)]:
+                for t, p in dist:
+                    # a NaN fails both comparisons, so it is rejected here
+                    if not (0 <= t < n) or not (0 <= p <= 1):
+                        raise ValueError(f"bad transition ({s}, {a}) -> {t}")
                     x = reward((s, a, t), 0.0)
                     indices.append(t)
                     data.append(p)
@@ -342,22 +331,22 @@ class MdpArrays:
                 is_acc.append((s, a) in acc)
                 stuck.append(a == STUCK)
             first.append(len(action))
+        for what, keys in (("distribution", trans), ("accepting mark", acc)):
+            for s, a in keys:
+                if a not in actions.get(s, ()):
+                    raise ValueError(f"{what} given for ({s}, {a}), "
+                                     f"not an action")
+        for s, a, t in rewards:
+            if all(u != t for u, _ in trans.get((s, a), ())):
+                raise ValueError(f"reward given for ({s}, {a}) -> {t}, "
+                                 f"not a transition")
         P = sparse.csr_matrix((np.array(data, dtype=float),
                                np.array(indices, dtype=np.int64),
                                np.array(indptr, dtype=np.int64)),
-                              shape=(len(action), M.n_states))
-        A = cls(np.array(first, dtype=np.int64), P, np.array(expect),
-                np.array(is_acc, dtype=bool), np.array(pay, dtype=float),
-                action=action, stuck=np.array(stuck, dtype=bool))
-        # checked once here; a product and ``restrict`` keep whole rows
-        total = np.add.reduceat(P.data, P.indptr[:-1])
-        bad = ~(np.abs(total - 1.0) <= 1e-9) | A.row_any(P.data < 0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"distribution of ({int(A.state[k])}, "
-                             f"{A.action[k]}) is not a probability "
-                             f"distribution: it sums to {total[k]}")
-        return A
+                              shape=(len(action), n))
+        return cls(np.array(first, dtype=np.int64), P, np.array(expect),
+                   np.array(is_acc, dtype=bool), np.array(pay, dtype=float),
+                   action=action, stuck=np.array(stuck, dtype=bool))
 
     def names(self, rows):
         """The actions of the rows ``rows``, a list or array of indices."""
@@ -373,35 +362,6 @@ class MdpArrays:
     def action(self):
         """Every row's action, made on first read."""
         return self.names(np.arange(self.state.size))
-
-    def actions_dict(self):
-        """The ``actions`` field of :class:`Mdp`: state to its actions."""
-        first, action = self.first.tolist(), self.action
-        return {s: tuple(action[first[s]:first[s + 1]])
-                for s in range(self.n_states)}
-
-    def trans_dict(self):
-        """The ``trans`` field of :class:`Mdp`: (state, action) to its
-        (target, probability) pairs in stored order."""
-        ptr = self.P.indptr.tolist()
-        moves = list(zip(self.P.indices.tolist(), self.P.data.tolist()))
-        return {(s, a): tuple(moves[ptr[k]:ptr[k + 1]]) for k, (s, a)
-                in enumerate(zip(self.state.tolist(), self.action))}
-
-    def rewards_dict(self):
-        """The ``rewards`` field of :class:`Mdp`: the transitions that pay,
-        keyed by (state, action, target)."""
-        paid = np.flatnonzero(self.reward)
-        rows = self.entry_row[paid].tolist()
-        state, action = self.state.tolist(), self.action
-        return {(state[k], action[k], t): r for k, t, r in zip(
-            rows, self.P.indices[paid].tolist(), self.reward[paid].tolist())}
-
-    def acc_set(self):
-        """The ``acc`` field of :class:`Mdp`: the accepting (state, action)
-        pairs."""
-        rows = np.flatnonzero(self.acc)
-        return frozenset(zip(self.state[rows].tolist(), self.names(rows)))
 
     @cached_property
     def entry_row(self):
@@ -440,32 +400,36 @@ class MdpArrays:
             best = self.state_max(q)
         return self.first_row(q >= best[self.state] - tol)
 
+    def lifted(self, first, rows, dst, n_states):
+        """The model on ``n_states`` states whose state ``s`` has the rows
+        ``first[s]:first[s + 1]``: row ``i`` is row ``rows[i]`` of this one,
+        with its probabilities, rewards and mark, and its stored
+        transitions, in order, go to the states ``dst``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        size = np.diff(self.P.indptr)[rows]
+        indptr = np.concatenate([[0], np.cumsum(size)])
+        entries = np.repeat(self.P.indptr[:-1][rows] - indptr[:-1], size) \
+            + np.arange(indptr[-1])
+        P = sparse.csr_matrix(
+            (self.P.data[entries], np.asarray(dst, dtype=np.int64), indptr),
+            shape=(len(rows), n_states))
+        return MdpArrays(np.asarray(first, dtype=np.int64), P, self.R[rows],
+                         self.acc[rows], self.reward[entries], base=self,
+                         row=rows, stuck=self.stuck[rows])
+
     def restrict(self, keep):
         """The sub-model on the states in ``keep`` with the rows that stay in
         it, and the kept states' ids in this model (the index remap)."""
         kept = self.stays(keep)
-        rows = np.flatnonzero(kept)
         states = np.flatnonzero(keep)
         remap = np.full(self.n_states, -1, dtype=np.int64)
         remap[states] = np.arange(states.size)
-        entries = kept[self.entry_row]
-        P = sparse.csr_matrix(
-            (self.P.data[entries], remap[self.P.indices[entries]],
-             np.concatenate([[0], np.cumsum(np.diff(self.P.indptr)[rows])])),
-            shape=(rows.size, states.size))
+        rows = np.flatnonzero(kept)
         first = np.zeros(states.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(remap[self.state[rows]], minlength=states.size),
                   out=first[1:])
-        sub = MdpArrays(first, P, self.R[rows], self.acc[rows],
-                        self.reward[entries], base=self, row=rows,
-                        stuck=self.stuck[rows])
-        return sub, states
-
-
-# how an Mdp made by ``from_arrays`` builds each dict field on first read
-_DICT_FIELDS = {"actions": MdpArrays.actions_dict,
-                "trans": MdpArrays.trans_dict,
-                "rewards": MdpArrays.rewards_dict, "acc": MdpArrays.acc_set}
+        dst = remap[self.P.indices[kept[self.entry_row]]]
+        return self.lifted(first, rows, dst, states.size), states
 
 
 def _mask(n, members):
@@ -786,7 +750,6 @@ def strategy_value_check(P: Mdp, strategy: Strategy, lam,
     ValueError unless 0 <= lam < 1 and the strategy plays rows of
     ``P.arrays``.
     """
-    from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
     if not (0 <= lam < 1):
@@ -809,10 +772,11 @@ def strategy_value_check(P: Mdp, strategy: Strategy, lam,
     n = len(found)
     G = sparse.csr_matrix((prob, (src, dst)), shape=(n, n))
     G.eliminate_zeros()
-    n_comp, comp = connected_components(G, connection="strong")
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(G.indptr))
+    comp = _components(n, rows, G.indices)
     # every node moves somewhere, so a component that no transition leaves
     # is a recurrent class
-    rows = np.repeat(np.arange(n), np.diff(G.indptr))
+    n_comp = int(comp.max()) + 1
     left = np.zeros(n_comp, dtype=bool)
     left[comp[rows][comp[rows] != comp[G.indices]]] = True
     has_acc = np.zeros(n_comp, dtype=bool)

@@ -17,11 +17,14 @@ the lexicographic solver.  Each step returns an ``Mdp`` again, whose
 (ODP state, guard tracker) pair after ``remove_lookback``, an (ODP state,
 pending promise) pair after ``remove_lookahead``, an (MDP state, automaton
 state) pair in the product.  The product strategy is translated back into a
-strategy over the original process along these pairs.  The solvers read
-only a model's rows, so a process without guards or promises, such as
-``remove_lookback`` makes of a promise-free one, goes to them as it is.  The
-JSON form is the MDP form plus guards, promises and schemas
-(``mdp.model_to_doc``).
+strategy over the original process along these pairs.  Both compilations
+read their input's rows and emit rows (``MdpArrays.lifted``): each output
+row plays a row of the input, with its probabilities, rewards and name,
+so no step from the process to the product builds the dict views of a
+model.  The solvers read only a model's rows, so a process without guards
+or promises, such as ``remove_lookback`` makes of a promise-free one, goes
+to them as it is.  The JSON form is the MDP form plus guards, promises and
+schemas (``mdp.model_to_doc``).
 """
 
 from __future__ import annotations
@@ -48,36 +51,28 @@ class Odp(Mdp):
     """
 
     def __init__(self, n_states, initial, actions, trans, alphabet, labels,
-                 lookback=None, lookahead=None, rewards=None, check=True,
-                 pairs=None):
-        # set before the base class validates the process
-        self.lookback = lookback
-        self.lookahead = lookahead
-        super().__init__(
-            n_states, initial, actions, trans,
-            alphabet if alphabet is not None else Alphabet(()),
-            labels if labels is not None else (0,) * n_states,
-            rewards, check, pairs)
-
-    def _validate(self):
-        super()._validate()
-        for schema, kind in ((self.lookback, "DFA"), (self.lookahead, "UCA")):
+                 lookback=None, lookahead=None, rewards=None, pairs=None):
+        alphabet = alphabet if alphabet is not None else Alphabet(())
+        super().__init__(n_states, initial, actions, trans, alphabet,
+                         labels if labels is not None else (0,) * n_states,
+                         rewards, pairs)
+        self.lookback, self.lookahead = lookback, lookahead
+        for schema, kind in ((lookback, "DFA"), (lookahead, "UCA")):
             if schema is None:
                 continue
             if schema.kind != kind or not schema.is_schema:
                 raise ValueError(f"expected a {kind} schema")
-            if schema.alphabet.ap != self.alphabet.ap:
+            if schema.alphabet.ap != alphabet.ap:
                 raise ValueError("schema alphabet mismatch")
-        if self.lookback is not None and not self.lookback.final_states:
+        if lookback is not None and not lookback.final_states:
             raise ValueError("lookback schema has no final states")
-        for acts in self.actions.values():
-            for beta, _, alpha in acts:
-                for x, schema, what in ((beta, self.lookback, "guard"),
-                                        (alpha, self.lookahead, "promise")):
-                    if x is not None and not (
-                            type(x) is int and schema is not None
-                            and 0 <= x < schema.n_states):
-                        raise ValueError(f"bad {what} state {x!r}")
+        for beta, _, alpha in self.arrays.action:
+            for x, schema, what in ((beta, lookback, "guard"),
+                                    (alpha, lookahead, "promise")):
+                if x is not None and not (
+                        type(x) is int and schema is not None
+                        and 0 <= x < schema.n_states):
+                    raise ValueError(f"bad {what} state {x!r}")
 
 
 def _tracker_step(B: Automaton, tracker, letter):
@@ -93,34 +88,37 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
     schema can reach on the label prefix read so far (the current state's
     label included); an action is enabled exactly when the tracker of its
     guard state intersects the final set.  A reachable state where no action
-    is enabled is a modeling error and raises ValueError.
+    is enabled is a modeling error and raises ValueError.  The result's rows
+    are the enabled rows of ``D``, in their order.
     """
     if D.lookback is None:
         return D
     B = D.lookback
     final = B.final_states
+    A, action, label = D.arrays, D.arrays.action, D.labels
+    first, ptr, targets = A.first.tolist(), A.P.indptr.tolist(), \
+        A.P.indices.tolist()
     t0 = _tracker_step(B, tuple(frozenset((p,)) for p in range(B.n_states)),
-                       D.labels[D.initial])
+                       label[D.initial])
     found = Explorer((D.initial, t0), budget=max_trackers,
                      what="guard compilation")
-    actions, trans, rewards, labels = {}, {}, {}, []
-    for src, (s, tracker) in found:
-        labels.append(D.labels[s])
-        enabled = []
-        for act in D.actions[s]:
-            beta = act[0]
+    ends, rows, dst = [0], [], []
+    for _, (s, tracker) in found:
+        for k in range(first[s], first[s + 1]):
+            beta = action[k][0]
             if beta is not None and not (tracker[beta] & final):
                 continue
-            enabled.append(act)
-            D.lift(s, act, (src, act), lambda t: found.intern(
-                (t, _tracker_step(B, tracker, D.labels[t]))), trans, rewards)
-        if not enabled:
+            rows.append(k)
+            dst.extend(found.intern((t, _tracker_step(B, tracker, label[t])))
+                       for t in targets[ptr[k]:ptr[k + 1]])
+        if len(rows) == ends[-1]:
             raise ValueError(
                 f"state {s} is deadlocked: no guard holds on some prefix")
-        actions[src] = tuple(enabled)
-    return Odp(len(found), 0, actions, trans, D.alphabet, labels,
-               lookback=None, lookahead=D.lookahead, rewards=rewards,
-               check=False, pairs=found.keys)
+        ends.append(len(rows))
+    M = Odp.from_arrays(A.lifted(ends, rows, dst, len(found)), 0, D.alphabet,
+                        [label[s] for s, _ in found.keys], pairs=found.keys)
+    M.lookback, M.lookahead = None, D.lookahead
+    return M
 
 
 def _trivial_lookahead(ap) -> Automaton:
@@ -148,20 +146,25 @@ def remove_lookahead(D: Odp):
     """
     if D.lookback is not None:
         raise ValueError("remove the lookbacks first")
+    A = D.arrays
+    first, ptr, targets = A.first.tolist(), A.P.indptr.tolist(), \
+        A.P.indices.tolist()
+    promises = [TOP if act[2] is None else act[2] for act in A.action]
     found = Explorer((D.initial, TOP), what="promise compilation")
-    actions, trans, rewards, labels = {}, {}, {}, []
-    for src, (s, pending) in found:
+    ends, rows, dst, labels = [0], [], [], []
+    for _, (s, pending) in found:
         labels.append((D.labels[s], pending))
-        actions[src] = D.actions[s]
-        for act in D.actions[s]:
-            alpha = TOP if act[2] is None else act[2]
-            D.lift(s, act, (src, act), lambda t: found.intern((t, alpha)),
-                   trans, rewards)
+        for k in range(first[s], first[s + 1]):
+            alpha = promises[k]
+            dst.extend(found.intern((t, alpha))
+                       for t in targets[ptr[k]:ptr[k + 1]])
+        rows.extend(range(first[s], first[s + 1]))
+        ends.append(len(rows))
     schema = D.lookahead if D.lookahead is not None \
         else _trivial_lookahead(D.alphabet.ap)
     N = reduce_nba(complement_uca(build_collection(schema, frozenset(labels))))
-    M = Mdp(len(found), 0, actions, trans, alphabet=N.alphabet,
-            labels=labels, rewards=rewards, check=False, pairs=found.keys)
+    M = Mdp.from_arrays(A.lifted(ends, rows, dst, len(found)), 0,
+                        alphabet=N.alphabet, labels=labels, pairs=found.keys)
     return M, N
 
 

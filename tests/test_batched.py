@@ -477,7 +477,8 @@ def doc_text(P):
     """``json.dumps`` of the product's document; a state's label there is
     its base letter, which is all that the document format names."""
     view = copy.copy(P)
-    view.labels = tuple(map(P.alphabet.base_of, P.labels))
+    view.labels = P.labels if P.alphabet.promises is None \
+        else tuple(letter[0] for letter in P.labels)
     return json.dumps(model_to_doc(view, lambda pa: {"name": repr(pa)}))
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from omegadp.automata import LassoWord, instantiate, lasso_member_uca
 from omegadp.biolab import (DIRTY_PROMISE, HOME_PROMISE, SINCE_GUARD,
+                            BiolabGrid,
                             build_biolab, default_grid, guard_schema,
                             lookahead_schema)
 from omegadp.mdp import strategy_to_json, strategy_value_check
@@ -187,3 +188,31 @@ def test_scaled_lab_values():
     assert D2.n_states == 865
     assert solve_odp(D2, lam, eps)[0] == pytest.approx(6.2710118843844915,
                                                        abs=1e-9)
+
+
+# a ring of one-cell corridors through the dirty area, a decontamination
+# station and the clean lab; home hangs off it, and the zapper leads into
+# a dead end
+SLIP_MAP = """\
++-+-+-+-+
+|C     2|
++ +-+-+ +
+|1 D ~  |
++z+-+-+ +
+|     |H|
++-+-+-+-+
+"""
+
+
+def test_slip_model_is_solved_and_checked():
+    D = build_biolab(p_slip=0.2, grid=BiolabGrid.parse(SLIP_MAP))
+    # a move goes its way with 1 - p_slip and slips to either side with
+    # half of p_slip each
+    s = D.state_of[((3, 1), 0)]
+    assert dict(D.trans[(s, (None, "W", None))]) == pytest.approx(
+        {D.state_of[((2, 1), 0)]: 0.8, D.state_of[((3, 2), 0)]: 0.1,
+         D.state_of[((3, 0), 0)]: 0.1})
+    value, sigma = solve_odp(D, 0.99, 0.01)
+    sat, disc = strategy_value_check(sigma.product, sigma.inner, 0.99)
+    assert abs(sat - 1.0) <= 1e-9
+    assert disc >= value - 0.01

@@ -26,7 +26,7 @@ def promises_hold(schema, w):
     """Every promise made along the word holds from the step it is made."""
     horizon = len(w.prefix) + len(w.cycle)
     for t in range(horizon):
-        _, p = w.letter_at(t)
+        _, p = (w.prefix + w.cycle)[t]
         if p is not TOP and not lasso_member_uca(instantiate(schema, p),
                                                  suffix_lasso(w, t)):
             return False
@@ -72,8 +72,8 @@ def test_fresh_state_structure():
     # the fresh state loops on every letter and nothing enters it
     for a in col.alphabet.letters():
         assert fresh in col.successors(fresh, a)
-    for (q, a, t) in col.transitions():
-        assert not (t == fresh and q != fresh)
+    for (q, _), targets in col.delta.items():
+        assert q == fresh or fresh not in targets
 
 
 def test_promise_vocabulary_restriction():

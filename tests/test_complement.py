@@ -217,16 +217,9 @@ def test_stats_reported():
 
 
 def dicts_built(A):
-    """Which of the ``delta`` and ``gamma`` slots of ``A`` are set, read
-    through the slot descriptors so that nothing builds them."""
-    built = []
-    for name in ("delta", "gamma"):
-        try:
-            Automaton.__dict__[name].__get__(A, Automaton)
-            built.append(name)
-        except AttributeError:
-            pass
-    return built
+    """Which of the dict views ``delta`` and ``gamma`` of ``A`` were made,
+    read from the instance so that nothing makes them."""
+    return [name for name in ("delta", "gamma") if name in vars(A)]
 
 
 @pytest.mark.parametrize("construction", ["rank", "special-reachability",
@@ -237,12 +230,11 @@ def test_no_dicts_are_built_on_either_side(construction):
     U = {"rank": random_uca_for_budget(),
          "special-reachability": reachability_uca(),
          "special-safety": safety_collection()}[construction]
-    A = Automaton.from_edges("UCA", U.alphabet, U.n_states, U.initial,
-                             U.edges, U.tags)
-    C = complement_uca(A)
+    C = complement_uca(U)
     assert C.tags["construction"] == construction
-    assert dicts_built(A) == dicts_built(C) == []
-    assert dicts_built(U) == ["delta", "gamma"]
+    assert dicts_built(U) == dicts_built(C) == []
+    # a view is made when it is read, and kept
+    assert U.delta is U.delta and dicts_built(U) == ["delta"]
 
 
 def test_requires_instantiated_uca():

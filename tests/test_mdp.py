@@ -82,9 +82,10 @@ def test_validation():
         Mdp(1, 0, {0: ("a",)}, {(0, "a"): ((0, 0.5),)})
     with pytest.raises(ValueError):
         Mdp(1, 0, {0: ("a",)}, {(0, "a"): ((3, 1.0),)})
-    # the solvers refuse an unchecked MDP with an actionless state
+    # rows made without the dict checks refuse an actionless state too
     with pytest.raises(ValueError, match="no actions"):
-        discounted_vi(Mdp(1, 0, {0: ()}, {}, check=False), 0.5)
+        MdpArrays(np.array([0, 0]), scipy.sparse.csr_matrix((0, 1)),
+                  np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0))
 
 
 def test_validation_rejects_a_nan_probability():
@@ -327,6 +328,13 @@ def test_product_transition_soundness():
             assert dict(M.trans[(s, a)])[t] == p
 
 
+def checked(P):
+    """``P`` made again from its dict views, which the constructor checks
+    as it checks a hand-written model."""
+    return Mdp(P.n_states, P.initial, P.actions, P.trans, P.alphabet,
+               P.labels, P.rewards, P.pairs, P.acc)
+
+
 def test_products_are_total_mdps(rng):
     stuck = 0
     for _ in range(100):
@@ -337,12 +345,12 @@ def test_products_are_total_mdps(rng):
             C = complement_uca(random_uca(rng, rng.randint(1, 3), n_ap=n_ap))
         M = random_mdp(rng, rng.randint(1, 6), alphabet=C.alphabet)
         P = product_with_nba(M, C)
-        P._validate()
+        checked(P)
         stuck += sum(P.actions[s] == (STUCK,) for s in range(P.n_states))
     assert stuck > 0
     N = lookahead_guesser_nba()
     P = product_with_nba(uniform_chain(N.alphabet), N)
-    P._validate()
+    checked(P)
     assert any(P.actions[s] == (STUCK,) for s in range(P.n_states))
 
 
@@ -457,56 +465,66 @@ def test_deadline_passes_during_the_sweeps(monkeypatch):
 
 
 def test_arrays_reject_rows_that_are_not_distributions():
-    for dist in (((0, 0.6), (1, 0.6)), ((0, 1.5), (1, -0.5)),
-                 ((0, math.nan), (1, 1.0))):
-        M = Mdp(2, 0, {0: ("a",), 1: ("b",)},
-                {(0, "a"): dist, (1, "b"): ((1, 1.0),)}, check=False)
-        with pytest.raises(ValueError, match=r"^distribution of \(0, a\)"):
-            discounted_vi(M, 0.9)
-    # rounding within 1e-9 is accepted
+    for dist, message in ((((0, 0.6), (1, 0.6)), "^distribution of"),
+                          (((0, 1.5), (1, -0.5)), "^bad transition"),
+                          (((0, math.nan), (1, 1.0)), "^bad transition")):
+        with pytest.raises(ValueError, match=message + r" \(0, a\)"):
+            Mdp(2, 0, {0: ("a",), 1: ("b",)},
+                {(0, "a"): dist, (1, "b"): ((1, 1.0),)})
+    # rounding within 1e-12 is accepted
     M = Mdp(2, 0, {0: ("a",), 1: ("b",)},
-            {(0, "a"): ((0, 0.5), (1, 0.5 + 1e-10)), (1, "b"): ((1, 1.0),)},
-            check=False)
+            {(0, "a"): ((0, 0.5), (1, 0.5 + 1e-13)), (1, "b"): ((1, 1.0),)})
     assert discounted_vi(M, 0.9)[0] == [0.0, 0.0]
 
 
 def test_product_rejects_a_row_that_is_not_a_distribution():
-    # the product reads the rows of M.arrays, which checks each of them
-    M = Mdp(2, 0, {0: ("a",), 1: ("b",)},
-            {(0, "a"): ((0, 0.6), (1, 0.6)), (1, "b"): ((1, 1.0),)},
-            alphabet=Alphabet(("b",)), labels=[0, 1], check=False)
+    # no model reaches the product with a row that is not a distribution
     with pytest.raises(ValueError, match=r"^distribution of \(0, a\)"):
-        product_with_nba(M, infinitely_many_b_nba())
+        Mdp(2, 0, {0: ("a",), 1: ("b",)},
+            {(0, "a"): ((0, 0.6), (1, 0.6)), (1, "b"): ((1, 1.0),)},
+            alphabet=Alphabet(("b",)), labels=[0, 1])
 
 
 def test_solving_and_learning_build_no_dict_form_of_the_product(
         monkeypatch):
-    made, multiplied, named = [], [], []
+    made, compiled, named = [], [], []
     of, names = MdpArrays.of.__func__, MdpArrays.names
 
-    def arrays_of(cls, M):
-        made.append(M)
-        return of(cls, M)
-
-    def product(M, N):
-        multiplied.append(M)
-        return product_with_nba(M, N)
+    def arrays_of(cls, n, *dicts):
+        made.append(n)
+        return of(cls, n, *dicts)
 
     def names_of(A, rows):
         named.append(A)
         return names(A, rows)
 
+    def recorded(stage):
+        def run(*args):
+            out = stage(*args)
+            compiled.append(out[0] if isinstance(out, tuple) else out)
+            return out
+        return run
+
     monkeypatch.setattr(MdpArrays, "of", classmethod(arrays_of))
     monkeypatch.setattr(MdpArrays, "names", names_of)
-    monkeypatch.setattr(odp, "product_with_nba", product)
+    for stage in ("remove_lookback", "remove_lookahead", "product_with_nba"):
+        monkeypatch.setattr(odp, stage, recorded(getattr(odp, stage)))
     D = build_biolab()
     value, sigma = solve_odp(D, 0.99, 0.01)
     P = sigma.product
     sat, _ = strategy_value_check(P, sigma.inner, 0.99)
     assert value == LAB_D_STAR and sat == pytest.approx(1.0, abs=1e-9)
     lex_q_learn(P, episodes=2, steps=100)
-    # solving, checking and learning read rows by their index alone
-    assert not named
+    # solving, checking and learning read rows by their index alone: only
+    # the promise compilation names rows, those of the guard compilation,
+    # which name the process's own
+    assert named == [compiled[0].arrays, D.arrays]
+    # only the process's own dicts were made into rows: the compilations
+    # copied rows and the product was built as rows, and none of the
+    # models from the process to the product built a dict view
+    assert made == [D.n_states] and compiled[-1] is P and len(compiled) == 3
+    for M in [D] + compiled:
+        assert not {"actions", "trans", "rewards", "acc"} & set(vars(M))
     # playing the strategy on the lab walks the product's rows as well, and
     # names one row per step, the one shown to the process
     rng = random.Random(3)
@@ -519,8 +537,6 @@ def test_solving_and_learning_build_no_dict_form_of_the_product(
         sigma.advance(memory, D.n_states)
     assert sum(A is P.arrays for A in named) == 201
     assert "action" not in vars(P.arrays)
-    # the arrays of the promise MDP only; the product was built as arrays
-    assert made == multiplied and made[0] is not P
     assert not {"trans", "rewards"} & set(vars(P))
 
 

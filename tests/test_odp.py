@@ -89,6 +89,27 @@ def test_json_rejects_a_guard_or_promise_that_is_no_schema_state():
                 odp_from_json(json.dumps(doc))
 
 
+def test_json_writes_probabilities_and_rewards_as_floats():
+    """A model keeps its probabilities and rewards as float rows, so one
+    written with integers is written with floats, and a reward of 0 is not
+    written; the text then reads back to itself."""
+    go, stay = (None, "go", None), (None, "stay", None)
+    D = Odp(2, 0, {0: (go, stay), 1: (go,)},
+            {(0, go): ((1, 1),), (0, stay): ((0, 1),), (1, go): ((0, 1),)},
+            Alphabet(("p",)), (1, 0), rewards={(0, go, 1): 2, (0, stay, 0): 0})
+    text = odp_to_json(D)
+    assert json.dumps(json.loads(text), separators=(",", ":")) == (
+        '{"ap":["p"],"states":[{"id":0,"label":["p"]},{"id":1,"label":[]}],'
+        '"initial":0,"actions":['
+        '{"state":0,"name":"go","guard":null,"promise":null,'
+        '"successors":[{"target":1,"prob":1.0}],"reward":{"1":2.0}},'
+        '{"state":0,"name":"stay","guard":null,"promise":null,'
+        '"successors":[{"target":0,"prob":1.0}]},'
+        '{"state":1,"name":"go","guard":null,"promise":null,'
+        '"successors":[{"target":0,"prob":1.0}]}]}')
+    assert odp_to_json(odp_from_json(text)) == text
+
+
 def test_json_refuses_a_repeated_action():
     doc = json.loads(odp_to_json(example2_odp()))
     entry = dict(doc["actions"][0])
@@ -134,7 +155,7 @@ def test_lookback_deadlock_is_rejected():
                       final_states={0})
     act = (0, "only", None)
     D = Odp(1, 0, {0: (act,)}, {(0, act): ((0, 1.0),)}, ab, (0,),
-            lookback=guard, check=True)
+            lookback=guard)
     with pytest.raises(ValueError, match="deadlocked"):
         remove_lookback(D)
 
@@ -234,13 +255,15 @@ def example2_with_free_a():
     the letter (0, 0)."""
     D = example2_odp()
     a, free_a = (None, "a", 0), (None, "a", None)
-    D.actions = {s: tuple(free_a if act == a else act for act in acts)
-                 for s, acts in D.actions.items()}
-    D.trans = {(s, free_a if act == a else act): dist
-               for (s, act), dist in D.trans.items()}
-    D.rewards = {(s, free_a if act == a else act, t): r
-                 for (s, act, t), r in D.rewards.items()}
-    return D
+    return Odp(
+        D.n_states, D.initial,
+        {s: tuple(free_a if act == a else act for act in acts)
+         for s, acts in D.actions.items()},
+        {(s, free_a if act == a else act): dist
+         for (s, act), dist in D.trans.items()},
+        D.alphabet, D.labels, lookahead=D.lookahead,
+        rewards={(s, free_a if act == a else act, t): r
+                 for (s, act, t), r in D.rewards.items()})
 
 
 def test_equal_processes_get_equal_checking_nbas():
@@ -325,7 +348,7 @@ def streett_lex_value(M, D, lam):
                 if r:
                     rewards[(src, a, dst)] = r
             trans[(src, a)] = tuple(dist)
-    prod = Mdp(len(pairs), 0, actions, trans, rewards=rewards, check=False)
+    prod = Mdp(len(pairs), 0, actions, trans, rewards=rewards)
     dsa_of = [(d, M.labels[s]) for s, d in pairs]
     streett = list(D.pairs.values())
 
@@ -364,7 +387,7 @@ def streett_lex_value(M, D, lam):
                 if r:
                     sub_rewards[(remap[s], a, remap[t])] = r
     sub = Mdp(len(order), remap[0], sub_actions, sub_trans,
-              rewards=sub_rewards, check=False)
+              rewards=sub_rewards)
     v, _ = discounted_vi(sub, lam)
     return v[sub.initial]
 

@@ -18,7 +18,7 @@ from omegadp.automata import (
 from omegadp.cli import buchi_value, random_mdp
 from omegadp.complement import ComplementOptions, complement_uca
 from omegadp import reduction
-from omegadp.hoa import parse_hoa
+from omegadp.hoa import emit_hoa, parse_hoa
 from omegadp.lasso_bulk import nba_signature, uca_signature
 from omegadp.mdp import product_with_nba
 from omegadp.reduction import (
@@ -233,7 +233,8 @@ def test_timeout_inside_lump_final_keeps_the_pruned_automaton(monkeypatch):
         pruned.n_states)
     assert stats.lumpd is None and stats.lang is None and stats.lumpa is None
     assert stats.row("x")[-1] == "timeout"
-    R._validate()
+    # its views pass the checks of the dict constructor
+    Automaton(R.kind, R.alphabet, R.n_states, R.initial, R.delta, R.gamma)
     assert (R.n_states, R.initial, R.delta, R.gamma,
             R.tags["final"].tolist()) == \
         (pruned.n_states, pruned.initial, pruned.delta, pruned.gamma,
@@ -343,3 +344,24 @@ def test_batch_reduce_loads_the_graph_routines_before_any_file(tmp_path,
             print(sum(r[7].startswith("error") for r in rows), len(rows))
     """
     assert run_python(code).split() == ["0", "3", "0", "3"]
+
+
+def test_untagged_complements_reduce_by_their_found_partition(rng):
+    """A complement read back from HOA has no ``final`` tag, so the
+    reduction finds the second phase from the strongly limit-deterministic
+    partition; it keeps the language."""
+    fixtures = [parse_hoa((FIXTURES / f"reduce_0{k}.hoa").read_text())
+                .reinterpret("UCA") for k in range(1, 5)]
+    randoms = [random_uca(rng, rng.randint(1, 4), n_ap=rng.randint(1, 2))
+               for _ in range(40)]
+    for U in fixtures + randoms:
+        C = complement_uca(U, ComplementOptions(special=False))
+        read = parse_hoa(emit_hoa(C))
+        assert "final" not in read.tags
+        assert np.array_equal(nba_signature(reduce_nba(read), 5),
+                              uca_signature(U, 5))
+    # an NBA that is not strongly limit deterministic has no such partition
+    guess = Automaton("NBA", Alphabet(("a",)), 2, 0,
+                      {(0, 0): (0, 1), (1, 0): (1,)}, {(0, 0, 0), (1, 0, 1)})
+    with pytest.raises(ValueError, match="not strongly limit deterministic"):
+        reduce_nba(guess)

@@ -2,12 +2,11 @@ import pytest
 
 from omegadp.automata import Alphabet, Automaton, LassoWord, lasso_member_uca
 from omegadp.complement import CapacityError, ComplementOptions, complement_uca
-from omegadp.mdp import Mdp
+from omegadp.mdp import Mdp, buchi_value, product_with_nba
 from omegadp.streett import (
     StreettDsa,
     _validate_tree,
     determinize_uca,
-    gfm_value_test,
     initial_tree,
     lasso_member_dsa,
     sigma_successor,
@@ -108,6 +107,14 @@ def coin_mdp(ab):
                alphabet=ab, labels=(1, 0))
 
 
+def product_and_semantic_values(C, U, M):
+    """The value of the product of ``M`` with ``C`` and the maximal
+    probability that a trace of ``M`` lies in L(U), on the Streett
+    determinisation of ``U``."""
+    return (buchi_value(product_with_nba(M, C)),
+            streett_mdp_max_prob(M, determinize_uca(U))[0])
+
+
 def test_value_gap_detects_non_gfm_automaton():
     # guesses the next letter when entering the accepting phase: accepts
     # every word but cannot be used blindly in a product
@@ -119,9 +126,9 @@ def test_value_gap_detects_non_gfm_automaton():
     from omegadp.automata import is_strongly_limit_deterministic
     assert is_strongly_limit_deterministic(C)[0]
     universal = Automaton("UCA", ab, 1, 0, {(0, 0): (0,), (0, 1): (0,)}, ())
-    agree, values = gfm_value_test(C, universal, coin_mdp(ab))
-    assert not agree
-    assert values == pytest.approx((0.5, 1.0))
+    # a good-for-MDPs automaton of the language would give equal values
+    assert product_and_semantic_values(C, universal, coin_mdp(ab)) \
+        == pytest.approx((0.5, 1.0))
 
 
 def test_value_agreement_on_random_pairs(rng):
@@ -141,5 +148,5 @@ def test_value_agreement_on_random_pairs(rng):
                 trans[(s, a)] = tuple((t, 1.0 / len(support))
                                       for t in support)
         M = Mdp(n, 0, actions, trans, alphabet=U.alphabet, labels=labels)
-        agree, values = gfm_value_test(C, U, M)
-        assert agree, values
+        got, ref = product_and_semantic_values(C, U, M)
+        assert abs(got - ref) <= 1e-7, (got, ref)
