@@ -665,11 +665,11 @@ def lasso_member_nba(A: Automaton, w: LassoWord) -> bool:
     accepting."""
     if A.is_schema:
         raise ValueError("schema has no initial state")
-    current = {A.initial}
+    current, delta, gamma = {A.initial}, A.delta, A.gamma
     for a in w.prefix:
         nxt = set()
         for q in current:
-            nxt.update(A.successors(q, a))
+            nxt.update(delta.get((q, a), ()))
         current = nxt
         if not current:
             return False
@@ -684,10 +684,10 @@ def lasso_member_nba(A: Automaton, w: LassoWord) -> bool:
     for sid, (q, j) in nodes:
         a = w.cycle[j]
         succ_lists.append([])
-        for t in A.successors(q, a):
+        for t in delta.get((q, a), ()):
             tid = nodes.intern((t, (j + 1) % k))
             succ_lists[sid].append(tid)
-            if (q, a, t) in A.gamma:
+            if (q, a, t) in gamma:
                 edge_marks.append((sid, tid))
     if not edge_marks:
         return False

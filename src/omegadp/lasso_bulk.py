@@ -44,7 +44,15 @@ tiles and codes, and the word matrices the generic path keeps.
 Each representative is padded to ``bound + 1`` letters with a padding
 letter, a step that moves no state and sets no flag, so one pass over the
 phases serves every length.  The last phase is always padding and holds
-the value of phase 0, so "phase ``p + 1``" needs no modulo.
+the value of phase 0, so "phase ``p + 1``" needs no modulo.  The
+representatives' lengths, padded letters and rotated codes depend only on
+the letter count and the bound: ``_cycle_batch`` builds them once per pair
+and keeps them read-only, each in the narrowest unsigned type that holds
+it, and ``_sign`` slices them per chunk.  The step tables have few states
+and the arrays of letters that index them many entries, so their rows are
+gathered with ``np.take(table, idx, axis=0)``: indexing ``table[idx]``
+takes numpy's slow path for such small rows, nine times slower at four
+states and a fifth slower at a hundred.
 
 The functional path analyses each cycle word ``w`` of length ``cl`` at
 phase 0 only.  One backward scan over ``w`` gives, for every phase ``p``,
@@ -210,14 +218,42 @@ def _least_rotations(n_letters, cl):
     return np.concatenate(parts)
 
 
+def _frozen(a, top):
+    """``a`` read-only, in the narrowest unsigned type holding ``top``."""
+    a = a.astype(np.min_scalar_type(top), copy=False)
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def _cycle_batch(n_letters, bound):
-    """``(code, start)``: the representatives (``_least_rotations``) of
-    every cycle length ``1..bound``, in that order, as codes;
-    representative ``i`` has length ``cl`` for ``start[cl - 1] <= i <
-    start[cl]``."""
-    codes = [_least_rotations(n_letters, cl) for cl in range(1, bound + 1)]
-    return np.concatenate(codes), np.cumsum([0] + [len(c) for c in codes])
+    """``(code, (start, length, W, words))``, built once per ``(n_letters,
+    bound)`` and read-only, each array of the narrowest type that holds it:
+    the representatives (``_least_rotations``) of every cycle length
+    ``1..bound``, in that order, as codes; representative ``i`` has length
+    ``length[i]``, which is ``cl`` for ``start[cl - 1] <= i < start[cl]``;
+    ``W[p, i]`` is its letter at phase ``p``, and the padding letter
+    ``n_letters`` from its length to ``bound``; and ``words[cl - 1][p, j]``
+    is the code of representative ``start[cl - 1] + j`` read from phase
+    ``p``."""
+    L, codes = n_letters, [_least_rotations(n_letters, cl)
+                            for cl in range(1, bound + 1)]
+    sizes = [len(c) for c in codes]
+    start = tuple(itertools.accumulate(sizes, initial=0))
+    W = np.full((bound + 1, start[-1]), L, dtype=np.min_scalar_type(L))
+    words, phase = [], np.arange(bound + 1)[:, None]
+    for cl, c in enumerate(codes, 1):
+        rot = np.empty((cl, len(c)), dtype=np.min_scalar_type(L ** cl - 1))
+        # per code and phase: its int64 rotation or letter and two temporaries
+        step = max(1, _BUDGET // (24 * cl))
+        for lo in range(0, len(c), step):
+            part, at = c[lo:lo + step], start[cl - 1] + lo
+            rot[:, lo:lo + len(part)] = _rotate(part, phase[:cl], L, cl)
+            W[:cl, at:at + len(part)] = part // L ** phase[cl - 1::-1] % L
+        words.append(_frozen(rot, L ** cl - 1))
+    length = np.repeat(np.arange(1, bound + 1), sizes)
+    return _frozen(np.concatenate(codes), L ** bound - 1), (
+        start, _frozen(length, bound), _frozen(W, L), tuple(words))
 
 
 def _sign(n_letters, bound, per_rep, reach, verdicts):
@@ -225,32 +261,27 @@ def _sign(n_letters, bound, per_rep, reach, verdicts):
 
     The representatives of ``_cycle_batch`` go in slices of at most
     ``_BUDGET`` bytes at ``per_rep`` bytes each.  ``verdicts(code, length,
-    W)`` gets a slice's codes, lengths and padded letters (``W[p, i]`` is
-    the letter of representative ``i`` at phase ``p``, and the padding
-    letter ``n_letters`` from its length to ``bound``) and returns
-    ``good[p, i]``, the states from which the word ``v[p:] + v[:p]`` is
-    accepted, ``v`` being representative ``i``.  The lasso of that word
-    after prefix ``u`` is accepted when ``good[p, i]`` meets ``reach[u]``,
-    the states ``u`` reaches (prefixes in signature order).  Each block of
-    the output goes out one tile of words and prefixes at a time.
+    W)`` gets a slice of their codes, lengths and padded letters and
+    returns ``good[p, i]``, the states from which the word
+    ``v[p:] + v[:p]`` is accepted, ``v`` being representative ``i``.  The
+    lasso of that word after prefix ``u`` is accepted when ``good[p, i]``
+    meets ``reach[u]``, the states ``u`` reaches (prefixes in signature
+    order).  Each block of the output goes out one tile of words and
+    prefixes at a time.
     """
-    (reps, start), (pre, off) = _cycle_batch(n_letters, bound), \
-        _layout(n_letters, bound)
+    (reps, (start, length, W, rotated)), (pre, off) = \
+        _cycle_batch(n_letters, bound), _layout(n_letters, bound)
     out = np.empty(off[-1], dtype=bool)
-    chunk, phase = max(1, _BUDGET // per_rep), np.arange(bound + 1)[:, None]
+    chunk = max(1, _BUDGET // per_rep)
     for lo in range(0, len(reps), chunk):
         check_time("lasso signatures")
-        code = reps[lo:lo + chunk]
-        length = np.searchsorted(start, np.arange(lo, lo + len(code)),
-                                 side="right")
-        good = verdicts(code, length, np.where(
-            phase < length, code // n_letters ** np.maximum(
-                length - 1 - phase, 0) % n_letters, n_letters))
-        for cl in range(1, bound + 1):
-            a, b = max(lo, start[cl - 1]), min(lo + len(code), start[cl])
+        hi = min(lo + chunk, len(reps))
+        good = verdicts(reps[lo:hi], length[lo:hi], W[:, lo:hi])
+        for cl, (s, e) in enumerate(zip(start, start[1:]), 1):
+            a, b = max(lo, s), min(hi, e)
             if a >= b:
                 continue
-            words = _rotate(reps[a:b], phase[:cl], n_letters, cl).ravel()
+            words = rotated[cl - 1][:, a - s:b - s].ravel()
             rows = good[:cl, a - lo:b - lo].reshape(len(words), -1)
             rows, n_pre = rows.astype(np.float32), pre[cl - 1]
             block = out[off[cl - 1]:off[cl]].reshape(-1, n_pre)
@@ -312,10 +343,10 @@ def _word_mats(E, F, longest):
 
     The blocks of every word up to length ``longest`` are kept, level by
     level in lexicographic order, as far as they fit in ``_BUDGET`` bytes.
-    Returns ``mats(codes, lengths)``, giving the ``rel`` and ``acc`` stacks
-    of the words named by their lexicographic index among the words of
-    their length; a word longer than the kept ones extends its longest
-    kept prefix.
+    Returns ``mats(codes, lengths, W)``, giving the ``rel`` and ``acc``
+    stacks of the words named by their lexicographic index among the words
+    of their length, with their padded letters ``W`` (see ``_sign``); a
+    word longer than the kept ones extends its longest kept prefix.
     """
     L, m = E.shape[0], E.shape[1]
     # letter L, which ends words shorter than the others, is the identity
@@ -334,13 +365,12 @@ def _word_mats(E, F, longest):
     offset = np.cumsum([0] + [len(x) for x in levels[:-1]])
     kept = np.concatenate(levels)
 
-    def mats(codes, lengths):
+    def mats(codes, lengths, W):
         short = np.minimum(lengths, top)
-        x = kept[offset[short] + codes // L ** (lengths - short)]
+        x = np.take(kept, offset[short] + codes // np.power(
+            L, lengths - short, dtype=np.intp), axis=0)
         for p in range(top, int(lengths.max())):
-            letter = np.where(lengths > p, codes // L ** np.maximum(
-                lengths - 1 - p, 0) % L, L)
-            x = np.matmul(x, step[letter])
+            x = np.matmul(x, np.take(step, W[p], axis=0))
             np.minimum(x, 1.0, out=x)
         return x[:, :, :m], x[:, :, m:]
 
@@ -374,7 +404,7 @@ def _sig_generic(A: Automaton, bound: int) -> np.ndarray:
     squarings = _doubling_steps(m + 1)
 
     def verdicts(code, length, W):
-        rel, acc = mats(code, length)
+        rel, acc = mats(code, length, W)
         closure = np.minimum(rel + E[L], 1.0)
         for _ in range(squarings):
             closure = np.matmul(closure, closure)
@@ -385,8 +415,8 @@ def _sig_generic(A: Automaton, bound: int) -> np.ndarray:
         wins[0] = wins[bound] = np.matmul(
             closure, good[:, :, None].astype(np.float32))[:, :, 0] > 0
         for p in range(bound - 1, 0, -1):
-            wins[p] = np.matmul(E[W[p]], wins[p + 1, :, :, None].astype(
-                np.float32))[:, :, 0] > 0
+            wins[p] = np.matmul(np.take(E, W[p], axis=0), wins[
+                p + 1, :, :, None].astype(np.float32))[:, :, 0] > 0
         return wins
 
     # float32 m × m cells per representative: its [rel | acc] block with
@@ -477,7 +507,8 @@ def _sig_limit_det(A: Automaton, bound: int, in1) -> np.ndarray:
     def verdicts(code, length, W):
         k = W.shape[1]
         # accepting-loop test for the deterministic part, per phase
-        good2 = _loop_or(next2[W], acc2[W])
+        good2 = _loop_or(np.take(next2, W, axis=0),
+                         np.take(acc2, W, axis=0))
         # a jump at phase p wins when its target is good at phase p+1: one
         # product per letter, on the (phase, word) pairs that read it
         jg = np.zeros((bound + 1, k, m1 + 1), dtype=bool)
@@ -486,10 +517,10 @@ def _sig_limit_det(A: Automaton, bound: int, in1) -> np.ndarray:
         letter = W[:bound].ravel()
         for a in range(L):
             sel = np.flatnonzero(letter == a)
-            wins[sel] = np.matmul(target[sel].astype(np.float32),
-                                  jump_t[a]) > 0
+            wins[sel] = np.matmul(np.take(target, sel, axis=0).astype(
+                np.float32), jump_t[a]) > 0
         # does the part-one walk ever pass a winning jump?
-        S1, F1 = _suffix_maps(next1[W], jg)
+        S1, F1 = _suffix_maps(np.take(next1, W, axis=0), jg)
         _, ever = _iterate_or(S1[0], F1[0])
         hit = F1[:bound] | np.take(ever, S1[:bound])
         return np.concatenate([good2[:bound], hit], axis=2)
@@ -540,7 +571,8 @@ def dsa_signature(D, bound: int) -> np.ndarray:
     collapse = sum(1 << (2 * i) for i in range(len(names)))
 
     def verdicts(code, length, W):
-        loop = _loop_or(nxt[W], flags[W])[:bound]
+        loop = _loop_or(np.take(nxt, W, axis=0),
+                        np.take(flags, W, axis=0))[:bound]
         return (loop & ~(loop >> 1) & collapse) == 0
 
     # bytes per representative and phase: its letter, then per state the

@@ -29,6 +29,7 @@ schemas (``mdp.model_to_doc``).
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .automata import TOP, Alphabet, Automaton, Explorer, LassoWord, \
@@ -98,8 +99,10 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
     A, action, label = D.arrays, D.arrays.action, D.labels
     first, ptr, targets = A.first.tolist(), A.P.indptr.tolist(), \
         A.P.indices.tolist()
-    t0 = _tracker_step(B, tuple(frozenset((p,)) for p in range(B.n_states)),
-                       label[D.initial])
+    # the (tracker, label) pairs repeat across the stored transitions
+    track = functools.cache(functools.partial(_tracker_step, B))
+    t0 = track(tuple(frozenset((p,)) for p in range(B.n_states)),
+               label[D.initial])
     found = Explorer((D.initial, t0), budget=max_trackers,
                      what="guard compilation")
     ends, rows, dst = [0], [], []
@@ -109,7 +112,7 @@ def remove_lookback(D: Odp, max_trackers: int = 100_000) -> Odp:
             if beta is not None and not (tracker[beta] & final):
                 continue
             rows.append(k)
-            dst.extend(found.intern((t, _tracker_step(B, tracker, label[t])))
+            dst.extend(found.intern((t, track(tracker, label[t])))
                        for t in targets[ptr[k]:ptr[k + 1]])
         if len(rows) == ends[-1]:
             raise ValueError(

@@ -56,7 +56,7 @@ def sigma_successor(tree, A: Automaton, letter):
     that stayed stable, the stable names that collapsed, the names freshly
     introduced, and the names that disappeared.
     """
-    nodes = dict(tree)
+    nodes, delta, gamma = dict(tree), A.delta, A.gamma
     degree = {}
     for name in nodes:
         if name:
@@ -69,9 +69,9 @@ def sigma_successor(tree, A: Automaton, letter):
     for name in sorted(nodes):
         succ, marked = set(), set()
         for q in nodes[name]:
-            for t in A.successors(q, letter):
+            for t in delta.get((q, letter), ()):
                 succ.add(t)
-                if (q, letter, t) in A.gamma:
+                if (q, letter, t) in gamma:
                     marked.add(t)
         spawned_l[name] = succ
         spawned_l[name + (degree.get(name, 0),)] = marked

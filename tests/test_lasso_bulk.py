@@ -232,6 +232,80 @@ def test_least_rotations_are_the_reference_representatives():
                 lasso_bulk._least_rotations(n_letters, cl), codes)
 
 
+def test_cycle_layout_is_built_once_per_letters_and_bound(rng):
+    lasso_bulk._cycle_batch.cache_clear()
+    A = random_nba(rng, 3, n_ap=2)
+    first = nba_signature(A, 5)
+    assert np.array_equal(nba_signature(A, 5), first)
+    info = lasso_bulk._cycle_batch.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_cycle_layout_is_read_only():
+    code, (start, length, W, words) = lasso_bulk._cycle_batch(4, 5)
+    assert isinstance(start, tuple) and isinstance(words, tuple)
+    for a in (code, length, W, *words):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def _layout_by_formula(n_letters, bound):
+    """``_cycle_batch`` computed in int64 over all representatives at once:
+    lengths by search in ``start``, padded letters by one ``np.where`` and
+    the rotated codes by ``_rotate``."""
+    L = n_letters
+    codes = [lasso_bulk._least_rotations(L, cl) for cl in range(1, bound + 1)]
+    code = np.concatenate(codes)
+    start = np.cumsum([0] + [len(c) for c in codes])
+    phase = np.arange(bound + 1)[:, None]
+    length = np.searchsorted(start, np.arange(len(code)), side="right")
+    W = np.where(phase < length, code // L ** np.maximum(
+        length - 1 - phase, 0) % L, L)
+    words = [lasso_bulk._rotate(code[start[cl - 1]:start[cl]], phase[:cl],
+                                L, cl) for cl in range(1, bound + 1)]
+    return code, start, length, W, words
+
+
+@pytest.mark.parametrize("n_letters", [2, 4])
+def test_cycle_layout_matches_its_formulas(n_letters):
+    for bound in range(1, 8):
+        code, start, length, W, words = _layout_by_formula(n_letters, bound)
+        got, (start2, length2, W2, words2) = lasso_bulk._cycle_batch(
+            n_letters, bound)
+        assert np.array_equal(got, code)
+        assert start2 == tuple(start)
+        assert np.array_equal(length2, length) and length2.dtype == np.uint8
+        assert np.array_equal(W2, W) and W2.dtype == np.uint8
+        assert len(words2) == bound
+        for cl, (a, b) in enumerate(zip(words2, words), 1):
+            assert a.dtype == np.min_scalar_type(n_letters ** cl - 1)
+            assert np.array_equal(a, b)
+
+
+def test_signatures_on_a_wide_alphabet():
+    # 8 propositions: 256 letters, so the padding letter 256 needs uint16
+    rng = random.Random(8)
+    ab = Alphabet(tuple("abcdefgh"))
+    delta, gamma = {}, set()
+    for q in range(3):
+        for a in ab.letters():
+            ts = tuple(t for t in range(3) if rng.random() < 0.5)
+            if ts:
+                delta[(q, a)] = ts
+                gamma.update((q, a, t) for t in ts if rng.random() < 0.3)
+    A = Automaton("NBA", ab, 3, 0, delta, gamma)
+    C = complement_uca(A.reinterpret("UCA"))
+    assert lasso_bulk._cycle_batch(256, 2)[1][2].dtype == np.uint16
+    sigs = [nba_signature(X, 2) for X in (A, C)]
+    assert np.array_equal(sigs[1], ~sigs[0])
+    sample = random.Random(1).sample(range(len(sigs[0])), 300)
+    for X, sig in zip((A, C), sigs):
+        assert sig.any() and not sig.all()
+        for i in sample:
+            w = lasso_bulk._lasso_at(i, ab.letters(), 2)
+            assert sig[i] == lasso_member_nba(X, w), (i, w)
+
+
 @pytest.mark.parametrize("bound", [0, -2])
 def test_signatures_reject_a_bound_below_one(bound):
     U = random_uca(random.Random(3), 2, n_ap=1)
