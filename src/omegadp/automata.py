@@ -25,15 +25,17 @@ step holds an int64 key per edge: a search from many roots writes them into
 spare slots as the row of one virtual root, and backward reachability builds
 the reverse graph from the edges.  ``prune_empty`` shares one graph between
 the strong components and the forward search.  Explorations that number
-states one key at a time use ``Explorer``.  Those that number a batch of
-rows at once use ``Interner``, the library's one exact row-set primitive:
-the complement's rank rows, the product states of ``intersect_nba`` and
-``mdp.product_with_nba``, and in the reduction the rows of each
-bisimulation round, the language fingerprints and the pairs of the
-inclusion search.  It stores each row zero-padded to whole 64-bit words
-and hashes and compares it a word at a time.  ``lasso_member_nba`` keeps a
-Python Tarjan of its own: it is the membership oracle the array
-constructions are tested against, so it shares no code with them.
+states one key at a time use ``Explorer``.  Its batched twin ``explore``
+numbers int64 keys a batch at a time: the product states of
+``intersect_nba`` and ``mdp.product_with_nba`` and the pairs of the
+reduction's inclusion search.  ``Interner`` is the library's one exact
+row-set primitive: ``explore`` numbers its keys with it, the complement
+its rank rows, and the reduction the rows of each bisimulation round and
+the language fingerprints.  It stores each row zero-padded to whole
+64-bit words and hashes and compares it a word at a time.
+``lasso_member_nba`` keeps a Python Tarjan of its own: it is the membership
+oracle the array constructions are tested against, so it shares no code
+with them.
 """
 
 from __future__ import annotations
@@ -197,10 +199,7 @@ class Interner:
     compares rows word by word and stops only at a slot whose stored row
     equals the row, so a hash collision never merges two rows.  A batch's
     rows are written straight into ``rows``, so packing costs no copy of
-    its own, and keys of one int64 column fill their word exactly.  The
-    complement, ``intersect_nba``, ``mdp.product_with_nba`` and the
-    reduction's bisimulation rounds, fingerprints and inclusion search all
-    number their rows with it.
+    its own, and keys of one int64 column fill their word exactly.
     """
 
     __slots__ = ("words", "rows", "mult", "table", "shift", "n")
@@ -881,8 +880,45 @@ def is_empty(A: Automaton) -> bool:
     return A.initial not in nonempty_states(A)
 
 
-# sources expanded together by intersect_nba
+# keys that explore expands together
 _BATCH = 4096
+
+
+def explore(start, expand, what):
+    """Breadth-first numbering of the int64 keys reachable from the keys
+    ``start``, a batch of keys at a time: the batched twin of
+    :class:`Explorer`.
+
+    One :class:`Interner` numbers the keys by first appearance, ``start``
+    first.  The keys are expanded in id order, up to ``_BATCH`` at a time:
+    ``expand(lo, batch)`` gets the keys of the ids ``lo, lo + 1, ...`` and
+    returns the keys they reach, in order, and a tuple of arrays to keep.
+    The batches are taken first in, first out from the ids, so the ids are
+    :class:`Explorer`'s whatever the batch size.  The deadline is checked
+    once per batch; ``what`` names the exploration in the timeout message.
+
+    Returns the keys in id order, the ids of ``start``, and the kept arrays
+    joined, each batch's followed by the ids of the keys it reached.
+    """
+    index = Interner(1, np.int64)
+    first = index.ids(start[:, None])
+    parts = []
+    lo = 0
+    while lo < len(index):
+        check_time(what)
+        batch = index.rows[lo:min(lo + _BATCH, len(index)), 0]
+        reached, kept = expand(lo, batch)
+        parts.append(kept + (index.ids(reached[:, None]),))
+        lo += len(batch)
+    keys = index.rows[:len(index), 0]
+    return keys, first, tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _spans(sizes):
+    """Per element of the segments of ``sizes`` elements each, laid end to
+    end: its segment and its offset in it."""
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
 
 
 def _letter_groups(e: Edges, n_states):
@@ -893,25 +929,14 @@ def _letter_groups(e: Edges, n_states):
     return np.cumsum(counts) - counts, counts
 
 
-def _intern_batch(index: Interner, keys):
-    """The ids of the int ``keys`` in ``index``, a one-column
-    :class:`Interner`; also the new keys, in id order."""
-    before = len(index)
-    ids = index.ids(keys[:, None])
-    return ids, index.rows[before:len(index), 0].copy()
-
-
 def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
     """Buchi intersection with a two-phase wait flag for the transition marks.
 
     States are the reachable triples (state of ``A``, state of ``B``, flag),
-    numbered in breadth-first first-seen order, as :class:`Explorer` would:
-    sources in id order, then letters, then the successors in ``A``, then
-    those in ``B``.  The unexpanded states are taken up to ``_BATCH`` at a
-    time, one breadth-first level when it is smaller; all their moves come
-    from one join of both automata's edges on the letter, and the new
-    triples get ids in order of first appearance.  The deadline is checked
-    once per batch.
+    numbered by :func:`explore` from the start triple; a batch's moves, in
+    the order they are numbered (sources, then letters, then the successors
+    in ``A``, then those in ``B``), come from one join of both automata's
+    edges on the letter.
     """
     if A.alphabet != B.alphabet:
         raise ValueError("alphabet mismatch")
@@ -921,42 +946,32 @@ def intersect_nba(A: Automaton, B: Automaton) -> Automaton:
     L, nb = len(ea.letters), B.n_states
     a_first, a_count = _letter_groups(ea, A.n_states)
     b_first, b_count = _letter_groups(eb, nb)
-    # keys of the triples (p, q, flag), numbered from the start triple's
-    ids = Interner(1, np.int64)
-    start = (A.initial * nb + B.initial) * 2
-    pending = _intern_batch(ids, np.array([start]))[1]
-    parts = []
-    done = 0
-    while len(pending):
-        check_time("intersection")
-        batch, pending = pending[:_BATCH], pending[_BATCH:]
+
+    def expand(lo, batch):
+        # batch holds the keys (p * nb + q) * 2 + flag of triples
         ga = ((batch // (2 * nb)) * L)[:, None] + np.arange(L)
         gb = ((batch // 2 % nb) * L)[:, None] + np.arange(L)
         ga, gb = ga.ravel(), gb.ravel()
         fan_b = b_count[gb]
-        sizes = a_count[ga] * fan_b
         # one pair of edges per move, grouped by (source, letter); inside a
         # group, A's edge is the major and B's the minor index
-        group = np.repeat(np.arange(len(ga)), sizes)
-        pos = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes,
-                                                sizes)
+        group, pos = _spans(a_count[ga] * fan_b)
         ka = a_first[ga][group] + pos // fan_b[group]
         kb = b_first[gb][group] + pos % fan_b[group]
         # the flag rises on a mark of A and falls, marking the move, on a
         # mark of B
         risen = (batch[group // L] % 2 == 1) | ea.acc[ka]
-        mark = risen & eb.acc[kb]
         keys = (ea.dst[ka].astype(np.int64) * nb + eb.dst[kb]) * 2 \
             + (risen & ~eb.acc[kb])
-        dst, new = _intern_batch(ids, keys)
-        pending = np.concatenate([pending, new])
-        parts.append((done + group // L, group % L, dst, mark))
-        done += len(batch)
-    src, let, dst, acc = (np.concatenate(c) for c in zip(*parts))
+        return keys, (lo + group // L, group % L, risen & eb.acc[kb])
+
+    start = (A.initial * nb + B.initial) * 2
+    keys, _, (src, let, acc, dst) = explore(np.array([start]), expand,
+                                            "intersection")
     # each move is made once, so sorting is all the edges need
-    order = np.argsort((src * L + let) * len(ids) + dst)
+    order = np.argsort((src * L + let) * len(keys) + dst)
     return Automaton.from_edges(
-        "NBA", A.alphabet, len(ids), 0,
+        "NBA", A.alphabet, len(keys), 0,
         Edges(ea.letters, src[order], let[order], dst[order], acc[order]))
 
 

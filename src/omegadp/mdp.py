@@ -53,9 +53,9 @@ from types import MappingProxyType
 import numpy as np
 from scipy import sparse
 
-from .automata import Alphabet, Automaton, Explorer, Interner, \
-    _components, _intern_batch, _letter_groups, check_time, \
-    label_from_names, label_to_names, view
+from .automata import Alphabet, Automaton, Explorer, _components, \
+    _letter_groups, _spans, check_time, explore, label_from_names, \
+    label_to_names, view
 
 
 class NoValidStrategy(Exception):
@@ -162,10 +162,6 @@ class Mdp:
 STUCK = (None, None)
 
 
-#: Product states expanded together by :func:`product_with_nba`.
-_BATCH = 4096
-
-
 def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     """MDP times automaton; the automaton move is folded into the action.
 
@@ -179,13 +175,10 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     rejecting end component.
 
     The product is built as its ``MdpArrays``, from the rows of ``M.arrays``
-    and the automaton's edges.  A state's rows are its MDP
-    state's rows in action order, each once per automaton successor, in
-    ascending order.  States are numbered breadth-first, as
-    :class:`~omegadp.automata.Explorer` would: the unexpanded states are
-    taken up to ``_BATCH`` at a time, one breadth-first level when it is
-    smaller, and the pairs their rows reach first get the next ids in
-    order of first appearance.  The deadline is checked once per batch.
+    and the automaton's edges.  A state's rows are its MDP state's rows in
+    action order, each once per automaton successor, in ascending order.
+    States are numbered by :func:`~omegadp.automata.explore` from the start
+    pair, in the order the rows reach them.
     """
     if M.labels is None:
         raise ValueError("the MDP must be labeled")
@@ -197,13 +190,9 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
     letter = np.array([index.get(a, -1) for a in M.labels], dtype=np.int64)
     g_first, g_count = _letter_groups(e, nq)
     m_ptr = A.P.indptr
-    # keys of the pairs (m, q), numbered from the start pair's
-    ids = Interner(1, np.int64)
-    pending = _intern_batch(ids, np.array([M.initial * nq + C.initial]))[1]
-    keys, parts = [pending], []
-    while len(pending):
-        check_time("product construction")
-        batch, pending = pending[:_BATCH], pending[_BATCH:]
+
+    def expand(lo, batch):
+        # batch holds the keys m * nq + q of pairs
         m, q = batch // nq, batch % nq
         group = q * L + letter[m]
         fan = np.where(letter[m] >= 0, g_count[group], 0)
@@ -212,9 +201,7 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
         # per row: its state in the batch and its place among the state's
         # rows; the MDP row is the major and the automaton edge the minor
         # index, and a STUCK row stands in for an automaton without a move
-        own = np.repeat(np.arange(len(batch)), n_rows)
-        pos = np.arange(len(own)) - np.repeat(np.cumsum(n_rows) - n_rows,
-                                              n_rows)
+        own, pos = _spans(n_rows)
         stuck = fan[own] == 0
         mrow = A.first[m][own] + pos // width[own]
         moves = np.flatnonzero(~stuck)
@@ -225,22 +212,19 @@ def product_with_nba(M: Mdp, C: Automaton) -> Mdp:
         acc[moves] = e.acc[edge]
         # per stored transition: the MDP row's, or the STUCK self-loop
         size = np.where(stuck, 1, m_ptr[mrow + 1] - m_ptr[mrow])
-        row = np.repeat(np.arange(len(own)), size)
-        entry = m_ptr[mrow][row] + np.arange(len(row)) \
-            - np.repeat(np.cumsum(size) - size, size)
+        row, off = _spans(size)
+        entry = m_ptr[mrow][row] + off
         loop = stuck[row]
-        dst, new = _intern_batch(
-            ids, np.where(loop, batch[own[row]],
-                          A.P.indices[entry].astype(np.int64) * nq
-                          + q2[row]))
-        pending = np.concatenate([pending, new])
-        keys.append(new)
-        parts.append((n_rows, mrow, q2, stuck, np.where(stuck, 0.0, A.R[mrow]),
-                      acc, size, dst, np.where(loop, 1.0, A.P.data[entry]),
-                      np.where(loop, 0.0, A.reward[entry])))
-    n_rows, mrow, q2, stuck, R, acc, size, dst, prob, reward = map(
-        np.concatenate, zip(*parts))
-    keys = np.concatenate(keys)
+        reached = np.where(loop, batch[own[row]],
+                           A.P.indices[entry].astype(np.int64) * nq + q2[row])
+        return reached, (
+            n_rows, mrow, q2, stuck, np.where(stuck, 0.0, A.R[mrow]), acc,
+            size, np.where(loop, 1.0, A.P.data[entry]),
+            np.where(loop, 0.0, A.reward[entry]))
+
+    keys, _, (n_rows, mrow, q2, stuck, R, acc, size, prob, reward, dst) = \
+        explore(np.array([M.initial * nq + C.initial]), expand,
+                "product construction")
     P = sparse.csr_matrix(
         (prob, dst, np.concatenate([[0], np.cumsum(size)])),
         shape=(len(R), len(keys)))
@@ -408,8 +392,8 @@ class MdpArrays:
         rows = np.asarray(rows, dtype=np.int64)
         size = np.diff(self.P.indptr)[rows]
         indptr = np.concatenate([[0], np.cumsum(size)])
-        entries = np.repeat(self.P.indptr[:-1][rows] - indptr[:-1], size) \
-            + np.arange(indptr[-1])
+        seg, off = _spans(size)
+        entries = self.P.indptr[rows][seg] + off
         P = sparse.csr_matrix(
             (self.P.data[entries], np.asarray(dst, dtype=np.int64), indptr),
             shape=(len(rows), n_states))

@@ -22,8 +22,8 @@ state's block and coded moves as one row, and an
 Language classes are found by exact inclusion checks.  Only states whose
 fingerprints agree are compared, so a fingerprint column must depend on
 the state's language alone: equal languages, equal fingerprints.  An
-``Interner`` numbers the fingerprints, and the inclusion search's product
-pairs breadth first.
+``Interner`` numbers the fingerprints, and ``explore`` the inclusion
+search's product pairs breadth first.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import _SLICE, Automaton, Edges, Interner, _components, \
-    _first_phase, _Graph, _inner, _intern_batch, _nonempty, _reached, \
-    check_time, time_limit
+    _first_phase, _Graph, _inner, _nonempty, _reached, _spans, check_time, \
+    explore, time_limit
 from .complement import ComplementOptions, complement_uca
 
 
@@ -266,35 +266,28 @@ def _inclusion_fails(T, mark, P, R):
     All pairs share one product exploration.  A product state is a pair
     (p, r) where r may be a dead run.  Inclusion fails exactly when, after
     deleting r-accepting edges, some cycle reachable from the start pair
-    still carries a p-accepting edge.  An :class:`Interner` numbers the
-    pairs breadth first, from the start pairs' ids on, so each level's
-    pairs are the ids that follow the last level's.
+    still carries a p-accepting edge.  :func:`~omegadp.automata.explore`
+    numbers the pairs from the start pairs on.
     """
     n, L = T.shape
     base = n + 1  # r == n is the dead run
     T_r = np.vstack([np.where(T < 0, n, T), np.full((1, L), n)])
     mark_r = np.vstack([mark, np.zeros((1, L), dtype=bool)])
-    pairs = Interner(1, np.int64)
-    starts, frontier = _intern_batch(pairs, P * base + R)
-    src, dst, cut, acc = [], [], [], []
-    done = 0  # the id of the frontier's first pair
-    while len(frontier):
-        p, r = np.divmod(frontier, base)
+
+    def expand(lo, batch):
+        p, r = np.divmod(batch, base)
         P2 = T[p]
         if np.any(P2 == -2):
             raise ValueError("second phase is not deterministic")
         k, a = np.nonzero(P2 >= 0)
-        d, new = _intern_batch(pairs, P2[k, a] * base + T_r[r[k], a])
-        src.append(k + done)
-        dst.append(d)
-        cut.append(mark_r[r[k], a])
-        acc.append(mark[p[k], a])
-        done += len(frontier)
-        frontier = new
-    src = np.concatenate(src).astype(np.int32)
-    dst = np.concatenate(dst)
-    keep = ~np.concatenate(cut)
-    acc = np.concatenate(acc) & keep
+        return P2[k, a] * base + T_r[r[k], a], \
+            (k + lo, mark_r[r[k], a], mark[p[k], a])
+
+    pairs, starts, (src, cut, acc, dst) = explore(P * base + R, expand,
+                                                  "inclusion search")
+    src = src.astype(np.int32)
+    keep = ~cut
+    acc &= keep
     comp = _components(len(pairs), src[keep], dst[keep])
     bad = src[acc & (comp[src] == comp[dst])]
     return _reached(len(pairs), dst, src, bad)[starts]
@@ -411,10 +404,8 @@ def drop_dominated_jumps(A: Automaton) -> Automaton:
     size = np.diff(np.append(start, len(jumps)))
     # every ordered pair (i, j) of sibling jumps with i != j: jump i is
     # repeated once per sibling, and j runs over its group
-    reps = np.repeat(size, size)
-    i = np.repeat(np.arange(len(jumps)), reps)
-    j = np.repeat(np.repeat(start, size), reps) + np.arange(len(i)) \
-        - np.repeat(np.cumsum(reps) - reps, reps)
+    i, off = _spans(np.repeat(size, size))
+    j = np.repeat(start, size)[i] + off
     i, j = i[i != j], j[i != j]
     if not len(i):
         return A

@@ -416,19 +416,41 @@ def test_interner_ids_match_a_dict_on_random_tables():
         assert_interns_like_a_dict(automata.Interner(width, dtype), batches)
 
 
-def test_intern_batch_numbers_one_column_keys_like_a_dict():
+def random_key_graph(rng, n, hub):
+    """Keys of ``n`` nodes, some beyond 2**31, and each node's successors
+    with repeats; node 0 reaches ``hub`` distinct nodes, so its level is
+    that wide."""
+    keys = rng.permutation(n) * 40_000_000 + rng.integers(0, 9, n)
+    succ = [keys[rng.integers(0, n, rng.integers(0, 4))] for _ in range(n)]
+    succ[0] = np.concatenate([keys[1:hub + 1], keys[1:4]])
+    return keys, dict(zip(keys.tolist(), succ))
+
+
+@pytest.mark.parametrize("batch", [1, 3, automata._BATCH])
+def test_explore_numbers_keys_like_the_explorer(monkeypatch, batch):
+    monkeypatch.setattr(automata, "_BATCH", batch)
     rng = np.random.default_rng(5)
-    interner = automata.Interner(1, np.int64)
-    index = {}
-    for k in (1, 0, 5, 40, 3_000, automata._PROBE + 3, 17):
-        # keys as intersect_nba and product_with_nba compose them: products
-        # of state ids, some beyond 2**31
-        keys = rng.integers(0, 600, k) * 40_000_000 + rng.integers(0, 9, k)
-        before = len(index)
-        ids, new = automata._intern_batch(interner, keys)
-        assert ids.tolist() == [index.setdefault(x, len(index))
-                                for x in keys.tolist()]
-        assert new.tolist() == list(index)[before:]
+    for n, hub in ((1, 0), (40, 3), (3_000, 10),
+                   (automata._PROBE + 2_000, automata._PROBE + 5)):
+        keys, succ = random_key_graph(rng, n, hub)
+        # repeated start keys, the first one the graph's hub
+        start = keys[[0, 0, *rng.integers(0, n, 4), 0]]
+        ex = automata.Explorer(int(start[0]))
+        first = [ex.intern(k) for k in start.tolist()]
+        edges = [(i, ex.intern(t)) for i, k in ex for t in succ[k].tolist()]
+
+        def expand(lo, part):
+            assert len(part) <= batch
+            assert part.tolist() == ex.keys[lo:lo + len(part)]
+            reached = [succ[k] for k in part.tolist()]
+            src = np.repeat(np.arange(lo, lo + len(part)),
+                            [len(r) for r in reached])
+            return np.concatenate(reached), (src,)
+
+        got, ids, (src, dst) = automata.explore(start, expand, "test")
+        assert got.tolist() == ex.keys
+        assert ids.tolist() == first
+        assert list(zip(src.tolist(), dst.tolist())) == edges
 
 
 def wide_automaton(n):

@@ -177,7 +177,9 @@ def test_deadline_is_checked_in_every_batch(monkeypatch):
     assert len(calls) >= subsets + (C.n_states - subsets) / 16
 
 
-def test_intersection_matches_the_dict_reference():
+@pytest.mark.parametrize("batch", [automata._BATCH, 3])
+def test_intersection_matches_the_dict_reference(monkeypatch, batch):
+    monkeypatch.setattr(automata, "_BATCH", batch)
     rng = random.Random(11)
     for _ in range(200):
         n_ap = rng.randint(1, 2)
@@ -532,7 +534,7 @@ def test_lab_products_match_the_dict_reference(schema, states, rows):
 
 
 def test_product_deadline_is_checked_in_every_batch(monkeypatch):
-    monkeypatch.setattr(mdp, "_BATCH", 2)
+    monkeypatch.setattr(automata, "_BATCH", 2)
     M, N = free_letter_mdp(), infinitely_many_b_nba()
     calls = []
 

@@ -241,6 +241,21 @@ def test_timeout_inside_lump_final_keeps_the_pruned_automaton(monkeypatch):
          pruned.tags["final"].tolist())
 
 
+def test_timeout_inside_the_inclusion_search_keeps_the_lumped_automaton(
+        monkeypatch):
+    U = random_uca(random.Random(3), 3)
+    lumped = lump_final(prune_empty(
+        complement_uca(U, ComplementOptions(special=False))))
+    monkeypatch.setattr(automata.time, "monotonic",
+                        clock_expired_inside("_inclusion_fails"))
+    R, stats = run_pipeline(U, budget=10.0)
+    assert stats.timed_out
+    assert stats.lumpd == lumped.n_states
+    assert stats.lang is None and stats.lumpa is None
+    assert (R.n_states, R.delta, R.gamma) == \
+        (lumped.n_states, lumped.delta, lumped.gamma)
+
+
 def test_stats_row_format():
     stats = PipelineStats(orig=3, compl=6, prune=4, lumpd=4, lang=4, lumpa=4,
                           time=0.25)
