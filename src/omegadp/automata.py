@@ -30,7 +30,7 @@ numbers int64 keys a batch at a time: the product states of
 ``intersect_nba`` and ``mdp.product_with_nba`` and the pairs of the
 reduction's inclusion search.  ``Interner`` is the library's one exact
 row-set primitive: ``explore`` numbers its keys with it, the complement
-its rank rows, and the reduction the rows of each bisimulation round and
+its states, and the reduction the rows of each bisimulation round and
 the language fingerprints.  It stores each row zero-padded to whole
 64-bit words and hashes and compares it a word at a time.
 ``lasso_member_nba`` keeps a Python Tarjan of its own: it is the membership
@@ -325,9 +325,12 @@ def label_to_names(letter: int, ap) -> list:
 
 
 def label_from_names(names: Iterable[str], ap) -> int:
-    """The base letter in which exactly the propositions ``names`` hold."""
+    """The base letter in which exactly the propositions ``names`` hold;
+    a name that ``ap`` does not declare is a ValueError."""
     bits = 0
     for name in names:
+        if name not in ap:
+            raise ValueError(f"proposition {name!r} is not declared")
         bits |= 1 << ap.index(name)
     return bits
 
@@ -877,7 +880,8 @@ def nonempty_states(A: Automaton) -> set:
 
 
 def is_empty(A: Automaton) -> bool:
-    return A.initial not in nonempty_states(A)
+    e = A.edges
+    return not _nonempty(e, _components(A.n_states, e.src, e.dst))[A.initial]
 
 
 # keys that explore expands together

@@ -13,17 +13,19 @@ pinned to the maximal rank.  Safety and reachability shaped inputs collapse
 to subset and breakpoint constructions.
 
 The general construction explores breadth first and numbers states in the
-order they are found.  Ranking states are held as rows of one table (a rank
-per UCA state, -1 when absent, then the ``O`` flags, then ``i``), so any
-number of UCA states works.  A row's dtype is the narrowest signed one that
-holds 2n, the mark of an absent state in the ranking update
-(:func:`_row_dtype`): int8 up to 63 UCA states, int16 above.  A row has the
-same values, hash and id in either.  The worklist is taken in FIFO batches of
-consecutive ranking states (at most ``_CHUNK``); numpy computes the ranking
-update of a whole batch on every letter at once, and the successors are then
-interned in (state, letter) order, which gives every state the id the
-one-at-a-time loop would give it.  A batch goes through three steps, and
-the entry rankings of a subset through a fourth:
+order they are found.  Every state is a row of one table (a rank per UCA
+state, -1 when absent, then the ``O`` flags, then ``i``), so any number of
+UCA states works.  A subset's row gives its members rank 0 and has
+``i = -1``, so a state's kind and the ``final`` mask are read off the rows;
+the empty subset's row is the sink.  A row's dtype is the narrowest signed
+one that holds 2n, the mark of an absent state in the ranking update
+(:func:`_row_dtype`): int8 up to 63 UCA states, int16 above.  A row has
+the same values, hash and id in either.  The worklist is taken in FIFO
+batches of consecutive ranking states (at most ``_CHUNK``); numpy computes
+the ranking update of a whole batch on every letter at once, and the
+successors are then interned in (state, letter) order, which gives every
+state the id the one-at-a-time loop would give it.  A batch goes through
+three steps, and the entry rankings of a subset through a fourth:
 
 * Least incoming rank.  The UCA's moves are grouped by (letter, target)
   once per construction, largest group first (:func:`_move_groups`).  One
@@ -38,22 +40,20 @@ the entry rankings of a subset through a fourth:
   over the targets must equal the mask of all odd ranks up to the top
   (:func:`_tight`).  The ``O`` and ``i`` update and the new rows are then
   computed only for the (ranking, letter) pairs that stay tight.
-* Interning.  One :class:`~omegadp.automata.Interner` stores each rank
-  row once, in order of first appearance, and finds a row by its 64-bit
-  hash in an open-addressing table of int32 ids, a whole batch at once;
-  its rows grow by half at a time.  A row's
-  state id is kept in one int32 array: the rows are numbered in state id
-  order, but the subsets and the sink take ids between them, so the new
-  rows of a batch are looked up in one call and then numbered in pieces,
-  each new subset or sink between the pieces.  A batch of consecutive
-  ranking states therefore reads a slice of the interner's rows.  The
-  entry rankings of a subset are decided once, when the subset is first
-  reached; every later jump into the subset reuses the stored ids.  Their
-  table depends only on the subset size and the pin position, and is
-  counted in closed form first, so a count above the state budget fails
-  before any row is built.  A table of at most ``_KEEP_CELLS`` cells is
-  built once per process (``_kept_rankings`` keeps the last 64, 8 MiB at
-  most); a larger one lasts one construction.
+* Interning.  One :class:`~omegadp.automata.Interner` stores each
+  state's row once, in order of first appearance, and finds a row by its
+  64-bit hash in an open-addressing table of int32 ids, a whole batch at
+  once; its rows grow by half at a time.  It is the one id space: a
+  state's id is its row's id, and a batch of consecutive ranking states
+  reads a slice of the rows.  A subset reached for the first time is
+  interned in one call with its entry rankings, each subset before its
+  entries, in letter order; every later jump into the subset reuses the
+  stored ids, and the state budget is checked after each call.  The
+  entries' table depends only on the subset size and the pin position,
+  and is counted in closed form first, so a count above the state budget
+  fails before any row is built.  A table of at most ``_KEEP_CELLS`` cells
+  is built once per process (``_kept_rankings`` keeps the last 64, 8 MiB
+  at most); a larger one lasts one construction.  The sink has none.
 * Live entries.  Most entry rankings have no move: every letter blocks
   them.  The same kernel (:func:`_ranking_update`) runs over the entry
   tables of all the subsets that one subset expansion reaches first, in
@@ -65,9 +65,9 @@ the entry rankings of a subset through a fourth:
 The states are expanded in id order, so the edges come in the order of
 their sources: the construction keeps the number of edges of each state,
 and per edge its letter (uint16: an alphabet has at most 2**16 letters),
-target and mark.  When the exploration ends, the interner, the entry ids
-and the state ids are freed, the sources are spelled out from the counts,
-and the other edge parts are joined one field at a time.
+target and mark.  When the exploration ends, the interner and the entry
+ids are freed, the sources are spelled out from the counts, and the other
+edge parts are joined one field at a time.
 
 Input and output are :class:`~omegadp.automata.Edges` (``A.edges``); no
 ``delta``/``gamma`` dict is built on either side.  The output's tags are
@@ -91,7 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .automata import Automaton, CapacityError, Edges, Explorer, Interner, \
-    _reserved, check_time
+    check_time
 
 
 # a batch holds at most _CHUNK ranking states, and at most _CHUNK_CELLS cells
@@ -142,7 +142,7 @@ def _tight_rankings(m, odd_only, pin):
     ranks that tightness requires, and with a short rank range that
     somebody is the pinned state's own rank.
     """
-    blocks = []
+    blocks = [np.empty((0, m), dtype=np.int16)]  # no ranking of no state
     for n in range(1, m + 1):
         top = 2 * n - 1
         values = np.arange(1 if odd_only else 0, top + 1, 2 if odd_only else 1)
@@ -384,68 +384,38 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     row = _row_dtype(n)
     succ = _successor_masks(E, n)
     pinned = _resolve_pin(A)
-    W = 2 * n + 1  # rank row: ranks (-1 absent), then O flags, then i
+    W = 2 * n + 1  # a state's row: ranks (-1 absent), then O flags, then i
     big = 2 * n  # above every rank
     mv = _Moves(n, L, *_move_groups(E, n), _odd_rank_masks(n), pinned)
     chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W, len(mv.take))))
     post = _post(E, n)
 
-    kinds = bytearray()  # per state id: 1 = subset, 2 = ranking, 0 = empty sink
-    subset_ids = {}  # subset mask -> id
-    subset_of = {}  # id -> subset mask
-    ranks = Interner(W, row)  # the rank rows, in state id order
-    state_of = np.empty(1024, dtype=np.int32)  # state id of each rank row
-    numbered = 0  # the rank rows that have a state id
-    entries = {}  # subset mask -> jump_targets(mask)
+    states = Interner(W, row)  # a state's id is the id of its row
+    entries = {}  # subset mask -> the ids of the subset and its entries
     large = {}  # entry-ranking tables too large to keep past this call
-    sink = []
     # the edges, in the order of their sources: the number of each
     # state's edges, and per edge its letter, target and mark
     deg_parts, let_parts, dst_parts, acc_parts = [], [], [], []
     blocked = 0
 
-    def new_state(kind):
-        sid = len(kinds)
-        if sid >= opts.max_states:
-            raise CapacityError(
-                f"state budget of {opts.max_states} exceeded", sid)
-        kinds.append(kind)
-        return sid
+    def intern(table):
+        """The state ids of the rows ``table``."""
+        ids = states.ids(table)
+        if len(states) > opts.max_states:
+            raise CapacityError(f"state budget of {opts.max_states} "
+                                "exceeded", opts.max_states)
+        return ids
 
-    def get_empty():
-        if not sink:
-            sink.append(new_state(0))
-        return sink[0]
-
-    def intern_subset(S):
-        sid = subset_ids.get(S)
-        if sid is None:
-            sid = subset_ids[S] = new_state(1)
-            subset_of[sid] = S
-        return sid
-
-    def state_ids(rank):
-        """The state ids of the rank rows ``rank`` (ids of ``ranks``); the
-        rows up to the last of them that have none get the next state ids,
-        in order."""
-        nonlocal state_of, numbered
-        upto = int(rank.max()) + 1 if len(rank) else 0
-        if upto > numbered:
-            first, fresh = len(kinds), upto - numbered
-            if first + fresh > opts.max_states:
-                raise CapacityError(f"state budget of {opts.max_states} "
-                                    "exceeded", opts.max_states)
-            kinds.extend(bytes([2]) * fresh)
-            state_of = _reserved(state_of, upto)
-            state_of[numbered:upto] = np.arange(first, first + fresh)
-            numbered = upto
-        return state_of[rank]
+    def subset_row(S):
+        """The row of subset ``S``: rank 0 on its members, and i = -1."""
+        ranks = [0 if S >> q & 1 else -1 for q in range(n)]
+        return np.array([ranks + [0] * n + [-1]], dtype=row)
 
     def entry_table(S2):
         """The rank rows of the entry rankings of subset ``S2``."""
-        states = [q for q in range(n) if S2 >> q & 1]
-        m = len(states)
-        pin = states.index(pinned) if pinned in states else None
+        members = [q for q in range(n) if S2 >> q & 1]
+        m = len(members)
+        pin = members.index(pinned) if pinned in members else None
         count = _n_tight_rankings(m, opts.odd_entry, pin is not None)
         if count > opts.max_states:
             raise CapacityError(
@@ -457,13 +427,12 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         ranks = large[key] if key in large else _kept_rankings(*key)
         table = np.zeros((len(ranks), W), dtype=row)
         table[:, :n] = -1
-        table[:, states] = ranks
+        table[:, members] = ranks
         return table
 
     def moving(tables):
-        """The rows of the tables that some letter does not block, in one
-        array, and where each table's rows end in it; one kernel run over
-        all the tables, in pieces of ``chunk`` rows."""
+        """The rows of each table that some letter does not block; one
+        kernel run over all the tables, in pieces of ``chunk`` rows."""
         nonlocal blocked
         every = np.concatenate(tables)
         keep = np.empty(len(every), dtype=bool)
@@ -472,8 +441,8 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
             status = _ranking_update(every[lo:lo + chunk], mv)[2]
             keep[lo:lo + chunk] = (status != _BLOCKED).any(axis=0)
         blocked += L * (len(keep) - int(np.count_nonzero(keep)))
-        return every[keep], \
-            np.cumsum(keep)[np.cumsum([len(t) for t in tables]) - 1]
+        cuts = np.cumsum([len(t) for t in tables])[:-1]
+        return [t[k] for t, k in zip(tables, np.split(keep, cuts))]
 
     def add_edges(deg, let, dst, acc):
         """The edges of the states expanded next: ``deg`` of each."""
@@ -482,38 +451,34 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         dst_parts.append(np.asarray(dst, dtype=np.int32))
         acc_parts.append(np.asarray(acc, dtype=bool))
 
-    def expand_sink(sid):
-        add_edges([L], range(L), [sid] * L, [True] * L)
-
     def expand_subset(sid):
-        S = subset_of[sid]
+        S = sum(1 << q for q in np.flatnonzero(states.rows[sid, :n] == 0)
+                .tolist())
         images = [_image(succ[li], S) for li in range(L)]
-        # the subsets reached for the first time get their entry rankings;
-        # states are interned in letter order, each new subset before its
-        # entries, the sink where a letter kills every run
-        fresh = [S2 for S2 in dict.fromkeys(images) if S2 and S2 not in entries]
+        # a subset reached for the first time is interned with the entry
+        # rankings that some letter moves, each subset before its entries,
+        # in letter order; the empty subset is the sink, with no entries
+        fresh = [S2 for S2 in dict.fromkeys(images) if S2 not in entries]
         if fresh:
-            rows, ends = moving([entry_table(S2) for S2 in fresh])
-            kept = dict(zip(fresh, np.split(ranks.ids(rows), ends[:-1])))
-        for S2 in images:
-            if not S2:
-                get_empty()
-            elif S2 not in entries:
-                sub = intern_subset(S2)
-                entries[S2] = np.sort(np.append(state_ids(kept[S2]), sub))
-        dst = [entries[S2] if S2 else [get_empty()] for S2 in images]
+            kept = moving([entry_table(S2) for S2 in fresh])
+            ids = intern(np.concatenate(
+                [part for S2, t in zip(fresh, kept)
+                 for part in (subset_row(S2), t)]))
+            ends = np.cumsum([1 + len(t) for t in kept])[:-1]
+            for S2, got in zip(fresh, np.split(ids, ends)):
+                entries[S2] = np.sort(got)
+        dst = [entries[S2] for S2 in images]
         fan = [len(d) for d in dst]
         k = sum(fan)
+        # the sink's moves are its marked self-loops
         add_edges([k], np.repeat(np.arange(L), fan),
-                  np.concatenate(dst), np.zeros(k, dtype=bool))
+                  np.concatenate(dst), np.full(k, S == 0))
 
     def expand_ranks(lo, hi):
         """The ranking update of states ``lo .. hi-1`` on every letter."""
         nonlocal blocked
         m = hi - lo
-        # ranking states are numbered in the order their rows are interned
-        r = int(np.searchsorted(state_of[:numbered], lo))
-        F = ranks.rows[r:r + m]
+        F = states.rows[lo:hi]
         g, top, status = _ranking_update(F, mv)
         st = status.T.reshape(-1)  # in (state, letter) order
         go = np.flatnonzero(st != _BLOCKED)
@@ -542,37 +507,38 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         # the subset its word reaches, a state with a lower id, expanded first
         dst = np.empty(m * L, dtype=np.int32)
         if to_empty.any():
-            dst[to_empty] = get_empty()
-        dst[nxt] = state_ids(ranks.ids(table))
+            dst[to_empty] = entries[0][0]
+        dst[nxt] = intern(table)
         add_edges(np.bincount(go // L, minlength=m), go % L, dst[go],
                   mark[go])
 
-    start = intern_subset(1 << A.initial)
+    intern(subset_row(1 << A.initial))
     wi = 0
-    while wi < len(kinds):
+    while wi < len(states):
         check_time("complement construction")
-        kind = kinds[wi]
-        if kind == 2:
-            limit = min(len(kinds), wi + chunk)
-            hi = min((k for k in (kinds.find(0, wi, limit),
-                                  kinds.find(1, wi, limit)) if k >= 0),
-                     default=limit)
+        # a subset has i = -1; the ranking states up to the next subset
+        # form one batch
+        if states.rows[wi, 2 * n] < 0:
+            expand_subset(wi)
+            wi += 1
+        else:
+            ahead = states.rows[wi:min(len(states), wi + chunk), 2 * n]
+            hi = wi + int(np.append(ahead < 0, True).argmax())
             expand_ranks(wi, hi)
             wi = hi
-            continue
-        (expand_subset if kind == 1 else expand_sink)(wi)
-        wi += 1
 
+    # the subsets but the sink are the first phase
+    rows = states.rows[:len(states)]
+    final = (rows[:, 2 * n] >= 0) | (rows[:, :n] < 0).all(axis=1)
     # free the interning before the edges are joined, one field at a time
-    ranks = state_of = None
+    states = rows = None
     entries.clear()
     large.clear()
-    src = np.repeat(np.arange(len(kinds), dtype=np.int32),
+    src = np.repeat(np.arange(len(final), dtype=np.int32),
                     _joined(deg_parts))
     edges = Edges(letters, src, _joined(let_parts, np.int32),
                   _joined(dst_parts), _joined(acc_parts))
-    final = np.frombuffer(kinds, dtype=np.uint8) != 1
-    return _result(A, len(kinds), start, edges, final, blocked, "rank")
+    return _result(A, len(final), edges, final, blocked, "rank")
 
 
 def _joined(parts, dtype=None):
@@ -584,11 +550,12 @@ def _joined(parts, dtype=None):
     return out
 
 
-def _result(A: Automaton, n, start, edges: Edges, final, blocked,
+def _result(A: Automaton, n, edges: Edges, final, blocked,
             construction) -> Automaton:
-    """The output automaton; ``final`` masks the second phase."""
+    """The output automaton, started in state 0; ``final`` masks the
+    second phase."""
     return Automaton.from_edges(
-        "NBA", A.alphabet, n, start, edges,
+        "NBA", A.alphabet, n, 0, edges,
         tags={"final": final, "construction": construction,
               "stats": {"blocked_transitions": blocked}})
 
@@ -658,4 +625,4 @@ def complement_special(A: Automaton, shape: str, opts: ComplementOptions | None 
     src, let, dst, acc = np.array(out, dtype=np.int64).reshape(-1, 4).T
     edges = Edges.normalised(E.letters, src, let, dst, acc.astype(bool))
     final = np.array([kind != 1 for kind, _ in found.keys], dtype=bool)
-    return _result(A, len(found), 0, edges, final, 0, f"special-{shape}")
+    return _result(A, len(found), edges, final, 0, f"special-{shape}")

@@ -825,22 +825,27 @@ def model_to_doc(M: Mdp, encode_action) -> dict:
             "actions": actions}
 
 
+def doc_ap(doc: dict):
+    """The propositions of a model document: its ``ap``, or without one
+    the names its state labels use, sorted."""
+    ap = doc.get("ap")
+    return sorted({name for st in doc["states"]
+                   for name in st.get("label", [])}) if ap is None else ap
+
+
 def model_from_doc(doc: dict, decode_action, model=Mdp, **fields):
     """The model of type ``model`` that the document ``doc`` (see
     ``model_to_doc``) describes; ``decode_action(entry)`` gives the action
     of an action entry, and ``fields`` go to the constructor as they are.
 
-    Without ``ap`` the propositions are the names the labels use, sorted.
-    Raises ValueError unless the state ids are exactly ``0..n-1``.
+    The propositions are ``doc_ap(doc)``.  Raises ValueError unless the state ids are exactly ``0..n-1``.
     """
     states = doc["states"]
     n = len(states)
     ids = [st["id"] for st in states]
     if len(set(ids)) != n or not all(i in range(n) for i in ids):
         raise ValueError(f"state ids must be 0..{n - 1}, each once")
-    ap = doc.get("ap")
-    if ap is None:
-        ap = sorted({name for st in states for name in st.get("label", [])})
+    ap = doc_ap(doc)
     labels = None
     if any("label" in st for st in states):
         labels = [0] * n

@@ -36,8 +36,8 @@ from .automata import TOP, Alphabet, Automaton, Explorer, LassoWord, \
     instantiate, label_from_names, label_to_names, lasso_member_uca
 from .collect import build_collection
 from .complement import complement_uca
-from .mdp import Mdp, lexicographic_solve, model_from_doc, model_to_doc, \
-    product_with_nba
+from .mdp import Mdp, doc_ap, lexicographic_solve, model_from_doc, \
+    model_to_doc, product_with_nba
 from .reduction import reduce_nba
 
 
@@ -317,7 +317,7 @@ def odp_to_json(D: Odp) -> str:
 
 def odp_from_json(text: str) -> Odp:
     doc = json.loads(text)
-    ap = doc["ap"]
+    ap = doc_ap(doc)
     schemas = {key: _schema_from_doc(doc[key], ap)
                for key in ("lookback", "lookahead") if key in doc}
     def state(entry, key):

@@ -148,15 +148,36 @@ def test_bisimulation_codes_moves_alike_in_int32_and_int64(name,
         == [phase_digest(B) for B in wide]
 
 
+def dying_uca():
+    """Three states; letter 1 kills every run from the initial state."""
+    delta = {(0, 0): (0, 1), (1, 0): (2,), (1, 1): (1, 2), (2, 0): (0,),
+             (2, 1): (2,)}
+    gamma = {(0, 0, 1), (1, 1, 1), (2, 0, 0)}
+    return Automaton("UCA", Alphabet(("a",)), 3, 0, delta, gamma)
+
+
 def test_state_budget_is_exact_inside_a_batch():
-    U = seventy_state_uca()
-    for budget in (1, 2, 3, 71, 200, 404):
-        errors = []
-        for build in (complement_uca, ref.complement_general):
-            with pytest.raises(CapacityError) as exc:
-                build(U, ComplementOptions(special=False, max_states=budget))
-            errors.append(exc.value.states_built)
-        assert errors == [budget, budget]
+    V = complement_uca(dying_uca(), ComplementOptions(special=False))
+    E = V.edges
+    # the initial subset's expansion makes the subset {0, 1} (state 1), its
+    # three entry rankings and then the sink (state 5), whose moves are
+    # marked self-loops
+    assert V.n_states == 34
+    assert E.dst[(E.src == 0) & (E.let == 1)].tolist() == [5]
+    assert (E.dst[E.src == 5] == 5).all() and E.acc[E.src == 5].all()
+    for U, budgets in ((seventy_state_uca(), (1, 2, 3, 71, 200, 404)),
+                       (dying_uca(), range(1, V.n_states))):
+        for budget in budgets:
+            errors = []
+            for build in (complement_uca, ref.complement_general):
+                with pytest.raises(CapacityError) as exc:
+                    build(U, ComplementOptions(special=False,
+                                               max_states=budget))
+                errors.append(exc.value.states_built)
+            assert errors == [budget, budget]
+    exact = complement_uca(dying_uca(), ComplementOptions(
+        special=False, max_states=V.n_states))
+    assert phase_digest(exact) == phase_digest(V)
 
 
 def test_deadline_is_checked_in_every_batch(monkeypatch):
@@ -215,19 +236,30 @@ def test_intersection_deadline_expires_between_batches(monkeypatch):
     assert len(calls) == 3
 
 
-def test_reduce_05_complement_is_pinned():
-    """The generic complement of ``reduce_05``, edge for edge."""
-    C = complement_uca(fixture("reduce_05"), ComplementOptions(special=False))
+@pytest.mark.parametrize("name, sizes, edges", [
+    ("reduce_05", (192_199, 1_009_345, 613_723, 1_311_537),
+     "0b24eadb58427880c0bef575df6ec34858fc40d598d0bb5a92170ac268cfaa31"),
+    ("lab", (4_943, 43_864, 16_306, 85_835),
+     "05d5984d0fc10b2e1c8503ce615b7198e259197e06189927793dbc69ab93a18d"),
+    ("lab-full", (53_271, 435_102, 157_184, 857_501),
+     "ed5cd8c875e1be97c87f1df565eb858d893764c156d2b6a748b0240ef24f2cef"),
+])
+def test_complement_is_pinned(name, sizes, edges, monkeypatch):
+    """The generic complement of ``reduce_05`` and of the lab collections,
+    edge for edge: states, edges, marked edges, blocked updates, and a
+    digest of the edge arrays."""
+    if name == "reduce_05":
+        C = complement_uca(fixture(name), ComplementOptions(special=False))
+    else:
+        C = complement_uca(lab_collection(name, monkeypatch))
     E = C.edges
     assert (C.n_states, len(E), int(E.acc.sum()),
-            C.tags["stats"]["blocked_transitions"]) == (192_199, 1_009_345,
-                                                        613_723, 1_311_537)
+            C.tags["stats"]["blocked_transitions"]) == sizes
     digest = hashlib.sha256()
     for column in (E.src, E.let, E.dst):
         digest.update(np.asarray(column, dtype=np.int64).tobytes())
     digest.update(np.asarray(E.acc, dtype=np.uint8).tobytes())
-    assert digest.hexdigest() == \
-        "0b24eadb58427880c0bef575df6ec34858fc40d598d0bb5a92170ac268cfaa31"
+    assert digest.hexdigest() == edges
 
 
 def phase_digest(A):

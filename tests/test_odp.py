@@ -119,6 +119,29 @@ def test_json_refuses_a_repeated_action():
         odp_from_json(json.dumps(doc))
 
 
+def test_json_without_ap_takes_the_label_names_sorted():
+    """As in an MDP document, and the schemas read their letters by those
+    names."""
+    for D in (example2_odp(), after_c_guard_odp()):
+        text = odp_to_json(D)
+        doc = json.loads(text)
+        del doc["ap"]
+        assert odp_to_json(odp_from_json(json.dumps(doc))) == text
+
+
+def test_json_names_an_undeclared_proposition():
+    for D, key in ((example2_odp(), "states"), (after_c_guard_odp(),
+                                                  "lookback")):
+        doc = json.loads(odp_to_json(D))
+        if key == "states":
+            doc["states"][1]["label"] = ["q"]
+        else:
+            doc["lookback"]["transitions"][0]["letter"] = ["q"]
+        with pytest.raises(ValueError,
+                           match="^proposition 'q' is not declared$"):
+            odp_from_json(json.dumps(doc))
+
+
 def test_trivial_lookback_is_identity():
     D = example2_odp()
     assert remove_lookback(D) is D
