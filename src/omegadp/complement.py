@@ -18,13 +18,13 @@ state, -1 when absent, then the ``O`` flags, then ``i``), so any number of
 UCA states works.  A subset's row gives its members rank 0 and has
 ``i = -1``, so a state's kind and the ``final`` mask are read off the rows;
 the empty subset's row is the sink.  A row's dtype is the narrowest signed
-one that holds 2n, the mark of an absent state in the ranking update
-(:func:`_row_dtype`): int8 up to 63 UCA states, int16 above.  A row has
-the same values, hash and id in either.  The worklist is taken in FIFO
-batches of consecutive ranking states (at most ``_CHUNK``); numpy computes
-the ranking update of a whole batch on every letter at once, and the
-successors are then interned in (state, letter) order, which gives every
-state the id the one-at-a-time loop would give it.  A batch goes through
+one that holds 2n, which the ranking update reaches in ``i + 2`` and
+``top + 1`` (:func:`_row_dtype`): int8 up to 63 UCA states, int16
+above.  A row has the same values, hash and id in either.  The worklist is
+taken in FIFO batches of consecutive ranking states (at most ``_CHUNK``);
+numpy computes the ranking update of a whole batch on every letter at once,
+and the successors are then interned in (state, letter) order, which gives
+every state the id the one-at-a-time loop would give it.  A batch goes through
 three steps, and the entry rankings of a subset through a fourth:
 
 * Least incoming rank.  The UCA's moves are grouped by (letter, target)
@@ -33,13 +33,17 @@ three steps, and the entry rankings of a subset through a fourth:
   source's rank, or along a rejecting move the even rank at or below it),
   and one elementwise minimum per layer of the groups folds each group
   into its cell, so ``g[letter, target, ranking]`` costs one pass over the
-  move list.
+  move list.  An absent state is -1 here as in the rows: read unsigned it
+  is above every rank, so the minimum is an unsigned one, and read signed
+  it is below every rank, so the top rank is a plain maximum.
 * Tightness.  A ranking is tight when its top rank is odd and it holds
-  every odd rank below.  Each rank held sets one bit of a mask of odd
-  ranks (64 odd ranks per word, as many words as the UCA needs); the OR
-  over the targets must equal the mask of all odd ranks up to the top
-  (:func:`_tight`).  The ``O`` and ``i`` update and the new rows are then
-  computed only for the (ranking, letter) pairs that stay tight.
+  every odd rank below.  Each odd rank 2j+1 held sets bit j, as 1 shifted
+  by the rank's half, of a mask of odd ranks in words of the narrowest
+  unsigned dtype that holds ``min(n, 64)`` bits (a byte up to 8 UCA
+  states), as many words as the UCA needs; the OR over the targets must
+  equal the mask of all odd ranks up to the top (:func:`_tight`).  The
+  ``O`` and ``i`` update and the new rows are then computed only for the
+  (ranking, letter) pairs that stay tight.
 * Interning.  One :class:`~omegadp.automata.Interner` stores each
   state's row once, in order of first appearance, and finds a row by its
   64-bit hash in an open-addressing table of int32 ids, a whole batch at
@@ -283,53 +287,64 @@ def _move_groups(E: Edges, n):
 
 
 def _odd_rank_masks(n):
-    """Masks of odd ranks for rankings of up to ``n`` states, one word per
-    64 odd ranks; rank 2j+1 is bit j % 64 of word j // 64.
+    """Masks of odd ranks for rankings of up to ``n`` states, in words of
+    the narrowest unsigned dtype that holds ``min(n, 64)`` bits (uint8 up to
+    8 states, uint64 from 33 on); a word of ``B`` bits holds the odd ranks
+    2j+1 with ``j // B`` its index, rank 2j+1 at bit ``j % B``.
 
-    ``bits[w, r]`` is the bit that rank ``r`` (0 .. 2n) sets in word ``w``,
-    nothing for an even rank; ``upto[w, c]`` is word ``w`` of the mask of
-    the ``c`` lowest odd ranks (c = 0 .. n)."""
-    words = (n + 63) // 64
+    ``upto[w, c]`` is word ``w`` of the mask of the ``c`` lowest odd ranks
+    (c = 0 .. n)."""
+    word = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if np.iinfo(t).bits >= min(n, 64))
+    B = np.iinfo(word).bits
     j = np.arange(n)
-    bits = np.zeros((words, 2 * n + 1), dtype=np.uint64)
-    bits[j // 64, 2 * j + 1] = np.left_shift(np.uint64(1),
-                                              (j % 64).astype(np.uint64))
-    upto = np.zeros((words, n + 1), dtype=np.uint64)
-    upto[:, 1:] = np.bitwise_or.accumulate(bits[:, 1::2], axis=1)
-    return bits, upto
+    bit = np.zeros((-(-n // B), n + 1), dtype=word)
+    bit[j // B, j + 1] = word(1) << (j % B).astype(word)
+    return np.bitwise_or.accumulate(bit, axis=1)
 
 
-def _tight(g, top, masks):
+def _tight(g, top, upto):
     """Whether each ranking is tight: its largest rank ``top`` is odd and
     it holds every odd rank below ``top``.
 
     ``g[a, t, s]`` is the rank of UCA state ``t`` in ranking ``s`` after
-    letter ``a``, or 2n where ``t`` is absent; ``top[a, s]`` is the largest
-    rank held, -1 if none; ``masks`` is ``_odd_rank_masks(n)``.  Per word,
-    the OR of the bits of the ranks held must be the mask of every odd rank
-    up to ``top``."""
+    letter ``a``, or -1 where ``t`` is absent; ``top[a, s]`` is the
+    largest rank held, -1 if none; ``upto`` is ``_odd_rank_masks(n)``.
+    Read unsigned, a value ``r`` sets the bit ``(r & 1) << (r >> 1)`` of
+    the words' dtype, shifted down by the bits of the words before: an even
+    rank sets none, and numpy shifts to 0 an odd rank of another word
+    (wrapped below 0, or at or past the width) and -1, whose half is past
+    every width.  Per word, the OR over the targets must be the mask of
+    every odd rank up to ``top``."""
     ok = (top > 0) & ((top & 1) == 1)
     odd_upto = (top + 1) >> 1
-    for bits, upto in zip(*masks):
-        ok &= np.bitwise_or.reduce(bits.take(g), axis=1) == upto.take(odd_upto)
+    u = g.view(f"u{g.itemsize}")
+    odd, half = u & 1, u >> 1
+    B = upto.itemsize * 8
+    for w, mask in enumerate(upto):
+        shifted = np.left_shift(odd, half - B * w if w else half,
+                                dtype=upto.dtype)
+        ok &= np.bitwise_or.reduce(shifted, axis=1) == mask.take(odd_upto)
     return ok
 
 
-# per (ranking state, letter) outcome of a batched ranking update
+# per (ranking state, letter) outcome of a batched ranking update;
+# _ranking_update sums the other two, so _BLOCKED must be 0
 _BLOCKED, _EMPTY, _NEXT = 0, 1, 2
 
 
 class _Moves(NamedTuple):
     """A UCA of ``n`` states over ``L`` letters, laid out for
     :func:`_ranking_update`: its move groups (:func:`_move_groups`), the
-    masks of :func:`_odd_rank_masks` and the pinned state, or None."""
+    masks ``upto`` of :func:`_odd_rank_masks` and the pinned state, or
+    None."""
 
     n: int
     L: int
     take: np.ndarray
     sizes: list
     cells: np.ndarray
-    masks: tuple
+    upto: np.ndarray
     pinned: int | None
 
 
@@ -338,42 +353,45 @@ def _ranking_update(F, mv: _Moves):
     every letter; ``F`` is left as it is.
 
     Returns ``(g, top, status)``: ``g[a, t, s]`` is the least rank that row
-    ``s`` brings to UCA state ``t`` on letter ``a`` (2n where ``t`` is
+    ``s`` brings to UCA state ``t`` on letter ``a`` (-1 where ``t`` is
     absent), ``top[a, s]`` the largest rank held after it (-1 if none) and
     ``status[a, s]`` one of ``_BLOCKED``, ``_EMPTY`` (every run died) and
-    ``_NEXT``."""
-    n, L, big = mv.n, mv.L, 2 * mv.n
-    # what a move brings to its target, per source state and ranking:
-    # nothing (big) from an absent source, the source's rank, or along a
-    # rejecting move the even rank at or below it (a copy: for one row the
-    # transpose is a view of F)
-    f = F[:, :n].T.copy()
-    f[f < 0] = big
-    brings = np.concatenate([f, f & -2])
+    ``_NEXT``.  The least incoming rank is an unsigned minimum and ``top``
+    a plain maximum (see the module docstring)."""
+    n, L = mv.n, mv.L
+    # what a move brings to its target, per source state and ranking: the
+    # source's rank, or along a rejecting move the even rank at or below
+    # it; an absent source brings -1 either way (a copy in row order: the
+    # rows of brings are gathered)
+    f = np.ascontiguousarray(F[:, :n].T)
+    brings = np.concatenate([f, (f & -2) | (f < 0)]).view(f"u{f.itemsize}")
     # g[a, t, s]: the least rank a run of s brings to t on letter a
     least = brings[mv.take]
     at = mv.sizes[0]
     for k in mv.sizes[1:]:
         np.minimum(least[:k], least[at:at + k], out=least[:k])
         at += k
-    g = np.full((L * n, len(F)), big, dtype=F.dtype)
-    g[mv.cells] = least[:mv.sizes[0]]
+    g = np.full((L * n, len(F)), -1, dtype=F.dtype)
+    g[mv.cells] = least[:mv.sizes[0]].view(F.dtype)
     g = g.reshape(L, n, len(F))
-    top = np.where(g < big, g, -1).max(axis=1)
-    ok = _tight(g, top, mv.masks)
+    top = g.max(axis=1)
+    ok = _tight(g, top, mv.upto)
     if mv.pinned is not None:
         # the pinned state never dies and nothing feeds into it, so its
         # rank stays put while everyone else only decreases; a run where it
         # stops carrying the maximum cannot have been pinned at entry and
         # is dropped
         ok &= g[:, mv.pinned] == top
-    status = np.where(ok, _NEXT, np.where(top >= 0, _BLOCKED, _EMPTY))
+    # a tight ranking holds a rank, so at most one term is set (int8 sums:
+    # np.where would branch on every cell)
+    status = _EMPTY * (top < 0).view(np.int8) + _NEXT * ok.view(np.int8)
     return g, top, status
 
 
 def _row_dtype(n):
     """The narrowest signed dtype of the rank rows of an ``n``-state UCA:
-    it holds 2n, the mark of an absent state in the ranking update."""
+    it holds 2n, which the ranking update reaches in ``i + 2`` and
+    ``top + 1``."""
     return np.int8 if 2 * n <= np.iinfo(np.int8).max else np.int16
 
 
@@ -385,7 +403,6 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     succ = _successor_masks(E, n)
     pinned = _resolve_pin(A)
     W = 2 * n + 1  # a state's row: ranks (-1 absent), then O flags, then i
-    big = 2 * n  # above every rank
     mv = _Moves(n, L, *_move_groups(E, n), _odd_rank_masks(n), pinned)
     chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W, len(mv.take))))
     post = _post(E, n)
@@ -486,7 +503,6 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         nxt = np.flatnonzero(st == _NEXT)
         s, a = np.divmod(nxt, L)
         r = g[a, :, s]
-        r[r == big] = -1
         i = F[s, 2 * n]
         # owed to t: some state of O moves to t; O keeps the states owed
         # the even rank i; once it empties (a breakpoint) it refills with

@@ -427,23 +427,54 @@ def test_reduce_05_complement_and_prune_stay_within_their_memory():
     assert lumped <= 20 * 2**20
 
 
-def held_tight(g, big):
-    """Tightness by a table of the ranks held, one row per ranking."""
-    alive = g < big
-    r = np.where(alive, g, -1)
-    top = r.max(axis=1)
-    held = np.zeros(top.shape + (big,), dtype=bool)
+def test_one_reduce_05_batch_stays_within_its_working_set(monkeypatch):
+    """The traced peak (numpy buffers included) of one 4,096-row
+    ``_ranking_update`` call on ``reduce_05``.  It measured 2.4-2.6 MiB; the
+    bound leaves room above it.  With a uint64 word per cell of ``g`` for
+    the tightness masks, gathered through an intp copy of ``g``, it was
+    5.95 MiB."""
+    batches = []
+    update = complement_module._ranking_update
+
+    def keep(F, mv):
+        if len(F) == complement_module._CHUNK and not batches:
+            batches.append((F.copy(), mv))
+        return update(F, mv)
+
+    monkeypatch.setattr(complement_module, "_ranking_update", keep)
+    complement_uca(fixture("reduce_05"), ComplementOptions(special=False))
+    (F, mv), = batches
+    tracemalloc.start()
+    try:
+        update(F, mv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def held_tight(g):
+    """Tightness by a table of the ranks held, one row per ranking; an
+    absent state is -1."""
+    alive = g >= 0
+    top = g.max(axis=1)
+    held = np.zeros(top.shape + (2 * g.shape[1],), dtype=bool)
     ha, ht, hs = np.nonzero(alive)
-    held[ha, hs, r[ha, ht, hs]] = True
+    held[ha, hs, g[ha, ht, hs]] = True
     return alive.any(axis=1) & (top % 2 == 1) \
         & (held[:, :, 1::2].sum(axis=2) == (top + 1) // 2)
 
 
-@pytest.mark.parametrize("n", [1, 3, 10, 63, 64, 65, 100, 130])
+# UCA sizes at the edges of the word widths (8, 16, 32 and 64 odd ranks, and
+# one more) and with two or three 64-bit words (100, 130)
+WIDTHS = [1, 3, 8, 9, 10, 16, 17, 32, 33, 63, 64, 65, 100, 130]
+
+
+@pytest.mark.parametrize("n", WIDTHS)
 def test_tightness_by_odd_rank_masks(n):
     rng = np.random.default_rng(n)
-    L, m, big = 3, 400, 2 * n
-    g = rng.integers(0, big + 1, size=(L, n, m)).astype(np.int16)
+    L, m = 3, 400
+    g = np.full((L, n, m), -1, dtype=complement_module._row_dtype(n))
     # mostly tight rankings, some with one odd rank moved away or an even
     # rank on top, so both answers occur at every size
     for a in range(L):
@@ -451,18 +482,73 @@ def test_tightness_by_odd_rank_masks(n):
             k = rng.integers(1, n + 1)
             who = rng.permutation(n)
             g[a, who[:k], s] = np.arange(1, 2 * k, 2)
-            g[a, who[k:], s] = rng.choice([big, *range(2 * k)], n - k)
+            g[a, who[k:], s] = rng.choice([-1, *range(2 * k)], n - k)
             if s % 3 == 1:
                 g[a, who[rng.integers(k)], s] -= 1
             elif s % 3 == 2 and k < n:
                 g[a, who[k], s] = 2 * k
-    top = np.where(g < big, g, -1).max(axis=1)
-    expect = held_tight(g, big)
+    top = g.max(axis=1)
+    expect = held_tight(g)
     assert 0 < expect.sum() < expect.size
     if n > 64:
         assert top.max() >= 129
-    got = complement_module._tight(g, top, complement_module._odd_rank_masks(n))
+    upto = complement_module._odd_rank_masks(n)
+    # words of the narrowest unsigned dtype that holds min(n, 64) bits
+    word = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if np.iinfo(t).bits >= min(n, 64))
+    assert upto.dtype == word
+    assert len(upto) == -(-n // np.iinfo(word).bits)
+    got = complement_module._tight(g, top, upto)
     assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_ranking_update_by_the_move_list(n):
+    """The least incoming rank, the top and the outcomes of
+    ``_ranking_update`` on seeded random rows, against a loop over the
+    moves that marks an absent state with 2n.  Letter 0 keeps every rank
+    (so a tight row stays tight), letter 1 has three random moves out of
+    each state, and on letter 2 every state is absent."""
+    rng = np.random.default_rng(1000 + n)
+    L, m, big = 3, 300, 2 * n
+    src, let, dst = list(range(n)), [0] * n, list(range(n))
+    acc = [False] * n
+    for q in range(n):
+        for t in rng.choice(n, min(n, 3), replace=False).tolist():
+            src.append(q), let.append(1), dst.append(t)
+            acc.append(bool(rng.random() < 0.3))
+    E = automata.Edges((0, 1, 2), np.array(src), np.array(let), np.array(dst),
+                       np.array(acc))
+    mv = complement_module._Moves(
+        n, L, *complement_module._move_groups(E, n),
+        complement_module._odd_rank_masks(n), None)
+    F = np.zeros((m, 2 * n + 1), dtype=complement_module._row_dtype(n))
+    F[:, :n] = rng.integers(-1, 2 * n, size=(m, n))
+    for row in F[::2]:
+        # a tight ranking: odd ranks 1 .. 2k-1 and anything below 2k
+        k = rng.integers(1, n + 1)
+        who = rng.permutation(n)
+        row[who[:k]] = np.arange(1, 2 * k, 2)
+        row[who[k:]] = rng.integers(-1, 2 * k, size=n - k)
+    F[::7, :n] = -1
+    g, top, status = complement_module._ranking_update(F, mv)
+    want = np.full((L, n, m), big, dtype=np.int64)
+    for q, a, t, rejecting in zip(src, let, dst, acc):
+        rank = F[:, q].astype(np.int64)
+        brings = np.where(rank < 0, big, rank & -2 if rejecting else rank)
+        want[a, t] = np.minimum(want[a, t], brings)
+    assert (want[2] == big).all()
+    assert np.array_equal(g, np.where(want < big, want, -1))
+    assert np.array_equal(top, np.where(want < big, want, -1).max(axis=1))
+    assert (top[2] == -1).all()
+    tight = held_tight(np.where(want < big, want, -1))
+    expect = np.where(tight, complement_module._NEXT,
+                      np.where(top >= 0, complement_module._BLOCKED,
+                               complement_module._EMPTY))
+    assert np.array_equal(status, expect)
+    for outcome in (complement_module._NEXT, complement_module._BLOCKED,
+                    complement_module._EMPTY):
+        assert (status == outcome).any()
 
 
 def same_array(x, y):
