@@ -120,7 +120,8 @@ class Explorer:
     these ids (product ``pairs``, ``keys``, ``odp_state_of``): ``keys[i]``
     is the key of id ``i`` and ``ids`` maps each key to its id, in id order.
     With a ``budget``, interning a key that would get id ``budget`` raises
-    :class:`CapacityError` with ``states_built`` equal to the budget.  The
+    :class:`CapacityError` naming ``what``, with ``states_built`` equal to
+    the budget.  The
     deadline is checked once per 1,024 new ids, from id 0 on; ``what``
     names the exploration in the timeout message.
     """
@@ -139,8 +140,8 @@ class Explorer:
         if i is None:
             i = len(self.keys)
             if self.budget is not None and i >= self.budget:
-                raise CapacityError(f"state budget of {self.budget} exceeded",
-                                    i)
+                raise CapacityError(f"{self.what}: state budget of "
+                                    f"{self.budget} exceeded", i)
             if not i & 1023:
                 check_time(self.what)
             self.ids[key] = i
@@ -191,10 +192,11 @@ class Interner:
     Each row is stored zero-padded to whole 64-bit words (``words``), and
     ``rows`` is the view of them in the caller's dtype and width.  The
     index is an open-addressing table of int32 ids with linear probing, at
-    most half full.  A row's first slot is the top bits of its 64-bit hash:
-    the wrapped sum of its words times random odd multipliers (``mult``,
-    one per word, from a fixed seed), so a rank row of 21 int8 entries
-    costs three multiplies.  A batch is probed in slices of at most
+    most a quarter full, which keeps the probe runs of a batch short.  A
+    row's first slot is the top bits of its 64-bit hash: the wrapped sum of
+    its words times random odd multipliers (``mult``, one per word, from a
+    fixed seed), so a complement row of 13 int8 cells (10 UCA states) costs
+    two multiplies.  A batch is probed in slices of at most
     ``_PROBE`` rows, each slice in a few numpy steps per probe.  A probe
     compares rows word by word and stops only at a slot whose stored row
     equals the row, so a hash collision never merges two rows.  A batch's
@@ -234,8 +236,8 @@ class Interner:
             rows = self.rows
             self.words = _reserved(self.words, n + k)
             self.rows = self.words.view(rows.dtype)[:, :rows.shape[1]]
-        if 2 * (n + k) > len(self.table):
-            self._rehash(2 * (n + k))
+        if 4 * (n + k) > len(self.table):
+            self._rehash(4 * (n + k))
         # the slice's rows take the ids n .. n+k-1 while they probe
         self.rows[n:n + k] = keys
         words = self.words[n:n + k]
@@ -443,10 +445,36 @@ class Edges:
     @classmethod
     def normalised(cls, letters, src, let, dst, acc):
         """Sort the edges and merge repeats; a merged edge is marked when any
-        of its copies is."""
+        of its copies is.  Over ``n`` states and ``L`` letters an edge is
+        one int64 key, the bit fields ``src``, ``let``, ``dst`` and ``acc``
+        from high to low, when they fit: one sort of the keys puts the
+        copies of an edge side by side with a marked one last, and the
+        fields are read back off the last copy.  Wider edges are sorted by
+        ``lexsort``."""
         src, let, dst = (np.asarray(c, dtype=np.int32)
                          for c in (src, let, dst))
         acc = np.asarray(acc, dtype=bool)
+        n = int(max(src.max(), dst.max())) + 1 if len(src) else 1
+        nb, lb = (n - 1).bit_length(), (len(letters) - 1).bit_length()
+        if 2 * nb + lb < 63:
+            key = src.astype(np.int64)
+            key <<= lb
+            key |= let
+            key <<= nb
+            key |= dst
+            key <<= 1
+            key |= acc
+            key.sort()
+            last = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:] >> 1, key[:-1] >> 1, out=last[:-1])
+            key = key[last]
+            acc = (key & 1).astype(bool)
+            key >>= 1
+            dst = key & ((1 << nb) - 1)
+            key >>= nb
+            let = key & ((1 << lb) - 1)
+            key >>= lb
+            return cls(letters, key, let, dst, acc)
         order = np.lexsort((dst, let, src))
         src, let, dst, acc = src[order], let[order], dst[order], acc[order]
         first = np.ones(len(src), dtype=bool)

@@ -13,27 +13,32 @@ pinned to the maximal rank.  Safety and reachability shaped inputs collapse
 to subset and breakpoint constructions.
 
 The general construction explores breadth first and numbers states in the
-order they are found.  Every state is a row of one table (a rank per UCA
-state, -1 when absent, then the ``O`` flags, then ``i``), so any number of
-UCA states works.  A subset's row gives its members rank 0 and has
-``i = -1``, so a state's kind and the ``final`` mask are read off the rows;
-the empty subset's row is the sink.  A row's dtype is the narrowest signed
-one that holds 2n, which the ranking update reaches in ``i + 2`` and
-``top + 1`` (:func:`_row_dtype`): int8 up to 63 UCA states, int16
+order they are found.  Every state is a row of one table, so any number
+of UCA states works: a rank per UCA state, -1 when absent, then the
+``ceil(n / 8)`` bytes of the ``O`` mask, one per cell, UCA state ``q`` at
+bit ``q % 8`` of byte ``q // 8`` (:func:`_mask_words`), then ``i``.  At 10
+UCA states a row is 13 int8 cells, two 64-bit words to hash and compare.
+The mask is a one-to-one re-encoding of one flag per UCA state, so it
+changes no id.  A subset's row gives its members rank 0, an empty mask and
+``i = -1``, so a state's kind and the ``final`` mask are read off the
+rows; the empty subset's row is the sink.  A row's dtype is the narrowest
+signed one that holds 2n, which the ranking update reaches in ``i + 2``
+and ``top + 1`` (:func:`_row_dtype`): int8 up to 63 UCA states, int16
 above.  A row has the same values, hash and id in either.  The worklist is
 taken in FIFO batches of consecutive ranking states (at most ``_CHUNK``);
 numpy computes the ranking update of a whole batch on every letter at once,
 and the successors are then interned in (state, letter) order, which gives
 every state the id the one-at-a-time loop would give it.  A batch goes through
-three steps, and the entry rankings of a subset through a fourth:
+four steps, and the entry rankings of a subset through a fifth:
 
-* Least incoming rank.  The UCA's moves are grouped by (letter, target)
+* Least incoming rank.  The UCA's moves are grouped by (target, letter)
   once per construction, largest group first (:func:`_move_groups`).  One
   gather reads, for every move and ranking, what the move brings (the
   source's rank, or along a rejecting move the even rank at or below it),
   and one elementwise minimum per layer of the groups folds each group
-  into its cell, so ``g[letter, target, ranking]`` costs one pass over the
-  move list.  An absent state is -1 here as in the rows: read unsigned it
+  into its cell, so ``g[target, letter, ranking]`` costs one pass over the
+  move list; a successor's ranks are then a column of ``g``, one gather
+  for the batch, and every UCA state's row of them is contiguous.  An absent state is -1 here as in the rows: read unsigned it
   is above every rank, so the minimum is an unsigned one, and read signed
   it is below every rank, so the top rank is a plain maximum.
 * Tightness.  A ranking is tight when its top rank is odd and it holds
@@ -44,6 +49,15 @@ three steps, and the entry rankings of a subset through a fourth:
   equal the mask of all odd ranks up to the top (:func:`_tight`).  The
   ``O`` and ``i`` update and the new rows are then computed only for the
   (ranking, letter) pairs that stay tight.
+* The ``O`` and ``i`` update, on one mask per successor
+  (:func:`_bit_masks`).  ``O`` is owed the UCA states its members move to:
+  the OR of one column per byte of ``O`` of the tables of
+  :func:`_owed_tables`, built once per construction, 2**8 masks per byte
+  position and letter.  The successor keeps in ``O`` the owed states of
+  rank ``i``, ``mask(r == i) & owed``, computed only where something is
+  owed; while that is not 0, ``i`` stays, and otherwise (a breakpoint) ``O``
+  refills with ``mask(r == i2)`` for the next even rank ``i2``.  Both
+  selects take one value per successor.
 * Interning.  One :class:`~omegadp.automata.Interner` stores each
   state's row once, in order of first appearance, and finds a row by its
   64-bit hash in an open-addressing table of int32 ids, a whole batch at
@@ -252,18 +266,55 @@ def complement_uca(A: Automaton, opts: ComplementOptions | None = None) -> Autom
     return _complement_general(A, opts)
 
 
-def _post(E: Edges, n):
-    """``post[q, a * n + t]``: 1 if the UCA moves from ``q`` to ``t`` on
-    letter index ``a``, else 0."""
-    post = np.zeros((n, len(E.letters) * n), dtype=np.float32)
-    post[E.src, E.let * n + E.dst] = 1
-    return post
+def _mask_words(n):
+    """How the ``O`` mask of a ranking of ``n`` UCA states is held:
+    ``(nb, word, nw)``.  A row stores its ``nb = ceil(n / 8)`` bytes, one
+    per cell, UCA state ``q`` at bit ``q % 8`` of byte ``q // 8``; the
+    update computes on them as ``nw`` little-endian words of the unsigned
+    dtype ``word``, the narrowest of 1, 2, 4 and 8 bytes that holds them
+    (uint64, as many as needed, past 64 states), zero-padded."""
+    nb = -(-n // 8)
+    size = next((s for s in (1, 2, 4) if s >= nb), 8)
+    return nb, np.dtype(f"<u{size}"), -(-nb // size)
+
+
+def _bit_masks(flags, mask):
+    """``flags[t, k]``, a row per UCA state, as the ``O`` masks of
+    ``mask = _mask_words(n)``: ``out[w, k]`` is word ``w`` of column
+    ``k``'s mask, the OR of its flags shifted to their bits."""
+    _, word, nw = mask
+    B = 8 * word.itemsize
+    out = np.empty((nw, flags.shape[1]), dtype=word)
+    for w in range(nw):
+        part = flags[w * B:(w + 1) * B]
+        bit = np.arange(len(part), dtype=word)[:, None]
+        np.bitwise_or.reduce(np.left_shift(part, bit, dtype=word), axis=0,
+                             out=out[w])
+    return out
+
+
+def _owed_tables(E: Edges, n, mask):
+    """``owed[w, (j * V + v) * L + a]``: word ``w`` (``mask =
+    _mask_words(n)``) of the mask of the UCA states that the states of
+    byte ``j`` of an ``O`` mask whose bits are set in the byte value ``v``
+    move to on letter index ``a``; ``V = 2 ** min(n, 8)``.  The mask that a
+    whole ``O`` is owed on ``a`` is the OR of one column per byte."""
+    nb, word, nw = mask
+    L, V = len(E.letters), 1 << min(n, 8)
+    post = np.zeros((n, L, nw * word.itemsize), dtype=np.uint8)
+    np.bitwise_or.at(post, (E.src, E.let, E.dst >> 3),
+                     np.left_shift(1, E.dst & 7).astype(np.uint8))
+    table = np.zeros((nb, V, L, post.shape[2]), dtype=np.uint8)
+    for q in range(n):
+        j, t = divmod(q, 8)
+        np.bitwise_or(table[j, :1 << t], post[q], out=table[j, 1 << t:2 << t])
+    return np.ascontiguousarray(table.reshape(nb * V * L, -1).view(word).T)
 
 
 def _move_groups(E: Edges, n):
     """The moves of the UCA laid out for the least incoming rank.
 
-    The moves into one cell (letter * n + target) form a group, and the
+    The moves into one cell (target * L + letter) form a group, and the
     groups are ordered by size, largest first.  Layer ``d`` holds the
     ``d``-th move, in source order, of every group that has one, so it
     covers a prefix of the groups.  Returns ``(take, sizes, cells)``:
@@ -271,7 +322,7 @@ def _move_groups(E: Edges, n):
     reads of the rows a source brings (row ``q`` its rank, row ``n + q``
     along a rejecting move the even rank at or below it); ``sizes`` are the
     layer lengths; ``cells`` are the groups' cells."""
-    cell = E.let * n + E.dst
+    cell = E.dst * len(E.letters) + E.let
     order = np.lexsort((E.src, cell))
     reads = (E.src + n * E.acc)[order]
     cells, first, size = np.unique(cell[order], return_index=True,
@@ -307,7 +358,7 @@ def _tight(g, top, upto):
     """Whether each ranking is tight: its largest rank ``top`` is odd and
     it holds every odd rank below ``top``.
 
-    ``g[a, t, s]`` is the rank of UCA state ``t`` in ranking ``s`` after
+    ``g[t, a, s]`` is the rank of UCA state ``t`` in ranking ``s`` after
     letter ``a``, or -1 where ``t`` is absent; ``top[a, s]`` is the
     largest rank held, -1 if none; ``upto`` is ``_odd_rank_masks(n)``.
     Read unsigned, a value ``r`` sets the bit ``(r & 1) << (r >> 1)`` of
@@ -324,7 +375,7 @@ def _tight(g, top, upto):
     for w, mask in enumerate(upto):
         shifted = np.left_shift(odd, half - B * w if w else half,
                                 dtype=upto.dtype)
-        ok &= np.bitwise_or.reduce(shifted, axis=1) == mask.take(odd_upto)
+        ok &= np.bitwise_or.reduce(shifted, axis=0) == mask.take(odd_upto)
     return ok
 
 
@@ -352,7 +403,7 @@ def _ranking_update(F, mv: _Moves):
     """The ranking update of the rank rows ``F`` (one per ranking state) on
     every letter; ``F`` is left as it is.
 
-    Returns ``(g, top, status)``: ``g[a, t, s]`` is the least rank that row
+    Returns ``(g, top, status)``: ``g[t, a, s]`` is the least rank that row
     ``s`` brings to UCA state ``t`` on letter ``a`` (-1 where ``t`` is
     absent), ``top[a, s]`` the largest rank held after it (-1 if none) and
     ``status[a, s]`` one of ``_BLOCKED``, ``_EMPTY`` (every run died) and
@@ -365,23 +416,23 @@ def _ranking_update(F, mv: _Moves):
     # rows of brings are gathered)
     f = np.ascontiguousarray(F[:, :n].T)
     brings = np.concatenate([f, (f & -2) | (f < 0)]).view(f"u{f.itemsize}")
-    # g[a, t, s]: the least rank a run of s brings to t on letter a
+    # g[t, a, s]: the least rank a run of s brings to t on letter a
     least = brings[mv.take]
     at = mv.sizes[0]
     for k in mv.sizes[1:]:
         np.minimum(least[:k], least[at:at + k], out=least[:k])
         at += k
-    g = np.full((L * n, len(F)), -1, dtype=F.dtype)
+    g = np.full((n * L, len(F)), -1, dtype=F.dtype)
     g[mv.cells] = least[:mv.sizes[0]].view(F.dtype)
-    g = g.reshape(L, n, len(F))
-    top = g.max(axis=1)
+    g = g.reshape(n, L, len(F))
+    top = g.max(axis=0)
     ok = _tight(g, top, mv.upto)
     if mv.pinned is not None:
         # the pinned state never dies and nothing feeds into it, so its
         # rank stays put while everyone else only decreases; a run where it
         # stops carrying the maximum cannot have been pinned at entry and
         # is dropped
-        ok &= g[:, mv.pinned] == top
+        ok &= g[mv.pinned] == top
     # a tight ranking holds a rank, so at most one term is set (int8 sums:
     # np.where would branch on every cell)
     status = _EMPTY * (top < 0).view(np.int8) + _NEXT * ok.view(np.int8)
@@ -402,31 +453,37 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     row = _row_dtype(n)
     succ = _successor_masks(E, n)
     pinned = _resolve_pin(A)
-    W = 2 * n + 1  # a state's row: ranks (-1 absent), then O flags, then i
+    mask = _mask_words(n)
+    nb = mask[0]
+    I = n + nb  # a state's row: ranks (-1 absent), the bytes of O, then i
     mv = _Moves(n, L, *_move_groups(E, n), _odd_rank_masks(n), pinned)
-    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // max(1, L * W, len(mv.take))))
-    post = _post(E, n)
+    chunk = max(1, min(_CHUNK,
+                       _CHUNK_CELLS // max(1, L * (I + 1), len(mv.take))))
+    owed_rows = _owed_tables(E, n, mask)
+    # the first row of each byte's tables, times L
+    byte_base = np.arange(0, nb * L << min(n, 8), L << min(n, 8))
 
-    states = Interner(W, row)  # a state's id is the id of its row
+    states = Interner(I + 1, row)  # a state's id is the id of its row
     entries = {}  # subset mask -> the ids of the subset and its entries
     large = {}  # entry-ranking tables too large to keep past this call
     # the edges, in the order of their sources: the number of each
     # state's edges, and per edge its letter, target and mark
     deg_parts, let_parts, dst_parts, acc_parts = [], [], [], []
     blocked = 0
+    over_budget = (f"complement construction: state budget of "
+                   f"{opts.max_states} exceeded")
 
     def intern(table):
         """The state ids of the rows ``table``."""
         ids = states.ids(table)
         if len(states) > opts.max_states:
-            raise CapacityError(f"state budget of {opts.max_states} "
-                                "exceeded", opts.max_states)
+            raise CapacityError(over_budget, opts.max_states)
         return ids
 
     def subset_row(S):
         """The row of subset ``S``: rank 0 on its members, and i = -1."""
         ranks = [0 if S >> q & 1 else -1 for q in range(n)]
-        return np.array([ranks + [0] * n + [-1]], dtype=row)
+        return np.array([ranks + [0] * nb + [-1]], dtype=row)
 
     def entry_table(S2):
         """The rank rows of the entry rankings of subset ``S2``."""
@@ -435,14 +492,12 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         pin = members.index(pinned) if pinned in members else None
         count = _n_tight_rankings(m, opts.odd_entry, pin is not None)
         if count > opts.max_states:
-            raise CapacityError(
-                f"state budget of {opts.max_states} exceeded",
-                opts.max_states)
+            raise CapacityError(over_budget, opts.max_states)
         key = (m, opts.odd_entry, pin)
         if count * m > _KEEP_CELLS and key not in large:
             large[key] = _tight_rankings(*key)
         ranks = large[key] if key in large else _kept_rankings(*key)
-        table = np.zeros((len(ranks), W), dtype=row)
+        table = np.zeros((len(ranks), I + 1), dtype=row)
         table[:, :n] = -1
         table[:, members] = ranks
         return table
@@ -502,20 +557,30 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         blocked += m * L - len(go)
         nxt = np.flatnonzero(st == _NEXT)
         s, a = np.divmod(nxt, L)
-        r = g[a, :, s]
-        i = F[s, 2 * n]
-        # owed to t: some state of O moves to t; O keeps the states owed
-        # the even rank i; once it empties (a breakpoint) it refills with
-        # the states of the next even rank i2
-        owed = (F[:, n:2 * n].astype(np.float32) @ post > 0) \
-            .reshape(m * L, n)[nxt]
-        owing = (r == i[:, None]) & owed
-        still = owing.any(axis=1)
-        i2 = (i + 2) % (top[a, s] + 1)
-        table = np.empty((len(nxt), W), dtype=row)
-        table[:, :n] = r
-        table[:, n:2 * n] = np.where(still[:, None], owing, r == i2[:, None])
-        table[:, 2 * n] = np.where(still, i, i2)
+        cell = a * m + s  # the successors' cells of the (letter, state) arrays
+        r = g.reshape(n, L * m).take(cell, axis=1)  # a row per UCA state
+        i = F[:, I].take(s)
+        # owed to t: some state of O moves to t, the OR of one table column
+        # per byte of O; O keeps the states owed the even rank i; once it
+        # empties (a breakpoint) it refills with the states of the next
+        # even rank i2
+        owing = np.zeros((mask[2], len(nxt)), dtype=mask[1])
+        for j in range(nb):
+            at = F[:, n + j].astype(np.intp)
+            at &= 0xFF
+            at *= L
+            at += byte_base[j]
+            at = at.take(s)
+            at += a
+            owing |= owed_rows.take(at, axis=1)
+        owing &= _bit_masks(r == i, mask)
+        still = owing.any(axis=0)
+        i2 = (i + 2) % (top.reshape(-1).take(cell) + 1)
+        table = np.empty((len(nxt), I + 1), dtype=row)
+        table[:, :n] = r.T
+        O = np.where(still, owing, _bit_masks(r == i2, mask))
+        table[:, n:I] = np.ascontiguousarray(O.T).view(np.uint8)[:, :nb]
+        table[:, I] = np.where(still, i, i2)
         mark = np.ones(m * L, dtype=bool)
         mark[nxt] = ~still
         to_empty = st == _EMPTY
@@ -534,18 +599,18 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         check_time("complement construction")
         # a subset has i = -1; the ranking states up to the next subset
         # form one batch
-        if states.rows[wi, 2 * n] < 0:
+        if states.rows[wi, I] < 0:
             expand_subset(wi)
             wi += 1
         else:
-            ahead = states.rows[wi:min(len(states), wi + chunk), 2 * n]
+            ahead = states.rows[wi:min(len(states), wi + chunk), I]
             hi = wi + int(np.append(ahead < 0, True).argmax())
             expand_ranks(wi, hi)
             wi = hi
 
     # the subsets but the sink are the first phase
     rows = states.rows[:len(states)]
-    final = (rows[:, 2 * n] >= 0) | (rows[:, :n] < 0).all(axis=1)
+    final = (rows[:, I] >= 0) | (rows[:, :n] < 0).all(axis=1)
     # free the interning before the edges are joined, one field at a time
     states = rows = None
     entries.clear()

@@ -15,9 +15,10 @@ and every stage passes on its restriction to the states that stage keeps;
 for an automaton without the tag, the stages take the partition that
 ``is_strongly_limit_deterministic`` finds.
 
-The lumping stages refine a partition in rounds: each round writes a
-state's block and coded moves as one row, and an
-:class:`~omegadp.automata.Interner` numbers the rows by first appearance.
+The lumping stages refine a partition in rounds: a round writes the block
+and coded moves of each state whose successors' blocks changed as one row,
+and an :class:`~omegadp.automata.Interner` numbers the rows by first
+appearance; a block that splits keeps its id for one part.
 
 Language classes are found by exact inclusion checks.  Only states whose
 fingerprints agree are compared, so a fingerprint column must depend on
@@ -148,74 +149,154 @@ def _code_dtype(n, L):
         else np.int64
 
 
-def _move_groups(act, offset, dst, tail):
-    """The states ``act`` grouped by their number k of moves, the entries
-    ``offset[q]`` to ``offset[q + 1]`` of the move columns ``dst`` and
-    ``tail``: per group ``(sel, states, d, t)``, where ``states = act[sel]``
-    and row i of ``d`` and ``t`` holds the moves of ``states[i]``."""
-    count = np.diff(offset)[act]
+def _ranges(start, stop):
+    """The ranges ``start[i] .. stop[i] - 1``, laid end to end."""
+    size = stop - start
+    out = np.repeat(start - (np.cumsum(size) - size), size)
+    out += np.arange(len(out))
+    return out
+
+
+def _move_groups(first, count, dst, tail):
+    """States grouped by their number k of moves, the moves of state ``i``
+    being the entries ``first[i]`` to ``first[i] + count[i] - 1`` of the
+    columns ``dst`` and ``tail``: per group ``(sel, d, t)``, where row j of
+    ``d`` and ``t`` holds the moves of state ``sel[j]``."""
     groups = []
-    for k in np.unique(count):
+    for k in np.flatnonzero(np.bincount(count)):
         sel = np.flatnonzero(count == k)
-        at = offset[act[sel]][:, None] + np.arange(k)
-        groups.append((sel, act[sel], dst.take(at), tail.take(at)))
+        at = first[sel][:, None] + np.arange(k)
+        groups.append((sel, dst.take(at), tail.take(at)))
     return groups
+
+
+def _parts(moves, count, block, L, code):
+    """``(coded, part, parts)``: the ``count`` states ``coded`` numbered by
+    their signatures (see :func:`_bisimulation`), ``parts`` of them, given
+    per move count as ``(states, d, t)`` by ``moves``, row j of ``d`` and
+    ``t`` holding the moves of ``states[j]``.  One :class:`Interner` per
+    move count numbers them by first appearance, after the signatures of
+    the counts before."""
+    coded = np.empty(count, dtype=np.int32)
+    part = np.empty(count, dtype=np.int32)
+    at = parts = 0
+    for states, d, t in moves:
+        M = np.empty((len(d), d.shape[1] + 1), dtype=code)
+        M[:, 0] = block[states]
+        np.multiply(block.take(d), 2 * L, out=M[:, 1:])
+        M[:, 1:] += t
+        rows = Interner(M.shape[1], code)
+        coded[at:at + len(d)] = states
+        part[at:at + len(d)] = rows.ids(M)
+        part[at:at + len(d)] += parts
+        at += len(d)
+        parts += len(rows)
+    return coded, part, parts
 
 
 def _bisimulation(n, E: Edges, active, what):
     """Coarsest strong bisimulation that refines ``active`` states only;
     every other state is a block of its own.  Returns block ids.
 
-    A round codes each move of an active state as ``block[dst] * 2L +
-    tail``, where ``tail = mark * L + letter``, and the states with the
-    same block and the same moves form a block of the next round.  States
-    with different numbers of moves never share one, so one
-    :class:`Interner` per move count numbers the rows (block, moves) by
-    first appearance, after the blocks of the smaller counts."""
+    A state's signature is its block and its moves, each coded as
+    ``block[dst] * 2L + tail``, where ``tail = mark * L + letter``; the
+    states of a block with equal signatures form a block of the next
+    round.  The first round codes every active state, and each later one
+    only the active states with a successor whose block id changed in the
+    round before.  When a block splits, one part keeps its id: the members
+    that were not coded, if there are any, or else the largest part (of
+    equal ones, the first numbered); only the parts that split off take new
+    ids.  So a changed id always means a real split, a state that is not
+    coded has the signature of its block's other uncoded members, and each
+    round gives the partition that coding every state would.  With one
+    move per (source, letter) the edges list each state's moves in letter
+    order and are grouped by move count once; otherwise the moves of each
+    coded state are sorted and deduplicated every round."""
     L = max(len(E.letters), 1)
     code = _code_dtype(n, L)
     block = np.where(active, 0, n + np.arange(n, dtype=code))
     act = np.flatnonzero(active)
     src, let, dst, acc = E.src, E.let, E.dst, E.acc
-    bounds = np.arange(n + 1, dtype=src.dtype)
-    tail = acc.astype(code)
-    tail *= L
-    tail += let
-    # with one move per (source, letter) the edges keep each state's moves
-    # in letter order, so the groups are gathered once, before the rounds;
-    # otherwise each state's moves are sorted and deduplicated every round
+    offset = np.searchsorted(src, np.arange(n + 1, dtype=src.dtype))
+    tail = (acc * L + let).astype(np.min_scalar_type(2 * L - 1))
     det = not np.any((src[1:] == src[:-1]) & (let[1:] == let[:-1])
                      & active[src[1:]])
+    moving = offset[1:] > offset[:-1]  # the states with moves
+    # per edge, whether it leads to a changed state, and one slot more for
+    # the states after the last edge to point at
+    hit = np.zeros(len(dst) + 1, dtype=bool)
     if det:
-        groups = _move_groups(act, np.searchsorted(src, bounds), dst, tail)
+        groups = [(act[sel], d, t) for sel, d, t
+                  in _move_groups(offset[act], np.diff(offset)[act], dst,
+                                  tail)]
         del tail  # the groups hold all the rounds read
+
+    def moves(waiting):
+        """Per move count, ``(states, d, t)`` for the waiting states."""
+        if det:
+            for states, d, t in groups:
+                rows = np.flatnonzero(waiting[states])
+                yield states[rows], d.take(rows, axis=0), \
+                    t.take(rows, axis=0)
+            return
+        coded = np.flatnonzero(waiting)
+        e = _ranges(offset[coded], offset[coded + 1])
+        own = np.repeat(np.arange(len(coded)), np.diff(offset)[coded])
+        move = block[dst[e]] * (2 * L) + tail[e]
+        order = np.lexsort((move, own))
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = (own[order[1:]] != own[order[:-1]]) \
+            | (move[order[1:]] != move[order[:-1]])
+        e, own = e[order[keep]], own[order[keep]]
+        count = np.bincount(own, minlength=len(coded))
+        for sel, d, t in _move_groups(np.cumsum(count) - count, count,
+                                      dst[e], tail[e]):
+            yield coded[sel], d, t
+
+    size = np.zeros(len(act) + 1, dtype=np.intp)  # members per block id
+    size[0] = len(act)
     n_blocks = 1 if len(act) else 0
-    while True:
+    waiting = active.copy()
+    while waiting.any():
         check_time(what)
-        if not det:
-            move = block[dst] * (2 * L) + tail
-            order = np.lexsort((move, src))
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = (src[order[1:]] != src[order[:-1]]) \
-                | (move[order[1:]] != move[order[:-1]])
-            kept = order[first]
-            groups = _move_groups(act, np.searchsorted(src[kept], bounds),
-                                  dst[kept], tail[kept])
-        new_block = np.empty(len(act), dtype=code)
-        total = 0
-        for sel, states, d, t in groups:
-            M = np.empty((len(states), d.shape[1] + 1), dtype=code)
-            M[:, 0] = block[states]
-            np.multiply(block.take(d), 2 * L, out=M[:, 1:])
-            M[:, 1:] += t
-            rows = Interner(M.shape[1], code)
-            new_block[sel] = rows.ids(M)
-            new_block[sel] += total
-            total += len(rows)
-        if total == n_blocks:
-            return block
-        block[act] = new_block
-        n_blocks = total
+        coded, part, parts = _parts(moves(waiting),
+                                    np.count_nonzero(waiting), block, L, code)
+        # per part: its size and block; the parts of a block side by side,
+        # largest first
+        part_size = np.bincount(part, minlength=parts)
+        part_block = np.empty(parts, dtype=code)
+        part_block[part] = block[coded]
+        order = np.lexsort((-part_size, part_block))
+        lead = np.ones(parts, dtype=bool)
+        lead[1:] = part_block[order[1:]] != part_block[order[:-1]]
+        starts = np.flatnonzero(lead)
+        coded_in = np.add.reduceat(part_size[order], starts)
+        # a block keeps its id for its uncoded members, or else for its
+        # largest part
+        keeps = np.zeros(parts, dtype=bool)
+        whole = coded_in == size[part_block[order[starts]]]
+        keeps[order[starts[whole]]] = True
+        split = np.flatnonzero(~keeps)
+        new_id = np.arange(n_blocks, n_blocks + len(split), dtype=code)
+        n_blocks += len(split)
+        np.subtract.at(size, part_block[split], part_size[split])
+        size[new_id] = part_size[split]
+        fresh = np.full(parts, -1, dtype=code)
+        fresh[split] = new_id
+        moved = fresh[part]
+        changed = moved >= 0
+        block[coded[changed]] = moved[changed]
+        # the active states with a move into a changed state wait; a state
+        # without moves reads its successor's first edge, and is masked
+        waiting[:] = False
+        waiting[coded[changed]] = True
+        for lo in range(0, len(dst), _SLICE):
+            into = dst[lo:lo + _SLICE]
+            np.take(waiting, into, out=hit[lo:lo + len(into)])
+        waiting = np.logical_or.reduceat(hit, offset[:-1])
+        waiting &= moving
+        waiting &= active
+    return block
 
 
 def _quotient(A: Automaton, block, final) -> Automaton:

@@ -454,14 +454,15 @@ def test_one_reduce_05_batch_stays_within_its_working_set(monkeypatch):
 
 
 def held_tight(g):
-    """Tightness by a table of the ranks held, one row per ranking; an
-    absent state is -1."""
+    """Tightness by a table of the ranks held, one row per ranking, of
+    ``g[t, a, s]``, the rank of UCA state ``t`` in ranking ``s`` after
+    letter ``a``; an absent state is -1."""
     alive = g >= 0
-    top = g.max(axis=1)
-    held = np.zeros(top.shape + (2 * g.shape[1],), dtype=bool)
-    ha, ht, hs = np.nonzero(alive)
-    held[ha, hs, g[ha, ht, hs]] = True
-    return alive.any(axis=1) & (top % 2 == 1) \
+    top = g.max(axis=0)
+    held = np.zeros(top.shape + (2 * g.shape[0],), dtype=bool)
+    ht, ha, hs = np.nonzero(alive)
+    held[ha, hs, g[ht, ha, hs]] = True
+    return alive.any(axis=0) & (top % 2 == 1) \
         & (held[:, :, 1::2].sum(axis=2) == (top + 1) // 2)
 
 
@@ -474,20 +475,20 @@ WIDTHS = [1, 3, 8, 9, 10, 16, 17, 32, 33, 63, 64, 65, 100, 130]
 def test_tightness_by_odd_rank_masks(n):
     rng = np.random.default_rng(n)
     L, m = 3, 400
-    g = np.full((L, n, m), -1, dtype=complement_module._row_dtype(n))
+    g = np.full((n, L, m), -1, dtype=complement_module._row_dtype(n))
     # mostly tight rankings, some with one odd rank moved away or an even
     # rank on top, so both answers occur at every size
     for a in range(L):
         for s in range(m):
             k = rng.integers(1, n + 1)
             who = rng.permutation(n)
-            g[a, who[:k], s] = np.arange(1, 2 * k, 2)
-            g[a, who[k:], s] = rng.choice([-1, *range(2 * k)], n - k)
+            g[who[:k], a, s] = np.arange(1, 2 * k, 2)
+            g[who[k:], a, s] = rng.choice([-1, *range(2 * k)], n - k)
             if s % 3 == 1:
-                g[a, who[rng.integers(k)], s] -= 1
+                g[who[rng.integers(k)], a, s] -= 1
             elif s % 3 == 2 and k < n:
-                g[a, who[k], s] = 2 * k
-    top = g.max(axis=1)
+                g[who[k], a, s] = 2 * k
+    top = g.max(axis=0)
     expect = held_tight(g)
     assert 0 < expect.sum() < expect.size
     if n > 64:
@@ -532,14 +533,14 @@ def test_ranking_update_by_the_move_list(n):
         row[who[k:]] = rng.integers(-1, 2 * k, size=n - k)
     F[::7, :n] = -1
     g, top, status = complement_module._ranking_update(F, mv)
-    want = np.full((L, n, m), big, dtype=np.int64)
+    want = np.full((n, L, m), big, dtype=np.int64)
     for q, a, t, rejecting in zip(src, let, dst, acc):
         rank = F[:, q].astype(np.int64)
         brings = np.where(rank < 0, big, rank & -2 if rejecting else rank)
-        want[a, t] = np.minimum(want[a, t], brings)
-    assert (want[2] == big).all()
+        want[t, a] = np.minimum(want[t, a], brings)
+    assert (want[:, 2] == big).all()
     assert np.array_equal(g, np.where(want < big, want, -1))
-    assert np.array_equal(top, np.where(want < big, want, -1).max(axis=1))
+    assert np.array_equal(top, np.where(want < big, want, -1).max(axis=0))
     assert (top[2] == -1).all()
     tight = held_tight(np.where(want < big, want, -1))
     expect = np.where(tight, complement_module._NEXT,
@@ -549,6 +550,60 @@ def test_ranking_update_by_the_move_list(n):
     for outcome in (complement_module._NEXT, complement_module._BLOCKED,
                     complement_module._EMPTY):
         assert (status == outcome).any()
+
+
+def uca_of_size(n):
+    """A UCA of ``n`` states; from two states on, its complement has
+    ranking states with nonempty ``O`` sets."""
+    if n == 1:
+        return Automaton("UCA", Alphabet(("a",)), 1, 0,
+                         {(0, 0): (0,), (0, 1): (0,)}, {(0, 1, 0)})
+    return seventy_state_uca(n)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 16, 17, 63, 64])
+def test_packed_rows_decode_to_ranks_o_flags_and_i(n, monkeypatch):
+    """A state's row holds its n ranks, the ceil(n / 8) bytes of its ``O``
+    mask, one per cell, and ``i``.  Decoded to n ranks, n ``O`` flags and
+    ``i``, the rows of a complement are distinct, a subset's flags are
+    clear, ``O`` holds only states of rank ``i``, and the module's masks of
+    the decoded flags give the stored bytes back; random flags make the
+    same round trip."""
+    kept = []
+
+    class Kept(automata.Interner):
+        def __init__(self, width, dtype):
+            super().__init__(width, dtype)
+            kept.append(self)
+
+    monkeypatch.setattr(complement_module, "Interner", Kept)
+    C = complement_uca(uca_of_size(n), ComplementOptions(special=False))
+    rows = kept[0].rows[:C.n_states]
+    nb = -(-n // 8)
+    assert rows.shape[1] == n + nb + 1
+    assert rows.dtype == complement_module._row_dtype(n)
+    ranks, stored, i = rows[:, :n], rows[:, n:n + nb].astype(np.uint8), \
+        rows[:, n + nb]
+    bits = np.unpackbits(stored, axis=1, bitorder="little")
+    assert not bits[:, n:].any()
+    O = bits[:, :n].astype(bool)
+    # a tight ranking of one state is rank 1, so its O is always empty
+    assert O.any() or n == 1
+    assert len(np.unique(np.column_stack([ranks, O, i]), axis=0)) == len(rows)
+    subset = i < 0
+    assert not O[subset].any() and (ranks[subset] <= 0).all()
+    assert (i[~subset] % 2 == 0).all()
+    assert (~O | (ranks == i[:, None])).all()
+    mask = complement_module._mask_words(n)
+
+    def stored_bytes(flags):
+        words = complement_module._bit_masks(flags.T, mask)
+        return np.ascontiguousarray(words.T).view(np.uint8)[:, :nb]
+
+    assert np.array_equal(stored_bytes(O), stored)
+    flags = np.random.default_rng(n).random((500, n)) < 0.5
+    assert np.array_equal(np.unpackbits(stored_bytes(flags), axis=1,
+                                         bitorder="little")[:, :n], flags)
 
 
 def same_array(x, y):

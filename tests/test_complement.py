@@ -176,6 +176,37 @@ def test_capacity_budget():
     assert counter.keys == [0, 1, 2]
 
 
+def test_an_exploration_over_its_budget_names_itself():
+    walk = Explorer(0, budget=3, what="counting")
+    with pytest.raises(CapacityError, match="^counting: state budget of 3 "
+                       "exceeded$") as exc:
+        for _, k in walk:
+            walk.intern(k + 1)
+    assert exc.value.states_built == 3
+
+
+def test_interning_over_the_budget_names_the_construction():
+    U = random_uca_for_budget()
+    budget = complement_uca(U, ComplementOptions(special=False)).n_states - 1
+    with pytest.raises(CapacityError, match="^complement construction: "
+                       f"state budget of {budget} exceeded$") as exc:
+        complement_uca(U, ComplementOptions(special=False, max_states=budget))
+    assert exc.traceback[-1].name == "intern"
+    assert exc.value.states_built == budget
+
+
+def test_entry_rankings_over_the_budget_name_the_construction():
+    """Nine states, every move to every state: the full subset's 7,087,261
+    entry rankings are counted over the budget before any is built."""
+    U = Automaton("UCA", Alphabet(("a",)), 9, 0,
+                  {(q, a): tuple(range(9)) for q in range(9) for a in (0, 1)},
+                  set())
+    with pytest.raises(CapacityError, match="^complement construction: "
+                       "state budget of 100 exceeded$") as exc:
+        complement_uca(U, ComplementOptions(special=False, max_states=100))
+    assert exc.traceback[-1].name == "entry_table"
+
+
 def reachability_uca():
     ab = Alphabet(("a",))
     delta = {(0, 0): (0, 1), (0, 1): (0,), (1, 0): (1,), (1, 1): (1,)}

@@ -34,6 +34,7 @@ from omegadp.reduction import (
     run_pipeline,
 )
 from omegadp.streett import determinize_uca, streett_mdp_max_prob
+from bisimulation_reference import bisimulation_by_rounds, lowest_members
 from conftest import all_lassos, clock_expired_inside, random_uca
 from test_mdp import run_python
 
@@ -254,6 +255,89 @@ def test_timeout_inside_the_inclusion_search_keeps_the_lumped_automaton(
     assert stats.lang is None and stats.lumpa is None
     assert (R.n_states, R.delta, R.gamma) == \
         (lumped.n_states, lumped.delta, lumped.gamma)
+
+
+STAGES = (prune_empty, lump_final, merge_lang_final, drop_dominated_jumps,
+          lump_all)
+
+
+@pytest.mark.parametrize("stage, inside, loop", [
+    (lump_final, "_bisimulation", "lumping"),
+    (merge_lang_final, "merge_lang_final", "language merging"),
+    (drop_dominated_jumps, "drop_dominated_jumps", "jump dominance"),
+    (lump_all, "_bisimulation", "lumping"),
+])
+def test_each_reduction_loop_honours_its_deadline(stage, inside, loop,
+                                                  monkeypatch):
+    """With the clock expired inside ``inside``, the stage stops at its
+    own loop's check, on the input the pipeline gives it."""
+    A = complement_uca(parse_hoa((FIXTURES / "reduce_01.hoa").read_text())
+                       .reinterpret("UCA"), ComplementOptions(special=False))
+    for earlier in STAGES[:STAGES.index(stage)]:
+        A = earlier(A)
+    monkeypatch.setattr(automata.time, "monotonic",
+                        clock_expired_inside(inside))
+    with automata.time_limit(10.0), \
+            pytest.raises(TimeoutError, match=f"^{loop} exceeded"):
+        stage(A)
+
+
+def two_phase_edges(rng, n1, n2, n_letters):
+    """A random two-phase automaton's edges: states ``0 .. n1 - 1`` form a
+    nondeterministic first phase, up to three moves per letter into either
+    phase, and the others a deterministic second phase, at most one move
+    per letter.  Few letters and marks, so that many states are
+    bisimilar.  Returns the state count, the edges and the second-phase
+    mask."""
+    n = n1 + n2
+    src, let, dst, acc = [], [], [], []
+    for q in range(n):
+        for a in range(n_letters):
+            if q < n1:
+                targets = rng.sample(range(n), rng.randint(0, min(3, n)))
+            else:
+                targets = [rng.randrange(n1, n)] if rng.random() < 0.8 else []
+            for t in targets:
+                src.append(q), let.append(a), dst.append(t)
+                acc.append(rng.random() < 0.2)
+    E = automata.Edges.normalised(tuple(range(n_letters)), src, let, dst,
+                                  acc)
+    return n, E, np.arange(n) >= n1
+
+
+def test_bisimulation_matches_the_round_based_reference():
+    """On 200 seeded two-phase automata, the lumping of the deterministic
+    second phase, of every state and of a random set of states gives the
+    partition of the rounds that code every state."""
+    rng = random.Random(37)
+    merged = 0
+    for _ in range(200):
+        n, E, final = two_phase_edges(rng, rng.randint(1, 12),
+                                      rng.randint(1, 30), rng.randint(1, 3))
+        some = np.array([rng.random() < 0.5 for _ in range(n)])
+        for active in (final, np.ones(n, dtype=bool), some):
+            got = reduction._bisimulation(n, E, active, "lumping")
+            assert np.array_equal(
+                lowest_members(got),
+                lowest_members(bisimulation_by_rounds(n, E, active)))
+            merged += n - len(np.unique(got))
+    assert merged > 1000
+
+
+def test_bisimulation_of_two_long_chains():
+    """Two copies of a 1,000-state chain whose last state's loop is marked,
+    2,000 states: a state is told apart from the state after it only in
+    the round that reaches the marked loop, a thousand rounds deep, and
+    each state is bisimilar to its copy and to no other state."""
+    q = np.arange(2000)
+    last = q % 1000 == 999
+    E = automata.Edges((0,), q, np.zeros(2000, dtype=int),
+                       np.where(last, q, q + 1), last)
+    active = np.ones(2000, dtype=bool)
+    got = reduction._bisimulation(2000, E, active, "lumping")
+    assert np.array_equal(lowest_members(got), q % 1000)
+    assert np.array_equal(lowest_members(got), lowest_members(
+        bisimulation_by_rounds(2000, E, active)))
 
 
 def test_stats_row_format():
