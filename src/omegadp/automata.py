@@ -120,10 +120,9 @@ class Explorer:
     these ids (product ``pairs``, ``keys``, ``odp_state_of``): ``keys[i]``
     is the key of id ``i`` and ``ids`` maps each key to its id, in id order.
     With a ``budget``, interning a key that would get id ``budget`` raises
-    :class:`CapacityError` naming ``what``, with ``states_built`` equal to
-    the budget.  The
+    :class:`CapacityError` with ``states_built`` equal to the budget.  The
     deadline is checked once per 1,024 new ids, from id 0 on; ``what``
-    names the exploration in the timeout message.
+    names the exploration in the budget and timeout messages.
     """
 
     __slots__ = ("ids", "keys", "budget", "what")

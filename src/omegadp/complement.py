@@ -37,10 +37,11 @@ four steps, and the entry rankings of a subset through a fifth:
   source's rank, or along a rejecting move the even rank at or below it),
   and one elementwise minimum per layer of the groups folds each group
   into its cell, so ``g[target, letter, ranking]`` costs one pass over the
-  move list; a successor's ranks are then a column of ``g``, one gather
-  for the batch, and every UCA state's row of them is contiguous.  An absent state is -1 here as in the rows: read unsigned it
-  is above every rank, so the minimum is an unsigned one, and read signed
-  it is below every rank, so the top rank is a plain maximum.
+  move list; the successors' ranks are then one gather of columns of
+  ``g``, a contiguous row per UCA state.  An absent state is -1 here as in
+  the rows: read unsigned it is above every rank, so the minimum is an
+  unsigned one, and read signed it is below every rank, so the top rank
+  is a plain maximum.
 * Tightness.  A ranking is tight when its top rank is odd and it holds
   every odd rank below.  Each odd rank 2j+1 held sets bit j, as 1 shifted
   by the rank's half, of a mask of odd ranks in words of the narrowest
@@ -52,12 +53,12 @@ four steps, and the entry rankings of a subset through a fifth:
 * The ``O`` and ``i`` update, on one mask per successor
   (:func:`_bit_masks`).  ``O`` is owed the UCA states its members move to:
   the OR of one column per byte of ``O`` of the tables of
-  :func:`_owed_tables`, built once per construction, 2**8 masks per byte
-  position and letter.  The successor keeps in ``O`` the owed states of
-  rank ``i``, ``mask(r == i) & owed``, computed only where something is
-  owed; while that is not 0, ``i`` stays, and otherwise (a breakpoint) ``O``
-  refills with ``mask(r == i2)`` for the next even rank ``i2``.  Both
-  selects take one value per successor.
+  :func:`_owed_tables`, built once per construction, a mask per byte
+  position, byte value and letter.  The successor keeps in ``O`` the owed
+  states of rank ``i``, ``mask(r == i) & owed``; while that is not 0, ``i``
+  stays, and otherwise (a breakpoint) ``O`` refills with ``mask(r == i2)``
+  for the next even rank ``i2``.  Both selects take one value per
+  successor, not one per UCA state.
 * Interning.  One :class:`~omegadp.automata.Interner` stores each
   state's row once, in order of first appearance, and finds a row by its
   64-bit hash in an open-addressing table of int32 ids, a whole batch at
@@ -454,14 +455,13 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
     succ = _successor_masks(E, n)
     pinned = _resolve_pin(A)
     mask = _mask_words(n)
-    nb = mask[0]
+    nb, word, nw = mask
     I = n + nb  # a state's row: ranks (-1 absent), the bytes of O, then i
     mv = _Moves(n, L, *_move_groups(E, n), _odd_rank_masks(n), pinned)
     chunk = max(1, min(_CHUNK,
                        _CHUNK_CELLS // max(1, L * (I + 1), len(mv.take))))
-    owed_rows = _owed_tables(E, n, mask)
-    # the first row of each byte's tables, times L
-    byte_base = np.arange(0, nb * L << min(n, 8), L << min(n, 8))
+    owed = _owed_tables(E, n, mask)
+    V = 1 << min(n, 8)  # the values of a byte of O that owed has rows for
 
     states = Interner(I + 1, row)  # a state's id is the id of its row
     entries = {}  # subset mask -> the ids of the subset and its entries
@@ -560,19 +560,19 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         cell = a * m + s  # the successors' cells of the (letter, state) arrays
         r = g.reshape(n, L * m).take(cell, axis=1)  # a row per UCA state
         i = F[:, I].take(s)
-        # owed to t: some state of O moves to t, the OR of one table column
-        # per byte of O; O keeps the states owed the even rank i; once it
-        # empties (a breakpoint) it refills with the states of the next
+        # owed to t: some state of O moves to t, the OR of one column of
+        # owed per byte of O; O keeps the states owed the even rank i; once
+        # it empties (a breakpoint) it refills with the states of the next
         # even rank i2
-        owing = np.zeros((mask[2], len(nxt)), dtype=mask[1])
+        owing = np.zeros((nw, len(nxt)), dtype=word)
         for j in range(nb):
             at = F[:, n + j].astype(np.intp)
             at &= 0xFF
+            at += j * V
             at *= L
-            at += byte_base[j]
             at = at.take(s)
             at += a
-            owing |= owed_rows.take(at, axis=1)
+            owing |= owed.take(at, axis=1)
         owing &= _bit_masks(r == i, mask)
         still = owing.any(axis=0)
         i2 = (i + 2) % (top.reshape(-1).take(cell) + 1)

@@ -174,9 +174,10 @@ def _parts(moves, count, block, L, code):
     """``(coded, part, parts)``: the ``count`` states ``coded`` numbered by
     their signatures (see :func:`_bisimulation`), ``parts`` of them, given
     per move count as ``(states, d, t)`` by ``moves``, row j of ``d`` and
-    ``t`` holding the moves of ``states[j]``.  One :class:`Interner` per
-    move count numbers them by first appearance, after the signatures of
-    the counts before."""
+    ``t`` holding the moves of ``states[j]``.  States with different
+    numbers of moves never share a block, so one :class:`Interner` per move
+    count numbers the rows (block, moves) by first appearance, after the
+    signatures of the counts before."""
     coded = np.empty(count, dtype=np.int32)
     part = np.empty(count, dtype=np.int32)
     at = parts = 0

@@ -515,3 +515,24 @@ def test_state_ids_beyond_46341_compose_into_int64_keys():
     mine, theirs = intersect_nba(A, A), ref.intersect_nba(A, A)
     assert (mine.n_states, mine.delta, mine.gamma) \
         == (theirs.n_states, theirs.delta, theirs.gamma)
+
+
+@pytest.mark.parametrize("base", [0, 1 << 30])
+def test_normalised_edges_are_sorted_and_merged(base):
+    """Edges with repeats, in a random order, over 3 letters: sorted by
+    (source, letter, target), one copy each, marked when a copy is.  With
+    state ids past 2**30 the bit fields do not fit one int64 key, and the
+    columns are sorted instead."""
+    rng = np.random.default_rng(17)
+    src, let, dst = (rng.integers(0, k, 400) for k in (6, 3, 6))
+    acc = rng.random(400) < 0.2
+    E = automata.Edges.normalised((0, 1, 2), src + base, let, dst + base, acc)
+    want = {}
+    for key in zip(src.tolist(), let.tolist(), dst.tolist(), acc.tolist()):
+        want[key[:3]] = want.get(key[:3], False) or key[3]
+    keys = sorted(want)
+    assert [tuple(e) for e in zip(E.src.tolist(), E.let.tolist(),
+                                  E.dst.tolist())] \
+        == [(s + base, a, t + base) for s, a, t in keys]
+    assert E.acc.tolist() == [want[k] for k in keys]
+    assert E.src.dtype == E.let.dtype == E.dst.dtype == np.int32
