@@ -149,14 +149,6 @@ def _code_dtype(n, L):
         else np.int64
 
 
-def _ranges(start, stop):
-    """The ranges ``start[i] .. stop[i] - 1``, laid end to end."""
-    size = stop - start
-    out = np.repeat(start - (np.cumsum(size) - size), size)
-    out += np.arange(len(out))
-    return out
-
-
 def _move_groups(first, count, dst, tail):
     """States grouped by their number k of moves, the moves of state ``i``
     being the entries ``first[i]`` to ``first[i] + count[i] - 1`` of the
@@ -241,8 +233,8 @@ def _bisimulation(n, E: Edges, active, what):
                     t.take(rows, axis=0)
             return
         coded = np.flatnonzero(waiting)
-        e = _ranges(offset[coded], offset[coded + 1])
-        own = np.repeat(np.arange(len(coded)), np.diff(offset)[coded])
+        own, off = _spans(np.diff(offset)[coded])
+        e = offset[coded][own] + off
         move = block[dst[e]] * (2 * L) + tail[e]
         order = np.lexsort((move, own))
         keep = np.ones(len(order), dtype=bool)
