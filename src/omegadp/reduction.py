@@ -298,17 +298,19 @@ def _quotient(A: Automaton, block, final) -> Automaton:
     second-phase one moves like it, so no edge of the quotient leads from
     the second phase back into the first."""
     E = A.edges
-    blocks, first = np.unique(block, return_index=True)
-    rep_of = first[np.searchsorted(blocks, block)]
-    keep = np.zeros(A.n_states, dtype=bool)
-    keep[first] = True
-    new_id = np.cumsum(keep) - 1
+    # per block id its lowest member, per state its block's
+    rep_of = np.full(int(block.max()) + 1, A.n_states, dtype=np.int32)
+    np.minimum.at(rep_of, block, np.arange(A.n_states, dtype=np.int32))
+    rep_of = rep_of[block]
+    keep = rep_of == np.arange(A.n_states)
+    new_id = np.cumsum(keep, dtype=np.int32)
+    new_id -= 1
     m = keep[E.src]
     edges = Edges.normalised(E.letters, new_id[E.src[m]], E.let[m],
                              new_id[rep_of[E.dst[m]]], E.acc[m])
-    second = np.zeros(len(first), dtype=bool)
+    second = np.zeros(int(new_id[-1]) + 1, dtype=bool)
     second[new_id[rep_of[final]]] = True
-    return _derived(A, len(first), int(new_id[rep_of[A.initial]]), edges,
+    return _derived(A, len(second), int(new_id[rep_of[A.initial]]), edges,
                     second)
 
 
