@@ -590,8 +590,8 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
         if to_empty.any():
             dst[to_empty] = entries[0][0]
         dst[nxt] = intern(table)
-        add_edges(np.bincount(go // L, minlength=m), go % L, dst[go],
-                  mark[go])
+        by, on = np.divmod(go, L)
+        add_edges(np.bincount(by, minlength=m), on, dst[go], mark[go])
 
     intern(subset_row(1 << A.initial))
     wi = 0
@@ -608,11 +608,12 @@ def _complement_general(A: Automaton, opts: ComplementOptions) -> Automaton:
             expand_ranks(wi, hi)
             wi = hi
 
-    # the subsets but the sink are the first phase
-    rows = states.rows[:len(states)]
-    final = (rows[:, I] >= 0) | (rows[:, :n] < 0).all(axis=1)
+    # the subsets but the sink (the empty subset) are the first phase
+    final = states.rows[:len(states), I] >= 0
+    if 0 in entries:
+        final[entries[0][0]] = True
     # free the interning before the edges are joined, one field at a time
-    states = rows = None
+    states = None
     entries.clear()
     large.clear()
     src = np.repeat(np.arange(len(final), dtype=np.int32),
