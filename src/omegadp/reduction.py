@@ -214,6 +214,10 @@ def _bisimulation(n, E: Edges, active, what):
     tail = (acc * L + let).astype(np.min_scalar_type(2 * L - 1))
     det = not np.any((src[1:] == src[:-1]) & (let[1:] == let[:-1])
                      & active[src[1:]])
+    moving = offset[1:] > offset[:-1]  # the states with moves
+    # per edge, whether it leads to a changed state, and one slot more for
+    # the states after the last edge to point at
+    hit = np.zeros(len(dst) + 1, dtype=bool)
     if det:
         groups = [(act[sel], d, t) for sel, d, t
                   in _move_groups(offset[act], np.diff(offset)[act], dst,
@@ -275,13 +279,15 @@ def _bisimulation(n, E: Edges, active, what):
         moved = fresh[part]
         changed = moved >= 0
         block[coded[changed]] = moved[changed]
-        # the active states with a move into a changed state wait
-        hit = np.zeros(n, dtype=bool)
-        hit[coded[changed]] = True
+        # the active states with a move into a changed state wait; a state
+        # without moves reads its successor's first edge, and is masked
         waiting[:] = False
+        waiting[coded[changed]] = True
         for lo in range(0, len(dst), _SLICE):
-            into = hit.take(dst[lo:lo + _SLICE])
-            waiting[src[lo:lo + _SLICE][into]] = True
+            into = dst[lo:lo + _SLICE]
+            np.take(waiting, into, out=hit[lo:lo + len(into)])
+        waiting = np.logical_or.reduceat(hit, offset[:-1])
+        waiting &= moving
         waiting &= active
     return block
 
